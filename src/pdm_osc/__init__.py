@@ -45,6 +45,7 @@ from .specfun import (
     central_diff,
     erf,
     erfcx,
+    five_point_stencil,
     hyp2f1_terminating,
     integrate,
     jacobi_p,
@@ -66,10 +67,10 @@ from .thermo import (
     heat_capacity,
     levels,
     paper_z_coefficients,
-    parallel_map,
     partition_direct,
     partition_paper,
     partition_poisson_independent,
+    sweep,
 )
 
 __all__ = [
@@ -77,7 +78,8 @@ __all__ = [
     # specfun
     "JacobiParams", "QuadratureSpec", "QuadratureResult",
     "DegreeOverflowError", "PoleError", "IntegrationError",
-    "erf", "erfcx", "log_gamma", "jacobi_p", "hyp2f1_terminating", "integrate", "central_diff",
+    "erf", "erfcx", "log_gamma", "jacobi_p", "hyp2f1_terminating", "integrate",
+    "five_point_stencil", "central_diff",
     # nu
     "NUProblem", "NUCoefficients", "NUSolution", "NegativeDiscriminantError",
     "derive_coefficients", "tau_prime", "quantization_residual", "build_solution",
@@ -93,5 +95,5 @@ __all__ = [
     "levels", "partition_direct", "paper_z_coefficients", "partition_paper",
     "partition_poisson_independent", "average_energy", "heat_capacity",
     "free_energy", "entropy", "evaluate", "compare_strategies",
-    "find_heat_capacity_plateau", "parallel_map",
+    "find_heat_capacity_plateau", "sweep",
 ]

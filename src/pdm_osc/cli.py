@@ -163,10 +163,14 @@ def _temperature_grid(cfg: dict) -> list[float]:
     if spacing == "log":
         ratio = (t_max / t_min) ** (1.0 / (count - 1))
         return [t_min * ratio**i for i in range(count)]
-    # auto: log-spaced below T=1, linear above
-    if t_min >= 1.0:
+    # auto: log-spaced below T=1, linear above; a grid on one side of T=1,
+    # or of two points, is all log or all linear
+    if t_min >= 1.0 or count == 2:
         return _temperature_grid({**cfg, "T_spacing": "linear"})
-    n_log = max(count // 5, 2)
+    if t_max <= 1.0:
+        return _temperature_grid({**cfg, "T_spacing": "log"})
+    # the linear part keeps at least its two ends
+    n_log = min(max(count // 5, 2), count - 2)
     n_lin = count - n_log
     ratio = (1.0 / t_min) ** (1.0 / n_log)
     log_part = [t_min * ratio**i for i in range(n_log)]
@@ -256,13 +260,11 @@ def cmd_wavefunction(cfg: dict) -> int:
     return 0
 
 
-def _thermo_point(cfg: dict, k: float, temperature: float, variant: str):
+def _thermo_sweep(cfg: dict, k: float, temps: list[float],
+                  variant: str) -> list[thermo.ThermoResult]:
     p = _system_params(cfg, k)
-    inp = thermo.ThermoInput.from_temperature(
-        p, cfg["m"], temperature, truncation_n=cfg["N"], strategy=cfg["strategy_enum"]
-    )
-    res = thermo.evaluate(inp, variant=variant)
-    return {"z": res.z, "u": res.u, "c": res.c, "f": res.f, "s": res.s}
+    betas = [1.0 / (p.kb * t) for t in temps]
+    return thermo.sweep(p, cfg["m"], cfg["N"], betas, cfg["strategy_enum"], variant)
 
 
 def _thermo_tables(cfg: dict, command: str) -> list[SeriesTable]:
@@ -270,11 +272,10 @@ def _thermo_tables(cfg: dict, command: str) -> list[SeriesTable]:
     variants = ["corrected", "verbatim"] if cfg["variant"] == "both" else [cfg["variant"]]
     if cfg["strategy_enum"] is not thermo.Strategy.PAPER_CLOSED_FORM:
         variants = [variants[0]]
-    jobs = [(k, t, v) for k in cfg["k_list"] for v in variants for t in temps]
-    rows = thermo.parallel_map(lambda job: _thermo_point(cfg, job[0], job[1], job[2]), jobs)
-    by_series: dict[tuple[float, str], list[dict]] = {}
-    for (k, _t, v), row in zip(jobs, rows):
-        by_series.setdefault((k, v), []).append(row)
+    by_series: dict[tuple[float, str], list[thermo.ThermoResult]] = {}
+    for k in cfg["k_list"]:
+        for v in variants:
+            by_series.setdefault((k, v), []).extend(_thermo_sweep(cfg, k, temps, v))
     grid_meta = (
         f"min={format_float(cfg['T_min'])} max={format_float(cfg['T_max'])} "
         f"count={cfg['T_count']} spacing={cfg['T_spacing']}"
@@ -287,7 +288,7 @@ def _thermo_tables(cfg: dict, command: str) -> list[SeriesTable]:
             tag = f";{v}" if len(variants) > 1 else ""
             columns.append(
                 (f"{label}(k={format_float(k)}{tag}) [{unit[label]}]",
-                 [row[attr] for row in series])
+                 [getattr(res, attr) for res in series])
             )
         tables.append(
             SeriesTable(
@@ -304,12 +305,13 @@ def _thermo_tables(cfg: dict, command: str) -> list[SeriesTable]:
 def cmd_thermo(cfg: dict) -> int:
     if cfg["T"] is not None:
         # single-point mode: print the five quantities per k
+        variant = cfg["variant"] if cfg["variant"] != "both" else "corrected"
         for k in cfg["k_list"]:
-            row = _thermo_point(cfg, k, cfg["T"], cfg["variant"] if cfg["variant"] != "both" else "corrected")
+            res = _thermo_sweep(cfg, k, [cfg["T"]], variant)[0]
             print(
                 f"k={format_float(k)} T={format_float(cfg['T'])} "
-                f"Z={format_float(row['z'])} U={format_float(row['u'])} "
-                f"C={format_float(row['c'])} F={format_float(row['f'])} S={format_float(row['s'])}"
+                f"Z={format_float(res.z)} U={format_float(res.u)} "
+                f"C={format_float(res.c)} F={format_float(res.f)} S={format_float(res.s)}"
             )
         return 0
     for table, (label, _) in zip(_thermo_tables(cfg, "thermo"), _QUANTITIES):

@@ -27,8 +27,10 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import nu
-from .specfun import JacobiParams, QuadratureSpec, integrate, jacobi_p
+from .specfun import JacobiParams, QuadratureSpec, five_point_stencil, integrate, jacobi_p
 
 __all__ = [
     "SystemParams",
@@ -125,16 +127,20 @@ class QuantumState:
             raise ValueError(f"n_r must be nonnegative, got {self.n_r}")
 
 
-def energy(params: SystemParams, n_r: int, m: int) -> float:
+def energy(params: SystemParams, n_r: float | np.ndarray,
+           m: int) -> float | np.ndarray:
     """Closed-form bound-state energy E(n_r, m).
 
     E = (2 n_r + |m| + 1) sqrt(alpha^2 + k^2)
         - k [2 n_r^2 + m^2/2 + (2 n_r + 1)(|m| + 1)]
 
     Even in m exactly; strictly increasing in n_r for k < 0; reduces to the
-    flat ladder (2 n_r + |m| + 1) alpha as k -> 0.
+    flat ladder (2 n_r + |m| + 1) alpha as k -> 0. This is the only copy of
+    the spectrum formula: n_r may be a number, including the continuous
+    argument of the summation formula, or an ndarray of them, which gives the
+    whole spectrum as a vector.
     """
-    if n_r < 0:
+    if (n_r < 0).any() if isinstance(n_r, np.ndarray) else n_r < 0:
         raise ValueError(f"n_r must be nonnegative, got {n_r}")
     am = abs(m)
     alpha, k = params.alpha, params.k
@@ -231,23 +237,6 @@ class RadialWavefunction:
         return r / (1.0 + self.params.delta_sq * r * r)
 
 
-def _candidate_evaluator(params: SystemParams, state: QuantumState, sign: int):
-    d2 = params.delta_sq
-    am = abs(state.m)
-    s = _shape_exponent(params)
-    jac = JacobiParams(a=float(am), b=s, n=state.n_r)
-
-    def u(r: float) -> float:
-        z = -d2 * r * r
-        return (
-            abs(z) ** (am / 2.0)
-            * (1.0 - z) ** (sign * 0.5 * (1.0 + s))
-            * jacobi_p(jac, 1.0 - 2.0 * z)
-        )
-
-    return u
-
-
 def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
                  r: float, h: float | None = None) -> float:
     """Relative residual of the radial equation for an arbitrary evaluator u."""
@@ -269,11 +258,9 @@ def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
         h = 0.008 / math.sqrt(scale)
         room = min(r, params.r_max - r) / 2.5
         h = min(h, room)
-    up2, up1, u0, um1, um2 = u(r + 2*h), u(r + h), u(r), u(r - h), u(r - 2*h)
-    d1 = (-up2 + 8.0 * up1 - 8.0 * um1 + um2) / (12.0 * h)
-    dd = (-up2 + 16.0 * up1 - 30.0 * u0 + 16.0 * um1 - um2) / (12.0 * h * h)
-    local = max(abs(up2), abs(up1), abs(u0), abs(um1), abs(um2), 1e-30)
-    return (dd + d1 / r + coef * u0) / (scale * local)
+    samples, d1, dd = five_point_stencil(u, r, h)
+    local = max(*map(abs, samples), 1e-30)
+    return (dd + d1 / r + coef * samples[2]) / (scale * local)
 
 
 def _norm_integral(u, params: SystemParams) -> float:
@@ -321,7 +308,8 @@ def radial_wavefunction(params: SystemParams, state: QuantumState) -> RadialWave
     probes = (0.3 * span, 0.55 * span, 0.8 * span)
     failures = []
     for sign in (+1, -1):
-        u = _candidate_evaluator(params, state, sign)
+        # the branch's own formula, before its normalization is known
+        u = RadialWavefunction(params, state, sign, norm_integral=1.0).unnormalized
         res = max(abs(_fd_residual(u, params, state.m, state.energy, r)) for r in probes)
         if res > _ODE_PROBE_TOL:
             failures.append(f"sign={sign:+d}: equation residual {res:.2e}")

@@ -25,6 +25,7 @@ __all__ = [
     "jacobi_p",
     "hyp2f1_terminating",
     "integrate",
+    "five_point_stencil",
     "central_diff",
 ]
 
@@ -295,6 +296,21 @@ def integrate(f: Callable[[float], float], spec: QuadratureSpec) -> QuadratureRe
         segments.append((e2, mid, hi, v2))
 
 
+def five_point_stencil(
+    f: Callable[[float], float], x: float, h: float
+) -> tuple[tuple[float, ...], float, float]:
+    """The five samples f(x + j h), j = -2..2, and the fourth-order central
+    estimates of f'(x) and f''(x) from them.
+
+    Returns (samples, d1, d2); samples[2] is f(x). Samples are taken in the
+    order of j, so a caller can pair side results of f with them.
+    """
+    fm2, fm1, f0, fp1, fp2 = samples = tuple(f(x + j * h) for j in (-2, -1, 0, 1, 2))
+    d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+    d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+    return samples, d1, d2
+
+
 def central_diff(
     f: Callable[[float], float], x: float, order: int, h: float | None = None
 ) -> float:
@@ -309,10 +325,5 @@ def central_diff(
         h = max(1e-5, 1e-5 * abs(x))
     if h <= 0:
         raise ValueError("step h must be positive")
-    fp2 = f(x + 2 * h)
-    fp1 = f(x + h)
-    fm1 = f(x - h)
-    fm2 = f(x - 2 * h)
-    if order == 1:
-        return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-    return (-fp2 + 16.0 * fp1 - 30.0 * f(x) + 16.0 * fm1 - fm2) / (12.0 * h * h)
+    _, d1, d2 = five_point_stencil(f, x, h)
+    return d1 if order == 1 else d2

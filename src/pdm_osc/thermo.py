@@ -19,30 +19,34 @@ formula, roughly |f'(0)|/12 relative to Z, which grows with beta; agreement
 with the direct sum is a high-temperature statement. compare_strategies
 quantifies the discrepancy on any beta grid.
 
+sweep evaluates one (params, m, N, strategy) series on a whole beta grid: the
+direct sum builds the spectrum once and reduces it over blocks of beta rows.
+evaluate() and the single-quantity functions run the same code on a
+one-point grid, so they agree with sweep value for value.
+
 The d_t coefficient is evaluated in two variants: "corrected" uses
 sqrt(k^2 + alpha^2) - k m^2/2, which reproduces exp(-beta E_0) in the
 boundary term exactly, while "verbatim" keeps the mass-scale combination
-sqrt(lam^2 + alpha^2) - lam m^2/2. Both are always surfaced in diagnostics
-and never silently swapped; the corrected variant is the primary value. The
-same applies to the first exponential of the average energy numerator
-Lambda and of the heat-capacity numerator, where the self-consistent
-combination uses (a_t - d_t); the (a_t - b_t) pairing is kept in
-diagnostics under *_display keys.
+sqrt(lam^2 + alpha^2) - lam m^2/2. Both appear in the diagnostics of
+partition_paper() and evaluate() and are never silently swapped; the
+corrected variant is the primary value. The same applies to the first
+exponential of the average energy numerator Lambda and of the heat-capacity
+numerator, where the self-consistent combination uses (a_t - d_t); the
+(a_t - b_t) pairing is kept in the diagnostics of evaluate() under
+*_display keys.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
-from .oscillator import NonPhysicalError, SystemParams
-from .specfun import QuadratureSpec, erfcx, integrate
+from .oscillator import NonPhysicalError, SystemParams, energy
+from .specfun import QuadratureSpec, erfcx, five_point_stencil, integrate
 
 __all__ = [
     "Strategy",
@@ -61,9 +65,9 @@ __all__ = [
     "free_energy",
     "entropy",
     "evaluate",
+    "sweep",
     "compare_strategies",
     "find_heat_capacity_plateau",
-    "parallel_map",
 ]
 
 
@@ -142,8 +146,8 @@ class PaperZCoefficients:
 class ThermoResult:
     """Thermodynamic quantities at one evaluation point.
 
-    Z is the partition function; U, C, F, S are filled by evaluate() or left
-    None by the partition-only entry points. C and S are in units of kb.
+    Z is the partition function; U, C, F, S are filled by evaluate() and
+    sweep() or left None by the partition-only entry points. C and S are in units of kb.
     """
 
     z: float
@@ -155,46 +159,72 @@ class ThermoResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+# the direct sum reduces its (beta x level) weight array in blocks of at most
+# this many elements, so its memory stays flat in the grid length and in N
+_BLOCK_ELEMENTS = 2**16
+
+
 def levels(inp: ThermoInput) -> np.ndarray:
     """Spectrum E_{0..N} at fixed m as a vector."""
-    n = np.arange(inp.truncation_n + 1, dtype=float)
-    p, m = inp.params, inp.m
-    am = abs(m)
-    return (2.0 * n + am + 1.0) * math.hypot(p.alpha, p.k) - p.k * (
-        2.0 * n * n + m * m / 2.0 + (2.0 * n + 1.0) * (am + 1.0)
-    )
+    return energy(inp.params, np.arange(inp.truncation_n + 1, dtype=float), inp.m)
 
 
-def _direct_moments(inp: ThermoInput):
-    """Shifted Boltzmann moments of the truncated spectrum.
+def _boltzmann_sums(e: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray]:
+    """Ground-state-shifted Boltzmann sums of the spectrum e at each beta.
 
-    Returns (log_z, mean, variance, tail_ratio). All exponentials are taken
-    relative to the ground state, so any beta up to 1e3 and beyond is safe.
+    With w = exp(-beta (e - e0)), returns e0 and a (5, len(betas)) array whose
+    rows are sum w, the mean <e>, the variance <(e - <e>)^2>, the shifted mean
+    <e - e0> and the tail ratio w_N / sum w. The ground-state shift keeps any
+    beta up to 1e3 and beyond safe; the two-pass variance keeps C >= 0 by
+    construction.
     """
-    e = levels(inp)
     e0 = float(e.min())
-    w = np.exp(-inp.beta * (e - e0))
-    sw = float(w.sum())
-    log_z = -inp.beta * e0 + math.log(sw)
-    mean = float((e * w).sum()) / sw
-    var = float(((e - mean) ** 2 * w).sum()) / sw
-    tail = float(w[-1]) / sw
-    return log_z, mean, var, tail
+    shifted = e - e0
+    out = np.empty((5, betas.size))
+    rows = max(1, _BLOCK_ELEMENTS // e.size)
+    for lo in range(0, betas.size, rows):
+        w = np.exp(-betas[lo:lo + rows, None] * shifted)
+        sw = w.sum(axis=1)
+        mean = (e * w).sum(axis=1) / sw
+        block = out[:, lo:lo + rows]
+        block[0] = sw
+        block[1] = mean
+        block[2] = ((e - mean[:, None]) ** 2 * w).sum(axis=1) / sw
+        block[3] = (shifted * w).sum(axis=1) / sw
+        block[4] = w[:, -1] / sw
+    return e0, out
+
+
+def _direct_series(inputs: list[ThermoInput]) -> list[ThermoResult]:
+    """Direct-sum results for inputs that differ only in beta."""
+    first = inputs[0]
+    kb = first.params.kb
+    betas = np.array([inp.beta for inp in inputs], dtype=float)
+    e0, sums = _boltzmann_sums(levels(first), betas)
+    results = []
+    for inp, (sw, mean, var, shifted_mean, tail) in zip(inputs, sums.T.tolist()):
+        beta = inp.beta
+        log_z = -beta * e0 + math.log(sw)
+        results.append(ThermoResult(
+            z=math.exp(log_z) if log_z < 700.0 else math.inf,
+            log_z=log_z,
+            u=mean,
+            c=kb * beta**2 * var,
+            f=-log_z / beta,
+            s=kb * (math.log(sw) + beta * shifted_mean),
+            diagnostics={
+                "strategy": Strategy.DIRECT_SUM.value,
+                "n_terms": first.truncation_n + 1,
+                "tail_ratio": tail,
+            },
+        ))
+    return results
 
 
 def partition_direct(inp: ThermoInput) -> ThermoResult:
     """Truncated state sum, accumulated in the log domain."""
-    log_z, mean, var, tail = _direct_moments(inp)
-    z = math.exp(log_z) if log_z < 700.0 else math.inf
-    return ThermoResult(
-        z=z,
-        log_z=log_z,
-        diagnostics={
-            "strategy": Strategy.DIRECT_SUM.value,
-            "n_terms": inp.truncation_n + 1,
-            "tail_ratio": tail,
-        },
-    )
+    res = _direct_series([inp])[0]
+    return ThermoResult(z=res.z, log_z=res.log_z, diagnostics=res.diagnostics)
 
 
 def paper_z_coefficients(inp: ThermoInput, variant: str = "corrected") -> PaperZCoefficients:
@@ -287,16 +317,8 @@ def partition_paper(inp: ThermoInput) -> ThermoResult:
 
 def _poisson_z(inp: ThermoInput, rel_tol: float = 1e-11):
     p, m, n_max, beta = inp.params, inp.m, inp.truncation_n, inp.beta
-    am = abs(m)
-    hyp = math.hypot(p.alpha, p.k)
-
-    def e_cont(x: float) -> float:
-        return (2.0 * x + am + 1.0) * hyp - p.k * (
-            2.0 * x * x + m * m / 2.0 + (2.0 * x + 1.0) * (am + 1.0)
-        )
-
-    e0 = e_cont(0.0)
-    f = lambda x: math.exp(-beta * (e_cont(x) - e0))  # rescaled to avoid underflow
+    e0 = energy(p, 0.0, m)
+    f = lambda x: math.exp(-beta * (energy(p, x, m) - e0))  # rescaled to avoid underflow
     spec = QuadratureSpec(0.0, n_max + 1.0, rel_tol=rel_tol, abs_tol=1e-300)
     result = integrate(f, spec)
     scaled = 0.5 * (f(0.0) - f(n_max + 1.0)) + result.value
@@ -322,8 +344,18 @@ def partition_poisson_independent(inp: ThermoInput) -> ThermoResult:
     )
 
 
-def _paper_machinery(inp: ThermoInput, variant: str = "corrected") -> dict:
-    """All closed-form quantities for one variant, plus display-form extras."""
+def _square(x: float) -> float:
+    """x**2 that saturates to inf instead of raising."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _paper_machinery(inp: ThermoInput, variant: str = "corrected",
+                     display: bool = False) -> dict:
+    """All closed-form quantities for one variant; display adds the
+    display-form composites lambda_display and c_display."""
     co = paper_z_coefficients(inp, variant)
     beta, k, alpha, kb = inp.beta, inp.params.k, inp.params.alpha, inp.params.kb
     a_t, b_t, c_t, d_t, om = co.a_t, co.b_t, co.c_t, co.d_t, co.omega
@@ -351,13 +383,6 @@ def _paper_machinery(inp: ThermoInput, variant: str = "corrected") -> dict:
         + (alpha * alpha * beta + k) * om / (k * beta)
         - gauss_boundary / (2.0 * k * beta)
     )
-    # alternative composition pairing a_t with b_t in the first exponential;
-    # inconsistent with -d ln Z / d beta, kept for diagnosis only
-    lam_display = (
-        (a_t - b_t) * math.exp(beta * (a_t - b_t)) + c_t * exp_c
-        + (alpha * alpha * beta + k) * om / (k * beta)
-        - gauss_boundary / (2.0 * k * beta)
-    )
     u = -lam_num / two_z
     gauss_varsigma = (
         a_t * grown_a * (a_t * a_t * beta - 2.0 * alpha * alpha * beta - 3.0 * k)
@@ -370,15 +395,10 @@ def _paper_machinery(inp: ThermoInput, variant: str = "corrected") -> dict:
     )
     x_num = (a_t - d_t) ** 2 * exp_ad - c_t * c_t * exp_c
     c_heat = kb * beta * beta * ((x_num + eps) / two_z - (lam_num / two_z) ** 2)
-    # literal display form, kept only as a diagnostic
-    c_display = 0.5 * kb * beta * beta * (
-        ((a_t - b_t) ** 2 * math.exp(beta * (a_t - b_t)) - c_t * c_t * exp_c - eps) / two_z
-        - 2.0 * (lam_display / two_z) ** 2
-    )
     log_z = math.log(z) if z > 0.0 else math.nan
     s = kb * (log_z + beta * u) if z > 0.0 else math.nan
     f = -log_z / beta if z > 0.0 else math.nan
-    return {
+    mach = {
         "coefficients": co,
         "z": z,
         "log_z": log_z,
@@ -387,43 +407,95 @@ def _paper_machinery(inp: ThermoInput, variant: str = "corrected") -> dict:
         "s": s,
         "f": f,
         "lambda": lam_num,
-        "lambda_display": lam_display,
         "epsilon": eps,
         "gauss_varsigma": gauss_varsigma,
-        "c_display": c_display,
     }
-
-
-def _poisson_log_z_fn(inp: ThermoInput) -> Callable[[float], float]:
-    def log_z(beta: float) -> float:
-        shifted = ThermoInput(
-            params=inp.params, m=inp.m, beta=beta,
-            truncation_n=inp.truncation_n, strategy=inp.strategy,
-            accept_truncation=inp.accept_truncation,
+    if display:
+        # alternative composition pairing a_t with b_t in the first
+        # exponential; inconsistent with -d ln Z / d beta and a diagnostic
+        # only, so an overflow in it saturates instead of raising
+        lam_display = (
+            (a_t - b_t) * math.exp(beta * (a_t - b_t)) + c_t * exp_c
+            + (alpha * alpha * beta + k) * om / (k * beta)
+            - gauss_boundary / (2.0 * k * beta)
         )
-        return _poisson_z(shifted)[0]
+        mach["lambda_display"] = lam_display
+        mach["c_display"] = 0.5 * kb * beta * beta * (
+            (_square(a_t - b_t) * math.exp(beta * (a_t - b_t)) - c_t * c_t * exp_c - eps)
+            / two_z
+            - 2.0 * _square(lam_display / two_z)
+        )
+    return mach
 
-    return log_z
+
+def _paper_result(inp: ThermoInput, variant: str, display: bool) -> ThermoResult:
+    mach = _paper_machinery(inp, variant, display)
+    res = ThermoResult(
+        z=mach["z"], log_z=mach["log_z"],
+        u=mach["u"], c=mach["c"], f=mach["f"], s=mach["s"],
+        diagnostics={
+            "strategy": Strategy.PAPER_CLOSED_FORM.value,
+            "variant": variant,
+            f"z_{variant}": mach["z"],
+        },
+    )
+    if display:
+        res.diagnostics["lambda_display"] = mach["lambda_display"]
+        res.diagnostics["c_display"] = mach["c_display"]
+    if mach["z"] <= 0.0:
+        res.diagnostics["nonpositive_z"] = True
+    return res
 
 
-def _beta_derivative(fn: Callable[[float], float], beta: float, order: int) -> float:
-    """4th-order central difference in beta, with a relative step."""
-    h = 1e-3 * beta
-    fp2, fp1 = fn(beta + 2 * h), fn(beta + h)
-    fm1, fm2 = fn(beta - h), fn(beta - 2 * h)
-    if order == 1:
-        return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-    return (-fp2 + 16.0 * fp1 - 30.0 * fn(beta) + 16.0 * fm1 - fm2) / (12.0 * h * h)
+def _poisson_result(inp: ThermoInput) -> ThermoResult:
+    """ln Z and its first two beta-derivatives from the five quadratures of
+    a 4th-order central stencil with the relative step 1e-3 beta."""
+    kb, beta = inp.params.kb, inp.beta
+    quadratures = []
+
+    def log_z_at(b: float) -> float:
+        value, quad = _poisson_z(replace(inp, beta=b))
+        quadratures.append(quad)
+        return value
+
+    samples, d1, d2 = five_point_stencil(log_z_at, beta, 1e-3 * beta)
+    log_z, u = samples[2], -d1
+    return ThermoResult(
+        z=math.exp(log_z), log_z=log_z,
+        u=u, c=kb * beta**2 * d2, f=-log_z / beta, s=kb * (log_z + beta * u),
+        diagnostics={
+            "strategy": Strategy.POISSON_PIPELINE.value,
+            "quadrature_refinements": quadratures[2].refinements,
+            "beta_step": 1e-3 * beta,
+        },
+    )
+
+
+def _series(inputs: list[ThermoInput], variant: str,
+            display: bool = False) -> list[ThermoResult]:
+    """Results for inputs that differ only in beta, under their strategy."""
+    if not inputs:
+        return []
+    strategy = inputs[0].strategy
+    if strategy is Strategy.DIRECT_SUM:
+        results = _direct_series(inputs)
+    elif strategy is Strategy.PAPER_CLOSED_FORM:
+        results = [_paper_result(inp, variant, display) for inp in inputs]
+    else:
+        results = [_poisson_result(inp) for inp in inputs]
+    for res in results:
+        if math.isnan(res.s) or res.s < 0.0:
+            res.diagnostics["negative_entropy"] = res.s
+    return results
+
+
+def _point(inp: ThermoInput) -> ThermoResult:
+    return _series([inp], "corrected")[0]
 
 
 def average_energy(inp: ThermoInput) -> float:
     """Mean energy -d(ln Z)/d(beta) under the selected strategy."""
-    if inp.strategy is Strategy.DIRECT_SUM:
-        _, mean, _, _ = _direct_moments(inp)
-        return mean
-    if inp.strategy is Strategy.PAPER_CLOSED_FORM:
-        return _paper_machinery(inp)["u"]
-    return -_beta_derivative(_poisson_log_z_fn(inp), inp.beta, 1)
+    return _point(inp).u
 
 
 def heat_capacity(inp: ThermoInput) -> float:
@@ -433,22 +505,12 @@ def heat_capacity(inp: ThermoInput) -> float:
     nonnegative by construction; the closed form uses its epsilon/varsigma
     blocks; the quadrature pipeline differentiates ln Z numerically.
     """
-    if inp.strategy is Strategy.DIRECT_SUM:
-        _, _, var, _ = _direct_moments(inp)
-        return inp.params.kb * inp.beta**2 * var
-    if inp.strategy is Strategy.PAPER_CLOSED_FORM:
-        return _paper_machinery(inp)["c"]
-    d2 = _beta_derivative(_poisson_log_z_fn(inp), inp.beta, 2)
-    return inp.params.kb * inp.beta**2 * d2
+    return _point(inp).c
 
 
 def free_energy(inp: ThermoInput) -> float:
     """Helmholtz free energy -ln(Z)/beta."""
-    if inp.strategy is Strategy.DIRECT_SUM:
-        return -_direct_moments(inp)[0] / inp.beta
-    if inp.strategy is Strategy.PAPER_CLOSED_FORM:
-        return _paper_machinery(inp)["f"]
-    return -_poisson_z(inp)[0] / inp.beta
+    return _point(inp).f
 
 
 def entropy(inp: ThermoInput) -> float:
@@ -460,81 +522,41 @@ def entropy(inp: ThermoInput) -> float:
     (the closed form tends to kb ln(1/2)); callers see that via diagnostics
     of evaluate(), the value itself is reported unmodified.
     """
-    kb = inp.params.kb
-    if inp.strategy is Strategy.DIRECT_SUM:
-        e = levels(inp)
-        e0 = float(e.min())
-        w = np.exp(-inp.beta * (e - e0))
-        sw = float(w.sum())
-        shifted_mean = float(((e - e0) * w).sum()) / sw
-        return kb * (math.log(sw) + inp.beta * shifted_mean)
-    if inp.strategy is Strategy.PAPER_CLOSED_FORM:
-        return _paper_machinery(inp)["s"]
-    log_z = _poisson_z(inp)[0]
-    u = -_beta_derivative(_poisson_log_z_fn(inp), inp.beta, 1)
-    return kb * (log_z + inp.beta * u)
+    return _point(inp).s
+
+
+def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float],
+          strategy: Strategy = Strategy.DIRECT_SUM,
+          variant: str = "corrected") -> list[ThermoResult]:
+    """Z, U, C, F and S at every beta of a grid, one ThermoResult per beta.
+
+    Each value equals evaluate() at that beta. The direct sum builds the
+    spectrum once and reduces it in blocks of beta rows; the closed form
+    computes only the requested d_t variant, without the other variant and
+    the display-form composites that evaluate() adds to its diagnostics.
+    """
+    inputs = [ThermoInput(params=params, m=m, beta=beta, truncation_n=truncation_n,
+                          strategy=strategy) for beta in betas]
+    return _series(inputs, variant)
 
 
 def evaluate(inp: ThermoInput, variant: str = "corrected") -> ThermoResult:
     """All five quantities (Z, U, C, F, S) under the selected strategy.
 
     variant selects the d_t reading for the closed-form strategy; the other
-    strategies ignore it. Both variant partition functions always appear in
-    the closed-form diagnostics.
+    strategies ignore it. The closed-form diagnostics carry both variants'
+    partition functions, the other variant's U and the display-form
+    composites lambda_display and c_display; an overflow in those records
+    inf or nan and never costs the primary values.
     """
-    kb = inp.params.kb
-    if inp.strategy is Strategy.DIRECT_SUM:
-        log_z, mean, var, tail = _direct_moments(inp)
-        e = levels(inp)
-        e0 = float(e.min())
-        w = np.exp(-inp.beta * (e - e0))
-        sw = float(w.sum())
-        shifted_mean = float(((e - e0) * w).sum()) / sw
-        s = kb * (math.log(sw) + inp.beta * shifted_mean)
-        res = ThermoResult(
-            z=math.exp(log_z) if log_z < 700.0 else math.inf,
-            log_z=log_z,
-            u=mean,
-            c=kb * inp.beta**2 * var,
-            f=-log_z / inp.beta,
-            s=s,
-            diagnostics={"strategy": inp.strategy.value, "tail_ratio": tail},
-        )
-    elif inp.strategy is Strategy.PAPER_CLOSED_FORM:
-        mach = _paper_machinery(inp, variant)
+    res = _series([inp], variant, display=True)[0]
+    if inp.strategy is Strategy.PAPER_CLOSED_FORM:
         other_name = "verbatim" if variant == "corrected" else "corrected"
         other = _paper_machinery(inp, other_name)
-        res = ThermoResult(
-            z=mach["z"], log_z=mach["log_z"],
-            u=mach["u"], c=mach["c"], f=mach["f"], s=mach["s"],
-            diagnostics={
-                "strategy": inp.strategy.value,
-                "variant": variant,
-                f"z_{variant}": mach["z"],
-                f"z_{other_name}": other["z"],
-                f"u_{other_name}": other["u"],
-                "lambda_display": mach["lambda_display"],
-                "c_display": mach["c_display"],
-            },
-        )
-        if mach["z"] <= 0.0 or other["z"] <= 0.0:
+        res.diagnostics[f"z_{other_name}"] = other["z"]
+        res.diagnostics[f"u_{other_name}"] = other["u"]
+        if other["z"] <= 0.0:
             res.diagnostics["nonpositive_z"] = True
-    else:
-        log_z, quad = _poisson_z(inp)
-        log_z_fn = _poisson_log_z_fn(inp)
-        u = -_beta_derivative(log_z_fn, inp.beta, 1)
-        c = kb * inp.beta**2 * _beta_derivative(log_z_fn, inp.beta, 2)
-        res = ThermoResult(
-            z=math.exp(log_z), log_z=log_z,
-            u=u, c=c, f=-log_z / inp.beta, s=kb * (log_z + inp.beta * u),
-            diagnostics={
-                "strategy": inp.strategy.value,
-                "quadrature_refinements": quad.refinements,
-                "beta_step": 1e-3 * inp.beta,
-            },
-        )
-    if res.s is not None and (math.isnan(res.s) or res.s < 0.0):
-        res.diagnostics["negative_entropy"] = res.s
     return res
 
 
@@ -609,47 +631,14 @@ def find_heat_capacity_plateau(
     when no window below t_hi/2 qualifies.
     """
     e = levels(ThermoInput(params=params, m=m, beta=1.0, truncation_n=truncation_n))
-    e0 = float(e.min())
-
-    def c_at(temperature: float) -> float:
-        beta = 1.0 / (params.kb * temperature)
-        w = np.exp(-beta * (e - e0))
-        sw = float(w.sum())
-        mean = float((e * w).sum()) / sw
-        var = float(((e - mean) ** 2 * w).sum()) / sw
-        return params.kb * beta * beta * var
-
     for t_star in np.geomspace(t_lo, t_hi / 2.0, candidates):
         ts = np.geomspace(t_star, 2.0 * t_star, samples)
-        cs = np.array([c_at(t) for t in ts])
+        betas = 1.0 / (params.kb * ts)
+        _, (_, _, var, _, _) = _boltzmann_sums(e, betas)
+        cs = params.kb * betas * betas * var
         mean_c = float(cs.mean())
         variation = float((cs.max() - cs.min()) / mean_c)
         if variation < rel_window:
             return PlateauResult(t_star=float(t_star), value=mean_c, variation=variation)
     return None
 
-
-def _max_workers() -> int:
-    env = os.environ.get("PDM_OSC_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Order-preserving parallel map over independent pure computations.
-
-    Grid points are merged by index, so the output is deterministic regardless
-    of scheduling. PDM_OSC_THREADS caps the worker count.
-    """
-    items = list(items)
-    workers = min(_max_workers(), max(len(items), 1))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -45,6 +45,10 @@ def _params(alpha: float, k: float) -> SystemParams:
     return SystemParams(alpha=alpha, k=k)
 
 
+def _betas(params: SystemParams, temps) -> list[float]:
+    return [1.0 / (params.kb * float(t)) for t in temps]
+
+
 def check_quantization_roundtrip(quick: bool = False) -> CheckResult:
     """Closed-form energies must zero the quantization condition to 1e-9."""
     alphas = (1.0,) if quick else (1.0, 2.0)
@@ -217,14 +221,12 @@ def _em_error_bound(inp: thermo.ThermoInput) -> float:
     am = abs(m)
     hyp = math.hypot(p.alpha, p.k)
 
-    def e_cont(x):
-        return (2 * x + am + 1) * hyp - p.k * (2 * x * x + m * m / 2 + (2 * x + 1) * (am + 1))
-
     def e_prime(x):
         return 2 * hyp - p.k * (4 * x + 2 * (am + 1))
 
-    f_prime_0 = -beta * e_prime(0.0) * math.exp(-beta * e_cont(0.0))
-    f_prime_n = -beta * e_prime(inp.truncation_n + 1.0) * math.exp(-beta * e_cont(inp.truncation_n + 1.0))
+    n1 = inp.truncation_n + 1.0
+    f_prime_0 = -beta * e_prime(0.0) * math.exp(-beta * energy(p, 0.0, m))
+    f_prime_n = -beta * e_prime(n1) * math.exp(-beta * energy(p, n1, m))
     return abs(f_prime_n - f_prime_0) / 12.0
 
 
@@ -317,8 +319,7 @@ def check_thermo_identity(quick: bool = False) -> CheckResult:
     worst = 0.0
     for k in FIGURE_K_LIST:
         p = _params(1.0, k)
-        for t in temps:
-            res = thermo.evaluate(thermo.ThermoInput.from_temperature(p, 1, float(t)))
+        for t, res in zip(temps, thermo.sweep(p, 1, 500, _betas(p, temps))):
             lhs = res.f
             rhs = res.u - t * res.s
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
@@ -373,8 +374,7 @@ def check_figure_properties(quick: bool = False) -> CheckResult:
         plateau_c50 = []
         for k in FIGURE_K_LIST:
             p = _params(1.0, k)
-            rows = [thermo.evaluate(thermo.ThermoInput.from_temperature(p, m, float(t)))
-                    for t in temps]
+            rows = thermo.sweep(p, m, 500, _betas(p, temps))
             zs = [r.z for r in rows]
             fs = [r.f for r in rows]
             ss = [r.s for r in rows]

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pdm_osc.cli import main
+from pdm_osc.cli import _temperature_grid, main
 from pdm_osc.output import SeriesTable
 
 
@@ -92,6 +94,14 @@ class TestThermoCommand:
         _, body = data_rows(read(tmp_path / "thermo_m1_Z.csv"))
         assert [row[0] for row in body] == pytest.approx([2.0, 4.0, 6.0, 8.0, 10.0])
 
+    def test_paper_point_survives_display_overflow(self, capsys):
+        """The display-only c_display overflows here; the primary values print."""
+        rc = main(["thermo", "--strategy", "paper", "--k", "-0.001", "--m", "40", "--T", "0.1"])
+        assert rc == 0
+        fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+        assert all(math.isfinite(float(fields[q])) for q in "ZUCFS")
+        assert float(fields["Z"]) == pytest.approx(1.06e-182, rel=1e-2)
+
     def test_paper_strategy_both_variants(self, tmp_path):
         rc = main(["thermo", "--k", "-0.3", "--m", "1", "--strategy", "paper",
                    "--variant", "both", "--T-min", "5", "--T-max", "10",
@@ -173,6 +183,35 @@ class TestConfigHandling:
         rc = main(["thermo", "--T-min", "5", "--T-max", "1"])
         assert rc == 2
         assert "field=T_grid" in capsys.readouterr().err
+
+
+def _auto_grid_reference(t_min, t_max, count):
+    """The auto grid's log-then-linear formula for T_min < 1 < T_max, count >= 4."""
+    n_log = max(count // 5, 2)
+    ratio = (1.0 / t_min) ** (1.0 / n_log)
+    step = (t_max - 1.0) / (count - n_log - 1)
+    return [t_min * ratio**i for i in range(n_log)] + [1.0 + i * step for i in range(count - n_log)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_min=st.floats(0.01, 20.0), factor=st.floats(1.01, 1000.0),
+       count=st.integers(2, 3000), spacing=st.sampled_from(["auto", "linear", "log"]))
+def test_temperature_grid_shape(t_min, factor, count, spacing):
+    """Every grid has T_count points from T_min to T_max, strictly increasing.
+
+    Grid ends within 1e-6 of T=1 are left out: there the auto grid's log or
+    linear part is narrower than its points' spacing can resolve in doubles.
+    """
+    t_max = t_min * factor
+    assume(abs(t_min - 1.0) > 1e-6 and abs(t_max - 1.0) > 1e-6)
+    cfg = {"T_min": t_min, "T_max": t_max, "T_count": count, "T_spacing": spacing}
+    grid = _temperature_grid(cfg)
+    assert len(grid) == count
+    assert grid[0] == t_min
+    assert grid[-1] == pytest.approx(t_max, rel=1e-10)
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+    if spacing == "auto" and count >= 4 and t_min < 1.0 < t_max:
+        assert grid == _auto_grid_reference(t_min, t_max, count)
 
 
 class TestValidateCommand:

@@ -17,6 +17,7 @@ from pdm_osc.specfun import (
     QuadratureSpec,
     central_diff,
     erf,
+    five_point_stencil,
     hyp2f1_terminating,
     hyp2f1_terminating_magnitude,
     integrate,
@@ -250,6 +251,13 @@ class TestCentralDiff:
 
     def test_sine_first_derivative(self):
         assert central_diff(math.sin, 0.0, 1) == pytest.approx(1.0, abs=1e-8)
+
+    def test_stencil_samples_and_cubic_exactness(self):
+        cubic = lambda x: x**3 - 2.0 * x
+        samples, d1, d2 = five_point_stencil(cubic, 1.5, 0.25)
+        assert samples == tuple(cubic(1.5 + j * 0.25) for j in (-2, -1, 0, 1, 2))
+        assert d1 == pytest.approx(3.0 * 1.5**2 - 2.0, rel=1e-14)
+        assert d2 == pytest.approx(6.0 * 1.5, rel=1e-14)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

@@ -21,10 +21,10 @@ from pdm_osc.thermo import (
     heat_capacity,
     levels,
     paper_z_coefficients,
-    parallel_map,
     partition_direct,
     partition_paper,
     partition_poisson_independent,
+    sweep,
 )
 
 PHYS = SystemParams(alpha=1.0, k=-0.3)
@@ -340,20 +340,54 @@ class TestComparisonReport:
         assert e[0] == pytest.approx(energy(PHYS, 0, 1), rel=1e-14)
 
 
-class TestParallelMap:
-    def test_order_preserved(self):
-        items = list(range(57))
-        assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
+class TestSweep:
+    """sweep() equals evaluate() at every beta, bit for bit."""
 
-    def test_thread_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("PDM_OSC_THREADS", "2")
-        items = [0.1 * i + 0.01 for i in range(20)]
-        expected = [math.sqrt(x) for x in items]
-        assert parallel_map(math.sqrt, items) == expected
+    @staticmethod
+    def assert_equal_to_evaluate(params, m, n, betas, strategy, variant="corrected"):
+        results = sweep(params, m, n, betas, strategy, variant)
+        assert len(results) == len(betas)
+        for beta, res in zip(betas, results):
+            ref = evaluate(ThermoInput(params=params, m=m, beta=beta, truncation_n=n,
+                                       strategy=strategy), variant)
+            assert (res.z, res.u, res.c, res.f, res.s) == (ref.z, ref.u, ref.c, ref.f, ref.s)
 
-    def test_bad_env_value_ignored(self, monkeypatch):
-        monkeypatch.setenv("PDM_OSC_THREADS", "not-a-number")
-        assert parallel_map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+    def test_direct_grid_longer_than_one_block(self):
+        # 501 levels fill a block with 130 beta rows; 400 betas span four blocks
+        self.assert_equal_to_evaluate(PHYS, 1, 500, list(np.geomspace(1e-3, 50.0, 400)),
+                                      Strategy.DIRECT_SUM)
+
+    def test_direct_large_n(self):
+        self.assert_equal_to_evaluate(PHYS, 2, 100_000, [1e-4, 0.01, 0.3, 7.0],
+                                      Strategy.DIRECT_SUM)
+
+    @pytest.mark.parametrize("n", [500, 100_000])
+    def test_direct_matches_one_dimensional_sums(self, n):
+        """The block reduction equals the per-beta 1-D sums, bit for bit."""
+        betas = list(np.geomspace(1e-4, 100.0, 300 if n == 500 else 3))
+        e = levels(ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=n))
+        e0 = float(e.min())
+        for beta, res in zip(betas, sweep(PHYS, 1, n, betas)):
+            w = np.exp(-beta * (e - e0))
+            sw = float(w.sum())
+            log_z = -beta * e0 + math.log(sw)
+            mean = float((e * w).sum()) / sw
+            var = float(((e - mean) ** 2 * w).sum()) / sw
+            shifted_mean = float(((e - e0) * w).sum()) / sw
+            assert (res.log_z, res.u, res.c, res.s) == (
+                log_z, mean, beta**2 * var, math.log(sw) + beta * shifted_mean)
+
+    @pytest.mark.parametrize("variant", ["corrected", "verbatim"])
+    def test_paper(self, variant):
+        self.assert_equal_to_evaluate(PHYS, 3, 500, list(np.geomspace(0.01, 5.0, 150)),
+                                      Strategy.PAPER_CLOSED_FORM, variant)
+
+    def test_poisson(self):
+        self.assert_equal_to_evaluate(PHYS, 1, 500, [0.02, 0.1, 0.7], Strategy.POISSON_PIPELINE)
+
+    def test_validates_every_beta(self):
+        with pytest.raises(ValueError):
+            sweep(PHYS, 1, 500, [0.1, 0.0])
 
 
 class TestEvaluateBundle:
@@ -371,6 +405,15 @@ class TestEvaluateBundle:
         res = evaluate(inp)
         assert res.u == pytest.approx(average_energy(inp), rel=1e-10)
         assert res.f == pytest.approx(res.u - inp.temperature * res.s, rel=1e-10)
+
+    def test_display_overflow_recorded_not_raised(self):
+        """c_display's square overflows at this point; the primary values stand."""
+        p = SystemParams(alpha=1.0, k=-0.001)
+        res = evaluate(ThermoInput(params=p, m=40, beta=10.0,
+                                   strategy=Strategy.PAPER_CLOSED_FORM))
+        assert all(math.isfinite(v) for v in (res.z, res.u, res.c, res.f, res.s))
+        assert not math.isfinite(res.diagnostics["c_display"])
+        assert "z_verbatim" in res.diagnostics and "lambda_display" in res.diagnostics
 
     def test_strategy_parser(self):
         assert Strategy.from_string("direct") is Strategy.DIRECT_SUM
