@@ -9,10 +9,11 @@ error (single machine-parsable line on stderr).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
+
+import numpy as np
 
 from . import __version__, thermo, validate as validation
 from .oscillator import SystemParams, energy, make_state, radial_wavefunction
@@ -120,6 +121,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         cfg["k_list"] = [cfg["k"] if cfg["k"] is not None else -0.1]
     elif cfg["k"] is not None:
         raise ConfigError("k", "give either k or k_list, not both")
+    if len(set(cfg["k_list"])) != len(cfg["k_list"]):
+        raise ConfigError("k_list", "repeated k value")
     if cfg["alpha"] <= 0:
         raise ConfigError("alpha", "must be positive")
     if cfg["lam"] == 0:
@@ -242,12 +245,12 @@ def cmd_wavefunction(cfg: dict) -> int:
     if len(cfg["k_list"]) != 1:
         raise ConfigError("k_list", "wavefunction output needs exactly one k")
     p = _system_params(cfg, cfg["k_list"][0])
-    r_max = p.r_max if p.r_max != math.inf else 3.0 / math.sqrt(abs(p.delta_sq))
-    rs = [r_max * (i + 0.5) / cfg["r_count"] for i in range(cfg["r_count"])]
+    rs = [p.r_max * (i + 0.5) / cfg["r_count"] for i in range(cfg["r_count"])]
+    r = np.array(rs)
     columns = []
     for n in range(cfg["n_max"] + 1):
         wf = radial_wavefunction(p, make_state(p, n, cfg["m"]))
-        columns.append((f"U_n{n} [1/length]", [wf.value(r) for r in rs]))
+        columns.append((f"U_n{n} [1/length]", wf.value(r).tolist()))
     table = SeriesTable(
         x_label="r [length]",
         y_label=f"U(r), m={cfg['m']} [1/length]",

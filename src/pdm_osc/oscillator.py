@@ -18,12 +18,16 @@ Radial inner product: the radial operator is self-adjoint with respect to the
 mass-weighted measure r dr / (1 + delta_sq r^2), and eigenstates with equal m
 are orthogonal only under that measure. Normalization and overlaps therefore
 use it throughout (the flat polar measure r dr does not diagonalize the
-spectrum; see RadialWavefunction.radial_weight).
+spectrum; see RadialWavefunction.radial_weight). Under x = 1 - 2z that
+measure is the Jacobi weight (1 - x)^|m| (1 + x)^s, so the norm is the
+closed-form Jacobi norm (DLMF 18.3) and equal-m orthogonality is Jacobi
+orthogonality; radial_overlap re-integrates by quadrature as the independent
+check. Bound states need k < 0 < lam; elsewhere the radial solution grows
+and radial_wavefunction refuses with NonNormalizableError.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +66,7 @@ class NonPhysicalError(ValueError):
 
 
 class NonNormalizableError(RuntimeError):
-    """No exponent branch yields a square-integrable solution of the radial equation."""
+    """Parameters outside the bound regime k < 0 < lam: no square-integrable solution."""
 
 
 @dataclass(frozen=True)
@@ -193,41 +197,49 @@ def _shape_exponent(params: SystemParams) -> float:
 class RadialWavefunction:
     """Evaluable bound-state radial function U(r), unit-normalized.
 
-    U(r) = C * |z|^(|m|/2) * (1 - z)^(sign*(1+s)/2) * P_n^(|m|, s)(1 - 2 z)
+    U(r) = C * |z|^(|m|/2) * (1 - z)^((1+s)/2) * P_n^(|m|, s)(1 - 2 z)
 
-    with z = -delta_sq r^2 and s = sqrt(alpha^2/k^2 + 1). The exponent sign is
-    the branch that passes the substitution check of the radial equation and
-    has a finite norm; it is +1 for every bound (k < 0) state. Normalization
-    is fixed against the mass-weighted measure returned by radial_weight.
+    with z = -delta_sq r^2 and s = sqrt(alpha^2/k^2 + 1). The exponents of
+    the radial equation at z = 1 are (1 +- s)/2; (1 + s)/2 is the decaying
+    one. C = exp(-log_norm / 2) normalizes U against the mass-weighted
+    measure returned by radial_weight, where log_norm is the log of the
+    closed-form Jacobi norm of the unnormalized U:
+
+        N = prod_{j=1}^{|m|} (n+j)/(n+s+j) / ((2n+|m|+s+1) * 2|delta_sq|)
+
+    summed as logs, since the product underflows at large |m| as k -> 0-.
+    norm_integral = N itself, which may underflow to 0 there.
+    Build instances with radial_wavefunction, which checks the regime.
     """
 
-    def __init__(self, params: SystemParams, state: QuantumState,
-                 exponent_sign: int, norm_integral: float):
+    def __init__(self, params: SystemParams, state: QuantumState):
         self.params = params
         self.state = state
-        self.exponent_sign = exponent_sign
-        self.norm_integral = norm_integral
-        self.normalization = 1.0 / math.sqrt(norm_integral)
         self.domain_max = params.r_max
         self.jacobi = JacobiParams(
             a=float(abs(state.m)), b=_shape_exponent(params), n=state.n_r
         )
+        n, am, s = state.n_r, abs(state.m), self.jacobi.b
+        self.log_norm = math.fsum(
+            math.log((n + j) / (n + s + j)) for j in range(1, am + 1)
+        ) - math.log((2.0 * n + am + s + 1.0) * 2.0 * abs(params.delta_sq))
+        self.norm_integral = math.exp(self.log_norm)
+        self.normalization = math.exp(-0.5 * self.log_norm)
 
-    def unnormalized(self, r: float) -> float:
-        if r < 0.0 or r >= self.domain_max:
+    def unnormalized(self, r: float | np.ndarray) -> float | np.ndarray:
+        """U(r) / C at a number r or elementwise over an ndarray of them."""
+        lo, hi = (r.min(), r.max()) if isinstance(r, np.ndarray) else (r, r)
+        if lo < 0.0 or hi >= self.domain_max:
             raise DomainError(f"r={r} outside [0, {self.domain_max})")
-        d2 = self.params.delta_sq
-        z = -d2 * r * r
-        one_minus = 1.0 - z
+        z = -self.params.delta_sq * r * r
         am = abs(self.state.m)
-        s = self.jacobi.b
         return (
             abs(z) ** (am / 2.0)
-            * one_minus ** (self.exponent_sign * 0.5 * (1.0 + s))
+            * (1.0 - z) ** (0.5 * (1.0 + self.jacobi.b))
             * jacobi_p(self.jacobi, 1.0 - 2.0 * z)
         )
 
-    def value(self, r: float) -> float:
+    def value(self, r: float | np.ndarray) -> float | np.ndarray:
         return self.normalization * self.unnormalized(r)
 
     __call__ = value
@@ -263,75 +275,25 @@ def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
     return (dd + d1 / r + coef * samples[2]) / (scale * local)
 
 
-def _norm_integral(u, params: SystemParams) -> float:
-    d2 = params.delta_sq
-    integrand = lambda r: u(r) ** 2 * r / (1.0 + d2 * r * r)
-    if params.r_max != math.inf:
-        # integrand vanishes like (1 - z)^s at the endpoint, so the inset
-        # truncates less than 1e-20 of the mass
-        spec = QuadratureSpec(0.0, params.r_max * (1.0 - 1e-10),
-                              rel_tol=1e-11, abs_tol=1e-14)
-        return integrate(integrand, spec).value
-    # unbounded domain: extend until a doubling adds nothing
-    total = integrate(integrand, QuadratureSpec(0.0, 1.0, rel_tol=1e-11, abs_tol=1e-14)).value
-    lo = 1.0
-    for _ in range(60):
-        hi = 2.0 * lo
-        part = integrate(integrand, QuadratureSpec(lo, hi, rel_tol=1e-9, abs_tol=1e-16)).value
-        total += part
-        if abs(part) < 1e-13 * max(abs(total), 1e-30):
-            return total
-        if not math.isfinite(total) or total > 1e290:
-            break
-        lo = hi
-    raise NonNormalizableError("norm integral does not converge on the unbounded domain")
-
-
-_ODE_PROBE_TOL = 1e-6
-
-
 def radial_wavefunction(params: SystemParams, state: QuantumState) -> RadialWavefunction:
-    """Build and normalize the radial eigenfunction for the given state.
+    """Build the normalized radial eigenfunction for the given state.
 
-    Both signs of the (1 + delta_sq r^2) exponent are tried; the surviving
-    branch must pass a substitution check of the radial equation at probe
-    points and produce a finite norm. Raises NonNormalizableError when
-    neither qualifies (typical for exploratory k > 0 inputs).
+    Raises NonNormalizableError outside the bound regime k < 0 < lam (where
+    delta_sq >= 0, the domain is unbounded and the solution grows), and
+    ValueError when state.energy is not the spectrum value.
     """
+    if not params.k < 0.0 < params.lam:
+        raise NonNormalizableError(
+            f"k={params.k}, lam={params.lam}: bound states need k < 0 < lam; "
+            "the radial solution is not square-integrable here"
+        )
     expected = energy(params, state.n_r, state.m)
     if not math.isclose(state.energy, expected, rel_tol=1e-9, abs_tol=1e-9):
         raise ValueError(
             f"state energy {state.energy} is not the spectrum value {expected} "
             f"for (n_r={state.n_r}, m={state.m})"
         )
-    span = params.r_max if params.r_max != math.inf else 2.0 / math.sqrt(abs(params.delta_sq))
-    probes = (0.3 * span, 0.55 * span, 0.8 * span)
-    failures = []
-    for sign in (+1, -1):
-        # the branch's own formula, before its normalization is known
-        u = RadialWavefunction(params, state, sign, norm_integral=1.0).unnormalized
-        res = max(abs(_fd_residual(u, params, state.m, state.energy, r)) for r in probes)
-        if res > _ODE_PROBE_TOL:
-            failures.append(f"sign={sign:+d}: equation residual {res:.2e}")
-            continue
-        try:
-            norm = _norm_integral(u, params)
-        except NonNormalizableError as exc:
-            failures.append(f"sign={sign:+d}: {exc}")
-            continue
-        if not math.isfinite(norm) or norm <= 0.0:
-            failures.append(f"sign={sign:+d}: norm integral {norm}")
-            continue
-        return RadialWavefunction(params, state, sign, norm)
-    raise NonNormalizableError(
-        "no exponent branch is both a solution and square-integrable: "
-        + "; ".join(failures)
-    )
-
-
-@functools.lru_cache(maxsize=128)
-def _cached_wavefunction(params: SystemParams, state: QuantumState) -> RadialWavefunction:
-    return radial_wavefunction(params, state)
+    return RadialWavefunction(params, state)
 
 
 def ode_residual(params: SystemParams, state: QuantumState, r: float,
@@ -345,7 +307,7 @@ def ode_residual(params: SystemParams, state: QuantumState, r: float,
     """
     if not 0.0 < r < params.r_max:
         raise DomainError(f"r={r} outside the open interval (0, {params.r_max})")
-    wf = _cached_wavefunction(params, state)
+    wf = radial_wavefunction(params, state)
     e = state.energy if energy_override is None else energy_override
     return _fd_residual(wf.value, params, state.m, e, r, h)
 
@@ -353,26 +315,26 @@ def ode_residual(params: SystemParams, state: QuantumState, r: float,
 def total_wavefunction(params: SystemParams, state: QuantumState,
                        r: float, theta: float) -> complex:
     """Psi(r, theta) = U(r) exp(-i m theta) / sqrt(2 pi), unit-normalized in 2D."""
-    wf = _cached_wavefunction(params, state)
+    wf = radial_wavefunction(params, state)
     return wf.value(r) / math.sqrt(_TWO_PI) * complex(
         math.cos(state.m * theta), -math.sin(state.m * theta)
     )
 
 
 def radial_overlap(params: SystemParams, m: int, n1: int, n2: int) -> float:
-    """Inner product of two normalized radial states at fixed m.
+    """Inner product of two normalized radial states at fixed m, by quadrature.
 
     Uses the mass-weighted measure; equals 1 for n1 == n2 and vanishes for
-    n1 != n2 up to quadrature error.
+    n1 != n2 up to quadrature error. This is the independent check of the
+    closed-form norm. Raises NonNormalizableError outside k < 0 < lam.
     """
-    w1 = _cached_wavefunction(params, make_state(params, n1, m))
-    w2 = _cached_wavefunction(params, make_state(params, n2, m))
+    w1 = radial_wavefunction(params, make_state(params, n1, m))
+    w2 = radial_wavefunction(params, make_state(params, n2, m))
     d2 = params.delta_sq
     integrand = lambda r: w1.value(r) * w2.value(r) * r / (1.0 + d2 * r * r)
-    upper = params.r_max * (1.0 - 1e-10) if params.r_max != math.inf else None
-    if upper is None:
-        raise NonPhysicalError("overlaps are defined for the bound regime k < 0")
-    spec = QuadratureSpec(0.0, upper, rel_tol=1e-10, abs_tol=1e-13)
+    # the integrand vanishes like (1 - z)^s at the endpoint, so the inset
+    # truncates less than 1e-20 of the mass
+    spec = QuadratureSpec(0.0, params.r_max * (1.0 - 1e-10), rel_tol=1e-10, abs_tol=1e-13)
     return integrate(integrand, spec).value
 
 

@@ -57,8 +57,10 @@ class SeriesTable:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str) -> None:
+        # render first: a table that fails validation leaves no file behind
+        text = self.to_csv()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
+            fh.write(text)
 
     def to_svg(self, width: int = 720, height: int = 480) -> str:
         """Minimal polyline plot: axes, ticks, one legend entry per column."""
@@ -131,5 +133,6 @@ class SeriesTable:
         return "\n".join(parts) + "\n"
 
     def write_svg(self, path: str, width: int = 720, height: int = 480) -> None:
+        text = self.to_svg(width, height)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_svg(width, height))
+            fh.write(text)

@@ -148,6 +148,16 @@ class TestWavefunctionCommand:
         rc = main(["wavefunction", "--k-list", "-0.5,-0.3", "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("k, code", [("0", 1), ("0.001", 1), ("-1e-8", 0)])
+    def test_bound_regime_edges(self, tmp_path, capsys, k, code):
+        # k >= 0 has no bound states: a typed refusal, and no CSV
+        out = tmp_path / "out"
+        rc = main(["wavefunction", f"--k={k}", "--m", "1", "--n-max", "1", "--out", str(out)])
+        assert rc == code
+        assert (out / "wavefunction_m1.csv").exists() == (code == 0)
+        if code:
+            assert "k < 0 < lam" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_config_file_and_precedence(self, tmp_path, capsys):
@@ -178,6 +188,12 @@ class TestConfigHandling:
         rc = main(["spectrum", "--k", "-0.5", "--k-list", "-0.1,-0.2"])
         assert rc == 2
         assert "field=k" in capsys.readouterr().err
+
+    def test_repeated_k_rejected(self, tmp_path, capsys):
+        rc = main(["thermo", "--k-list=-0.1,-0.1", "--T-count", "4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "field=k_list" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_T_grid(self, capsys):
         rc = main(["thermo", "--T-min", "5", "--T-max", "1"])
@@ -244,6 +260,13 @@ class TestSeriesTable:
         table = SeriesTable(x_label="x", y_label="y", x=[0.0, 1.0], columns=[("a", [1.0])])
         with pytest.raises(ValueError):
             table.to_csv()
+
+    def test_invalid_table_leaves_no_file(self, tmp_path):
+        table = SeriesTable(x_label="x", y_label="y", x=[0.0, 1.0], columns=[("a", [1.0])])
+        for write, name in ((table.write_csv, "t.csv"), (table.write_svg, "t.svg")):
+            with pytest.raises(ValueError):
+                write(str(tmp_path / name))
+            assert not (tmp_path / name).exists()
 
     def test_float_formatting_roundtrip(self):
         value = 1.0 / 3.0

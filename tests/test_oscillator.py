@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from pdm_osc.oscillator import (
     solve_energy,
     total_wavefunction,
 )
-from pdm_osc.specfun import QuadratureSpec, integrate, log_gamma
+from pdm_osc.specfun import JacobiParams, QuadratureSpec, integrate, jacobi_p, log_gamma
 
 
 def analytic_norm_integral(params: SystemParams, n: int, m: int) -> float:
@@ -183,7 +184,12 @@ class TestRadialWavefunction:
     def test_decaying_branch_selected(self):
         p = SystemParams(alpha=1.0, k=-0.5)
         wf = radial_wavefunction(p, make_state(p, 2, 1))
-        assert wf.exponent_sign == +1
+        s = math.sqrt(1.0 / 0.25 + 1.0)
+        for r in (0.2, 0.6, 1.0, 1.3):
+            z = 0.5 * r * r
+            poly = jacobi_p(JacobiParams(a=1.0, b=s, n=2), 1.0 - 2.0 * z)
+            decay = wf.value(r) / (wf.normalization * z**0.5 * poly)
+            assert decay == pytest.approx((1.0 - z) ** (0.5 * (1.0 + s)), rel=1e-12)
         assert wf.domain_max == p.r_max
 
     def test_small_r_power_law(self):
@@ -201,15 +207,49 @@ class TestRadialWavefunction:
             radial_wavefunction(p, QuantumState(n_r=0, m=0, energy=2.0))
 
     def test_exploratory_positive_k_not_normalizable(self):
-        p = SystemParams(alpha=1.0, k=0.5, exploratory=True)
+        for k in (0.0, 1e-3, 0.5):
+            p = SystemParams(alpha=1.0, k=k, exploratory=True)
+            with pytest.raises(NonNormalizableError):
+                radial_wavefunction(p, make_state(p, 0, 0))
+
+    def test_negative_lam_not_normalizable(self):
+        # delta_sq = k lam > 0: an unbounded domain on which U grows
+        p = SystemParams(alpha=1.0, k=-0.5, lam=-1.0)
         with pytest.raises(NonNormalizableError):
-            radial_wavefunction(p, make_state(p, 0, 0))
+            radial_wavefunction(p, make_state(p, 1, 1))
+
+    def test_normalization_at_large_m_small_k(self):
+        # the closed-form norm against quadrature where s = 1000 squeezes the
+        # state against r = 0
+        p = SystemParams(alpha=1.0, k=-1e-3)
+        assert radial_overlap(p, 60, 40, 40) == pytest.approx(1.0, abs=1e-8)
 
     def test_domain_guard(self):
         p = SystemParams(alpha=1.0, k=-0.5)
         wf = radial_wavefunction(p, make_state(p, 0, 0))
         with pytest.raises(DomainError):
             wf.value(p.r_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_abs_k=st.floats(-8.0, math.log10(5.0)), m=st.integers(-60, 60),
+       n=st.integers(0, 40))
+def test_closed_form_norm_across_regime_edges(log_abs_k, m, n):
+    """The log-domain norm matches a 50-digit Gamma-function evaluation."""
+    mpmath = pytest.importorskip("mpmath")
+    p = SystemParams(alpha=1.0, k=-(10.0**log_abs_k))
+    wf = radial_wavefunction(p, make_state(p, n, m))
+    assert math.isfinite(wf.normalization) and wf.normalization > 0.0
+    assert np.all(np.isfinite(wf.value(p.r_max * np.linspace(0.05, 0.95, 19))))
+    with mpmath.workdps(50):
+        a = abs(m)
+        s = mpmath.sqrt(1 / mpmath.mpf(p.k) ** 2 + 1)
+        exact = (
+            mpmath.loggamma(n + a + 1) + mpmath.loggamma(n + s + 1)
+            - mpmath.loggamma(n + a + s + 1) - mpmath.loggamma(n + 1)
+            - mpmath.log(2 * n + a + s + 1) - mpmath.log(2 * abs(mpmath.mpf(p.delta_sq)))
+        )
+        assert abs(wf.log_norm - exact) <= 1e-12 * abs(exact)
 
 
 class TestOdeResidual:
