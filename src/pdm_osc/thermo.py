@@ -5,14 +5,13 @@ quantum number m is evaluated by three strategies:
 
 DIRECT_SUM        log-domain accumulation of the truncated sum; this is the
                   reference oracle for everything else.
-PAPER_CLOSED_FORM closed-form first-order Poisson/Euler-Maclaurin expression
-                  built from the coefficients (a_t, b_t, c_t, d_t) and the
-                  erf-based integral term Omega.
-POISSON_PIPELINE  the same first-order summation formula
+PAPER_CLOSED_FORM the paper's closed form: the first-order summation formula
                   sum f(n) ~ [f(0) - f(N+1)]/2 + int_0^{N+1} f(x) dx
-                  with the integral done by adaptive quadrature instead of
-                  the erf algebra; an independent re-derivation that
-                  triangulates the closed form.
+                  for f(x) = exp(-beta E(x)), with the integral done by the
+                  erf algebra of the coefficients (a_t, b_t, c_t, d_t).
+POISSON_PIPELINE  the same summation formula with the integral done by
+                  adaptive quadrature instead of the erf algebra; an
+                  independent re-derivation that triangulates the closed form.
 
 The closed form inherits the truncation error of the first-order summation
 formula, roughly |f'(0)|/12 relative to Z, which grows with beta; agreement
@@ -21,19 +20,19 @@ quantifies the discrepancy on any beta grid.
 
 sweep evaluates one (params, m, N, strategy) series on a whole beta grid: the
 direct sum builds the spectrum once and reduces it over blocks of beta rows.
-evaluate() and the single-quantity functions run the same code on a
-one-point grid, so they agree with sweep value for value.
+evaluate() is sweep on a one-point grid, and the single-quantity functions
+call evaluate(), so all of them agree value for value.
 
-The d_t coefficient is evaluated in two variants: "corrected" uses
-sqrt(k^2 + alpha^2) - k m^2/2, which reproduces exp(-beta E_0) in the
-boundary term exactly, while "verbatim" keeps the mass-scale combination
-sqrt(lam^2 + alpha^2) - lam m^2/2. Both appear in the diagnostics of
-partition_paper() and evaluate() and are never silently swapped; the
-corrected variant is the primary value. The same applies to the first
-exponential of the average energy numerator Lambda and of the heat-capacity
-numerator, where the self-consistent combination uses (a_t - d_t); the
-(a_t - b_t) pairing is kept in the diagnostics of evaluate() under
-*_display keys.
+The paper's coefficients are spectrum values: c_t = E_{N+1},
+a_t = -E'(0)/2, b_t = E'(N+1)/2, (a_t^2 - alpha^2)/2k = -E_0 and
+(b_t^2 - alpha^2)/2k = -E_{N+1}. The closed form is evaluated relative to
+exp(-beta E_0), like the direct sum and the pipeline, so no factor overflows
+and a Z below the double range still gives finite U, C, F and S. The d_t
+coefficient has two readings: "corrected" uses sqrt(k^2 + alpha^2) - k m^2/2,
+for which a_t - d_t = -E_0 and the boundary term is exactly f(0), while
+"verbatim" keeps the mass-scale combination sqrt(lam^2 + alpha^2) - lam m^2/2.
+partition_paper() reports both; sweep() and evaluate() compute the requested
+one, and the corrected variant is the default.
 """
 
 from __future__ import annotations
@@ -136,7 +135,6 @@ class PaperZCoefficients:
     b_t: float
     c_t: float
     d_t: float
-    omega: float
     eta: float
     theta_v: float
     variant: str
@@ -228,11 +226,12 @@ def partition_direct(inp: ThermoInput) -> ThermoResult:
 
 
 def paper_z_coefficients(inp: ThermoInput, variant: str = "corrected") -> PaperZCoefficients:
-    """Closed-form coefficients a_t, b_t, c_t, d_t, Omega, eta, theta_v.
+    """Closed-form coefficients a_t, b_t, c_t, d_t, eta, theta_v in the
+    paper's notation.
 
     variant selects the d_t reading: "corrected" uses sqrt(k^2+alpha^2) and
-    -k m^2/2 (exactly reproducing exp(-beta E_0) in the boundary term);
-    "verbatim" keeps the mass-scale lam in both places.
+    -k m^2/2 (a_t - d_t = -E_0, so the boundary term is exactly
+    exp(-beta E_0)); "verbatim" keeps the mass-scale lam in both places.
     """
     p, m, n_max, beta = inp.params, inp.m, inp.truncation_n, inp.beta
     k, alpha = p.k, p.alpha
@@ -255,41 +254,70 @@ def paper_z_coefficients(inp: ThermoInput, variant: str = "corrected") -> PaperZ
         raise ValueError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
     eta = -beta * a_t * a_t / (2.0 * k)
     theta_v = -beta * b_t * b_t / (2.0 * k)
-    omega = _omega_term(alpha, k, beta, a_t, b_t, eta, theta_v)
     return PaperZCoefficients(a_t=a_t, b_t=b_t, c_t=c_t, d_t=d_t,
-                              omega=omega, eta=eta, theta_v=theta_v, variant=variant)
+                              eta=eta, theta_v=theta_v, variant=variant)
 
 
-def _omega_term(alpha: float, k: float, beta: float,
-                a_t: float, b_t: float, eta: float, theta_v: float) -> float:
-    """Integral term of the closed form:
+def _closed_form(inp: ThermoInput, variant: str) -> ThermoResult:
+    """Z, U, C, F and S of the closed form in one d_t variant.
 
-        Omega = (1/2k) sqrt(pi/2) exp(-alpha^2 beta / 2k)
-                [ a_t erf(sqrt(eta)) / sqrt(2 eta) + b_t erf(sqrt(theta)) / sqrt(2 theta) ]
-
-    For k < 0 always a_t < 0 < b_t, so a_t/sqrt(2 eta) = -b_t/sqrt(2 theta)
-    = -sqrt(-k/beta) exactly and the bracket reduces to the erf difference.
-    At low temperature both erf factors saturate at 1 while the leading
-    exponential explodes; evaluating through the scaled complement
-    exp(x^2) erfc(x) with combined exponents keeps every factor finite and
-    cancellation-free. Algebraically identical to the display above.
+    With f(x) = exp(-beta E(x)), 2Z = exp(beta (a_t - d_t)) - f(N+1) + 2I,
+    where I = int_0^{N+1} f dx is the erf term -Omega. U and C follow from
+    the beta-derivatives of 2Z: the composites Lambda = d(2Z)/d(beta) and
+    X + epsilon = d^2(2Z)/d(beta)^2, with the Gaussian boundary sums of
+    int E f dx and int E^2 f dx collected in a_t f(0) + b_t f(N+1) and
+    varsigma. Every exponential is taken relative to exp(-beta E_0 + shift),
+    where shift > 0 only when the verbatim d_t term exp(beta (a_t - d_t))
+    exceeds exp(-beta E_0), so every factor is at most 1: with the corrected
+    d_t the boundary and Gaussian factors are 1 and exp(-beta (E_{N+1} - E_0)).
+    Z itself saturates to inf or 0 only where exp(ln Z) leaves the double range.
     """
-    root = math.sqrt(-k / beta)
-    # exp(-alpha^2 beta/2k) erfc(sqrt(eta))
-    #   = exp(beta (a_t^2 - alpha^2)/2k) erfcx(sqrt(eta)), exponent <= 0
-    grown_a = math.exp(beta * (a_t * a_t - alpha * alpha) / (2.0 * k)) * erfcx(math.sqrt(eta))
-    grown_b = math.exp(beta * (b_t * b_t - alpha * alpha) / (2.0 * k)) * erfcx(math.sqrt(theta_v))
-    return 0.5 / k * math.sqrt(math.pi / 2.0) * root * (grown_a - grown_b)
-
-
-def _safe_exp(x: float) -> float:
-    """exp that saturates to inf instead of raising; x is data-dependent and
-    the verbatim d_t variant can push a_t - d_t positive for large |m|."""
-    return math.exp(x) if x < 709.0 else math.inf
-
-
-def _closed_form_z(co: PaperZCoefficients, beta: float) -> float:
-    return 0.5 * (_safe_exp(beta * (co.a_t - co.d_t)) - math.exp(-beta * co.c_t)) - co.omega
+    co = paper_z_coefficients(inp, variant)
+    p, beta, kb = inp.params, inp.beta, inp.params.kb
+    k, alpha, a_t, b_t = p.k, p.alpha, co.a_t, co.b_t
+    e0 = energy(p, 0.0, inp.m)
+    e1 = energy(p, inp.truncation_n + 1.0, inp.m)  # c_t
+    a_d = -e0 if variant == "corrected" else a_t - co.d_t
+    excess = beta * (a_d + e0)
+    shift = max(excess, 0.0)
+    exp_ad = math.exp(excess - shift)
+    f0 = math.exp(-shift)
+    f1 = math.exp(-beta * (e1 - e0) - shift)
+    # I through the scaled complement erfcx(x) = exp(x^2) erfc(x), whose
+    # growth cancels exp(-alpha^2 beta/2k) into the factors f(0) and f(N+1)
+    integral = math.sqrt(math.pi / (-8.0 * k * beta)) * (
+        f0 * erfcx(math.sqrt(co.eta)) - f1 * erfcx(math.sqrt(co.theta_v)))
+    two_z = exp_ad - f1 + 2.0 * integral
+    gauss_boundary = a_t * f0 + b_t * f1
+    lam_num = (
+        a_d * exp_ad + e1 * f1
+        - (alpha * alpha * beta + k) * integral / (k * beta)
+        - gauss_boundary / (2.0 * k * beta)
+    )
+    u = -lam_num / two_z
+    gauss_varsigma = (
+        a_t * f0 * (a_t * a_t * beta - 2.0 * alpha * alpha * beta - 3.0 * k)
+        + b_t * f1 * (b_t * b_t * beta - 2.0 * alpha * alpha * beta - 3.0 * k)
+    )
+    eps = (
+        (alpha**4 * beta**2 + 2.0 * alpha * alpha * beta * k + 3.0 * k * k)
+        * integral / (2.0 * k * k * beta * beta)
+        - gauss_varsigma / (4.0 * k * k * beta * beta)
+    )
+    x_num = a_d * a_d * exp_ad - e1 * e1 * f1
+    c_heat = kb * beta * beta * ((x_num + eps) / two_z - (lam_num / two_z) ** 2)
+    diag = {"strategy": Strategy.PAPER_CLOSED_FORM.value, "variant": variant}
+    if two_z > 0.0:
+        log_z = shift - beta * e0 + math.log(0.5 * two_z)
+        z = math.exp(log_z) if log_z < 700.0 else math.inf
+    else:
+        # a nonpositive Z has no logarithm; shift is 0 here, so the scale
+        # exp(-beta E_0) is at most 1
+        log_z = math.nan
+        z = 0.5 * two_z * math.exp(-beta * e0)
+        diag["nonpositive_z"] = True
+    return ThermoResult(z=z, log_z=log_z, u=u, c=c_heat, f=-log_z / beta,
+                        s=kb * (log_z + beta * u), diagnostics=diag)
 
 
 def partition_paper(inp: ThermoInput) -> ThermoResult:
@@ -298,28 +326,32 @@ def partition_paper(inp: ThermoInput) -> ThermoResult:
     A nonpositive closed-form value in a regime where the direct sum is
     positive is recorded as a diagnostic, never raised.
     """
-    z_by_variant = {}
-    for variant in ("corrected", "verbatim"):
-        co = paper_z_coefficients(inp, variant)
-        z_by_variant[variant] = _closed_form_z(co, inp.beta)
-    z = z_by_variant["corrected"]
+    by_variant = {v: _closed_form(inp, v) for v in ("corrected", "verbatim")}
+    primary = by_variant["corrected"]
     diag = {
         "strategy": Strategy.PAPER_CLOSED_FORM.value,
-        "z_corrected": z_by_variant["corrected"],
-        "z_verbatim": z_by_variant["verbatim"],
+        "z_corrected": primary.z,
+        "z_verbatim": by_variant["verbatim"].z,
     }
-    nonpositive = [v for v, zz in z_by_variant.items() if zz <= 0.0]
-    if nonpositive:
-        diag["nonpositive_z"] = nonpositive
-    log_z = math.log(z) if z > 0.0 else math.nan
-    return ThermoResult(z=z, log_z=log_z, diagnostics=diag)
+    if any("nonpositive_z" in res.diagnostics for res in by_variant.values()):
+        diag["nonpositive_z"] = True
+    return ThermoResult(z=primary.z, log_z=primary.log_z, diagnostics=diag)
 
 
 def _poisson_z(inp: ThermoInput, rel_tol: float = 1e-11):
     p, m, n_max, beta = inp.params, inp.m, inp.truncation_n, inp.beta
     e0 = energy(p, 0.0, m)
     f = lambda x: math.exp(-beta * (energy(p, x, m) - e0))  # rescaled to avoid underflow
-    spec = QuadratureSpec(0.0, n_max + 1.0, rel_tol=rel_tol, abs_tol=1e-300)
+    upper = n_max + 1.0
+    if p.k <= 0.0:
+        # f is exactly 0.0 beyond x_cut, where beta (E(x) - E_0) = 746; on a
+        # wider interval every quadrature node can miss f's support and
+        # converge to a false 0. E(x) - E_0 = x (E'(0) - 2k x), so x_cut is
+        # the positive root, in the form free of cancellation as k -> 0-
+        slope = energy(p, 1.0, m) - e0 + 2.0 * p.k  # E'(0)
+        q = 746.0 / beta
+        upper = min(upper, 2.0 * q / (slope + math.sqrt(slope * slope - 8.0 * p.k * q)))
+    spec = QuadratureSpec(0.0, upper, rel_tol=rel_tol, abs_tol=1e-300)
     result = integrate(f, spec)
     scaled = 0.5 * (f(0.0) - f(n_max + 1.0)) + result.value
     return -beta * e0 + math.log(scaled), result
@@ -342,109 +374,6 @@ def partition_poisson_independent(inp: ThermoInput) -> ThermoResult:
             "quadrature_error_bound": quad.error_bound,
         },
     )
-
-
-def _square(x: float) -> float:
-    """x**2 that saturates to inf instead of raising."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
-def _paper_machinery(inp: ThermoInput, variant: str = "corrected",
-                     display: bool = False) -> dict:
-    """All closed-form quantities for one variant; display adds the
-    display-form composites lambda_display and c_display."""
-    co = paper_z_coefficients(inp, variant)
-    beta, k, alpha, kb = inp.beta, inp.params.k, inp.params.alpha, inp.params.kb
-    a_t, b_t, c_t, d_t, om = co.a_t, co.b_t, co.c_t, co.d_t, co.omega
-    exp_ad = _safe_exp(beta * (a_t - d_t))
-    exp_c = math.exp(-beta * c_t)
-    two_z = exp_ad - exp_c - 2.0 * om
-    z = 0.5 * two_z
-    if two_z == 0.0:
-        # Z underflowed the double range (beta E_0 beyond ~700); every derived
-        # quantity is undefined at this precision
-        nan = math.nan
-        return {
-            "coefficients": co, "z": 0.0, "log_z": -math.inf,
-            "u": nan, "c": nan, "s": nan, "f": math.inf,
-            "lambda": nan, "lambda_display": nan, "epsilon": nan,
-            "gauss_varsigma": nan, "c_display": nan, "underflow": True,
-        }
-    # exp(-alpha^2 beta/2k) exp(y^2 beta/2k) combined into one decaying
-    # exponential so neither factor can overflow at large beta
-    grown_a = math.exp(beta * (a_t * a_t - alpha * alpha) / (2.0 * k))
-    grown_b = math.exp(beta * (b_t * b_t - alpha * alpha) / (2.0 * k))
-    gauss_boundary = a_t * grown_a + b_t * grown_b
-    lam_num = (
-        (a_t - d_t) * exp_ad + c_t * exp_c
-        + (alpha * alpha * beta + k) * om / (k * beta)
-        - gauss_boundary / (2.0 * k * beta)
-    )
-    u = -lam_num / two_z
-    gauss_varsigma = (
-        a_t * grown_a * (a_t * a_t * beta - 2.0 * alpha * alpha * beta - 3.0 * k)
-        + b_t * grown_b * (b_t * b_t * beta - 2.0 * alpha * alpha * beta - 3.0 * k)
-    )
-    eps = (
-        -(alpha**4 * beta**2 + 2.0 * alpha * alpha * beta * k + 3.0 * k * k)
-        * om / (2.0 * k * k * beta * beta)
-        - gauss_varsigma / (4.0 * k * k * beta * beta)
-    )
-    x_num = (a_t - d_t) ** 2 * exp_ad - c_t * c_t * exp_c
-    c_heat = kb * beta * beta * ((x_num + eps) / two_z - (lam_num / two_z) ** 2)
-    log_z = math.log(z) if z > 0.0 else math.nan
-    s = kb * (log_z + beta * u) if z > 0.0 else math.nan
-    f = -log_z / beta if z > 0.0 else math.nan
-    mach = {
-        "coefficients": co,
-        "z": z,
-        "log_z": log_z,
-        "u": u,
-        "c": c_heat,
-        "s": s,
-        "f": f,
-        "lambda": lam_num,
-        "epsilon": eps,
-        "gauss_varsigma": gauss_varsigma,
-    }
-    if display:
-        # alternative composition pairing a_t with b_t in the first
-        # exponential; inconsistent with -d ln Z / d beta and a diagnostic
-        # only, so an overflow in it saturates instead of raising
-        lam_display = (
-            (a_t - b_t) * math.exp(beta * (a_t - b_t)) + c_t * exp_c
-            + (alpha * alpha * beta + k) * om / (k * beta)
-            - gauss_boundary / (2.0 * k * beta)
-        )
-        mach["lambda_display"] = lam_display
-        mach["c_display"] = 0.5 * kb * beta * beta * (
-            (_square(a_t - b_t) * math.exp(beta * (a_t - b_t)) - c_t * c_t * exp_c - eps)
-            / two_z
-            - 2.0 * _square(lam_display / two_z)
-        )
-    return mach
-
-
-def _paper_result(inp: ThermoInput, variant: str, display: bool) -> ThermoResult:
-    mach = _paper_machinery(inp, variant, display)
-    res = ThermoResult(
-        z=mach["z"], log_z=mach["log_z"],
-        u=mach["u"], c=mach["c"], f=mach["f"], s=mach["s"],
-        diagnostics={
-            "strategy": Strategy.PAPER_CLOSED_FORM.value,
-            "variant": variant,
-            f"z_{variant}": mach["z"],
-        },
-    )
-    if display:
-        res.diagnostics["lambda_display"] = mach["lambda_display"]
-        res.diagnostics["c_display"] = mach["c_display"]
-    if mach["z"] <= 0.0:
-        res.diagnostics["nonpositive_z"] = True
-    return res
 
 
 def _poisson_result(inp: ThermoInput) -> ThermoResult:
@@ -471,8 +400,7 @@ def _poisson_result(inp: ThermoInput) -> ThermoResult:
     )
 
 
-def _series(inputs: list[ThermoInput], variant: str,
-            display: bool = False) -> list[ThermoResult]:
+def _series(inputs: list[ThermoInput], variant: str) -> list[ThermoResult]:
     """Results for inputs that differ only in beta, under their strategy."""
     if not inputs:
         return []
@@ -480,7 +408,7 @@ def _series(inputs: list[ThermoInput], variant: str,
     if strategy is Strategy.DIRECT_SUM:
         results = _direct_series(inputs)
     elif strategy is Strategy.PAPER_CLOSED_FORM:
-        results = [_paper_result(inp, variant, display) for inp in inputs]
+        results = [_closed_form(inp, variant) for inp in inputs]
     else:
         results = [_poisson_result(inp) for inp in inputs]
     for res in results:
@@ -489,13 +417,9 @@ def _series(inputs: list[ThermoInput], variant: str,
     return results
 
 
-def _point(inp: ThermoInput) -> ThermoResult:
-    return _series([inp], "corrected")[0]
-
-
 def average_energy(inp: ThermoInput) -> float:
     """Mean energy -d(ln Z)/d(beta) under the selected strategy."""
-    return _point(inp).u
+    return evaluate(inp).u
 
 
 def heat_capacity(inp: ThermoInput) -> float:
@@ -505,12 +429,12 @@ def heat_capacity(inp: ThermoInput) -> float:
     nonnegative by construction; the closed form uses its epsilon/varsigma
     blocks; the quadrature pipeline differentiates ln Z numerically.
     """
-    return _point(inp).c
+    return evaluate(inp).c
 
 
 def free_energy(inp: ThermoInput) -> float:
     """Helmholtz free energy -ln(Z)/beta."""
-    return _point(inp).f
+    return evaluate(inp).f
 
 
 def entropy(inp: ThermoInput) -> float:
@@ -522,7 +446,7 @@ def entropy(inp: ThermoInput) -> float:
     (the closed form tends to kb ln(1/2)); callers see that via diagnostics
     of evaluate(), the value itself is reported unmodified.
     """
-    return _point(inp).s
+    return evaluate(inp).s
 
 
 def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float],
@@ -532,8 +456,7 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
 
     Each value equals evaluate() at that beta. The direct sum builds the
     spectrum once and reduces it in blocks of beta rows; the closed form
-    computes only the requested d_t variant, without the other variant and
-    the display-form composites that evaluate() adds to its diagnostics.
+    computes only the requested d_t variant.
     """
     inputs = [ThermoInput(params=params, m=m, beta=beta, truncation_n=truncation_n,
                           strategy=strategy) for beta in betas]
@@ -544,20 +467,9 @@ def evaluate(inp: ThermoInput, variant: str = "corrected") -> ThermoResult:
     """All five quantities (Z, U, C, F, S) under the selected strategy.
 
     variant selects the d_t reading for the closed-form strategy; the other
-    strategies ignore it. The closed-form diagnostics carry both variants'
-    partition functions, the other variant's U and the display-form
-    composites lambda_display and c_display; an overflow in those records
-    inf or nan and never costs the primary values.
+    strategies ignore it. This is sweep() on a one-point grid.
     """
-    res = _series([inp], variant, display=True)[0]
-    if inp.strategy is Strategy.PAPER_CLOSED_FORM:
-        other_name = "verbatim" if variant == "corrected" else "corrected"
-        other = _paper_machinery(inp, other_name)
-        res.diagnostics[f"z_{other_name}"] = other["z"]
-        res.diagnostics[f"u_{other_name}"] = other["u"]
-        if other["z"] <= 0.0:
-            res.diagnostics["nonpositive_z"] = True
-    return res
+    return _series([inp], variant)[0]
 
 
 @dataclass

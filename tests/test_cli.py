@@ -95,12 +95,22 @@ class TestThermoCommand:
         assert [row[0] for row in body] == pytest.approx([2.0, 4.0, 6.0, 8.0, 10.0])
 
     def test_paper_point_survives_display_overflow(self, capsys):
-        """The display-only c_display overflows here; the primary values print."""
+        """Z is ~1e-182 at this large-|m| point; every value prints finite."""
         rc = main(["thermo", "--strategy", "paper", "--k", "-0.001", "--m", "40", "--T", "0.1"])
         assert rc == 0
         fields = dict(part.split("=") for part in capsys.readouterr().out.split())
         assert all(math.isfinite(float(fields[q])) for q in "ZUCFS")
         assert float(fields["Z"]) == pytest.approx(1.06e-182, rel=1e-2)
+
+    @pytest.mark.parametrize("args", [["--T", "0.001", "--k=-1e-6", "--N", "100000"],
+                                      ["--T", "0.1", "--k=-0.1"]])
+    def test_paper_point_where_z_underflows(self, capsys, args):
+        """Z underflows to 0; U, C, F and S still print finite."""
+        rc = main(["thermo", "--strategy", "paper", "--m", "40"] + args)
+        assert rc == 0
+        fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+        assert float(fields["Z"]) == 0.0
+        assert all(math.isfinite(float(fields[q])) for q in "UCFS")
 
     def test_paper_strategy_both_variants(self, tmp_path):
         rc = main(["thermo", "--k", "-0.3", "--m", "1", "--strategy", "paper",

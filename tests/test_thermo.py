@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdm_osc.oscillator import NonPhysicalError, SystemParams, energy
-from pdm_osc.specfun import QuadratureSpec, central_diff, integrate
+from pdm_osc.specfun import IntegrationError, QuadratureSpec, central_diff, integrate
 from pdm_osc.thermo import (
     Strategy,
     ThermoInput,
@@ -29,6 +29,12 @@ from pdm_osc.thermo import (
 
 PHYS = SystemParams(alpha=1.0, k=-0.3)
 FIG_KS = (-0.1, -0.2, -0.3)
+
+# the documented parameter space: k in [-5, -1e-8] drawn log-uniformly in |k|,
+# |m| <= 60, N <= 1e5
+EDGE_K = st.floats(-8.0, math.log10(5.0)).map(lambda u: -(10.0**u))
+EDGE_M = st.integers(-60, 60)
+EDGE_N = st.integers(1, 100_000)
 
 
 def em_error_bound(inp: ThermoInput) -> float:
@@ -129,6 +135,36 @@ class TestPaperCoefficients:
         with pytest.raises(ValueError):
             paper_z_coefficients(ThermoInput(params=PHYS, m=1, beta=0.1), "fixed")
 
+    @settings(max_examples=200, deadline=None)
+    @given(k=EDGE_K, m=EDGE_M, n=EDGE_N)
+    def test_coefficients_are_spectrum_values(self, k, m, n):
+        """a_t - d_t = -E_0 (corrected d_t), c_t = E_{N+1}, a_t = -E'(0)/2,
+        b_t = E'(N+1)/2, (a_t^2 - alpha^2)/2k = -E_0 and
+        (b_t^2 - alpha^2)/2k = -E_{N+1}, each to the roundoff of its terms.
+
+        E' is the three-point one-sided difference, exact for the quadratic E.
+        """
+        p = SystemParams(alpha=1.0, k=k)
+        co = paper_z_coefficients(ThermoInput(params=p, m=m, beta=1.0, truncation_n=n))
+        e = lambda x: energy(p, x, m)
+        e0, e1 = e(0.0), e(n + 1.0)
+
+        def slope(x):
+            return (-3.0 * e(x) + 4.0 * e(x + 1.0) - e(x + 2.0)) / 2.0, 8.0 * e(x + 2.0)
+
+        def close(lhs, rhs, scale):
+            assert abs(lhs - rhs) <= 1e-14 * scale
+
+        close(co.a_t - co.d_t, -e0, e0)
+        close(co.c_t, e1, e1)
+        d0, scale0 = slope(0.0)
+        close(co.a_t, -d0 / 2.0, scale0)
+        d1, scale1 = slope(n + 1.0)
+        close(co.b_t, d1 / 2.0, scale1)
+        # the squares cancel as k -> 0-, so compare before dividing by 2k
+        close(co.a_t**2 - 1.0, -2.0 * k * e0, co.a_t**2 + 1.0)
+        close(co.b_t**2 - 1.0, -2.0 * k * e1, co.b_t**2 + 1.0)
+
 
 class TestPartitionPaper:
     def test_both_variants_reported(self):
@@ -196,6 +232,17 @@ class TestPartitionPoisson:
     def test_quadrature_diagnostics_present(self):
         res = partition_poisson_independent(ThermoInput(params=PHYS, m=1, beta=0.1))
         assert "quadrature_error_bound" in res.diagnostics
+
+    def test_large_n_integral_not_falsely_zero(self):
+        """At N = 1e5 the integrand's support, width ~ (beta |k|)^(-1/2), is
+        far narrower than [0, N+1]; the quadrature must still find it
+        (`thermo --T 10 --k -0.3 --m 1 --N 100000 --strategy poisson`)."""
+        inp = ThermoInput.from_temperature(PHYS, 1, 10.0, truncation_n=100_000,
+                                           strategy=Strategy.POISSON_PIPELINE)
+        z = evaluate(inp).z
+        gap = abs(z - partition_direct(inp).z)
+        assert gap <= 2.0 * em_error_bound(inp) + 1e-12
+        assert z == pytest.approx(partition_paper(inp).z, rel=1e-12)
 
 
 class TestAverageEnergy:
@@ -341,7 +388,7 @@ class TestComparisonReport:
 
 
 class TestSweep:
-    """sweep() equals evaluate() at every beta, bit for bit."""
+    """sweep() equals evaluate() at every beta, bit for bit, diagnostics too."""
 
     @staticmethod
     def assert_equal_to_evaluate(params, m, n, betas, strategy, variant="corrected"):
@@ -351,6 +398,7 @@ class TestSweep:
             ref = evaluate(ThermoInput(params=params, m=m, beta=beta, truncation_n=n,
                                        strategy=strategy), variant)
             assert (res.z, res.u, res.c, res.f, res.s) == (ref.z, ref.u, ref.c, ref.f, ref.s)
+            assert res.diagnostics == ref.diagnostics
 
     def test_direct_grid_longer_than_one_block(self):
         # 501 levels fill a block with 130 beta rows; 400 betas span four blocks
@@ -407,16 +455,38 @@ class TestEvaluateBundle:
         assert res.f == pytest.approx(res.u - inp.temperature * res.s, rel=1e-10)
 
     def test_display_overflow_recorded_not_raised(self):
-        """c_display's square overflows at this point; the primary values stand."""
+        """Z is ~1e-182 at this point; every primary value is finite."""
         p = SystemParams(alpha=1.0, k=-0.001)
         res = evaluate(ThermoInput(params=p, m=40, beta=10.0,
                                    strategy=Strategy.PAPER_CLOSED_FORM))
         assert all(math.isfinite(v) for v in (res.z, res.u, res.c, res.f, res.s))
-        assert not math.isfinite(res.diagnostics["c_display"])
-        assert "z_verbatim" in res.diagnostics and "lambda_display" in res.diagnostics
 
     def test_strategy_parser(self):
         assert Strategy.from_string("direct") is Strategy.DIRECT_SUM
         assert Strategy.from_string("PAPER_CLOSED_FORM") is Strategy.PAPER_CLOSED_FORM
         with pytest.raises(ValueError):
             Strategy.from_string("zzz")
+
+
+class TestRegimeEdges:
+    """The approximate strategies across the documented parameter space:
+    k in [-5, -1e-8], |m| <= 60, beta in [1e-4, 1e3], N in [1, 1e5]."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=EDGE_K, m=EDGE_M, n=EDGE_N, log_beta=st.floats(-4.0, 3.0),
+           series=st.sampled_from([(Strategy.PAPER_CLOSED_FORM, "corrected"),
+                                   (Strategy.PAPER_CLOSED_FORM, "verbatim"),
+                                   (Strategy.POISSON_PIPELINE, "corrected")]))
+    def test_finite_or_typed_error(self, k, m, n, log_beta, series):
+        """Every value is finite, or sweep raises a typed error; Z is
+        exp(ln Z), saturated like the direct sum's; S = beta (U - F)."""
+        strategy, variant = series
+        beta = 10.0**log_beta
+        try:
+            res = sweep(SystemParams(alpha=1.0, k=k), m, n, [beta], strategy, variant)[0]
+        except (IntegrationError, NonPhysicalError):
+            return
+        assert all(math.isfinite(v) for v in (res.log_z, res.u, res.c, res.f, res.s))
+        assert res.z == (math.exp(res.log_z) if res.log_z < 700.0 else math.inf)
+        scale = abs(res.s) + beta * (abs(res.u) + abs(res.f))
+        assert abs(res.s - beta * (res.u - res.f)) <= 1e-12 * scale
