@@ -189,6 +189,14 @@ def nu_instance(params: SystemParams, m: int, energy_value: float) -> nu.NUProbl
     return nu.NUProblem(a1=1.0, a2=1.0, a3=1.0, eps1=-mu, eps2=gamma, eps3=omega)
 
 
+def _log(x: float | np.ndarray) -> float | np.ndarray:
+    """Natural log of a number or, elementwise, of an ndarray; log 0 = -inf."""
+    if isinstance(x, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.log(x)
+    return math.log(x) if x > 0.0 else -math.inf
+
+
 def _shape_exponent(params: SystemParams) -> float:
     """sqrt(alpha^2 lam^2 / delta_sq^2 + 1) = sqrt(alpha^2/k^2 + 1)."""
     return math.sqrt(params.alpha**2 / params.k**2 + 1.0)
@@ -208,7 +216,9 @@ class RadialWavefunction:
         N = prod_{j=1}^{|m|} (n+j)/(n+s+j) / ((2n+|m|+s+1) * 2|delta_sq|)
 
     summed as logs, since the product underflows at large |m| as k -> 0-.
-    norm_integral = N itself, which may underflow to 0 there.
+    norm_integral = N itself, which may underflow to 0 there; C may then
+    exceed the double range, so value() applies it inside the exponential
+    of the envelope instead of as a factor.
     Build instances with radial_wavefunction, which checks the regime.
     """
 
@@ -224,23 +234,29 @@ class RadialWavefunction:
             math.log((n + j) / (n + s + j)) for j in range(1, am + 1)
         ) - math.log((2.0 * n + am + s + 1.0) * 2.0 * abs(params.delta_sq))
         self.norm_integral = math.exp(self.log_norm)
-        self.normalization = math.exp(-0.5 * self.log_norm)
 
-    def unnormalized(self, r: float | np.ndarray) -> float | np.ndarray:
-        """U(r) / C at a number r or elementwise over an ndarray of them."""
-        lo, hi = (r.min(), r.max()) if isinstance(r, np.ndarray) else (r, r)
+    def unnormalized(self, r: float | np.ndarray,
+                     log_scale: float = 0.0) -> float | np.ndarray:
+        """exp(log_scale) U(r) / C at a number r or elementwise over an
+        ndarray of them. exp(log_scale) and the envelope
+        z^(|m|/2) (1 - z)^((1+s)/2) are taken as one exponential, so a
+        scale beyond the double range still gives every representable value.
+        """
+        array = isinstance(r, np.ndarray)
+        lo, hi = (r.min(), r.max()) if array else (r, r)
         if lo < 0.0 or hi >= self.domain_max:
             raise DomainError(f"r={r} outside [0, {self.domain_max})")
+        # numpy for arrays; math for numbers, where it is several times faster
+        xp = np if array else math
         z = -self.params.delta_sq * r * r
         am = abs(self.state.m)
-        return (
-            abs(z) ** (am / 2.0)
-            * (1.0 - z) ** (0.5 * (1.0 + self.jacobi.b))
-            * jacobi_p(self.jacobi, 1.0 - 2.0 * z)
-        )
+        log_envelope = 0.5 * (1.0 + self.jacobi.b) * xp.log1p(-z) + log_scale
+        if am:
+            log_envelope = log_envelope + 0.5 * am * _log(z)
+        return xp.exp(log_envelope) * jacobi_p(self.jacobi, 1.0 - 2.0 * z)
 
     def value(self, r: float | np.ndarray) -> float | np.ndarray:
-        return self.normalization * self.unnormalized(r)
+        return self.unnormalized(r, -0.5 * self.log_norm)
 
     __call__ = value
 
@@ -321,6 +337,17 @@ def total_wavefunction(params: SystemParams, state: QuantumState,
     )
 
 
+def _turning_radius(params: SystemParams, state: QuantumState) -> float:
+    """Outer classical turning radius: the largest r at which the bracket of
+    the radial equation vanishes. With u = r^2 and w = 1 + delta_sq u that
+    is the larger root of (2 lam E delta_sq - alpha^2 lam^2) u^2
+    + (2 lam E - m^2 delta_sq) u - m^2 = 0."""
+    lam, d2, e, m2 = params.lam, params.delta_sq, state.energy, state.m * state.m
+    a = 2.0 * lam * e * d2 - (params.alpha * lam) ** 2
+    b = 2.0 * lam * e - m2 * d2
+    return math.sqrt((b + math.sqrt(max(b * b + 4.0 * a * m2, 0.0))) / (-2.0 * a))
+
+
 def radial_overlap(params: SystemParams, m: int, n1: int, n2: int) -> float:
     """Inner product of two normalized radial states at fixed m, by quadrature.
 
@@ -331,10 +358,21 @@ def radial_overlap(params: SystemParams, m: int, n1: int, n2: int) -> float:
     w1 = radial_wavefunction(params, make_state(params, n1, m))
     w2 = radial_wavefunction(params, make_state(params, n2, m))
     d2 = params.delta_sq
-    integrand = lambda r: w1.value(r) * w2.value(r) * r / (1.0 + d2 * r * r)
+    integrand = lambda r, _: w1.value(r) * w2.value(r) * r / (1.0 + d2 * r * r)
     # the integrand vanishes like (1 - z)^s at the endpoint, so the inset
     # truncates less than 1e-20 of the mass
-    spec = QuadratureSpec(0.0, params.r_max * (1.0 - 1e-10), rel_tol=1e-10, abs_tol=1e-13)
+    upper = params.r_max * (1.0 - 1e-10)
+    # as k -> 0- the states fill a sliver of [0, r_max) that every node of
+    # one panel can miss, which converges to a false 0; breakpoints at the
+    # outer turning radius r_t and at r_t 2^j beyond it put nodes where the
+    # states live and along their decaying tails
+    breakpoints = []
+    r = max(_turning_radius(params, w.state) for w in (w1, w2))
+    while r < upper:
+        breakpoints.append(r)
+        r *= 2.0
+    spec = QuadratureSpec(0.0, upper, rel_tol=1e-10, abs_tol=1e-13,
+                          breakpoints=tuple(breakpoints))
     return integrate(integrand, spec).value
 
 

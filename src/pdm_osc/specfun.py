@@ -1,16 +1,19 @@
-"""Scalar special-function and numerical-analysis kernel.
+"""Special-function and numerical-analysis kernel.
 
 Self-contained building blocks used across the package: error function,
 log-gamma, Jacobi polynomials, terminating Gauss hypergeometric series,
-adaptive Gauss-Kronrod quadrature and high-order central differences.
-All functions are pure and safe to call concurrently.
+adaptive Gauss-Kronrod quadrature of batches of vector-valued integrands and
+high-order central differences. All functions are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "JacobiParams",
@@ -30,6 +33,9 @@ __all__ = [
 ]
 
 JACOBI_DEGREE_CAP = 10**6
+
+# f(x, rows) of integrate(): node array and the integrand row of each line
+Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -79,29 +85,67 @@ class JacobiParams:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Interval and tolerances for adaptive integration."""
+    """Intervals, breakpoints and tolerances for adaptive integration.
 
-    lower: float
-    upper: float
+    lower and upper are numbers, or equal-length sequences of them: one
+    integrand row per interval. breakpoints, increasing and inside every
+    row's interval, split each row into its first segments.
+    """
+
+    lower: float | Sequence[float]
+    upper: float | Sequence[float]
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_refinements: int = 4000
+    breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
+        try:
+            edges = self.edges()
+        except ValueError:
+            edges = None
+        if edges is None or edges.ndim > 2:
+            raise ValueError("lower and upper must be numbers or sequences of one length")
+        if not np.all(edges[..., :-1] < edges[..., 1:]):
+            raise ValueError(f"need lower < breakpoints < upper, got lower={self.lower}, "
+                             f"breakpoints={self.breakpoints}, upper={self.upper}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be strictly positive")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
 
+    def edges(self) -> np.ndarray:
+        """Each row's first segment edges (lower, the breakpoints, upper) along
+        the last axis; the leading axes have the shape of the bounds."""
+        lower, upper = np.broadcast_arrays(np.asarray(self.lower, dtype=float),
+                                           np.asarray(self.upper, dtype=float))
+        edges = np.empty(lower.shape + (len(self.breakpoints) + 2,))
+        edges[..., 0], edges[..., 1:-1], edges[..., -1] = lower, self.breakpoints, upper
+        return edges
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    error_bound: float
-    refinements: int
-    evaluations: int
+    """Integrals and their error bounds, per row and component.
+
+    value and error_bound have the shape of the spec's bounds followed by the
+    integrand's components, if it has several; row_refinements and
+    row_evaluations have the shape of the bounds. refinements and
+    evaluations are their totals over the rows.
+    """
+
+    value: np.ndarray | float
+    error_bound: np.ndarray | float
+    row_refinements: np.ndarray | int
+    row_evaluations: np.ndarray | int
+
+    @property
+    def refinements(self) -> int:
+        return int(np.sum(self.row_refinements))
+
+    @property
+    def evaluations(self) -> int:
+        return int(np.sum(self.row_evaluations))
 
 
 def erf(x: float) -> float:
@@ -238,62 +282,140 @@ _WG = (
 )
 
 
-def _gauss_kronrod(f: Callable[[float], float], a: float, b: float):
-    """G7/K15 rule on [a, b]; returns (kronrod, error_estimate, evaluations)."""
+# the G7/K15 nodes on [-1, 1] in the column order of an integrand call: the
+# centre, the seven Kronrod abscissae below it, then the seven above
+_NODES = np.array((0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7])
+_WGK_PAIRS = np.array(_WGK[:7])
+_WG_PAIRS = np.array(_WG[:3])  # of the odd Kronrod pairs, the Gauss nodes
+
+# rows integrated together; bounds the memory of one round in the batch size
+_BLOCK_ROWS = 1024
+
+
+def _gauss_kronrod(f: Integrand, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
+    """G7/K15 rule on the segments [a_i, b_i] of integrand rows rows_i.
+
+    Returns the Kronrod values and error estimates as (components, segments)
+    arrays, and whether f is scalar-valued. Every operation is elementwise,
+    so a segment's numbers do not depend on the other segments of the call.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fc = f(mid)
-    gauss = fc * _WG[3]
-    kron = fc * _WGK[7]
+    fx = np.asarray(f(mid[:, None] + half[:, None] * _NODES, rows), dtype=float)
+    scalar = fx.ndim == 2
+    if scalar:
+        fx = fx[None]
+    fsum = fx[..., 1:8] + fx[..., 8:]  # f(mid - x_i) + f(mid + x_i)
+    kron_terms = fsum * _WGK_PAIRS
+    gauss_terms = fsum[..., 1::2] * _WG_PAIRS
+    kron = fx[..., 0] * _WGK[7]
     for i in range(7):
-        x = half * _XGK[i]
-        fsum = f(mid - x) + f(mid + x)
-        kron += _WGK[i] * fsum
-        if i % 2 == 1:  # odd Kronrod indices are the embedded Gauss nodes
-            gauss += _WG[i // 2] * fsum
-    kron *= half
-    gauss *= half
+        kron = kron + kron_terms[..., i]
+    gauss = fx[..., 0] * _WG[3]
+    for i in range(3):
+        gauss = gauss + gauss_terms[..., i]
+    kron = kron * half
+    gauss = gauss * half
     # QUADPACK-style sharpened error estimate
-    diff = abs(kron - gauss)
-    err = diff if diff == 0.0 else min(diff, diff * math.sqrt(diff / max(abs(kron), 1e-300)))
-    return kron, max(err, abs(kron) * 1e-16), 15
+    diff = np.abs(kron - gauss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.minimum(diff, diff * np.sqrt(diff / np.maximum(np.abs(kron), 1e-300)))
+    return kron, np.maximum(err, np.abs(kron) * 1e-16), scalar
 
 
-def integrate(f: Callable[[float], float], spec: QuadratureSpec) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration with interval bisection.
+def integrate(f: Integrand, spec: QuadratureSpec) -> QuadratureResult:
+    """Adaptive Gauss-Kronrod integration of a batch of integrands, each of
+    one or several components.
 
-    Accepts when the summed error estimate meets rel_tol or abs_tol, whichever
-    is looser. Raises IntegrationError (carrying the best estimate) if the
-    refinement budget is exhausted first.
+    f(x, rows) gets an (n, 15) array of nodes whose line i lies in integrand
+    row rows[i] (an index into the spec's bounds; a single integrand ignores
+    it) and returns the values as an (n, 15) array or, for an integrand of c
+    components, a (c, n, 15) one. Each round bisects, in every row not yet
+    converged, the segment whose error is largest in units of the row's
+    tolerance. A row converges when the summed error of each component is at
+    most max(abs_tol, rel_tol |integral|). A row's refinements and arithmetic
+    do not depend on the rows beside it, so a row integrated alone gives the
+    same numbers. Raises IntegrationError, carrying the best estimate of the
+    first row that is still unconverged after max_refinements.
     """
-    val, err, nev = _gauss_kronrod(f, spec.lower, spec.upper)
-    segments = [(err, spec.lower, spec.upper, val)]
-    total = val
-    total_err = err
-    refinements = 0
+    edges = spec.edges()
+    flat = edges.reshape(-1, edges.shape[-1])
+    parts = [_integrate_rows(f, flat[lo:lo + _BLOCK_ROWS], lo, spec)
+             for lo in range(0, flat.shape[0], _BLOCK_ROWS)]
+    value, error, refinements, scalar = zip(*parts)
+    value, error, refinements = (np.concatenate(a, axis=-1) for a in (value, error, refinements))
+    components = () if scalar[0] else value.shape[:1]
+    shape = edges.shape[:-1]
+    evaluations = 15 * (edges.shape[-1] - 1) + 30 * refinements
+    return QuadratureResult(
+        value=value.T.reshape(shape + components)[()],
+        error_bound=error.T.reshape(shape + components)[()],
+        row_refinements=refinements.reshape(shape)[()],
+        row_evaluations=evaluations.reshape(shape)[()],
+    )
+
+
+def _integrate_rows(f: Integrand, edges: np.ndarray, first_row: int, spec: QuadratureSpec):
+    """integrate() on rows first_row.. of the batch, whose first segment edges
+    are the lines of edges; returns the integrals and error bounds as
+    (components, rows) arrays, the refinements per row and whether f is
+    scalar-valued."""
+    n, p = edges.shape[0], edges.shape[1] - 1
+    rows = np.arange(first_row, first_row + n)
+    val, err, scalar = _gauss_kronrod(f, edges[:, :-1].ravel(), edges[:, 1:].ravel(),
+                                      np.repeat(rows, p))
+    c = val.shape[0]
+    val, err = val.reshape(c, n, p), err.reshape(c, n, p)
+    total, total_err = val[..., 0].copy(), err[..., 0].copy()
+    for j in range(1, p):
+        total, total_err = total + val[..., j], total_err + err[..., j]
+    # the segments of every row: every active row gains one per round, so
+    # all of them fill slots 0..count-1
+    cap = p + 16
+    seg_lo, seg_hi = np.empty((n, cap)), np.empty((n, cap))
+    seg_val, seg_err = np.empty((c, n, cap)), np.empty((c, n, cap))
+    seg_lo[:, :p], seg_hi[:, :p] = edges[:, :-1], edges[:, 1:]
+    seg_val[..., :p], seg_err[..., :p] = val, err
+    refinements = np.zeros(n, dtype=int)
+    active = np.arange(n)
+    count = p
     while True:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol:
-            return QuadratureResult(total, total_err, refinements, nev)
-        if refinements >= spec.max_refinements:
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total[:, active]))
+        still = ~(total_err[:, active] <= tol).all(axis=0)
+        if not still.all():
+            active, tol = active[still], tol[:, still]
+            if active.size == 0:
+                return total, total_err, refinements, scalar
+        if count - p >= spec.max_refinements:
+            row = active[0]
+            worst = int(np.argmax(total_err[:, row] / tol[:, 0]))
             raise IntegrationError(
-                f"quadrature did not converge after {refinements} refinements "
-                f"(error bound {total_err:.3e} > tolerance {tol:.3e})",
-                best_estimate=total,
-                error_bound=total_err,
+                f"quadrature did not converge after {count - p} refinements "
+                f"(error bound {total_err[worst, row]:.3e} > tolerance {tol[worst, 0]:.3e})",
+                best_estimate=total[0, row] if scalar else total[:, row],
+                error_bound=total_err[0, row] if scalar else total_err[:, row],
             )
-        # bisect the segment with the largest error estimate
-        idx = max(range(len(segments)), key=lambda i: segments[i][0])
-        seg_err, lo, hi, seg_val = segments.pop(idx)
+        if count == cap:
+            seg_lo, seg_hi = (np.concatenate([a, np.empty((n, cap))], axis=1)
+                              for a in (seg_lo, seg_hi))
+            seg_val, seg_err = (np.concatenate([a, np.empty((c, n, cap))], axis=2)
+                                for a in (seg_val, seg_err))
+            cap *= 2
+        # bisect each active row's segment with the largest error per tolerance
+        worst = (seg_err[:, active, :count] / tol[:, :, None]).max(axis=0).argmax(axis=1)
+        lo, hi = seg_lo[active, worst], seg_hi[active, worst]
         mid = 0.5 * (lo + hi)
-        v1, e1, n1 = _gauss_kronrod(f, lo, mid)
-        v2, e2, n2 = _gauss_kronrod(f, mid, hi)
-        nev += n1 + n2
-        refinements += 1
-        total += v1 + v2 - seg_val
-        total_err += e1 + e2 - seg_err
-        segments.append((e1, lo, mid, v1))
-        segments.append((e2, mid, hi, v2))
+        v, e, _ = _gauss_kronrod(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                                 np.concatenate([rows[active], rows[active]]))
+        k = active.size
+        total[:, active] += v[:, :k] + v[:, k:] - seg_val[:, active, worst]
+        total_err[:, active] += e[:, :k] + e[:, k:] - seg_err[:, active, worst]
+        seg_hi[active, worst] = mid
+        seg_val[:, active, worst], seg_err[:, active, worst] = v[:, :k], e[:, :k]
+        seg_lo[active, count], seg_hi[active, count] = mid, hi
+        seg_val[:, active, count], seg_err[:, active, count] = v[:, k:], e[:, k:]
+        refinements[active] += 1
+        count += 1
 
 
 def five_point_stencil(

@@ -12,6 +12,9 @@ PAPER_CLOSED_FORM the paper's closed form: the first-order summation formula
 POISSON_PIPELINE  the same summation formula with the integral done by
                   adaptive quadrature instead of the erf algebra; an
                   independent re-derivation that triangulates the closed form.
+                  Each point is one vector-valued quadrature of f, (E - E_0) f
+                  and (E - E_0)^2 f, which gives ln Z, U and C together, and a
+                  series batches those quadratures over its whole beta grid.
 
 The closed form inherits the truncation error of the first-order summation
 formula, roughly |f'(0)|/12 relative to Z, which grows with beta; agreement
@@ -19,7 +22,8 @@ with the direct sum is a high-temperature statement. compare_strategies
 quantifies the discrepancy on any beta grid.
 
 sweep evaluates one (params, m, N, strategy) series on a whole beta grid: the
-direct sum builds the spectrum once and reduces it over blocks of beta rows.
+direct sum builds the spectrum once and reduces it over blocks of beta rows,
+and the pipeline integrates every beta in one batched quadrature.
 evaluate() is sweep on a one-point grid, and the single-quantity functions
 call evaluate(), so all of them agree value for value.
 
@@ -39,13 +43,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .oscillator import NonPhysicalError, SystemParams, energy
-from .specfun import QuadratureSpec, erfcx, five_point_stencil, integrate
+from .specfun import QuadratureSpec, erfcx, integrate
 
 __all__ = [
     "Strategy",
@@ -338,23 +342,68 @@ def partition_paper(inp: ThermoInput) -> ThermoResult:
     return ThermoResult(z=primary.z, log_z=primary.log_z, diagnostics=diag)
 
 
-def _poisson_z(inp: ThermoInput, rel_tol: float = 1e-11):
-    p, m, n_max, beta = inp.params, inp.m, inp.truncation_n, inp.beta
+def _poisson_series(inputs: list[ThermoInput]) -> list[ThermoResult]:
+    """Summation-formula results for inputs that differ only in beta, with
+    the integrals of f, (E - E_0) f and (E - E_0)^2 f done by one batched,
+    vector-valued quadrature over the grid.
+
+    With f(x) = exp(-beta (E(x) - E_0)) the moments about E_0 are
+    M_j = [d(0)^j f(0) - d(N+1)^j f(N+1)]/2 + int d^j f dx, d = E - E_0:
+    M_0 is Z exp(beta E_0), and M_1, M_2 are its first two beta-derivatives
+    up to sign, taken under the integral. That is exact here because f is
+    exactly 0.0 at the clipped upper limit.
+    """
+    first = inputs[0]
+    p, m, n_max, kb = first.params, first.m, first.truncation_n, first.params.kb
+    betas = np.array([inp.beta for inp in inputs], dtype=float)
     e0 = energy(p, 0.0, m)
-    f = lambda x: math.exp(-beta * (energy(p, x, m) - e0))  # rescaled to avoid underflow
-    upper = n_max + 1.0
+    upper = np.full(betas.size, n_max + 1.0)
     if p.k <= 0.0:
         # f is exactly 0.0 beyond x_cut, where beta (E(x) - E_0) = 746; on a
         # wider interval every quadrature node can miss f's support and
         # converge to a false 0. E(x) - E_0 = x (E'(0) - 2k x), so x_cut is
         # the positive root, in the form free of cancellation as k -> 0-
         slope = energy(p, 1.0, m) - e0 + 2.0 * p.k  # E'(0)
-        q = 746.0 / beta
-        upper = min(upper, 2.0 * q / (slope + math.sqrt(slope * slope - 8.0 * p.k * q)))
-    spec = QuadratureSpec(0.0, upper, rel_tol=rel_tol, abs_tol=1e-300)
-    result = integrate(f, spec)
-    scaled = 0.5 * (f(0.0) - f(n_max + 1.0)) + result.value
-    return -beta * e0 + math.log(scaled), result
+        q = 746.0 / betas
+        upper = np.minimum(upper, 2.0 * q / (slope + np.sqrt(slope * slope - 8.0 * p.k * q)))
+
+    def integrands(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        d = energy(p, x, m) - e0
+        f = np.exp(-betas[rows, None] * d)
+        df = d * f
+        return np.stack([f, df, d * df])
+
+    quad = integrate(integrands, QuadratureSpec(0.0, upper, rel_tol=1e-11, abs_tol=1e-300))
+    d1 = energy(p, n_max + 1.0, m) - e0
+    f1 = np.exp(-betas * d1)
+    m0 = 0.5 * (1.0 - f1) + quad.value[:, 0]
+    m1 = -0.5 * d1 * f1 + quad.value[:, 1]
+    m2 = -0.5 * d1 * d1 * f1 + quad.value[:, 2]
+    # each point's error bound relative to its integral, worst over the three
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative_bound = np.max(quad.error_bound / np.abs(quad.value), axis=1)
+    results = []
+    for beta, z0, z1, z2, refinements, evaluations, bound in zip(
+            betas.tolist(), m0.tolist(), m1.tolist(), m2.tolist(),
+            quad.row_refinements.tolist(), quad.row_evaluations.tolist(),
+            relative_bound.tolist()):
+        log_z = -beta * e0 + math.log(z0)
+        mean = z1 / z0  # <E - E_0>
+        results.append(ThermoResult(
+            z=math.exp(log_z) if log_z < 700.0 else math.inf,
+            log_z=log_z,
+            u=e0 + mean,
+            c=kb * beta**2 * (z2 / z0 - mean * mean),
+            f=-log_z / beta,
+            s=kb * (math.log(z0) + beta * mean),
+            diagnostics={
+                "strategy": Strategy.POISSON_PIPELINE.value,
+                "quadrature_refinements": refinements,
+                "quadrature_evaluations": evaluations,
+                "quadrature_error_bound": bound,
+            },
+        ))
+    return results
 
 
 def partition_poisson_independent(inp: ThermoInput) -> ThermoResult:
@@ -364,40 +413,8 @@ def partition_poisson_independent(inp: ThermoInput) -> ThermoResult:
     agreement between the two validates the erf manipulations; disagreement
     with the direct sum measures the summation formula's own truncation error.
     """
-    log_z, quad = _poisson_z(inp)
-    return ThermoResult(
-        z=math.exp(log_z),
-        log_z=log_z,
-        diagnostics={
-            "strategy": Strategy.POISSON_PIPELINE.value,
-            "quadrature_refinements": quad.refinements,
-            "quadrature_error_bound": quad.error_bound,
-        },
-    )
-
-
-def _poisson_result(inp: ThermoInput) -> ThermoResult:
-    """ln Z and its first two beta-derivatives from the five quadratures of
-    a 4th-order central stencil with the relative step 1e-3 beta."""
-    kb, beta = inp.params.kb, inp.beta
-    quadratures = []
-
-    def log_z_at(b: float) -> float:
-        value, quad = _poisson_z(replace(inp, beta=b))
-        quadratures.append(quad)
-        return value
-
-    samples, d1, d2 = five_point_stencil(log_z_at, beta, 1e-3 * beta)
-    log_z, u = samples[2], -d1
-    return ThermoResult(
-        z=math.exp(log_z), log_z=log_z,
-        u=u, c=kb * beta**2 * d2, f=-log_z / beta, s=kb * (log_z + beta * u),
-        diagnostics={
-            "strategy": Strategy.POISSON_PIPELINE.value,
-            "quadrature_refinements": quadratures[2].refinements,
-            "beta_step": 1e-3 * beta,
-        },
-    )
+    res = _poisson_series([inp])[0]
+    return ThermoResult(z=res.z, log_z=res.log_z, diagnostics=res.diagnostics)
 
 
 def _series(inputs: list[ThermoInput], variant: str) -> list[ThermoResult]:
@@ -410,7 +427,7 @@ def _series(inputs: list[ThermoInput], variant: str) -> list[ThermoResult]:
     elif strategy is Strategy.PAPER_CLOSED_FORM:
         results = [_closed_form(inp, variant) for inp in inputs]
     else:
-        results = [_poisson_result(inp) for inp in inputs]
+        results = _poisson_series(inputs)
     for res in results:
         if math.isnan(res.s) or res.s < 0.0:
             res.diagnostics["negative_entropy"] = res.s
@@ -427,7 +444,8 @@ def heat_capacity(inp: ThermoInput) -> float:
 
     DIRECT_SUM uses the fluctuation form kb beta^2 (<E^2> - <E>^2), which is
     nonnegative by construction; the closed form uses its epsilon/varsigma
-    blocks; the quadrature pipeline differentiates ln Z numerically.
+    blocks; the quadrature pipeline integrates the beta-derivatives of its
+    integrand alongside it.
     """
     return evaluate(inp).c
 
@@ -503,14 +521,15 @@ class StrategyComparison:
 def compare_strategies(params: SystemParams, m: int, truncation_n: int,
                        betas: Iterable[float]) -> StrategyComparison:
     """Evaluate Z under all strategies on a beta grid and report discrepancies."""
+    betas = list(betas)
+    series = [sweep(params, m, truncation_n, betas, strategy, variant)
+              for strategy, variant in ((Strategy.DIRECT_SUM, "corrected"),
+                                        (Strategy.POISSON_PIPELINE, "corrected"),
+                                        (Strategy.PAPER_CLOSED_FORM, "corrected"),
+                                        (Strategy.PAPER_CLOSED_FORM, "verbatim"))]
     rows = []
-    for beta in betas:
-        inp = ThermoInput(params=params, m=m, beta=beta, truncation_n=truncation_n)
-        zd = partition_direct(inp).z
-        zp = partition_poisson_independent(inp).z
-        paper = partition_paper(inp)
-        zc = paper.diagnostics["z_corrected"]
-        zv = paper.diagnostics["z_verbatim"]
+    for beta, *point in zip(betas, *series):
+        zd, zp, zc, zv = (res.z for res in point)
         rows.append({
             "beta": beta,
             "z_direct": zd,

@@ -234,7 +234,7 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
     """Three-way comparison of the partition-function strategies.
 
     (a) the closed form (corrected d_t) must match the quadrature pipeline to
-        1e-9 relative: same formula through independent algebra;
+        1e-9 relative in Z, U and C: same formula through independent algebra;
     (b) the pipeline-vs-direct gap must stay within twice the a-priori
         truncation bound of the first-order summation formula;
     (c) the better closed-form variant must stay within 5% of the direct sum
@@ -242,24 +242,28 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
     """
     betas = (0.05, 0.2) if quick else (0.02, 0.05, 0.1, 0.2, 1.0 / 15.0, 1.0 / 35.0)
     ks = FIGURE_K_LIST[:1] if quick else FIGURE_K_LIST
+    worst_quad = 0.0
     for k in ks:
         p = _params(1.0, k)
-        for beta in betas:
+        quad, closed, direct = (thermo.sweep(p, 1, 500, betas, strategy) for strategy in (
+            thermo.Strategy.POISSON_PIPELINE, thermo.Strategy.PAPER_CLOSED_FORM,
+            thermo.Strategy.DIRECT_SUM))
+        for beta, q, c, d in zip(betas, quad, closed, direct):
+            for name in ("z", "u", "c"):
+                gap = abs(getattr(c, name) - getattr(q, name)) / abs(getattr(q, name))
+                if gap > 1e-9:
+                    return CheckResult(
+                        "strategy_triangulation", False,
+                        f"closed form vs quadrature {name.upper()} diverge at k={k}, "
+                        f"beta={beta}: {gap:.3e}",
+                    )
+                worst_quad = max(worst_quad, gap)
             inp = thermo.ThermoInput(params=p, m=1, beta=beta)
-            z_quad = thermo.partition_poisson_independent(inp).z
-            z_closed = thermo.partition_paper(inp).diagnostics["z_corrected"]
-            if abs(z_closed - z_quad) / z_quad > 1e-9:
-                return CheckResult(
-                    "strategy_triangulation", False,
-                    f"closed form vs quadrature diverge at k={k}, beta={beta}: "
-                    f"{abs(z_closed - z_quad) / z_quad:.3e}",
-                )
-            z_direct = thermo.partition_direct(inp).z
             bound = 2.0 * _em_error_bound(inp) + 1e-12
-            if abs(z_direct - z_quad) > bound:
+            if abs(d.z - q.z) > bound:
                 return CheckResult(
                     "strategy_triangulation", False,
-                    f"pipeline-vs-direct gap {abs(z_direct - z_quad):.3e} exceeds "
+                    f"pipeline-vs-direct gap {abs(d.z - q.z):.3e} exceeds "
                     f"twice the truncation bound {bound:.3e} at k={k}, beta={beta}",
                 )
     worst = 0.0
@@ -270,7 +274,8 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
         worst = max(worst, comp.max_rel_paper_best)
     return CheckResult(
         "strategy_triangulation", worst <= 0.05,
-        f"closed form (best variant) vs direct, max rel = {worst:.4f} on T in [5, 50]",
+        f"closed form (best variant) vs direct, max rel = {worst:.4f} on T in [5, 50]; "
+        f"closed form vs quadrature Z, U, C within {worst_quad:.1e}",
     )
 
 

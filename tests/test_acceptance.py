@@ -96,11 +96,11 @@ def test_criterion_03_normalization_and_orthogonality():
     params = p.SystemParams(alpha=1.0, k=-0.5)
     w0 = p.radial_wavefunction(params, p.make_state(params, 0, 0))
     w1 = p.radial_wavefunction(params, p.make_state(params, 1, 0))
-    flat = integrate(lambda r: w0.value(r) * w1.value(r) * r,
+    flat = integrate(lambda r, _: w0.value(r) * w1.value(r) * r,
                      QuadratureSpec(0.0, params.r_max * (1 - 1e-10), rel_tol=1e-9)).value
-    norm0 = integrate(lambda r: w0.value(r) ** 2 * r,
+    norm0 = integrate(lambda r, _: w0.value(r) ** 2 * r,
                       QuadratureSpec(0.0, params.r_max * (1 - 1e-10), rel_tol=1e-9)).value
-    norm1 = integrate(lambda r: w1.value(r) ** 2 * r,
+    norm1 = integrate(lambda r, _: w1.value(r) ** 2 * r,
                       QuadratureSpec(0.0, params.r_max * (1 - 1e-10), rel_tol=1e-9)).value
     flat_cross = abs(flat) / math.sqrt(norm0 * norm1)
     elapsed = time.perf_counter() - t0

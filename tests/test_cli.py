@@ -169,6 +169,16 @@ class TestWavefunctionCommand:
             assert "k < 0 < lam" in capsys.readouterr().err
 
 
+    def test_normalization_beyond_double_range(self, tmp_path):
+        # log_norm = -1470: the normalization exp(735) overflows, U does not
+        out = tmp_path / "out"
+        rc = main(["wavefunction", "--k=-1e-12", "--m", "60", "--n-max", "0",
+                   "--out", str(out)])
+        assert rc == 0
+        _, body = data_rows(read(out / "wavefunction_m60.csv"))
+        assert all(math.isfinite(row[1]) for row in body)
+
+
 class TestConfigHandling:
     def test_config_file_and_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

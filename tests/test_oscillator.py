@@ -164,7 +164,7 @@ class TestRadialWavefunction:
         s = math.sqrt(1.0 / 0.25 + 1.0)
         for r in (0.1, 0.5, 1.0):
             z = 0.5 * r * r
-            expected = wf.normalization * (1.0 - z) ** (0.5 * (1.0 + s))
+            expected = math.exp(-0.5 * wf.log_norm) * (1.0 - z) ** (0.5 * (1.0 + s))
             assert wf.value(r) == pytest.approx(expected, rel=1e-13)
 
     def test_normalization_against_requadrature(self):
@@ -188,7 +188,7 @@ class TestRadialWavefunction:
         for r in (0.2, 0.6, 1.0, 1.3):
             z = 0.5 * r * r
             poly = jacobi_p(JacobiParams(a=1.0, b=s, n=2), 1.0 - 2.0 * z)
-            decay = wf.value(r) / (wf.normalization * z**0.5 * poly)
+            decay = wf.value(r) / (math.exp(-0.5 * wf.log_norm) * z**0.5 * poly)
             assert decay == pytest.approx((1.0 - z) ** (0.5 * (1.0 + s)), rel=1e-12)
         assert wf.domain_max == p.r_max
 
@@ -219,10 +219,18 @@ class TestRadialWavefunction:
             radial_wavefunction(p, make_state(p, 1, 1))
 
     def test_normalization_at_large_m_small_k(self):
-        # the closed-form norm against quadrature where s = 1000 squeezes the
-        # state against r = 0
-        p = SystemParams(alpha=1.0, k=-1e-3)
-        assert radial_overlap(p, 60, 40, 40) == pytest.approx(1.0, abs=1e-8)
+        # the closed-form norm against quadrature
+        for k, m, n in (
+            # s = 1000 squeezes the state against r = 0
+            (-1e-3, 60, 40),
+            # the state fills r < 10 of [0, 1000), where one quadrature
+            # panel has no node and the overlap came out as a false 0
+            (-1e-6, 40, 0),
+            # C = exp(-log_norm / 2) = exp(735) is beyond the double range
+            (-1e-12, 60, 0),
+        ):
+            p = SystemParams(alpha=1.0, k=k)
+            assert radial_overlap(p, m, n, n) == pytest.approx(1.0, abs=1e-8)
 
     def test_domain_guard(self):
         p = SystemParams(alpha=1.0, k=-0.5)
@@ -239,7 +247,7 @@ def test_closed_form_norm_across_regime_edges(log_abs_k, m, n):
     mpmath = pytest.importorskip("mpmath")
     p = SystemParams(alpha=1.0, k=-(10.0**log_abs_k))
     wf = radial_wavefunction(p, make_state(p, n, m))
-    assert math.isfinite(wf.normalization) and wf.normalization > 0.0
+    assert math.isfinite(wf.log_norm)
     assert np.all(np.isfinite(wf.value(p.r_max * np.linspace(0.05, 0.95, 19))))
     with mpmath.workdps(50):
         a = abs(m)
@@ -314,7 +322,7 @@ class TestTotalWavefunction:
         st_ = make_state(p, 1, 1)
         n_theta = 64
         radial = integrate(
-            lambda r: sum(
+            lambda r, _: sum(
                 abs(total_wavefunction(p, st_, r, 2 * math.pi * j / n_theta)) ** 2
                 for j in range(n_theta)
             )

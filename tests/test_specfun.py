@@ -200,42 +200,90 @@ class TestHyp2F1:
 
 class TestIntegrate:
     def test_constant(self):
-        res = integrate(lambda x: 1.0, QuadratureSpec(0.0, 1.0))
+        res = integrate(lambda x, _: np.ones_like(x), QuadratureSpec(0.0, 1.0))
         assert res.value == pytest.approx(1.0, abs=1e-14)
 
     def test_linear(self):
-        res = integrate(lambda x: x, QuadratureSpec(0.0, 2.0))
+        res = integrate(lambda x, _: x, QuadratureSpec(0.0, 2.0))
         assert res.value == pytest.approx(2.0, abs=1e-13)
 
     def test_gaussian_vs_erf(self):
-        res = integrate(lambda x: math.exp(-x * x), QuadratureSpec(0.0, 5.0))
+        res = integrate(lambda x, _: np.exp(-x * x), QuadratureSpec(0.0, 5.0))
         assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0 * erf(5.0), rel=1e-10)
         assert res.value == pytest.approx(0.886226925, abs=1e-9)
 
     def test_polynomial_exactness(self):
         # inside the degree of the embedded rule: one panel, no refinement
         coeffs = [3.0, -2.0, 1.5, 0.25, -0.125, 1.0, 0.5, -0.75, 0.2, 0.1, -0.05]
-        f = lambda x: sum(c * x**j for j, c in enumerate(coeffs))
+        f = lambda x, _: sum(c * x**j for j, c in enumerate(coeffs))
         exact = sum(c * (2.0 ** (j + 1) - (-1.0) ** (j + 1)) / (j + 1) for j, c in enumerate(coeffs))
         res = integrate(f, QuadratureSpec(-1.0, 2.0))
         assert abs(res.value - exact) <= 1e-13 * abs(exact)
 
     def test_reports_refinements(self):
-        res = integrate(lambda x: math.sin(40.0 * x), QuadratureSpec(0.0, 10.0))
+        res = integrate(lambda x, _: np.sin(40.0 * x), QuadratureSpec(0.0, 10.0))
         assert res.refinements > 0
         assert res.value == pytest.approx((1.0 - math.cos(400.0)) / 40.0, abs=1e-10)
 
     def test_nonconvergence_carries_best_estimate(self):
-        spike = lambda x: 1.0 / math.sqrt(abs(x - 0.123456) + 1e-15)
+        spike = lambda x, _: 1.0 / np.sqrt(np.abs(x - 0.123456) + 1e-15)
         with pytest.raises(IntegrationError) as err:
             integrate(spike, QuadratureSpec(0.0, 1.0, rel_tol=1e-14, abs_tol=1e-16,
                                             max_refinements=4))
         assert math.isfinite(err.value.best_estimate)
         assert err.value.error_bound > 0.0
 
+    def test_batch_equals_each_row_alone(self):
+        """Rows of a batch, each a vector-valued integrand on its own
+        interval, give the numbers they give alone; every component meets
+        its tolerance."""
+        rates = np.array([0.5, 3.0, 40.0, 400.0])
+        uppers = [2.0, 5.0, 1.0, 30.0]
+
+        def moments(rate):
+            def f(x, rows):
+                g = np.exp(-rate[rows, None] * x) * (1.0 + np.sin(7.0 * x))
+                return np.stack([g, x * g, x * x * g])
+            return f
+
+        spec = QuadratureSpec(0.0, uppers, rel_tol=1e-11, abs_tol=1e-300, breakpoints=(0.25,))
+        batch = integrate(moments(rates), spec)
+        assert batch.value.shape == batch.error_bound.shape == (4, 3)
+        assert np.all(batch.error_bound <= 1e-11 * np.abs(batch.value))
+        for i, upper in enumerate(uppers):
+            alone = integrate(moments(rates[i:i + 1]),
+                              QuadratureSpec(0.0, [upper], rel_tol=1e-11, abs_tol=1e-300,
+                                             breakpoints=(0.25,)))
+            assert alone.value.tolist() == [batch.value[i].tolist()]
+            assert alone.error_bound.tolist() == [batch.error_bound[i].tolist()]
+            assert alone.row_refinements.tolist() == [batch.row_refinements[i]]
+            assert alone.row_evaluations.tolist() == [batch.row_evaluations[i]]
+        assert batch.refinements == batch.row_refinements.sum() > 0
+        assert batch.evaluations == batch.row_evaluations.sum()
+        # a batch longer than one block of rows
+        long = integrate(moments(np.tile(rates, 300)),
+                         QuadratureSpec(0.0, uppers * 300, rel_tol=1e-11, abs_tol=1e-300,
+                                        breakpoints=(0.25,)))
+        assert long.value[-4:].tolist() == batch.value.tolist()
+
+    def test_breakpoints_expose_a_narrow_peak(self):
+        # every node of one G7/K15 panel on [0, 1000] misses a peak of width
+        # 0.1 at 6.3, and the panel converges to a false near-0
+        peak = lambda x, _: np.exp(-(((x - 6.3) / 0.1) ** 2))
+        exact = math.sqrt(math.pi) * 0.1
+        assert integrate(peak, QuadratureSpec(0.0, 1000.0)).value < 1e-100
+        split = integrate(peak, QuadratureSpec(0.0, 1000.0, breakpoints=(8.0, 16.0)))
+        assert split.value == pytest.approx(exact, rel=1e-10)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(1.0, 0.0)
+        with pytest.raises(ValueError):
+            QuadratureSpec([0.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            QuadratureSpec(0.0, [1.0, 2.0], breakpoints=(1.5,))
+        with pytest.raises(ValueError):
+            QuadratureSpec(0.0, 2.0, breakpoints=(1.5, 0.5))
         with pytest.raises(ValueError):
             QuadratureSpec(0.0, 1.0, rel_tol=-1.0)
         with pytest.raises(ValueError):

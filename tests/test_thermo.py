@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdm_osc.cli import _temperature_grid
 from pdm_osc.oscillator import NonPhysicalError, SystemParams, energy
 from pdm_osc.specfun import IntegrationError, QuadratureSpec, central_diff, integrate
 from pdm_osc.thermo import (
@@ -203,7 +204,7 @@ class TestPartitionPoisson:
     def test_constant_integrand_formula_is_exact(self):
         """Degenerate harness: for f == c the summation formula gives (N+1) c."""
         n_max, c = 37, 0.8127
-        f = lambda x: c
+        f = lambda x, _=None: np.full(np.shape(x), c)
         integral = integrate(f, QuadratureSpec(0.0, n_max + 1.0)).value
         total = 0.5 * (f(0.0) - f(n_max + 1.0)) + integral
         assert total == pytest.approx((n_max + 1) * c, rel=1e-13)
@@ -231,7 +232,10 @@ class TestPartitionPoisson:
 
     def test_quadrature_diagnostics_present(self):
         res = partition_poisson_independent(ThermoInput(params=PHYS, m=1, beta=0.1))
-        assert "quadrature_error_bound" in res.diagnostics
+        diag = res.diagnostics
+        assert diag["quadrature_evaluations"] == 15 + 30 * diag["quadrature_refinements"]
+        # relative to each integral, worst over f, (E - E_0) f, (E - E_0)^2 f
+        assert 0.0 < diag["quadrature_error_bound"] <= 1e-11
 
     def test_large_n_integral_not_falsely_zero(self):
         """At N = 1e5 the integrand's support, width ~ (beta |k|)^(-1/2), is
@@ -299,9 +303,38 @@ class TestHeatCapacity:
             assert 0.4 < plateau.value < 0.8
 
     def test_poisson_strategy_close_to_closed_form(self):
-        inp_p = ThermoInput(params=PHYS, m=1, beta=0.1, strategy=Strategy.POISSON_PIPELINE)
-        inp_c = ThermoInput(params=PHYS, m=1, beta=0.1, strategy=Strategy.PAPER_CLOSED_FORM)
-        assert heat_capacity(inp_p) == pytest.approx(heat_capacity(inp_c), rel=1e-5)
+        for beta in (0.1, 2.0, 10.0):
+            inp_p = ThermoInput(params=PHYS, m=1, beta=beta, strategy=Strategy.POISSON_PIPELINE)
+            inp_c = ThermoInput(params=PHYS, m=1, beta=beta, strategy=Strategy.PAPER_CLOSED_FORM)
+            assert heat_capacity(inp_p) == pytest.approx(heat_capacity(inp_c), rel=1e-9)
+
+    def test_poisson_against_mpmath_summation_formula(self):
+        """At (k=-1e-6, m=40, N=1e5, beta=1e3), where the closed form's C
+        cancels, the pipeline's C matches the moments about E_0 of the
+        summation formula, integrated at 60 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        p, m, n, beta = SystemParams(alpha=1.0, k=-1e-6), 40, 100_000, 1e3
+        res = sweep(p, m, n, [beta], Strategy.POISSON_PIPELINE)[0]
+        with mpmath.workdps(60):
+            k, b, am = mpmath.mpf(p.k), mpmath.mpf(beta), abs(m)
+            hyp = mpmath.sqrt(mpmath.mpf(p.alpha) ** 2 + k * k)
+
+            e = lambda y: (2 * y + am + 1) * hyp - k * (
+                2 * y * y + m * m / mpmath.mpf(2) + (2 * y + 1) * (am + 1))
+            shifted = lambda x: e(x) - e(0)
+
+            def moment(j):
+                d1 = shifted(n + 1)
+                ends = ((1 if j == 0 else 0) - d1**j * mpmath.exp(-b * d1)) / 2
+                points = [0] + [mpmath.mpf(10) ** i for i in range(-5, 5)] + [n + 1]
+                return ends + mpmath.quad(lambda x: shifted(x) ** j * mpmath.exp(-b * shifted(x)),
+                                          points)
+
+            m0, m1, m2 = (moment(j) for j in range(3))
+            c = float(b * b * (m2 / m0 - (m1 / m0) ** 2))
+            u = float(e(0) + m1 / m0)
+        assert res.c == pytest.approx(c, rel=1e-9)
+        assert res.u == pytest.approx(u, rel=1e-13)
 
 
 class TestFreeEnergyEntropy:
@@ -431,7 +464,13 @@ class TestSweep:
                                       Strategy.PAPER_CLOSED_FORM, variant)
 
     def test_poisson(self):
-        self.assert_equal_to_evaluate(PHYS, 1, 500, [0.02, 0.1, 0.7], Strategy.POISSON_PIPELINE)
+        # the 300-point temperature grid of the figures, T in [0.1, 50]
+        temps = _temperature_grid({"T_min": 0.1, "T_max": 50.0, "T_count": 300,
+                                   "T_spacing": "auto"})
+        self.assert_equal_to_evaluate(PHYS, 1, 500, [1.0 / t for t in temps],
+                                      Strategy.POISSON_PIPELINE)
+        self.assert_equal_to_evaluate(SystemParams(alpha=1.0, k=-1e-6), 40, 100_000,
+                                      [1e-4, 1e3], Strategy.POISSON_PIPELINE)
 
     def test_validates_every_beta(self):
         with pytest.raises(ValueError):
