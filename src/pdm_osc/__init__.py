@@ -49,7 +49,6 @@ from .specfun import (
     hyp2f1_terminating,
     integrate,
     jacobi_p,
-    log_gamma,
 )
 from .thermo import (
     PaperZCoefficients,
@@ -78,7 +77,7 @@ __all__ = [
     # specfun
     "JacobiParams", "QuadratureSpec", "QuadratureResult",
     "DegreeOverflowError", "PoleError", "IntegrationError",
-    "erf", "erfcx", "log_gamma", "jacobi_p", "hyp2f1_terminating", "integrate",
+    "erf", "erfcx", "jacobi_p", "hyp2f1_terminating", "integrate",
     "five_point_stencil", "central_diff",
     # nu
     "NUProblem", "NUCoefficients", "NUSolution", "NegativeDiscriminantError",

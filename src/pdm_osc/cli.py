@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__, thermo, validate as validation
-from .oscillator import SystemParams, energy, make_state, radial_wavefunction
+from .oscillator import (SystemParams, _turning_radius, energy, make_state,
+                         radial_wavefunction)
 from .output import SeriesTable, format_float
 
 _DEFAULTS = {
@@ -245,12 +246,15 @@ def cmd_wavefunction(cfg: dict) -> int:
     if len(cfg["k_list"]) != 1:
         raise ConfigError("k_list", "wavefunction output needs exactly one k")
     p = _system_params(cfg, cfg["k_list"][0])
-    rs = [p.r_max * (i + 0.5) / cfg["r_count"] for i in range(cfg["r_count"])]
+    wfs = [radial_wavefunction(p, make_state(p, n, cfg["m"]))
+           for n in range(cfg["n_max"] + 1)]
+    # the states live within a few turning radii of the origin, which is a
+    # sliver of [0, r_max) as k -> 0-: sample up to four outer turning radii
+    # of the highest state
+    r_hi = min(p.r_max, 4.0 * _turning_radius(p, wfs[-1].state))
+    rs = [r_hi * (i + 0.5) / cfg["r_count"] for i in range(cfg["r_count"])]
     r = np.array(rs)
-    columns = []
-    for n in range(cfg["n_max"] + 1):
-        wf = radial_wavefunction(p, make_state(p, n, cfg["m"]))
-        columns.append((f"U_n{n} [1/length]", wf.value(r).tolist()))
+    columns = [(f"U_n{n} [1/length]", wf.value(r).tolist()) for n, wf in enumerate(wfs)]
     table = SeriesTable(
         x_label="r [length]",
         y_label=f"U(r), m={cfg['m']} [1/length]",

@@ -1,10 +1,10 @@
 """Special-function and numerical-analysis kernel.
 
-Self-contained building blocks used across the package: error function,
-log-gamma, Jacobi polynomials, terminating Gauss hypergeometric series,
-adaptive Gauss-Kronrod quadrature of batches of vector-valued integrands and
-high-order central differences. All functions are pure and safe to call
-concurrently.
+Self-contained building blocks used across the package: the error function
+and its scaled complement, Jacobi polynomials, terminating Gauss
+hypergeometric series, adaptive Gauss-Kronrod quadrature of batches of
+vector-valued integrands and high-order central differences. All functions
+are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "IntegrationError",
     "erf",
     "erfcx",
-    "log_gamma",
     "jacobi_p",
     "hyp2f1_terminating",
     "integrate",
@@ -76,11 +75,6 @@ class JacobiParams:
             raise DegreeOverflowError(
                 f"Jacobi degree n={self.n} exceeds cap {JACOBI_DEGREE_CAP}"
             )
-
-    @property
-    def is_orthogonal(self) -> bool:
-        """True when the classical orthogonality weight is integrable (a, b > -1)."""
-        return self.a > -1.0 and self.b > -1.0
 
 
 @dataclass(frozen=True)
@@ -182,25 +176,38 @@ def erf(x: float) -> float:
     return v if x > 0 else -v
 
 
-def erfcx(x: float) -> float:
-    """Scaled complementary error function exp(x^2) erfc(x) for x >= 0.
+def erfcx(x: float | np.ndarray) -> float | np.ndarray:
+    """Scaled complementary error function exp(x^2) erfc(x) for x >= 0,
+    elementwise on a number or an array; NaN propagates.
 
     Stays O(1/x) where erfc itself underflows, which lets callers combine the
     exp(x^2) growth with their own decaying exponentials in the log domain.
+    Below x = 1.5 it is exp(x^2) minus the all-positive erf series
+    2x/sqrt(pi) sum (2x^2)^k/(2k+1)!!, 28 terms of which leave a remainder
+    below 1e-21 of the sum, and the subtraction costs at most a factor 34 of
+    cancellation. From 1.5 on it is the 120-term Laplace continued fraction
+    (DLMF 7.9), which has converged to the last bit there. Relative error:
+    below 3e-14 on [0, 1.5), below 1e-15 beyond.
     """
-    if x < 0.0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
         raise ValueError(f"erfcx is implemented for x >= 0, got {x}")
-    if x < 3.0:
-        return math.exp(x * x) * (1.0 - erf(x))
-    cf = 0.0
-    for j in range(60, 0, -1):
-        cf = (j / 2.0) / (x + cf)
-    return 1.0 / (_SQRT_PI * (x + cf))
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of |Gamma(x)|; thin front for the C library implementation."""
-    return math.lgamma(x)
+    out = np.full(x.shape, np.nan)
+    small, large = x < 1.5, x >= 1.5
+    if small.any():
+        xs = x[small]
+        t = 2.0 * xs * xs
+        series = np.ones_like(xs)
+        for k in range(28, 0, -1):
+            series = 1.0 + series * t / (2 * k + 1)
+        out[small] = np.exp(xs * xs) - 2.0 / _SQRT_PI * xs * series
+    if large.any():
+        xl = x[large]
+        cf = np.zeros_like(xl)
+        for j in range(120, 0, -1):
+            cf = (j / 2.0) / (xl + cf)
+        out[large] = 1.0 / (_SQRT_PI * (xl + cf))
+    return out if out.ndim else float(out)
 
 
 def jacobi_p(params: JacobiParams, x: float) -> float:

@@ -21,11 +21,15 @@ formula, roughly |f'(0)|/12 relative to Z, which grows with beta; agreement
 with the direct sum is a high-temperature statement. compare_strategies
 quantifies the discrepancy on any beta grid.
 
-sweep evaluates one (params, m, N, strategy) series on a whole beta grid: the
-direct sum builds the spectrum once and reduces it over blocks of beta rows,
-and the pipeline integrates every beta in one batched quadrature.
-evaluate() is sweep on a one-point grid, and the single-quantity functions
-call evaluate(), so all of them agree value for value.
+sweep evaluates one (params, m, N, strategy) series on a whole beta grid, as
+array programs over that grid: the direct sum builds the spectrum once and
+reduces it over blocks of beta rows, each row cut at the first level whose
+weight underflows to exactly 0.0 (at a length that depends on beta alone and
+gives the uncut sum bit for bit); the closed form is one array expression
+over the grid, with one erfcx call for both of its arguments; and the
+pipeline integrates every beta in one batched quadrature. evaluate() is sweep
+on a one-point grid, and the single-quantity functions call evaluate(), so
+all of them agree value for value.
 
 The paper's coefficients are spectrum values: c_t = E_{N+1},
 a_t = -E'(0)/2, b_t = E'(N+1)/2, (a_t^2 - alpha^2)/2k = -E_0 and
@@ -165,36 +169,74 @@ class ThermoResult:
 # this many elements, so its memory stays flat in the grid length and in N
 _BLOCK_ELEMENTS = 2**16
 
+# exp(-x) is exactly 0.0 in double precision for every x beyond this
+_EXP_UNDERFLOW = 746.0
+
 
 def levels(inp: ThermoInput) -> np.ndarray:
     """Spectrum E_{0..N} at fixed m as a vector."""
     return energy(inp.params, np.arange(inp.truncation_n + 1, dtype=float), inp.m)
 
 
-def _boltzmann_sums(e: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray]:
+def _z(log_z: float) -> float:
+    """Z = exp(ln Z), saturated to inf where it leaves the double range."""
+    return math.exp(log_z) if log_z < 700.0 else math.inf
+
+
+def _cut_lengths(shifted: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Number of leading levels the Boltzmann sums keep at each beta.
+
+    On a nondecreasing shifted spectrum every weight from the first level
+    with beta (e - e0) > 746 on is exactly 0.0, so a sum may stop there. The
+    length kept is the shortest prefix on the left spine of numpy's pairwise
+    summation of the whole row (a row of n splits at n/2 rounded down to a
+    multiple of 8, down to blocks of 128) that covers that level: the cut
+    sum is then the full sum's left subtree, and the right side it drops is
+    a sum of exact zeros, so both are the same number. The length depends on
+    beta and the spectrum alone. A spectrum that is not monotone (k > 0)
+    keeps every level.
+    """
+    if not np.all(shifted[1:] >= shifted[:-1]):
+        return np.full(betas.size, shifted.size)
+    spine = [shifted.size]
+    while spine[-1] > 128:
+        half = spine[-1] // 2
+        spine.append(half - half % 8)
+    spine = np.array(spine[::-1])
+    first_zero = np.searchsorted(shifted, _EXP_UNDERFLOW / betas, side="right")
+    return spine[np.searchsorted(spine, first_zero)]
+
+
+def _boltzmann_sums(e: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Ground-state-shifted Boltzmann sums of the spectrum e at each beta.
 
-    With w = exp(-beta (e - e0)), returns e0 and a (5, len(betas)) array whose
+    With w = exp(-beta (e - e0)), returns e0, a (5, len(betas)) array whose
     rows are sum w, the mean <e>, the variance <(e - <e>)^2>, the shifted mean
-    <e - e0> and the tail ratio w_N / sum w. The ground-state shift keeps any
-    beta up to 1e3 and beyond safe; the two-pass variance keeps C >= 0 by
-    construction.
+    <e - e0> and the tail ratio w_N / sum w, and the number of levels summed
+    at each beta (_cut_lengths). Rows of one length are reduced together in
+    blocks; the tail ratio of a cut row is exactly 0.0, as w_N is. The
+    ground-state shift keeps any beta up to 1e3 and beyond safe; the two-pass
+    variance keeps C >= 0 by construction.
     """
     e0 = float(e.min())
     shifted = e - e0
     out = np.empty((5, betas.size))
-    rows = max(1, _BLOCK_ELEMENTS // e.size)
-    for lo in range(0, betas.size, rows):
-        w = np.exp(-betas[lo:lo + rows, None] * shifted)
-        sw = w.sum(axis=1)
-        mean = (e * w).sum(axis=1) / sw
-        block = out[:, lo:lo + rows]
-        block[0] = sw
-        block[1] = mean
-        block[2] = ((e - mean[:, None]) ** 2 * w).sum(axis=1) / sw
-        block[3] = (shifted * w).sum(axis=1) / sw
-        block[4] = w[:, -1] / sw
-    return e0, out
+    lengths = _cut_lengths(shifted, betas)
+    for length in np.unique(lengths).tolist():
+        head, head_shifted = e[:length], shifted[:length]
+        group = np.flatnonzero(lengths == length)
+        rows = max(1, _BLOCK_ELEMENTS // length)
+        for lo in range(0, group.size, rows):
+            at = group[lo:lo + rows]
+            w = np.exp(-betas[at, None] * head_shifted)
+            sw = w.sum(axis=1)
+            mean = (head * w).sum(axis=1) / sw
+            out[0, at] = sw
+            out[1, at] = mean
+            out[2, at] = ((head - mean[:, None]) ** 2 * w).sum(axis=1) / sw
+            out[3, at] = (head_shifted * w).sum(axis=1) / sw
+            out[4, at] = w[:, -1] / sw if length == e.size else 0.0
+    return e0, out, lengths
 
 
 def _direct_series(inputs: list[ThermoInput]) -> list[ThermoResult]:
@@ -202,13 +244,14 @@ def _direct_series(inputs: list[ThermoInput]) -> list[ThermoResult]:
     first = inputs[0]
     kb = first.params.kb
     betas = np.array([inp.beta for inp in inputs], dtype=float)
-    e0, sums = _boltzmann_sums(levels(first), betas)
+    e0, sums, lengths = _boltzmann_sums(levels(first), betas)
     results = []
-    for inp, (sw, mean, var, shifted_mean, tail) in zip(inputs, sums.T.tolist()):
+    for inp, (sw, mean, var, shifted_mean, tail), n_terms in zip(
+            inputs, sums.T.tolist(), lengths.tolist()):
         beta = inp.beta
         log_z = -beta * e0 + math.log(sw)
         results.append(ThermoResult(
-            z=math.exp(log_z) if log_z < 700.0 else math.inf,
+            z=_z(log_z),
             log_z=log_z,
             u=mean,
             c=kb * beta**2 * var,
@@ -216,7 +259,7 @@ def _direct_series(inputs: list[ThermoInput]) -> list[ThermoResult]:
             s=kb * (math.log(sw) + beta * shifted_mean),
             diagnostics={
                 "strategy": Strategy.DIRECT_SUM.value,
-                "n_terms": first.truncation_n + 1,
+                "n_terms": n_terms,
                 "tail_ratio": tail,
             },
         ))
@@ -229,16 +272,11 @@ def partition_direct(inp: ThermoInput) -> ThermoResult:
     return ThermoResult(z=res.z, log_z=res.log_z, diagnostics=res.diagnostics)
 
 
-def paper_z_coefficients(inp: ThermoInput, variant: str = "corrected") -> PaperZCoefficients:
-    """Closed-form coefficients a_t, b_t, c_t, d_t, eta, theta_v in the
-    paper's notation.
-
-    variant selects the d_t reading: "corrected" uses sqrt(k^2+alpha^2) and
-    -k m^2/2 (a_t - d_t = -E_0, so the boundary term is exactly
-    exp(-beta E_0)); "verbatim" keeps the mass-scale lam in both places.
-    """
-    p, m, n_max, beta = inp.params, inp.m, inp.truncation_n, inp.beta
-    k, alpha = p.k, p.alpha
+def _coefficients(params: SystemParams, m: int, n_max: int, variant: str,
+                  beta: float | np.ndarray) -> tuple:
+    """a_t, b_t, c_t, d_t, eta and theta_v at a beta or, elementwise, at an
+    array of them (eta and theta_v then are arrays)."""
+    k, alpha = params.k, params.alpha
     if k >= 0.0:
         raise NonPhysicalError(
             "closed-form coefficients need k < 0 (erf arguments become imaginary otherwise)"
@@ -253,17 +291,30 @@ def paper_z_coefficients(inp: ThermoInput, variant: str = "corrected") -> PaperZ
     if variant == "corrected":
         d_t = am * s - k * m * m / 2.0
     elif variant == "verbatim":
-        d_t = am * math.hypot(p.lam, alpha) - p.lam * m * m / 2.0
+        d_t = am * math.hypot(params.lam, alpha) - params.lam * m * m / 2.0
     else:
         raise ValueError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
     eta = -beta * a_t * a_t / (2.0 * k)
     theta_v = -beta * b_t * b_t / (2.0 * k)
-    return PaperZCoefficients(a_t=a_t, b_t=b_t, c_t=c_t, d_t=d_t,
-                              eta=eta, theta_v=theta_v, variant=variant)
+    return a_t, b_t, c_t, d_t, eta, theta_v
 
 
-def _closed_form(inp: ThermoInput, variant: str) -> ThermoResult:
-    """Z, U, C, F and S of the closed form in one d_t variant.
+def paper_z_coefficients(inp: ThermoInput, variant: str = "corrected") -> PaperZCoefficients:
+    """Closed-form coefficients a_t, b_t, c_t, d_t, eta, theta_v in the
+    paper's notation.
+
+    variant selects the d_t reading: "corrected" uses sqrt(k^2+alpha^2) and
+    -k m^2/2 (a_t - d_t = -E_0, so the boundary term is exactly
+    exp(-beta E_0)); "verbatim" keeps the mass-scale lam in both places.
+    """
+    return PaperZCoefficients(
+        *_coefficients(inp.params, inp.m, inp.truncation_n, variant, inp.beta),
+        variant=variant)
+
+
+def _closed_form(inputs: list[ThermoInput], variant: str) -> list[ThermoResult]:
+    """Z, U, C, F and S of the closed form in one d_t variant, for inputs
+    that differ only in beta, as array expressions over their beta grid.
 
     With f(x) = exp(-beta E(x)), 2Z = exp(beta (a_t - d_t)) - f(N+1) + 2I,
     where I = int_0^{N+1} f dx is the erf term -Omega. U and C follow from
@@ -276,21 +327,24 @@ def _closed_form(inp: ThermoInput, variant: str) -> ThermoResult:
     d_t the boundary and Gaussian factors are 1 and exp(-beta (E_{N+1} - E_0)).
     Z itself saturates to inf or 0 only where exp(ln Z) leaves the double range.
     """
-    co = paper_z_coefficients(inp, variant)
-    p, beta, kb = inp.params, inp.beta, inp.params.kb
-    k, alpha, a_t, b_t = p.k, p.alpha, co.a_t, co.b_t
-    e0 = energy(p, 0.0, inp.m)
-    e1 = energy(p, inp.truncation_n + 1.0, inp.m)  # c_t
-    a_d = -e0 if variant == "corrected" else a_t - co.d_t
+    first = inputs[0]
+    p, m, n_max, kb = first.params, first.m, first.truncation_n, first.params.kb
+    beta = np.array([inp.beta for inp in inputs], dtype=float)
+    a_t, b_t, _, d_t, eta, theta_v = _coefficients(p, m, n_max, variant, beta)
+    k, alpha = p.k, p.alpha
+    e0 = energy(p, 0.0, m)
+    e1 = energy(p, n_max + 1.0, m)  # c_t
+    a_d = -e0 if variant == "corrected" else a_t - d_t
     excess = beta * (a_d + e0)
-    shift = max(excess, 0.0)
-    exp_ad = math.exp(excess - shift)
-    f0 = math.exp(-shift)
-    f1 = math.exp(-beta * (e1 - e0) - shift)
+    shift = np.maximum(excess, 0.0)
+    exp_ad = np.exp(excess - shift)
+    f0 = np.exp(-shift)
+    f1 = np.exp(-beta * (e1 - e0) - shift)
     # I through the scaled complement erfcx(x) = exp(x^2) erfc(x), whose
-    # growth cancels exp(-alpha^2 beta/2k) into the factors f(0) and f(N+1)
-    integral = math.sqrt(math.pi / (-8.0 * k * beta)) * (
-        f0 * erfcx(math.sqrt(co.eta)) - f1 * erfcx(math.sqrt(co.theta_v)))
+    # growth cancels exp(-alpha^2 beta/2k) into the factors f(0) and f(N+1);
+    # one erfcx call takes both arguments of the whole grid
+    scaled_0, scaled_1 = erfcx(np.sqrt(np.stack([eta, theta_v])))
+    integral = np.sqrt(math.pi / (-8.0 * k * beta)) * (f0 * scaled_0 - f1 * scaled_1)
     two_z = exp_ad - f1 + 2.0 * integral
     gauss_boundary = a_t * f0 + b_t * f1
     lam_num = (
@@ -310,18 +364,24 @@ def _closed_form(inp: ThermoInput, variant: str) -> ThermoResult:
     )
     x_num = a_d * a_d * exp_ad - e1 * e1 * f1
     c_heat = kb * beta * beta * ((x_num + eps) / two_z - (lam_num / two_z) ** 2)
-    diag = {"strategy": Strategy.PAPER_CLOSED_FORM.value, "variant": variant}
-    if two_z > 0.0:
-        log_z = shift - beta * e0 + math.log(0.5 * two_z)
-        z = math.exp(log_z) if log_z < 700.0 else math.inf
-    else:
-        # a nonpositive Z has no logarithm; shift is 0 here, so the scale
+    positive = two_z > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_z = np.where(positive, shift - beta * e0 + np.log(0.5 * two_z), math.nan)
+        # a nonpositive Z has no logarithm; shift is 0 there, so the scale
         # exp(-beta E_0) is at most 1
-        log_z = math.nan
-        z = 0.5 * two_z * math.exp(-beta * e0)
-        diag["nonpositive_z"] = True
-    return ThermoResult(z=z, log_z=log_z, u=u, c=c_heat, f=-log_z / beta,
-                        s=kb * (log_z + beta * u), diagnostics=diag)
+        z_nonpositive = 0.5 * two_z * np.exp(-beta * e0)
+    f = -log_z / beta
+    s = kb * (log_z + beta * u)
+    results = []
+    for lz, zn, u_, c_, f_, s_, pos in zip(log_z.tolist(), z_nonpositive.tolist(), u.tolist(),
+                                           c_heat.tolist(), f.tolist(), s.tolist(),
+                                           positive.tolist()):
+        diag = {"strategy": Strategy.PAPER_CLOSED_FORM.value, "variant": variant}
+        if not pos:
+            diag["nonpositive_z"] = True
+        results.append(ThermoResult(z=_z(lz) if pos else zn, log_z=lz, u=u_, c=c_, f=f_,
+                                    s=s_, diagnostics=diag))
+    return results
 
 
 def partition_paper(inp: ThermoInput) -> ThermoResult:
@@ -330,7 +390,7 @@ def partition_paper(inp: ThermoInput) -> ThermoResult:
     A nonpositive closed-form value in a regime where the direct sum is
     positive is recorded as a diagnostic, never raised.
     """
-    by_variant = {v: _closed_form(inp, v) for v in ("corrected", "verbatim")}
+    by_variant = {v: _closed_form([inp], v)[0] for v in ("corrected", "verbatim")}
     primary = by_variant["corrected"]
     diag = {
         "strategy": Strategy.PAPER_CLOSED_FORM.value,
@@ -364,7 +424,7 @@ def _poisson_series(inputs: list[ThermoInput]) -> list[ThermoResult]:
         # converge to a false 0. E(x) - E_0 = x (E'(0) - 2k x), so x_cut is
         # the positive root, in the form free of cancellation as k -> 0-
         slope = energy(p, 1.0, m) - e0 + 2.0 * p.k  # E'(0)
-        q = 746.0 / betas
+        q = _EXP_UNDERFLOW / betas
         upper = np.minimum(upper, 2.0 * q / (slope + np.sqrt(slope * slope - 8.0 * p.k * q)))
 
     def integrands(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -390,7 +450,7 @@ def _poisson_series(inputs: list[ThermoInput]) -> list[ThermoResult]:
         log_z = -beta * e0 + math.log(z0)
         mean = z1 / z0  # <E - E_0>
         results.append(ThermoResult(
-            z=math.exp(log_z) if log_z < 700.0 else math.inf,
+            z=_z(log_z),
             log_z=log_z,
             u=e0 + mean,
             c=kb * beta**2 * (z2 / z0 - mean * mean),
@@ -425,7 +485,7 @@ def _series(inputs: list[ThermoInput], variant: str) -> list[ThermoResult]:
     if strategy is Strategy.DIRECT_SUM:
         results = _direct_series(inputs)
     elif strategy is Strategy.PAPER_CLOSED_FORM:
-        results = [_closed_form(inp, variant) for inp in inputs]
+        results = _closed_form(inputs, variant)
     else:
         results = _poisson_series(inputs)
     for res in results:
@@ -442,10 +502,11 @@ def average_energy(inp: ThermoInput) -> float:
 def heat_capacity(inp: ThermoInput) -> float:
     """Heat capacity in units of kb.
 
-    DIRECT_SUM uses the fluctuation form kb beta^2 (<E^2> - <E>^2), which is
-    nonnegative by construction; the closed form uses its epsilon/varsigma
-    blocks; the quadrature pipeline integrates the beta-derivatives of its
-    integrand alongside it.
+    DIRECT_SUM uses the two-pass fluctuation form kb beta^2 <(E - <E>)^2>,
+    which is nonnegative by construction, over the levels whose weight is not
+    exactly 0.0; the closed form uses its epsilon/varsigma blocks; the
+    quadrature pipeline integrates the beta-derivatives of its integrand
+    alongside it.
     """
     return evaluate(inp).c
 
@@ -473,8 +534,10 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
     """Z, U, C, F and S at every beta of a grid, one ThermoResult per beta.
 
     Each value equals evaluate() at that beta. The direct sum builds the
-    spectrum once and reduces it in blocks of beta rows; the closed form
-    computes only the requested d_t variant.
+    spectrum once and reduces it in blocks of beta rows, each row over only
+    the levels up to its underflow cut (diagnostics "n_terms"); the closed
+    form computes only the requested d_t variant, as one array expression
+    over the grid.
     """
     inputs = [ThermoInput(params=params, m=m, beta=beta, truncation_n=truncation_n,
                           strategy=strategy) for beta in betas]
@@ -562,14 +625,16 @@ def find_heat_capacity_plateau(
     when no window below t_hi/2 qualifies.
     """
     e = levels(ThermoInput(params=params, m=m, beta=1.0, truncation_n=truncation_n))
-    for t_star in np.geomspace(t_lo, t_hi / 2.0, candidates):
-        ts = np.geomspace(t_star, 2.0 * t_star, samples)
-        betas = 1.0 / (params.kb * ts)
-        _, (_, _, var, _, _) = _boltzmann_sums(e, betas)
-        cs = params.kb * betas * betas * var
-        mean_c = float(cs.mean())
-        variation = float((cs.max() - cs.min()) / mean_c)
-        if variation < rel_window:
-            return PlateauResult(t_star=float(t_star), value=mean_c, variation=variation)
-    return None
-
+    starts = np.geomspace(t_lo, t_hi / 2.0, candidates)
+    # every candidate window's temperatures in one (candidates, samples) grid
+    betas = 1.0 / (params.kb * np.geomspace(starts, 2.0 * starts, samples, axis=-1))
+    _, (_, _, var, _, _), _ = _boltzmann_sums(e, betas.ravel())
+    cs = params.kb * betas * betas * var.reshape(betas.shape)
+    mean_c = cs.mean(axis=1)
+    variation = (cs.max(axis=1) - cs.min(axis=1)) / mean_c
+    found = np.flatnonzero(variation < rel_window)
+    if found.size == 0:
+        return None
+    i = found[0]
+    return PlateauResult(t_star=float(starts[i]), value=float(mean_c[i]),
+                         variation=float(variation[i]))

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdm_osc.cli import _temperature_grid, main
+from pdm_osc.oscillator import SystemParams, make_state, radial_overlap, radial_wavefunction
 from pdm_osc.output import SeriesTable
+from pdm_osc.specfun import QuadratureSpec, integrate
 
 
 def read(path):
@@ -177,6 +179,28 @@ class TestWavefunctionCommand:
         assert rc == 0
         _, body = data_rows(read(out / "wavefunction_m60.csv"))
         assert all(math.isfinite(row[1]) for row in body)
+
+    def test_grid_follows_the_states_as_k_approaches_zero(self, tmp_path):
+        # r_max is 1e6 at k = -1e-12, while the state peaks near r = 7.75
+        out = tmp_path / "out"
+        assert main(["wavefunction", "--k=-1e-12", "--m", "60", "--n-max", "0",
+                     "--out", str(out)]) == 0
+        _, body = data_rows(read(out / "wavefunction_m60.csv"))
+        assert any(row[1] != 0.0 for row in body)
+        # at k = -1e-6 (r_max = 1000) the grid holds all but 1e-10 of every
+        # state's norm, and resolves the m = 40 ground state
+        assert main(["wavefunction", "--k=-1e-6", "--m", "40", "--n-max", "3",
+                     "--out", str(out)]) == 0
+        _, body = data_rows(read(out / "wavefunction_m40.csv"))
+        r_hi = body[-1][0] + 0.5 * (body[1][0] - body[0][0])
+        ground = [abs(row[1]) for row in body]
+        assert sum(u > 0.01 * max(ground) for u in ground) >= 20
+        p = SystemParams(alpha=1.0, k=-1e-6)
+        for n in range(4):
+            wf = radial_wavefunction(p, make_state(p, n, 40))
+            inside = integrate(lambda r, _: wf.value(r) ** 2 * r / (1.0 + p.delta_sq * r * r),
+                               QuadratureSpec(0.0, r_hi, rel_tol=1e-12, abs_tol=1e-15)).value
+            assert inside >= (1.0 - 1e-10) * radial_overlap(p, 40, n, n)
 
 
 class TestConfigHandling:

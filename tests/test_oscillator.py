@@ -24,7 +24,7 @@ from pdm_osc.oscillator import (
     solve_energy,
     total_wavefunction,
 )
-from pdm_osc.specfun import JacobiParams, QuadratureSpec, integrate, jacobi_p, log_gamma
+from pdm_osc.specfun import JacobiParams, QuadratureSpec, integrate, jacobi_p
 
 
 def analytic_norm_integral(params: SystemParams, n: int, m: int) -> float:
@@ -37,8 +37,8 @@ def analytic_norm_integral(params: SystemParams, n: int, m: int) -> float:
     a = float(abs(m))
     b = math.sqrt(params.alpha**2 / params.k**2 + 1.0)
     h = math.exp(
-        log_gamma(n + a + 1.0) + log_gamma(n + b + 1.0)
-        - log_gamma(n + a + b + 1.0) - log_gamma(n + 1.0)
+        math.lgamma(n + a + 1.0) + math.lgamma(n + b + 1.0)
+        - math.lgamma(n + a + b + 1.0) - math.lgamma(n + 1.0)
     ) / (2.0 * n + a + b + 1.0)
     return h / (2.0 * abs(params.delta_sq))
 

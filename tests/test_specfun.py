@@ -22,7 +22,6 @@ from pdm_osc.specfun import (
     hyp2f1_terminating_magnitude,
     integrate,
     jacobi_p,
-    log_gamma,
 )
 
 
@@ -82,7 +81,7 @@ class TestErf:
 
 def test_log_gamma_matches_factorials():
     for n in range(1, 12):
-        assert log_gamma(n + 1) == pytest.approx(math.log(math.factorial(n)), rel=1e-14)
+        assert math.lgamma(n + 1) == pytest.approx(math.log(math.factorial(n)), rel=1e-14)
 
 
 class TestErfcx:
@@ -108,6 +107,29 @@ class TestErfcx:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             erfcx(-1.0)
+        with pytest.raises(ValueError):
+            erfcx(np.array([0.5, -1e-300]))
+
+    def test_nan_propagates(self):
+        assert math.isnan(erfcx(math.nan))
+        out = erfcx(np.array([0.5, math.nan, 2.0]))
+        assert math.isnan(out[1]) and out[0] == erfcx(0.5) and out[2] == erfcx(2.0)
+
+    def test_against_mpmath(self):
+        """Relative error against 40-digit mpmath: 3e-14 below the switch at
+        x = 1.5, where exp(x^2) - erf series cancels by up to a factor 34,
+        and 1e-15 on the continued fraction beyond it. A number gives the
+        same value as an array element."""
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.linspace(0.0, 10.0, 2001)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x))
+                            for x in xs.tolist()])
+        got = erfcx(xs)
+        rel = np.abs(got / ref - 1.0)
+        assert rel.max() <= 3e-14
+        assert rel[xs >= 1.5].max() <= 1e-15
+        assert [erfcx(x) for x in xs.tolist()] == got.tolist()
 
 
 class TestJacobi:
@@ -128,10 +150,6 @@ class TestJacobi:
     def test_degree_cap(self):
         with pytest.raises(DegreeOverflowError):
             JacobiParams(a=0.0, b=0.0, n=10**6 + 1)
-
-    def test_orthogonality_flag(self):
-        assert JacobiParams(a=0.5, b=0.0, n=2).is_orthogonal
-        assert not JacobiParams(a=-1.5, b=0.0, n=2).is_orthogonal
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -162,7 +180,7 @@ class TestJacobi:
         """
         z = 0.5 * (1.0 - x)
         series = hyp2f1_terminating(n, 1.0 + n + a + b, 1.0 + a, z)
-        prefactor = math.exp(log_gamma(n + a + 1.0) - log_gamma(n + 1.0) - log_gamma(a + 1.0))
+        prefactor = math.exp(math.lgamma(n + a + 1.0) - math.lgamma(n + 1.0) - math.lgamma(a + 1.0))
         via_series = prefactor * series
         via_recurrence = jacobi_p(JacobiParams(a=a, b=b, n=n), x)
         conditioning = prefactor * hyp2f1_terminating_magnitude(n, 1.0 + n + a + b, 1.0 + a, z)
@@ -192,7 +210,7 @@ class TestHyp2F1:
     def test_gamma_prefactor_identity(self):
         # Gamma(n+a+1)/(n! Gamma(a+1)) 2F1(-n, 1+n+a+b; 1+a; z) == P_n^(a,b)(1-2z)
         a, b, n, z = 2.0, 1.0, 3, 0.3
-        prefactor = math.exp(log_gamma(n + a + 1) - log_gamma(n + 1.0) - log_gamma(a + 1))
+        prefactor = math.exp(math.lgamma(n + a + 1) - math.lgamma(n + 1.0) - math.lgamma(a + 1))
         lhs = prefactor * hyp2f1_terminating(n, 1 + n + a + b, 1 + a, z)
         rhs = jacobi_p(JacobiParams(a=a, b=b, n=n), 1.0 - 2.0 * z)
         assert lhs == pytest.approx(rhs, rel=1e-13)

@@ -105,6 +105,35 @@ class TestPartitionDirect:
     def test_tail_diagnostic(self):
         res = partition_direct(ThermoInput(params=PHYS, m=1, beta=1.0))
         assert res.diagnostics["tail_ratio"] < 1e-300  # ~exp(-151000)
+        # an uncut sum reports w_N / sum w
+        inp = ThermoInput(params=PHYS, m=1, beta=1e-3, truncation_n=10)
+        e = levels(inp)
+        w = np.exp(-inp.beta * (e - e[0]))
+        res = partition_direct(inp)
+        assert res.diagnostics["n_terms"] == 11
+        assert res.diagnostics["tail_ratio"] == w[-1] / w.sum()
+
+    def test_cut_work_count(self):
+        """Each beta sums only a short prefix of the levels, and every weight
+        it drops is exactly 0.0; where none underflows it sums all N+1."""
+        p = SystemParams(alpha=1.0, k=-0.1)
+        betas = [1e-4] + list(np.geomspace(0.02, 1e3, 40))
+        e = levels(ThermoInput(params=p, m=1, beta=1.0, truncation_n=100_000))
+        for beta, res in zip(betas, sweep(p, 1, 100_000, betas)):
+            n_terms = res.diagnostics["n_terms"]
+            assert n_terms <= (8192 if beta < 0.02 else 1024)
+            assert not np.any(np.exp(-beta * (e[n_terms:] - e[0])))
+            assert res.diagnostics["tail_ratio"] == 0.0
+        res = sweep(SystemParams(alpha=1.0, k=-1e-6), 1, 100_000, [1e-4])[0]
+        assert res.diagnostics["n_terms"] == 100_001
+        assert res.diagnostics["tail_ratio"] > 0.0
+        # a cut whose last kept weight is not 0 still reports w_N / sum w = 0
+        e = levels(ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=1000))
+        beta = 735.0 / (e[119] - e[0])
+        res = sweep(PHYS, 1, 1000, [beta])[0]
+        assert res.diagnostics["n_terms"] == 120
+        assert math.exp(-beta * (e[119] - e[0])) / math.exp(res.log_z + beta * e[0]) > 0.0
+        assert res.diagnostics["tail_ratio"] == 0.0
 
 
 class TestPaperCoefficients:
@@ -463,6 +492,24 @@ class TestSweep:
         self.assert_equal_to_evaluate(PHYS, 3, 500, list(np.geomspace(0.01, 5.0, 150)),
                                       Strategy.PAPER_CLOSED_FORM, variant)
 
+    def test_paper_across_erfcx_switch(self):
+        # at N = 1 both erfcx arguments sqrt(eta) and sqrt(theta_v) cross 1.5
+        betas = list(np.linspace(0.05, 0.3, 80))
+        args = [math.sqrt(getattr(paper_z_coefficients(
+            ThermoInput(params=PHYS, m=3, beta=b, truncation_n=1)), name))
+            for b in betas for name in ("eta", "theta_v")]
+        assert sum(a < 1.5 for a in args[0::2]) * sum(a >= 1.5 for a in args[0::2]) > 0
+        assert sum(a < 1.5 for a in args[1::2]) * sum(a >= 1.5 for a in args[1::2]) > 0
+        for variant in ("corrected", "verbatim"):
+            self.assert_equal_to_evaluate(PHYS, 3, 1, betas, Strategy.PAPER_CLOSED_FORM,
+                                          variant)
+
+    def test_direct_many_cut_lengths(self):
+        betas = list(np.geomspace(1e-4, 1e3, 60))
+        self.assert_equal_to_evaluate(PHYS, 2, 100_000, betas, Strategy.DIRECT_SUM)
+        lengths = {res.diagnostics["n_terms"] for res in sweep(PHYS, 2, 100_000, betas)}
+        assert len(lengths) >= 6
+
     def test_poisson(self):
         # the 300-point temperature grid of the figures, T in [0.1, 50]
         temps = _temperature_grid({"T_min": 0.1, "T_max": 50.0, "T_count": 300,
@@ -508,8 +555,32 @@ class TestEvaluateBundle:
 
 
 class TestRegimeEdges:
-    """The approximate strategies across the documented parameter space:
+    """The strategies across the documented parameter space:
     k in [-5, -1e-8], |m| <= 60, beta in [1e-4, 1e3], N in [1, 1e5]."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=EDGE_K, m=EDGE_M, n=EDGE_N, log_beta=st.floats(-4.0, 3.0))
+    def test_direct_sum(self, k, m, n, log_beta):
+        """C >= 0, S >= 0 and F = U - TS, and the sum cut at the underflow
+        index gives the full-length sums within 4 ulp."""
+        p = SystemParams(alpha=1.0, k=k)
+        beta = 10.0**log_beta
+        res = sweep(p, m, n, [beta])[0]
+        assert res.c >= 0.0 and res.s >= 0.0
+        scale = abs(res.u) + abs(res.f) + abs(res.s) / beta
+        assert abs(res.f - (res.u - res.s / beta)) <= 1e-12 * scale
+        e = levels(ThermoInput(params=p, m=m, beta=beta, truncation_n=n))
+        e0 = float(e.min())
+        w = np.exp(-beta * (e - e0))
+        sw = float(w.sum())
+        mean = float((e * w).sum()) / sw
+        var = float(((e - mean) ** 2 * w).sum()) / sw
+        shifted_mean = float(((e - e0) * w).sum()) / sw
+        log_z = -beta * e0 + math.log(sw)
+        full = (math.exp(log_z) if log_z < 700.0 else math.inf, mean, beta**2 * var,
+                math.log(sw) + beta * shifted_mean)
+        for cut, want in zip((res.z, res.u, res.c, res.s), full):
+            assert cut == want or abs(cut - want) <= 4.0 * math.ulp(max(abs(cut), abs(want)))
 
     @settings(max_examples=100, deadline=None)
     @given(k=EDGE_K, m=EDGE_M, n=EDGE_N, log_beta=st.floats(-4.0, 3.0),
