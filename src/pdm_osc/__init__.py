@@ -57,6 +57,7 @@ from .thermo import (
     StrategyComparison,
     ThermoInput,
     ThermoResult,
+    ThermoSeries,
     average_energy,
     compare_strategies,
     entropy,
@@ -89,7 +90,7 @@ __all__ = [
     "energy", "make_state", "mass", "nu_instance", "radial_wavefunction",
     "ode_residual", "total_wavefunction", "radial_overlap", "solve_energy",
     # thermo
-    "Strategy", "ThermoInput", "ThermoResult", "PaperZCoefficients",
+    "Strategy", "ThermoInput", "ThermoResult", "ThermoSeries", "PaperZCoefficients",
     "StrategyComparison", "PlateauResult",
     "levels", "partition_direct", "paper_z_coefficients", "partition_paper",
     "partition_poisson_independent", "average_energy", "heat_capacity",

@@ -9,6 +9,7 @@ error (single machine-parsable line on stderr).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -41,7 +42,7 @@ _DEFAULTS = {
     "r_count": 200,
 }
 
-_QUANTITIES = (("Z", "z"), ("U", "u"), ("C", "c"), ("F", "f"), ("S", "s"))
+_QUANTITIES = "ZUCFS"
 
 
 class ConfigError(Exception):
@@ -71,13 +72,12 @@ def _coerce(field: str, value, kind):
     if value is None:
         return None
     try:
-        if kind is float:
-            return float(value)
-        if kind is int:
-            return int(value)
-        return value
+        number = kind(value)
     except (TypeError, ValueError):
         raise ConfigError(field, f"cannot parse {value!r} as {kind.__name__}") from None
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(field, f"must be finite, got {number}")
+    return number
 
 
 def _parse_k_list(field: str, value) -> list[float] | None:
@@ -91,6 +91,8 @@ def _parse_k_list(field: str, value) -> list[float] | None:
         raise ConfigError(field, f"cannot parse {value!r} as comma-separated floats") from None
     if not items:
         raise ConfigError(field, "empty list")
+    if not all(math.isfinite(k) for k in items):
+        raise ConfigError(field, "every value must be finite")
     return items
 
 
@@ -105,18 +107,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             cfg[key] = flag
     if command == "figures" and cfg["k"] is None and cfg["k_list"] is None:
         cfg["k_list"] = "-0.1,-0.2,-0.3"
-    cfg["alpha"] = _coerce("alpha", cfg["alpha"], float)
-    cfg["lam"] = _coerce("lam", cfg["lam"], float)
-    cfg["kb"] = _coerce("kb", cfg["kb"], float)
-    cfg["m"] = _coerce("m", cfg["m"], int)
-    cfg["n_max"] = _coerce("n_max", cfg["n_max"], int)
-    cfg["N"] = _coerce("N", cfg["N"], int)
-    cfg["T"] = _coerce("T", cfg["T"], float)
-    cfg["T_min"] = _coerce("T_min", cfg["T_min"], float)
-    cfg["T_max"] = _coerce("T_max", cfg["T_max"], float)
-    cfg["T_count"] = _coerce("T_count", cfg["T_count"], int)
-    cfg["r_count"] = _coerce("r_count", cfg["r_count"], int)
-    cfg["k"] = _coerce("k", cfg["k"], float)
+    for name, kind in (("alpha", float), ("lam", float), ("kb", float), ("m", int),
+                       ("n_max", int), ("N", int), ("T", float), ("T_min", float),
+                       ("T_max", float), ("T_count", int), ("r_count", int), ("k", float)):
+        cfg[name] = _coerce(name, cfg[name], kind)
     cfg["k_list"] = _parse_k_list("k_list", cfg["k_list"])
     if cfg["k_list"] is None:
         cfg["k_list"] = [cfg["k"] if cfg["k"] is not None else -0.1]
@@ -252,13 +246,12 @@ def cmd_wavefunction(cfg: dict) -> int:
     # sliver of [0, r_max) as k -> 0-: sample up to four outer turning radii
     # of the highest state
     r_hi = min(p.r_max, 4.0 * _turning_radius(p, wfs[-1].state))
-    rs = [r_hi * (i + 0.5) / cfg["r_count"] for i in range(cfg["r_count"])]
-    r = np.array(rs)
-    columns = [(f"U_n{n} [1/length]", wf.value(r).tolist()) for n, wf in enumerate(wfs)]
+    r = r_hi * (np.arange(cfg["r_count"]) + 0.5) / cfg["r_count"]
+    columns = [(f"U_n{n} [1/length]", wf.value(r)) for n, wf in enumerate(wfs)]
     table = SeriesTable(
         x_label="r [length]",
         y_label=f"U(r), m={cfg['m']} [1/length]",
-        x=rs,
+        x=r,
         columns=columns,
         metadata=_metadata(cfg, "wavefunction", [("r_count", str(cfg["r_count"]))]),
     )
@@ -267,35 +260,31 @@ def cmd_wavefunction(cfg: dict) -> int:
     return 0
 
 
-def _thermo_sweep(cfg: dict, k: float, temps: list[float],
-                  variant: str) -> list[thermo.ThermoResult]:
-    p = _system_params(cfg, k)
-    betas = [1.0 / (p.kb * t) for t in temps]
-    return thermo.sweep(p, cfg["m"], cfg["N"], betas, cfg["strategy_enum"], variant)
-
-
-def _thermo_tables(cfg: dict, command: str) -> list[SeriesTable]:
-    temps = _temperature_grid(cfg)
+def _thermo_tables(cfg: dict, command: str, temps: np.ndarray,
+                   one_variant: bool = False) -> list[SeriesTable]:
+    """The Z, U, C, F and S tables over temps: one column per k and variant."""
     variants = ["corrected", "verbatim"] if cfg["variant"] == "both" else [cfg["variant"]]
-    if cfg["strategy_enum"] is not thermo.Strategy.PAPER_CLOSED_FORM:
-        variants = [variants[0]]
-    by_series: dict[tuple[float, str], list[thermo.ThermoResult]] = {}
+    if one_variant or cfg["strategy_enum"] is not thermo.Strategy.PAPER_CLOSED_FORM:
+        variants = variants[:1]
+    by_series: dict[tuple[float, str], thermo.ThermoSeries] = {}
     for k in cfg["k_list"]:
+        p = _system_params(cfg, k)
         for v in variants:
-            by_series.setdefault((k, v), []).extend(_thermo_sweep(cfg, k, temps, v))
+            by_series[(k, v)] = thermo.sweep(p, cfg["m"], cfg["N"], 1.0 / (p.kb * temps),
+                                             cfg["strategy_enum"], v)
     grid_meta = (
         f"min={format_float(cfg['T_min'])} max={format_float(cfg['T_max'])} "
         f"count={cfg['T_count']} spacing={cfg['T_spacing']}"
     )
     tables = []
     unit = {"Z": "-", "U": "energy", "C": "kb", "F": "energy", "S": "kb"}
-    for label, attr in _QUANTITIES:
+    for label in _QUANTITIES:
         columns = []
         for (k, v), series in by_series.items():
             tag = f";{v}" if len(variants) > 1 else ""
             columns.append(
                 (f"{label}(k={format_float(k)}{tag}) [{unit[label]}]",
-                 [getattr(res, attr) for res in series])
+                 getattr(series, label.lower()))
             )
         tables.append(
             SeriesTable(
@@ -310,26 +299,25 @@ def _thermo_tables(cfg: dict, command: str) -> list[SeriesTable]:
 
 
 def cmd_thermo(cfg: dict) -> int:
-    if cfg["T"] is not None:
-        # single-point mode: print the five quantities per k
-        variant = cfg["variant"] if cfg["variant"] != "both" else "corrected"
-        for k in cfg["k_list"]:
-            res = _thermo_sweep(cfg, k, [cfg["T"]], variant)[0]
-            print(
-                f"k={format_float(k)} T={format_float(cfg['T'])} "
-                f"Z={format_float(res.z)} U={format_float(res.u)} "
-                f"C={format_float(res.c)} F={format_float(res.f)} S={format_float(res.s)}"
-            )
-        return 0
-    for table, (label, _) in zip(_thermo_tables(cfg, "thermo"), _QUANTITIES):
-        for path in _write_table(cfg, table, f"thermo_m{cfg['m']}_{label}"):
-            print(path)
+    if cfg["T"] is None:
+        return cmd_tables(cfg, "thermo")
+    # single-point mode: the five quantities per k on one line, held to the
+    # tables' finiteness rule
+    tables = _thermo_tables(cfg, "thermo", np.array([cfg["T"]]), one_variant=True)
+    values = [table.validate()[1] for table in tables]
+    for j, k in enumerate(cfg["k_list"]):
+        cells = " ".join(f"{q}={format_float(cols[j][0].item())}"
+                         for q, cols in zip(_QUANTITIES, values))
+        print(f"k={format_float(k)} T={format_float(cfg['T'])} {cells}")
     return 0
 
 
-def cmd_figures(cfg: dict) -> int:
-    for table, (label, _) in zip(_thermo_tables(cfg, "figures"), _QUANTITIES):
-        for path in _write_table(cfg, table, f"figures_m{cfg['m']}_{label}"):
+def cmd_tables(cfg: dict, command: str) -> int:
+    """`figures`, and `thermo` without --T: the five tables over the
+    temperature grid, one file per table and format."""
+    tables = _thermo_tables(cfg, command, np.array(_temperature_grid(cfg)))
+    for table, label in zip(tables, _QUANTITIES):
+        for path in _write_table(cfg, table, f"{command}_m{cfg['m']}_{label}"):
             print(path)
     return 0
 
@@ -419,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "thermo":
             return cmd_thermo(cfg)
         if args.command == "figures":
-            return cmd_figures(cfg)
+            return cmd_tables(cfg, "figures")
         if args.command == "validate":
             return cmd_validate(cfg, args.quick, args.inject_energy_perturbation)
         parser.error(f"unknown command {args.command}")

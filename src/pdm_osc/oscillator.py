@@ -90,6 +90,9 @@ class SystemParams:
     exploratory: bool = False
 
     def __post_init__(self):
+        for name in ("alpha", "k", "lam", "kb"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.lam == 0.0:

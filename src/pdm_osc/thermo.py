@@ -22,12 +22,14 @@ with the direct sum is a high-temperature statement. compare_strategies
 quantifies the discrepancy on any beta grid.
 
 sweep evaluates one (params, m, N, strategy) series on a whole beta grid, as
-array programs over that grid: the direct sum builds the spectrum once and
+array programs over that grid, and returns a ThermoSeries: one array per
+quantity and per diagnostic. The direct sum builds the spectrum once and
 reduces it over blocks of beta rows, each row cut at the first level whose
 weight underflows to exactly 0.0 (at a length that depends on beta alone and
 gives the uncut sum bit for bit); the closed form is one array expression
 over the grid, with one erfcx call for both of its arguments; and the
-pipeline integrates every beta in one batched quadrature. evaluate() is sweep
+pipeline integrates every beta in one batched quadrature. ln, exp and
+beta**2 go through libm element by element (see _libm). evaluate() is sweep
 on a one-point grid, and the single-quantity functions call evaluate(), so
 all of them agree value for value.
 
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -60,6 +63,7 @@ __all__ = [
     "ThermoInput",
     "PaperZCoefficients",
     "ThermoResult",
+    "ThermoSeries",
     "StrategyComparison",
     "PlateauResult",
     "levels",
@@ -91,6 +95,17 @@ class Strategy(enum.Enum):
         raise ValueError(f"unknown strategy {name!r}; use direct, paper or poisson")
 
 
+# the largest beta whose square, the factor of C, is a finite double
+_BETA_MAX = math.sqrt(sys.float_info.max)
+
+
+def _check_betas(betas: np.ndarray) -> None:
+    """Refuse a beta that is not positive or whose square overflows."""
+    bad = ~((betas > 0.0) & (betas <= _BETA_MAX))
+    if bad.any():
+        raise ValueError(f"beta must be positive with a finite square, got {betas[bad][0]}")
+
+
 @dataclass(frozen=True)
 class ThermoInput:
     """One evaluation point of the canonical ensemble.
@@ -108,8 +123,7 @@ class ThermoInput:
     accept_truncation: bool = False
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        _check_betas(np.array([self.beta], dtype=float))
         # N = 0 is the admissible single-term edge case
         if self.truncation_n < 0:
             raise ValueError(f"truncation_n must be >= 0, got {self.truncation_n}")
@@ -152,8 +166,9 @@ class PaperZCoefficients:
 class ThermoResult:
     """Thermodynamic quantities at one evaluation point.
 
-    Z is the partition function; U, C, F, S are filled by evaluate() and
-    sweep() or left None by the partition-only entry points. C and S are in units of kb.
+    Z is the partition function; U, C, F, S are filled by evaluate() and by
+    a ThermoSeries point, or left None by the partition-only entry points.
+    C and S are in units of kb.
     """
 
     z: float
@@ -163,6 +178,46 @@ class ThermoResult:
     f: float | None = None
     s: float | None = None
     diagnostics: dict = field(default_factory=dict)
+
+
+@dataclass(eq=False)
+class ThermoSeries:
+    """Z, U, C, F and S of one (params, m, N, strategy) series on a beta grid.
+
+    Each quantity is a 1-D array over the grid, and so is each diagnostic:
+    "n_terms" and "tail_ratio" (direct sum), the flag "nonpositive_z"
+    (closed form) and "quadrature_refinements", "quadrature_evaluations" and
+    "quadrature_error_bound" (pipeline). variant is the closed form's d_t
+    reading, else None. series[i] is the ThermoResult at the i-th beta: its
+    diagnostics dict holds a flag only where it is set, and
+    "negative_entropy" = S wherever S is negative or NaN.
+    """
+
+    strategy: Strategy
+    variant: str | None
+    beta: np.ndarray
+    z: np.ndarray
+    log_z: np.ndarray
+    u: np.ndarray
+    c: np.ndarray
+    f: np.ndarray
+    s: np.ndarray
+    diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return self.beta.size
+
+    def __getitem__(self, i: int) -> ThermoResult:
+        diag = {"strategy": self.strategy.value}
+        if self.variant is not None:
+            diag["variant"] = self.variant
+        for name, column in self.diagnostics.items():
+            if column.dtype != bool or column[i]:  # a flag only where it is set
+                diag[name] = column[i].item()
+        z, log_z, u, c, f, s = (getattr(self, q)[i].item() for q in "z log_z u c f s".split())
+        if math.isnan(s) or s < 0.0:
+            diag["negative_entropy"] = s
+        return ThermoResult(z=z, log_z=log_z, u=u, c=c, f=f, s=s, diagnostics=diag)
 
 
 # the direct sum reduces its (beta x level) weight array in blocks of at most
@@ -178,9 +233,15 @@ def levels(inp: ThermoInput) -> np.ndarray:
     return energy(inp.params, np.arange(inp.truncation_n + 1, dtype=float), inp.m)
 
 
-def _z(log_z: float) -> float:
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn of each element as a Python float: libm's exp, log and pow (and
+    so Python's b**2) round differently from numpy's kernels and squaring."""
+    return np.array([fn(v) for v in x.tolist()])
+
+
+def _z(log_z: np.ndarray) -> np.ndarray:
     """Z = exp(ln Z), saturated to inf where it leaves the double range."""
-    return math.exp(log_z) if log_z < 700.0 else math.inf
+    return _libm(lambda v: math.exp(v) if v < 700.0 else math.inf, log_z)
 
 
 def _cut_lengths(shifted: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -239,36 +300,21 @@ def _boltzmann_sums(e: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray
     return e0, out, lengths
 
 
-def _direct_series(inputs: list[ThermoInput]) -> list[ThermoResult]:
-    """Direct-sum results for inputs that differ only in beta."""
-    first = inputs[0]
+def _direct_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
+    """Direct-sum series of first's (params, m, N) on the grid betas."""
     kb = first.params.kb
-    betas = np.array([inp.beta for inp in inputs], dtype=float)
-    e0, sums, lengths = _boltzmann_sums(levels(first), betas)
-    results = []
-    for inp, (sw, mean, var, shifted_mean, tail), n_terms in zip(
-            inputs, sums.T.tolist(), lengths.tolist()):
-        beta = inp.beta
-        log_z = -beta * e0 + math.log(sw)
-        results.append(ThermoResult(
-            z=_z(log_z),
-            log_z=log_z,
-            u=mean,
-            c=kb * beta**2 * var,
-            f=-log_z / beta,
-            s=kb * (math.log(sw) + beta * shifted_mean),
-            diagnostics={
-                "strategy": Strategy.DIRECT_SUM.value,
-                "n_terms": n_terms,
-                "tail_ratio": tail,
-            },
-        ))
-    return results
+    e0, (sw, mean, var, shifted_mean, tail), lengths = _boltzmann_sums(levels(first), betas)
+    log_sw = _libm(math.log, sw)
+    log_z = -betas * e0 + log_sw
+    return ThermoSeries(Strategy.DIRECT_SUM, None, betas, z=_z(log_z), log_z=log_z, u=mean,
+                        c=kb * _libm(lambda b: b**2, betas) * var, f=-log_z / betas,
+                        s=kb * (log_sw + betas * shifted_mean),
+                        diagnostics={"n_terms": lengths, "tail_ratio": tail})
 
 
 def partition_direct(inp: ThermoInput) -> ThermoResult:
     """Truncated state sum, accumulated in the log domain."""
-    res = _direct_series([inp])[0]
+    res = _direct_series(inp, np.array([inp.beta]))[0]
     return ThermoResult(z=res.z, log_z=res.log_z, diagnostics=res.diagnostics)
 
 
@@ -312,9 +358,9 @@ def paper_z_coefficients(inp: ThermoInput, variant: str = "corrected") -> PaperZ
         variant=variant)
 
 
-def _closed_form(inputs: list[ThermoInput], variant: str) -> list[ThermoResult]:
-    """Z, U, C, F and S of the closed form in one d_t variant, for inputs
-    that differ only in beta, as array expressions over their beta grid.
+def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSeries:
+    """Z, U, C, F and S of the closed form in one d_t variant, for first's
+    (params, m, N), as array expressions over the grid beta.
 
     With f(x) = exp(-beta E(x)), 2Z = exp(beta (a_t - d_t)) - f(N+1) + 2I,
     where I = int_0^{N+1} f dx is the erf term -Omega. U and C follow from
@@ -327,9 +373,7 @@ def _closed_form(inputs: list[ThermoInput], variant: str) -> list[ThermoResult]:
     d_t the boundary and Gaussian factors are 1 and exp(-beta (E_{N+1} - E_0)).
     Z itself saturates to inf or 0 only where exp(ln Z) leaves the double range.
     """
-    first = inputs[0]
     p, m, n_max, kb = first.params, first.m, first.truncation_n, first.params.kb
-    beta = np.array([inp.beta for inp in inputs], dtype=float)
     a_t, b_t, _, d_t, eta, theta_v = _coefficients(p, m, n_max, variant, beta)
     k, alpha = p.k, p.alpha
     e0 = energy(p, 0.0, m)
@@ -372,16 +416,9 @@ def _closed_form(inputs: list[ThermoInput], variant: str) -> list[ThermoResult]:
         z_nonpositive = 0.5 * two_z * np.exp(-beta * e0)
     f = -log_z / beta
     s = kb * (log_z + beta * u)
-    results = []
-    for lz, zn, u_, c_, f_, s_, pos in zip(log_z.tolist(), z_nonpositive.tolist(), u.tolist(),
-                                           c_heat.tolist(), f.tolist(), s.tolist(),
-                                           positive.tolist()):
-        diag = {"strategy": Strategy.PAPER_CLOSED_FORM.value, "variant": variant}
-        if not pos:
-            diag["nonpositive_z"] = True
-        results.append(ThermoResult(z=_z(lz) if pos else zn, log_z=lz, u=u_, c=c_, f=f_,
-                                    s=s_, diagnostics=diag))
-    return results
+    return ThermoSeries(Strategy.PAPER_CLOSED_FORM, variant, beta,
+                        z=np.where(positive, _z(log_z), z_nonpositive), log_z=log_z,
+                        u=u, c=c_heat, f=f, s=s, diagnostics={"nonpositive_z": ~positive})
 
 
 def partition_paper(inp: ThermoInput) -> ThermoResult:
@@ -390,7 +427,8 @@ def partition_paper(inp: ThermoInput) -> ThermoResult:
     A nonpositive closed-form value in a regime where the direct sum is
     positive is recorded as a diagnostic, never raised.
     """
-    by_variant = {v: _closed_form([inp], v)[0] for v in ("corrected", "verbatim")}
+    beta = np.array([inp.beta])
+    by_variant = {v: _closed_form(inp, beta, v)[0] for v in ("corrected", "verbatim")}
     primary = by_variant["corrected"]
     diag = {
         "strategy": Strategy.PAPER_CLOSED_FORM.value,
@@ -402,9 +440,9 @@ def partition_paper(inp: ThermoInput) -> ThermoResult:
     return ThermoResult(z=primary.z, log_z=primary.log_z, diagnostics=diag)
 
 
-def _poisson_series(inputs: list[ThermoInput]) -> list[ThermoResult]:
-    """Summation-formula results for inputs that differ only in beta, with
-    the integrals of f, (E - E_0) f and (E - E_0)^2 f done by one batched,
+def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
+    """Summation-formula series of first's (params, m, N) on the grid betas,
+    with the integrals of f, (E - E_0) f and (E - E_0)^2 f done by one batched,
     vector-valued quadrature over the grid.
 
     With f(x) = exp(-beta (E(x) - E_0)) the moments about E_0 are
@@ -413,9 +451,7 @@ def _poisson_series(inputs: list[ThermoInput]) -> list[ThermoResult]:
     up to sign, taken under the integral. That is exact here because f is
     exactly 0.0 at the clipped upper limit.
     """
-    first = inputs[0]
     p, m, n_max, kb = first.params, first.m, first.truncation_n, first.params.kb
-    betas = np.array([inp.beta for inp in inputs], dtype=float)
     e0 = energy(p, 0.0, m)
     upper = np.full(betas.size, n_max + 1.0)
     if p.k <= 0.0:
@@ -442,28 +478,15 @@ def _poisson_series(inputs: list[ThermoInput]) -> list[ThermoResult]:
     # each point's error bound relative to its integral, worst over the three
     with np.errstate(divide="ignore", invalid="ignore"):
         relative_bound = np.max(quad.error_bound / np.abs(quad.value), axis=1)
-    results = []
-    for beta, z0, z1, z2, refinements, evaluations, bound in zip(
-            betas.tolist(), m0.tolist(), m1.tolist(), m2.tolist(),
-            quad.row_refinements.tolist(), quad.row_evaluations.tolist(),
-            relative_bound.tolist()):
-        log_z = -beta * e0 + math.log(z0)
-        mean = z1 / z0  # <E - E_0>
-        results.append(ThermoResult(
-            z=_z(log_z),
-            log_z=log_z,
-            u=e0 + mean,
-            c=kb * beta**2 * (z2 / z0 - mean * mean),
-            f=-log_z / beta,
-            s=kb * (math.log(z0) + beta * mean),
-            diagnostics={
-                "strategy": Strategy.POISSON_PIPELINE.value,
-                "quadrature_refinements": refinements,
-                "quadrature_evaluations": evaluations,
-                "quadrature_error_bound": bound,
-            },
-        ))
-    return results
+    log_m0 = _libm(math.log, m0)
+    log_z = -betas * e0 + log_m0
+    mean = m1 / m0  # <E - E_0>
+    return ThermoSeries(Strategy.POISSON_PIPELINE, None, betas, z=_z(log_z), log_z=log_z,
+                        u=e0 + mean, c=kb * _libm(lambda b: b**2, betas) * (m2 / m0 - mean * mean),
+                        f=-log_z / betas, s=kb * (log_m0 + betas * mean),
+                        diagnostics={"quadrature_refinements": quad.row_refinements,
+                                     "quadrature_evaluations": quad.row_evaluations,
+                                     "quadrature_error_bound": relative_bound})
 
 
 def partition_poisson_independent(inp: ThermoInput) -> ThermoResult:
@@ -473,25 +496,17 @@ def partition_poisson_independent(inp: ThermoInput) -> ThermoResult:
     agreement between the two validates the erf manipulations; disagreement
     with the direct sum measures the summation formula's own truncation error.
     """
-    res = _poisson_series([inp])[0]
+    res = _poisson_series(inp, np.array([inp.beta]))[0]
     return ThermoResult(z=res.z, log_z=res.log_z, diagnostics=res.diagnostics)
 
 
-def _series(inputs: list[ThermoInput], variant: str) -> list[ThermoResult]:
-    """Results for inputs that differ only in beta, under their strategy."""
-    if not inputs:
-        return []
-    strategy = inputs[0].strategy
-    if strategy is Strategy.DIRECT_SUM:
-        results = _direct_series(inputs)
-    elif strategy is Strategy.PAPER_CLOSED_FORM:
-        results = _closed_form(inputs, variant)
-    else:
-        results = _poisson_series(inputs)
-    for res in results:
-        if math.isnan(res.s) or res.s < 0.0:
-            res.diagnostics["negative_entropy"] = res.s
-    return results
+def _series(first: ThermoInput, betas: np.ndarray, variant: str) -> ThermoSeries:
+    """The series of first's (params, m, N) on the grid betas, under its strategy."""
+    if first.strategy is Strategy.DIRECT_SUM:
+        return _direct_series(first, betas)
+    if first.strategy is Strategy.PAPER_CLOSED_FORM:
+        return _closed_form(first, betas, variant)
+    return _poisson_series(first, betas)
 
 
 def average_energy(inp: ThermoInput) -> float:
@@ -530,18 +545,23 @@ def entropy(inp: ThermoInput) -> float:
 
 def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float],
           strategy: Strategy = Strategy.DIRECT_SUM,
-          variant: str = "corrected") -> list[ThermoResult]:
-    """Z, U, C, F and S at every beta of a grid, one ThermoResult per beta.
+          variant: str = "corrected") -> ThermoSeries:
+    """Z, U, C, F and S at every beta of a grid, as one ThermoSeries.
 
-    Each value equals evaluate() at that beta. The direct sum builds the
-    spectrum once and reduces it in blocks of beta rows, each row over only
-    the levels up to its underflow cut (diagnostics "n_terms"); the closed
-    form computes only the requested d_t variant, as one array expression
-    over the grid.
+    Each element, and each point series[i], equals evaluate() at its beta.
+    Every beta must be positive with a finite square (ValueError otherwise);
+    an empty grid gives an empty series. The direct sum reduces the spectrum
+    in blocks of beta rows, each row up to its underflow cut ("n_terms");
+    the closed form computes only the requested d_t variant.
     """
-    inputs = [ThermoInput(params=params, m=m, beta=beta, truncation_n=truncation_n,
-                          strategy=strategy) for beta in betas]
-    return _series(inputs, variant)
+    betas = np.fromiter(betas, dtype=float)
+    _check_betas(betas)
+    if betas.size == 0:
+        variant = variant if strategy is Strategy.PAPER_CLOSED_FORM else None
+        return ThermoSeries(strategy, variant, *[betas] * 7)
+    first = ThermoInput(params=params, m=m, beta=betas[0].item(), truncation_n=truncation_n,
+                        strategy=strategy)
+    return _series(first, betas, variant)
 
 
 def evaluate(inp: ThermoInput, variant: str = "corrected") -> ThermoResult:
@@ -550,7 +570,7 @@ def evaluate(inp: ThermoInput, variant: str = "corrected") -> ThermoResult:
     variant selects the d_t reading for the closed-form strategy; the other
     strategies ignore it. This is sweep() on a one-point grid.
     """
-    return _series([inp], variant)[0]
+    return _series(inp, np.array([inp.beta], dtype=float), variant)[0]
 
 
 @dataclass
@@ -585,24 +605,16 @@ def compare_strategies(params: SystemParams, m: int, truncation_n: int,
                        betas: Iterable[float]) -> StrategyComparison:
     """Evaluate Z under all strategies on a beta grid and report discrepancies."""
     betas = list(betas)
-    series = [sweep(params, m, truncation_n, betas, strategy, variant)
-              for strategy, variant in ((Strategy.DIRECT_SUM, "corrected"),
-                                        (Strategy.POISSON_PIPELINE, "corrected"),
-                                        (Strategy.PAPER_CLOSED_FORM, "corrected"),
-                                        (Strategy.PAPER_CLOSED_FORM, "verbatim"))]
-    rows = []
-    for beta, *point in zip(betas, *series):
-        zd, zp, zc, zv = (res.z for res in point)
-        rows.append({
-            "beta": beta,
-            "z_direct": zd,
-            "z_poisson": zp,
-            "z_corrected": zc,
-            "z_verbatim": zv,
-            "rel_poisson": abs(zp - zd) / zd,
-            "rel_corrected": abs(zc - zd) / zd,
-            "rel_verbatim": abs(zv - zd) / zd,
-        })
+    zd, zp, zc, zv = (sweep(params, m, truncation_n, betas, strategy, variant).z
+                      for strategy, variant in ((Strategy.DIRECT_SUM, "corrected"),
+                                                (Strategy.POISSON_PIPELINE, "corrected"),
+                                                (Strategy.PAPER_CLOSED_FORM, "corrected"),
+                                                (Strategy.PAPER_CLOSED_FORM, "verbatim")))
+    columns = (zd, zp, zc, zv) + tuple(np.abs(z - zd) / zd for z in (zp, zc, zv))
+    keys = ("z_direct", "z_poisson", "z_corrected", "z_verbatim",
+            "rel_poisson", "rel_corrected", "rel_verbatim")
+    rows = [{"beta": beta, **dict(zip(keys, values))}
+            for beta, *values in zip(betas, *(col.tolist() for col in columns))]
     return StrategyComparison(rows=rows)
 
 

@@ -1,14 +1,17 @@
 """Front-end tests: argument handling, CSV output, determinism, exit codes."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pdm_osc import thermo
 from pdm_osc.cli import _temperature_grid, main
 from pdm_osc.oscillator import SystemParams, make_state, radial_overlap, radial_wavefunction
-from pdm_osc.output import SeriesTable
+from pdm_osc.output import SeriesTable, format_float
 from pdm_osc.specfun import QuadratureSpec, integrate
 
 
@@ -113,6 +116,33 @@ class TestThermoCommand:
         fields = dict(part.split("=") for part in capsys.readouterr().out.split())
         assert float(fields["Z"]) == 0.0
         assert all(math.isfinite(float(fields[q])) for q in "UCFS")
+
+    @pytest.mark.parametrize("strategy", ["direct", "paper", "poisson"])
+    def test_single_point_beta_out_of_range(self, capsys, strategy):
+        """At T = 1e-300 beta**2 overflows: every strategy refuses with one
+        line that names beta, and prints no quantities."""
+        rc = main(["thermo", f"--strategy={strategy}", "--T=1e-300", "--k=-0.1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: beta must be positive with a finite square, got ")
+        assert captured.err.count("\n") == 1
+
+    def test_single_point_non_finite_quantity_named(self, capsys, monkeypatch):
+        """A non-finite quantity at one T is refused as a table cell would be."""
+        real_sweep = thermo.sweep
+
+        def sweep_with_nan_c(*args, **kw):
+            series = real_sweep(*args, **kw)
+            series.c[:] = math.nan
+            return series
+
+        monkeypatch.setattr(thermo, "sweep", sweep_with_nan_c)
+        rc = main(["thermo", "--T=1", "--k-list=-0.1,-0.2"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite value nan at row 0 column 'C(k=-0.10000000000000001) [kb]'\n"
 
     def test_paper_strategy_both_variants(self, tmp_path):
         rc = main(["thermo", "--k", "-0.3", "--m", "1", "--strategy", "paper",
@@ -239,6 +269,24 @@ class TestConfigHandling:
         assert "field=k_list" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--T=nan", "T"), ("--T=inf", "T"), ("--T-max=inf", "T_max"), ("--T-min=nan", "T_min"),
+        ("--kb=inf", "kb"), ("--k=nan", "k"), ("--alpha=inf", "alpha"), ("--lam=-inf", "lam"),
+        ("--k-list=-0.1,nan", "k_list")])
+    def test_non_finite_option_rejected(self, tmp_path, capsys, flag, field):
+        rc = main(["thermo", flag, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config-error field={field} reason=")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = nan\n", encoding="utf-8")
+        assert main(["thermo", "--config", str(cfg), "--T=1"]) == 2
+        assert capsys.readouterr().err.startswith("config-error field=k reason=")
+
     def test_bad_T_grid(self, capsys):
         rc = main(["thermo", "--T-min", "5", "--T-max", "1"])
         assert rc == 2
@@ -289,7 +337,103 @@ class TestValidateCommand:
         assert "FAILED: ode_residual" in captured.err
 
 
+def reference_csv(table):
+    """The per-cell renderer: one format_float call per cell."""
+    lines = [f"# {key}: {value}" for key, value in table.metadata]
+    lines.append(",".join([table.x_label] + [name for name, _ in table.columns]))
+    for i, xv in enumerate(table.x):
+        cells = [format_float(float(xv))] + [format_float(float(col[i])) for _, col in table.columns]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_polylines(table, width=720, height=480):
+    """The points of each polyline, one f-string per point."""
+    ml, mr, mt, mb = 70, 20, 20, 50
+    pw, ph = width - ml - mr, height - mt - mb
+    xs = [float(v) for v in table.x]
+    ys = [float(v) for _, col in table.columns for v in col]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    if x1 == x0:
+        x1 = x0 + 1.0
+    if y1 == y0:
+        y1 = y0 + 1.0
+    pad = 0.05 * (y1 - y0)
+    y0, y1 = y0 - pad, y1 + pad
+    return [" ".join(f"{ml + (x - x0) / (x1 - x0) * pw:.2f},"
+                     f"{mt + ph - (float(y) - y0) / (y1 - y0) * ph:.2f}"
+                     for x, y in zip(xs, col))
+            for _, col in table.columns]
+
+
+# subnormals, signed zeros, the ends of the double range
+EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 1e308, -1e308,
+              1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0, 1e-300, 1e22]
+
+AS_LIST, AS_ARRAY = (lambda a: a.tolist()), (lambda a: a)
+
+
+def random_finite_doubles(seed, n):
+    """Finite doubles from uniformly random bit patterns."""
+    v = np.frombuffer(np.random.default_rng(seed).bytes(8 * n), dtype=np.float64)
+    return v[np.isfinite(v)]
+
+
 class TestSeriesTable:
+    @pytest.mark.parametrize("kind", [AS_LIST, AS_ARRAY])
+    def test_block_rendering_matches_per_cell_reference(self, kind):
+        cells = np.concatenate([EDGE_CELLS, random_finite_doubles(11, 6000)])
+        rows = cells.size // 3
+        x, a, b = cells[:3 * rows].reshape(3, rows)
+        table = SeriesTable(x_label="x", y_label="y", x=kind(x),
+                            columns=[("a", kind(a)), ("b", kind(b))], metadata=[("key", "val")])
+        assert table.to_csv() == reference_csv(table)
+
+    def test_polyline_matches_per_point_reference(self):
+        rng = np.random.default_rng(5)
+        x = np.sort(rng.uniform(0.1, 50.0, 300))
+        tables = [
+            SeriesTable(x_label="x", y_label="y", x=x,
+                        columns=[("a", rng.normal(size=300) * 1e3), ("b", np.full(300, 2.5)),
+                                 ("c", np.exp(rng.uniform(-700.0, 700.0, 300)))]),
+            # a flat column and a single point stretch the degenerate ranges
+            SeriesTable(x_label="x", y_label="y", x=x, columns=[("a", np.full(300, -1.0))]),
+            SeriesTable(x_label="x", y_label="y", x=[3.0], columns=[("a", [7.0]), ("b", [5e-324])]),
+        ]
+        for table in tables:
+            svg = table.to_svg()
+            assert re.findall(r'<polyline points="([^"]*)"', svg) == reference_polylines(table)
+            as_lists = SeriesTable(x_label="x", y_label="y", x=list(map(float, table.x)),
+                                   columns=[(n, list(map(float, c))) for n, c in table.columns])
+            assert as_lists.to_svg() == svg
+
+    @pytest.mark.parametrize("kind", [AS_LIST, AS_ARRAY])
+    def test_non_finite_reported_in_order(self, kind):
+        """The first non-finite cell of the first column that has one, the
+        columns in order and x last."""
+        nan, inf = math.nan, math.inf
+        x = np.array([0.0, nan, 2.0, 3.0])
+        cols = {"a": np.array([1.0, 2.0, 3.0, 4.0]), "b": np.array([1.0, 2.0, -inf, nan]),
+                "c": np.array([nan, 1.0, 1.0, inf])}
+        expected = [("b", "non-finite value -inf at row 2 column 'b'"),
+                    ("c", "non-finite value nan at row 0 column 'c'"),
+                    (None, "non-finite value nan at row 1 column 'x'")]
+        for fixed, message in expected:
+            table = SeriesTable(x_label="x", y_label="y", x=kind(x),
+                                columns=[(name, kind(col)) for name, col in cols.items()])
+            for render in (table.to_csv, table.to_svg):
+                with pytest.raises(ValueError) as err:
+                    render()
+                assert str(err.value) == message
+            if fixed:
+                cols[fixed] = np.ones(4)
+
+    @pytest.mark.parametrize("kind", [AS_LIST, AS_ARRAY])
+    def test_zero_rows_render_header_only(self, kind):
+        table = SeriesTable(x_label="x", y_label="y", x=kind(np.empty(0)),
+                            columns=[("a", kind(np.empty(0)))], metadata=[("key", "val")])
+        assert table.to_csv() == "# key: val\nx,a\n"
+
     def test_nan_rejected_with_location(self):
         table = SeriesTable(
             x_label="x", y_label="y", x=[0.0, 1.0],

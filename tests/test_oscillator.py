@@ -53,6 +53,14 @@ class TestSystemParams:
             SystemParams(alpha=1.0, k=0.2)
         SystemParams(alpha=1.0, k=0.2, exploratory=True)  # opt-in works
 
+    @pytest.mark.parametrize("field", ["alpha", "k", "lam", "kb"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        # exploratory, so that k = inf is refused as non-finite, not as k >= 0
+        kw = {"alpha": 1.0, "k": -0.5, "lam": 1.0, "kb": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SystemParams(**kw, exploratory=True)
+
     def test_delta_relation_exact(self):
         p = SystemParams(alpha=1.0, k=-0.37, lam=1.7)
         assert p.delta_sq == -0.37 * 1.7

@@ -27,6 +27,7 @@ from pdm_osc.thermo import (
     partition_poisson_independent,
     sweep,
 )
+from pdm_osc.validate import strictly_decreasing_resolvable
 
 PHYS = SystemParams(alpha=1.0, k=-0.3)
 FIG_KS = (-0.1, -0.2, -0.3)
@@ -449,17 +450,41 @@ class TestComparisonReport:
         assert e[0] == pytest.approx(energy(PHYS, 0, 1), rel=1e-14)
 
 
+# the diagnostics columns of a series under each strategy
+DIAGNOSTIC_COLUMNS = {
+    Strategy.DIRECT_SUM: ["n_terms", "tail_ratio"],
+    Strategy.PAPER_CLOSED_FORM: ["nonpositive_z"],
+    Strategy.POISSON_PIPELINE: ["quadrature_refinements", "quadrature_evaluations",
+                                "quadrature_error_bound"],
+}
+
+
 class TestSweep:
-    """sweep() equals evaluate() at every beta, bit for bit, diagnostics too."""
+    """sweep() equals evaluate() at every beta, bit for bit, diagnostics too,
+    both as arrays and point by point."""
 
     @staticmethod
     def assert_equal_to_evaluate(params, m, n, betas, strategy, variant="corrected"):
-        results = sweep(params, m, n, betas, strategy, variant)
-        assert len(results) == len(betas)
-        for beta, res in zip(betas, results):
-            ref = evaluate(ThermoInput(params=params, m=m, beta=beta, truncation_n=n,
-                                       strategy=strategy), variant)
-            assert (res.z, res.u, res.c, res.f, res.s) == (ref.z, ref.u, ref.c, ref.f, ref.s)
+        series = sweep(params, m, n, betas, strategy, variant)
+        refs = [evaluate(ThermoInput(params=params, m=m, beta=beta, truncation_n=n,
+                                     strategy=strategy), variant) for beta in betas]
+        assert len(series) == len(betas)
+        assert series.strategy is strategy
+        assert series.variant == (variant if strategy is Strategy.PAPER_CLOSED_FORM else None)
+        assert series.beta.tolist() == [float(b) for b in betas]
+        for name in ("z", "log_z", "u", "c", "f", "s"):
+            column = getattr(series, name)
+            assert column.shape == (len(betas),)
+            assert column.tolist() == [getattr(ref, name) for ref in refs]
+        assert list(series.diagnostics) == DIAGNOSTIC_COLUMNS[strategy]
+        for name, column in series.diagnostics.items():
+            if column.dtype == bool:  # a flag: in the dict only where set
+                assert column.tolist() == [name in ref.diagnostics for ref in refs]
+            else:
+                assert column.tolist() == [ref.diagnostics[name] for ref in refs]
+        for res, ref in zip(series, refs):
+            assert (res.z, res.log_z, res.u, res.c, res.f, res.s) == (
+                ref.z, ref.log_z, ref.u, ref.c, ref.f, ref.s)
             assert res.diagnostics == ref.diagnostics
 
     def test_direct_grid_longer_than_one_block(self):
@@ -473,8 +498,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("n", [500, 100_000])
     def test_direct_matches_one_dimensional_sums(self, n):
-        """The block reduction equals the per-beta 1-D sums, bit for bit."""
+        """The block reduction equals the per-beta 1-D sums, bit for bit;
+        C takes beta**2 from libm's pow, which differs from beta * beta at
+        the betas added here."""
         betas = list(np.geomspace(1e-4, 100.0, 300 if n == 500 else 3))
+        betas += [b for b in np.geomspace(1e-4, 100.0, 20_000).tolist() if b**2 != b * b][:8]
         e = levels(ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=n))
         e0 = float(e.min())
         for beta, res in zip(betas, sweep(PHYS, 1, n, betas)):
@@ -519,9 +547,32 @@ class TestSweep:
         self.assert_equal_to_evaluate(SystemParams(alpha=1.0, k=-1e-6), 40, 100_000,
                                       [1e-4, 1e3], Strategy.POISSON_PIPELINE)
 
+    def test_paper_flags_and_negative_entropy(self):
+        """Both variants at m = 3 reach the beta where S < 0; the flag and
+        negative_entropy keys are per point, equal to evaluate()."""
+        betas = [0.05, 2.0, 10.0, 200.0]
+        for variant in ("corrected", "verbatim"):
+            self.assert_equal_to_evaluate(PHYS, 3, 500, betas, Strategy.PAPER_CLOSED_FORM,
+                                          variant)
+            series = sweep(PHYS, 3, 500, betas, Strategy.PAPER_CLOSED_FORM, variant)
+            assert series[-1].diagnostics["negative_entropy"] == series.s[-1] < 0.0
+            assert "negative_entropy" not in series[0].diagnostics
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_empty_grid(self, strategy):
+        series = sweep(PHYS, 1, 500, [], strategy)
+        assert len(series) == 0 and list(series) == []
+        assert all(getattr(series, name).shape == (0,)
+                   for name in ("beta", "z", "log_z", "u", "c", "f", "s"))
+
     def test_validates_every_beta(self):
-        with pytest.raises(ValueError):
-            sweep(PHYS, 1, 500, [0.1, 0.0])
+        """Zero, negative, NaN, infinite and squared-to-overflow betas are
+        refused wherever they sit in the grid."""
+        for bad in (0.0, -1.0, math.nan, math.inf, 1e300):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                sweep(PHYS, 1, 500, [0.1, bad])
+            with pytest.raises(ValueError, match="beta must be positive"):
+                sweep(PHYS, 1, 500, np.array([bad, 0.1]))
 
 
 class TestEvaluateBundle:
@@ -600,3 +651,34 @@ class TestRegimeEdges:
         assert res.z == (math.exp(res.log_z) if res.log_z < 700.0 else math.inf)
         scale = abs(res.s) + beta * (abs(res.u) + abs(res.f))
         assert abs(res.s - beta * (res.u - res.f)) <= 1e-12 * scale
+
+
+def strictly_decreasing_loop(temps, fs, ss):
+    """The point-by-point rule that strictly_decreasing_resolvable applies
+    to whole arrays."""
+    for i in range(len(fs) - 1):
+        resolution = 8.0 * 2.220446049250313e-16 * max(1.0, abs(fs[i]))
+        if ss[i] * (temps[i + 1] - temps[i]) > resolution:
+            if not fs[i + 1] < fs[i]:
+                return False
+        elif fs[i + 1] > fs[i] + resolution:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.tuples(st.floats(1e-3, 1.0),
+                                st.sampled_from([0.0, 1e-18, -1e-18, 1e-3, -1e-3, -5.0, math.nan]),
+                                st.sampled_from([0.0, 1e-20, 1.0, math.nan])),
+                      min_size=1, max_size=12))
+def test_strictly_decreasing_resolvable_matches_loop(steps):
+    """Ties below the resolution of F, resolvable rises and NaN, as arrays
+    and as lists."""
+    temps, fs, ss = [1.0], [5.0], [1.0]
+    for dt, df, s in steps:
+        temps.append(temps[-1] + dt)
+        fs.append(fs[-1] + df)
+        ss.append(s)
+    expected = strictly_decreasing_loop(temps, fs, ss)
+    assert strictly_decreasing_resolvable(temps, fs, ss) is expected
+    assert strictly_decreasing_resolvable(*map(np.array, (temps, fs, ss))) is expected
