@@ -31,6 +31,7 @@ from .oscillator import (
     nu_instance,
     ode_residual,
     radial_overlap,
+    radial_overlaps,
     radial_wavefunction,
     solve_energy,
     total_wavefunction,
@@ -88,7 +89,8 @@ __all__ = [
     "SystemParams", "QuantumState", "RadialWavefunction",
     "DomainError", "NonPhysicalError", "NonNormalizableError",
     "energy", "make_state", "mass", "nu_instance", "radial_wavefunction",
-    "ode_residual", "total_wavefunction", "radial_overlap", "solve_energy",
+    "ode_residual", "total_wavefunction", "radial_overlap", "radial_overlaps",
+    "solve_energy",
     # thermo
     "Strategy", "ThermoInput", "ThermoResult", "ThermoSeries", "PaperZCoefficients",
     "StrategyComparison", "PlateauResult",

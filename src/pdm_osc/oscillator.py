@@ -21,9 +21,9 @@ use it throughout (the flat polar measure r dr does not diagonalize the
 spectrum; see RadialWavefunction.radial_weight). Under x = 1 - 2z that
 measure is the Jacobi weight (1 - x)^|m| (1 + x)^s, so the norm is the
 closed-form Jacobi norm (DLMF 18.3) and equal-m orthogonality is Jacobi
-orthogonality; radial_overlap re-integrates by quadrature as the independent
-check. Bound states need k < 0 < lam; elsewhere the radial solution grows
-and radial_wavefunction refuses with NonNormalizableError.
+orthogonality; radial_overlaps re-integrates by quadrature as the
+independent check. Bound states need k < 0 < lam; elsewhere the radial
+solution grows and radial_wavefunction refuses with NonNormalizableError.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "ode_residual",
     "total_wavefunction",
     "radial_overlap",
+    "radial_overlaps",
     "solve_energy",
 ]
 
@@ -269,9 +270,12 @@ class RadialWavefunction:
 
 
 def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
-                 r: float, h: float | None = None) -> float:
-    """Relative residual of the radial equation for an arbitrary evaluator u."""
+                 r: float | np.ndarray, h: float | None = None) -> float | np.ndarray:
+    """Relative residual of the radial equation for an arbitrary evaluator u,
+    at a number r or elementwise over an ndarray of them (u then takes
+    arrays too)."""
     lam, alpha, d2 = params.lam, params.alpha, params.delta_sq
+    array = isinstance(r, np.ndarray)
     w = 1.0 + d2 * r * r
     coef = (
         2.0 * lam * energy_value / w
@@ -283,14 +287,18 @@ def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
         + abs(m * m / (r * r * w))
         + alpha * alpha * lam * lam * r * r / (w * w)
     )
+    # numpy for arrays; math and builtins for numbers, as in unnormalized()
     if h is None:
         # balances 4th-order truncation against roundoff of the second
         # difference; tuned on the fixture states (worst case ~2e-9)
-        h = 0.008 / math.sqrt(scale)
-        room = min(r, params.r_max - r) / 2.5
-        h = min(h, room)
+        if array:
+            h = np.minimum(0.008 / np.sqrt(scale), np.minimum(r, params.r_max - r) / 2.5)
+        else:
+            h = min(0.008 / math.sqrt(scale), min(r, params.r_max - r) / 2.5)
     samples, d1, dd = five_point_stencil(u, r, h)
-    local = max(*map(abs, samples), 1e-30)
+    magnitudes = [abs(sample) for sample in samples]
+    local = (np.maximum(np.max(magnitudes, axis=0), 1e-30) if array
+             else max(*magnitudes, 1e-30))
     return (dd + d1 / r + coef * samples[2]) / (scale * local)
 
 
@@ -315,16 +323,21 @@ def radial_wavefunction(params: SystemParams, state: QuantumState) -> RadialWave
     return RadialWavefunction(params, state)
 
 
-def ode_residual(params: SystemParams, state: QuantumState, r: float,
-                 h: float | None = None, energy_override: float | None = None) -> float:
+def ode_residual(params: SystemParams, state: QuantumState, r: float | np.ndarray,
+                 h: float | None = None,
+                 energy_override: float | None = None) -> float | np.ndarray:
     """Relative residual of the radial equation at r, by 4th-order differences.
 
-    The residual is normalized by the local coefficient scale times the
-    largest |U| on the stencil, so eigenstates sit at roundoff level (~1e-11)
-    while an energy shifted by 0.05 is visible at the 1e-3 level.
-    energy_override replaces E in the equation only; U stays the eigenstate.
+    r is a number or an ndarray of them, each in (0, r_max); an array gives
+    the residual at each of its points from one wavefunction build and five
+    array evaluations. The residual is normalized by the local coefficient
+    scale times the largest |U| on the stencil, so eigenstates sit at
+    roundoff level (~1e-11) while an energy shifted by 0.05 is visible at the
+    1e-3 level. energy_override replaces E in the equation only; U stays the
+    eigenstate.
     """
-    if not 0.0 < r < params.r_max:
+    lo, hi = (r.min(), r.max()) if isinstance(r, np.ndarray) else (r, r)
+    if not 0.0 < lo <= hi < params.r_max:
         raise DomainError(f"r={r} outside the open interval (0, {params.r_max})")
     wf = radial_wavefunction(params, state)
     e = state.energy if energy_override is None else energy_override
@@ -351,17 +364,30 @@ def _turning_radius(params: SystemParams, state: QuantumState) -> float:
     return math.sqrt((b + math.sqrt(max(b * b + 4.0 * a * m2, 0.0))) / (-2.0 * a))
 
 
-def radial_overlap(params: SystemParams, m: int, n1: int, n2: int) -> float:
-    """Inner product of two normalized radial states at fixed m, by quadrature.
+def radial_overlaps(params: SystemParams, triples) -> np.ndarray:
+    """Inner products of pairs of normalized radial states at fixed m, by
+    quadrature: one value for each (m, n1, n2) of triples.
 
     Uses the mass-weighted measure; equals 1 for n1 == n2 and vanishes for
     n1 != n2 up to quadrature error. This is the independent check of the
-    closed-form norm. Raises NonNormalizableError outside k < 0 < lam.
+    closed-form norm. Each distinct state is built once, and the integrand
+    evaluates it once per quadrature round on the nodes of every row that
+    uses it. Rows with the same number of breakpoints share one batched
+    integrate() call, whose rows are integrated as if alone, so each value
+    is the one a single-row call gives. Raises NonNormalizableError outside
+    k < 0 < lam.
     """
-    w1 = radial_wavefunction(params, make_state(params, n1, m))
-    w2 = radial_wavefunction(params, make_state(params, n2, m))
-    d2 = params.delta_sq
-    integrand = lambda r, _: w1.value(r) * w2.value(r) * r / (1.0 + d2 * r * r)
+    triples = list(triples)
+    index: dict[tuple[int, int], int] = {}  # (n, m) -> position in wfs
+    wfs = []
+    for m, n1, n2 in triples:
+        for n in (n1, n2):
+            if (n, m) not in index:
+                index[(n, m)] = len(wfs)
+                wfs.append(radial_wavefunction(params, make_state(params, n, m)))
+    pairs = np.array([(index[(n1, m)], index[(n2, m)]) for m, n1, n2 in triples],
+                     dtype=int).reshape(-1, 2)
+    turning = [_turning_radius(params, wf.state) for wf in wfs]
     # the integrand vanishes like (1 - z)^s at the endpoint, so the inset
     # truncates less than 1e-20 of the mass
     upper = params.r_max * (1.0 - 1e-10)
@@ -369,14 +395,40 @@ def radial_overlap(params: SystemParams, m: int, n1: int, n2: int) -> float:
     # one panel can miss, which converges to a false 0; breakpoints at the
     # outer turning radius r_t and at r_t 2^j beyond it put nodes where the
     # states live and along their decaying tails
-    breakpoints = []
-    r = max(_turning_radius(params, w.state) for w in (w1, w2))
-    while r < upper:
-        breakpoints.append(r)
-        r *= 2.0
-    spec = QuadratureSpec(0.0, upper, rel_tol=1e-10, abs_tol=1e-13,
-                          breakpoints=tuple(breakpoints))
-    return integrate(integrand, spec).value
+    cuts = []
+    for i, j in pairs.tolist():
+        row, r = [], max(turning[i], turning[j])
+        while r < upper:
+            row.append(r)
+            r *= 2.0
+        cuts.append(row)
+    d2 = params.delta_sq
+    values = np.empty(len(triples))
+    for count in sorted({len(row) for row in cuts}):
+        group = np.array([t for t, row in enumerate(cuts) if len(row) == count])
+
+        def integrand(r: np.ndarray, rows: np.ndarray, pairs=pairs[group]) -> np.ndarray:
+            # each state once, on the nodes of all the rows that use it
+            first, second = pairs[rows].T
+            u1, u2 = np.empty_like(r), np.empty_like(r)
+            for s in set(first.tolist()) | set(second.tolist()):
+                in1, in2 = first == s, second == s
+                u = np.empty_like(r)
+                u[in1 | in2] = wfs[s].value(r[in1 | in2])
+                u1[in1], u2[in2] = u[in1], u[in2]
+            return u1 * u2 * r / (1.0 + d2 * r * r)
+
+        spec = QuadratureSpec(np.zeros(group.size), np.full(group.size, upper),
+                              rel_tol=1e-10, abs_tol=1e-13,
+                              breakpoints=np.reshape([cuts[t] for t in group], (group.size, count)))
+        values[group] = integrate(integrand, spec).value
+    return values
+
+
+def radial_overlap(params: SystemParams, m: int, n1: int, n2: int) -> float:
+    """Inner product of two normalized radial states at fixed m, by
+    quadrature: radial_overlaps() of the one triple (m, n1, n2)."""
+    return radial_overlaps(params, [(m, n1, n2)])[0].item()
 
 
 def solve_energy(params: SystemParams, m: int, n_r: int,

@@ -82,8 +82,10 @@ class QuadratureSpec:
     """Intervals, breakpoints and tolerances for adaptive integration.
 
     lower and upper are numbers, or equal-length sequences of them: one
-    integrand row per interval. breakpoints, increasing and inside every
-    row's interval, split each row into its first segments.
+    integrand row per interval. breakpoints split each row into its first
+    segments: one increasing sequence inside every row's interval, or a
+    (rows, nb) array that gives each of the rows of sequence bounds its own
+    increasing row of nb breakpoints inside its interval.
     """
 
     lower: float | Sequence[float]
@@ -91,15 +93,20 @@ class QuadratureSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_refinements: int = 4000
-    breakpoints: tuple[float, ...] = ()
+    breakpoints: tuple[float, ...] | np.ndarray = ()
 
     def __post_init__(self):
         try:
-            edges = self.edges()
+            shape = np.broadcast_shapes(np.shape(self.lower), np.shape(self.upper))
         except ValueError:
-            edges = None
-        if edges is None or edges.ndim > 2:
+            shape = None
+        if shape is None or len(shape) > 1:
             raise ValueError("lower and upper must be numbers or sequences of one length")
+        rows = np.shape(self.breakpoints)[:-1]
+        if rows and rows != shape:
+            raise ValueError(f"per-row breakpoints need one row per interval, got rows of "
+                             f"shape {rows} for bounds of shape {shape}")
+        edges = self.edges()
         if not np.all(edges[..., :-1] < edges[..., 1:]):
             raise ValueError(f"need lower < breakpoints < upper, got lower={self.lower}, "
                              f"breakpoints={self.breakpoints}, upper={self.upper}")
@@ -113,8 +120,9 @@ class QuadratureSpec:
         the last axis; the leading axes have the shape of the bounds."""
         lower, upper = np.broadcast_arrays(np.asarray(self.lower, dtype=float),
                                            np.asarray(self.upper, dtype=float))
-        edges = np.empty(lower.shape + (len(self.breakpoints) + 2,))
-        edges[..., 0], edges[..., 1:-1], edges[..., -1] = lower, self.breakpoints, upper
+        breakpoints = np.asarray(self.breakpoints, dtype=float)
+        edges = np.empty(lower.shape + (breakpoints.shape[-1] + 2,))
+        edges[..., 0], edges[..., 1:-1], edges[..., -1] = lower, breakpoints, upper
         return edges
 
 
@@ -426,13 +434,15 @@ def _integrate_rows(f: Integrand, edges: np.ndarray, first_row: int, spec: Quadr
 
 
 def five_point_stencil(
-    f: Callable[[float], float], x: float, h: float
-) -> tuple[tuple[float, ...], float, float]:
+    f: Callable, x: float | np.ndarray, h: float | np.ndarray
+) -> tuple[tuple, float | np.ndarray, float | np.ndarray]:
     """The five samples f(x + j h), j = -2..2, and the fourth-order central
     estimates of f'(x) and f''(x) from them.
 
     Returns (samples, d1, d2); samples[2] is f(x). Samples are taken in the
-    order of j, so a caller can pair side results of f with them.
+    order of j, so a caller can pair side results of f with them. x and h
+    may be ndarrays of points and their steps; f then maps an array of points
+    to values whose last axis runs over the points.
     """
     fm2, fm1, f0, fp1, fp2 = samples = tuple(f(x + j * h) for j in (-2, -1, 0, 1, 2))
     d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
@@ -441,18 +451,20 @@ def five_point_stencil(
 
 
 def central_diff(
-    f: Callable[[float], float], x: float, order: int, h: float | None = None
-) -> float:
+    f: Callable, x: float | np.ndarray, order: int, h: float | np.ndarray | None = None
+) -> float | np.ndarray:
     """Fourth-order central difference estimate of f' or f'' at x.
 
-    The default step balances truncation against roundoff for smooth O(1)
+    x may be an ndarray of points, with f as in five_point_stencil. The
+    default step balances truncation against roundoff for smooth O(1)
     curvature; pass h explicitly for functions with fine structure.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if h is None:
-        h = max(1e-5, 1e-5 * abs(x))
-    if h <= 0:
+        h = (np.maximum(1e-5, 1e-5 * np.abs(x)) if isinstance(x, np.ndarray)
+             else max(1e-5, 1e-5 * abs(x)))
+    if np.any(h <= 0):
         raise ValueError("step h must be positive")
     _, d1, d2 = five_point_stencil(f, x, h)
     return d1 if order == 1 else d2

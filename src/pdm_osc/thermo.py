@@ -283,7 +283,7 @@ def _boltzmann_sums(e: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray
     shifted = e - e0
     out = np.empty((5, betas.size))
     lengths = _cut_lengths(shifted, betas)
-    for length in np.unique(lengths).tolist():
+    for length in sorted(set(lengths.tolist())):
         head, head_shifted = e[:length], shifted[:length]
         group = np.flatnonzero(lengths == length)
         rows = max(1, _BLOCK_ELEMENTS // length)
@@ -345,6 +345,23 @@ def _coefficients(params: SystemParams, m: int, n_max: int, variant: str,
     return a_t, b_t, c_t, d_t, eta, theta_v
 
 
+def _check_closed_form_range(params: SystemParams, m: int, n_max: int, variant: str,
+                             beta: np.ndarray) -> None:
+    """Refuse a grid on which the closed form's largest composites leave the
+    double range: alpha^4 beta^2 and the squared erf arguments eta and
+    theta_v. All three grow with beta, so they are taken, as Python floats,
+    at the largest beta of the grid."""
+    b = beta.max().item()
+    *_, eta, theta_v = _coefficients(params, m, n_max, variant, b)
+    try:
+        composite = params.alpha**4 * b**2
+    except OverflowError:
+        composite = math.inf
+    if not all(map(math.isfinite, (composite, eta, theta_v))):
+        raise ValueError(f"closed form out of range at alpha={params.alpha}, beta={b}: "
+                         "alpha^4 beta^2, eta or theta_v is not finite")
+
+
 def paper_z_coefficients(inp: ThermoInput, variant: str = "corrected") -> PaperZCoefficients:
     """Closed-form coefficients a_t, b_t, c_t, d_t, eta, theta_v in the
     paper's notation.
@@ -372,8 +389,12 @@ def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSe
     exceeds exp(-beta E_0), so every factor is at most 1: with the corrected
     d_t the boundary and Gaussian factors are 1 and exp(-beta (E_{N+1} - E_0)).
     Z itself saturates to inf or 0 only where exp(ln Z) leaves the double range.
+    Where 2Z is 0 or negative the point is flagged "nonpositive_z" and ln Z,
+    U, C, F and S are NaN; a grid on which alpha^4 beta^2, eta or theta_v is
+    not finite is refused with ValueError before any array step.
     """
     p, m, n_max, kb = first.params, first.m, first.truncation_n, first.params.kb
+    _check_closed_form_range(p, m, n_max, variant, beta)
     a_t, b_t, _, d_t, eta, theta_v = _coefficients(p, m, n_max, variant, beta)
     k, alpha = p.k, p.alpha
     e0 = energy(p, 0.0, m)
@@ -390,25 +411,31 @@ def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSe
     scaled_0, scaled_1 = erfcx(np.sqrt(np.stack([eta, theta_v])))
     integral = np.sqrt(math.pi / (-8.0 * k * beta)) * (f0 * scaled_0 - f1 * scaled_1)
     two_z = exp_ad - f1 + 2.0 * integral
+    positive = two_z > 0.0
+
+    # U and C divide by 2Z: they are taken only where it is positive
+    def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """num / den where 2Z is positive, NaN elsewhere."""
+        return np.divide(num, den, out=np.full(beta.shape, math.nan), where=positive)
+
     gauss_boundary = a_t * f0 + b_t * f1
     lam_num = (
         a_d * exp_ad + e1 * f1
         - (alpha * alpha * beta + k) * integral / (k * beta)
         - gauss_boundary / (2.0 * k * beta)
     )
-    u = -lam_num / two_z
+    u = ratio(-lam_num, two_z)
     gauss_varsigma = (
         a_t * f0 * (a_t * a_t * beta - 2.0 * alpha * alpha * beta - 3.0 * k)
         + b_t * f1 * (b_t * b_t * beta - 2.0 * alpha * alpha * beta - 3.0 * k)
     )
     eps = (
-        (alpha**4 * beta**2 + 2.0 * alpha * alpha * beta * k + 3.0 * k * k)
-        * integral / (2.0 * k * k * beta * beta)
-        - gauss_varsigma / (4.0 * k * k * beta * beta)
+        ratio((alpha**4 * beta**2 + 2.0 * alpha * alpha * beta * k + 3.0 * k * k)
+              * integral, 2.0 * k * k * beta * beta)
+        - ratio(gauss_varsigma, 4.0 * k * k * beta * beta)
     )
     x_num = a_d * a_d * exp_ad - e1 * e1 * f1
-    c_heat = kb * beta * beta * ((x_num + eps) / two_z - (lam_num / two_z) ** 2)
-    positive = two_z > 0.0
+    c_heat = kb * beta * beta * (ratio(x_num + eps, two_z) - u**2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_z = np.where(positive, shift - beta * e0 + np.log(0.5 * two_z), math.nan)
         # a nonpositive Z has no logarithm; shift is 0 there, so the scale

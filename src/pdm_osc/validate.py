@@ -19,7 +19,7 @@ from .oscillator import (
     make_state,
     nu_instance,
     ode_residual,
-    radial_overlap,
+    radial_overlaps,
     solve_energy,
 )
 from .specfun import central_diff
@@ -105,14 +105,15 @@ def check_ode_residual(quick: bool = False, inject_energy_perturbation: bool = F
     worst_at = ""
     for alpha, k in param_sets:
         p = _params(alpha, k)
+        rs = p.r_max * (0.02 + 0.96 * np.arange(n_points) / max(n_points - 1, 1))
         for n, m in states:
             st = make_state(p, n, m)
             override = st.energy + 0.05 if inject_energy_perturbation else None
-            for j in range(1, n_points + 1):
-                r = p.r_max * (0.02 + 0.96 * (j - 1) / max(n_points - 1, 1))
-                res = abs(ode_residual(p, st, r, energy_override=override))
-                if res > worst:
-                    worst, worst_at = res, f"(alpha={alpha}, k={k}, n={n}, m={m}, r={r:.3f})"
+            res = np.abs(ode_residual(p, st, rs, energy_override=override))
+            # the first largest residual; a NaN is largest and fails the check
+            j = int(np.argmax(res))
+            if not res[j] <= worst:
+                worst, worst_at = res[j].item(), f"(alpha={alpha}, k={k}, n={n}, m={m}, r={rs[j]:.3f})"
     return CheckResult(
         "ode_residual", worst <= 1e-8, f"max relative residual = {worst:.3e} at {worst_at}"
     )
@@ -125,13 +126,11 @@ def check_ode_sensitivity(quick: bool = False) -> CheckResult:
     weakest = math.inf
     for alpha, k in param_sets:
         p = _params(alpha, k)
+        rs = p.r_max * np.array((0.2, 0.35, 0.5, 0.65, 0.8))
         for n, m in states:
             st = make_state(p, n, m)
-            peak = max(
-                abs(ode_residual(p, st, p.r_max * frac, energy_override=st.energy + 0.05))
-                for frac in (0.2, 0.35, 0.5, 0.65, 0.8)
-            )
-            weakest = min(weakest, peak)
+            peak = np.max(np.abs(ode_residual(p, st, rs, energy_override=st.energy + 0.05)))
+            weakest = min(weakest, peak.item())
     return CheckResult(
         "ode_sensitivity", weakest > 1e-3, f"min over states of max residual = {weakest:.3e}"
     )
@@ -143,9 +142,9 @@ def check_normalization(quick: bool = False) -> CheckResult:
     states = FIXTURE_STATES[:4] if quick else FIXTURE_STATES
     worst = 0.0
     for alpha, k in param_sets:
-        p = _params(alpha, k)
-        for n, m in states:
-            worst = max(worst, abs(radial_overlap(p, m, n, n) - 1.0))
+        norms = radial_overlaps(_params(alpha, k), [(m, n, n) for n, m in states])
+        # a NaN norm propagates into worst and fails the check
+        worst = np.max(np.append(np.abs(norms - 1.0), worst)).item()
     return CheckResult("normalization", worst <= 1e-8, f"max |norm - 1| = {worst:.3e}")
 
 
@@ -155,10 +154,9 @@ def check_orthogonality(quick: bool = False) -> CheckResult:
     pairs = ((0, 1), (0, 2), (1, 2)) if quick else ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     worst = 0.0
     for alpha, k in param_sets:
-        p = _params(alpha, k)
-        for m in (0, 1, 2):
-            for n1, n2 in pairs:
-                worst = max(worst, abs(radial_overlap(p, m, n1, n2)))
+        cross = radial_overlaps(_params(alpha, k),
+                                [(m, n1, n2) for m in (0, 1, 2) for n1, n2 in pairs])
+        worst = np.max(np.append(np.abs(cross), worst)).item()
     return CheckResult("orthogonality", worst <= 1e-6, f"max |cross term| = {worst:.3e}")
 
 
@@ -277,39 +275,37 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
     )
 
 
+def _stencil_references(p: SystemParams, betas: np.ndarray):
+    """The closed form's series at betas, and the U, C and S that 4th-order
+    differences (step 1e-3 beta) of its own ln Z, U and F give there.
+
+    The stencil runs over all betas at once, with one closed-form sweep per
+    offset; the offset-0 sweep is the series returned. ln Z is math.log of
+    each Z.
+    """
+    sweeps = []
+
+    def log_z_u_f(b: np.ndarray) -> np.ndarray:
+        series = thermo.sweep(p, 1, 500, b, thermo.Strategy.PAPER_CLOSED_FORM)
+        sweeps.append(series)
+        return np.array([[math.log(z) for z in series.z.tolist()], series.u, series.f])
+
+    d_log_z, d_u, d_f = central_diff(log_z_u_f, betas, 1, 1e-3 * betas)
+    # sweeps run in the stencil's order of offsets, -2..2
+    return sweeps[2], -d_log_z, -betas * betas * d_u, betas * betas * d_f
+
+
 def check_derivative_consistency(quick: bool = False) -> CheckResult:
     """Analytic U, C, S of the closed form against differences of its own ln Z."""
-    betas = (0.1,) if quick else (0.05, 0.1, 0.5)
+    betas = np.array((0.1,) if quick else (0.05, 0.1, 0.5))
     worst = 0.0
     for k in (-0.1, -0.3):
-        p = _params(1.0, k)
-        for beta in betas:
-            def log_z(b: float) -> float:
-                return math.log(thermo.partition_paper(
-                    thermo.ThermoInput(params=p, m=1, beta=b)).diagnostics["z_corrected"])
-
-            def u_of(b: float) -> float:
-                return thermo.average_energy(
-                    thermo.ThermoInput(params=p, m=1, beta=b,
-                                       strategy=thermo.Strategy.PAPER_CLOSED_FORM))
-
-            def f_of(b: float) -> float:
-                return thermo.free_energy(
-                    thermo.ThermoInput(params=p, m=1, beta=b,
-                                       strategy=thermo.Strategy.PAPER_CLOSED_FORM))
-
-            inp = thermo.ThermoInput(params=p, m=1, beta=beta,
-                                     strategy=thermo.Strategy.PAPER_CLOSED_FORM)
-            h = 1e-3 * beta
-            u_ref = -central_diff(log_z, beta, 1, h)
-            c_ref = -beta * beta * central_diff(u_of, beta, 1, h)
-            s_ref = beta * beta * central_diff(f_of, beta, 1, h)
-            worst = max(
-                worst,
-                abs(thermo.average_energy(inp) - u_ref) / abs(u_ref),
-                abs(thermo.heat_capacity(inp) - c_ref) / abs(c_ref),
-                abs(thermo.entropy(inp) - s_ref) / abs(s_ref),
-            )
+        series, u_ref, c_ref, s_ref = _stencil_references(_params(1.0, k), betas)
+        gaps = [np.abs(series.u - u_ref) / np.abs(u_ref),
+                np.abs(series.c - c_ref) / np.abs(c_ref),
+                np.abs(series.s - s_ref) / np.abs(s_ref)]
+        # a NaN gap propagates into worst and fails the check
+        worst = np.max(np.append(gaps, worst)).item()
     return CheckResult(
         "derivative_consistency", worst <= 1e-6,
         f"analytic vs finite-difference, max rel = {worst:.3e}",

@@ -1,13 +1,17 @@
 """Front-end tests: argument handling, CSV output, determinism, exit codes."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pdm_osc
 from pdm_osc import thermo
 from pdm_osc.cli import _temperature_grid, main
 from pdm_osc.oscillator import SystemParams, make_state, radial_overlap, radial_wavefunction
@@ -127,6 +131,32 @@ class TestThermoCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: beta must be positive with a finite square, got ")
         assert captured.err.count("\n") == 1
+
+    def test_paper_composite_overflow_refused(self, capsys):
+        """alpha^4 beta^2 and the erf arguments overflow: the closed form
+        refuses with one typed line that names alpha and beta, before any
+        array step can warn."""
+        rc = main(["thermo", "--strategy=paper", "--alpha=1e200", "--T=1e-100", "--k=-0.1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: closed form out of range at alpha=1e+200, beta=1e+100: "
+                                "alpha^4 beta^2, eta or theta_v is not finite\n")
+
+    def test_paper_zero_two_z_refused(self, capsys):
+        """At beta = 1e-300 the closed form's 2Z is exactly 0: the point is
+        flagged nonpositive_z, nothing divides by it, and the CLI refuses
+        the NaN U with one line."""
+        series = thermo.sweep(SystemParams(1.0, -0.1), 1, 500, [1e-300],
+                              thermo.Strategy.PAPER_CLOSED_FORM)
+        assert series.diagnostics["nonpositive_z"].tolist() == [True]
+        assert math.isnan(series.u[0]) and math.isnan(series.c[0])
+        rc = main(["thermo", "--strategy=paper", "--T=1e300", "--k=-0.1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: non-finite value nan at row 0 column "
+                                "'U(k=-0.10000000000000001) [energy]'\n")
 
     def test_single_point_non_finite_quantity_named(self, capsys, monkeypatch):
         """A non-finite quantity at one T is refused as a table cell would be."""
@@ -335,6 +365,22 @@ class TestValidateCommand:
         assert rc == 1
         captured = capsys.readouterr()
         assert "FAILED: ode_residual" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["thermo", "--strategy=direct", "--T=1", "--k=-0.1"],
+                                  ["validate", "--quick"]])
+def test_cold_start_imports(argv):
+    """A command in a fresh interpreter imports none of numpy.ma, scipy or
+    mpmath: each would cost every run of the command its import time."""
+    src = os.path.dirname(os.path.dirname(pdm_osc.__file__))
+    code = ("import sys\n"
+            "from pdm_osc.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(rc, [m for m in ('numpy.ma', 'scipy', 'mpmath') if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def reference_csv(table):
