@@ -5,13 +5,20 @@ digits, rows end with '\\n', metadata lines keep their insertion order and no
 timestamps or environment details are ever written. Identical inputs produce
 byte-identical files.
 
-Columns may be lists or arrays. The CSV body, and each polyline, is one
-%-format of a repeated row template; '%.17g' and '%.2f' give the same text
-as format_float and the '.2f' spec.
+Columns may be lists or arrays. CSV cells ('.17g') and polyline points
+('.2f') go through one array renderer, `_render`, whose text equals Python's
+formatter byte for byte. Block by block, each cell's digits are |x| * 10**k,
+formed exactly as a double-double and rounded half-even to an integer, laid
+out in fixed slots padded with NUL bytes that one bytes.translate removes.
+Python's formatter writes the cells this cannot prove correct: a fraction
+within 1e-6 of a half (every exact tie among them), non-finite values, and
+|x| outside [1e-250, 1e250] for '.17g' (zero among them) or |x| >= 1e13 for
+'.2f'.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +67,7 @@ class SeriesTable:
         x, cols = self.validate()
         lines = [f"# {key}: {value}" for key, value in self.metadata]
         lines.append(",".join([self.x_label] + [name for name, _ in self.columns]))
-        if x.size:
-            row = ",".join(["%.17g"] * (1 + len(cols)))
-            lines.append("\n".join([row] * x.size) % _row_major([x] + cols))
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n" + _render([x] + cols, ".17g", b"," * len(cols) + b"\n")
 
     def write_csv(self, path: str) -> None:
         # render first: a table that fails validation leaves no file behind
@@ -121,7 +125,7 @@ class SeriesTable:
         )
         for idx, ((name, _), col) in enumerate(zip(self.columns, cols)):
             color = _PALETTE[idx % len(_PALETTE)]
-            pts = ("%.2f,%.2f " * xs.size % _row_major([px(xs), py(col)]))[:-1]
+            pts = _render([px(xs), py(col)], ".2f", b", ")[:-1]
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
             ly = mt + 14 + 16 * idx
             parts.append(
@@ -140,6 +144,173 @@ class SeriesTable:
             fh.write(text)
 
 
-def _row_major(cols: list[np.ndarray]) -> tuple[float, ...]:
-    """The cells of equal-length columns, row after row."""
-    return tuple(np.column_stack(cols).ravel().tolist())
+# cells per block: a block's temporaries stay in cache
+_BLOCK = 4096
+# the '.17g' fast path's range of |x|, and the decimal scales k it needs
+_G_MIN, _G_MAX = 1e-250, 1e250
+_K_MIN, _K_MAX = 16 - 252, 16 + 252
+# '.2f' digits d = round(100 |x|) have one integer digit, plus one per step <= d
+_F_STEPS = 10 ** np.arange(3, 16)
+# a digit slot is two bytes: the digit, then the byte of a point after it
+_ZERO = np.frombuffer(b"0\xff", np.uint16)[0]
+
+
+def _split(a):
+    """Dekker's split of a into a 26-bit high part and the exact rest."""
+    c = a * 134217729.0  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _two_product(a, b, b_high, b_low):
+    """p and err with a * b == p + err exactly (Dekker); b_high, b_low split b."""
+    p = a * b
+    a_high, a_low = _split(a)
+    return p, ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
+
+
+def _power_of_ten(k: int) -> tuple[float, float]:
+    """10**k as hi + lo: hi is 10**k rounded to a double, lo the rounded rest."""
+    n = 10 ** abs(k)
+    if k >= 0:
+        hi = float(n)
+        return hi, float(n - int(hi))
+    hi = 1 / n
+    a, b = hi.as_integer_ratio()
+    return hi, (b - a * n) / n / b
+
+
+@functools.cache
+def _tables() -> tuple:
+    """The renderer's look-up tables, built on its first call.
+
+    powers: hi, its Dekker split and lo at k - _K_MIN, with hi + lo = 10**k
+    within 2**-102 relative, as 10**(32 j) times 10**i, i < 32, each exact
+    to 2**-106 from Python ints. quads: 0..9999 as four digit slots.
+    A '.17g' cell is 24 uint16 slots: sign and '0.000' prefix (3), 17 digit
+    slots and the exponent suffix with the separator (4). Its first 20 are
+    ANDed with g_patterns[g_base[k - _K_MIN] + sig + 374 * sign], sig
+    counting the digits up to the last nonzero one. A '.2f' cell is a sign
+    slot, 17 digit slots and a separator slot, ANDed with
+    f_patterns[n + 14 * sign] for n + 1 integer digits.
+    """
+    ks = np.arange(_K_MIN, _K_MAX + 1)
+    coarse = np.array([_power_of_ten(32 * j) for j in range(_K_MIN // 32, _K_MAX // 32 + 1)])
+    fine = np.array([_power_of_ten(i) for i in range(32)])
+    (c_hi, c_lo), (f_hi, f_lo) = coarse[ks // 32 - _K_MIN // 32].T, fine[ks % 32].T
+    hi, err = _two_product(c_hi, f_hi, *_split(f_hi))
+    lo = err + (c_hi * f_lo + c_lo * f_hi)
+    quads = np.full((10, 10, 10, 10, 4, 2), 0xFF, np.uint8)
+    for j in range(4):
+        quads[..., j, 0] = np.arange(48, 58, dtype=np.uint8).reshape(-1, *[1] * (3 - j))
+
+    i = np.arange(17)
+    # '.17g' class c: fixed notation with exponent c - 4, or the e-form (c = 21)
+    point = np.append(np.arange(-4, 17), 0)[:, None, None]
+    shown = np.maximum(np.arange(1, 18)[:, None], point + 1)
+    g = np.zeros((2, 22, 17, 40), np.uint8)
+    g[1, ..., 0] = ord("-")
+    prefixes = b"0.000" b"0.00\x00" b"0.0\x00\x00" b"0.\x00\x00\x00"
+    g[:, :4, :, 1:6] = np.frombuffer(prefixes, np.uint8).reshape(4, 1, 5)
+    g[..., 6::2] = np.where(i < shown, 0xFF, 0)
+    g[..., 7::2] = np.where((i == point) & (i + 1 < shown), ord("."), 0)
+    e = 16 - ks
+    fixed = (e >= -4) & (e < 17)
+    suffix = np.zeros((e.size, 8), np.uint8)
+    suffix[:, 0] = ord("e")
+    suffix[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    suffix[:, 2:5] = np.abs(e)[:, None] // [100, 10, 1] % 10 + ord("0")
+    suffix[np.abs(e) < 100, 2] = 0
+    suffix[fixed] = 0
+    f = np.zeros((2, 14, 38), np.uint8)
+    f[1, :, 0] = ord("-")
+    f[..., 2:36:2] = np.where(i >= 14 - np.arange(14)[:, None], 0xFF, 0)
+    f[..., 31] = ord(".")
+    return ((hi, *_split(hi), lo), quads.reshape(-1, 8).view(np.uint64).ravel(),
+            g.reshape(748, 40).view(np.uint16), np.where(fixed, e + 4, 21) * 17 - 1,
+            suffix.view(np.uint64).ravel(), f.reshape(28, 38).view(np.uint16))
+
+
+def _scaled(ax, k, powers):
+    """floor(ax * 10**k) as int64 and the fraction above it, within 1e-13:
+    ax * hi is exactly p + err, and ax * lo adds the rest of 10**k."""
+    hi, hi_high, hi_low, lo = (a.take(k - _K_MIN) for a in powers)
+    p, err = _two_product(ax, hi, hi_high, hi_low)
+    floor_p = np.floor(p)
+    s = (p - floor_p) + (err + ax * lo)
+    floor_s = np.floor(s)
+    return floor_p.astype(np.int64) + floor_s.astype(np.int64), s - floor_s
+
+
+def _digits(d, quads, out):
+    """Write the 17 digits of each 0 <= d < 10**17 into 17 digit slots of out."""
+    lead, rest = np.divmod(d, 10**16)
+    out[:, 0] = quads.view(np.uint16)[3::4].take(lead)
+    high, low = np.divmod(rest, 10**8)
+    groups = np.stack([high // 10**4, high % 10**4, low // 10**4, low % 10**4], axis=1)
+    out[:, 1:] = quads.take(groups).view(np.uint16)
+
+
+def _layout_g(v, tables):
+    """The '.17g' bytes of each cell, and the cells they may get wrong."""
+    powers, quads, g_patterns, g_base, g_suffix, _ = tables
+    ax = np.abs(v)
+    slow = ~((ax >= _G_MIN) & (ax <= _G_MAX))
+    ax[slow] = 1.0
+    k = 16 - np.floor(np.log10(ax)).astype(np.int64)
+    whole, frac = _scaled(ax, k, powers)
+    d = whole + (frac > 0.5)
+    # log10 may misplace the exponent by one: rescale the cells whose
+    # |x| * 10**k is not in [1e16, 1e17) before or after rounding
+    step = (whole < 10**16).astype(np.int64) - (d >= 10**17)
+    redo = np.flatnonzero(step)
+    if redo.size:
+        k[redo] += step[redo]
+        whole, frac[redo] = _scaled(ax[redo], k[redo], powers)
+        d[redo] = whole + (frac[redo] > 0.5)
+    slow |= (np.abs(frac - 0.5) < 1e-6) | (d < 10**16) | (d >= 10**17)
+    out = np.full((v.size, 24), 0xFFFF, np.uint16)
+    _digits(d, quads, out[:, 3:20])
+    sig = 17 - (out[:, 19:2:-1] != _ZERO).argmax(axis=1)
+    row = k - _K_MIN
+    out[:, :20] &= g_patterns.take(g_base.take(row) + sig + 374 * np.signbit(v), axis=0)
+    out.view(np.uint64)[:, 5] = g_suffix.take(row)
+    return out.view(np.uint8), slow
+
+
+def _layout_f(v, tables):
+    """The '.2f' bytes of each cell, and the cells they may get wrong."""
+    powers, quads, *_, f_patterns = tables
+    ax = np.abs(v)
+    slow = ~(ax < 1e13)
+    ax[slow] = 0.0
+    whole, frac = _scaled(ax, 2, powers)
+    slow |= np.abs(frac - 0.5) < 1e-6
+    d = whole + (frac > 0.5)
+    out = np.full((v.size, 19), 0xFFFF, np.uint16)
+    _digits(d, quads, out[:, 1:18])
+    out &= f_patterns.take(np.searchsorted(_F_STEPS, d, side="right") + 14 * np.signbit(v), axis=0)
+    return out.view(np.uint8), slow
+
+
+def _render(cols: list[np.ndarray], spec: str, seps: bytes) -> str:
+    """The cells of equal-length float columns, row after row, each as
+    format(cell, spec) for spec '.17g' or '.2f', followed by its column's
+    byte of seps."""
+    layout = _layout_g if spec == ".17g" else _layout_f
+    tables = _tables()
+    rows = max(1, _BLOCK // len(cols))
+    sep = np.frombuffer(seps * rows, np.uint8)
+    parts = []
+    for start in range(0, len(cols[0]), rows):
+        v = np.column_stack([col[start:start + rows] for col in cols]).ravel()
+        out, slow = layout(v, tables)
+        out[:, -1] = sep[:v.size]
+        for i in np.flatnonzero(slow).tolist():
+            text = np.frombuffer(format(v[i].item(), spec).encode(), np.uint8)
+            if text.size >= out.shape[1]:
+                out = np.pad(out, ((0, 0), (text.size + 1 - out.shape[1], 0)))
+            out[i, :-1] = 0
+            out[i, :text.size] = text
+        parts.append(out.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)

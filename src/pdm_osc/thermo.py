@@ -268,6 +268,18 @@ def _cut_lengths(shifted: np.ndarray, betas: np.ndarray) -> np.ndarray:
     return spine[np.searchsorted(spine, first_zero)]
 
 
+def _check_weights_range(params: SystemParams, e0: float, e_top: float,
+                         betas: np.ndarray) -> None:
+    """Refuse a grid on which the weights exp(-beta (E - E_0)) of the levels
+    E_0..E_top leave the double range: E_0, E_top, 746/beta and beta (E_top -
+    E_0) must be finite, taken as Python floats at the ends of the grid."""
+    b_min, b_max = betas.min().item(), betas.max().item()
+    if not all(map(math.isfinite, (e0, e_top, _EXP_UNDERFLOW / b_min, b_max * (e_top - e0)))):
+        raise ValueError(f"Boltzmann weights out of range at alpha={params.alpha}, "
+                         f"kb={params.kb}, beta in [{b_min}, {b_max}]: "
+                         "E_0..E_N, 746/beta or beta (E_N - E_0) is not finite")
+
+
 def _boltzmann_sums(e: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Ground-state-shifted Boltzmann sums of the spectrum e at each beta.
 
@@ -302,7 +314,8 @@ def _boltzmann_sums(e: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray
 
 def _direct_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     """Direct-sum series of first's (params, m, N) on the grid betas."""
-    kb = first.params.kb
+    p, m, kb = first.params, first.m, first.params.kb
+    _check_weights_range(p, energy(p, 0.0, m), energy(p, float(first.truncation_n), m), betas)
     e0, (sw, mean, var, shifted_mean, tail), lengths = _boltzmann_sums(levels(first), betas)
     log_sw = _libm(math.log, sw)
     log_z = -betas * e0 + log_sw
@@ -480,6 +493,8 @@ def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     """
     p, m, n_max, kb = first.params, first.m, first.truncation_n, first.params.kb
     e0 = energy(p, 0.0, m)
+    d1 = energy(p, n_max + 1.0, m) - e0
+    _check_weights_range(p, e0, e0 + d1, betas)
     upper = np.full(betas.size, n_max + 1.0)
     if p.k <= 0.0:
         # f is exactly 0.0 beyond x_cut, where beta (E(x) - E_0) = 746; on a
@@ -497,7 +512,6 @@ def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
         return np.stack([f, df, d * df])
 
     quad = integrate(integrands, QuadratureSpec(0.0, upper, rel_tol=1e-11, abs_tol=1e-300))
-    d1 = energy(p, n_max + 1.0, m) - e0
     f1 = np.exp(-betas * d1)
     m0 = 0.5 * (1.0 - f1) + quad.value[:, 0]
     m1 = -0.5 * d1 * f1 + quad.value[:, 1]

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pdm_osc
-from pdm_osc import thermo
+from pdm_osc import output, thermo
 from pdm_osc.cli import _temperature_grid, main
 from pdm_osc.oscillator import SystemParams, make_state, radial_overlap, radial_wavefunction
 from pdm_osc.output import SeriesTable, format_float
@@ -142,6 +142,23 @@ class TestThermoCommand:
         assert captured.out == ""
         assert captured.err == ("error: closed form out of range at alpha=1e+200, beta=1e+100: "
                                 "alpha^4 beta^2, eta or theta_v is not finite\n")
+
+    @pytest.mark.parametrize("strategy", ["direct", "poisson"])
+    @pytest.mark.parametrize("args, where", [
+        (["--alpha=1e306", "--T=1"], "alpha=1e+306, kb=1.0, beta in [1.0, 1.0]"),
+        (["--kb=1e308", "--T=1"], "alpha=1.0, kb=1e+308, beta in [1e-308, 1e-308]"),
+        (["--alpha=1e305", "--T=0.001"], "alpha=1e+305, kb=1.0, beta in [1000.0, 1000.0]")])
+    def test_weights_out_of_range_refused(self, capsys, strategy, args, where):
+        """A spectrum, 746/beta or beta (E_N - E_0) that is not finite: the
+        direct sum and the summation formula refuse with one typed line that
+        names alpha, kb and beta, before any array step can warn (a
+        RuntimeWarning is an error here, and would change the line)."""
+        rc = main(["thermo", f"--strategy={strategy}", "--k=-0.1"] + args)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: Boltzmann weights out of range at {where}: "
+                                "E_0..E_N, 746/beta or beta (E_N - E_0) is not finite\n")
 
     def test_paper_zero_two_z_refused(self, capsys):
         """At beta = 1e-300 the closed form's 2Z is exactly 0: the point is
@@ -368,18 +385,22 @@ class TestValidateCommand:
 
 
 @pytest.mark.parametrize("argv", [["thermo", "--strategy=direct", "--T=1", "--k=-0.1"],
-                                  ["validate", "--quick"]])
-def test_cold_start_imports(argv):
-    """A command in a fresh interpreter imports none of numpy.ma, scipy or
-    mpmath: each would cost every run of the command its import time."""
+                                  ["validate", "--quick"],
+                                  ["figures", "--format", "both", "--T-count", "50"],
+                                  ["wavefunction", "--k=-0.2", "--n-max", "3"]])
+def test_cold_start_imports(argv, tmp_path):
+    """A command in a fresh interpreter imports none of numpy.ma, scipy,
+    mpmath, fractions or decimal: each would cost every run of the command
+    its import time."""
     src = os.path.dirname(os.path.dirname(pdm_osc.__file__))
+    forbidden = ("numpy.ma", "scipy", "mpmath", "fractions", "decimal")
     code = ("import sys\n"
             "from pdm_osc.cli import main\n"
             f"rc = main({argv!r})\n"
-            "print(rc, [m for m in ('numpy.ma', 'scipy', 'mpmath') if m in sys.modules])\n")
+            f"print(rc, [m for m in {forbidden!r} if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=env, check=True, cwd=tmp_path)
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
@@ -452,6 +473,74 @@ class TestSeriesTable:
             as_lists = SeriesTable(x_label="x", y_label="y", x=list(map(float, table.x)),
                                    columns=[(n, list(map(float, c))) for n, c in table.columns])
             assert as_lists.to_svg() == svg
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+           floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                           max_size=40))
+    def test_renderer_matches_formatter_on_any_double(self, bits, floats):
+        """Doubles from raw bit patterns and from hypothesis's floats, which
+        favour the edges of the range: CSV cells, polyline points, and '.2f'
+        on every pattern, NaN and infinities included."""
+        raw = np.array(bits, dtype=np.uint64).view(np.float64)
+        cells = np.concatenate([raw[np.isfinite(raw)], floats])
+        table = SeriesTable(x_label="x", y_label="y", x=cells, columns=[("a", cells[::-1])])
+        assert table.to_csv() == reference_csv(table)
+        # 0 and 1 keep the y range from collapsing onto one huge value
+        ys = np.concatenate([np.clip(cells, -1e300, 1e300), [0.0, 1.0]])
+        plot = SeriesTable(x_label="x", y_label="y", x=np.arange(float(ys.size)),
+                           columns=[("a", ys)])
+        assert re.findall(r'<polyline points="([^"]*)"', plot.to_svg()) == reference_polylines(plot)
+        points = np.concatenate([raw, floats])
+        assert output._render([points, points[::-1]], ".2f", b", ") == "".join(
+            f"{a:.2f},{b:.2f} " for a, b in zip(points.tolist(), points[::-1].tolist()))
+
+    def test_table_of_many_blocks(self):
+        """More than three blocks of the kinds of cells the commands write:
+        log-uniform magnitudes of both signs, short decimals and integers."""
+        rng = np.random.default_rng(7)
+        rows = 7000
+        x = np.linspace(0.0, 50.0, rows)
+        signed = np.exp(rng.uniform(-700.0, 700.0, rows)) * rng.choice([-1.0, 1.0], rows)
+        short = np.rint(rng.uniform(-1e6, 1e6, rows)) / 10.0 ** rng.integers(0, 6, rows)
+        integers = rng.integers(-10**17, 10**17, rows).astype(float)
+        table = SeriesTable(x_label="x", y_label="y", x=x,
+                            columns=[("a", signed), ("b", short), ("c", integers)])
+        assert 4 * rows > 3 * output._BLOCK
+        assert table.to_csv() == reference_csv(table)
+        plot = SeriesTable(x_label="x", y_label="y", x=x, columns=[("b", short)])
+        assert re.findall(r'<polyline points="([^"]*)"', plot.to_svg()) == reference_polylines(plot)
+
+    @pytest.mark.parametrize("value, text", [
+        (0.0, "0"), (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"),
+        (-2.2250738585072014e-308 / 3.0, "-7.4169128616906696e-309"),
+        (1e16, "10000000000000000"), (1e17, "1e+17"), (99999999999999999.0, "1e+17"),
+        (1e-4, "0.0001"), (1e-5, "1.0000000000000001e-05"),
+        (1234567890123456.25, "1234567890123456.2")])
+    def test_csv_cell_edges(self, value, text):
+        """Signed zeros, subnormals, the ends of fixed notation and a tie."""
+        table = SeriesTable(x_label="x", y_label="y", x=[value], columns=[("a", [value])])
+        assert table.to_csv() == reference_csv(table) == f"x,a\n{text},{text}\n"
+
+    @pytest.mark.parametrize("value, text", [
+        (0.125, "0.12"), (2.675, "2.67"), (-0.001, "-0.00"), (-0.0, "-0.00"),
+        (0.375, "0.38"), (9999999999999.996, "10000000000000.00")])
+    def test_point_edges(self, value, text):
+        """'.2f' ties round half to even, the sign of a value that rounds to
+        zero stays, and rounding may add an integer digit."""
+        assert output._render([np.array([value])], ".2f", b" ") == f"{value:.2f} " == text + " "
+
+    def test_tie_is_left_to_python_formatter(self):
+        """A fraction within 1e-6 of a half, here an exact tie, is flagged for
+        Python's formatter, and the text of the table stays byte-exact."""
+        v = np.array([1234567890123456.25, 0.5, 1234567890123456.0])
+        _, slow = output._layout_g(v.copy(), output._tables())
+        assert slow.tolist() == [True, False, False]
+        table = SeriesTable(x_label="x", y_label="y", x=v, columns=[("a", -v)])
+        assert table.to_csv() == reference_csv(table)
+        assert "\n1234567890123456.2,-1234567890123456.2\n" in table.to_csv()
+        _, slow = output._layout_f(np.array([0.125, 2.675, 0.25]), output._tables())
+        assert slow.tolist() == [True, True, False]
 
     @pytest.mark.parametrize("kind", [AS_LIST, AS_ARRAY])
     def test_non_finite_reported_in_order(self, kind):
