@@ -44,7 +44,6 @@ from .specfun import (
     QuadratureResult,
     QuadratureSpec,
     central_diff,
-    erf,
     erfcx,
     five_point_stencil,
     hyp2f1_terminating,
@@ -59,18 +58,11 @@ from .thermo import (
     ThermoInput,
     ThermoResult,
     ThermoSeries,
-    average_energy,
     compare_strategies,
-    entropy,
     evaluate,
     find_heat_capacity_plateau,
-    free_energy,
-    heat_capacity,
     levels,
     paper_z_coefficients,
-    partition_direct,
-    partition_paper,
-    partition_poisson_independent,
     sweep,
 )
 
@@ -79,7 +71,7 @@ __all__ = [
     # specfun
     "JacobiParams", "QuadratureSpec", "QuadratureResult",
     "DegreeOverflowError", "PoleError", "IntegrationError",
-    "erf", "erfcx", "jacobi_p", "hyp2f1_terminating", "integrate",
+    "erfcx", "jacobi_p", "hyp2f1_terminating", "integrate",
     "five_point_stencil", "central_diff",
     # nu
     "NUProblem", "NUCoefficients", "NUSolution", "NegativeDiscriminantError",
@@ -94,8 +86,6 @@ __all__ = [
     # thermo
     "Strategy", "ThermoInput", "ThermoResult", "ThermoSeries", "PaperZCoefficients",
     "StrategyComparison", "PlateauResult",
-    "levels", "partition_direct", "paper_z_coefficients", "partition_paper",
-    "partition_poisson_independent", "average_energy", "heat_capacity",
-    "free_energy", "entropy", "evaluate", "compare_strategies",
+    "levels", "paper_z_coefficients", "evaluate", "compare_strategies",
     "find_heat_capacity_plateau", "sweep",
 ]

@@ -82,10 +82,12 @@ class SeriesTable:
         pw, ph = width - ml - mr, height - mt - mb
         x0, x1 = xs.min().item(), xs.max().item()
         y0, y1 = min(col.min() for col in cols).item(), max(col.max() for col in cols).item()
+        # a flat range is widened by max(1, |v| 2^-40): adding 1 alone is lost
+        # once |v| >= 2^53
         if x1 == x0:
-            x1 = x0 + 1.0
+            x1 = x0 + max(1.0, abs(x0) * 2.0**-40)
         if y1 == y0:
-            y1 = y0 + 1.0
+            y1 = y0 + max(1.0, abs(y0) * 2.0**-40)
         pad = 0.05 * (y1 - y0)
         y0, y1 = y0 - pad, y1 + pad
 

@@ -1,7 +1,7 @@
 """Special-function and numerical-analysis kernel.
 
-Self-contained building blocks used across the package: the error function
-and its scaled complement, Jacobi polynomials, terminating Gauss
+Self-contained building blocks used across the package: the scaled
+complementary error function, Jacobi polynomials, terminating Gauss
 hypergeometric series, adaptive Gauss-Kronrod quadrature of batches of
 vector-valued integrands and high-order central differences. All functions
 are pure and safe to call concurrently.
@@ -22,7 +22,6 @@ __all__ = [
     "DegreeOverflowError",
     "PoleError",
     "IntegrationError",
-    "erf",
     "erfcx",
     "jacobi_p",
     "hyp2f1_terminating",
@@ -150,40 +149,6 @@ class QuadratureResult:
         return int(np.sum(self.row_evaluations))
 
 
-def erf(x: float) -> float:
-    """Error function, accurate to better than 1e-14 absolute on the real line.
-
-    Uses the all-positive confluent series 2x/sqrt(pi) exp(-x^2) sum (2x^2)^k/(2k+1)!!
-    for |x| < 3 (no cancellation) and the Laplace continued fraction for the
-    complement beyond, where erfc < 2.3e-5 so 1 - erfc loses no absolute accuracy.
-    """
-    if x != x:  # NaN propagates
-        return x
-    if x == 0.0:
-        return 0.0
-    ax = abs(x)
-    if ax < 3.0:
-        t = 2.0 * ax * ax
-        term = 1.0
-        total = 1.0
-        k = 0
-        while True:
-            k += 1
-            term *= t / (2 * k + 1)
-            total += term
-            if term < 1e-18 * total:
-                break
-        v = 2.0 * ax / _SQRT_PI * math.exp(-ax * ax) * total
-    elif ax > 6.5:
-        v = 1.0  # erfc < 4e-20, below double resolution of 1
-    else:
-        cf = 0.0
-        for j in range(60, 0, -1):
-            cf = (j / 2.0) / (ax + cf)
-        v = 1.0 - math.exp(-ax * ax) / _SQRT_PI / (ax + cf)
-    return v if x > 0 else -v
-
-
 def erfcx(x: float | np.ndarray) -> float | np.ndarray:
     """Scaled complementary error function exp(x^2) erfc(x) for x >= 0,
     elementwise on a number or an array; NaN propagates.
@@ -255,16 +220,6 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
     for k in range(n):
         term *= (-n + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
-    return total
-
-
-def hyp2f1_terminating_magnitude(n: int, b: float, c: float, z: float) -> float:
-    """Sum of |term_k| for the same series; conditioning scale for comparisons."""
-    term = 1.0
-    total = 1.0
-    for k in range(n):
-        term *= (-n + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += abs(term)
     return total
 
 

@@ -30,8 +30,7 @@ gives the uncut sum bit for bit); the closed form is one array expression
 over the grid, with one erfcx call for both of its arguments; and the
 pipeline integrates every beta in one batched quadrature. ln, exp and
 beta**2 go through libm element by element (see _libm). evaluate() is sweep
-on a one-point grid, and the single-quantity functions call evaluate(), so
-all of them agree value for value.
+on a one-point grid, so the two agree value for value.
 
 The paper's coefficients are spectrum values: c_t = E_{N+1},
 a_t = -E'(0)/2, b_t = E'(N+1)/2, (a_t^2 - alpha^2)/2k = -E_0 and
@@ -41,8 +40,8 @@ and a Z below the double range still gives finite U, C, F and S. The d_t
 coefficient has two readings: "corrected" uses sqrt(k^2 + alpha^2) - k m^2/2,
 for which a_t - d_t = -E_0 and the boundary term is exactly f(0), while
 "verbatim" keeps the mass-scale combination sqrt(lam^2 + alpha^2) - lam m^2/2.
-partition_paper() reports both; sweep() and evaluate() compute the requested
-one, and the corrected variant is the default.
+sweep() and evaluate() compute the requested one, and the corrected variant
+is the default.
 """
 
 from __future__ import annotations
@@ -67,14 +66,7 @@ __all__ = [
     "StrategyComparison",
     "PlateauResult",
     "levels",
-    "partition_direct",
     "paper_z_coefficients",
-    "partition_paper",
-    "partition_poisson_independent",
-    "average_energy",
-    "heat_capacity",
-    "free_energy",
-    "entropy",
     "evaluate",
     "sweep",
     "compare_strategies",
@@ -111,8 +103,8 @@ class ThermoInput:
     """One evaluation point of the canonical ensemble.
 
     beta is the inverse temperature 1/(kb T); truncation_n is the upper bound
-    N of the state sum. A truncated sum over a spectrum that is not increasing
-    in n (k > 0) must be opted into with accept_truncation.
+    N of the state sum. A spectrum that is not increasing in n (k > 0) is
+    refused: its truncated sum is arbitrary.
     """
 
     params: SystemParams
@@ -120,17 +112,16 @@ class ThermoInput:
     beta: float
     truncation_n: int = 500
     strategy: Strategy = Strategy.DIRECT_SUM
-    accept_truncation: bool = False
 
     def __post_init__(self):
         _check_betas(np.array([self.beta], dtype=float))
         # N = 0 is the admissible single-term edge case
         if self.truncation_n < 0:
             raise ValueError(f"truncation_n must be >= 0, got {self.truncation_n}")
-        if self.params.k > 0.0 and not self.accept_truncation:
+        if self.params.k > 0.0:
             raise NonPhysicalError(
                 "k > 0 makes the spectrum non-increasing in n; the truncated "
-                "sum is then arbitrary. Pass accept_truncation=True to proceed."
+                "sum is then arbitrary"
             )
 
     @classmethod
@@ -166,17 +157,16 @@ class PaperZCoefficients:
 class ThermoResult:
     """Thermodynamic quantities at one evaluation point.
 
-    Z is the partition function; U, C, F, S are filled by evaluate() and by
-    a ThermoSeries point, or left None by the partition-only entry points.
-    C and S are in units of kb.
+    Z is the partition function, U the mean energy, C the heat capacity, F
+    the free energy and S the entropy; C and S are in units of kb.
     """
 
     z: float
     log_z: float
-    u: float | None = None
-    c: float | None = None
-    f: float | None = None
-    s: float | None = None
+    u: float
+    c: float
+    f: float
+    s: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -191,6 +181,11 @@ class ThermoSeries:
     reading, else None. series[i] is the ThermoResult at the i-th beta: its
     diagnostics dict holds a flag only where it is set, and
     "negative_entropy" = S wherever S is negative or NaN.
+
+    The direct sum's C is kb beta^2 times a two-pass variance, so it is
+    nonnegative by construction. An approximate strategy's S can go negative
+    at low temperature (the closed form's tends to kb ln(1/2)); such a value
+    is flagged as "negative_entropy", not fixed.
     """
 
     strategy: Strategy
@@ -325,12 +320,6 @@ def _direct_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
                         diagnostics={"n_terms": lengths, "tail_ratio": tail})
 
 
-def partition_direct(inp: ThermoInput) -> ThermoResult:
-    """Truncated state sum, accumulated in the log domain."""
-    res = _direct_series(inp, np.array([inp.beta]))[0]
-    return ThermoResult(z=res.z, log_z=res.log_z, diagnostics=res.diagnostics)
-
-
 def _coefficients(params: SystemParams, m: int, n_max: int, variant: str,
                   beta: float | np.ndarray) -> tuple:
     """a_t, b_t, c_t, d_t, eta and theta_v at a beta or, elementwise, at an
@@ -461,25 +450,6 @@ def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSe
                         u=u, c=c_heat, f=f, s=s, diagnostics={"nonpositive_z": ~positive})
 
 
-def partition_paper(inp: ThermoInput) -> ThermoResult:
-    """Closed-form Z in both d_t variants; the corrected one is primary.
-
-    A nonpositive closed-form value in a regime where the direct sum is
-    positive is recorded as a diagnostic, never raised.
-    """
-    beta = np.array([inp.beta])
-    by_variant = {v: _closed_form(inp, beta, v)[0] for v in ("corrected", "verbatim")}
-    primary = by_variant["corrected"]
-    diag = {
-        "strategy": Strategy.PAPER_CLOSED_FORM.value,
-        "z_corrected": primary.z,
-        "z_verbatim": by_variant["verbatim"].z,
-    }
-    if any("nonpositive_z" in res.diagnostics for res in by_variant.values()):
-        diag["nonpositive_z"] = True
-    return ThermoResult(z=primary.z, log_z=primary.log_z, diagnostics=diag)
-
-
 def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     """Summation-formula series of first's (params, m, N) on the grid betas,
     with the integrals of f, (E - E_0) f and (E - E_0)^2 f done by one batched,
@@ -495,6 +465,11 @@ def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     e0 = energy(p, 0.0, m)
     d1 = energy(p, n_max + 1.0, m) - e0
     _check_weights_range(p, e0, e0 + d1, betas)
+    # M_2 and x_cut square d(N+1) and E'(0); for k <= 0, d(x) >= E'(0) x, so
+    # one check covers both
+    if not math.isfinite(d1 * d1):
+        raise ValueError(f"Boltzmann moments out of range at alpha={p.alpha}, kb={kb}: "
+                         "(E_{N+1} - E_0)^2 is not finite")
     upper = np.full(betas.size, n_max + 1.0)
     if p.k <= 0.0:
         # f is exactly 0.0 beyond x_cut, where beta (E(x) - E_0) = 746; on a
@@ -530,17 +505,6 @@ def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
                                      "quadrature_error_bound": relative_bound})
 
 
-def partition_poisson_independent(inp: ThermoInput) -> ThermoResult:
-    """First-order summation formula with the integral done by quadrature.
-
-    Shares no algebra with the closed form beyond the spectrum itself, so
-    agreement between the two validates the erf manipulations; disagreement
-    with the direct sum measures the summation formula's own truncation error.
-    """
-    res = _poisson_series(inp, np.array([inp.beta]))[0]
-    return ThermoResult(z=res.z, log_z=res.log_z, diagnostics=res.diagnostics)
-
-
 def _series(first: ThermoInput, betas: np.ndarray, variant: str) -> ThermoSeries:
     """The series of first's (params, m, N) on the grid betas, under its strategy."""
     if first.strategy is Strategy.DIRECT_SUM:
@@ -548,40 +512,6 @@ def _series(first: ThermoInput, betas: np.ndarray, variant: str) -> ThermoSeries
     if first.strategy is Strategy.PAPER_CLOSED_FORM:
         return _closed_form(first, betas, variant)
     return _poisson_series(first, betas)
-
-
-def average_energy(inp: ThermoInput) -> float:
-    """Mean energy -d(ln Z)/d(beta) under the selected strategy."""
-    return evaluate(inp).u
-
-
-def heat_capacity(inp: ThermoInput) -> float:
-    """Heat capacity in units of kb.
-
-    DIRECT_SUM uses the two-pass fluctuation form kb beta^2 <(E - <E>)^2>,
-    which is nonnegative by construction, over the levels whose weight is not
-    exactly 0.0; the closed form uses its epsilon/varsigma blocks; the
-    quadrature pipeline integrates the beta-derivatives of its integrand
-    alongside it.
-    """
-    return evaluate(inp).c
-
-
-def free_energy(inp: ThermoInput) -> float:
-    """Helmholtz free energy -ln(Z)/beta."""
-    return evaluate(inp).f
-
-
-def entropy(inp: ThermoInput) -> float:
-    """Entropy kb (ln Z + beta U) in units of kb.
-
-    For the direct sum this is computed entirely from ground-state-shifted
-    quantities, so it is nonnegative and monotone down to arbitrarily low
-    temperature. Approximate strategies can go negative at low temperature
-    (the closed form tends to kb ln(1/2)); callers see that via diagnostics
-    of evaluate(), the value itself is reported unmodified.
-    """
-    return evaluate(inp).s
 
 
 def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float],

@@ -123,10 +123,10 @@ def test_criterion_04_small_k_limits():
     flat = p.SystemParams(alpha=1.0, k=0.0, exploratory=True)
     worst_z = 0.0
     for beta in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
-        z = thermo.partition_direct(thermo.ThermoInput(params=flat, m=1, beta=beta)).z
+        z = thermo.evaluate(thermo.ThermoInput(params=flat, m=1, beta=beta)).z
         geom = math.exp(-2 * beta) / (1.0 - math.exp(-2 * beta))
         worst_z = max(worst_z, abs(z - geom) / geom)
-    c100 = thermo.heat_capacity(thermo.ThermoInput.from_temperature(flat, 1, 100.0))
+    c100 = thermo.evaluate(thermo.ThermoInput.from_temperature(flat, 1, 100.0)).c
     ok = worst_e <= 1e-6 and worst_z <= 1e-10 and abs(c100 - 1.0) <= 0.01
     report("4 k->0 limits", ok,
            f"energy dev = {worst_e:.3e}, ladder Z dev = {worst_z:.3e}, C(100) = {c100:.4f}")
@@ -275,19 +275,19 @@ def test_criterion_06_differentiation_algebra():
         params = p.SystemParams(alpha=1.0, k=k)
         for beta in (0.05, 0.1, 0.5):
             def log_z(b):
-                return math.log(thermo.partition_paper(
-                    thermo.ThermoInput(params=params, m=1, beta=b)
-                ).diagnostics["z_corrected"])
+                return math.log(thermo.sweep(
+                    params, 1, 500, [b], thermo.Strategy.PAPER_CLOSED_FORM, "corrected"
+                ).z.item())
 
             def u_of(b):
-                return thermo.average_energy(thermo.ThermoInput(
+                return thermo.evaluate(thermo.ThermoInput(
                     params=params, m=1, beta=b,
-                    strategy=thermo.Strategy.PAPER_CLOSED_FORM))
+                    strategy=thermo.Strategy.PAPER_CLOSED_FORM)).u
 
             def f_of(b):
-                return thermo.free_energy(thermo.ThermoInput(
+                return thermo.evaluate(thermo.ThermoInput(
                     params=params, m=1, beta=b,
-                    strategy=thermo.Strategy.PAPER_CLOSED_FORM))
+                    strategy=thermo.Strategy.PAPER_CLOSED_FORM)).f
 
             inp = thermo.ThermoInput(params=params, m=1, beta=beta,
                                      strategy=thermo.Strategy.PAPER_CLOSED_FORM)
@@ -295,11 +295,12 @@ def test_criterion_06_differentiation_algebra():
             u_ref = -central_diff(log_z, beta, 1, h)
             c_ref = -beta * beta * central_diff(u_of, beta, 1, h)
             s_ref = beta * beta * central_diff(f_of, beta, 1, h)
+            res = thermo.evaluate(inp)
             worst = max(
                 worst,
-                abs(thermo.average_energy(inp) - u_ref) / abs(u_ref),
-                abs(thermo.heat_capacity(inp) - c_ref) / abs(c_ref),
-                abs(thermo.entropy(inp) - s_ref) / abs(s_ref),
+                abs(res.u - u_ref) / abs(u_ref),
+                abs(res.c - c_ref) / abs(c_ref),
+                abs(res.s - s_ref) / abs(s_ref),
             )
     ok = worst <= 1e-6
     report("6 differentiation algebra", ok, f"max rel (U, C, S vs differences) = {worst:.3e}")
@@ -336,8 +337,8 @@ def test_criterion_07_figure_properties():
             plateau = thermo.find_heat_capacity_plateau(params, m, 500)
             assert plateau is not None, f"no saturation window (m={m}, k={k})"
             assert plateau.variation < 0.01
-            c50.append(thermo.heat_capacity(
-                thermo.ThermoInput.from_temperature(params, m, 50.0)))
+            c50.append(thermo.evaluate(
+                thermo.ThermoInput.from_temperature(params, m, 50.0)).c)
             details.append(f"m={m} k={k}: T*={plateau.t_star:.0f} "
                            f"C[T*,2T*]={plateau.value:.4f} C(50)={c50[-1]:.4f}")
         spread = (max(c50) - min(c50)) / min(c50)
@@ -368,9 +369,9 @@ def test_criterion_09_truncation_insensitivity():
     for k in FIG_KS:
         params = p.SystemParams(alpha=1.0, k=k)
         for t in np.geomspace(0.1, 50.0, 30):
-            z300 = thermo.partition_direct(
+            z300 = thermo.evaluate(
                 thermo.ThermoInput.from_temperature(params, 1, float(t), truncation_n=300)).z
-            z500 = thermo.partition_direct(
+            z500 = thermo.evaluate(
                 thermo.ThermoInput.from_temperature(params, 1, float(t), truncation_n=500)).z
             worst = max(worst, abs(z300 - z500) / z500)
     ok = worst <= 1e-12

@@ -73,12 +73,12 @@ class TestThermoCommand:
         import pdm_osc as p
 
         pr = p.SystemParams(alpha=1.0, k=-0.3)
-        inp = p.ThermoInput.from_temperature(pr, 1, 10.0)
-        assert float(fields["Z"]) == pytest.approx(p.partition_direct(inp).z, rel=1e-15)
-        assert float(fields["U"]) == pytest.approx(p.average_energy(inp), rel=1e-15)
-        assert float(fields["C"]) == pytest.approx(p.heat_capacity(inp), rel=1e-15)
-        assert float(fields["F"]) == pytest.approx(p.free_energy(inp), rel=1e-15)
-        assert float(fields["S"]) == pytest.approx(p.entropy(inp), rel=1e-15)
+        res = p.evaluate(p.ThermoInput.from_temperature(pr, 1, 10.0))
+        assert float(fields["Z"]) == pytest.approx(res.z, rel=1e-15)
+        assert float(fields["U"]) == pytest.approx(res.u, rel=1e-15)
+        assert float(fields["C"]) == pytest.approx(res.c, rel=1e-15)
+        assert float(fields["F"]) == pytest.approx(res.f, rel=1e-15)
+        assert float(fields["S"]) == pytest.approx(res.s, rel=1e-15)
 
     def test_grid_writes_five_tables(self, tmp_path):
         rc = main(["thermo", "--k", "-0.3", "--m", "1", "--T-min", "1", "--T-max", "10",
@@ -159,6 +159,30 @@ class TestThermoCommand:
         assert captured.out == ""
         assert captured.err == (f"error: Boltzmann weights out of range at {where}: "
                                 "E_0..E_N, 746/beta or beta (E_N - E_0) is not finite\n")
+
+    @pytest.mark.parametrize("alpha", ["1e152", "1e154", "1e200", "1e300"])
+    def test_poisson_moments_out_of_range_refused(self, capsys, alpha):
+        """E_0..E_{N+1} and the weights are finite, but (E_{N+1} - E_0)^2,
+        which M_2 and the clipped upper limit need, is not: the summation
+        formula refuses with one line that names alpha and kb."""
+        rc = main(["thermo", "--strategy=poisson", f"--alpha={alpha}", "--T=1", "--k=-0.1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: Boltzmann moments out of range at "
+                                f"alpha={float(alpha)!r}, kb=1.0: "
+                                "(E_{N+1} - E_0)^2 is not finite\n")
+
+    @pytest.mark.parametrize("strategy, alpha, n", [
+        ("poisson", "1e150", "500"), ("poisson", "1e151", "500"), ("direct", "1e150", "100000")])
+    def test_large_alpha_below_moment_overflow(self, capsys, strategy, alpha, n):
+        """Below the moment check's range, and for the direct sum, which
+        squares no energy difference, a huge alpha still gives a point."""
+        rc = main(["thermo", f"--strategy={strategy}", f"--alpha={alpha}", f"--N={n}",
+                   "--T=1", "--k=-0.1"])
+        assert rc == 0
+        fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+        assert all(math.isfinite(float(fields[q])) for q in "ZUCFS")
 
     def test_paper_zero_two_z_refused(self, capsys):
         """At beta = 1e-300 the closed form's 2Z is exactly 0: the point is
@@ -367,6 +391,23 @@ def test_temperature_grid_shape(t_min, factor, count, spacing):
     assert all(b > a for a, b in zip(grid, grid[1:]))
     if spacing == "auto" and count >= 4 and t_min < 1.0 < t_max:
         assert grid == _auto_grid_reference(t_min, t_max, count)
+
+
+def test_public_surface():
+    """The package exports exactly the union of its modules' public names,
+    each of which resolves, and none of the deleted single-quantity
+    wrappers or kernels."""
+    from pdm_osc import nu, oscillator, specfun
+
+    modules = (thermo, specfun, oscillator, nu)
+    assert all(hasattr(pdm_osc, name) for name in pdm_osc.__all__)
+    assert len(set(pdm_osc.__all__)) == len(pdm_osc.__all__)
+    assert set(pdm_osc.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))
+    deleted = {"partition_direct", "partition_paper", "partition_poisson_independent",
+               "average_energy", "heat_capacity", "free_energy", "entropy", "erf",
+               "hyp2f1_terminating_magnitude"}
+    for namespace in (pdm_osc,) + modules:
+        assert not deleted & set(vars(namespace))
 
 
 class TestValidateCommand:
@@ -590,6 +631,17 @@ class TestSeriesTable:
             with pytest.raises(ValueError):
                 write(str(tmp_path / name))
             assert not (tmp_path / name).exists()
+
+    def test_flat_range_above_two_to_53(self, tmp_path):
+        """A flat x or y range at |v| >= 2^53, where adding 1 is lost, is
+        widened relative to v, from the API and from the CLI."""
+        for x, y in (([1e20], [1.0]), ([0.0, 1.0], [-1e20, -1e20])):
+            svg = SeriesTable(x_label="x", y_label="y", x=x, columns=[("a", y)]).to_svg()
+            assert "polyline" in svg and "nan" not in svg and "inf" not in svg
+        rc = main(["spectrum", "--alpha", "1e20", "--k=-0.5", "--n-max", "0",
+                   "--format", "svg", "--out", str(tmp_path)])
+        assert rc == 0
+        assert read(tmp_path / "spectrum_m1.svg").startswith("<svg")
 
     def test_float_formatting_roundtrip(self):
         value = 1.0 / 3.0

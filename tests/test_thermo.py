@@ -13,18 +13,11 @@ from pdm_osc.specfun import IntegrationError, QuadratureSpec, central_diff, inte
 from pdm_osc.thermo import (
     Strategy,
     ThermoInput,
-    average_energy,
     compare_strategies,
-    entropy,
     evaluate,
     find_heat_capacity_plateau,
-    free_energy,
-    heat_capacity,
     levels,
     paper_z_coefficients,
-    partition_direct,
-    partition_paper,
-    partition_poisson_independent,
     sweep,
 )
 from pdm_osc.validate import strictly_decreasing_resolvable
@@ -59,9 +52,11 @@ class TestThermoInput:
 
     def test_positive_k_needs_opt_in(self):
         p = SystemParams(alpha=1.0, k=0.5, exploratory=True)
-        with pytest.raises(NonPhysicalError):
+        with pytest.raises(NonPhysicalError, match="k > 0") as refused:
             ThermoInput(params=p, m=1, beta=1.0)
-        ThermoInput(params=p, m=1, beta=1.0, accept_truncation=True)
+        assert "accept_truncation" not in str(refused.value)
+        with pytest.raises(NonPhysicalError):
+            sweep(p, 1, 500, [1.0])
 
     def test_from_temperature(self):
         p = SystemParams(alpha=1.0, k=-0.3, kb=2.0)
@@ -76,7 +71,7 @@ class TestPartitionDirect:
     def test_geometric_ladder(self):
         p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
         for beta in (0.05, 0.1, 0.5, 1.0):
-            z = partition_direct(ThermoInput(params=p, m=1, beta=beta)).z
+            z = evaluate(ThermoInput(params=p, m=1, beta=beta)).z
             geometric = math.exp(-2 * beta) / (1.0 - math.exp(-2 * beta))
             assert z == pytest.approx(geometric, rel=1e-10)
 
@@ -84,33 +79,33 @@ class TestPartitionDirect:
         # frozen from a 128-term compensated (fsum) summation; the tail beyond
         # term 128 is below 1e-300 at beta = 1
         inp = ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=500)
-        assert partition_direct(inp).z == pytest.approx(0.0597456318176708, rel=1e-14)
+        assert evaluate(inp).z == pytest.approx(0.0597456318176708, rel=1e-14)
 
     def test_against_fsum_oracle(self):
         inp = ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=500)
         oracle = math.fsum(math.exp(-energy(PHYS, n, 1)) for n in range(128))
-        assert partition_direct(inp).z == pytest.approx(oracle, rel=1e-14)
+        assert evaluate(inp).z == pytest.approx(oracle, rel=1e-14)
 
     def test_single_term(self):
         inp = ThermoInput(params=PHYS, m=1, beta=0.7, truncation_n=0)
-        assert partition_direct(inp).z == pytest.approx(
+        assert evaluate(inp).z == pytest.approx(
             math.exp(-0.7 * energy(PHYS, 0, 1)), rel=1e-14
         )
 
     def test_log_domain_extreme_beta(self):
         inp = ThermoInput(params=PHYS, m=1, beta=1000.0)
-        res = partition_direct(inp)
+        res = evaluate(inp)
         assert math.isfinite(res.log_z)
         assert res.log_z == pytest.approx(-1000.0 * energy(PHYS, 0, 1), rel=1e-12)
 
     def test_tail_diagnostic(self):
-        res = partition_direct(ThermoInput(params=PHYS, m=1, beta=1.0))
+        res = evaluate(ThermoInput(params=PHYS, m=1, beta=1.0))
         assert res.diagnostics["tail_ratio"] < 1e-300  # ~exp(-151000)
         # an uncut sum reports w_N / sum w
         inp = ThermoInput(params=PHYS, m=1, beta=1e-3, truncation_n=10)
         e = levels(inp)
         w = np.exp(-inp.beta * (e - e[0]))
-        res = partition_direct(inp)
+        res = evaluate(inp)
         assert res.diagnostics["n_terms"] == 11
         assert res.diagnostics["tail_ratio"] == w[-1] / w.sum()
 
@@ -199,15 +194,19 @@ class TestPaperCoefficients:
 
 class TestPartitionPaper:
     def test_both_variants_reported(self):
-        res = partition_paper(ThermoInput(params=PHYS, m=1, beta=0.2))
-        assert "z_corrected" in res.diagnostics
-        assert "z_verbatim" in res.diagnostics
-        assert res.z == res.diagnostics["z_corrected"]
-        assert res.diagnostics["z_corrected"] != res.diagnostics["z_verbatim"]
+        corrected, verbatim = (sweep(PHYS, 1, 500, [0.2], Strategy.PAPER_CLOSED_FORM, v)
+                               for v in ("corrected", "verbatim"))
+        assert (corrected.variant, verbatim.variant) == ("corrected", "verbatim")
+        res = evaluate(ThermoInput(params=PHYS, m=1, beta=0.2,
+                                   strategy=Strategy.PAPER_CLOSED_FORM))
+        assert res.diagnostics["variant"] == "corrected"
+        assert res.z == corrected.z.item()
+        assert corrected.z.item() != verbatim.z.item()
 
     def test_variants_coincide_at_m0(self):
-        res = partition_paper(ThermoInput(params=PHYS, m=0, beta=0.2))
-        assert res.diagnostics["z_corrected"] == res.diagnostics["z_verbatim"]
+        corrected, verbatim = (sweep(PHYS, 0, 500, [0.2], Strategy.PAPER_CLOSED_FORM, v)
+                               for v in ("corrected", "verbatim"))
+        assert corrected.z.item() == verbatim.z.item()
 
     def test_high_temperature_agreement(self):
         """Best closed-form variant within 5% of the direct sum on T in [5, 50]."""
@@ -218,16 +217,16 @@ class TestPartitionPaper:
 
     def test_large_beta_sign_and_monotonicity(self):
         betas = (2.0, 3.0, 5.0)
-        zs = [partition_paper(ThermoInput(params=PHYS, m=1, beta=b)).z for b in betas]
-        zd = [partition_direct(ThermoInput(params=PHYS, m=1, beta=b)).z for b in betas]
+        zs = sweep(PHYS, 1, 500, betas, Strategy.PAPER_CLOSED_FORM).z.tolist()
+        zd = sweep(PHYS, 1, 500, betas).z.tolist()
         assert all(z > 0 for z in zs)
         assert all(b < a for a, b in zip(zs, zs[1:]))  # decreasing in beta
         assert all(b < a for a, b in zip(zd, zd[1:]))
 
     def test_no_spurious_nonpositive_flag(self):
-        for beta in (0.05, 0.5, 5.0):
-            res = partition_paper(ThermoInput(params=PHYS, m=1, beta=beta))
-            assert "nonpositive_z" not in res.diagnostics
+        for variant in ("corrected", "verbatim"):
+            for res in sweep(PHYS, 1, 500, (0.05, 0.5, 5.0), Strategy.PAPER_CLOSED_FORM, variant):
+                assert "nonpositive_z" not in res.diagnostics
 
 
 class TestPartitionPoisson:
@@ -244,10 +243,10 @@ class TestPartitionPoisson:
         erf manipulations inside the closed form."""
         for k in (-0.1, -0.3):
             p = SystemParams(alpha=1.0, k=k)
-            for beta in (0.05, 0.2, 1.0):
-                inp = ThermoInput(params=p, m=1, beta=beta)
-                zp = partition_poisson_independent(inp).z
-                zc = partition_paper(inp).diagnostics["z_corrected"]
+            betas = (0.05, 0.2, 1.0)
+            zps = sweep(p, 1, 500, betas, Strategy.POISSON_PIPELINE).z.tolist()
+            zcs = sweep(p, 1, 500, betas, Strategy.PAPER_CLOSED_FORM, "corrected").z.tolist()
+            for zp, zc in zip(zps, zcs):
                 assert zp == pytest.approx(zc, rel=1e-9)
 
     def test_direct_sum_gap_matches_truncation_bound(self):
@@ -255,13 +254,16 @@ class TestPartitionPoisson:
         first-order truncation error of the summation formula (within 2x)."""
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
-            for beta in (0.01, 0.05, 0.1, 0.5, 1.0):
+            betas = (0.01, 0.05, 0.1, 0.5, 1.0)
+            gaps = np.abs(sweep(p, 1, 500, betas).z
+                          - sweep(p, 1, 500, betas, Strategy.POISSON_PIPELINE).z)
+            for beta, gap in zip(betas, gaps.tolist()):
                 inp = ThermoInput(params=p, m=1, beta=beta)
-                gap = abs(partition_direct(inp).z - partition_poisson_independent(inp).z)
                 assert gap <= 2.0 * em_error_bound(inp) + 1e-12
 
     def test_quadrature_diagnostics_present(self):
-        res = partition_poisson_independent(ThermoInput(params=PHYS, m=1, beta=0.1))
+        res = evaluate(ThermoInput(params=PHYS, m=1, beta=0.1,
+                                   strategy=Strategy.POISSON_PIPELINE))
         diag = res.diagnostics
         assert diag["quadrature_evaluations"] == 15 + 30 * diag["quadrature_refinements"]
         # relative to each integral, worst over f, (E - E_0) f, (E - E_0)^2 f
@@ -274,20 +276,21 @@ class TestPartitionPoisson:
         inp = ThermoInput.from_temperature(PHYS, 1, 10.0, truncation_n=100_000,
                                            strategy=Strategy.POISSON_PIPELINE)
         z = evaluate(inp).z
-        gap = abs(z - partition_direct(inp).z)
+        gap = abs(z - sweep(PHYS, 1, 100_000, [inp.beta]).z.item())
         assert gap <= 2.0 * em_error_bound(inp) + 1e-12
-        assert z == pytest.approx(partition_paper(inp).z, rel=1e-12)
+        assert z == pytest.approx(
+            sweep(PHYS, 1, 100_000, [inp.beta], Strategy.PAPER_CLOSED_FORM).z.item(), rel=1e-12)
 
 
 class TestAverageEnergy:
     def test_ground_state_limit(self):
         inp = ThermoInput(params=PHYS, m=1, beta=500.0)
-        assert average_energy(inp) == pytest.approx(energy(PHYS, 0, 1), abs=1e-10)
+        assert evaluate(inp).u == pytest.approx(energy(PHYS, 0, 1), abs=1e-10)
 
     def test_ladder_closed_form(self):
         p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
         for beta in (0.05, 0.2, 1.0):
-            u = average_energy(ThermoInput(params=p, m=1, beta=beta))
+            u = evaluate(ThermoInput(params=p, m=1, beta=beta)).u
             assert u == pytest.approx(2.0 + 2.0 / (math.exp(2.0 * beta) - 1.0), rel=1e-10)
 
     def test_closed_form_matches_difference_quotient(self):
@@ -296,16 +299,16 @@ class TestAverageEnergy:
 
             def log_z(b):
                 return math.log(
-                    partition_paper(ThermoInput(params=PHYS, m=1, beta=b)).diagnostics["z_corrected"]
+                    sweep(PHYS, 1, 500, [b], Strategy.PAPER_CLOSED_FORM, "corrected").z.item()
                 )
 
             expected = -central_diff(log_z, beta, 1, h=1e-3 * beta)
-            assert average_energy(inp) == pytest.approx(expected, rel=1e-6)
+            assert evaluate(inp).u == pytest.approx(expected, rel=1e-6)
 
     def test_strategies_converge_at_small_beta(self):
         beta = 0.005
         vals = [
-            average_energy(ThermoInput(params=PHYS, m=1, beta=beta, strategy=s))
+            evaluate(ThermoInput(params=PHYS, m=1, beta=beta, strategy=s)).u
             for s in Strategy
         ]
         assert max(vals) - min(vals) <= 0.02 * abs(vals[0])
@@ -316,11 +319,11 @@ class TestHeatCapacity:
     @given(beta=st.floats(0.01, 50.0), k=st.sampled_from(FIG_KS))
     def test_direct_nonnegative(self, beta, k):
         p = SystemParams(alpha=1.0, k=k)
-        assert heat_capacity(ThermoInput(params=p, m=1, beta=beta)) >= 0.0
+        assert evaluate(ThermoInput(params=p, m=1, beta=beta)).c >= 0.0
 
     def test_ladder_equipartition(self):
         p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
-        c = heat_capacity(ThermoInput.from_temperature(p, 1, 100.0))
+        c = evaluate(ThermoInput.from_temperature(p, 1, 100.0)).c
         assert c == pytest.approx(1.0, abs=0.01)
 
     def test_plateau_exists_per_k(self):
@@ -336,7 +339,7 @@ class TestHeatCapacity:
         for beta in (0.1, 2.0, 10.0):
             inp_p = ThermoInput(params=PHYS, m=1, beta=beta, strategy=Strategy.POISSON_PIPELINE)
             inp_c = ThermoInput(params=PHYS, m=1, beta=beta, strategy=Strategy.PAPER_CLOSED_FORM)
-            assert heat_capacity(inp_p) == pytest.approx(heat_capacity(inp_c), rel=1e-9)
+            assert evaluate(inp_p).c == pytest.approx(evaluate(inp_c).c, rel=1e-9)
 
     def test_poisson_against_mpmath_summation_formula(self):
         """At (k=-1e-6, m=40, N=1e5, beta=1e3), where the closed form's C
@@ -370,12 +373,12 @@ class TestHeatCapacity:
 class TestFreeEnergyEntropy:
     def test_single_level_free_energy(self):
         inp = ThermoInput(params=PHYS, m=1, beta=0.7, truncation_n=0)
-        assert free_energy(inp) == pytest.approx(energy(PHYS, 0, 1), rel=1e-13)
+        assert evaluate(inp).f == pytest.approx(energy(PHYS, 0, 1), rel=1e-13)
 
     def test_free_energy_decreasing(self):
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
-            fs = [free_energy(ThermoInput.from_temperature(p, 1, t))
+            fs = [evaluate(ThermoInput.from_temperature(p, 1, t)).f
                   for t in np.linspace(0.5, 50.0, 40)]
             assert all(b < a for a, b in zip(fs, fs[1:]))
 
@@ -385,13 +388,13 @@ class TestFreeEnergyEntropy:
             assert abs(res.f - (res.u - t * res.s)) <= 1e-8 * max(1.0, abs(res.f))
 
     def test_third_law_limit(self):
-        s = entropy(ThermoInput(params=PHYS, m=1, beta=200.0))
+        s = evaluate(ThermoInput(params=PHYS, m=1, beta=200.0)).s
         assert 0.0 <= s <= 1e-100
 
     def test_entropy_increasing(self):
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
-            ss = [entropy(ThermoInput.from_temperature(p, 1, t))
+            ss = [evaluate(ThermoInput.from_temperature(p, 1, t)).s
                   for t in np.geomspace(0.1, 50.0, 40)]
             assert all(b > a for a, b in zip(ss, ss[1:]))
 
@@ -400,9 +403,9 @@ class TestFreeEnergyEntropy:
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
             for t in np.linspace(5.0, 50.0, 8):
-                sd = entropy(ThermoInput.from_temperature(p, 1, float(t)))
-                sp = entropy(ThermoInput.from_temperature(
-                    p, 1, float(t), strategy=Strategy.PAPER_CLOSED_FORM))
+                sd = evaluate(ThermoInput.from_temperature(p, 1, float(t))).s
+                sp = evaluate(ThermoInput.from_temperature(
+                    p, 1, float(t), strategy=Strategy.PAPER_CLOSED_FORM)).s
                 assert abs(sp - sd) <= 0.05 * abs(sd)
 
     def test_negative_entropy_flagged_not_fixed(self):
@@ -422,14 +425,14 @@ class TestTruncation:
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
             for t in (1.0, 10.0, 50.0):
-                z300 = partition_direct(ThermoInput.from_temperature(p, 1, t, truncation_n=300)).z
-                z500 = partition_direct(ThermoInput.from_temperature(p, 1, t, truncation_n=500)).z
+                z300 = evaluate(ThermoInput.from_temperature(p, 1, t, truncation_n=300)).z
+                z500 = evaluate(ThermoInput.from_temperature(p, 1, t, truncation_n=500)).z
                 assert abs(z300 - z500) <= 1e-12 * z500
 
     def test_z_monotone_in_temperature(self):
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
-            zs = [partition_direct(ThermoInput.from_temperature(p, 1, t)).z
+            zs = [evaluate(ThermoInput.from_temperature(p, 1, t)).z
                   for t in np.geomspace(0.1, 50.0, 30)]
             assert all(b > a for a, b in zip(zs, zs[1:]))
 
@@ -579,16 +582,18 @@ class TestEvaluateBundle:
     def test_direct_bundle_consistency(self):
         inp = ThermoInput(params=PHYS, m=1, beta=0.25)
         res = evaluate(inp)
-        assert res.z == pytest.approx(partition_direct(inp).z, rel=1e-14)
-        assert res.u == pytest.approx(average_energy(inp), rel=1e-14)
-        assert res.c == pytest.approx(heat_capacity(inp), rel=1e-14)
-        assert res.f == pytest.approx(free_energy(inp), rel=1e-14)
-        assert res.s == pytest.approx(entropy(inp), rel=1e-14)
+        ref = sweep(PHYS, 1, 500, [0.25])[0]
+        assert res.z == pytest.approx(ref.z, rel=1e-14)
+        assert res.u == pytest.approx(ref.u, rel=1e-14)
+        assert res.c == pytest.approx(ref.c, rel=1e-14)
+        assert res.f == pytest.approx(ref.f, rel=1e-14)
+        assert res.s == pytest.approx(ref.s, rel=1e-14)
 
     def test_poisson_bundle(self):
         inp = ThermoInput(params=PHYS, m=1, beta=0.1, strategy=Strategy.POISSON_PIPELINE)
         res = evaluate(inp)
-        assert res.u == pytest.approx(average_energy(inp), rel=1e-10)
+        assert res.u == pytest.approx(
+            sweep(PHYS, 1, 500, [0.1], Strategy.POISSON_PIPELINE).u.item(), rel=1e-10)
         assert res.f == pytest.approx(res.u - inp.temperature * res.s, rel=1e-10)
 
     def test_display_overflow_recorded_not_raised(self):
