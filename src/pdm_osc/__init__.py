@@ -45,6 +45,7 @@ from .specfun import (
     QuadratureSpec,
     central_diff,
     erfcx,
+    erfcx_gh,
     five_point_stencil,
     hyp2f1_terminating,
     integrate,
@@ -71,7 +72,7 @@ __all__ = [
     # specfun
     "JacobiParams", "QuadratureSpec", "QuadratureResult",
     "DegreeOverflowError", "PoleError", "IntegrationError",
-    "erfcx", "jacobi_p", "hyp2f1_terminating", "integrate",
+    "erfcx", "erfcx_gh", "jacobi_p", "hyp2f1_terminating", "integrate",
     "five_point_stencil", "central_diff",
     # nu
     "NUProblem", "NUCoefficients", "NUSolution", "NegativeDiscriminantError",

@@ -19,6 +19,7 @@ within 1e-6 of a half (every exact tie among them), non-finite values, and
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,23 @@ _PALETTE = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#d68910", "#16a085")
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
+
+
+
+def _axis_range(v0: float, v1: float, pad: float) -> tuple[float, float, float]:
+    """The ends of an axis over data in [v0, v1], padded by pad of its width,
+    and the scale they are in: 1, or 1/4 beyond a quarter of DBL_MAX, so that
+    the width, the pad and every tick stay finite. A flat range is widened by
+    max(1, |v| 2^-40) (adding 1 alone is lost once |v| >= 2^53), downwards
+    where upwards would overflow."""
+    top = sys.float_info.max
+    if v1 == v0:
+        widen = max(1.0, abs(v0) * 2.0**-40)
+        v0, v1 = (v0, v0 + widen) if v0 + widen <= top else (v0 - widen, v0)
+    scale = 1.0 if max(abs(v0), abs(v1)) <= top / 4 else 0.25
+    v0, v1 = v0 * scale, v1 * scale
+    margin = pad * (v1 - v0)
+    return max(v0 - margin, -top * scale), min(v1 + margin, top * scale), scale
 
 
 @dataclass
@@ -80,18 +98,11 @@ class SeriesTable:
         xs, cols = self.validate()
         ml, mr, mt, mb = 70, 20, 20, 50
         pw, ph = width - ml - mr, height - mt - mb
-        x0, x1 = xs.min().item(), xs.max().item()
-        y0, y1 = min(col.min() for col in cols).item(), max(col.max() for col in cols).item()
-        # a flat range is widened by max(1, |v| 2^-40): adding 1 alone is lost
-        # once |v| >= 2^53
-        if x1 == x0:
-            x1 = x0 + max(1.0, abs(x0) * 2.0**-40)
-        if y1 == y0:
-            y1 = y0 + max(1.0, abs(y0) * 2.0**-40)
-        pad = 0.05 * (y1 - y0)
-        y0, y1 = y0 - pad, y1 + pad
+        x0, x1, sx = _axis_range(xs.min().item(), xs.max().item(), 0.0)
+        y0, y1, sy = _axis_range(min(col.min() for col in cols).item(),
+                                 max(col.max() for col in cols).item(), 0.05)
 
-        # px and py map numbers and, elementwise, arrays
+        # px and py map numbers and, elementwise, arrays, in units of sx and sy
         def px(x):
             return ml + (x - x0) / (x1 - x0) * pw
 
@@ -105,17 +116,17 @@ class SeriesTable:
             f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
         ]
         for j in range(5):
-            xt = x0 + j * (x1 - x0) / 4
-            yt = y0 + j * (y1 - y0) / 4
+            xt = x0 + (x1 - x0) / 4 * j
+            yt = y0 + (y1 - y0) / 4 * j
             parts += [
                 f'<line x1="{px(xt):.2f}" y1="{mt + ph}" x2="{px(xt):.2f}" '
                 f'y2="{mt + ph + 5}" stroke="black"/>',
                 f'<text x="{px(xt):.2f}" y="{mt + ph + 18}" font-size="11" '
-                f'text-anchor="middle">{xt:.4g}</text>',
+                f'text-anchor="middle">{xt / sx:.4g}</text>',
                 f'<line x1="{ml - 5}" y1="{py(yt):.2f}" x2="{ml}" y2="{py(yt):.2f}" '
                 f'stroke="black"/>',
                 f'<text x="{ml - 8}" y="{py(yt) + 4:.2f}" font-size="11" '
-                f'text-anchor="end">{yt:.4g}</text>',
+                f'text-anchor="end">{yt / sy:.4g}</text>',
             ]
         parts.append(
             f'<text x="{ml + pw / 2:.2f}" y="{height - 10}" font-size="12" '
@@ -127,7 +138,7 @@ class SeriesTable:
         )
         for idx, ((name, _), col) in enumerate(zip(self.columns, cols)):
             color = _PALETTE[idx % len(_PALETTE)]
-            pts = _render([px(xs), py(col)], ".2f", b", ")[:-1]
+            pts = _render([px(xs * sx), py(col * sy)], ".2f", b", ")[:-1]
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
             ly = mt + 14 + 16 * idx
             parts.append(

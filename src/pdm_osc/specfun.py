@@ -23,6 +23,7 @@ __all__ = [
     "PoleError",
     "IntegrationError",
     "erfcx",
+    "erfcx_gh",
     "jacobi_p",
     "hyp2f1_terminating",
     "integrate",
@@ -155,32 +156,48 @@ def erfcx(x: float | np.ndarray) -> float | np.ndarray:
 
     Stays O(1/x) where erfc itself underflows, which lets callers combine the
     exp(x^2) growth with their own decaying exponentials in the log domain.
-    Below x = 1.5 it is exp(x^2) minus the all-positive erf series
-    2x/sqrt(pi) sum (2x^2)^k/(2k+1)!!, 28 terms of which leave a remainder
-    below 1e-21 of the sum, and the subtraction costs at most a factor 34 of
-    cancellation. From 1.5 on it is the 120-term Laplace continued fraction
-    (DLMF 7.9), which has converged to the last bit there. Relative error:
-    below 3e-14 on [0, 1.5), below 1e-15 beyond.
+    It is erfcx_gh's first factor over sqrt(pi). Relative error: below 3e-14
+    on [0, 1.5), below 1e-15 beyond.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError(f"erfcx is implemented for x >= 0, got {x}")
-    out = np.full(x.shape, np.nan)
-    small, large = x < 1.5, x >= 1.5
+    out = erfcx_gh(x)[0] / _SQRT_PI
+    return out if out.ndim else float(out)
+
+
+def erfcx_gh(u: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sqrt(pi) erfcx(u) and the half-line Gaussian moment factors
+    g(u) = 1 - sqrt(pi) u erfcx(u) and h(u) = sqrt(pi) (u^2 + 1/2) erfcx(u) - u,
+    elementwise for u >= 0, as arrays of u's shape; NaN propagates.
+
+    Below u = 1.5 erfcx is exp(u^2) minus the all-positive erf series
+    2u/sqrt(pi) sum (2u^2)^k/(2k+1)!! (28 terms, remainder below 1e-21), and
+    g and h are formed as written, cancelling by at most 7x and 23x. From 1.5
+    on, the 120-term Laplace continued fraction (DLMF 7.9), converged there,
+    gives s = 1/(u + (3/2)/(u + (4/2)/(u + ...))) and K = (1/2)/(u + s), and
+    so sqrt(pi) erfcx = 1/(u + K), g = K/(u + K) and h = s/(2 (u + s)(u + K))
+    without cancellation (g ~ 1/(2u^2), h ~ 1/(2u^3)).
+    """
+    u = np.asarray(u, dtype=float)
+    if np.any(u < 0.0):
+        raise ValueError(f"erfcx is implemented for x >= 0, got {u}")
+    e, g, h = (np.full(u.shape, np.nan) for _ in range(3))
+    small, large = u < 1.5, u >= 1.5
     if small.any():
-        xs = x[small]
-        t = 2.0 * xs * xs
-        series = np.ones_like(xs)
+        us = u[small]
+        t = 2.0 * us * us
+        series = np.ones_like(us)
         for k in range(28, 0, -1):
             series = 1.0 + series * t / (2 * k + 1)
-        out[small] = np.exp(xs * xs) - 2.0 / _SQRT_PI * xs * series
+        es = _SQRT_PI * np.exp(us * us) - 2.0 * us * series
+        e[small], g[small], h[small] = es, 1.0 - us * es, (us * us + 0.5) * es - us
     if large.any():
-        xl = x[large]
-        cf = np.zeros_like(xl)
-        for j in range(120, 0, -1):
-            cf = (j / 2.0) / (xl + cf)
-        out[large] = 1.0 / (_SQRT_PI * (xl + cf))
-    return out if out.ndim else float(out)
+        ul = u[large]
+        s = np.zeros_like(ul)
+        for j in range(120, 1, -1):
+            s = (j / 2.0) / (ul + s)
+        big_k = 0.5 / (ul + s)
+        el = 1.0 / (ul + big_k)
+        e[large], g[large], h[large] = el, big_k * el, s * el / (2.0 * (ul + s))
+    return e, g, h
 
 
 def jacobi_p(params: JacobiParams, x: float) -> float:

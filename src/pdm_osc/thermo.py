@@ -7,19 +7,19 @@ DIRECT_SUM        log-domain accumulation of the truncated sum; this is the
                   reference oracle for everything else.
 PAPER_CLOSED_FORM the paper's closed form: the first-order summation formula
                   sum f(n) ~ [f(0) - f(N+1)]/2 + int_0^{N+1} f(x) dx
-                  for f(x) = exp(-beta E(x)), with the integral done by the
-                  erf algebra of the coefficients (a_t, b_t, c_t, d_t).
-POISSON_PIPELINE  the same summation formula with the integral done by
-                  adaptive quadrature instead of the erf algebra; an
-                  independent re-derivation that triangulates the closed form.
-                  Each point is one vector-valued quadrature of f, (E - E_0) f
-                  and (E - E_0)^2 f, which gives ln Z, U and C together, and a
-                  series batches those quadratures over its whole beta grid.
+                  for f(x) = exp(-beta E(x)), its integrals done from the
+                  coefficients (a_t, b_t, c_t, d_t) through erfcx.
+POISSON_PIPELINE  the same summation formula with the integrals done by
+                  adaptive quadrature; an independent re-derivation that
+                  triangulates the closed form. A series is one batched,
+                  vector-valued quadrature of f, (E - E_0) f and (E - E_0)^2 f.
 
-The closed form inherits the truncation error of the first-order summation
-formula, roughly |f'(0)|/12 relative to Z, which grows with beta; agreement
-with the direct sum is a high-temperature statement. compare_strategies
-quantifies the discrepancy on any beta grid.
+Every strategy reduces a beta grid to E_0, M_0 = Z exp(beta E_0), the mean
+<E - E_0> and the variance of E, and one tail (_from_moments) forms ln Z, U,
+C, F and S from them. The summation formula's are its moments about E_0,
+M_j = [d(0)^j f(0) - d(N+1)^j f(N+1)]/2 + int_0^{N+1} d^j f dx, d = E - E_0.
+It inherits a first-order truncation error, roughly |f'(0)|/12 relative to
+Z, which grows with beta; compare_strategies quantifies it on a beta grid.
 
 sweep evaluates one (params, m, N, strategy) series on a whole beta grid, as
 array programs over that grid, and returns a ThermoSeries: one array per
@@ -27,21 +27,17 @@ quantity and per diagnostic. The direct sum builds the spectrum once and
 reduces it over blocks of beta rows, each row cut at the first level whose
 weight underflows to exactly 0.0 (at a length that depends on beta alone and
 gives the uncut sum bit for bit); the closed form is one array expression
-over the grid, with one erfcx call for both of its arguments; and the
-pipeline integrates every beta in one batched quadrature. ln, exp and
-beta**2 go through libm element by element (see _libm). evaluate() is sweep
-on a one-point grid, so the two agree value for value.
+over the grid; the pipeline integrates every beta in one batched quadrature.
+ln, exp and beta**2 go through libm element by element (see _libm).
+evaluate() is sweep on a one-point grid, so the two agree value for value.
 
 The paper's coefficients are spectrum values: c_t = E_{N+1},
 a_t = -E'(0)/2, b_t = E'(N+1)/2, (a_t^2 - alpha^2)/2k = -E_0 and
-(b_t^2 - alpha^2)/2k = -E_{N+1}. The closed form is evaluated relative to
-exp(-beta E_0), like the direct sum and the pipeline, so no factor overflows
-and a Z below the double range still gives finite U, C, F and S. The d_t
-coefficient has two readings: "corrected" uses sqrt(k^2 + alpha^2) - k m^2/2,
-for which a_t - d_t = -E_0 and the boundary term is exactly f(0), while
-"verbatim" keeps the mass-scale combination sqrt(lam^2 + alpha^2) - lam m^2/2.
-sweep() and evaluate() compute the requested one, and the corrected variant
-is the default.
+(b_t^2 - alpha^2)/2k = -E_{N+1}. The d_t coefficient has two readings:
+"corrected" uses sqrt(k^2 + alpha^2) - k m^2/2, for which a_t - d_t = -E_0
+and the boundary term is exactly f(0), while "verbatim" keeps the mass-scale
+combination sqrt(lam^2 + alpha^2) - lam m^2/2, which moves the boundary term
+to the level d_t - a_t. The corrected variant is the default.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ from typing import Iterable
 import numpy as np
 
 from .oscillator import NonPhysicalError, SystemParams, energy
-from .specfun import QuadratureSpec, erfcx, integrate
+from .specfun import QuadratureSpec, erfcx_gh, integrate
 
 __all__ = [
     "Strategy",
@@ -175,12 +171,11 @@ class ThermoSeries:
     """Z, U, C, F and S of one (params, m, N, strategy) series on a beta grid.
 
     Each quantity is a 1-D array over the grid, and so is each diagnostic:
-    "n_terms" and "tail_ratio" (direct sum), the flag "nonpositive_z"
-    (closed form) and "quadrature_refinements", "quadrature_evaluations" and
-    "quadrature_error_bound" (pipeline). variant is the closed form's d_t
-    reading, else None. series[i] is the ThermoResult at the i-th beta: its
-    diagnostics dict holds a flag only where it is set, and
-    "negative_entropy" = S wherever S is negative or NaN.
+    "n_terms" and "tail_ratio" (direct sum) and "quadrature_refinements",
+    "quadrature_evaluations" and "quadrature_error_bound" (pipeline); the
+    closed form has none. variant is the closed form's d_t reading, else
+    None. series[i] is the ThermoResult at the i-th beta; its diagnostics
+    add "negative_entropy" = S wherever S is negative or NaN.
 
     The direct sum's C is kb beta^2 times a two-pass variance, so it is
     nonnegative by construction. An approximate strategy's S can go negative
@@ -206,9 +201,7 @@ class ThermoSeries:
         diag = {"strategy": self.strategy.value}
         if self.variant is not None:
             diag["variant"] = self.variant
-        for name, column in self.diagnostics.items():
-            if column.dtype != bool or column[i]:  # a flag only where it is set
-                diag[name] = column[i].item()
+        diag.update((name, column[i].item()) for name, column in self.diagnostics.items())
         z, log_z, u, c, f, s = (getattr(self, q)[i].item() for q in "z log_z u c f s".split())
         if math.isnan(s) or s < 0.0:
             diag["negative_entropy"] = s
@@ -231,7 +224,7 @@ def levels(inp: ThermoInput) -> np.ndarray:
 def _libm(fn, x: np.ndarray) -> np.ndarray:
     """fn of each element as a Python float: libm's exp, log and pow (and
     so Python's b**2) round differently from numpy's kernels and squaring."""
-    return np.array([fn(v) for v in x.tolist()])
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
 def _z(log_z: np.ndarray) -> np.ndarray:
@@ -264,15 +257,19 @@ def _cut_lengths(shifted: np.ndarray, betas: np.ndarray) -> np.ndarray:
 
 
 def _check_weights_range(params: SystemParams, e0: float, e_top: float,
-                         betas: np.ndarray) -> None:
-    """Refuse a grid on which the weights exp(-beta (E - E_0)) of the levels
-    E_0..E_top leave the double range: E_0, E_top, 746/beta and beta (E_top -
-    E_0) must be finite, taken as Python floats at the ends of the grid."""
+                         betas: np.ndarray, moments: bool = False) -> None:
+    """Refuse a grid on which the weights exp(-beta (E - E_0)) of E_0..E_top
+    leave the double range: E_0, E_top, 746/beta and beta (E_top - E_0), as
+    Python floats at the ends of the grid, must be finite; for the moments,
+    (E_top - E_0)^2 too, which for k <= 0 also bounds E'(0)^2."""
     b_min, b_max = betas.min().item(), betas.max().item()
     if not all(map(math.isfinite, (e0, e_top, _EXP_UNDERFLOW / b_min, b_max * (e_top - e0)))):
         raise ValueError(f"Boltzmann weights out of range at alpha={params.alpha}, "
                          f"kb={params.kb}, beta in [{b_min}, {b_max}]: "
                          "E_0..E_N, 746/beta or beta (E_N - E_0) is not finite")
+    if moments and not math.isfinite((e_top - e0) * (e_top - e0)):
+        raise ValueError(f"Boltzmann moments out of range at alpha={params.alpha}, "
+                         f"kb={params.kb}: (E_{{N+1}} - E_0)^2 is not finite")
 
 
 def _boltzmann_sums(e: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -307,23 +304,33 @@ def _boltzmann_sums(e: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray
     return e0, out, lengths
 
 
+def _from_moments(first: ThermoInput, betas: np.ndarray, e0: float, m0: np.ndarray,
+                  mean: np.ndarray, var: np.ndarray, diagnostics: dict,
+                  variant: str | None = None, u: np.ndarray | None = None) -> ThermoSeries:
+    """The series of first's strategy from a reference energy E_0 and, at each
+    beta, M_0 = Z exp(beta E_0), the mean <E - E_0> and the variance of E. U
+    is E_0 + mean unless given (the direct sum averages E itself)."""
+    kb = first.params.kb
+    log_m0 = _libm(math.log, m0)
+    log_z = -betas * e0 + log_m0
+    return ThermoSeries(first.strategy, variant, betas, z=_z(log_z), log_z=log_z,
+                        u=e0 + mean if u is None else u,
+                        c=kb * _libm(lambda b: b**2, betas) * var, f=-log_z / betas,
+                        s=kb * (log_m0 + betas * mean), diagnostics=diagnostics)
+
+
 def _direct_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     """Direct-sum series of first's (params, m, N) on the grid betas."""
-    p, m, kb = first.params, first.m, first.params.kb
+    p, m = first.params, first.m
     _check_weights_range(p, energy(p, 0.0, m), energy(p, float(first.truncation_n), m), betas)
     e0, (sw, mean, var, shifted_mean, tail), lengths = _boltzmann_sums(levels(first), betas)
-    log_sw = _libm(math.log, sw)
-    log_z = -betas * e0 + log_sw
-    return ThermoSeries(Strategy.DIRECT_SUM, None, betas, z=_z(log_z), log_z=log_z, u=mean,
-                        c=kb * _libm(lambda b: b**2, betas) * var, f=-log_z / betas,
-                        s=kb * (log_sw + betas * shifted_mean),
-                        diagnostics={"n_terms": lengths, "tail_ratio": tail})
+    return _from_moments(first, betas, e0, sw, shifted_mean, var,
+                         {"n_terms": lengths, "tail_ratio": tail}, u=mean)
 
 
-def _coefficients(params: SystemParams, m: int, n_max: int, variant: str,
-                  beta: float | np.ndarray) -> tuple:
-    """a_t, b_t, c_t, d_t, eta and theta_v at a beta or, elementwise, at an
-    array of them (eta and theta_v then are arrays)."""
+def _coefficients(params: SystemParams, m: int, n_max: int,
+                  variant: str) -> tuple[float, float, float, float]:
+    """a_t, b_t, c_t and d_t of one d_t variant."""
     k, alpha = params.k, params.alpha
     if k >= 0.0:
         raise NonPhysicalError(
@@ -342,134 +349,99 @@ def _coefficients(params: SystemParams, m: int, n_max: int, variant: str,
         d_t = am * math.hypot(params.lam, alpha) - params.lam * m * m / 2.0
     else:
         raise ValueError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
-    eta = -beta * a_t * a_t / (2.0 * k)
-    theta_v = -beta * b_t * b_t / (2.0 * k)
-    return a_t, b_t, c_t, d_t, eta, theta_v
-
-
-def _check_closed_form_range(params: SystemParams, m: int, n_max: int, variant: str,
-                             beta: np.ndarray) -> None:
-    """Refuse a grid on which the closed form's largest composites leave the
-    double range: alpha^4 beta^2 and the squared erf arguments eta and
-    theta_v. All three grow with beta, so they are taken, as Python floats,
-    at the largest beta of the grid."""
-    b = beta.max().item()
-    *_, eta, theta_v = _coefficients(params, m, n_max, variant, b)
-    try:
-        composite = params.alpha**4 * b**2
-    except OverflowError:
-        composite = math.inf
-    if not all(map(math.isfinite, (composite, eta, theta_v))):
-        raise ValueError(f"closed form out of range at alpha={params.alpha}, beta={b}: "
-                         "alpha^4 beta^2, eta or theta_v is not finite")
+    return a_t, b_t, c_t, d_t
 
 
 def paper_z_coefficients(inp: ThermoInput, variant: str = "corrected") -> PaperZCoefficients:
-    """Closed-form coefficients a_t, b_t, c_t, d_t, eta, theta_v in the
-    paper's notation.
+    """Coefficients a_t, b_t, c_t, d_t, eta and theta_v in the paper's notation.
 
     variant selects the d_t reading: "corrected" uses sqrt(k^2+alpha^2) and
     -k m^2/2 (a_t - d_t = -E_0, so the boundary term is exactly
     exp(-beta E_0)); "verbatim" keeps the mass-scale lam in both places.
     """
-    return PaperZCoefficients(
-        *_coefficients(inp.params, inp.m, inp.truncation_n, variant, inp.beta),
-        variant=variant)
+    p, beta = inp.params, inp.beta
+    a_t, b_t, c_t, d_t = _coefficients(p, inp.m, inp.truncation_n, variant)
+    return PaperZCoefficients(a_t, b_t, c_t, d_t, eta=-beta * a_t * a_t / (2.0 * p.k),
+                              theta_v=-beta * b_t * b_t / (2.0 * p.k), variant=variant)
+
+
+def _shifted(moments: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """The first three moments (rows) about an origin lower by `by`."""
+    m0, m1, m2 = moments
+    return np.stack([m0, m1 + by * m0, m2 + by * (2.0 * m1 + by * m0)])
 
 
 def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSeries:
     """Z, U, C, F and S of the closed form in one d_t variant, for first's
     (params, m, N), as array expressions over the grid beta.
 
-    With f(x) = exp(-beta E(x)), 2Z = exp(beta (a_t - d_t)) - f(N+1) + 2I,
-    where I = int_0^{N+1} f dx is the erf term -Omega. U and C follow from
-    the beta-derivatives of 2Z: the composites Lambda = d(2Z)/d(beta) and
-    X + epsilon = d^2(2Z)/d(beta)^2, with the Gaussian boundary sums of
-    int E f dx and int E^2 f dx collected in a_t f(0) + b_t f(N+1) and
-    varsigma. Every exponential is taken relative to exp(-beta E_0 + shift),
-    where shift > 0 only when the verbatim d_t term exp(beta (a_t - d_t))
-    exceeds exp(-beta E_0), so every factor is at most 1: with the corrected
-    d_t the boundary and Gaussian factors are 1 and exp(-beta (E_{N+1} - E_0)).
-    Z itself saturates to inf or 0 only where exp(ln Z) leaves the double range.
-    Where 2Z is 0 or negative the point is flagged "nonpositive_z" and ln Z,
-    U, C, F and S are NaN; a grid on which alpha^4 beta^2, eta or theta_v is
-    not finite is refused with ValueError before any array step.
+    With d = D x + q x^2, D = E'(0) = -2 a_t, q = -2k, X = N + 1 and
+    s = beta d(X), the moments are taken as beta^j M_j. Where s >= 1,
+    int_0^X d^j f is the half-line moment at slope D minus f(X) times those
+    at slope E'(X) = 2 b_t, shifted binomially by d(X). The half-line moments
+    are int_0^inf (beta d)^j f dy = phi_j(u) / (beta D), u = D sqrt(beta/q)/2,
+    phi_0 = u sqrt(pi) erfcx(u), phi_1 = u^2 g(u) + phi_0/2 and
+    phi_2 = u^3 h(u) + 3 phi_1/2 (erfcx_gh; by parts, with d'^2 = D^2 + 4q d).
+    Where s < 1 that difference cancels, and the integral is the series
+    X d(X)^j sum_n (-s)^n/n! J_{n+j}, J_p = int_0^1 (w r + (1 - w) r^2)^p dr,
+    w = D X / d(X). The moments are taken about the lower of E_0 and the
+    boundary level, so no weight exceeds 1 and a low verbatim level that
+    carries most of M_0 leaves a variance that does not cancel.
     """
-    p, m, n_max, kb = first.params, first.m, first.truncation_n, first.params.kb
-    _check_closed_form_range(p, m, n_max, variant, beta)
-    a_t, b_t, _, d_t, eta, theta_v = _coefficients(p, m, n_max, variant, beta)
-    k, alpha = p.k, p.alpha
-    e0 = energy(p, 0.0, m)
-    e1 = energy(p, n_max + 1.0, m)  # c_t
-    a_d = -e0 if variant == "corrected" else a_t - d_t
-    excess = beta * (a_d + e0)
-    shift = np.maximum(excess, 0.0)
-    exp_ad = np.exp(excess - shift)
-    f0 = np.exp(-shift)
-    f1 = np.exp(-beta * (e1 - e0) - shift)
-    # I through the scaled complement erfcx(x) = exp(x^2) erfc(x), whose
-    # growth cancels exp(-alpha^2 beta/2k) into the factors f(0) and f(N+1);
-    # one erfcx call takes both arguments of the whole grid
-    scaled_0, scaled_1 = erfcx(np.sqrt(np.stack([eta, theta_v])))
-    integral = np.sqrt(math.pi / (-8.0 * k * beta)) * (f0 * scaled_0 - f1 * scaled_1)
-    two_z = exp_ad - f1 + 2.0 * integral
-    positive = two_z > 0.0
-
-    # U and C divide by 2Z: they are taken only where it is positive
-    def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """num / den where 2Z is positive, NaN elsewhere."""
-        return np.divide(num, den, out=np.full(beta.shape, math.nan), where=positive)
-
-    gauss_boundary = a_t * f0 + b_t * f1
-    lam_num = (
-        a_d * exp_ad + e1 * f1
-        - (alpha * alpha * beta + k) * integral / (k * beta)
-        - gauss_boundary / (2.0 * k * beta)
-    )
-    u = ratio(-lam_num, two_z)
-    gauss_varsigma = (
-        a_t * f0 * (a_t * a_t * beta - 2.0 * alpha * alpha * beta - 3.0 * k)
-        + b_t * f1 * (b_t * b_t * beta - 2.0 * alpha * alpha * beta - 3.0 * k)
-    )
-    eps = (
-        ratio((alpha**4 * beta**2 + 2.0 * alpha * alpha * beta * k + 3.0 * k * k)
-              * integral, 2.0 * k * k * beta * beta)
-        - ratio(gauss_varsigma, 4.0 * k * k * beta * beta)
-    )
-    x_num = a_d * a_d * exp_ad - e1 * e1 * f1
-    c_heat = kb * beta * beta * (ratio(x_num + eps, two_z) - u**2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_z = np.where(positive, shift - beta * e0 + np.log(0.5 * two_z), math.nan)
-        # a nonpositive Z has no logarithm; shift is 0 there, so the scale
-        # exp(-beta E_0) is at most 1
-        z_nonpositive = 0.5 * two_z * np.exp(-beta * e0)
-    f = -log_z / beta
-    s = kb * (log_z + beta * u)
-    return ThermoSeries(Strategy.PAPER_CLOSED_FORM, variant, beta,
-                        z=np.where(positive, _z(log_z), z_nonpositive), log_z=log_z,
-                        u=u, c=c_heat, f=f, s=s, diagnostics={"nonpositive_z": ~positive})
+    p, m, n_max = first.params, first.m, first.truncation_n
+    a_t, b_t, _, d_t = _coefficients(p, m, n_max, variant)
+    e0, x1 = energy(p, 0.0, m), n_max + 1.0
+    d1 = x1 * (b_t - a_t)  # d(X), as b_t - a_t = D + q X
+    _check_weights_range(p, e0, e0 + d1, beta, moments=True)
+    s = beta * d1
+    f1 = np.exp(-s)
+    # beta^j (int_0^X d^j f dx - d(X)^j f(X)/2), j = 0, 1, 2
+    inner = np.empty((3, beta.size))
+    near = s < 1.0
+    if near.any():
+        # J_p, p <= 22, as sums of positive terms C(p, i) w^i (1-w)^(p-i) / (2p-i+1)
+        w = -2.0 * a_t / (b_t - a_t)
+        jp = np.array([sum(math.comb(j, i) * w**i * (1.0 - w)**(j - i) / (2 * j - i + 1)
+                           for i in range(j + 1)) for j in range(23)])
+        sn = s[near]
+        acc = np.repeat(jp[-3:, None], sn.size, axis=1)
+        for n in range(20, 0, -1):  # s^0..s^20: for s < 1 the rest is below 1e-19
+            acc = jp[n - 1:n + 2, None] - (sn / n) * acc
+        inner[:, near] = (x1 * acc - 0.5 * f1[near]) * np.stack([np.ones_like(sn), sn, sn * sn])
+    if not near.all():
+        far = ~near
+        bf = beta[far]
+        root = np.sqrt(bf) / math.sqrt(-2.0 * p.k)
+        # u at the slopes E'(0) and E'(X), one erfcx_gh call for both; beyond
+        # 1e10, phi_j are 1, 1 and 2 to the last bit, and u^3 h would underflow
+        u = np.stack([c * np.minimum(root, 1e10 / c) for c in (-a_t, b_t)])
+        e, g, h = erfcx_gh(u)
+        phi0 = u * e
+        phi1 = u * u * g + 0.5 * phi0
+        head, tail = np.stack([phi0, phi1, u * u * u * h + 1.5 * phi1], axis=1)
+        # the part beyond X, with the boundary term f(X)/2, about d(X)
+        tail = f1[far] * (tail / (2.0 * b_t) / bf + np.array([[0.5], [0.0], [0.0]]))
+        inner[:, far] = head / (-2.0 * a_t) / bf - _shifted(tail, s[far])
+    dv = d_t - a_t - e0 if variant == "verbatim" else 0.0  # boundary level - E_0
+    lo = min(dv, 0.0)
+    bdv = beta * (dv - lo)
+    m0, m1, m2 = (0.5 * np.exp(-bdv) * np.stack([np.ones_like(beta), bdv, bdv * bdv])
+                  + np.exp(beta * lo) * _shifted(inner, -beta * lo))
+    r1 = m1 / m0
+    return _from_moments(first, beta, e0 + lo, m0, r1 / beta, (m2 / m0 - r1 * r1) / beta / beta,
+                         {}, variant=variant)
 
 
 def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     """Summation-formula series of first's (params, m, N) on the grid betas,
     with the integrals of f, (E - E_0) f and (E - E_0)^2 f done by one batched,
-    vector-valued quadrature over the grid.
-
-    With f(x) = exp(-beta (E(x) - E_0)) the moments about E_0 are
-    M_j = [d(0)^j f(0) - d(N+1)^j f(N+1)]/2 + int d^j f dx, d = E - E_0:
-    M_0 is Z exp(beta E_0), and M_1, M_2 are its first two beta-derivatives
-    up to sign, taken under the integral. That is exact here because f is
-    exactly 0.0 at the clipped upper limit.
+    vector-valued quadrature over the grid. f is exactly 0.0 at the clipped
+    upper limit, so the moments are the formula's.
     """
-    p, m, n_max, kb = first.params, first.m, first.truncation_n, first.params.kb
+    p, m, n_max = first.params, first.m, first.truncation_n
     e0 = energy(p, 0.0, m)
     d1 = energy(p, n_max + 1.0, m) - e0
-    _check_weights_range(p, e0, e0 + d1, betas)
-    # M_2 and x_cut square d(N+1) and E'(0); for k <= 0, d(x) >= E'(0) x, so
-    # one check covers both
-    if not math.isfinite(d1 * d1):
-        raise ValueError(f"Boltzmann moments out of range at alpha={p.alpha}, kb={kb}: "
-                         "(E_{N+1} - E_0)^2 is not finite")
+    _check_weights_range(p, e0, e0 + d1, betas, moments=True)
     upper = np.full(betas.size, n_max + 1.0)
     if p.k <= 0.0:
         # f is exactly 0.0 beyond x_cut, where beta (E(x) - E_0) = 746; on a
@@ -494,15 +466,11 @@ def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     # each point's error bound relative to its integral, worst over the three
     with np.errstate(divide="ignore", invalid="ignore"):
         relative_bound = np.max(quad.error_bound / np.abs(quad.value), axis=1)
-    log_m0 = _libm(math.log, m0)
-    log_z = -betas * e0 + log_m0
     mean = m1 / m0  # <E - E_0>
-    return ThermoSeries(Strategy.POISSON_PIPELINE, None, betas, z=_z(log_z), log_z=log_z,
-                        u=e0 + mean, c=kb * _libm(lambda b: b**2, betas) * (m2 / m0 - mean * mean),
-                        f=-log_z / betas, s=kb * (log_m0 + betas * mean),
-                        diagnostics={"quadrature_refinements": quad.row_refinements,
-                                     "quadrature_evaluations": quad.row_evaluations,
-                                     "quadrature_error_bound": relative_bound})
+    return _from_moments(first, betas, e0, m0, mean, m2 / m0 - mean * mean,
+                         {"quadrature_refinements": quad.row_refinements,
+                          "quadrature_evaluations": quad.row_evaluations,
+                          "quadrature_error_bound": relative_bound})
 
 
 def _series(first: ThermoInput, betas: np.ndarray, variant: str) -> ThermoSeries:

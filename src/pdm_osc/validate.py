@@ -32,6 +32,7 @@ FIXTURE_PARAM_SETS = ((1.0, -0.1), (1.0, -0.5), (2.0, -0.3))
 FIXTURE_STATES = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2))
 
 FIGURE_K_LIST = (-0.1, -0.2, -0.3)
+TRIANGULATION_K_EDGE = -1e-8  # the k -> 0- edge of the documented box
 
 
 @dataclass
@@ -227,7 +228,8 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
     """Three-way comparison of the partition-function strategies.
 
     (a) the closed form (corrected d_t) must match the quadrature pipeline to
-        1e-9 relative in Z, U and C: same formula through independent algebra;
+        1e-9 relative in Z, U and C: same formula through independent algebra,
+        at the figure k values and at the k -> 0- edge, k = -1e-8;
     (b) the pipeline-vs-direct gap must stay within twice the a-priori
         truncation bound of the first-order summation formula;
     (c) the better closed-form variant must stay within 5% of the direct sum
@@ -236,7 +238,7 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
     betas = (0.05, 0.2) if quick else (0.02, 0.05, 0.1, 0.2, 1.0 / 15.0, 1.0 / 35.0)
     ks = FIGURE_K_LIST[:1] if quick else FIGURE_K_LIST
     worst_quad = 0.0
-    for k in ks:
+    for k in ks + (TRIANGULATION_K_EDGE,):
         p = _params(1.0, k)
         quad, closed, direct = (thermo.sweep(p, 1, 500, betas, strategy) for strategy in (
             thermo.Strategy.POISSON_PIPELINE, thermo.Strategy.PAPER_CLOSED_FORM,

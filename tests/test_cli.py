@@ -133,26 +133,26 @@ class TestThermoCommand:
         assert captured.err.count("\n") == 1
 
     def test_paper_composite_overflow_refused(self, capsys):
-        """alpha^4 beta^2 and the erf arguments overflow: the closed form
-        refuses with one typed line that names alpha and beta, before any
-        array step can warn."""
+        """(E_{N+1} - E_0)^2 overflows at alpha = 1e200: the closed form
+        refuses with the same line as the pipeline, which names alpha and
+        kb, before any array step can warn."""
         rc = main(["thermo", "--strategy=paper", "--alpha=1e200", "--T=1e-100", "--k=-0.1"])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: closed form out of range at alpha=1e+200, beta=1e+100: "
-                                "alpha^4 beta^2, eta or theta_v is not finite\n")
+        assert captured.err == ("error: Boltzmann moments out of range at alpha=1e+200, "
+                                "kb=1.0: (E_{N+1} - E_0)^2 is not finite\n")
 
-    @pytest.mark.parametrize("strategy", ["direct", "poisson"])
+    @pytest.mark.parametrize("strategy", ["direct", "paper", "poisson"])
     @pytest.mark.parametrize("args, where", [
         (["--alpha=1e306", "--T=1"], "alpha=1e+306, kb=1.0, beta in [1.0, 1.0]"),
         (["--kb=1e308", "--T=1"], "alpha=1.0, kb=1e+308, beta in [1e-308, 1e-308]"),
         (["--alpha=1e305", "--T=0.001"], "alpha=1e+305, kb=1.0, beta in [1000.0, 1000.0]")])
     def test_weights_out_of_range_refused(self, capsys, strategy, args, where):
-        """A spectrum, 746/beta or beta (E_N - E_0) that is not finite: the
-        direct sum and the summation formula refuse with one typed line that
-        names alpha, kb and beta, before any array step can warn (a
-        RuntimeWarning is an error here, and would change the line)."""
+        """A spectrum, 746/beta or beta (E_N - E_0) that is not finite: every
+        strategy refuses with one typed line that names alpha, kb and beta,
+        before any array step can warn (a RuntimeWarning is an error here,
+        and would change the line)."""
         rc = main(["thermo", f"--strategy={strategy}", "--k=-0.1"] + args)
         assert rc == 1
         captured = capsys.readouterr()
@@ -163,15 +163,18 @@ class TestThermoCommand:
     @pytest.mark.parametrize("alpha", ["1e152", "1e154", "1e200", "1e300"])
     def test_poisson_moments_out_of_range_refused(self, capsys, alpha):
         """E_0..E_{N+1} and the weights are finite, but (E_{N+1} - E_0)^2,
-        which M_2 and the clipped upper limit need, is not: the summation
-        formula refuses with one line that names alpha and kb."""
-        rc = main(["thermo", "--strategy=poisson", f"--alpha={alpha}", "--T=1", "--k=-0.1"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: Boltzmann moments out of range at "
-                                f"alpha={float(alpha)!r}, kb=1.0: "
-                                "(E_{N+1} - E_0)^2 is not finite\n")
+        which M_2 and the clipped upper limit need, is not: both
+        summation-formula strategies refuse with one line that names alpha
+        and kb."""
+        for strategy in ("paper", "poisson"):
+            rc = main(["thermo", f"--strategy={strategy}", f"--alpha={alpha}", "--T=1",
+                       "--k=-0.1"])
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: Boltzmann moments out of range at "
+                                    f"alpha={float(alpha)!r}, kb=1.0: "
+                                    "(E_{N+1} - E_0)^2 is not finite\n")
 
     @pytest.mark.parametrize("strategy, alpha, n", [
         ("poisson", "1e150", "500"), ("poisson", "1e151", "500"), ("direct", "1e150", "100000")])
@@ -185,19 +188,48 @@ class TestThermoCommand:
         assert all(math.isfinite(float(fields[q])) for q in "ZUCFS")
 
     def test_paper_zero_two_z_refused(self, capsys):
-        """At beta = 1e-300 the closed form's 2Z is exactly 0: the point is
-        flagged nonpositive_z, nothing divides by it, and the CLI refuses
-        the NaN U with one line."""
+        """At beta = 1e-300 every weight is 1: the closed form's M_0 is a sum
+        of nonnegative terms, so Z is finite and, like every other value,
+        within the summation formula's error model of the direct sum's 501
+        (there |f'(0)|/12 ~ 1e-300)."""
         series = thermo.sweep(SystemParams(1.0, -0.1), 1, 500, [1e-300],
                               thermo.Strategy.PAPER_CLOSED_FORM)
-        assert series.diagnostics["nonpositive_z"].tolist() == [True]
-        assert math.isnan(series.u[0]) and math.isnan(series.c[0])
-        rc = main(["thermo", "--strategy=paper", "--T=1e300", "--k=-0.1"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: non-finite value nan at row 0 column "
-                                "'U(k=-0.10000000000000001) [energy]'\n")
+        assert series.z[0] == pytest.approx(501.0, rel=1e-14)
+        assert series.c[0] == 0.0 and series.s[0] == pytest.approx(math.log(501.0), rel=1e-14)
+        values = {}
+        for strategy in ("paper", "direct"):
+            rc = main(["thermo", f"--strategy={strategy}", "--T=1e300", "--k=-0.1"])
+            assert rc == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            values[strategy] = dict(part.split("=") for part in captured.out.split())
+        paper, direct = ({q: float(v[q]) for q in "ZUCFS"} for v in values.values())
+        assert paper["Z"] == direct["Z"] == pytest.approx(501.0, rel=1e-14)
+        assert paper["F"] == pytest.approx(direct["F"], rel=1e-14)
+        assert paper["S"] == pytest.approx(direct["S"], rel=1e-14)
+        # U carries the formula's first-order error: (E'(N+1) - E'(0))/12 over
+        # a mean of ~17,288, here about 2e-6 relative
+        assert paper["U"] == pytest.approx(direct["U"], rel=1e-5)
+
+    @pytest.mark.parametrize("alpha", ["1e100", "1e130", "1e150"])
+    def test_paper_large_alpha_within_error_model(self, capsys, alpha):
+        """Huge alpha below the moments check: beta E'(0) is huge, every level
+        above E_0 carries no weight, and the summation formula keeps half the
+        ground state's. U and F equal the direct sum's; S is -ln 2 against 0,
+        and C is the formula's 4/(beta E'(0)), near 0, against 0. u^3 h(u)
+        does not underflow on the way (RuntimeWarning is an error here)."""
+        values = {}
+        for strategy in ("paper", "direct"):
+            rc = main(["thermo", f"--strategy={strategy}", f"--alpha={alpha}", "--T=1",
+                       "--k=-0.1"])
+            assert rc == 0
+            values[strategy] = {q: float(v) for q, v in (
+                part.split("=") for part in capsys.readouterr().out.split())}
+        paper, direct = values["paper"], values["direct"]
+        assert paper["U"] == pytest.approx(direct["U"], rel=1e-15)
+        assert paper["F"] == pytest.approx(direct["F"], rel=1e-15)
+        assert paper["S"] == pytest.approx(-math.log(2.0), rel=1e-14) and direct["S"] == 0.0
+        assert paper["C"] == pytest.approx(4.0 / (2.0 * float(alpha)), rel=1e-12, abs=0.0)
 
     def test_single_point_non_finite_quantity_named(self, capsys, monkeypatch):
         """A non-finite quantity at one T is refused as a table cell would be."""
@@ -642,6 +674,42 @@ class TestSeriesTable:
                    "--format", "svg", "--out", str(tmp_path)])
         assert rc == 0
         assert read(tmp_path / "spectrum_m1.svg").startswith("<svg")
+
+    @staticmethod
+    def assert_finite_svg(svg):
+        """Every coordinate of an SVG is a finite number, and no tick label
+        reads inf or nan (a label of DBL_MAX to 4 digits, 1.798e+308, would
+        itself parse as inf)."""
+        coords = re.findall(r'(?:x|y|x1|y1|x2|y2)="([^"]+)"', svg)
+        points = [v for pts in re.findall(r'points="([^"]+)"', svg)
+                  for v in re.split(r"[ ,]+", pts)]
+        assert coords and points
+        assert all(math.isfinite(float(v)) for v in coords + points)
+        assert "inf" not in svg and "nan" not in svg
+
+    def test_range_wider_than_a_quarter_of_double_max(self, tmp_path):
+        """Energies up to ~7e307: the tick step (y1 - y0)/4 * j, the pad and
+        the maps stay finite, and so does every coordinate and tick label."""
+        rc = main(["spectrum", "--alpha", "1e307", "--k=-0.5", "--n-max", "3",
+                   "--format", "svg", "--out", str(tmp_path)])
+        assert rc == 0
+        self.assert_finite_svg(read(tmp_path / "spectrum_m1.svg"))
+
+    def test_range_wider_than_double_max(self):
+        """y1 - y0 itself overflows: no RuntimeWarning (an error here), and
+        the ticks run from -DBL_MAX to DBL_MAX."""
+        svg = SeriesTable(x_label="x", y_label="y", x=[0.0, 1.0],
+                          columns=[("a", [-1.7e308, 1.7e308])]).to_svg()
+        self.assert_finite_svg(svg)
+        assert ">-1.798e+308<" in svg and ">1.798e+308<" in svg
+
+    def test_flat_range_near_double_max(self):
+        """A flat range within 2^-40 of DBL_MAX cannot widen upwards; it
+        widens downwards, on either axis, and renders finite."""
+        top = sys.float_info.max
+        for v in (top, top * (1.0 - 2.0**-41), -top):
+            svg = SeriesTable(x_label="x", y_label="y", x=[v], columns=[("a", [v])]).to_svg()
+            self.assert_finite_svg(svg)
 
     def test_float_formatting_roundtrip(self):
         value = 1.0 / 3.0

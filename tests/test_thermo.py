@@ -43,6 +43,49 @@ def em_error_bound(inp: ThermoInput) -> float:
     return abs(-beta * ep(n1) * math.exp(-beta * e(n1)) + beta * ep(0.0) * math.exp(-beta * e(0.0))) / 12.0
 
 
+def summation_formula_oracle(params: SystemParams, m: int, n: int, beta: float,
+                             verbatim: bool = False):
+    """U, C and S (kb = 1) of the first-order summation formula at 60 digits.
+
+    The moments about E_0, M_j = [d(0)^j f(0) - d(N+1)^j f(N+1)]/2
+    + int_0^{N+1} d^j f dx with d = E - E_0 and f = exp(-beta d), come from
+    the spectrum formula alone and mpmath's tanh-sinh quadrature, which also
+    certifies each integral to 1e-40. verbatim puts the boundary term at the
+    paper's verbatim level d_t - a_t instead of at E_0. The integrals stop
+    where beta d = 300, if that comes before N + 1: what they drop is below
+    1e-120 of each moment. Then U = E_0 + M_1/M_0,
+    C = beta^2 (M_2/M_0 - (M_1/M_0)^2) and S = ln M_0 + beta M_1/M_0.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        k, b, am = mpmath.mpf(params.k), mpmath.mpf(beta), abs(m)
+        hyp = mpmath.sqrt(mpmath.mpf(params.alpha) ** 2 + k * k)
+        e = lambda y: (2 * y + am + 1) * hyp - k * (
+            2 * y * y + m * m / mpmath.mpf(2) + (2 * y + 1) * (am + 1))
+        e0 = e(0)
+        shifted = lambda x: e(x) - e0
+        d1 = shifted(n + 1)
+        d0 = 0
+        if verbatim:
+            lam = mpmath.mpf(params.lam)
+            d_t = am * mpmath.sqrt(lam**2 + mpmath.mpf(params.alpha) ** 2) - lam * m * m / 2
+            d0 = d_t - (k * (am + 1) - hyp) - e0
+        # the root of beta d(x) = 300, with d(x) = x (E'(0) + q x), q = -2k
+        slope, q = 2 * hyp - 2 * k * (am + 1), -2 * k
+        upper = min(n + 1, 600 / b / (slope + mpmath.sqrt(slope**2 + 1200 * q / b)))
+
+        def moment(j):
+            ends = (d0**j * mpmath.exp(-b * d0) - d1**j * mpmath.exp(-b * d1)) / 2
+            value, error = mpmath.quad(lambda x: shifted(x) ** j * mpmath.exp(-b * shifted(x)),
+                                       [0, upper], error=True)
+            assert error <= 1e-40 * value
+            return ends + value
+
+        m0, m1, m2 = (moment(j) for j in range(3))
+        return (float(e0 + m1 / m0), float(b * b * (m2 / m0 - (m1 / m0) ** 2)),
+                float(mpmath.log(m0) + b * m1 / m0))
+
+
 class TestThermoInput:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -342,32 +385,61 @@ class TestHeatCapacity:
             assert evaluate(inp_p).c == pytest.approx(evaluate(inp_c).c, rel=1e-9)
 
     def test_poisson_against_mpmath_summation_formula(self):
-        """At (k=-1e-6, m=40, N=1e5, beta=1e3), where the closed form's C
-        cancels, the pipeline's C matches the moments about E_0 of the
-        summation formula, integrated at 60 digits."""
-        mpmath = pytest.importorskip("mpmath")
+        """At (k=-1e-6, m=40, N=1e5, beta=1e3) the pipeline's C matches the
+        moments about E_0 of the summation formula, integrated at 60 digits."""
         p, m, n, beta = SystemParams(alpha=1.0, k=-1e-6), 40, 100_000, 1e3
         res = sweep(p, m, n, [beta], Strategy.POISSON_PIPELINE)[0]
-        with mpmath.workdps(60):
-            k, b, am = mpmath.mpf(p.k), mpmath.mpf(beta), abs(m)
-            hyp = mpmath.sqrt(mpmath.mpf(p.alpha) ** 2 + k * k)
-
-            e = lambda y: (2 * y + am + 1) * hyp - k * (
-                2 * y * y + m * m / mpmath.mpf(2) + (2 * y + 1) * (am + 1))
-            shifted = lambda x: e(x) - e(0)
-
-            def moment(j):
-                d1 = shifted(n + 1)
-                ends = ((1 if j == 0 else 0) - d1**j * mpmath.exp(-b * d1)) / 2
-                points = [0] + [mpmath.mpf(10) ** i for i in range(-5, 5)] + [n + 1]
-                return ends + mpmath.quad(lambda x: shifted(x) ** j * mpmath.exp(-b * shifted(x)),
-                                          points)
-
-            m0, m1, m2 = (moment(j) for j in range(3))
-            c = float(b * b * (m2 / m0 - (m1 / m0) ** 2))
-            u = float(e(0) + m1 / m0)
+        u, c, _ = summation_formula_oracle(p, m, n, beta)
         assert res.c == pytest.approx(c, rel=1e-9)
         assert res.u == pytest.approx(u, rel=1e-13)
+
+
+class TestMomentsAgainstOracle:
+    """The closed form (corrected d_t) and the pipeline hold C, U and S to
+    the 60-digit summation formula over the documented box: k in
+    [-0.5, -1e-8], |m| <= 60, N in [1, 1e5], beta in [1e-4, 1e3], alpha = 1.
+    The closed form is within 1e-10 of it and within 1e-9 of the pipeline;
+    the pipeline, whose quadrature asks for 1e-11, within 1e-9. S is held
+    relative to max(|S|, 0.01), as it crosses 0 where ln M_0 = -beta <d>."""
+
+    @staticmethod
+    def assert_matches_oracle(k, m, n, beta):
+        p = SystemParams(alpha=1.0, k=k)
+        u, c, s = summation_formula_oracle(p, m, n, beta)
+        paper = sweep(p, m, n, [beta], Strategy.PAPER_CLOSED_FORM)[0]
+        poisson = sweep(p, m, n, [beta], Strategy.POISSON_PIPELINE)[0]
+        for res, rel in ((paper, 1e-10), (poisson, 1e-9)):
+            assert res.c == pytest.approx(c, rel=rel, abs=0.0)
+            assert res.u == pytest.approx(u, rel=rel, abs=0.0)
+            assert res.s == pytest.approx(s, rel=rel, abs=0.01 * rel)
+        assert paper.c == pytest.approx(poisson.c, rel=1e-9, abs=0.0)
+        assert paper.u == pytest.approx(poisson.u, rel=1e-9, abs=0.0)
+        assert paper.s == pytest.approx(poisson.s, rel=1e-9, abs=1e-11)
+
+    @pytest.mark.parametrize("k, m, n, beta", [
+        (-1e-8, 0, 100_000, 1e3), (-1e-8, 0, 1, 1e-4), (-1e-6, 40, 100_000, 1e3),
+        (-0.3, 1, 500, 1e3)])
+    def test_named_points(self, k, m, n, beta):
+        """Regime edges: k -> 0- at the ends of the beta and N ranges, large
+        |m| near k = 0, and low temperature at a figure's k."""
+        self.assert_matches_oracle(k, m, n, beta)
+
+    def test_verbatim_low_boundary_level(self):
+        """The verbatim boundary level lies below E_0 at m = 3 and carries
+        nearly all of M_0 at beta = 9.1: its tiny variance must not cancel."""
+        p, m, n, beta = SystemParams(alpha=1.0, k=-0.0877), 3, 500, 9.124087591240876
+        u, c, s = summation_formula_oracle(p, m, n, beta, verbatim=True)
+        res = sweep(p, m, n, [beta], Strategy.PAPER_CLOSED_FORM, "verbatim")[0]
+        assert res.c == pytest.approx(c, rel=1e-12, abs=0.0) and 0.0 < c < 1e-12
+        assert res.u == pytest.approx(u, rel=1e-14, abs=0.0)
+        assert res.s == pytest.approx(s, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(k=st.floats(-8.0, math.log10(0.5)).map(lambda u: -(10.0**u)),
+           m=EDGE_M, n=st.floats(0.0, 5.0).map(lambda u: round(10.0**u)),
+           beta=st.floats(-4.0, 3.0).map(lambda u: 10.0**u))
+    def test_box(self, k, m, n, beta):
+        self.assert_matches_oracle(k, m, n, beta)
 
 
 class TestFreeEnergyEntropy:
@@ -456,7 +528,7 @@ class TestComparisonReport:
 # the diagnostics columns of a series under each strategy
 DIAGNOSTIC_COLUMNS = {
     Strategy.DIRECT_SUM: ["n_terms", "tail_ratio"],
-    Strategy.PAPER_CLOSED_FORM: ["nonpositive_z"],
+    Strategy.PAPER_CLOSED_FORM: [],
     Strategy.POISSON_PIPELINE: ["quadrature_refinements", "quadrature_evaluations",
                                 "quadrature_error_bound"],
 }
@@ -524,8 +596,12 @@ class TestSweep:
                                       Strategy.PAPER_CLOSED_FORM, variant)
 
     def test_paper_across_erfcx_switch(self):
-        # at N = 1 both erfcx arguments sqrt(eta) and sqrt(theta_v) cross 1.5
+        # at N = 1 both erfcx arguments sqrt(eta) and sqrt(theta_v) cross 1.5,
+        # and s = beta (E_2 - E_0) crosses 1, where the closed form switches
+        # from its series to the half-line moments
         betas = list(np.linspace(0.05, 0.3, 80))
+        s = [b * (energy(PHYS, 2.0, 3) - energy(PHYS, 0.0, 3)) for b in betas]
+        assert min(s) < 1.0 < max(s)
         args = [math.sqrt(getattr(paper_z_coefficients(
             ThermoInput(params=PHYS, m=3, beta=b, truncation_n=1)), name))
             for b in betas for name in ("eta", "theta_v")]
