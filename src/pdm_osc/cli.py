@@ -354,7 +354,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=str, default=None, help="flat key=value config file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The pdm-osc parser. Given argv, only the subcommand it names (its first
+    token not starting with "-", as the top level takes no option values)
+    gets its options; the others keep their help line, so usage, help and
+    error text stay the same. Without argv every subcommand gets its options."""
+    command = None if argv is None else next((a for a in argv if a[:1] != "-"), None)
     parser = argparse.ArgumentParser(
         prog="pdm-osc",
         description="Spectra, wavefunctions and thermodynamics of the 2D "
@@ -372,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", "run the self-validation oracle suites"),
     ):
         sub = subs.add_parser(name, help=help_text)
+        if argv is not None and name != command:
+            continue
         sub._negative_number_matcher = parser._negative_number_matcher
         _add_common(sub)
         if name == "thermo":
@@ -392,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

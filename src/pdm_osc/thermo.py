@@ -216,9 +216,10 @@ _BLOCK_ELEMENTS = 2**16
 _EXP_UNDERFLOW = 746.0
 
 
-def levels(inp: ThermoInput) -> np.ndarray:
-    """Spectrum E_{0..N} at fixed m as a vector."""
-    return energy(inp.params, np.arange(inp.truncation_n + 1, dtype=float), inp.m)
+def levels(inp: ThermoInput, count: int | None = None) -> np.ndarray:
+    """Spectrum E_{0..N} at fixed m as a vector, or its first count levels."""
+    n = inp.truncation_n + 1 if count is None else count
+    return energy(inp.params, np.arange(n, dtype=float), inp.m)
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -232,26 +233,33 @@ def _z(log_z: np.ndarray) -> np.ndarray:
     return _libm(lambda v: math.exp(v) if v < 700.0 else math.inf, log_z)
 
 
-def _cut_lengths(shifted: np.ndarray, betas: np.ndarray) -> np.ndarray:
+def _spine(size: int) -> list[int]:
+    """Ascending lengths on the left spine of numpy's pairwise summation of
+    a row of size: a row of n splits at n/2 rounded down to a multiple of 8,
+    down to blocks of 128."""
+    spine = [size]
+    while spine[-1] > 128:
+        half = spine[-1] // 2
+        spine.append(half - half % 8)
+    return spine[::-1]
+
+
+def _cut_lengths(shifted: np.ndarray, betas: np.ndarray, size: int) -> np.ndarray:
     """Number of leading levels the Boltzmann sums keep at each beta.
 
     On a nondecreasing shifted spectrum every weight from the first level
     with beta (e - e0) > 746 on is exactly 0.0, so a sum may stop there. The
     length kept is the shortest prefix on the left spine of numpy's pairwise
-    summation of the whole row (a row of n splits at n/2 rounded down to a
-    multiple of 8, down to blocks of 128) that covers that level: the cut
-    sum is then the full sum's left subtree, and the right side it drops is
-    a sum of exact zeros, so both are the same number. The length depends on
-    beta and the spectrum alone. A spectrum that is not monotone (k > 0)
-    keeps every level.
+    summation of the whole row of size levels (_spine) that covers that
+    level: the cut sum is then the full sum's left subtree, and the right
+    side it drops is a sum of exact zeros, so both are the same number. The
+    length depends on beta and the spectrum alone. shifted may be a prefix
+    of the row that covers every beta's cut. A spectrum that is not
+    monotone (k > 0) keeps every level.
     """
     if not np.all(shifted[1:] >= shifted[:-1]):
         return np.full(betas.size, shifted.size)
-    spine = [shifted.size]
-    while spine[-1] > 128:
-        half = spine[-1] // 2
-        spine.append(half - half % 8)
-    spine = np.array(spine[::-1])
+    spine = np.array(_spine(size))
     first_zero = np.searchsorted(shifted, _EXP_UNDERFLOW / betas, side="right")
     return spine[np.searchsorted(spine, first_zero)]
 
@@ -272,35 +280,43 @@ def _check_weights_range(params: SystemParams, e0: float, e_top: float,
                          f"kb={params.kb}: (E_{{N+1}} - E_0)^2 is not finite")
 
 
-def _boltzmann_sums(e: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def _boltzmann_sums(e: np.ndarray, betas: np.ndarray,
+                    size: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Ground-state-shifted Boltzmann sums of the spectrum e at each beta.
 
     With w = exp(-beta (e - e0)), returns e0, a (5, len(betas)) array whose
     rows are sum w, the mean <e>, the variance <(e - <e>)^2>, the shifted mean
     <e - e0> and the tail ratio w_N / sum w, and the number of levels summed
-    at each beta (_cut_lengths). Rows of one length are reduced together in
-    blocks; the tail ratio of a cut row is exactly 0.0, as w_N is. The
-    ground-state shift keeps any beta up to 1e3 and beyond safe; the two-pass
-    variance keeps C >= 0 by construction.
+    at each beta (_cut_lengths). e is the first levels, covering every cut, of
+    a spectrum of size levels. Rows of one length are reduced together in
+    blocks of three work arrays allocated once, with exp only on lanes whose
+    weight is not exactly 0.0; the tail ratio of a cut row is exactly 0.0,
+    as w_N is. The ground-state shift keeps any beta up to 1e3 and beyond
+    safe; the two-pass variance keeps C >= 0 by construction.
     """
     e0 = float(e.min())
     shifted = e - e0
     out = np.empty((5, betas.size))
-    lengths = _cut_lengths(shifted, betas)
+    lengths = _cut_lengths(shifted, betas, size)
+    x, w, t = (np.empty(max(_BLOCK_ELEMENTS, lengths.max())) for _ in range(3))
     for length in sorted(set(lengths.tolist())):
         head, head_shifted = e[:length], shifted[:length]
         group = np.flatnonzero(lengths == length)
         rows = max(1, _BLOCK_ELEMENTS // length)
         for lo in range(0, group.size, rows):
             at = group[lo:lo + rows]
-            w = np.exp(-betas[at, None] * head_shifted)
-            sw = w.sum(axis=1)
-            mean = (head * w).sum(axis=1) / sw
+            bx, bw, bt = (a[:at.size * length].reshape(at.size, length) for a in (x, w, t))
+            np.multiply(-betas[at, None], head_shifted, out=bx)
+            bw.fill(0.0)
+            np.exp(bx, out=bw, where=bx >= -_EXP_UNDERFLOW)
+            sw = bw.sum(axis=1)
+            mean = np.multiply(head, bw, out=bt).sum(axis=1) / sw
             out[0, at] = sw
             out[1, at] = mean
-            out[2, at] = ((head - mean[:, None]) ** 2 * w).sum(axis=1) / sw
-            out[3, at] = (head_shifted * w).sum(axis=1) / sw
-            out[4, at] = w[:, -1] / sw if length == e.size else 0.0
+            np.subtract(head, mean[:, None], out=bt)
+            out[2, at] = np.multiply(np.square(bt, out=bt), bw, out=bt).sum(axis=1) / sw
+            out[3, at] = np.multiply(head_shifted, bw, out=bt).sum(axis=1) / sw
+            out[4, at] = bw[:, -1] / sw if length == size else 0.0
     return e0, out, lengths
 
 
@@ -320,10 +336,17 @@ def _from_moments(first: ThermoInput, betas: np.ndarray, e0: float, m0: np.ndarr
 
 
 def _direct_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
-    """Direct-sum series of first's (params, m, N) on the grid betas."""
-    p, m = first.params, first.m
-    _check_weights_range(p, energy(p, 0.0, m), energy(p, float(first.truncation_n), m), betas)
-    e0, (sw, mean, var, shifted_mean, tail), lengths = _boltzmann_sums(levels(first), betas)
+    """Direct-sum series of first's (params, m, N) on the grid betas. As k <= 0,
+    the longest cut is at the smallest beta: the first spine node L with
+    L = N + 1 or beta (E_L - E_0) > 746, found with the scalar spectrum
+    (the same operations as the vector one). Only E_0..E_{L-1} are built."""
+    p, m, size = first.params, first.m, first.truncation_n + 1
+    e0 = energy(p, 0.0, m)
+    _check_weights_range(p, e0, energy(p, size - 1.0, m), betas)
+    reach = _EXP_UNDERFLOW / betas.min().item()
+    count = next(n for n in _spine(size) if n == size or energy(p, float(n), m) - e0 > reach)
+    e0, (sw, mean, var, shifted_mean, tail), lengths = _boltzmann_sums(
+        levels(first, count), betas, size)
     return _from_moments(first, betas, e0, sw, shifted_mean, var,
                          {"n_terms": lengths, "tail_ratio": tail}, u=mean)
 
@@ -579,7 +602,7 @@ def find_heat_capacity_plateau(
     starts = np.geomspace(t_lo, t_hi / 2.0, candidates)
     # every candidate window's temperatures in one (candidates, samples) grid
     betas = 1.0 / (params.kb * np.geomspace(starts, 2.0 * starts, samples, axis=-1))
-    _, (_, _, var, _, _), _ = _boltzmann_sums(e, betas.ravel())
+    _, (_, _, var, _, _), _ = _boltzmann_sums(e, betas.ravel(), e.size)
     cs = params.kb * betas * betas * var.reshape(betas.shape)
     mean_c = cs.mean(axis=1)
     variation = (cs.max(axis=1) - cs.min(axis=1)) / mean_c

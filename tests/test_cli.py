@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pdm_osc
-from pdm_osc import output, thermo
-from pdm_osc.cli import _temperature_grid, main
+from pdm_osc import cli, output, thermo
+from pdm_osc.cli import _temperature_grid, build_parser, main
 from pdm_osc.oscillator import SystemParams, make_state, radial_overlap, radial_wavefunction
 from pdm_osc.output import SeriesTable, format_float
 from pdm_osc.specfun import QuadratureSpec, integrate
@@ -455,6 +455,56 @@ class TestValidateCommand:
         assert rc == 1
         captured = capsys.readouterr()
         assert "FAILED: ode_residual" in captured.err
+
+
+COMMANDS = ("spectrum", "wavefunction", "thermo", "figures", "validate")
+
+
+def parse_with_every_option(argv, capsys):
+    """Exit code, stdout and stderr of parsing argv with the parser that has
+    every subcommand's options, as main would report them."""
+    try:
+        build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = 2 if exc.code else 0
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParser:
+    """main builds only its subcommand's options; what a user sees is the
+    same as with every option built."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help(self, command, capsys):
+        expected = parse_with_every_option([command, "--help"], capsys)
+        assert (main([command, "--help"]),) + tuple(capsys.readouterr()) == expected
+        assert expected[1].startswith(f"usage: pdm-osc {command} ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], [], ["bogus"],
+                                      ["thermo", "--bogus"], ["--bogus", "thermo"],
+                                      ["--k-list=-0.1,-0.2"], ["-1", "thermo"]])
+    def test_top_level_and_errors(self, argv, capsys):
+        expected = parse_with_every_option(argv, capsys)
+        assert (main(argv),) + tuple(capsys.readouterr()) == expected
+        assert expected[0] is not None
+
+    @pytest.mark.parametrize("argv", [["thermo", "--k-list", "-0.1,-0.2", "--T=1"],
+                                      ["figures", "--T-count", "5", "--format=both"],
+                                      ["wavefunction", "--r-count=3"],
+                                      ["validate", "--quick"], ["spectrum", "--m", "2"]])
+    def test_same_namespace(self, argv):
+        assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv)
+
+    def test_one_option_set_built(self, monkeypatch, capsys):
+        calls = []
+        add_common = cli._add_common
+        monkeypatch.setattr(cli, "_add_common", lambda sub: calls.append(sub) or add_common(sub))
+        assert main(["thermo", "--T=1", "--k=-0.1"]) == 0
+        assert len(calls) == 1 and calls[0].prog == "pdm-osc thermo"
+        build_parser()
+        assert len(calls) == 1 + len(COMMANDS)
 
 
 @pytest.mark.parametrize("argv", [["thermo", "--strategy=direct", "--T=1", "--k=-0.1"],

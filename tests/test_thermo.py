@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdm_osc import thermo
 from pdm_osc.cli import _temperature_grid
 from pdm_osc.oscillator import NonPhysicalError, SystemParams, energy
 from pdm_osc.specfun import IntegrationError, QuadratureSpec, central_diff, integrate
@@ -19,6 +20,8 @@ from pdm_osc.thermo import (
     levels,
     paper_z_coefficients,
     sweep,
+    _boltzmann_sums,
+    _spine,
 )
 from pdm_osc.validate import strictly_decreasing_resolvable
 
@@ -41,6 +44,17 @@ def em_error_bound(inp: ThermoInput) -> float:
     ep = lambda x: 2 * hyp - p.k * (4 * x + 2 * (am + 1))
     n1 = inp.truncation_n + 1.0
     return abs(-beta * ep(n1) * math.exp(-beta * e(n1)) + beta * ep(0.0) * math.exp(-beta * e(0.0))) / 12.0
+
+
+def one_dimensional_sums(e, beta):
+    """sum w, the mean <e>, the variance and the shifted mean <e - e0>, with
+    w = exp(-beta (e - e0)), as uncut 1-D sums over the whole spectrum e."""
+    e0 = float(e.min())
+    w = np.exp(-beta * (e - e0))
+    sw = float(w.sum())
+    mean = float((e * w).sum()) / sw
+    return (sw, mean, float(((e - mean) ** 2 * w).sum()) / sw,
+            float(((e - e0) * w).sum()) / sw)
 
 
 def summation_formula_oracle(params: SystemParams, m: int, n: int, beta: float,
@@ -152,9 +166,10 @@ class TestPartitionDirect:
         assert res.diagnostics["n_terms"] == 11
         assert res.diagnostics["tail_ratio"] == w[-1] / w.sum()
 
-    def test_cut_work_count(self):
+    def test_cut_work_count(self, monkeypatch):
         """Each beta sums only a short prefix of the levels, and every weight
-        it drops is exactly 0.0; where none underflows it sums all N+1."""
+        it drops is exactly 0.0; where none underflows it sums all N+1. A
+        series builds only the levels its longest cut reaches."""
         p = SystemParams(alpha=1.0, k=-0.1)
         betas = [1e-4] + list(np.geomspace(0.02, 1e3, 40))
         e = levels(ThermoInput(params=p, m=1, beta=1.0, truncation_n=100_000))
@@ -173,6 +188,23 @@ class TestPartitionDirect:
         assert res.diagnostics["n_terms"] == 120
         assert math.exp(-beta * (e[119] - e[0])) / math.exp(res.log_z + beta * e[0]) > 0.0
         assert res.diagnostics["tail_ratio"] == 0.0
+        built = []
+        monkeypatch.setattr(thermo, "levels",
+                            lambda inp, count=None: built.append(levels(inp, count)) or built[-1])
+        temps = _temperature_grid({"T_min": 0.1, "T_max": 50.0, "T_count": 500,
+                                   "T_spacing": "auto"})
+        for k in FIG_KS:
+            sweep(SystemParams(alpha=1.0, k=k), 1, 100_000, [1.0 / t for t in temps])
+        edge = SystemParams(alpha=1.0, k=-1e-6)
+        sweep(edge, 40, 100_000, [1e3])
+        sweep(edge, 40, 100_000, [1e-4])
+        assert [spectrum.size for spectrum in built] == [776, 384, 384, 96, 100_001]
+        assert built[-1].tolist() == levels(ThermoInput(params=edge, m=40, beta=1.0,
+                                                        truncation_n=100_000)).tolist()
+        # k > 0 is refused before any level is built
+        with pytest.raises(NonPhysicalError):
+            sweep(SystemParams(alpha=1.0, k=0.5, exploratory=True), 1, 100_000, [1e-4])
+        assert len(built) == 5
 
 
 class TestPaperCoefficients:
@@ -571,24 +603,37 @@ class TestSweep:
         self.assert_equal_to_evaluate(PHYS, 2, 100_000, [1e-4, 0.01, 0.3, 7.0],
                                       Strategy.DIRECT_SUM)
 
-    @pytest.mark.parametrize("n", [500, 100_000])
-    def test_direct_matches_one_dimensional_sums(self, n):
-        """The block reduction equals the per-beta 1-D sums, bit for bit;
-        C takes beta**2 from libm's pow, which differs from beta * beta at
-        the betas added here."""
-        betas = list(np.geomspace(1e-4, 100.0, 300 if n == 500 else 3))
-        betas += [b for b in np.geomspace(1e-4, 100.0, 20_000).tolist() if b**2 != b * b][:8]
-        e = levels(ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=n))
+    # the ids without k are PHYS's k = -0.3
+    @pytest.mark.parametrize("k, n", [(-0.3, 1), (-0.3, 500), (-0.3, 100_000),
+                                      (-1e-8, 500), (-1e-8, 100_000), (0.0, 500), (0.05, 500)],
+                             ids=["1", "500", "100000", "k=-1e-08-500", "k=-1e-08-100000",
+                                  "k=0-500", "k=0.05-500"])
+    def test_direct_matches_one_dimensional_sums(self, k, n):
+        """The block reduction equals the per-beta 1-D sums over all N+1
+        levels, bit for bit, though it builds only the levels its longest
+        cut reaches and runs exp only where a weight is not exactly 0.0. The
+        betas take in 1e3 and cuts whose last kept weight is subnormal,
+        beta (E_j - E_0) in [708, 746]; C takes beta**2 from libm's pow,
+        which differs from beta * beta at the betas added here. sweep
+        refuses k > 0, so there the kernel itself keeps all levels."""
+        p = SystemParams(alpha=1.0, k=k, exploratory=k >= 0.0)
+        e = energy(p, np.arange(n + 1.0), 1)
         e0 = float(e.min())
-        for beta, res in zip(betas, sweep(PHYS, 1, n, betas)):
-            w = np.exp(-beta * (e - e0))
-            sw = float(w.sum())
-            log_z = -beta * e0 + math.log(sw)
-            mean = float((e * w).sum()) / sw
-            var = float(((e - mean) ** 2 * w).sum()) / sw
-            shifted_mean = float(((e - e0) * w).sum()) / sw
+        betas = list(np.geomspace(1e-4, 100.0, 300 if n == 500 else 3)) + [1e3]
+        betas += [b for b in np.geomspace(1e-4, 100.0, 20_000).tolist() if b**2 != b * b][:8]
+        betas += [x / (e[j - 1] - e0) for j in _spine(n + 1) if e[j - 1] > e0
+                  for x in (708.5, 727.0, 745.9)]
+        reference = [one_dimensional_sums(e, beta) for beta in betas]
+        if k > 0.0:
+            _, rows, lengths = _boltzmann_sums(e, np.array(betas), n + 1)
+            assert lengths.tolist() == [n + 1] * len(betas)
+            assert [tuple(row[:4]) for row in rows.T.tolist()] == reference
+            return
+        for beta, res, (sw, mean, var, shifted_mean) in zip(betas, sweep(p, 1, n, betas),
+                                                             reference):
             assert (res.log_z, res.u, res.c, res.s) == (
-                log_z, mean, beta**2 * var, math.log(sw) + beta * shifted_mean)
+                -beta * e0 + math.log(sw), mean, beta**2 * var,
+                math.log(sw) + beta * shifted_mean)
 
     @pytest.mark.parametrize("variant", ["corrected", "verbatim"])
     def test_paper(self, variant):
