@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: spectrum, wavefunction, thermo, figures, validate. Configuration
-precedence is CLI flags > config file (flat key=value lines, '#' comments) >
-defaults. Exit codes: 0 success, 1 validation/computation failure, 2 config
-error (single machine-parsable line on stderr).
+precedence is CLI flags > config file (flat key=value lines, '#' comments,
+keys among the command's options) > defaults. Exit codes: 0 success, 1
+validation/computation failure, 2 config error (single machine-parsable line
+on stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -21,26 +23,37 @@ from .oscillator import (SystemParams, _turning_radius, energy, make_state,
                          radial_wavefunction)
 from .output import SeriesTable, format_float
 
-_DEFAULTS = {
-    "alpha": 1.0,
-    "k": None,
-    "k_list": None,
-    "lam": 1.0,
-    "kb": 1.0,
-    "m": 1,
-    "n_max": 8,
-    "N": 500,
-    "T": None,
-    "T_min": 0.1,
-    "T_max": 50.0,
-    "T_count": 500,
-    "T_spacing": "auto",
-    "strategy": "direct",
-    "variant": "corrected",
-    "out": ".",
-    "format": "csv",
-    "r_count": 200,
-}
+# the one declaration of each option: its name (the flag is "--" + name with
+# "_" as "-"), type, default, choices, help and the commands that take it, in
+# the order of each command's help
+_Option = namedtuple("_Option", "name kind default choices help commands")
+_STATES, _TABLES = ("spectrum", "wavefunction"), ("thermo", "figures")
+_SYSTEM = _STATES + _TABLES
+_OPTIONS = (
+    _Option("alpha", float, 1.0, None, "oscillation frequency (> 0)", _SYSTEM),
+    _Option("k", float, None, None, "nonlinearity parameter (physical: k < 0)", _SYSTEM),
+    _Option("k_list", str, None, None, "comma-separated k values, one output column each",
+            _SYSTEM),
+    _Option("lam", float, 1.0, None, "mass scale (nonzero)", _SYSTEM),
+    _Option("kb", float, 1.0, None, "Boltzmann constant", _SYSTEM),
+    _Option("m", int, 1, None, "magnetic quantum number", _SYSTEM),
+    _Option("n_max", int, 8, None, None, _STATES),
+    _Option("N", int, 500, None, "truncation bound of the state sum", _TABLES),
+    _Option("strategy", str, "direct", ("direct", "paper", "poisson"), None, _TABLES),
+    _Option("variant", str, "corrected", ("corrected", "verbatim", "both"), None, _TABLES),
+    _Option("out", str, ".", None, "output directory", _SYSTEM),
+    _Option("format", str, "csv", ("csv", "svg", "both"), None, _SYSTEM),
+    _Option("config", str, None, None, "flat key=value config file", _SYSTEM),
+    _Option("T", float, None, None, "single-point temperature", ("thermo",)),
+    _Option("T_min", float, 0.1, None, None, _TABLES),
+    _Option("T_max", float, 50.0, None, None, _TABLES),
+    _Option("T_count", int, 500, None, None, _TABLES),
+    _Option("T_spacing", str, "auto", ("linear", "log", "auto"), None, _TABLES),
+    _Option("r_count", int, 200, None, None, ("wavefunction",)),
+    _Option("quick", bool, False, None, "run the sub-second subset", ("validate",)),
+    _Option("inject_energy_perturbation", bool, False, None,
+            "test hook: negative control, must fail", ("validate",)),
+)
 
 _QUANTITIES = "ZUCFS"
 
@@ -68,25 +81,29 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(field: str, value, kind):
+def _coerce(option: _Option, value):
+    """value, from a flag, a config file or the default, as option's type,
+    finite and within its choices."""
     if value is None:
         return None
     try:
-        number = kind(value)
+        number = option.kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(field, f"cannot parse {value!r} as {kind.__name__}") from None
-    if kind is float and not math.isfinite(number):
-        raise ConfigError(field, f"must be finite, got {number}")
+        raise ConfigError(option.name,
+                          f"cannot parse {value!r} as {option.kind.__name__}") from None
+    if option.kind is float and not math.isfinite(number):
+        raise ConfigError(option.name, f"must be finite, got {number}")
+    if option.choices and number not in option.choices:
+        raise ConfigError(option.name, f"must be {', '.join(option.choices[:-1])} "
+                                       f"or {option.choices[-1]}")
     return number
 
 
 def _parse_k_list(field: str, value) -> list[float] | None:
     if value is None:
         return None
-    if isinstance(value, list):
-        return value
     try:
-        items = [float(part) for part in str(value).split(",") if part.strip()]
+        items = [float(part) for part in value.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(field, f"cannot parse {value!r} as comma-separated floats") from None
     if not items:
@@ -97,20 +114,25 @@ def _parse_k_list(field: str, value) -> list[float] | None:
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge defaults, config file and CLI flags into one validated mapping."""
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(_parse_config_file(args.config))
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
+    """Merge defaults, config file and CLI flags into one validated mapping.
+    Every option has its default; only the command's own take a config key
+    or a flag."""
+    cfg = {option.name: option.default for option in _OPTIONS}
+    own = [option.name for option in _OPTIONS
+           if command in option.commands and option.name != "config"]
+    if args.config:
+        for key, value in _parse_config_file(args.config).items():
+            if key not in own:
+                raise ConfigError(key, f"not an option of {command}")
+            cfg[key] = value
+    for key in own:
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
     if command == "figures" and cfg["k"] is None and cfg["k_list"] is None:
         cfg["k_list"] = "-0.1,-0.2,-0.3"
-    for name, kind in (("alpha", float), ("lam", float), ("kb", float), ("m", int),
-                       ("n_max", int), ("N", int), ("T", float), ("T_min", float),
-                       ("T_max", float), ("T_count", int), ("r_count", int), ("k", float)):
-        cfg[name] = _coerce(name, cfg[name], kind)
+    for option in _OPTIONS:
+        cfg[option.name] = _coerce(option, cfg[option.name])
     cfg["k_list"] = _parse_k_list("k_list", cfg["k_list"])
     if cfg["k_list"] is None:
         cfg["k_list"] = [cfg["k"] if cfg["k"] is not None else -0.1]
@@ -134,16 +156,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         raise ConfigError("T_count", "must be >= 2")
     if cfg["r_count"] < 2:
         raise ConfigError("r_count", "must be >= 2")
-    if cfg["T_spacing"] not in ("linear", "log", "auto"):
-        raise ConfigError("T_spacing", "must be linear, log or auto")
-    try:
-        cfg["strategy_enum"] = thermo.Strategy.from_string(cfg["strategy"])
-    except ValueError as exc:
-        raise ConfigError("strategy", str(exc)) from None
-    if cfg["variant"] not in ("corrected", "verbatim", "both"):
-        raise ConfigError("variant", "must be corrected, verbatim or both")
-    if cfg["format"] not in ("csv", "svg", "both"):
-        raise ConfigError("format", "must be csv, svg or both")
+    cfg["strategy_enum"] = thermo.Strategy(cfg["strategy"])
     return cfg
 
 
@@ -322,7 +335,7 @@ def cmd_tables(cfg: dict, command: str) -> int:
     return 0
 
 
-def cmd_validate(cfg: dict, quick: bool, inject_energy_perturbation: bool) -> int:
+def cmd_validate(quick: bool, inject_energy_perturbation: bool) -> int:
     results = validation.run_all(quick=quick,
                                  inject_energy_perturbation=inject_energy_perturbation)
     width = max(len(r.name) for r in results)
@@ -335,23 +348,6 @@ def cmd_validate(cfg: dict, quick: bool, inject_energy_perturbation: bool) -> in
         return 1
     print("all checks passed")
     return 0
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, default=None, help="oscillation frequency (> 0)")
-    sub.add_argument("--k", type=float, default=None, help="nonlinearity parameter (physical: k < 0)")
-    sub.add_argument("--k-list", dest="k_list", type=str, default=None,
-                     help="comma-separated k values, one output column each")
-    sub.add_argument("--lam", type=float, default=None, help="mass scale (nonzero)")
-    sub.add_argument("--kb", type=float, default=None, help="Boltzmann constant")
-    sub.add_argument("--m", type=int, default=None, help="magnetic quantum number")
-    sub.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sub.add_argument("--N", dest="N", type=int, default=None, help="truncation bound of the state sum")
-    sub.add_argument("--strategy", type=str, default=None, choices=["direct", "paper", "poisson"])
-    sub.add_argument("--variant", type=str, default=None, choices=["corrected", "verbatim", "both"])
-    sub.add_argument("--out", type=str, default=None, help="output directory")
-    sub.add_argument("--format", type=str, default=None, choices=["csv", "svg", "both"])
-    sub.add_argument("--config", type=str, default=None, help="flat key=value config file")
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
@@ -380,21 +376,15 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         if argv is not None and name != command:
             continue
         sub._negative_number_matcher = parser._negative_number_matcher
-        _add_common(sub)
-        if name == "thermo":
-            sub.add_argument("--T", type=float, default=None, help="single-point temperature")
-        if name in ("thermo", "figures"):
-            sub.add_argument("--T-min", dest="T_min", type=float, default=None)
-            sub.add_argument("--T-max", dest="T_max", type=float, default=None)
-            sub.add_argument("--T-count", dest="T_count", type=int, default=None)
-            sub.add_argument("--T-spacing", dest="T_spacing", type=str, default=None,
-                             choices=["linear", "log", "auto"])
-        if name == "wavefunction":
-            sub.add_argument("--r-count", dest="r_count", type=int, default=None)
-        if name == "validate":
-            sub.add_argument("--quick", action="store_true", help="run the sub-second subset")
-            sub.add_argument("--inject-energy-perturbation", action="store_true",
-                             help="test hook: negative control, must fail")
+        for option in _OPTIONS:
+            if name not in option.commands:
+                continue
+            flag = "--" + option.name.replace("_", "-")
+            if option.kind is bool:
+                sub.add_argument(flag, action="store_true", help=option.help)
+            else:
+                sub.add_argument(flag, type=option.kind, choices=option.choices,
+                                 help=option.help)
     return parser
 
 
@@ -406,6 +396,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse reports its own usage errors; fold them into exit code 2
         return 2 if exc.code else 0
     try:
+        if args.command == "validate":
+            return cmd_validate(args.quick, args.inject_energy_perturbation)
         cfg = _resolve(args, args.command)
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
@@ -413,18 +405,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_wavefunction(cfg)
         if args.command == "thermo":
             return cmd_thermo(cfg)
-        if args.command == "figures":
-            return cmd_tables(cfg, "figures")
-        if args.command == "validate":
-            return cmd_validate(cfg, args.quick, args.inject_energy_perturbation)
-        parser.error(f"unknown command {args.command}")
+        return cmd_tables(cfg, "figures")
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except Exception as exc:  # computation failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -182,10 +182,9 @@ def find_roots_by_scan(
     lo: float,
     hi: float,
     step: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> list[float]:
-    """Roots of f on [lo, hi]: bracket by sign scan with the given step, then bisect.
+    """Roots of f on [lo, hi]: bracket by sign scan with the given step, then
+    bisect to a bracket narrower than 1e-12 (at most 200 halvings).
 
     Intended as an independent eigenvalue oracle; it never assumes anything
     about f beyond continuity on the scanned grid.
@@ -203,10 +202,10 @@ def find_roots_by_scan(
         elif f0 * f1 < 0.0:
             a, b = x0, x1
             fa = f0
-            for _ in range(max_iter):
+            for _ in range(200):
                 m = 0.5 * (a + b)
                 fm = f(m)
-                if fm == 0.0 or (b - a) < tol:
+                if fm == 0.0 or (b - a) < 1e-12:
                     break
                 if fa * fm < 0.0:
                     b = m

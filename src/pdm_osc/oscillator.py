@@ -270,7 +270,7 @@ class RadialWavefunction:
 
 
 def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
-                 r: float | np.ndarray, h: float | None = None) -> float | np.ndarray:
+                 r: float | np.ndarray) -> float | np.ndarray:
     """Relative residual of the radial equation for an arbitrary evaluator u,
     at a number r or elementwise over an ndarray of them (u then takes
     arrays too)."""
@@ -287,14 +287,13 @@ def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
         + abs(m * m / (r * r * w))
         + alpha * alpha * lam * lam * r * r / (w * w)
     )
-    # numpy for arrays; math and builtins for numbers, as in unnormalized()
-    if h is None:
-        # balances 4th-order truncation against roundoff of the second
-        # difference; tuned on the fixture states (worst case ~2e-9)
-        if array:
-            h = np.minimum(0.008 / np.sqrt(scale), np.minimum(r, params.r_max - r) / 2.5)
-        else:
-            h = min(0.008 / math.sqrt(scale), min(r, params.r_max - r) / 2.5)
+    # numpy for arrays; math and builtins for numbers, as in unnormalized().
+    # The step balances 4th-order truncation against roundoff of the second
+    # difference; tuned on the fixture states (worst case ~2e-9)
+    if array:
+        h = np.minimum(0.008 / np.sqrt(scale), np.minimum(r, params.r_max - r) / 2.5)
+    else:
+        h = min(0.008 / math.sqrt(scale), min(r, params.r_max - r) / 2.5)
     samples, d1, dd = five_point_stencil(u, r, h)
     magnitudes = [abs(sample) for sample in samples]
     local = (np.maximum(np.max(magnitudes, axis=0), 1e-30) if array
@@ -324,7 +323,6 @@ def radial_wavefunction(params: SystemParams, state: QuantumState) -> RadialWave
 
 
 def ode_residual(params: SystemParams, state: QuantumState, r: float | np.ndarray,
-                 h: float | None = None,
                  energy_override: float | None = None) -> float | np.ndarray:
     """Relative residual of the radial equation at r, by 4th-order differences.
 
@@ -341,7 +339,7 @@ def ode_residual(params: SystemParams, state: QuantumState, r: float | np.ndarra
         raise DomainError(f"r={r} outside the open interval (0, {params.r_max})")
     wf = radial_wavefunction(params, state)
     e = state.energy if energy_override is None else energy_override
-    return _fd_residual(wf.value, params, state.m, e, r, h)
+    return _fd_residual(wf.value, params, state.m, e, r)
 
 
 def total_wavefunction(params: SystemParams, state: QuantumState,

@@ -93,9 +93,10 @@ class SeriesTable:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
-    def to_svg(self, width: int = 720, height: int = 480) -> str:
-        """Minimal polyline plot: axes, ticks, one legend entry per column."""
+    def to_svg(self) -> str:
+        """Minimal 720 x 480 polyline plot: axes, ticks, one legend entry per column."""
         xs, cols = self.validate()
+        width, height = 720, 480
         ml, mr, mt, mb = 70, 20, 20, 50
         pw, ph = width - ml - mr, height - mt - mb
         x0, x1, sx = _axis_range(xs.min().item(), xs.max().item(), 0.0)
@@ -151,8 +152,8 @@ class SeriesTable:
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 
-    def write_svg(self, path: str, width: int = 720, height: int = 480) -> None:
-        text = self.to_svg(width, height)
+    def write_svg(self, path: str) -> None:
+        text = self.to_svg()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 

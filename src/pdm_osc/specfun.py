@@ -48,16 +48,7 @@ class PoleError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive quadrature failed to converge.
-
-    Carries the best available estimate and its error bound so callers can
-    decide whether to accept a degraded result.
-    """
-
-    def __init__(self, message: str, best_estimate: float, error_bound: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_bound = error_bound
+    """Adaptive quadrature failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -322,8 +313,8 @@ def integrate(f: Integrand, spec: QuadratureSpec) -> QuadratureResult:
     tolerance. A row converges when the summed error of each component is at
     most max(abs_tol, rel_tol |integral|). A row's refinements and arithmetic
     do not depend on the rows beside it, so a row integrated alone gives the
-    same numbers. Raises IntegrationError, carrying the best estimate of the
-    first row that is still unconverged after max_refinements.
+    same numbers. Raises IntegrationError, naming the refinements and the
+    error bound of the first row still unconverged after max_refinements.
     """
     edges = spec.edges()
     flat = edges.reshape(-1, edges.shape[-1])
@@ -378,9 +369,7 @@ def _integrate_rows(f: Integrand, edges: np.ndarray, first_row: int, spec: Quadr
             worst = int(np.argmax(total_err[:, row] / tol[:, 0]))
             raise IntegrationError(
                 f"quadrature did not converge after {count - p} refinements "
-                f"(error bound {total_err[worst, row]:.3e} > tolerance {tol[worst, 0]:.3e})",
-                best_estimate=total[0, row] if scalar else total[:, row],
-                error_bound=total_err[0, row] if scalar else total_err[:, row],
+                f"(error bound {total_err[worst, row]:.3e} > tolerance {tol[worst, 0]:.3e})"
             )
         if count == cap:
             seg_lo, seg_hi = (np.concatenate([a, np.empty((n, cap))], axis=1)

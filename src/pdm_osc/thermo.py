@@ -75,13 +75,6 @@ class Strategy(enum.Enum):
     PAPER_CLOSED_FORM = "paper"
     POISSON_PIPELINE = "poisson"
 
-    @classmethod
-    def from_string(cls, name: str) -> "Strategy":
-        for s in cls:
-            if s.value == name or s.name == name:
-                return s
-        raise ValueError(f"unknown strategy {name!r}; use direct, paper or poisson")
-
 
 # the largest beta whose square, the factor of C, is a finite double
 _BETA_MAX = math.sqrt(sys.float_info.max)
@@ -134,18 +127,12 @@ class ThermoInput:
 
 @dataclass(frozen=True)
 class PaperZCoefficients:
-    """Closed-form coefficients for one (params, m, N) and one d_t variant.
-
-    eta and theta_v are the squared erf arguments -beta a_t^2/(2k) and
-    -beta b_t^2/(2k); both are nonnegative whenever k < 0.
-    """
+    """Closed-form coefficients for one (params, m, N) and one d_t variant."""
 
     a_t: float
     b_t: float
     c_t: float
     d_t: float
-    eta: float
-    theta_v: float
     variant: str
 
 
@@ -351,10 +338,15 @@ def _direct_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
                          {"n_terms": lengths, "tail_ratio": tail}, u=mean)
 
 
-def _coefficients(params: SystemParams, m: int, n_max: int,
-                  variant: str) -> tuple[float, float, float, float]:
-    """a_t, b_t, c_t and d_t of one d_t variant."""
-    k, alpha = params.k, params.alpha
+def paper_z_coefficients(params: SystemParams, m: int, truncation_n: int,
+                         variant: str = "corrected") -> PaperZCoefficients:
+    """Coefficients a_t, b_t, c_t and d_t in the paper's notation.
+
+    variant selects the d_t reading: "corrected" uses sqrt(k^2+alpha^2) and
+    -k m^2/2 (a_t - d_t = -E_0, so the boundary term is exactly
+    exp(-beta E_0)); "verbatim" keeps the mass-scale lam in both places.
+    """
+    k, alpha, n_max = params.k, params.alpha, truncation_n
     if k >= 0.0:
         raise NonPhysicalError(
             "closed-form coefficients need k < 0 (erf arguments become imaginary otherwise)"
@@ -372,20 +364,7 @@ def _coefficients(params: SystemParams, m: int, n_max: int,
         d_t = am * math.hypot(params.lam, alpha) - params.lam * m * m / 2.0
     else:
         raise ValueError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
-    return a_t, b_t, c_t, d_t
-
-
-def paper_z_coefficients(inp: ThermoInput, variant: str = "corrected") -> PaperZCoefficients:
-    """Coefficients a_t, b_t, c_t, d_t, eta and theta_v in the paper's notation.
-
-    variant selects the d_t reading: "corrected" uses sqrt(k^2+alpha^2) and
-    -k m^2/2 (a_t - d_t = -E_0, so the boundary term is exactly
-    exp(-beta E_0)); "verbatim" keeps the mass-scale lam in both places.
-    """
-    p, beta = inp.params, inp.beta
-    a_t, b_t, c_t, d_t = _coefficients(p, inp.m, inp.truncation_n, variant)
-    return PaperZCoefficients(a_t, b_t, c_t, d_t, eta=-beta * a_t * a_t / (2.0 * p.k),
-                              theta_v=-beta * b_t * b_t / (2.0 * p.k), variant=variant)
+    return PaperZCoefficients(a_t, b_t, c_t, d_t, variant)
 
 
 def _shifted(moments: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -412,7 +391,8 @@ def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSe
     carries most of M_0 leaves a variance that does not cancel.
     """
     p, m, n_max = first.params, first.m, first.truncation_n
-    a_t, b_t, _, d_t = _coefficients(p, m, n_max, variant)
+    co = paper_z_coefficients(p, m, n_max, variant)
+    a_t, b_t, d_t = co.a_t, co.b_t, co.d_t
     e0, x1 = energy(p, 0.0, m), n_max + 1.0
     d1 = x1 * (b_t - a_t)  # d(X), as b_t - a_t = D + q X
     _check_weights_range(p, e0, e0 + d1, beta, moments=True)
@@ -587,26 +567,23 @@ class PlateauResult:
     variation: float
 
 
-def find_heat_capacity_plateau(
-    params: SystemParams, m: int, truncation_n: int,
-    t_lo: float = 0.5, t_hi: float = 5000.0,
-    rel_window: float = 0.01, samples: int = 9, candidates: int = 240,
-) -> PlateauResult | None:
-    """Smallest T* with C varying less than rel_window over [T*, 2 T*].
+def find_heat_capacity_plateau(params: SystemParams, m: int,
+                               truncation_n: int) -> PlateauResult | None:
+    """Smallest T* in [0.5, 2500] with C varying less than 1% over [T*, 2 T*].
 
-    Scans logarithmically spaced candidate windows; returns the window start,
-    the mean C over the window and the observed relative variation, or None
-    when no window below t_hi/2 qualifies.
+    Scans 240 logarithmically spaced candidate windows of 9 temperatures;
+    returns the window start, the mean C over the window and the observed
+    relative variation, or None when no window qualifies.
     """
     e = levels(ThermoInput(params=params, m=m, beta=1.0, truncation_n=truncation_n))
-    starts = np.geomspace(t_lo, t_hi / 2.0, candidates)
+    starts = np.geomspace(0.5, 2500.0, 240)
     # every candidate window's temperatures in one (candidates, samples) grid
-    betas = 1.0 / (params.kb * np.geomspace(starts, 2.0 * starts, samples, axis=-1))
+    betas = 1.0 / (params.kb * np.geomspace(starts, 2.0 * starts, 9, axis=-1))
     _, (_, _, var, _, _), _ = _boltzmann_sums(e, betas.ravel(), e.size)
     cs = params.kb * betas * betas * var.reshape(betas.shape)
     mean_c = cs.mean(axis=1)
     variation = (cs.max(axis=1) - cs.min(axis=1)) / mean_c
-    found = np.flatnonzero(variation < rel_window)
+    found = np.flatnonzero(variation < 0.01)
     if found.size == 0:
         return None
     i = found[0]

@@ -1,8 +1,11 @@
 """Front-end tests: argument handling, CSV output, determinism, exit codes."""
 
+import argparse
+import collections
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -12,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pdm_osc
-from pdm_osc import cli, output, thermo
+from pdm_osc import output, thermo
 from pdm_osc.cli import _temperature_grid, build_parser, main
 from pdm_osc.oscillator import SystemParams, make_state, radial_overlap, radial_wavefunction
 from pdm_osc.output import SeriesTable, format_float
@@ -395,6 +398,29 @@ class TestConfigHandling:
         assert rc == 2
         assert "field=T_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [("spectrum", "alpah"), ("spectrum", "N"),
+                                              ("wavefunction", "config")])
+    def test_config_key_not_an_option_refused(self, tmp_path, capsys, command, key):
+        """A config key the command does not read is an error, not a value
+        stored and then ignored."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"config-error field={key} "
+                                           f"reason=not an option of {command}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, reason", [
+        ("strategy = PAPER_CLOSED_FORM", "must be direct, paper or poisson"),
+        ("T_spacing = cubic", "must be linear, log or auto")])
+    def test_config_value_outside_choices_refused(self, tmp_path, capsys, line, reason):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["thermo", "--config", str(cfg), "--T=1"]) == 2
+        field = line.split(" ")[0]
+        assert capsys.readouterr().err == f"config-error field={field} reason={reason}\n"
+
 
 def _auto_grid_reference(t_min, t_max, count):
     """The auto grid's log-then-linear formula for T_min < 1 < T_max, count >= 4."""
@@ -498,13 +524,52 @@ class TestParser:
         assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv)
 
     def test_one_option_set_built(self, monkeypatch, capsys):
-        calls = []
-        add_common = cli._add_common
-        monkeypatch.setattr(cli, "_add_common", lambda sub: calls.append(sub) or add_common(sub))
+        """main adds the options of its own subcommand only; the full parser
+        adds each subcommand's (besides --help)."""
+        calls = collections.Counter()
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(parser, *flags, **kw):
+            if flags != ("-h", "--help"):
+                calls[parser.prog] += 1
+            return add_argument(parser, *flags, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
         assert main(["thermo", "--T=1", "--k=-0.1"]) == 0
-        assert len(calls) == 1 and calls[0].prog == "pdm-osc thermo"
+        assert calls == {"pdm-osc": 1, "pdm-osc thermo": 17}
+        calls.clear()
         build_parser()
-        assert len(calls) == 1 + len(COMMANDS)
+        per_command = {"spectrum": 10, "wavefunction": 11, "thermo": 17, "figures": 16,
+                       "validate": 2}
+        assert calls == {"pdm-osc": 1, **{f"pdm-osc {c}": n for c, n in per_command.items()}}
+
+    @pytest.mark.parametrize("argv", [["validate", "--alpha=1"], ["spectrum", "--N=5"],
+                                      ["wavefunction", "--strategy=paper"],
+                                      ["thermo", "--n-max=3", "--T=1"]])
+    def test_option_a_command_does_not_read_is_refused(self, argv, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pdm-osc ")
+        assert err.endswith(f"pdm-osc: error: unrecognized arguments: {argv[1]}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+def readme_commands():
+    """The pdm-osc command lines of README's "Command line" block, with
+    backslash continuations joined, as argument lists."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    text = read(readme).split("## Command line\n", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("pdm-osc ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    assert argv[0] in COMMANDS
+    build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", [["thermo", "--strategy=direct", "--T=1", "--k=-0.1"],

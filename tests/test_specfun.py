@@ -289,13 +289,12 @@ class TestIntegrate:
         assert res.refinements > 0
         assert res.value == pytest.approx((1.0 - math.cos(400.0)) / 40.0, abs=1e-10)
 
-    def test_nonconvergence_carries_best_estimate(self):
+    def test_nonconvergence_names_refinements_and_bound(self):
         spike = lambda x, _: 1.0 / np.sqrt(np.abs(x - 0.123456) + 1e-15)
-        with pytest.raises(IntegrationError) as err:
+        with pytest.raises(IntegrationError, match=r"after 4 refinements \(error bound "
+                                                   r"\d\.\d{3}e[-+]\d+ > tolerance "):
             integrate(spike, QuadratureSpec(0.0, 1.0, rel_tol=1e-14, abs_tol=1e-16,
                                             max_refinements=4))
-        assert math.isfinite(err.value.best_estimate)
-        assert err.value.error_bound > 0.0
 
     def test_batch_equals_each_row_alone(self):
         """Rows of a batch, each a vector-valued integrand on its own

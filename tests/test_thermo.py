@@ -209,32 +209,23 @@ class TestPartitionDirect:
 
 class TestPaperCoefficients:
     def test_d_vanishes_at_m0(self):
-        inp = ThermoInput(params=PHYS, m=0, beta=0.2)
         for variant in ("corrected", "verbatim"):
-            assert paper_z_coefficients(inp, variant).d_t == 0.0
+            assert paper_z_coefficients(PHYS, 0, 500, variant).d_t == 0.0
 
     def test_a_coefficient_value(self):
         p = SystemParams(alpha=1.0, k=-0.5)
-        co = paper_z_coefficients(ThermoInput(params=p, m=1, beta=0.1))
+        co = paper_z_coefficients(p, 1, 500)
         assert co.a_t == pytest.approx(-0.5 * 2.0 - math.sqrt(1.25), rel=1e-14)
         assert co.a_t == pytest.approx(-2.1180339887498949, abs=1e-12)
-
-    def test_erf_arguments_nonnegative(self):
-        for k in FIG_KS:
-            p = SystemParams(alpha=1.0, k=k)
-            for beta in (0.05, 0.5, 2.0):
-                co = paper_z_coefficients(ThermoInput(params=p, m=1, beta=beta))
-                assert co.eta >= 0.0
-                assert co.theta_v >= 0.0
 
     def test_rejects_nonnegative_k(self):
         p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
         with pytest.raises(NonPhysicalError):
-            paper_z_coefficients(ThermoInput(params=p, m=1, beta=0.1))
+            paper_z_coefficients(p, 1, 500)
 
     def test_variant_name_checked(self):
         with pytest.raises(ValueError):
-            paper_z_coefficients(ThermoInput(params=PHYS, m=1, beta=0.1), "fixed")
+            paper_z_coefficients(PHYS, 1, 500, "fixed")
 
     @settings(max_examples=200, deadline=None)
     @given(k=EDGE_K, m=EDGE_M, n=EDGE_N)
@@ -246,7 +237,7 @@ class TestPaperCoefficients:
         E' is the three-point one-sided difference, exact for the quadratic E.
         """
         p = SystemParams(alpha=1.0, k=k)
-        co = paper_z_coefficients(ThermoInput(params=p, m=m, beta=1.0, truncation_n=n))
+        co = paper_z_coefficients(p, m, n)
         e = lambda x: energy(p, x, m)
         e0, e1 = e(0.0), e(n + 1.0)
 
@@ -641,15 +632,14 @@ class TestSweep:
                                       Strategy.PAPER_CLOSED_FORM, variant)
 
     def test_paper_across_erfcx_switch(self):
-        # at N = 1 both erfcx arguments sqrt(eta) and sqrt(theta_v) cross 1.5,
-        # and s = beta (E_2 - E_0) crosses 1, where the closed form switches
-        # from its series to the half-line moments
+        # at N = 1 both erfcx arguments sqrt(-beta a_t^2 / 2k) and
+        # sqrt(-beta b_t^2 / 2k) cross 1.5, and s = beta (E_2 - E_0) crosses 1,
+        # where the closed form switches from its series to the half-line moments
         betas = list(np.linspace(0.05, 0.3, 80))
         s = [b * (energy(PHYS, 2.0, 3) - energy(PHYS, 0.0, 3)) for b in betas]
         assert min(s) < 1.0 < max(s)
-        args = [math.sqrt(getattr(paper_z_coefficients(
-            ThermoInput(params=PHYS, m=3, beta=b, truncation_n=1)), name))
-            for b in betas for name in ("eta", "theta_v")]
+        co = paper_z_coefficients(PHYS, 3, 1)
+        args = [math.sqrt(-b * c * c / (2.0 * PHYS.k)) for b in betas for c in (co.a_t, co.b_t)]
         assert sum(a < 1.5 for a in args[0::2]) * sum(a >= 1.5 for a in args[0::2]) > 0
         assert sum(a < 1.5 for a in args[1::2]) * sum(a >= 1.5 for a in args[1::2]) > 0
         for variant in ("corrected", "verbatim"):
@@ -725,10 +715,11 @@ class TestEvaluateBundle:
         assert all(math.isfinite(v) for v in (res.z, res.u, res.c, res.f, res.s))
 
     def test_strategy_parser(self):
-        assert Strategy.from_string("direct") is Strategy.DIRECT_SUM
-        assert Strategy.from_string("PAPER_CLOSED_FORM") is Strategy.PAPER_CLOSED_FORM
-        with pytest.raises(ValueError):
-            Strategy.from_string("zzz")
+        """Strategies are looked up by their command-line names only."""
+        assert [Strategy(name) for name in ("direct", "paper", "poisson")] == list(Strategy)
+        for name in ("PAPER_CLOSED_FORM", "zzz"):
+            with pytest.raises(ValueError):
+                Strategy(name)
 
 
 class TestRegimeEdges:
