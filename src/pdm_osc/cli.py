@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Commands: spectrum, wavefunction, thermo, figures, validate. Configuration
-precedence is CLI flags > config file (flat key=value lines, '#' comments,
-keys among the command's options) > defaults. Exit codes: 0 success, 1
-validation/computation failure, 2 config error (single machine-parsable line
-on stderr).
+precedence is CLI flags > config file (flat key=value lines, each key at
+most once and among the command's options; a '#' at the start of a line or
+after whitespace starts a comment) > defaults. `thermo --T` refuses the
+grid and file options it would not read, and variant=both. Exit codes: 0
+success, 1 validation/computation failure, 2 config error (single
+machine-parsable line on stderr).
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ _OPTIONS = (
 
 _QUANTITIES = "ZUCFS"
 
+# a config-file comment runs from a '#' at the start of a line or after
+# whitespace to the end of the line
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+# the options single-point thermo (--T) does not read
+_GRID_OPTIONS = ("out", "format", "T_min", "T_max", "T_count", "T_spacing")
+
 
 class ConfigError(Exception):
     def __init__(self, field: str, reason: str):
@@ -66,16 +75,19 @@ class ConfigError(Exception):
 
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
+    lines: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
+                line = _COMMENT.sub("", raw).strip()
                 if not line:
                     continue
                 if "=" not in line:
                     raise ConfigError("config", f"line {lineno} is not key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
-                values[key] = value
+                if key in values:
+                    raise ConfigError(key, f"repeated on lines {lines[key]} and {lineno}")
+                values[key], lines[key] = value, lineno
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     return values
@@ -120,15 +132,18 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     cfg = {option.name: option.default for option in _OPTIONS}
     own = [option.name for option in _OPTIONS
            if command in option.commands and option.name != "config"]
+    given = set()
     if args.config:
         for key, value in _parse_config_file(args.config).items():
             if key not in own:
                 raise ConfigError(key, f"not an option of {command}")
             cfg[key] = value
+            given.add(key)
     for key in own:
         flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
+            given.add(key)
     if command == "figures" and cfg["k"] is None and cfg["k_list"] is None:
         cfg["k_list"] = "-0.1,-0.2,-0.3"
     for option in _OPTIONS:
@@ -156,6 +171,12 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         raise ConfigError("T_count", "must be >= 2")
     if cfg["r_count"] < 2:
         raise ConfigError("r_count", "must be >= 2")
+    if cfg["T"] is not None:
+        for key in _GRID_OPTIONS:
+            if key in given:
+                raise ConfigError(key, "not read with T (single-point mode)")
+        if cfg["variant"] == "both":
+            raise ConfigError("variant", "both is not read with T (single-point mode)")
     cfg["strategy_enum"] = thermo.Strategy(cfg["strategy"])
     return cfg
 

@@ -6,10 +6,14 @@ timestamps or environment details are ever written. Identical inputs produce
 byte-identical files.
 
 Columns may be lists or arrays. CSV cells ('.17g') and polyline points
-('.2f') go through one array renderer, `_render`, whose text equals Python's
-formatter byte for byte. Block by block, each cell's digits are |x| * 10**k,
-formed exactly as a double-double and rounded half-even to an integer, laid
-out in fixed slots padded with NUL bytes that one bytes.translate removes.
+('.2f') go through one array renderer, `_blocks`, whose text equals Python's
+formatter byte for byte. It yields the cells as ASCII bytes one block of
+4,096 cells at a time: write_csv and write_svg validate the table, open the
+file and write each block as it comes, so no file's whole text is ever in
+memory, and to_csv and to_svg join the same stream. In a block, each
+cell's digits are |x| * 10**k, formed exactly as a double-double and
+rounded half-even to an integer, laid out in fixed slots padded with NUL
+bytes that one bytes.translate removes.
 Python's formatter writes the cells this cannot prove correct: a fraction
 within 1e-6 of a half (every exact tie among them), non-finite values, and
 |x| outside [1e-250, 1e250] for '.17g' (zero among them) or |x| >= 1e13 for
@@ -19,7 +23,9 @@ within 1e-6 of a half (every exact tie among them), non-finite values, and
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,20 +87,25 @@ class SeriesTable:
                 raise ValueError(f"non-finite value {col[i]} at row {i} column {name!r}")
         return x, cols
 
-    def to_csv(self) -> str:
+    def _csv(self) -> Iterator[bytes]:
+        """The CSV text as a stream of bytes blocks. The table is validated
+        before the stream is returned, so before any file is opened."""
         x, cols = self.validate()
         lines = [f"# {key}: {value}" for key, value in self.metadata]
         lines.append(",".join([self.x_label] + [name for name, _ in self.columns]))
-        return "\n".join(lines) + "\n" + _render([x] + cols, ".17g", b"," * len(cols) + b"\n")
+        return itertools.chain([("\n".join(lines) + "\n").encode()],
+                               _blocks([x] + cols, ".17g", b"," * len(cols) + b"\n"))
+
+    def to_csv(self) -> str:
+        return b"".join(self._csv()).decode()
 
     def write_csv(self, path: str) -> None:
-        # render first: a table that fails validation leaves no file behind
-        text = self.to_csv()
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(path, self._csv())
 
-    def to_svg(self) -> str:
-        """Minimal 720 x 480 polyline plot: axes, ticks, one legend entry per column."""
+    def _svg(self) -> Iterator[bytes]:
+        """Minimal 720 x 480 polyline plot: axes, ticks, one legend entry per
+        column, as a stream of bytes blocks. The table is validated before
+        the stream is returned, so before any file is opened."""
         xs, cols = self.validate()
         width, height = 720, 480
         ml, mr, mt, mb = 70, 20, 20, 50
@@ -137,25 +148,37 @@ class SeriesTable:
             f'<text x="16" y="{mt + ph / 2:.2f}" font-size="12" text-anchor="middle" '
             f'transform="rotate(-90 16 {mt + ph / 2:.2f})">{self.y_label}</text>'
         )
-        for idx, ((name, _), col) in enumerate(zip(self.columns, cols)):
-            color = _PALETTE[idx % len(_PALETTE)]
-            pts = _render([px(xs * sx), py(col * sy)], ".2f", b", ")[:-1]
-            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-            ly = mt + 14 + 16 * idx
-            parts.append(
-                f'<line x1="{ml + pw - 130}" y1="{ly}" x2="{ml + pw - 110}" y2="{ly}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{ml + pw - 104}" y="{ly + 4}" font-size="11">{name}</text>'
-            )
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
+        head = ("\n".join(parts) + "\n").encode()
+        x_points = px(xs * sx)
+
+        def stream():
+            yield head
+            for idx, ((name, _), col) in enumerate(zip(self.columns, cols)):
+                color = _PALETTE[idx % len(_PALETTE)]
+                yield b'<polyline points="'
+                yield from _blocks([x_points, py(col * sy)], ".2f", b", ", last_sep=False)
+                ly = mt + 14 + 16 * idx
+                yield (
+                    f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
+                    f'<line x1="{ml + pw - 130}" y1="{ly}" x2="{ml + pw - 110}" y2="{ly}" '
+                    f'stroke="{color}" stroke-width="2"/>\n'
+                    f'<text x="{ml + pw - 104}" y="{ly + 4}" font-size="11">{name}</text>\n'
+                ).encode()
+            yield b"</svg>\n"
+
+        return stream()
+
+    def to_svg(self) -> str:
+        return b"".join(self._svg()).decode()
 
     def write_svg(self, path: str) -> None:
-        text = self.to_svg()
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(path, self._svg())
+
+
+def _write(path: str, blocks: Iterator[bytes]) -> None:
+    """Write each block to the file at path as it comes."""
+    with open(path, "wb") as fh:
+        fh.writelines(blocks)
 
 
 # cells per block: a block's temporaries stay in cache
@@ -307,16 +330,18 @@ def _layout_f(v, tables):
     return out.view(np.uint8), slow
 
 
-def _render(cols: list[np.ndarray], spec: str, seps: bytes) -> str:
+def _blocks(cols: list[np.ndarray], spec: str, seps: bytes,
+            last_sep: bool = True) -> Iterator[bytes]:
     """The cells of equal-length float columns, row after row, each as
-    format(cell, spec) for spec '.17g' or '.2f', followed by its column's
-    byte of seps."""
+    format(cell, spec) for spec '.17g' or '.2f' and followed by its column's
+    byte of seps (but for the very last cell without last_sep), as ASCII
+    bytes, one block of rows at a time."""
     layout = _layout_g if spec == ".17g" else _layout_f
     tables = _tables()
     rows = max(1, _BLOCK // len(cols))
     sep = np.frombuffer(seps * rows, np.uint8)
-    parts = []
-    for start in range(0, len(cols[0]), rows):
+    size = len(cols[0])
+    for start in range(0, size, rows):
         v = np.column_stack([col[start:start + rows] for col in cols]).ravel()
         out, slow = layout(v, tables)
         out[:, -1] = sep[:v.size]
@@ -326,5 +351,11 @@ def _render(cols: list[np.ndarray], spec: str, seps: bytes) -> str:
                 out = np.pad(out, ((0, 0), (text.size + 1 - out.shape[1], 0)))
             out[i, :-1] = 0
             out[i, :text.size] = text
-        parts.append(out.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+        if not last_sep and start + rows >= size:
+            out[-1, -1] = 0
+        yield out.tobytes().translate(None, b"\0")
+
+
+def _render(cols: list[np.ndarray], spec: str, seps: bytes) -> str:
+    """The text of _blocks, joined."""
+    return b"".join(_blocks(cols, spec, seps)).decode("ascii")

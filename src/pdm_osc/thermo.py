@@ -277,9 +277,10 @@ def _boltzmann_sums(e: np.ndarray, betas: np.ndarray,
     at each beta (_cut_lengths). e is the first levels, covering every cut, of
     a spectrum of size levels. Rows of one length are reduced together in
     blocks of three work arrays allocated once, with exp only on lanes whose
-    weight is not exactly 0.0; the tail ratio of a cut row is exactly 0.0,
-    as w_N is. The ground-state shift keeps any beta up to 1e3 and beyond
-    safe; the two-pass variance keeps C >= 0 by construction.
+    weight is not exactly 0.0, and a plain exp in a block where no weight
+    is; the tail ratio of a cut row is exactly 0.0, as w_N is. The
+    ground-state shift keeps any beta up to 1e3 and beyond safe; the
+    two-pass variance keeps C >= 0 by construction.
     """
     e0 = float(e.min())
     shifted = e - e0
@@ -288,14 +289,19 @@ def _boltzmann_sums(e: np.ndarray, betas: np.ndarray,
     x, w, t = (np.empty(max(_BLOCK_ELEMENTS, lengths.max())) for _ in range(3))
     for length in sorted(set(lengths.tolist())):
         head, head_shifted = e[:length], shifted[:length]
+        top = head_shifted.max()
         group = np.flatnonzero(lengths == length)
         rows = max(1, _BLOCK_ELEMENTS // length)
         for lo in range(0, group.size, rows):
             at = group[lo:lo + rows]
             bx, bw, bt = (a[:at.size * length].reshape(at.size, length) for a in (x, w, t))
             np.multiply(-betas[at, None], head_shifted, out=bx)
-            bw.fill(0.0)
-            np.exp(bx, out=bw, where=bx >= -_EXP_UNDERFLOW)
+            # rounding is monotone, so the block's lowest lane is -(max beta) top
+            if betas[at].max() * top <= _EXP_UNDERFLOW:
+                np.exp(bx, out=bw)
+            else:
+                bw.fill(0.0)
+                np.exp(bx, out=bw, where=bx >= -_EXP_UNDERFLOW)
             sw = bw.sum(axis=1)
             mean = np.multiply(head, bw, out=bt).sum(axis=1) / sw
             out[0, at] = sw

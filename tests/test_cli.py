@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ class TestThermoCommand:
         assert rc == 0
         _, body = data_rows(read(tmp_path / "thermo_m1_Z.csv"))
         assert [row[0] for row in body] == pytest.approx([2.0, 4.0, 6.0, 8.0, 10.0])
+
+    @pytest.mark.parametrize("args, field", [
+        (["--out", "newdir"], "out"), (["--format=svg"], "format"), (["--T-min=0.5"], "T_min"),
+        (["--T-max=9"], "T_max"), (["--T-count=7"], "T_count"), (["--T-spacing=log"], "T_spacing"),
+        (["--strategy=paper", "--variant=both"], "variant"), (["T_count = 7"], "T_count")])
+    def test_single_point_refuses_options_it_does_not_read(self, tmp_path, capsys, monkeypatch,
+                                                           args, field):
+        """--T writes no file and reads no grid: the grid and file options,
+        as flags or config keys, and variant=both are refused, and no
+        directory is made."""
+        monkeypatch.chdir(tmp_path)
+        if "=" in args[0] and not args[0].startswith("--"):
+            (tmp_path / "run.cfg").write_text(args[0] + "\n", encoding="utf-8")
+            args = ["--config", "run.cfg"]
+        assert main(["thermo", "--T=1", "--k=-0.1"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config-error field={field} reason=")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "newdir").exists()
 
     def test_paper_point_survives_display_overflow(self, capsys):
         """Z is ~1e-182 at this large-|m| point; every value prints finite."""
@@ -358,6 +378,26 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config-error")
         assert "\n" == err[-1] and err.count("\n") == 1  # single line
+
+    def test_repeated_config_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 2\n# alpha = 5\nalpha = 3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config-error field=alpha "
+                                           "reason=repeated on lines 1 and 3\n")
+        assert not out.exists()
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path, capsys):
+        """'#' starts a comment at the start of a line or after whitespace
+        only: a value may contain one."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'runs#1'}\nn_max = 1\t# note\n  # k = 5\n",
+                       encoding="utf-8")
+        assert main(["spectrum", "--config", str(cfg)]) == 0
+        _, body = data_rows(read(tmp_path / "runs#1" / "spectrum_m1.csv"))
+        assert len(body) == 2
+        assert not (tmp_path / "runs").exists()
 
     def test_invalid_alpha(self, capsys):
         rc = main(["spectrum", "--alpha", "-1"])
@@ -698,6 +738,54 @@ class TestSeriesTable:
         assert table.to_csv() == reference_csv(table)
         plot = SeriesTable(x_label="x", y_label="y", x=x, columns=[("b", short)])
         assert re.findall(r'<polyline points="([^"]*)"', plot.to_svg()) == reference_polylines(plot)
+
+    @pytest.mark.parametrize("rows", [4 * 1365, 4 * 1365 + 17])
+    def test_written_bytes_equal_joined_text(self, tmp_path, rows):
+        """write_csv and write_svg put on disk the bytes to_csv and to_svg
+        join: over four blocks and more (1,365 three-cell rows or 2,048
+        points to a block), with the last block full or short, and with
+        cells Python's formatter writes (0.0, exact ties and fractions
+        within 1e-6 of a half) on each side of every block boundary."""
+        per_block = output._BLOCK // 3
+        x = np.linspace(0.0, 50.0, rows)
+        a = np.exp(np.random.default_rng(2).uniform(-30.0, 30.0, rows))
+        b = a[::-1].copy()
+        x[per_block - 1::per_block], a[per_block - 1::per_block] = 0.0, 1234567890123456.25
+        b[per_block::per_block] = 0.422973611418032  # 17 digits, then 500000225
+        assert output._layout_g(np.array([0.0, 1234567890123456.25, 0.422973611418032]),
+                                output._tables())[1].all()
+        table = SeriesTable(x_label="x", y_label="y", x=x, columns=[("a", a), ("b", b)],
+                            metadata=[("key", "val")])
+        table.write_csv(str(tmp_path / "t.csv"))
+        table.write_svg(str(tmp_path / "t.svg"))
+        assert (tmp_path / "t.csv").read_bytes() == table.to_csv().encode()
+        assert (tmp_path / "t.svg").read_bytes() == table.to_svg().encode()
+        assert table.to_csv() == reference_csv(table)
+        # a polyline drops its last separator, whatever the last block's length
+        for n in (2 * 2048, 3 * 2048 + 1, 2048 - 1):
+            p = np.linspace(-50.0, 50.0, n)
+            p[2047::2048], p[2048::2048] = 0.125, 0.1250000001
+            cols = [p, p[::-1]]
+            assert b"".join(output._blocks(cols, ".2f", b", ", last_sep=False)).decode() == (
+                output._render(cols, ".2f", b", ")[:-1])
+        assert output._layout_f(np.array([0.125, 0.1250000001]), output._tables())[1].all()
+
+    def test_write_csv_memory_flat_in_rows(self, tmp_path):
+        """Writing a 200,000 x 7 table, a 27 MB file, allocates a few blocks
+        above its columns: the file's text is never whole in memory."""
+        rng = np.random.default_rng(3)
+        x = np.linspace(0.1, 50.0, 200_000)
+        table = SeriesTable(x_label="x", y_label="y", x=x,
+                            columns=[(f"c{j}", rng.normal(size=x.size) * 10.0 ** j)
+                                     for j in range(6)])
+        tracemalloc.start()
+        try:
+            table.write_csv(str(tmp_path / "t.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "t.csv").stat().st_size > 25e6
+        assert peak < 4e6
 
     @pytest.mark.parametrize("value, text", [
         (0.0, "0"), (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"),
