@@ -252,11 +252,11 @@ def _cut_lengths(shifted: np.ndarray, betas: np.ndarray, size: int) -> np.ndarra
 
 
 def _check_weights_range(params: SystemParams, e0: float, e_top: float,
-                         betas: np.ndarray, moments: bool = False) -> None:
+                         betas: np.ndarray, moments: str | None = None) -> None:
     """Refuse a grid on which the weights exp(-beta (E - E_0)) of E_0..E_top
     leave the double range: E_0, E_top, 746/beta and beta (E_top - E_0), as
-    Python floats at the ends of the grid, must be finite; for the moments,
-    (E_top - E_0)^2 too, which for k <= 0 also bounds E'(0)^2."""
+    Python floats at the ends of the grid, must be finite; for the moments of
+    E_0..E_{moments}, (E_top - E_0)^2 too: it bounds each (E - <E>)^2 and E'(0)^2."""
     b_min, b_max = betas.min().item(), betas.max().item()
     if not all(map(math.isfinite, (e0, e_top, _EXP_UNDERFLOW / b_min, b_max * (e_top - e0)))):
         raise ValueError(f"Boltzmann weights out of range at alpha={params.alpha}, "
@@ -264,7 +264,7 @@ def _check_weights_range(params: SystemParams, e0: float, e_top: float,
                          "E_0..E_N, 746/beta or beta (E_N - E_0) is not finite")
     if moments and not math.isfinite((e_top - e0) * (e_top - e0)):
         raise ValueError(f"Boltzmann moments out of range at alpha={params.alpha}, "
-                         f"kb={params.kb}: (E_{{N+1}} - E_0)^2 is not finite")
+                         f"kb={params.kb}: (E_{{{moments}}} - E_0)^2 is not finite")
 
 
 def _boltzmann_sums(e: np.ndarray, betas: np.ndarray,
@@ -338,6 +338,7 @@ def _direct_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     _check_weights_range(p, e0, energy(p, size - 1.0, m), betas)
     reach = _EXP_UNDERFLOW / betas.min().item()
     count = next(n for n in _spine(size) if n == size or energy(p, float(n), m) - e0 > reach)
+    _check_weights_range(p, e0, energy(p, count - 1.0, m), betas, moments=str(count - 1))
     e0, (sw, mean, var, shifted_mean, tail), lengths = _boltzmann_sums(
         levels(first, count), betas, size)
     return _from_moments(first, betas, e0, sw, shifted_mean, var,
@@ -401,7 +402,7 @@ def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSe
     a_t, b_t, d_t = co.a_t, co.b_t, co.d_t
     e0, x1 = energy(p, 0.0, m), n_max + 1.0
     d1 = x1 * (b_t - a_t)  # d(X), as b_t - a_t = D + q X
-    _check_weights_range(p, e0, e0 + d1, beta, moments=True)
+    _check_weights_range(p, e0, e0 + d1, beta, moments="N+1")
     s = beta * d1
     f1 = np.exp(-s)
     # beta^j (int_0^X d^j f dx - d(X)^j f(X)/2), j = 0, 1, 2
@@ -450,7 +451,7 @@ def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     p, m, n_max = first.params, first.m, first.truncation_n
     e0 = energy(p, 0.0, m)
     d1 = energy(p, n_max + 1.0, m) - e0
-    _check_weights_range(p, e0, e0 + d1, betas, moments=True)
+    _check_weights_range(p, e0, e0 + d1, betas, moments="N+1")
     upper = np.full(betas.size, n_max + 1.0)
     if p.k <= 0.0:
         # f is exactly 0.0 beyond x_cut, where beta (E(x) - E_0) = 746; on a
@@ -577,21 +578,19 @@ def find_heat_capacity_plateau(params: SystemParams, m: int,
                                truncation_n: int) -> PlateauResult | None:
     """Smallest T* in [0.5, 2500] with C varying less than 1% over [T*, 2 T*].
 
-    Scans 240 logarithmically spaced candidate windows of 9 temperatures;
-    returns the window start, the mean C over the window and the observed
-    relative variation, or None when no window qualifies.
+    The 295 windows start at T_i = 0.5 2^(i/24), i = 0..294, and sample C at
+    the lattice points T_{i+3j} = T_i 2^(j/8), j = 0..8: one direct sweep over
+    the 319 temperatures gives every C. Returns the first qualifying window's
+    start, mean C and relative variation (mean C 0 never qualifies), or None.
     """
-    e = levels(ThermoInput(params=params, m=m, beta=1.0, truncation_n=truncation_n))
-    starts = np.geomspace(0.5, 2500.0, 240)
-    # every candidate window's temperatures in one (candidates, samples) grid
-    betas = 1.0 / (params.kb * np.geomspace(starts, 2.0 * starts, 9, axis=-1))
-    _, (_, _, var, _, _), _ = _boltzmann_sums(e, betas.ravel(), e.size)
-    cs = params.kb * betas * betas * var.reshape(betas.shape)
+    temps = 0.5 * np.exp2(np.arange(319) / 24.0)
+    windows = np.arange(295)[:, None] + np.arange(0, 25, 3)  # window i samples T_{i+3j}
+    cs = sweep(params, m, truncation_n, 1.0 / (params.kb * temps)).c[windows]
     mean_c = cs.mean(axis=1)
-    variation = (cs.max(axis=1) - cs.min(axis=1)) / mean_c
+    variation = (cs.max(axis=1) - cs.min(axis=1)) / np.where(mean_c > 0.0, mean_c, np.nan)
     found = np.flatnonzero(variation < 0.01)
     if found.size == 0:
         return None
     i = found[0]
-    return PlateauResult(t_star=float(starts[i]), value=float(mean_c[i]),
+    return PlateauResult(t_star=float(temps[i]), value=float(mean_c[i]),
                          variation=float(variation[i]))

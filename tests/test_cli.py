@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -199,11 +200,28 @@ class TestThermoCommand:
                                     f"alpha={float(alpha)!r}, kb=1.0: "
                                     "(E_{N+1} - E_0)^2 is not finite\n")
 
+    @pytest.mark.parametrize("alpha", ["1e152", "1e154"])
+    def test_direct_variance_out_of_range_refused(self, capsys, alpha):
+        """The direct sum's two-pass variance squares E - <E>, up to
+        E_{L-1} - E_0 over the L levels it builds (L = 120 of 501 here):
+        where that square is not finite, it refuses with one line that names
+        alpha and kb, and no array step warns."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["thermo", f"--alpha={alpha}", "--T=1", "--k=-0.1"])
+        assert rc == 1 and caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: Boltzmann moments out of range at "
+                                f"alpha={float(alpha)!r}, kb=1.0: "
+                                "(E_{119} - E_0)^2 is not finite\n")
+
     @pytest.mark.parametrize("strategy, alpha, n", [
         ("poisson", "1e150", "500"), ("poisson", "1e151", "500"), ("direct", "1e150", "100000")])
     def test_large_alpha_below_moment_overflow(self, capsys, strategy, alpha, n):
-        """Below the moment check's range, and for the direct sum, which
-        squares no energy difference, a huge alpha still gives a point."""
+        """Below the moment checks' range a huge alpha still gives a point:
+        the direct sum's variance squares E - <E> only up to E_95 - E_0, as
+        it builds 96 of the 100,001 levels, and that square is finite."""
         rc = main(["thermo", f"--strategy={strategy}", f"--alpha={alpha}", f"--N={n}",
                    "--T=1", "--k=-0.1"])
         assert rc == 0

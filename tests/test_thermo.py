@@ -401,6 +401,39 @@ class TestHeatCapacity:
             # saturation toward the quadratic-spectrum equipartition value
             assert 0.4 < plateau.value < 0.8
 
+    @pytest.mark.parametrize("m, k", [(1, -0.1), (2, -0.3)])
+    def test_plateau_lattice_matches_window_loop(self, m, k):
+        """The scan's one sweep over the lattice T_i = 0.5 2^(i/24) gives the
+        PlateauResult, bit for bit, of a loop that sweeps each window's nine
+        lattice temperatures T_{i+3j} alone; each window ends at 2 T_i."""
+        temps = 0.5 * np.exp2(np.arange(319) / 24.0)
+        assert temps[294] <= 2500.0 < temps[295]
+        np.testing.assert_allclose(temps[24:], 2.0 * temps[:295], rtol=1e-15, atol=0.0)
+        p = SystemParams(alpha=1.0, k=k)
+        expected = None
+        for i in range(295):
+            cs = sweep(p, m, 500, 1.0 / (p.kb * temps[i:i + 25:3])).c
+            variation = (cs.max() - cs.min()) / cs.mean()
+            if variation < 0.01:
+                expected = thermo.PlateauResult(temps[i].item(), cs.mean().item(),
+                                                variation.item())
+                break
+        assert expected is not None
+        assert find_heat_capacity_plateau(p, m, 500) == expected
+
+    @pytest.mark.parametrize("n, kb", [(0, 1.0), (500, 1e300)])
+    def test_plateau_zero_heat_capacity_never_qualifies(self, n, kb):
+        """A single level, or beta^2 underflowing to 0, makes C exactly 0 on
+        every window: no window qualifies, and no 0/0 warns (a RuntimeWarning
+        is an error here)."""
+        assert find_heat_capacity_plateau(SystemParams(alpha=1.0, k=-0.1, kb=kb), 1, n) is None
+
+    def test_plateau_beta_square_overflow_refused(self):
+        """At kb = 1e-300 the lattice's betas have no finite square: the scan
+        refuses with sweep's typed error."""
+        with pytest.raises(ValueError, match="beta must be positive with a finite square"):
+            find_heat_capacity_plateau(SystemParams(alpha=1.0, k=-0.1, kb=1e-300), 1, 500)
+
     def test_poisson_strategy_close_to_closed_form(self):
         for beta in (0.1, 2.0, 10.0):
             inp_p = ThermoInput(params=PHYS, m=1, beta=beta, strategy=Strategy.POISSON_PIPELINE)
