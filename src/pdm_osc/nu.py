@@ -6,10 +6,12 @@ Works on second-order ODEs brought to the parametric form
           + (-eps1 z^2 + eps2 z - eps3)/(z^2 (1 - a3 z)^2) psi = 0,
 
 deriving the coefficient chain a4..a13, the kappa branches, the slope of the
-linearized tau polynomial, the polynomial/weight/prefactor data of the bound
-solutions and the algebraic quantization condition. Everything here is pure
-arithmetic on value types; no physics enters until a caller maps its equation
-onto (a1, a2, a3, eps1, eps2, eps3).
+linearized tau polynomial and the algebraic quantization condition. The bound
+solutions are z^a12 (1 - a3 z)^(-a13/a3 - a12) P_n^(a, b)(1 - 2 a3 z) with
+a = a10 - 1 and b = a11/a3 - a10 - 1; the oscillator evaluates its own
+(a, b) = (|m|, s) in closed form, and the tests hold the two to each other.
+Everything here is pure arithmetic on value types; no physics enters until a
+caller maps its equation onto (a1, a2, a3, eps1, eps2, eps3).
 """
 
 from __future__ import annotations
@@ -18,17 +20,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .specfun import JacobiParams
-
 __all__ = [
     "NUProblem",
     "NUCoefficients",
-    "NUSolution",
     "NegativeDiscriminantError",
     "derive_coefficients",
     "tau_prime",
     "quantization_residual",
-    "build_solution",
     "find_roots_by_scan",
 ]
 
@@ -74,25 +72,6 @@ class NUCoefficients:
     a13: float
     kappa_plus: float
     kappa_minus: float
-
-
-@dataclass(frozen=True)
-class NUSolution:
-    """Structure of the bound solution chi(z) = phi(z) * y_n(z).
-
-    phi(z)   = z^p0 (1 - a3 z)^p1            with (p0, p1) = phi_exponents
-    rho(z)   = z^w0 (1 - a3 z)^w1            with (w0, w1) = weight_exponents
-    y_n(z)   = P_n^(jacobi.a, jacobi.b)(1 - 2 a3 z)
-    """
-
-    phi_exponents: tuple[float, float]
-    weight_exponents: tuple[float, float]
-    jacobi: JacobiParams
-    a3: float
-
-    def argument(self, z: float) -> float:
-        """Map z to the Jacobi polynomial argument 1 - 2 a3 z."""
-        return 1.0 - 2.0 * self.a3 * z
 
 
 def _checked_sqrt(value: float, name: str) -> float:
@@ -161,20 +140,6 @@ def quantization_residual(c: NUCoefficients, n: int) -> float:
         + 2.0 * p.a3 * c.a8
         + 2.0 * sqrt_a8 * sqrt_a9
     )
-
-
-def build_solution(c: NUCoefficients, n: int = 0) -> NUSolution:
-    """Assemble the exponent tuples and Jacobi data of chi(z) = phi(z) y_n(z).
-
-    No evaluation happens here. The Jacobi b-parameter is a11/a3 - a10 - 1,
-    matching the exponent of (1 - a3 z) in the weight rho(z): the polynomial
-    family must be orthogonal against rho for the construction to close.
-    """
-    a3 = c.problem.a3
-    phi = (c.a12, -c.a13 / a3 - c.a12)
-    weight = (c.a10 - 1.0, c.a11 / a3 - c.a10 - 1.0)
-    jac = JacobiParams(a=c.a10 - 1.0, b=c.a11 / a3 - c.a10 - 1.0, n=n)
-    return NUSolution(phi_exponents=phi, weight_exponents=weight, jacobi=jac, a3=a3)
 
 
 def find_roots_by_scan(

@@ -11,19 +11,19 @@ Separating Psi(r, theta) = U(r) exp(-i m theta) reduces the eigenproblem to
     w = 1 + delta_sq r^2,
 
 which maps onto the parametric hypergeometric form under z = -delta_sq r^2.
-This module owns that mapping, the closed-form spectrum, the radial and total
+This module owns that mapping, the closed-form spectrum, the radial
 wavefunctions, and direct substitution checks of the radial equation.
 
 Radial inner product: the radial operator is self-adjoint with respect to the
 mass-weighted measure r dr / (1 + delta_sq r^2), and eigenstates with equal m
 are orthogonal only under that measure. Normalization and overlaps therefore
 use it throughout (the flat polar measure r dr does not diagonalize the
-spectrum; see RadialWavefunction.radial_weight). Under x = 1 - 2z that
-measure is the Jacobi weight (1 - x)^|m| (1 + x)^s, so the norm is the
-closed-form Jacobi norm (DLMF 18.3) and equal-m orthogonality is Jacobi
-orthogonality; radial_overlaps re-integrates by quadrature as the
-independent check. Bound states need k < 0 < lam; elsewhere the radial
-solution grows and radial_wavefunction refuses with NonNormalizableError.
+spectrum). Under x = 1 - 2z that measure is the Jacobi weight
+(1 - x)^|m| (1 + x)^s, so the norm is the closed-form Jacobi norm
+(DLMF 18.3) and equal-m orthogonality is Jacobi orthogonality;
+radial_overlaps re-integrates by quadrature as the independent check.
+Bound states need k < 0 < lam; elsewhere the radial solution grows and
+radial_wavefunction refuses with NonNormalizableError.
 """
 
 from __future__ import annotations
@@ -45,17 +45,12 @@ __all__ = [
     "NonNormalizableError",
     "energy",
     "make_state",
-    "mass",
     "nu_instance",
     "radial_wavefunction",
     "ode_residual",
-    "total_wavefunction",
-    "radial_overlap",
     "radial_overlaps",
     "solve_energy",
 ]
-
-_TWO_PI = 2.0 * math.pi
 
 
 class DomainError(ValueError):
@@ -105,11 +100,6 @@ class SystemParams:
                 f"k={self.k} >= 0 is outside the bound-state regime; "
                 "pass exploratory=True to evaluate formulas anyway"
             )
-
-    @classmethod
-    def from_delta(cls, alpha: float, lam: float, delta_sq: float, **kw) -> "SystemParams":
-        """Construct from (alpha, lam, delta_sq); k is derived as delta_sq/lam."""
-        return cls(alpha=alpha, k=delta_sq / lam, lam=lam, **kw)
 
     @property
     def delta_sq(self) -> float:
@@ -162,15 +152,6 @@ def make_state(params: SystemParams, n_r: int, m: int) -> QuantumState:
     return QuantumState(n_r=n_r, m=m, energy=energy(params, n_r, m))
 
 
-def mass(params: SystemParams, r: float) -> float:
-    """Position-dependent mass lam / (1 + delta_sq r^2) on [0, r_max)."""
-    if r < 0.0:
-        raise DomainError(f"r must be nonnegative, got {r}")
-    if r >= params.r_max:
-        raise DomainError(f"r={r} is at or beyond r_max={params.r_max}")
-    return params.lam / (1.0 + params.delta_sq * r * r)
-
-
 def nu_instance(params: SystemParams, m: int, energy_value: float) -> nu.NUProblem:
     """Map the radial equation at trial energy E onto the parametric form.
 
@@ -214,7 +195,7 @@ class RadialWavefunction:
     with z = -delta_sq r^2 and s = sqrt(alpha^2/k^2 + 1). The exponents of
     the radial equation at z = 1 are (1 +- s)/2; (1 + s)/2 is the decaying
     one. C = exp(-log_norm / 2) normalizes U against the mass-weighted
-    measure returned by radial_weight, where log_norm is the log of the
+    measure r dr / (1 + delta_sq r^2), where log_norm is the log of the
     closed-form Jacobi norm of the unnormalized U:
 
         N = prod_{j=1}^{|m|} (n+j)/(n+s+j) / ((2n+|m|+s+1) * 2|delta_sq|)
@@ -263,10 +244,6 @@ class RadialWavefunction:
         return self.unnormalized(r, -0.5 * self.log_norm)
 
     __call__ = value
-
-    def radial_weight(self, r: float) -> float:
-        """Measure density w(r) = r / (1 + delta_sq r^2) of the radial inner product."""
-        return r / (1.0 + self.params.delta_sq * r * r)
 
 
 def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
@@ -342,15 +319,6 @@ def ode_residual(params: SystemParams, state: QuantumState, r: float | np.ndarra
     return _fd_residual(wf.value, params, state.m, e, r)
 
 
-def total_wavefunction(params: SystemParams, state: QuantumState,
-                       r: float, theta: float) -> complex:
-    """Psi(r, theta) = U(r) exp(-i m theta) / sqrt(2 pi), unit-normalized in 2D."""
-    wf = radial_wavefunction(params, state)
-    return wf.value(r) / math.sqrt(_TWO_PI) * complex(
-        math.cos(state.m * theta), -math.sin(state.m * theta)
-    )
-
-
 def _turning_radius(params: SystemParams, state: QuantumState) -> float:
     """Outer classical turning radius: the largest r at which the bracket of
     the radial equation vanishes. With u = r^2 and w = 1 + delta_sq u that
@@ -421,12 +389,6 @@ def radial_overlaps(params: SystemParams, triples) -> np.ndarray:
                               breakpoints=np.reshape([cuts[t] for t in group], (group.size, count)))
         values[group] = integrate(integrand, spec).value
     return values
-
-
-def radial_overlap(params: SystemParams, m: int, n1: int, n2: int) -> float:
-    """Inner product of two normalized radial states at fixed m, by
-    quadrature: radial_overlaps() of the one triple (m, n1, n2)."""
-    return radial_overlaps(params, [(m, n1, n2)])[0].item()
 
 
 def solve_energy(params: SystemParams, m: int, n_r: int,

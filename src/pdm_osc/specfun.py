@@ -1,10 +1,10 @@
 """Special-function and numerical-analysis kernel.
 
 Self-contained building blocks used across the package: the scaled
-complementary error function, Jacobi polynomials, terminating Gauss
-hypergeometric series, adaptive Gauss-Kronrod quadrature of batches of
-vector-valued integrands and high-order central differences. All functions
-are pure and safe to call concurrently.
+complementary error function and its half-line moment factors, Jacobi
+polynomials, adaptive Gauss-Kronrod quadrature of batches of vector-valued
+integrands and high-order central differences. All functions are pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -20,12 +20,9 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
     "DegreeOverflowError",
-    "PoleError",
     "IntegrationError",
-    "erfcx",
     "erfcx_gh",
     "jacobi_p",
-    "hyp2f1_terminating",
     "integrate",
     "five_point_stencil",
     "central_diff",
@@ -41,10 +38,6 @@ _SQRT_PI = math.sqrt(math.pi)
 
 class DegreeOverflowError(ValueError):
     """Polynomial degree exceeds the configured cap."""
-
-
-class PoleError(ValueError):
-    """Hypergeometric series hits a pole of a lower-parameter Pochhammer."""
 
 
 class IntegrationError(RuntimeError):
@@ -141,23 +134,15 @@ class QuadratureResult:
         return int(np.sum(self.row_evaluations))
 
 
-def erfcx(x: float | np.ndarray) -> float | np.ndarray:
-    """Scaled complementary error function exp(x^2) erfc(x) for x >= 0,
-    elementwise on a number or an array; NaN propagates.
-
-    Stays O(1/x) where erfc itself underflows, which lets callers combine the
-    exp(x^2) growth with their own decaying exponentials in the log domain.
-    It is erfcx_gh's first factor over sqrt(pi). Relative error: below 3e-14
-    on [0, 1.5), below 1e-15 beyond.
-    """
-    out = erfcx_gh(x)[0] / _SQRT_PI
-    return out if out.ndim else float(out)
-
-
 def erfcx_gh(u: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sqrt(pi) erfcx(u) and the half-line Gaussian moment factors
     g(u) = 1 - sqrt(pi) u erfcx(u) and h(u) = sqrt(pi) (u^2 + 1/2) erfcx(u) - u,
     elementwise for u >= 0, as arrays of u's shape; NaN propagates.
+
+    erfcx(u) = exp(u^2) erfc(u) stays O(1/u) where erfc itself underflows,
+    which lets callers combine the exp(u^2) growth with their own decaying
+    exponentials in the log domain. Relative error of erfcx: below 3e-14 on
+    [0, 1.5), below 1e-15 beyond.
 
     Below u = 1.5 erfcx is exp(u^2) minus the all-positive erf series
     2u/sqrt(pi) sum (2u^2)^k/(2k+1)!! (28 terms, remainder below 1e-21), and
@@ -195,8 +180,7 @@ def jacobi_p(params: JacobiParams, x: float) -> float:
     """Evaluate P_n^(a,b)(x) by the three-term recurrence in the degree.
 
     The recurrence is numerically stabler than the Gamma-prefactor series route
-    for moderate degrees; the series route is kept in hyp2f1_terminating for
-    cross-checks.
+    for moderate degrees; the tests keep the series route as a cross-check.
     """
     n, a, b = params.n, params.a, params.b
     if n == 0:
@@ -211,24 +195,6 @@ def jacobi_p(params: JacobiParams, x: float) -> float:
         c3 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
         p_prev, p = p, (c2 * p - c3 * p_prev) / c1
     return p
-
-
-def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
-    """Terminating Gauss series 2F1(-n, b; c; z), summed over its n+1 terms.
-
-    Raises PoleError when c is a nonpositive integer in {0, -1, ..., -(n-1)},
-    which would put a zero in a denominator Pochhammer before termination.
-    """
-    if n < 0:
-        raise ValueError(f"series order must be nonnegative, got n={n}")
-    if c <= 0 and c == int(c) and c > -n:
-        raise PoleError(f"c={c} is a nonpositive integer reached by the series")
-    term = 1.0
-    total = 1.0
-    for k in range(n):
-        term *= (-n + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-    return total
 
 
 # 15-point Kronrod extension of 7-point Gauss (standard QUADPACK constants).

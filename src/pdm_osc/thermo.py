@@ -28,7 +28,6 @@ reduces it over blocks of beta rows, each row cut at the first level whose
 weight underflows to exactly 0.0 (at a length that depends on beta alone and
 gives the uncut sum bit for bit); the closed form is one array expression
 over the grid; the pipeline integrates every beta in one batched quadrature.
-ln, exp and beta**2 go through libm element by element (see _libm).
 evaluate() is sweep on a one-point grid, so the two agree value for value.
 
 The paper's coefficients are spectrum values: c_t = E_{N+1},
@@ -120,10 +119,6 @@ class ThermoInput:
             raise ValueError(f"temperature must be positive, got {temperature}")
         return cls(params=params, m=m, beta=1.0 / (params.kb * temperature), **kw)
 
-    @property
-    def temperature(self) -> float:
-        return 1.0 / (self.params.kb * self.beta)
-
 
 @dataclass(frozen=True)
 class PaperZCoefficients:
@@ -207,17 +202,6 @@ def levels(inp: ThermoInput, count: int | None = None) -> np.ndarray:
     """Spectrum E_{0..N} at fixed m as a vector, or its first count levels."""
     n = inp.truncation_n + 1 if count is None else count
     return energy(inp.params, np.arange(n, dtype=float), inp.m)
-
-
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """fn of each element as a Python float: libm's exp, log and pow (and
-    so Python's b**2) round differently from numpy's kernels and squaring."""
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
-
-
-def _z(log_z: np.ndarray) -> np.ndarray:
-    """Z = exp(ln Z), saturated to inf where it leaves the double range."""
-    return _libm(lambda v: math.exp(v) if v < 700.0 else math.inf, log_z)
 
 
 def _spine(size: int) -> list[int]:
@@ -320,11 +304,13 @@ def _from_moments(first: ThermoInput, betas: np.ndarray, e0: float, m0: np.ndarr
     beta, M_0 = Z exp(beta E_0), the mean <E - E_0> and the variance of E. U
     is E_0 + mean unless given (the direct sum averages E itself)."""
     kb = first.params.kb
-    log_m0 = _libm(math.log, m0)
+    log_m0 = np.log(m0)
     log_z = -betas * e0 + log_m0
-    return ThermoSeries(first.strategy, variant, betas, z=_z(log_z), log_z=log_z,
+    # Z saturates to inf once ln Z >= 700, where exp(inf) does not warn
+    z = np.exp(np.where(log_z < 700.0, log_z, np.inf))
+    return ThermoSeries(first.strategy, variant, betas, z=z, log_z=log_z,
                         u=e0 + mean if u is None else u,
-                        c=kb * _libm(lambda b: b**2, betas) * var, f=-log_z / betas,
+                        c=kb * betas * betas * var, f=-log_z / betas,
                         s=kb * (log_m0 + betas * mean), diagnostics=diagnostics)
 
 
@@ -524,17 +510,21 @@ def evaluate(inp: ThermoInput, variant: str = "corrected") -> ThermoResult:
 
 @dataclass
 class StrategyComparison:
-    """Discrepancy report between the three partition-function strategies."""
+    """Discrepancy report between the three partition-function strategies.
+
+    The max_rel_ reductions read NaN if any row they reduce holds a NaN.
+    """
 
     rows: list[dict]
 
     @property
     def max_rel_poisson(self) -> float:
-        return max(r["rel_poisson"] for r in self.rows)
+        return float(np.max([r["rel_poisson"] for r in self.rows]))
 
     @property
     def max_rel_paper_best(self) -> float:
-        return max(min(r["rel_corrected"], r["rel_verbatim"]) for r in self.rows)
+        return float(np.max(np.minimum([r["rel_corrected"] for r in self.rows],
+                                       [r["rel_verbatim"] for r in self.rows])))
 
     def format(self) -> str:
         lines = [

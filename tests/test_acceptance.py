@@ -88,10 +88,11 @@ def test_criterion_03_normalization_and_orthogonality():
         params = p.SystemParams(alpha=alpha, k=k)
         for m in (0, 1, 2):
             for n in range(4):
-                worst_norm = max(worst_norm, abs(p.radial_overlap(params, m, n, n) - 1.0))
+                worst_norm = max(worst_norm, abs(p.radial_overlaps(params, [(m, n, n)])[0] - 1.0))
             for n1 in range(4):
                 for n2 in range(n1 + 1, 4):
-                    worst_cross = max(worst_cross, abs(p.radial_overlap(params, m, n1, n2)))
+                    worst_cross = max(worst_cross,
+                                      abs(p.radial_overlaps(params, [(m, n1, n2)])[0]))
     # flat-measure contrast, one fixture
     params = p.SystemParams(alpha=1.0, k=-0.5)
     w0 = p.radial_wavefunction(params, p.make_state(params, 0, 0))

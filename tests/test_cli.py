@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import pdm_osc
 from pdm_osc import output, thermo
 from pdm_osc.cli import _temperature_grid, build_parser, main
-from pdm_osc.oscillator import SystemParams, make_state, radial_overlap, radial_wavefunction
+from pdm_osc.oscillator import SystemParams, make_state, radial_overlaps, radial_wavefunction
 from pdm_osc.output import SeriesTable, format_float
 from pdm_osc.specfun import QuadratureSpec, integrate
 
@@ -374,7 +374,7 @@ class TestWavefunctionCommand:
             wf = radial_wavefunction(p, make_state(p, n, 40))
             inside = integrate(lambda r, _: wf.value(r) ** 2 * r / (1.0 + p.delta_sq * r * r),
                                QuadratureSpec(0.0, r_hi, rel_tol=1e-12, abs_tol=1e-15)).value
-            assert inside >= (1.0 - 1e-10) * radial_overlap(p, 40, n, n)
+            assert inside >= (1.0 - 1e-10) * radial_overlaps(p, [(40, n, n)])[0]
 
 
 class TestConfigHandling:
@@ -512,7 +512,7 @@ def test_temperature_grid_shape(t_min, factor, count, spacing):
 def test_public_surface():
     """The package exports exactly the union of its modules' public names,
     each of which resolves, and none of the deleted single-quantity
-    wrappers or kernels."""
+    wrappers, kernels, test-only oracles or class members (dotted)."""
     from pdm_osc import nu, oscillator, specfun
 
     modules = (thermo, specfun, oscillator, nu)
@@ -521,9 +521,26 @@ def test_public_surface():
     assert set(pdm_osc.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))
     deleted = {"partition_direct", "partition_paper", "partition_poisson_independent",
                "average_energy", "heat_capacity", "free_energy", "entropy", "erf",
-               "hyp2f1_terminating_magnitude"}
+               "hyp2f1_terminating_magnitude", "hyp2f1_terminating", "PoleError", "erfcx",
+               "mass", "total_wavefunction", "_TWO_PI", "radial_overlap",
+               "SystemParams.from_delta", "RadialWavefunction.radial_weight",
+               "build_solution", "NUSolution", "ThermoInput.temperature", "_libm", "_z"}
     for namespace in (pdm_osc,) + modules:
-        assert not deleted & set(vars(namespace))
+        for name in deleted:
+            head, *members = name.split(".")
+            found = vars(namespace).get(head)
+            for member in members:
+                found = getattr(found, member, None)
+            assert found is None, f"{namespace.__name__}.{name}"
+
+
+def test_readme_library_block_runs(capsys):
+    """README's "Library" python block runs as written."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    text = read(readme).split("## Library\n", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert "rel_poisson" in capsys.readouterr().out
 
 
 class TestValidateCommand:

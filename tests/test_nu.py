@@ -1,4 +1,4 @@
-"""Parametric engine tests: coefficient chain, tau slope, quantization, solution data."""
+"""Parametric engine tests: coefficient chain, tau slope, quantization, Jacobi mapping."""
 
 import math
 
@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from pdm_osc.nu import (
     NegativeDiscriminantError,
-    NUCoefficients,
     NUProblem,
-    build_solution,
     derive_coefficients,
     find_roots_by_scan,
     quantization_residual,
     tau_prime,
 )
-from pdm_osc.oscillator import SystemParams, energy, nu_instance
+from pdm_osc.oscillator import SystemParams, energy, make_state, nu_instance, radial_wavefunction
+from pdm_osc.validate import FIXTURE_PARAM_SETS, FIXTURE_STATES
 
 
 def test_unit_problem_coefficients():
@@ -148,38 +147,19 @@ class TestQuantization:
             quantization_residual(c, -1)
 
 
-class TestBuildSolution:
-    def test_weight_exponent_substitution(self):
-        c = NUCoefficients(
-            problem=NUProblem(1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
-            a4=0.0, a5=0.0, a6=0.0, a7=0.0, a8=0.0, a9=0.0,
-            a10=1.0, a11=1.0, a12=0.0, a13=0.0,
-            kappa_plus=0.0, kappa_minus=0.0,
-        )
-        sol = build_solution(c)
-        assert sol.weight_exponents == (0.0, -1.0)
-
-    def test_oscillator_jacobi_a_parameter(self):
-        # a10 - 1 = 2 sqrt(omega) = |m|
-        p = SystemParams(alpha=1.0, k=-0.5)
-        c = derive_coefficients(nu_instance(p, 1, energy(p, 2, 1)))
-        sol = build_solution(c, n=2)
-        assert sol.jacobi.a == pytest.approx(1.0, abs=1e-12)
-        assert sol.jacobi.n == 2
-        # b parameter equals the weight's (1 - a3 z) exponent
-        assert sol.jacobi.b == pytest.approx(sol.weight_exponents[1], abs=1e-12)
-        assert sol.jacobi.b == pytest.approx(math.sqrt(1.0 / 0.25 + 1.0), rel=1e-12)
-
-    def test_phi_power_free_when_a12_zero(self):
-        p = SystemParams(alpha=1.0, k=-0.5)
-        c = derive_coefficients(nu_instance(p, 0, energy(p, 0, 0)))
-        sol = build_solution(c)
-        assert sol.phi_exponents[0] == 0.0
-
-    def test_argument_map(self):
-        c = derive_coefficients(NUProblem(1.0, 1.0, 2.0, 0.0, 0.0, 0.0))
-        sol = build_solution(c)
-        assert sol.argument(0.25) == 1.0 - 2.0 * 2.0 * 0.25
+def test_jacobi_mapping_matches_wavefunction():
+    """The NU bound solution's Jacobi parameters, a = a10 - 1 and
+    b = a11/a3 - a10 - 1 (the weight's (1 - a3 z) exponent), are the
+    (|m|, s) that radial_wavefunction evaluates, on every fixture state of
+    every fixture parameter set."""
+    for alpha, k in FIXTURE_PARAM_SETS:
+        p = SystemParams(alpha=alpha, k=k)
+        for n, m in FIXTURE_STATES:
+            c = derive_coefficients(nu_instance(p, m, energy(p, n, m)))
+            jacobi = radial_wavefunction(p, make_state(p, n, m)).jacobi
+            assert jacobi.n == n
+            assert c.a10 - 1.0 == pytest.approx(jacobi.a, abs=1e-12)
+            assert c.a11 / c.problem.a3 - c.a10 - 1.0 == pytest.approx(jacobi.b, rel=1e-12)
 
 
 def test_find_roots_by_scan_cubic():

@@ -1,4 +1,4 @@
-"""System tests: spectrum, mass profile, wavefunctions, equation residuals."""
+"""System tests: spectrum, wavefunctions, equation residuals."""
 
 import cmath
 import math
@@ -16,13 +16,11 @@ from pdm_osc.oscillator import (
     SystemParams,
     energy,
     make_state,
-    mass,
     nu_instance,
     ode_residual,
-    radial_overlap,
+    radial_overlaps,
     radial_wavefunction,
     solve_energy,
-    total_wavefunction,
 )
 from pdm_osc.specfun import JacobiParams, QuadratureSpec, integrate, jacobi_p
 
@@ -41,6 +39,13 @@ def analytic_norm_integral(params: SystemParams, n: int, m: int) -> float:
         - math.lgamma(n + a + b + 1.0) - math.lgamma(n + 1.0)
     ) / (2.0 * n + a + b + 1.0)
     return h / (2.0 * abs(params.delta_sq))
+
+
+def total_wavefunction(params: SystemParams, state, r: float, theta: float) -> complex:
+    """Psi(r, theta) = U(r) exp(-i m theta) / sqrt(2 pi), the separation
+    ansatz with its angular factor unit-normalized on [0, 2 pi)."""
+    u = radial_wavefunction(params, state).value(r)
+    return u / math.sqrt(2.0 * math.pi) * cmath.exp(-1j * state.m * theta)
 
 
 class TestSystemParams:
@@ -65,10 +70,6 @@ class TestSystemParams:
         p = SystemParams(alpha=1.0, k=-0.37, lam=1.7)
         assert p.delta_sq == -0.37 * 1.7
         assert p.delta_sq / p.lam == p.k
-
-    def test_from_delta(self):
-        p = SystemParams.from_delta(alpha=1.0, lam=2.0, delta_sq=-0.5)
-        assert p.k == -0.25
 
     def test_r_max(self):
         assert SystemParams(alpha=1.0, k=-0.25).r_max == 2.0
@@ -114,28 +115,6 @@ class TestEnergy:
             energy(SystemParams(alpha=1.0, k=-0.5), -1, 0)
 
 
-class TestMass:
-    def test_origin(self):
-        p = SystemParams(alpha=1.0, k=-0.5, lam=1.7)
-        assert mass(p, 0.0) == 1.7
-
-    def test_decay_for_positive_delta(self):
-        p = SystemParams(alpha=1.0, k=0.5, lam=1.0, exploratory=True)
-        assert mass(p, 1e4) == pytest.approx(0.0, abs=1e-7)
-        assert mass(p, 1e4) > 0.0
-
-    def test_quarter_case(self):
-        p = SystemParams.from_delta(alpha=1.0, lam=1.0, delta_sq=-0.25)
-        assert mass(p, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-14)
-
-    def test_domain_error(self):
-        p = SystemParams(alpha=1.0, k=-0.25)
-        with pytest.raises(DomainError):
-            mass(p, p.r_max)
-        with pytest.raises(DomainError):
-            mass(p, -0.1)
-
-
 class TestNuInstance:
     def test_omega_from_m(self):
         p = SystemParams(alpha=1.0, k=-0.5)
@@ -178,7 +157,7 @@ class TestRadialWavefunction:
     def test_normalization_against_requadrature(self):
         p = SystemParams(alpha=1.0, k=-0.5)
         for n, m in ((0, 0), (1, 0), (2, 1), (3, 2)):
-            assert radial_overlap(p, m, n, n) == pytest.approx(1.0, abs=1e-8)
+            assert radial_overlaps(p, [(m, n, n)])[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_normalization_against_analytic_oracle(self):
         for alpha, k in ((1.0, -0.5), (2.0, -0.3)):
@@ -238,7 +217,7 @@ class TestRadialWavefunction:
             (-1e-12, 60, 0),
         ):
             p = SystemParams(alpha=1.0, k=k)
-            assert radial_overlap(p, m, n, n) == pytest.approx(1.0, abs=1e-8)
+            assert radial_overlaps(p, [(m, n, n)])[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_domain_guard(self):
         p = SystemParams(alpha=1.0, k=-0.5)
@@ -346,7 +325,7 @@ class TestOrthogonality:
         p = SystemParams(alpha=1.0, k=-0.5)
         for m in (0, 1, 2):
             for n1, n2 in ((0, 1), (0, 2), (1, 3), (2, 3)):
-                assert abs(radial_overlap(p, m, n1, n2)) <= 1e-6
+                assert abs(radial_overlaps(p, [(m, n1, n2)])[0]) <= 1e-6
 
 
 def test_solve_energy_matches_closed_form():

@@ -119,7 +119,6 @@ class TestThermoInput:
         p = SystemParams(alpha=1.0, k=-0.3, kb=2.0)
         inp = ThermoInput.from_temperature(p, 1, 10.0)
         assert inp.beta == pytest.approx(1.0 / 20.0)
-        assert inp.temperature == pytest.approx(10.0)
         with pytest.raises(ValueError):
             ThermoInput.from_temperature(p, 1, 0.0)
 
@@ -423,10 +422,22 @@ class TestHeatCapacity:
 
     @pytest.mark.parametrize("n, kb", [(0, 1.0), (500, 1e300)])
     def test_plateau_zero_heat_capacity_never_qualifies(self, n, kb):
-        """A single level, or beta^2 underflowing to 0, makes C exactly 0 on
-        every window: no window qualifies, and no 0/0 warns (a RuntimeWarning
-        is an error here)."""
+        """A single level makes C exactly 0 on every window: no window
+        qualifies, and no 0/0 warns (a RuntimeWarning is an error here). At
+        kb = 1e300 every beta = 1/(kb T) is at most 2e-300, so all 501 levels
+        weigh alike and C = var / (kb T^2), about 2e-292 / T^2: nonzero, but
+        it falls fourfold over each window, and none qualifies."""
         assert find_heat_capacity_plateau(SystemParams(alpha=1.0, k=-0.1, kb=kb), 1, n) is None
+
+    def test_tiny_beta_keeps_its_heat_capacity(self):
+        """C = kb beta beta var, formed left to right: at kb = 1e300 and
+        beta = 2e-300, kb beta is 2 and C is about 1e-291, where beta^2
+        alone underflows to 0."""
+        p, beta = SystemParams(alpha=1.0, k=-0.1, kb=1e300), 2e-300
+        _, _, var, _ = one_dimensional_sums(energy(p, np.arange(501.0), 1), beta)
+        c = sweep(p, 1, 500, [beta]).c.item()
+        assert c == p.kb * beta * beta * var
+        assert 1e-292 < c < 1e-290
 
     def test_plateau_beta_square_overflow_refused(self):
         """At kb = 1e-300 the lattice's betas have no finite square: the scan
@@ -574,6 +585,14 @@ class TestComparisonReport:
         assert "best" in text
         assert comp.max_rel_poisson > 0.0
 
+    def test_maxima_propagate_nan(self):
+        """A NaN in any row reads NaN in both maxima, wherever it sits."""
+        keys = ("rel_corrected", "rel_verbatim", "rel_poisson")
+        comp = thermo.StrategyComparison(rows=[dict(zip(keys, (0.01, math.nan, 0.0))),
+                                               dict(zip(keys, (math.nan, 0.02, math.nan)))])
+        assert math.isnan(comp.max_rel_poisson)
+        assert math.isnan(comp.max_rel_paper_best)
+
     def test_levels_shape(self):
         inp = ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=10)
         e = levels(inp)
@@ -637,9 +656,9 @@ class TestSweep:
         levels, bit for bit, though it builds only the levels its longest
         cut reaches and runs exp only where a weight is not exactly 0.0. The
         betas take in 1e3 and cuts whose last kept weight is subnormal,
-        beta (E_j - E_0) in [708, 746]; C takes beta**2 from libm's pow,
-        which differs from beta * beta at the betas added here. sweep
-        refuses k > 0, so there the kernel itself keeps all levels."""
+        beta (E_j - E_0) in [708, 746]; C is beta * beta * var, and the
+        betas added here are ones where libm's pow gives another beta**2.
+        sweep refuses k > 0, so there the kernel itself keeps all levels."""
         p = SystemParams(alpha=1.0, k=k, exploratory=k >= 0.0)
         e = energy(p, np.arange(n + 1.0), 1)
         e0 = float(e.min())
@@ -656,8 +675,8 @@ class TestSweep:
         for beta, res, (sw, mean, var, shifted_mean) in zip(betas, sweep(p, 1, n, betas),
                                                              reference):
             assert (res.log_z, res.u, res.c, res.s) == (
-                -beta * e0 + math.log(sw), mean, beta**2 * var,
-                math.log(sw) + beta * shifted_mean)
+                -beta * e0 + np.log(sw), mean, beta * beta * var,
+                np.log(sw) + beta * shifted_mean)
 
     @pytest.mark.parametrize("variant", ["corrected", "verbatim"])
     def test_paper(self, variant):
@@ -738,7 +757,7 @@ class TestEvaluateBundle:
         res = evaluate(inp)
         assert res.u == pytest.approx(
             sweep(PHYS, 1, 500, [0.1], Strategy.POISSON_PIPELINE).u.item(), rel=1e-10)
-        assert res.f == pytest.approx(res.u - inp.temperature * res.s, rel=1e-10)
+        assert res.f == pytest.approx(res.u - res.s / (PHYS.kb * inp.beta), rel=1e-10)
 
     def test_display_overflow_recorded_not_raised(self):
         """Z is ~1e-182 at this point; every primary value is finite."""
@@ -777,9 +796,9 @@ class TestRegimeEdges:
         mean = float((e * w).sum()) / sw
         var = float(((e - mean) ** 2 * w).sum()) / sw
         shifted_mean = float(((e - e0) * w).sum()) / sw
-        log_z = -beta * e0 + math.log(sw)
-        full = (math.exp(log_z) if log_z < 700.0 else math.inf, mean, beta**2 * var,
-                math.log(sw) + beta * shifted_mean)
+        log_z = -beta * e0 + np.log(sw)
+        full = (np.exp(log_z) if log_z < 700.0 else math.inf, mean, beta * beta * var,
+                np.log(sw) + beta * shifted_mean)
         for cut, want in zip((res.z, res.u, res.c, res.s), full):
             assert cut == want or abs(cut - want) <= 4.0 * math.ulp(max(abs(cut), abs(want)))
 
@@ -798,7 +817,7 @@ class TestRegimeEdges:
         except (IntegrationError, NonPhysicalError):
             return
         assert all(math.isfinite(v) for v in (res.log_z, res.u, res.c, res.f, res.s))
-        assert res.z == (math.exp(res.log_z) if res.log_z < 700.0 else math.inf)
+        assert res.z == (np.exp(res.log_z) if res.log_z < 700.0 else math.inf)
         scale = abs(res.s) + beta * (abs(res.u) + abs(res.f))
         assert abs(res.s - beta * (res.u - res.f)) <= 1e-12 * scale
 

@@ -15,7 +15,6 @@ from pdm_osc.oscillator import (
     _turning_radius,
     make_state,
     ode_residual,
-    radial_overlap,
     radial_overlaps,
     radial_wavefunction,
 )
@@ -65,10 +64,8 @@ class TestRadialOverlaps:
         p = SystemParams(1.0, k)
         assert radial_overlaps(p, triples).tolist() == [scalar_overlap(p, *t) for t in triples]
 
-    def test_one_triple_is_radial_overlap(self):
-        p = SystemParams(1.0, -0.3)
-        assert radial_overlap(p, 1, 2, 2) == radial_overlaps(p, [(1, 2, 2)])[0]
-        assert radial_overlaps(p, []).shape == (0,)
+    def test_no_triples_give_an_empty_array(self):
+        assert radial_overlaps(SystemParams(1.0, -0.3), []).shape == (0,)
 
 
 class TestPerRowBreakpoints:
