@@ -44,6 +44,8 @@ __all__ = [
     "NonPhysicalError",
     "NonNormalizableError",
     "energy",
+    "excitation",
+    "spectrum_terms",
     "make_state",
     "nu_instance",
     "radial_wavefunction",
@@ -125,26 +127,36 @@ class QuantumState:
             raise ValueError(f"n_r must be nonnegative, got {self.n_r}")
 
 
+def spectrum_terms(params: SystemParams, m: int) -> tuple[float, float, float]:
+    """E_0, D = E'(0) and q = -2k of the spectrum E(x) = E_0 + x (D + q x) at
+    m; for k <= 0 no term of D or q cancels."""
+    am, hyp, k = abs(m), math.hypot(params.alpha, params.k), params.k
+    return ((am + 1.0) * hyp - k * (m * m / 2.0 + (am + 1.0)), 2.0 * (hyp - k * (am + 1.0)),
+            -2.0 * k)
+
+
+def excitation(params: SystemParams, n_r: float | np.ndarray,
+               m: int) -> float | np.ndarray:
+    """d(n_r) = E(n_r, m) - E_0 = n_r (D + q n_r), the only copy of the spectrum
+    formula, at a number n_r (the summation formula's x too) or an ndarray of
+    them. For k <= 0 no term cancels: d keeps its precision where E_0 dwarfs it."""
+    if (n_r < 0).any() if isinstance(n_r, np.ndarray) else n_r < 0:
+        raise ValueError(f"n_r must be nonnegative, got {n_r}")
+    _, slope, q = spectrum_terms(params, m)
+    return n_r * (slope + q * n_r)
+
+
 def energy(params: SystemParams, n_r: float | np.ndarray,
            m: int) -> float | np.ndarray:
-    """Closed-form bound-state energy E(n_r, m).
+    """Closed-form bound-state energy E(n_r, m) = E_0 + d(n_r), that is
 
     E = (2 n_r + |m| + 1) sqrt(alpha^2 + k^2)
         - k [2 n_r^2 + m^2/2 + (2 n_r + 1)(|m| + 1)]
 
     Even in m exactly; strictly increasing in n_r for k < 0; reduces to the
-    flat ladder (2 n_r + |m| + 1) alpha as k -> 0. This is the only copy of
-    the spectrum formula: n_r may be a number, including the continuous
-    argument of the summation formula, or an ndarray of them, which gives the
-    whole spectrum as a vector.
+    flat ladder (2 n_r + |m| + 1) alpha as k -> 0.
     """
-    if (n_r < 0).any() if isinstance(n_r, np.ndarray) else n_r < 0:
-        raise ValueError(f"n_r must be nonnegative, got {n_r}")
-    am = abs(m)
-    alpha, k = params.alpha, params.k
-    return (2.0 * n_r + am + 1.0) * math.hypot(alpha, k) - k * (
-        2.0 * n_r * n_r + m * m / 2.0 + (2.0 * n_r + 1.0) * (am + 1.0)
-    )
+    return spectrum_terms(params, m)[0] + excitation(params, n_r, m)
 
 
 def make_state(params: SystemParams, n_r: int, m: int) -> QuantumState:
@@ -192,11 +204,11 @@ class RadialWavefunction:
 
     U(r) = C * |z|^(|m|/2) * (1 - z)^((1+s)/2) * P_n^(|m|, s)(1 - 2 z)
 
-    with z = -delta_sq r^2 and s = sqrt(alpha^2/k^2 + 1). The exponents of
-    the radial equation at z = 1 are (1 +- s)/2; (1 + s)/2 is the decaying
-    one. C = exp(-log_norm / 2) normalizes U against the mass-weighted
-    measure r dr / (1 + delta_sq r^2), where log_norm is the log of the
-    closed-form Jacobi norm of the unnormalized U:
+    with z = -delta_sq r^2, s = sqrt(alpha^2/k^2 + 1) and P_n evaluated from
+    y = 1 - x = 2z itself (jacobi_p). The exponents of the radial equation at
+    z = 1 are (1 +- s)/2; (1 + s)/2 is the decaying one. C = exp(-log_norm / 2)
+    normalizes U against the mass-weighted measure r dr / (1 + delta_sq r^2),
+    where log_norm is the log of the closed-form Jacobi norm of the unnormalized U:
 
         N = prod_{j=1}^{|m|} (n+j)/(n+s+j) / ((2n+|m|+s+1) * 2|delta_sq|)
 
@@ -238,7 +250,7 @@ class RadialWavefunction:
         log_envelope = 0.5 * (1.0 + self.jacobi.b) * xp.log1p(-z) + log_scale
         if am:
             log_envelope = log_envelope + 0.5 * am * _log(z)
-        return xp.exp(log_envelope) * jacobi_p(self.jacobi, 1.0 - 2.0 * z)
+        return xp.exp(log_envelope) * jacobi_p(self.jacobi, 2.0 * z)
 
     def value(self, r: float | np.ndarray) -> float | np.ndarray:
         return self.unnormalized(r, -0.5 * self.log_norm)

@@ -176,22 +176,24 @@ def erfcx_gh(u: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return e, g, h
 
 
-def jacobi_p(params: JacobiParams, x: float) -> float:
-    """Evaluate P_n^(a,b)(x) by the three-term recurrence in the degree.
+def jacobi_p(params: JacobiParams, y: float) -> float:
+    """Evaluate P_n^(a,b)(x) at x = 1 - y by the three-term recurrence in the
+    degree; the tests keep the Gamma-prefactor series route as a cross-check.
 
-    The recurrence is numerically stabler than the Gamma-prefactor series route
-    for moderate degrees; the tests keep the series route as a cross-check.
+    With c = 2j + a + b - 1 the coefficient (2j+a+b)(2j+a+b-2) x + a^2 - b^2
+    is (2j+a-1)(2j+a+2b-1) + a^2 - 1 - (c^2 - 1) y (DLMF 18.9.1), in which
+    the b^2 terms do not cancel where b is large and y small.
     """
     n, a, b = params.n, params.a, params.b
     if n == 0:
         return 1.0
     p_prev = 1.0
-    p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    p = (a + 1.0) - (a + b + 2.0) * y / 2.0
     for j in range(2, n + 1):
+        c = 2.0 * j + a + b - 1.0
         c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
-        c2 = (2.0 * j + a + b - 1.0) * (
-            (2.0 * j + a + b) * (2.0 * j + a + b - 2.0) * x + a * a - b * b
-        )
+        c2 = c * ((2.0 * j + a - 1.0) * (2.0 * j + a + 2.0 * b - 1.0) + a * a - 1.0
+                  - (c * c - 1.0) * y)
         c3 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
         p_prev, p = p, (c2 * p - c3 * p_prev) / c1
     return p

@@ -12,25 +12,26 @@ PAPER_CLOSED_FORM the paper's closed form: the first-order summation formula
 POISSON_PIPELINE  the same summation formula with the integrals done by
                   adaptive quadrature; an independent re-derivation that
                   triangulates the closed form. A series is one batched,
-                  vector-valued quadrature of f, (E - E_0) f and (E - E_0)^2 f.
+                  vector-valued quadrature of f, d f and d^2 f.
 
 Every strategy reduces a beta grid to E_0, M_0 = Z exp(beta E_0), the mean
-<E - E_0> and the variance of E, and one tail (_from_moments) forms ln Z, U,
-C, F and S from them. The summation formula's are its moments about E_0,
-M_j = [d(0)^j f(0) - d(N+1)^j f(N+1)]/2 + int_0^{N+1} d^j f dx, d = E - E_0.
+<d> and the variance of the excitation d = E - E_0 (oscillator.excitation,
+never formed as a difference), and one tail (_from_moments) forms ln Z,
+U = E_0 + <d>, C, F and S from them. The summation formula's are its moments
+M_j = [d(0)^j f(0) - d(N+1)^j f(N+1)]/2 + int_0^{N+1} d^j f dx.
 It inherits a first-order truncation error, roughly |f'(0)|/12 relative to
 Z, which grows with beta; compare_strategies quantifies it on a beta grid.
 
 sweep evaluates one (params, m, N, strategy) series on a whole beta grid, as
 array programs over that grid, and returns a ThermoSeries: one array per
-quantity and per diagnostic. The direct sum builds the spectrum once and
-reduces it over blocks of beta rows, each row cut at the first level whose
+quantity and per diagnostic. The direct sum builds the excitations once and
+reduces them over blocks of beta rows, each row cut at the first level whose
 weight underflows to exactly 0.0 (at a length that depends on beta alone and
 gives the uncut sum bit for bit); the closed form is one array expression
 over the grid; the pipeline integrates every beta in one batched quadrature.
 evaluate() is sweep on a one-point grid, so the two agree value for value.
 
-The paper's coefficients are spectrum values: c_t = E_{N+1},
+The paper's coefficients are spectrum values, taken from it: c_t = E_{N+1},
 a_t = -E'(0)/2, b_t = E'(N+1)/2, (a_t^2 - alpha^2)/2k = -E_0 and
 (b_t^2 - alpha^2)/2k = -E_{N+1}. The d_t coefficient has two readings:
 "corrected" uses sqrt(k^2 + alpha^2) - k m^2/2, for which a_t - d_t = -E_0
@@ -49,7 +50,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .oscillator import NonPhysicalError, SystemParams, energy
+from .oscillator import NonPhysicalError, SystemParams, excitation, spectrum_terms
 from .specfun import QuadratureSpec, erfcx_gh, integrate
 
 __all__ = [
@@ -199,9 +200,9 @@ _EXP_UNDERFLOW = 746.0
 
 
 def levels(inp: ThermoInput, count: int | None = None) -> np.ndarray:
-    """Spectrum E_{0..N} at fixed m as a vector, or its first count levels."""
+    """Excitations d_0 = 0 <= d_1 <= ... <= d_N at fixed m, or the first count."""
     n = inp.truncation_n + 1 if count is None else count
-    return energy(inp.params, np.arange(n, dtype=float), inp.m)
+    return excitation(inp.params, np.arange(n, dtype=float), inp.m)
 
 
 def _spine(size: int) -> list[int]:
@@ -215,73 +216,66 @@ def _spine(size: int) -> list[int]:
     return spine[::-1]
 
 
-def _cut_lengths(shifted: np.ndarray, betas: np.ndarray, size: int) -> np.ndarray:
+def _cut_lengths(d: np.ndarray, betas: np.ndarray, size: int) -> np.ndarray:
     """Number of leading levels the Boltzmann sums keep at each beta.
 
-    On a nondecreasing shifted spectrum every weight from the first level
-    with beta (e - e0) > 746 on is exactly 0.0, so a sum may stop there. The
+    On the nondecreasing excitations d every weight from the first level
+    with beta d > 746 on is exactly 0.0, so a sum may stop there. The
     length kept is the shortest prefix on the left spine of numpy's pairwise
     summation of the whole row of size levels (_spine) that covers that
     level: the cut sum is then the full sum's left subtree, and the right
     side it drops is a sum of exact zeros, so both are the same number. The
-    length depends on beta and the spectrum alone. shifted may be a prefix
-    of the row that covers every beta's cut. A spectrum that is not
-    monotone (k > 0) keeps every level.
+    length depends on beta and the spectrum alone. d may be a prefix of the
+    row that covers every beta's cut.
     """
-    if not np.all(shifted[1:] >= shifted[:-1]):
-        return np.full(betas.size, shifted.size)
     spine = np.array(_spine(size))
-    first_zero = np.searchsorted(shifted, _EXP_UNDERFLOW / betas, side="right")
+    first_zero = np.searchsorted(d, _EXP_UNDERFLOW / betas, side="right")
     return spine[np.searchsorted(spine, first_zero)]
 
 
-def _check_weights_range(params: SystemParams, e0: float, e_top: float,
+def _check_weights_range(params: SystemParams, e0: float, d_top: float,
                          betas: np.ndarray, moments: str | None = None) -> None:
-    """Refuse a grid on which the weights exp(-beta (E - E_0)) of E_0..E_top
-    leave the double range: E_0, E_top, 746/beta and beta (E_top - E_0), as
-    Python floats at the ends of the grid, must be finite; for the moments of
-    E_0..E_{moments}, (E_top - E_0)^2 too: it bounds each (E - <E>)^2 and E'(0)^2."""
+    """Refuse a grid on which the weights exp(-beta d) of d_0..d_top leave the
+    double range: E_0, E_0 + d_top, 746/beta and beta d_top, as Python floats
+    at the ends of the grid, must be finite; for the moments of
+    E_0..E_{moments}, d_top^2 too: it bounds each (d - <d>)^2 and E'(0)^2."""
     b_min, b_max = betas.min().item(), betas.max().item()
-    if not all(map(math.isfinite, (e0, e_top, _EXP_UNDERFLOW / b_min, b_max * (e_top - e0)))):
+    if not all(map(math.isfinite, (e0, e0 + d_top, _EXP_UNDERFLOW / b_min, b_max * d_top))):
         raise ValueError(f"Boltzmann weights out of range at alpha={params.alpha}, "
                          f"kb={params.kb}, beta in [{b_min}, {b_max}]: "
                          "E_0..E_N, 746/beta or beta (E_N - E_0) is not finite")
-    if moments and not math.isfinite((e_top - e0) * (e_top - e0)):
+    if moments and not math.isfinite(d_top * d_top):
         raise ValueError(f"Boltzmann moments out of range at alpha={params.alpha}, "
                          f"kb={params.kb}: (E_{{{moments}}} - E_0)^2 is not finite")
 
 
-def _boltzmann_sums(e: np.ndarray, betas: np.ndarray,
-                    size: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Ground-state-shifted Boltzmann sums of the spectrum e at each beta.
+def _boltzmann_sums(d: np.ndarray, betas: np.ndarray,
+                    size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boltzmann sums of the excitations d (levels) at each beta.
 
-    With w = exp(-beta (e - e0)), returns e0, a (5, len(betas)) array whose
-    rows are sum w, the mean <e>, the variance <(e - <e>)^2>, the shifted mean
-    <e - e0> and the tail ratio w_N / sum w, and the number of levels summed
-    at each beta (_cut_lengths). e is the first levels, covering every cut, of
-    a spectrum of size levels. Rows of one length are reduced together in
-    blocks of three work arrays allocated once, with exp only on lanes whose
-    weight is not exactly 0.0, and a plain exp in a block where no weight
-    is; the tail ratio of a cut row is exactly 0.0, as w_N is. The
-    ground-state shift keeps any beta up to 1e3 and beyond safe; the
-    two-pass variance keeps C >= 0 by construction.
+    With w = exp(-beta d), returns a (4, len(betas)) array whose rows are
+    sum w, the mean <d>, the variance <(d - <d>)^2> and the tail ratio
+    w_N / sum w, and the number of levels summed at each beta
+    (_cut_lengths). d is the first levels, covering every cut, of a spectrum
+    of size levels. Rows of one length are reduced together in blocks of
+    three work arrays allocated once, with exp only on lanes whose weight is
+    not exactly 0.0, and a plain exp in a block where no weight is; the tail
+    ratio of a cut row is exactly 0.0, as w_N is. No weight exceeds
+    w_0 = 1; the two-pass variance keeps C >= 0 by construction.
     """
-    e0 = float(e.min())
-    shifted = e - e0
-    out = np.empty((5, betas.size))
-    lengths = _cut_lengths(shifted, betas, size)
+    out = np.empty((4, betas.size))
+    lengths = _cut_lengths(d, betas, size)
     x, w, t = (np.empty(max(_BLOCK_ELEMENTS, lengths.max())) for _ in range(3))
     for length in sorted(set(lengths.tolist())):
-        head, head_shifted = e[:length], shifted[:length]
-        top = head_shifted.max()
+        head = d[:length]
         group = np.flatnonzero(lengths == length)
         rows = max(1, _BLOCK_ELEMENTS // length)
         for lo in range(0, group.size, rows):
             at = group[lo:lo + rows]
             bx, bw, bt = (a[:at.size * length].reshape(at.size, length) for a in (x, w, t))
-            np.multiply(-betas[at, None], head_shifted, out=bx)
-            # rounding is monotone, so the block's lowest lane is -(max beta) top
-            if betas[at].max() * top <= _EXP_UNDERFLOW:
+            np.multiply(-betas[at, None], head, out=bx)
+            # rounding is monotone, so the block's lowest lane is -(max beta) d_max
+            if betas[at].max() * head[-1] <= _EXP_UNDERFLOW:
                 np.exp(bx, out=bw)
             else:
                 bw.fill(0.0)
@@ -292,24 +286,21 @@ def _boltzmann_sums(e: np.ndarray, betas: np.ndarray,
             out[1, at] = mean
             np.subtract(head, mean[:, None], out=bt)
             out[2, at] = np.multiply(np.square(bt, out=bt), bw, out=bt).sum(axis=1) / sw
-            out[3, at] = np.multiply(head_shifted, bw, out=bt).sum(axis=1) / sw
-            out[4, at] = bw[:, -1] / sw if length == size else 0.0
-    return e0, out, lengths
+            out[3, at] = bw[:, -1] / sw if length == size else 0.0
+    return out, lengths
 
 
 def _from_moments(first: ThermoInput, betas: np.ndarray, e0: float, m0: np.ndarray,
                   mean: np.ndarray, var: np.ndarray, diagnostics: dict,
-                  variant: str | None = None, u: np.ndarray | None = None) -> ThermoSeries:
+                  variant: str | None = None) -> ThermoSeries:
     """The series of first's strategy from a reference energy E_0 and, at each
-    beta, M_0 = Z exp(beta E_0), the mean <E - E_0> and the variance of E. U
-    is E_0 + mean unless given (the direct sum averages E itself)."""
+    beta, M_0 = Z exp(beta E_0), the mean <E - E_0> and the variance of E."""
     kb = first.params.kb
     log_m0 = np.log(m0)
     log_z = -betas * e0 + log_m0
     # Z saturates to inf once ln Z >= 700, where exp(inf) does not warn
     z = np.exp(np.where(log_z < 700.0, log_z, np.inf))
-    return ThermoSeries(first.strategy, variant, betas, z=z, log_z=log_z,
-                        u=e0 + mean if u is None else u,
+    return ThermoSeries(first.strategy, variant, betas, z=z, log_z=log_z, u=e0 + mean,
                         c=kb * betas * betas * var, f=-log_z / betas,
                         s=kb * (log_m0 + betas * mean), diagnostics=diagnostics)
 
@@ -317,18 +308,17 @@ def _from_moments(first: ThermoInput, betas: np.ndarray, e0: float, m0: np.ndarr
 def _direct_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     """Direct-sum series of first's (params, m, N) on the grid betas. As k <= 0,
     the longest cut is at the smallest beta: the first spine node L with
-    L = N + 1 or beta (E_L - E_0) > 746, found with the scalar spectrum
-    (the same operations as the vector one). Only E_0..E_{L-1} are built."""
+    L = N + 1 or beta d_L > 746, found with the scalar excitation (the same
+    operations as the vector one). Only d_0..d_{L-1} are built."""
     p, m, size = first.params, first.m, first.truncation_n + 1
-    e0 = energy(p, 0.0, m)
-    _check_weights_range(p, e0, energy(p, size - 1.0, m), betas)
+    e0 = spectrum_terms(p, m)[0]
+    _check_weights_range(p, e0, excitation(p, size - 1.0, m), betas)
     reach = _EXP_UNDERFLOW / betas.min().item()
-    count = next(n for n in _spine(size) if n == size or energy(p, float(n), m) - e0 > reach)
-    _check_weights_range(p, e0, energy(p, count - 1.0, m), betas, moments=str(count - 1))
-    e0, (sw, mean, var, shifted_mean, tail), lengths = _boltzmann_sums(
-        levels(first, count), betas, size)
-    return _from_moments(first, betas, e0, sw, shifted_mean, var,
-                         {"n_terms": lengths, "tail_ratio": tail}, u=mean)
+    count = next(n for n in _spine(size) if n == size or excitation(p, float(n), m) > reach)
+    _check_weights_range(p, e0, excitation(p, count - 1.0, m), betas, moments=str(count - 1))
+    (sw, mean, var, tail), lengths = _boltzmann_sums(levels(first, count), betas, size)
+    return _from_moments(first, betas, e0, sw, mean, var,
+                         {"n_terms": lengths, "tail_ratio": tail})
 
 
 def paper_z_coefficients(params: SystemParams, m: int, truncation_n: int,
@@ -339,20 +329,18 @@ def paper_z_coefficients(params: SystemParams, m: int, truncation_n: int,
     -k m^2/2 (a_t - d_t = -E_0, so the boundary term is exactly
     exp(-beta E_0)); "verbatim" keeps the mass-scale lam in both places.
     """
-    k, alpha, n_max = params.k, params.alpha, truncation_n
+    k, alpha, x1 = params.k, params.alpha, truncation_n + 1.0
     if k >= 0.0:
         raise NonPhysicalError(
             "closed-form coefficients need k < 0 (erf arguments become imaginary otherwise)"
         )
-    s = math.hypot(alpha, k)
+    e0, slope, q = spectrum_terms(params, m)
+    a_t = -slope / 2.0
+    b_t = (slope + 2.0 * q * x1) / 2.0
+    c_t = e0 + excitation(params, x1, m)
     am = abs(m)
-    a_t = k * (am + 1.0) - s
-    b_t = -(3.0 + am + 2.0 * n_max) * k + s
-    c_t = (2.0 * n_max + am + 3.0) * s - k * (
-        2.0 * n_max**2 + m * m / 2.0 + 6.0 * n_max + 5.0 + 2.0 * n_max * am + 3.0 * am
-    )
     if variant == "corrected":
-        d_t = am * s - k * m * m / 2.0
+        d_t = am * math.hypot(alpha, k) - k * m * m / 2.0
     elif variant == "verbatim":
         d_t = am * math.hypot(params.lam, alpha) - params.lam * m * m / 2.0
     else:
@@ -386,9 +374,9 @@ def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSe
     p, m, n_max = first.params, first.m, first.truncation_n
     co = paper_z_coefficients(p, m, n_max, variant)
     a_t, b_t, d_t = co.a_t, co.b_t, co.d_t
-    e0, x1 = energy(p, 0.0, m), n_max + 1.0
-    d1 = x1 * (b_t - a_t)  # d(X), as b_t - a_t = D + q X
-    _check_weights_range(p, e0, e0 + d1, beta, moments="N+1")
+    e0, x1 = spectrum_terms(p, m)[0], n_max + 1.0
+    d1 = excitation(p, x1, m)
+    _check_weights_range(p, e0, d1, beta, moments="N+1")
     s = beta * d1
     f1 = np.exp(-s)
     # beta^j (int_0^X d^j f dx - d(X)^j f(X)/2), j = 0, 1, 2
@@ -396,7 +384,7 @@ def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSe
     near = s < 1.0
     if near.any():
         # J_p, p <= 22, as sums of positive terms C(p, i) w^i (1-w)^(p-i) / (2p-i+1)
-        w = -2.0 * a_t / (b_t - a_t)
+        w = -2.0 * a_t * x1 / d1
         jp = np.array([sum(math.comb(j, i) * w**i * (1.0 - w)**(j - i) / (2 * j - i + 1)
                            for i in range(j + 1)) for j in range(23)])
         sn = s[near]
@@ -419,10 +407,15 @@ def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSe
         tail = f1[far] * (tail / (2.0 * b_t) / bf + np.array([[0.5], [0.0], [0.0]]))
         inner[:, far] = head / (-2.0 * a_t) / bf - _shifted(tail, s[far])
     dv = d_t - a_t - e0 if variant == "verbatim" else 0.0  # boundary level - E_0
+    if not math.isfinite(beta.max().item() * abs(dv)):
+        raise ValueError(f"verbatim boundary level out of range at lam={p.lam}: "
+                         "beta (d_t - a_t - E_0) is not finite")
     lo = min(dv, 0.0)
     bdv = beta * (dv - lo)
-    m0, m1, m2 = (0.5 * np.exp(-bdv) * np.stack([np.ones_like(beta), bdv, bdv * bdv])
-                  + np.exp(beta * lo) * _shifted(inner, -beta * lo))
+    # each weight multiplies first: where it is 0.0, a shift or bdv^2 may overflow
+    half = 0.5 * np.exp(-bdv)
+    m0, m1, m2 = (np.stack([half, half * bdv, half * bdv * bdv])
+                  + _shifted(np.exp(beta * lo) * inner, -beta * lo))
     r1 = m1 / m0
     return _from_moments(first, beta, e0 + lo, m0, r1 / beta, (m2 / m0 - r1 * r1) / beta / beta,
                          {}, variant=variant)
@@ -430,26 +423,23 @@ def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSe
 
 def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     """Summation-formula series of first's (params, m, N) on the grid betas,
-    with the integrals of f, (E - E_0) f and (E - E_0)^2 f done by one batched,
-    vector-valued quadrature over the grid. f is exactly 0.0 at the clipped
-    upper limit, so the moments are the formula's.
+    with the integrals of f, d f and d^2 f, d = E - E_0 (excitation), done
+    by one batched, vector-valued quadrature over the grid. f is exactly 0.0
+    at the clipped upper limit, so the moments are the formula's.
     """
     p, m, n_max = first.params, first.m, first.truncation_n
-    e0 = energy(p, 0.0, m)
-    d1 = energy(p, n_max + 1.0, m) - e0
-    _check_weights_range(p, e0, e0 + d1, betas, moments="N+1")
-    upper = np.full(betas.size, n_max + 1.0)
-    if p.k <= 0.0:
-        # f is exactly 0.0 beyond x_cut, where beta (E(x) - E_0) = 746; on a
-        # wider interval every quadrature node can miss f's support and
-        # converge to a false 0. E(x) - E_0 = x (E'(0) - 2k x), so x_cut is
-        # the positive root, in the form free of cancellation as k -> 0-
-        slope = energy(p, 1.0, m) - e0 + 2.0 * p.k  # E'(0)
-        q = _EXP_UNDERFLOW / betas
-        upper = np.minimum(upper, 2.0 * q / (slope + np.sqrt(slope * slope - 8.0 * p.k * q)))
+    e0, slope, q = spectrum_terms(p, m)
+    d1 = excitation(p, n_max + 1.0, m)
+    _check_weights_range(p, e0, d1, betas, moments="N+1")
+    # f is exactly 0.0 beyond x_cut, where beta d(x) = 746; on a wider interval
+    # every quadrature node can miss f's support and converge to a false 0.
+    # x_cut is the positive root of x (D + q x) = 746/beta, free of cancellation
+    reach = _EXP_UNDERFLOW / betas
+    upper = np.minimum(n_max + 1.0,
+                       2.0 * reach / (slope + np.sqrt(slope * slope + 4.0 * q * reach)))
 
     def integrands(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        d = energy(p, x, m) - e0
+        d = excitation(p, x, m)
         f = np.exp(-betas[rows, None] * d)
         df = d * f
         return np.stack([f, df, d * df])
@@ -462,7 +452,7 @@ def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     # each point's error bound relative to its integral, worst over the three
     with np.errstate(divide="ignore", invalid="ignore"):
         relative_bound = np.max(quad.error_bound / np.abs(quad.value), axis=1)
-    mean = m1 / m0  # <E - E_0>
+    mean = m1 / m0  # <d>
     return _from_moments(first, betas, e0, m0, mean, m2 / m0 - mean * mean,
                          {"quadrature_refinements": quad.row_refinements,
                           "quadrature_evaluations": quad.row_evaluations,

@@ -21,6 +21,7 @@ from .oscillator import (
     ode_residual,
     radial_overlaps,
     solve_energy,
+    spectrum_terms,
 )
 from .specfun import central_diff
 
@@ -211,16 +212,10 @@ def _em_error_bound(inp: thermo.ThermoInput) -> float:
     remainder beyond it is smaller but nonzero, and the sign of the term is
     dropped here. check_strategy_triangulation allows twice this value.
     """
-    p, m, beta = inp.params, inp.m, inp.beta
-    am = abs(m)
-    hyp = math.hypot(p.alpha, p.k)
-
-    def e_prime(x):
-        return 2 * hyp - p.k * (4 * x + 2 * (am + 1))
-
-    n1 = inp.truncation_n + 1.0
-    f_prime_0 = -beta * e_prime(0.0) * math.exp(-beta * energy(p, 0.0, m))
-    f_prime_n = -beta * e_prime(n1) * math.exp(-beta * energy(p, n1, m))
+    p, m, beta, n1 = inp.params, inp.m, inp.beta, inp.truncation_n + 1.0
+    _, slope, q = spectrum_terms(p, m)  # E'(x) = D + 2 q x
+    f_prime_0 = -beta * slope * math.exp(-beta * energy(p, 0.0, m))
+    f_prime_n = -beta * (slope + 2.0 * q * n1) * math.exp(-beta * energy(p, n1, m))
     return abs(f_prime_n - f_prime_0) / 12.0
 
 

@@ -228,6 +228,56 @@ class TestThermoCommand:
         fields = dict(part.split("=") for part in capsys.readouterr().out.split())
         assert all(math.isfinite(float(fields[q])) for q in "ZUCFS")
 
+    @pytest.mark.parametrize("alpha", ["1e9", "1e10", "1e20", "1e100"])
+    def test_poisson_large_alpha_matches_closed_form(self, capsys, alpha):
+        """The pipeline integrates the excitation d itself, not E - E_0,
+        which over f's support is a few ulp of E_0 or less at this alpha:
+        it exits 0 with every warning an error, and its C is within 1e-9
+        of the closed form's (the formula's 4/(beta E'(0)) = 2/alpha)."""
+        c = {}
+        for strategy in ("poisson", "paper"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["thermo", f"--strategy={strategy}", "--T=1", "--k=-0.1", "--m=1",
+                           f"--alpha={alpha}"])
+            assert rc == 0
+            c[strategy] = float(dict(part.split("=") for part in
+                                     capsys.readouterr().out.split())["C"])
+        assert c["poisson"] == pytest.approx(c["paper"], rel=1e-9, abs=0.0)
+        assert c["paper"] == pytest.approx(2.0 / float(alpha), rel=1e-8)
+
+    @pytest.mark.parametrize("lam", ["1e200", "-1e200"])
+    def test_verbatim_boundary_term_vanishes(self, capsys, lam):
+        """At |lam| = 1e200 the verbatim boundary level lies about 1e200
+        above E_0, where its term 0.5 exp(-beta dv) (beta dv)^j is exactly
+        0, as at lam = 1e100: the point prints the lam = 1e100 values, and
+        the (beta dv)^2 that overflows never meets the 0 (no warning)."""
+        printed = {}
+        for value in (lam, "1e100"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["thermo", "--strategy=paper", "--variant=verbatim", "--T=1",
+                           "--k=-0.1", f"--lam={value}"])
+            assert rc == 0
+            printed[value] = capsys.readouterr()
+        assert printed[lam] == printed["1e100"] and printed[lam].err == ""
+
+    @pytest.mark.parametrize("args", [["--lam=1e308", "--T=0.1"], ["--lam=-1e308", "--T=0.01"],
+                                      ["--lam=1e308", "--m=3", "--T=1"]])
+    def test_verbatim_boundary_out_of_range_refused(self, capsys, args):
+        """Where beta (d_t - a_t - E_0), the verbatim boundary level over
+        kb T, is not finite (it overflows, or d_t is inf - inf), the point
+        refuses with one line that names lam, before any array step warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["thermo", "--strategy=paper", "--variant=verbatim", "--k=-0.1"] + args)
+        assert rc == 1
+        captured = capsys.readouterr()
+        lam = float(args[0].split("=")[1])
+        assert captured.out == ""
+        assert captured.err == (f"error: verbatim boundary level out of range at lam={lam!r}: "
+                                "beta (d_t - a_t - E_0) is not finite\n")
+
     def test_paper_zero_two_z_refused(self, capsys):
         """At beta = 1e-300 every weight is 1: the closed form's M_0 is a sum
         of nonnegative terms, so Z is finite and, like every other value,

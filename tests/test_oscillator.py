@@ -15,6 +15,7 @@ from pdm_osc.oscillator import (
     NonPhysicalError,
     SystemParams,
     energy,
+    excitation,
     make_state,
     nu_instance,
     ode_residual,
@@ -113,6 +114,30 @@ class TestEnergy:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             energy(SystemParams(alpha=1.0, k=-0.5), -1, 0)
+        with pytest.raises(ValueError):
+            excitation(SystemParams(alpha=1.0, k=-0.5), np.array([0.0, -1.0]), 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_alpha=st.floats(-3.0, 150.0), log_k=st.floats(-8.0, math.log10(5.0)),
+           m=st.integers(-60, 60),
+           x=st.one_of(st.integers(0, 100_000).map(float), st.floats(0.0, 1e5)))
+    def test_excitation_against_mpmath(self, log_alpha, log_k, m, x):
+        """d(x) = E(x) - E_0 is within 3 ulp of E(x) - E_0 formed from the
+        spectrum formula in mpmath, at integer and continuous x, for alpha up
+        to 1e150 and k up to -1e-8, where E_0 dwarfs d. The subtraction
+        loses up to log10(E_0/d) < 330 digits (x >= 5e-324), so 400 digits
+        leave d at least 60."""
+        mpmath = pytest.importorskip("mpmath")
+        p = SystemParams(alpha=10.0**log_alpha, k=-(10.0**log_k))
+        with mpmath.workdps(400):
+            k, am, y = mpmath.mpf(p.k), abs(m), mpmath.mpf(x)
+            hyp = mpmath.sqrt(mpmath.mpf(p.alpha) ** 2 + k * k)
+            e = lambda n: (2 * n + am + 1) * hyp - k * (2 * n * n + m * m / mpmath.mpf(2)
+                                                       + (2 * n + 1) * (am + 1))
+            want = float(e(y) - e(0))
+        got = excitation(p, x, m)
+        assert abs(got - want) <= 3.0 * math.ulp(want)
+        assert excitation(p, np.array([x]), m).tolist() == [got]
 
 
 class TestNuInstance:
@@ -174,7 +199,7 @@ class TestRadialWavefunction:
         s = math.sqrt(1.0 / 0.25 + 1.0)
         for r in (0.2, 0.6, 1.0, 1.3):
             z = 0.5 * r * r
-            poly = jacobi_p(JacobiParams(a=1.0, b=s, n=2), 1.0 - 2.0 * z)
+            poly = jacobi_p(JacobiParams(a=1.0, b=s, n=2), 2.0 * z)
             decay = wf.value(r) / (math.exp(-0.5 * wf.log_norm) * z**0.5 * poly)
             assert decay == pytest.approx((1.0 - z) ** (0.5 * (1.0 + s)), rel=1e-12)
         assert wf.domain_max == p.r_max
@@ -215,6 +240,10 @@ class TestRadialWavefunction:
             (-1e-6, 40, 0),
             # C = exp(-log_norm / 2) = exp(735) is beyond the double range
             (-1e-12, 60, 0),
+            # below the documented box: the Jacobi recurrence in x = 1 - 2z
+            # cancelled by s^2 here (1 + 1.5e-8, and no convergence)
+            (-1e-10, 60, 3),
+            (-1e-12, 60, 3),
         ):
             p = SystemParams(alpha=1.0, k=k)
             assert radial_overlaps(p, [(m, n, n)])[0] == pytest.approx(1.0, abs=1e-8)
@@ -326,6 +355,8 @@ class TestOrthogonality:
         for m in (0, 1, 2):
             for n1, n2 in ((0, 1), (0, 2), (1, 3), (2, 3)):
                 assert abs(radial_overlaps(p, [(m, n1, n2)])[0]) <= 1e-6
+        # below the documented box, where the recurrence in x did not converge
+        assert abs(radial_overlaps(SystemParams(alpha=1.0, k=-1e-10), [(60, 0, 3)])[0]) <= 1e-6
 
 
 def test_solve_energy_matches_closed_form():

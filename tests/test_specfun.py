@@ -202,14 +202,16 @@ class TestErfcx:
 
 class TestJacobi:
     def test_degree_zero(self):
-        assert jacobi_p(JacobiParams(a=0.0, b=0.0, n=0), 0.7) == 1.0
+        assert jacobi_p(JacobiParams(a=0.0, b=0.0, n=0), 1.0 - 0.7) == 1.0
 
     def test_legendre_p2(self):
-        assert jacobi_p(JacobiParams(a=0.0, b=0.0, n=2), 0.0) == pytest.approx(-0.5, abs=1e-15)
+        assert jacobi_p(JacobiParams(a=0.0, b=0.0, n=2), 1.0 - 0.0) == pytest.approx(-0.5,
+                                                                                      abs=1e-15)
 
     def test_degree_one_closed_form(self):
         # (a+1) + (a+b+2)(x-1)/2 with a=1, b=3, x=0.25
-        assert jacobi_p(JacobiParams(a=1.0, b=3.0, n=1), 0.25) == pytest.approx(-0.25, abs=1e-15)
+        assert jacobi_p(JacobiParams(a=1.0, b=3.0, n=1), 1.0 - 0.25) == pytest.approx(-0.25,
+                                                                                       abs=1e-15)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -227,8 +229,8 @@ class TestJacobi:
         x=st.floats(-1.5, 1.5),
     )
     def test_symmetry(self, n, a, b, x):
-        left = jacobi_p(JacobiParams(a=a, b=b, n=n), -x)
-        right = (-1.0) ** n * jacobi_p(JacobiParams(a=b, b=a, n=n), x)
+        left = jacobi_p(JacobiParams(a=a, b=b, n=n), 1.0 + x)
+        right = (-1.0) ** n * jacobi_p(JacobiParams(a=b, b=a, n=n), 1.0 - x)
         scale = max(1.0, abs(left), abs(right))
         assert abs(left - right) <= 1e-12 * scale
 
@@ -250,9 +252,31 @@ class TestJacobi:
         series = hyp2f1_terminating(n, 1.0 + n + a + b, 1.0 + a, z)
         prefactor = math.exp(math.lgamma(n + a + 1.0) - math.lgamma(n + 1.0) - math.lgamma(a + 1.0))
         via_series = prefactor * series
-        via_recurrence = jacobi_p(JacobiParams(a=a, b=b, n=n), x)
+        via_recurrence = jacobi_p(JacobiParams(a=a, b=b, n=n), 2.0 * z)
         conditioning = prefactor * hyp2f1_terminating_magnitude(n, 1.0 + n + a + b, 1.0 + a, z)
         assert abs(via_recurrence - via_series) <= 1e-12 * max(1.0, conditioning)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(log_k=st.floats(-14.0, math.log10(5.0)), a=st.integers(0, 60),
+           n=st.integers(0, 12), log_t=st.floats(-1.0, math.log10(60.0)))
+    def test_against_mpmath_as_k_approaches_zero(self, log_k, a, n, log_t):
+        """P_n^(a,b)(1 - y) with the wavefunctions' b = sqrt(1/k^2 + 1) and
+        y = 2z, b z in [0.1, 60] (where the states live), is within 1e-14 of
+        60-digit mpmath for k down to -1e-14 (b up to 1e14). The error is
+        scaled by the sum of the magnitudes of the explicit sum's terms, the
+        value's own conditioning, since pointwise relative error is
+        unattainable near a root."""
+        mpmath = pytest.importorskip("mpmath")
+        b = math.sqrt(1.0 / (10.0**log_k) ** 2 + 1.0)
+        y = 2.0 * (10.0**log_t / b)
+        got = jacobi_p(JacobiParams(a=float(a), b=b, n=n), y)
+        with mpmath.workdps(60):
+            half = mpmath.mpf(y) / 2
+            terms = [mpmath.binomial(n + a, n - j) * mpmath.binomial(n + mpmath.mpf(b), j)
+                     * (-half) ** j * (1 - half) ** (n - j) for j in range(n + 1)]
+            want, scale = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+        assert abs(got - want) <= 1e-14 * scale
 
 
 class TestHyp2F1:
@@ -280,7 +304,7 @@ class TestHyp2F1:
         a, b, n, z = 2.0, 1.0, 3, 0.3
         prefactor = math.exp(math.lgamma(n + a + 1) - math.lgamma(n + 1.0) - math.lgamma(a + 1))
         lhs = prefactor * hyp2f1_terminating(n, 1 + n + a + b, 1 + a, z)
-        rhs = jacobi_p(JacobiParams(a=a, b=b, n=n), 1.0 - 2.0 * z)
+        rhs = jacobi_p(JacobiParams(a=a, b=b, n=n), 2.0 * z)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
