@@ -140,7 +140,7 @@ def excitation(params: SystemParams, n_r: float | np.ndarray,
     """d(n_r) = E(n_r, m) - E_0 = n_r (D + q n_r), the only copy of the spectrum
     formula, at a number n_r (the summation formula's x too) or an ndarray of
     them. For k <= 0 no term cancels: d keeps its precision where E_0 dwarfs it."""
-    if (n_r < 0).any() if isinstance(n_r, np.ndarray) else n_r < 0:
+    if np.asarray(n_r).min(initial=0.0) < 0.0:  # initial: an empty array passes
         raise ValueError(f"n_r must be nonnegative, got {n_r}")
     _, slope, q = spectrum_terms(params, m)
     return n_r * (slope + q * n_r)
@@ -186,14 +186,6 @@ def nu_instance(params: SystemParams, m: int, energy_value: float) -> nu.NUProbl
     return nu.NUProblem(a1=1.0, a2=1.0, a3=1.0, eps1=-mu, eps2=gamma, eps3=omega)
 
 
-def _log(x: float | np.ndarray) -> float | np.ndarray:
-    """Natural log of a number or, elementwise, of an ndarray; log 0 = -inf."""
-    if isinstance(x, np.ndarray):
-        with np.errstate(divide="ignore"):
-            return np.log(x)
-    return math.log(x) if x > 0.0 else -math.inf
-
-
 def _shape_exponent(params: SystemParams) -> float:
     """sqrt(alpha^2 lam^2 / delta_sq^2 + 1) = sqrt(alpha^2/k^2 + 1)."""
     return math.sqrt(params.alpha**2 / params.k**2 + 1.0)
@@ -234,23 +226,21 @@ class RadialWavefunction:
 
     def unnormalized(self, r: float | np.ndarray,
                      log_scale: float = 0.0) -> float | np.ndarray:
-        """exp(log_scale) U(r) / C at a number r or elementwise over an
-        ndarray of them. exp(log_scale) and the envelope
+        """exp(log_scale) U(r) / C elementwise over an array of r (a number
+        gives a number). exp(log_scale) and the envelope
         z^(|m|/2) (1 - z)^((1+s)/2) are taken as one exponential, so a
         scale beyond the double range still gives every representable value.
         """
-        array = isinstance(r, np.ndarray)
-        lo, hi = (r.min(), r.max()) if array else (r, r)
-        if lo < 0.0 or hi >= self.domain_max:
+        r = np.asarray(r)
+        if r.min() < 0.0 or r.max() >= self.domain_max:
             raise DomainError(f"r={r} outside [0, {self.domain_max})")
-        # numpy for arrays; math for numbers, where it is several times faster
-        xp = np if array else math
         z = -self.params.delta_sq * r * r
         am = abs(self.state.m)
-        log_envelope = 0.5 * (1.0 + self.jacobi.b) * xp.log1p(-z) + log_scale
+        log_envelope = 0.5 * (1.0 + self.jacobi.b) * np.log1p(-z) + log_scale
         if am:
-            log_envelope = log_envelope + 0.5 * am * _log(z)
-        return xp.exp(log_envelope) * jacobi_p(self.jacobi, 2.0 * z)
+            with np.errstate(divide="ignore"):  # log 0 = -inf
+                log_envelope = log_envelope + 0.5 * am * np.log(z)
+        return np.exp(log_envelope) * jacobi_p(self.jacobi, 2.0 * z)
 
     def value(self, r: float | np.ndarray) -> float | np.ndarray:
         return self.unnormalized(r, -0.5 * self.log_norm)
@@ -259,12 +249,10 @@ class RadialWavefunction:
 
 
 def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
-                 r: float | np.ndarray) -> float | np.ndarray:
-    """Relative residual of the radial equation for an arbitrary evaluator u,
-    at a number r or elementwise over an ndarray of them (u then takes
-    arrays too)."""
+                 r: np.ndarray) -> np.ndarray:
+    """Relative residual of the radial equation for an evaluator u of arrays,
+    elementwise over an array r."""
     lam, alpha, d2 = params.lam, params.alpha, params.delta_sq
-    array = isinstance(r, np.ndarray)
     w = 1.0 + d2 * r * r
     coef = (
         2.0 * lam * energy_value / w
@@ -276,17 +264,11 @@ def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
         + abs(m * m / (r * r * w))
         + alpha * alpha * lam * lam * r * r / (w * w)
     )
-    # numpy for arrays; math and builtins for numbers, as in unnormalized().
-    # The step balances 4th-order truncation against roundoff of the second
+    # the step balances 4th-order truncation against roundoff of the second
     # difference; tuned on the fixture states (worst case ~2e-9)
-    if array:
-        h = np.minimum(0.008 / np.sqrt(scale), np.minimum(r, params.r_max - r) / 2.5)
-    else:
-        h = min(0.008 / math.sqrt(scale), min(r, params.r_max - r) / 2.5)
+    h = np.minimum(0.008 / np.sqrt(scale), np.minimum(r, params.r_max - r) / 2.5)
     samples, d1, dd = five_point_stencil(u, r, h)
-    magnitudes = [abs(sample) for sample in samples]
-    local = (np.maximum(np.max(magnitudes, axis=0), 1e-30) if array
-             else max(*magnitudes, 1e-30))
+    local = np.maximum(np.max(np.abs(samples), axis=0), 1e-30)
     return (dd + d1 / r + coef * samples[2]) / (scale * local)
 
 
@@ -323,8 +305,8 @@ def ode_residual(params: SystemParams, state: QuantumState, r: float | np.ndarra
     1e-3 level. energy_override replaces E in the equation only; U stays the
     eigenstate.
     """
-    lo, hi = (r.min(), r.max()) if isinstance(r, np.ndarray) else (r, r)
-    if not 0.0 < lo <= hi < params.r_max:
+    r = np.asarray(r)
+    if not 0.0 < r.min() <= r.max() < params.r_max:
         raise DomainError(f"r={r} outside the open interval (0, {params.r_max})")
     wf = radial_wavefunction(params, state)
     e = state.energy if energy_override is None else energy_override

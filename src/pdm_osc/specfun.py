@@ -391,8 +391,7 @@ def central_diff(
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if h is None:
-        h = (np.maximum(1e-5, 1e-5 * np.abs(x)) if isinstance(x, np.ndarray)
-             else max(1e-5, 1e-5 * abs(x)))
+        h = np.maximum(1e-5, 1e-5 * np.abs(x))
     if np.any(h <= 0):
         raise ValueError("step h must be positive")
     _, d1, d2 = five_point_stencil(f, x, h)

@@ -29,7 +29,7 @@ reduces them over blocks of beta rows, each row cut at the first level whose
 weight underflows to exactly 0.0 (at a length that depends on beta alone and
 gives the uncut sum bit for bit); the closed form is one array expression
 over the grid; the pipeline integrates every beta in one batched quadrature.
-evaluate() is sweep on a one-point grid, so the two agree value for value.
+Each point of a series is the one-point sweep at its beta, value for value.
 
 The paper's coefficients are spectrum values, taken from it: c_t = E_{N+1},
 a_t = -E'(0)/2, b_t = E'(N+1)/2, (a_t^2 - alpha^2)/2k = -E_0 and
@@ -45,7 +45,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -55,15 +55,11 @@ from .specfun import QuadratureSpec, erfcx_gh, integrate
 
 __all__ = [
     "Strategy",
-    "ThermoInput",
     "PaperZCoefficients",
-    "ThermoResult",
     "ThermoSeries",
     "StrategyComparison",
     "PlateauResult",
-    "levels",
     "paper_z_coefficients",
-    "evaluate",
     "sweep",
     "compare_strategies",
     "find_heat_capacity_plateau",
@@ -80,47 +76,6 @@ class Strategy(enum.Enum):
 _BETA_MAX = math.sqrt(sys.float_info.max)
 
 
-def _check_betas(betas: np.ndarray) -> None:
-    """Refuse a beta that is not positive or whose square overflows."""
-    bad = ~((betas > 0.0) & (betas <= _BETA_MAX))
-    if bad.any():
-        raise ValueError(f"beta must be positive with a finite square, got {betas[bad][0]}")
-
-
-@dataclass(frozen=True)
-class ThermoInput:
-    """One evaluation point of the canonical ensemble.
-
-    beta is the inverse temperature 1/(kb T); truncation_n is the upper bound
-    N of the state sum. A spectrum that is not increasing in n (k > 0) is
-    refused: its truncated sum is arbitrary.
-    """
-
-    params: SystemParams
-    m: int
-    beta: float
-    truncation_n: int = 500
-    strategy: Strategy = Strategy.DIRECT_SUM
-
-    def __post_init__(self):
-        _check_betas(np.array([self.beta], dtype=float))
-        # N = 0 is the admissible single-term edge case
-        if self.truncation_n < 0:
-            raise ValueError(f"truncation_n must be >= 0, got {self.truncation_n}")
-        if self.params.k > 0.0:
-            raise NonPhysicalError(
-                "k > 0 makes the spectrum non-increasing in n; the truncated "
-                "sum is then arbitrary"
-            )
-
-    @classmethod
-    def from_temperature(cls, params: SystemParams, m: int, temperature: float,
-                         **kw) -> "ThermoInput":
-        if temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
-        return cls(params=params, m=m, beta=1.0 / (params.kb * temperature), **kw)
-
-
 @dataclass(frozen=True)
 class PaperZCoefficients:
     """Closed-form coefficients for one (params, m, N) and one d_t variant."""
@@ -132,33 +87,15 @@ class PaperZCoefficients:
     variant: str
 
 
-@dataclass
-class ThermoResult:
-    """Thermodynamic quantities at one evaluation point.
-
-    Z is the partition function, U the mean energy, C the heat capacity, F
-    the free energy and S the entropy; C and S are in units of kb.
-    """
-
-    z: float
-    log_z: float
-    u: float
-    c: float
-    f: float
-    s: float
-    diagnostics: dict = field(default_factory=dict)
-
-
 @dataclass(eq=False)
 class ThermoSeries:
     """Z, U, C, F and S of one (params, m, N, strategy) series on a beta grid.
 
     Each quantity is a 1-D array over the grid, and so is each diagnostic:
-    "n_terms" and "tail_ratio" (direct sum) and "quadrature_refinements",
-    "quadrature_evaluations" and "quadrature_error_bound" (pipeline); the
-    closed form has none. variant is the closed form's d_t reading, else
-    None. series[i] is the ThermoResult at the i-th beta; its diagnostics
-    add "negative_entropy" = S wherever S is negative or NaN.
+    "n_terms" and "tail_ratio" (direct sum), "quadrature_refinements",
+    "quadrature_evaluations" and "quadrature_error_bound" (pipeline), and,
+    for every strategy, "negative_entropy", True wherever S is negative or
+    NaN. variant is the closed form's d_t reading, else None.
 
     The direct sum's C is kb beta^2 times a two-pass variance, so it is
     nonnegative by construction. An approximate strategy's S can go negative
@@ -175,20 +112,7 @@ class ThermoSeries:
     c: np.ndarray
     f: np.ndarray
     s: np.ndarray
-    diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return self.beta.size
-
-    def __getitem__(self, i: int) -> ThermoResult:
-        diag = {"strategy": self.strategy.value}
-        if self.variant is not None:
-            diag["variant"] = self.variant
-        diag.update((name, column[i].item()) for name, column in self.diagnostics.items())
-        z, log_z, u, c, f, s = (getattr(self, q)[i].item() for q in "z log_z u c f s".split())
-        if math.isnan(s) or s < 0.0:
-            diag["negative_entropy"] = s
-        return ThermoResult(z=z, log_z=log_z, u=u, c=c, f=f, s=s, diagnostics=diag)
+    diagnostics: dict[str, np.ndarray]
 
 
 # the direct sum reduces its (beta x level) weight array in blocks of at most
@@ -197,12 +121,6 @@ _BLOCK_ELEMENTS = 2**16
 
 # exp(-x) is exactly 0.0 in double precision for every x beyond this
 _EXP_UNDERFLOW = 746.0
-
-
-def levels(inp: ThermoInput, count: int | None = None) -> np.ndarray:
-    """Excitations d_0 = 0 <= d_1 <= ... <= d_N at fixed m, or the first count."""
-    n = inp.truncation_n + 1 if count is None else count
-    return excitation(inp.params, np.arange(n, dtype=float), inp.m)
 
 
 def _spine(size: int) -> list[int]:
@@ -290,34 +208,36 @@ def _boltzmann_sums(d: np.ndarray, betas: np.ndarray,
     return out, lengths
 
 
-def _from_moments(first: ThermoInput, betas: np.ndarray, e0: float, m0: np.ndarray,
-                  mean: np.ndarray, var: np.ndarray, diagnostics: dict,
+def _from_moments(strategy: Strategy, kb: float, betas: np.ndarray, e0: float,
+                  m0: np.ndarray, mean: np.ndarray, var: np.ndarray, diagnostics: dict,
                   variant: str | None = None) -> ThermoSeries:
-    """The series of first's strategy from a reference energy E_0 and, at each
-    beta, M_0 = Z exp(beta E_0), the mean <E - E_0> and the variance of E."""
-    kb = first.params.kb
+    """The series of strategy from a reference energy E_0 and, at each beta,
+    M_0 = Z exp(beta E_0), the mean <E - E_0> and the variance of E; adds the
+    "negative_entropy" column to the strategy's diagnostics."""
     log_m0 = np.log(m0)
     log_z = -betas * e0 + log_m0
     # Z saturates to inf once ln Z >= 700, where exp(inf) does not warn
     z = np.exp(np.where(log_z < 700.0, log_z, np.inf))
-    return ThermoSeries(first.strategy, variant, betas, z=z, log_z=log_z, u=e0 + mean,
-                        c=kb * betas * betas * var, f=-log_z / betas,
-                        s=kb * (log_m0 + betas * mean), diagnostics=diagnostics)
+    s = kb * (log_m0 + betas * mean)
+    return ThermoSeries(strategy, variant, betas, z=z, log_z=log_z, u=e0 + mean,
+                        c=kb * betas * betas * var, f=-log_z / betas, s=s,
+                        diagnostics={**diagnostics, "negative_entropy": ~(s >= 0.0)})
 
 
-def _direct_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
-    """Direct-sum series of first's (params, m, N) on the grid betas. As k <= 0,
+def _direct_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> ThermoSeries:
+    """Direct-sum series of (p, m, N = n_max) on the grid betas. As k <= 0,
     the longest cut is at the smallest beta: the first spine node L with
     L = N + 1 or beta d_L > 746, found with the scalar excitation (the same
     operations as the vector one). Only d_0..d_{L-1} are built."""
-    p, m, size = first.params, first.m, first.truncation_n + 1
+    size = n_max + 1
     e0 = spectrum_terms(p, m)[0]
     _check_weights_range(p, e0, excitation(p, size - 1.0, m), betas)
     reach = _EXP_UNDERFLOW / betas.min().item()
     count = next(n for n in _spine(size) if n == size or excitation(p, float(n), m) > reach)
     _check_weights_range(p, e0, excitation(p, count - 1.0, m), betas, moments=str(count - 1))
-    (sw, mean, var, tail), lengths = _boltzmann_sums(levels(first, count), betas, size)
-    return _from_moments(first, betas, e0, sw, mean, var,
+    d = excitation(p, np.arange(count, dtype=float), m)
+    (sw, mean, var, tail), lengths = _boltzmann_sums(d, betas, size)
+    return _from_moments(Strategy.DIRECT_SUM, p.kb, betas, e0, sw, mean, var,
                          {"n_terms": lengths, "tail_ratio": tail})
 
 
@@ -354,9 +274,10 @@ def _shifted(moments: np.ndarray, by: np.ndarray) -> np.ndarray:
     return np.stack([m0, m1 + by * m0, m2 + by * (2.0 * m1 + by * m0)])
 
 
-def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSeries:
-    """Z, U, C, F and S of the closed form in one d_t variant, for first's
-    (params, m, N), as array expressions over the grid beta.
+def _closed_form(p: SystemParams, m: int, n_max: int, beta: np.ndarray,
+                 variant: str) -> ThermoSeries:
+    """Z, U, C, F and S of the closed form in one d_t variant, for
+    (p, m, N = n_max), as array expressions over the grid beta.
 
     With d = D x + q x^2, D = E'(0) = -2 a_t, q = -2k, X = N + 1 and
     s = beta d(X), the moments are taken as beta^j M_j. Where s >= 1,
@@ -371,7 +292,6 @@ def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSe
     boundary level, so no weight exceeds 1 and a low verbatim level that
     carries most of M_0 leaves a variance that does not cancel.
     """
-    p, m, n_max = first.params, first.m, first.truncation_n
     co = paper_z_coefficients(p, m, n_max, variant)
     a_t, b_t, d_t = co.a_t, co.b_t, co.d_t
     e0, x1 = spectrum_terms(p, m)[0], n_max + 1.0
@@ -417,17 +337,16 @@ def _closed_form(first: ThermoInput, beta: np.ndarray, variant: str) -> ThermoSe
     m0, m1, m2 = (np.stack([half, half * bdv, half * bdv * bdv])
                   + _shifted(np.exp(beta * lo) * inner, -beta * lo))
     r1 = m1 / m0
-    return _from_moments(first, beta, e0 + lo, m0, r1 / beta, (m2 / m0 - r1 * r1) / beta / beta,
-                         {}, variant=variant)
+    return _from_moments(Strategy.PAPER_CLOSED_FORM, p.kb, beta, e0 + lo, m0, r1 / beta,
+                         (m2 / m0 - r1 * r1) / beta / beta, {}, variant)
 
 
-def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
-    """Summation-formula series of first's (params, m, N) on the grid betas,
+def _poisson_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> ThermoSeries:
+    """Summation-formula series of (p, m, N = n_max) on the grid betas,
     with the integrals of f, d f and d^2 f, d = E - E_0 (excitation), done
     by one batched, vector-valued quadrature over the grid. f is exactly 0.0
     at the clipped upper limit, so the moments are the formula's.
     """
-    p, m, n_max = first.params, first.m, first.truncation_n
     e0, slope, q = spectrum_terms(p, m)
     d1 = excitation(p, n_max + 1.0, m)
     _check_weights_range(p, e0, d1, betas, moments="N+1")
@@ -453,19 +372,11 @@ def _poisson_series(first: ThermoInput, betas: np.ndarray) -> ThermoSeries:
     with np.errstate(divide="ignore", invalid="ignore"):
         relative_bound = np.max(quad.error_bound / np.abs(quad.value), axis=1)
     mean = m1 / m0  # <d>
-    return _from_moments(first, betas, e0, m0, mean, m2 / m0 - mean * mean,
+    return _from_moments(Strategy.POISSON_PIPELINE, p.kb, betas, e0, m0, mean,
+                         m2 / m0 - mean * mean,
                          {"quadrature_refinements": quad.row_refinements,
                           "quadrature_evaluations": quad.row_evaluations,
                           "quadrature_error_bound": relative_bound})
-
-
-def _series(first: ThermoInput, betas: np.ndarray, variant: str) -> ThermoSeries:
-    """The series of first's (params, m, N) on the grid betas, under its strategy."""
-    if first.strategy is Strategy.DIRECT_SUM:
-        return _direct_series(first, betas)
-    if first.strategy is Strategy.PAPER_CLOSED_FORM:
-        return _closed_form(first, betas, variant)
-    return _poisson_series(first, betas)
 
 
 def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float],
@@ -473,29 +384,38 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
           variant: str = "corrected") -> ThermoSeries:
     """Z, U, C, F and S at every beta of a grid, as one ThermoSeries.
 
-    Each element, and each point series[i], equals evaluate() at its beta.
-    Every beta must be positive with a finite square (ValueError otherwise);
-    an empty grid gives an empty series. The direct sum reduces the spectrum
-    in blocks of beta rows, each row up to its underflow cut ("n_terms");
-    the closed form computes only the requested d_t variant.
+    Each point equals the one-point sweep at its beta. Every argument is
+    checked first, whatever the grid: each beta must be positive with a
+    finite square, N = truncation_n >= 0 (N = 0 is the single-term edge case)
+    and variant "corrected" or "verbatim" (ValueError otherwise); k > 0, a
+    spectrum that is not increasing in n and whose truncated sum is
+    arbitrary, is refused with NonPhysicalError. An empty grid then gives an
+    empty series, whose only diagnostic is "negative_entropy". The direct sum
+    reduces the spectrum in blocks of beta rows, each row up to its underflow
+    cut ("n_terms"); the closed form computes only the requested d_t variant.
     """
     betas = np.fromiter(betas, dtype=float)
-    _check_betas(betas)
+    bad = ~((betas > 0.0) & (betas <= _BETA_MAX))
+    if bad.any():
+        raise ValueError(f"beta must be positive with a finite square, got {betas[bad][0]}")
+    if truncation_n < 0:
+        raise ValueError(f"truncation_n must be >= 0, got {truncation_n}")
+    if params.k > 0.0:
+        raise NonPhysicalError(
+            "k > 0 makes the spectrum non-increasing in n; the truncated "
+            "sum is then arbitrary"
+        )
+    if variant not in ("corrected", "verbatim"):
+        raise ValueError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
     if betas.size == 0:
-        variant = variant if strategy is Strategy.PAPER_CLOSED_FORM else None
-        return ThermoSeries(strategy, variant, *[betas] * 7)
-    first = ThermoInput(params=params, m=m, beta=betas[0].item(), truncation_n=truncation_n,
-                        strategy=strategy)
-    return _series(first, betas, variant)
-
-
-def evaluate(inp: ThermoInput, variant: str = "corrected") -> ThermoResult:
-    """All five quantities (Z, U, C, F, S) under the selected strategy.
-
-    variant selects the d_t reading for the closed-form strategy; the other
-    strategies ignore it. This is sweep() on a one-point grid.
-    """
-    return _series(inp, np.array([inp.beta], dtype=float), variant)[0]
+        empty = np.empty(0)
+        return _from_moments(strategy, params.kb, betas, 0.0, empty, empty, empty, {},
+                             variant if strategy is Strategy.PAPER_CLOSED_FORM else None)
+    if strategy is Strategy.DIRECT_SUM:
+        return _direct_series(params, m, truncation_n, betas)
+    if strategy is Strategy.PAPER_CLOSED_FORM:
+        return _closed_form(params, m, truncation_n, betas, variant)
+    return _poisson_series(params, m, truncation_n, betas)
 
 
 @dataclass

@@ -204,19 +204,21 @@ def check_boltzmann_limit(quick: bool = False) -> CheckResult:
     return CheckResult("boltzmann_limit", abs(u - e0) <= 1e-10, f"|U - E0| = {abs(u - e0):.3e}")
 
 
-def _em_error_bound(inp: thermo.ThermoInput) -> float:
-    """Magnitude of the leading term the first-order summation formula neglects.
+def _em_error_bound(p: SystemParams, m: int, truncation_n: int,
+                    betas: np.ndarray) -> np.ndarray:
+    """Magnitude of the leading term the first-order summation formula neglects,
+    at each beta of betas.
 
     That term is [f'(N+1) - f'(0)]/12 for f(x) = exp(-beta E(x)). It is an
     estimate of the truncation error, not a bound on it: the Euler-Maclaurin
     remainder beyond it is smaller but nonzero, and the sign of the term is
     dropped here. check_strategy_triangulation allows twice this value.
     """
-    p, m, beta, n1 = inp.params, inp.m, inp.beta, inp.truncation_n + 1.0
+    n1 = truncation_n + 1.0
     _, slope, q = spectrum_terms(p, m)  # E'(x) = D + 2 q x
-    f_prime_0 = -beta * slope * math.exp(-beta * energy(p, 0.0, m))
-    f_prime_n = -beta * (slope + 2.0 * q * n1) * math.exp(-beta * energy(p, n1, m))
-    return abs(f_prime_n - f_prime_0) / 12.0
+    f_prime_0 = -betas * slope * np.exp(-betas * energy(p, 0.0, m))
+    f_prime_n = -betas * (slope + 2.0 * q * n1) * np.exp(-betas * energy(p, n1, m))
+    return np.abs(f_prime_n - f_prime_0) / 12.0
 
 
 def check_strategy_triangulation(quick: bool = False) -> CheckResult:
@@ -242,6 +244,7 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
         gaps = np.array([np.abs(getattr(closed, name) - getattr(quad, name))
                          / np.abs(getattr(quad, name)) for name in "zuc"])
         pipeline_gaps = np.abs(direct.z - quad.z)
+        bounds = 2.0 * _em_error_bound(p, 1, 500, np.array(betas)) + 1e-12
         for i, beta in enumerate(betas):
             for name, gap in zip("ZUC", gaps[:, i].tolist()):
                 if not gap <= 1e-9:
@@ -250,12 +253,11 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
                         f"closed form vs quadrature {name} diverge at k={k}, "
                         f"beta={beta}: {gap:.3e}",
                     )
-            bound = 2.0 * _em_error_bound(thermo.ThermoInput(params=p, m=1, beta=beta)) + 1e-12
-            if not pipeline_gaps[i] <= bound:
+            if not pipeline_gaps[i] <= bounds[i]:
                 return CheckResult(
                     "strategy_triangulation", False,
                     f"pipeline-vs-direct gap {pipeline_gaps[i]:.3e} exceeds "
-                    f"twice the truncation bound {bound:.3e} at k={k}, beta={beta}",
+                    f"twice the truncation bound {bounds[i]:.3e} at k={k}, beta={beta}",
                 )
         worst_quad = max(worst_quad, gaps.max().item())
     hot_betas = 1.0 / (np.array([5.0, 50.0]) if quick else np.linspace(5.0, 50.0, 10))

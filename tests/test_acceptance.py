@@ -51,16 +51,13 @@ def test_criterion_02_ode_residual_and_sensitivity():
     weakest_perturbed = math.inf
     for alpha, k in FIXTURE_PARAM_SETS:
         params = p.SystemParams(alpha=alpha, k=k)
+        rs = params.r_max * (0.02 + 0.96 * np.arange(50) / 49.0)
+        fracs = params.r_max * np.array([0.2, 0.35, 0.5, 0.65, 0.8])
         for n, m in FIXTURE_STATES:
             state = p.make_state(params, n, m)
-            peak = 0.0
-            for j in range(50):
-                r = params.r_max * (0.02 + 0.96 * j / 49.0)
-                worst = max(worst, abs(p.ode_residual(params, state, r)))
-            for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
-                peak = max(peak, abs(p.ode_residual(
-                    params, state, params.r_max * frac,
-                    energy_override=state.energy + 0.05)))
+            worst = max(worst, np.abs(p.ode_residual(params, state, rs)).max().item())
+            peak = np.abs(p.ode_residual(params, state, fracs,
+                                         energy_override=state.energy + 0.05)).max().item()
             weakest_perturbed = min(weakest_perturbed, peak)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and weakest_perturbed > 1e-3 and elapsed < 10.0
@@ -123,11 +120,11 @@ def test_criterion_04_small_k_limits():
     )
     flat = p.SystemParams(alpha=1.0, k=0.0, exploratory=True)
     worst_z = 0.0
-    for beta in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
-        z = thermo.evaluate(thermo.ThermoInput(params=flat, m=1, beta=beta)).z
+    betas = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
+    for beta, z in zip(betas, thermo.sweep(flat, 1, 500, betas).z.tolist()):
         geom = math.exp(-2 * beta) / (1.0 - math.exp(-2 * beta))
         worst_z = max(worst_z, abs(z - geom) / geom)
-    c100 = thermo.evaluate(thermo.ThermoInput.from_temperature(flat, 1, 100.0)).c
+    c100 = thermo.sweep(flat, 1, 500, [1.0 / (flat.kb * 100.0)]).c.item()
     ok = worst_e <= 1e-6 and worst_z <= 1e-10 and abs(c100 - 1.0) <= 0.01
     report("4 k->0 limits", ok,
            f"energy dev = {worst_e:.3e}, ladder Z dev = {worst_z:.3e}, C(100) = {c100:.4f}")
@@ -275,33 +272,19 @@ def test_criterion_06_differentiation_algebra():
     for k in (-0.1, -0.3):
         params = p.SystemParams(alpha=1.0, k=k)
         for beta in (0.05, 0.1, 0.5):
-            def log_z(b):
-                return math.log(thermo.sweep(
-                    params, 1, 500, [b], thermo.Strategy.PAPER_CLOSED_FORM, "corrected"
-                ).z.item())
+            def closed_form(b, quantity):
+                return getattr(thermo.sweep(params, 1, 500, [b],
+                                            thermo.Strategy.PAPER_CLOSED_FORM), quantity).item()
 
-            def u_of(b):
-                return thermo.evaluate(thermo.ThermoInput(
-                    params=params, m=1, beta=b,
-                    strategy=thermo.Strategy.PAPER_CLOSED_FORM)).u
-
-            def f_of(b):
-                return thermo.evaluate(thermo.ThermoInput(
-                    params=params, m=1, beta=b,
-                    strategy=thermo.Strategy.PAPER_CLOSED_FORM)).f
-
-            inp = thermo.ThermoInput(params=params, m=1, beta=beta,
-                                     strategy=thermo.Strategy.PAPER_CLOSED_FORM)
             h = 1e-3 * beta
-            u_ref = -central_diff(log_z, beta, 1, h)
-            c_ref = -beta * beta * central_diff(u_of, beta, 1, h)
-            s_ref = beta * beta * central_diff(f_of, beta, 1, h)
-            res = thermo.evaluate(inp)
+            u_ref = -central_diff(lambda b: math.log(closed_form(b, "z")), beta, 1, h)
+            c_ref = -beta * beta * central_diff(lambda b: closed_form(b, "u"), beta, 1, h)
+            s_ref = beta * beta * central_diff(lambda b: closed_form(b, "f"), beta, 1, h)
             worst = max(
                 worst,
-                abs(res.u - u_ref) / abs(u_ref),
-                abs(res.c - c_ref) / abs(c_ref),
-                abs(res.s - s_ref) / abs(s_ref),
+                abs(closed_form(beta, "u") - u_ref) / abs(u_ref),
+                abs(closed_form(beta, "c") - c_ref) / abs(c_ref),
+                abs(closed_form(beta, "s") - s_ref) / abs(s_ref),
             )
     ok = worst <= 1e-6
     report("6 differentiation algebra", ok, f"max rel (U, C, S vs differences) = {worst:.3e}")
@@ -326,11 +309,8 @@ def test_criterion_07_figure_properties():
         c50 = []
         for k in FIG_KS:
             params = p.SystemParams(alpha=1.0, k=k)
-            rows = [thermo.evaluate(thermo.ThermoInput.from_temperature(params, m, float(t)))
-                    for t in temps]
-            zs = [r.z for r in rows]
-            fs = [r.f for r in rows]
-            ss = [r.s for r in rows]
+            series = thermo.sweep(params, m, 500, 1.0 / (params.kb * temps))
+            zs, fs, ss = series.z.tolist(), series.f.tolist(), series.s.tolist()
             assert all(b > a for a, b in zip(zs, zs[1:])), f"Z not increasing (m={m}, k={k})"
             assert strictly_decreasing_resolvable(list(temps), fs, ss), \
                 f"F not decreasing (m={m}, k={k})"
@@ -338,8 +318,7 @@ def test_criterion_07_figure_properties():
             plateau = thermo.find_heat_capacity_plateau(params, m, 500)
             assert plateau is not None, f"no saturation window (m={m}, k={k})"
             assert plateau.variation < 0.01
-            c50.append(thermo.evaluate(
-                thermo.ThermoInput.from_temperature(params, m, 50.0)).c)
+            c50.append(thermo.sweep(params, m, 500, [1.0 / (params.kb * 50.0)]).c.item())
             details.append(f"m={m} k={k}: T*={plateau.t_star:.0f} "
                            f"C[T*,2T*]={plateau.value:.4f} C(50)={c50[-1]:.4f}")
         spread = (max(c50) - min(c50)) / min(c50)
@@ -356,9 +335,11 @@ def test_criterion_08_thermodynamic_identity():
     worst = 0.0
     for k in FIG_KS:
         params = p.SystemParams(alpha=1.0, k=k)
-        for t in np.geomspace(0.1, 50.0, 120):
-            res = thermo.evaluate(thermo.ThermoInput.from_temperature(params, 1, float(t)))
-            worst = max(worst, abs(res.f - (res.u - t * res.s)) / max(1.0, abs(res.f)))
+        temps = np.geomspace(0.1, 50.0, 120)
+        series = thermo.sweep(params, 1, 500, 1.0 / (params.kb * temps))
+        for t, f, u, s in zip(temps.tolist(), series.f.tolist(), series.u.tolist(),
+                              series.s.tolist()):
+            worst = max(worst, abs(f - (u - t * s)) / max(1.0, abs(f)))
     ok = worst <= 1e-8
     report("8 thermodynamic identity", ok, f"max |F - (U - T S)| rel = {worst:.3e}")
     assert worst <= 1e-8
@@ -369,12 +350,9 @@ def test_criterion_09_truncation_insensitivity():
     worst = 0.0
     for k in FIG_KS:
         params = p.SystemParams(alpha=1.0, k=k)
-        for t in np.geomspace(0.1, 50.0, 30):
-            z300 = thermo.evaluate(
-                thermo.ThermoInput.from_temperature(params, 1, float(t), truncation_n=300)).z
-            z500 = thermo.evaluate(
-                thermo.ThermoInput.from_temperature(params, 1, float(t), truncation_n=500)).z
-            worst = max(worst, abs(z300 - z500) / z500)
+        betas = 1.0 / (params.kb * np.geomspace(0.1, 50.0, 30))
+        z300, z500 = (thermo.sweep(params, 1, n, betas).z for n in (300, 500))
+        worst = max(worst, (np.abs(z300 - z500) / z500).max().item())
     ok = worst <= 1e-12
     report("9 truncation insensitivity", ok, f"max rel diff = {worst:.3e}")
     assert worst <= 1e-12

@@ -71,19 +71,22 @@ class TestSpectrumCommand:
 
 class TestThermoCommand:
     def test_single_point_stdout(self, capsys):
-        rc = main(["thermo", "--T", "10", "--k", "-0.3", "--m", "1", "--strategy", "direct"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        fields = dict(part.split("=") for part in out.split())
+        """`--T` prints the one-point sweep at beta = 1/(kb T); T <= 0 is refused."""
         import pdm_osc as p
 
-        pr = p.SystemParams(alpha=1.0, k=-0.3)
-        res = p.evaluate(p.ThermoInput.from_temperature(pr, 1, 10.0))
-        assert float(fields["Z"]) == pytest.approx(res.z, rel=1e-15)
-        assert float(fields["U"]) == pytest.approx(res.u, rel=1e-15)
-        assert float(fields["C"]) == pytest.approx(res.c, rel=1e-15)
-        assert float(fields["F"]) == pytest.approx(res.f, rel=1e-15)
-        assert float(fields["S"]) == pytest.approx(res.s, rel=1e-15)
+        for kb in (1.0, 2.0):
+            rc = main(["thermo", "--T", "10", "--k", "-0.3", "--m", "1", "--strategy", "direct",
+                       f"--kb={kb}"])
+            assert rc == 0
+            out = capsys.readouterr().out
+            fields = dict(part.split("=") for part in out.split())
+            pr = p.SystemParams(alpha=1.0, k=-0.3, kb=kb)
+            series = p.sweep(pr, 1, 500, [1.0 / (kb * 10.0)])
+            for q in "ZUCFS":
+                assert float(fields[q]) == pytest.approx(getattr(series, q.lower()).item(),
+                                                         rel=1e-15)
+        assert main(["thermo", "--T", "0", "--k", "-0.3"]) == 2
+        assert capsys.readouterr().err == "config-error field=T reason=must be positive\n"
 
     def test_grid_writes_five_tables(self, tmp_path):
         rc = main(["thermo", "--k", "-0.3", "--m", "1", "--T-min", "1", "--T-max", "10",
@@ -574,7 +577,9 @@ def test_public_surface():
                "hyp2f1_terminating_magnitude", "hyp2f1_terminating", "PoleError", "erfcx",
                "mass", "total_wavefunction", "_TWO_PI", "radial_overlap",
                "SystemParams.from_delta", "RadialWavefunction.radial_weight",
-               "build_solution", "NUSolution", "ThermoInput.temperature", "_libm", "_z"}
+               "build_solution", "NUSolution", "ThermoInput", "ThermoResult", "evaluate",
+               "levels", "_series", "ThermoSeries.__getitem__", "ThermoSeries.__len__",
+               "_log", "_libm", "_z"}
     for namespace in (pdm_osc,) + modules:
         for name in deleted:
             head, *members = name.split(".")

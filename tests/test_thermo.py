@@ -9,16 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdm_osc import thermo
-from pdm_osc.cli import _temperature_grid
+from pdm_osc.cli import _resolve, _temperature_grid, _thermo_tables, build_parser
 from pdm_osc.oscillator import NonPhysicalError, SystemParams, energy, excitation, spectrum_terms
 from pdm_osc.specfun import IntegrationError, QuadratureSpec, central_diff, integrate
 from pdm_osc.thermo import (
     Strategy,
-    ThermoInput,
     compare_strategies,
-    evaluate,
     find_heat_capacity_plateau,
-    levels,
     paper_z_coefficients,
     sweep,
     _spine,
@@ -35,14 +32,13 @@ EDGE_M = st.integers(-60, 60)
 EDGE_N = st.integers(1, 100_000)
 
 
-def em_error_bound(inp: ThermoInput) -> float:
+def em_error_bound(p: SystemParams, m: int, n: int, beta: float) -> float:
     """First-order summation formula truncation: |f'(N+1) - f'(0)| / 12."""
-    p, m, beta = inp.params, inp.m, inp.beta
     am = abs(m)
     hyp = math.hypot(p.alpha, p.k)
     e = lambda x: (2 * x + am + 1) * hyp - p.k * (2 * x * x + m * m / 2 + (2 * x + 1) * (am + 1))
     ep = lambda x: 2 * hyp - p.k * (4 * x + 2 * (am + 1))
-    n1 = inp.truncation_n + 1.0
+    n1 = n + 1.0
     return abs(-beta * ep(n1) * math.exp(-beta * e(n1)) + beta * ep(0.0) * math.exp(-beta * e(0.0))) / 12.0
 
 
@@ -99,70 +95,93 @@ def summation_formula_oracle(params: SystemParams, m: int, n: int, beta: float,
                 float(mpmath.log(m0) + b * m1 / m0))
 
 
-class TestThermoInput:
+class TestSweepArguments:
+    """sweep checks every argument at entry, whatever the grid and strategy."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ThermoInput(params=PHYS, m=1, beta=0.0)
-        with pytest.raises(ValueError):
-            ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=-1)
+        for strategy in Strategy:
+            with pytest.raises(ValueError, match="beta must be positive"):
+                sweep(PHYS, 1, 500, [0.0], strategy)
+            with pytest.raises(ValueError, match="truncation_n must be >= 0"):
+                sweep(PHYS, 1, -1, [1.0], strategy)
 
     def test_positive_k_needs_opt_in(self):
         p = SystemParams(alpha=1.0, k=0.5, exploratory=True)
-        with pytest.raises(NonPhysicalError, match="k > 0") as refused:
-            ThermoInput(params=p, m=1, beta=1.0)
-        assert "accept_truncation" not in str(refused.value)
-        with pytest.raises(NonPhysicalError):
-            sweep(p, 1, 500, [1.0])
+        for strategy in Strategy:
+            with pytest.raises(NonPhysicalError, match="k > 0") as refused:
+                sweep(p, 1, 500, [1.0], strategy)
+            assert "accept_truncation" not in str(refused.value)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_empty_grid_checks_n_and_k(self, strategy):
+        """An empty grid is no reason to skip the checks on N and k."""
+        with pytest.raises(NonPhysicalError, match="k > 0"):
+            sweep(SystemParams(alpha=1.0, k=0.5, exploratory=True), 1, 500, [], strategy)
+        with pytest.raises(ValueError, match="truncation_n must be >= 0"):
+            sweep(SystemParams(alpha=1.0, k=-0.1), 1, -3, [], strategy)
+
+    @pytest.mark.parametrize("strategy", [Strategy.DIRECT_SUM, Strategy.POISSON_PIPELINE])
+    def test_unknown_variant_refused_by_every_strategy(self, strategy):
+        """direct and poisson do not read variant, but refuse a name that is
+        not one of the closed form's two readings."""
+        with pytest.raises(ValueError, match="variant must be 'corrected' or 'verbatim'"):
+            sweep(PHYS, 1, 500, [1.0], strategy, "bogus")
+
+    def test_empty_paper_grid_refuses_unknown_variant(self):
+        with pytest.raises(ValueError, match="variant must be 'corrected' or 'verbatim'"):
+            sweep(PHYS, 1, 500, [], Strategy.PAPER_CLOSED_FORM, "bogus")
+
+
+class TestThermoInput:
+    """A temperature enters the thermodynamics as beta = 1/(kb T)."""
 
     def test_from_temperature(self):
-        p = SystemParams(alpha=1.0, k=-0.3, kb=2.0)
-        inp = ThermoInput.from_temperature(p, 1, 10.0)
-        assert inp.beta == pytest.approx(1.0 / 20.0)
-        with pytest.raises(ValueError):
-            ThermoInput.from_temperature(p, 1, 0.0)
+        args = build_parser().parse_args(
+            ["thermo", "--k", "-0.3", "--m", "1", "--kb", "2", "--T-min", "5",
+             "--T-max", "10", "--T-count", "2", "--T-spacing", "linear"])
+        tables = _thermo_tables(_resolve(args, "thermo"), "thermo", np.array([5.0, 10.0]))
+        series = sweep(SystemParams(alpha=1.0, k=-0.3, kb=2.0), 1, 500, [1.0 / 10.0, 1.0 / 20.0])
+        for table, q in zip(tables, "zucfs"):
+            (_, column), = table.columns
+            np.testing.assert_allclose(column, getattr(series, q), rtol=1e-15)
 
 
 class TestPartitionDirect:
     def test_geometric_ladder(self):
         p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
-        for beta in (0.05, 0.1, 0.5, 1.0):
-            z = evaluate(ThermoInput(params=p, m=1, beta=beta)).z
+        betas = (0.05, 0.1, 0.5, 1.0)
+        for beta, z in zip(betas, sweep(p, 1, 500, betas).z.tolist()):
             geometric = math.exp(-2 * beta) / (1.0 - math.exp(-2 * beta))
             assert z == pytest.approx(geometric, rel=1e-10)
 
     def test_reference_value(self):
         # frozen from a 128-term compensated (fsum) summation; the tail beyond
         # term 128 is below 1e-300 at beta = 1
-        inp = ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=500)
-        assert evaluate(inp).z == pytest.approx(0.0597456318176708, rel=1e-14)
+        assert sweep(PHYS, 1, 500, [1.0]).z.item() == pytest.approx(0.0597456318176708,
+                                                                    rel=1e-14)
 
     def test_against_fsum_oracle(self):
-        inp = ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=500)
         oracle = math.fsum(math.exp(-energy(PHYS, n, 1)) for n in range(128))
-        assert evaluate(inp).z == pytest.approx(oracle, rel=1e-14)
+        assert sweep(PHYS, 1, 500, [1.0]).z.item() == pytest.approx(oracle, rel=1e-14)
 
     def test_single_term(self):
-        inp = ThermoInput(params=PHYS, m=1, beta=0.7, truncation_n=0)
-        assert evaluate(inp).z == pytest.approx(
+        assert sweep(PHYS, 1, 0, [0.7]).z.item() == pytest.approx(
             math.exp(-0.7 * energy(PHYS, 0, 1)), rel=1e-14
         )
 
     def test_log_domain_extreme_beta(self):
-        inp = ThermoInput(params=PHYS, m=1, beta=1000.0)
-        res = evaluate(inp)
-        assert math.isfinite(res.log_z)
-        assert res.log_z == pytest.approx(-1000.0 * energy(PHYS, 0, 1), rel=1e-12)
+        log_z = sweep(PHYS, 1, 500, [1000.0]).log_z.item()
+        assert math.isfinite(log_z)
+        assert log_z == pytest.approx(-1000.0 * energy(PHYS, 0, 1), rel=1e-12)
 
     def test_tail_diagnostic(self):
-        res = evaluate(ThermoInput(params=PHYS, m=1, beta=1.0))
-        assert res.diagnostics["tail_ratio"] < 1e-300  # ~exp(-151000)
+        diag = sweep(PHYS, 1, 500, [1.0]).diagnostics
+        assert diag["tail_ratio"].item() < 1e-300  # ~exp(-151000)
         # an uncut sum reports w_N / sum w
-        inp = ThermoInput(params=PHYS, m=1, beta=1e-3, truncation_n=10)
-        e = levels(inp)
-        w = np.exp(-inp.beta * (e - e[0]))
-        res = evaluate(inp)
-        assert res.diagnostics["n_terms"] == 11
-        assert res.diagnostics["tail_ratio"] == w[-1] / w.sum()
+        w = np.exp(-1e-3 * excitation(PHYS, np.arange(11.0), 1))
+        diag = sweep(PHYS, 1, 10, [1e-3]).diagnostics
+        assert diag["n_terms"].item() == 11
+        assert diag["tail_ratio"].item() == w[-1] / w.sum()
 
     def test_cut_work_count(self, monkeypatch):
         """Each beta sums only a short prefix of the levels, and every weight
@@ -170,25 +189,34 @@ class TestPartitionDirect:
         series builds only the levels its longest cut reaches."""
         p = SystemParams(alpha=1.0, k=-0.1)
         betas = [1e-4] + list(np.geomspace(0.02, 1e3, 40))
-        e = levels(ThermoInput(params=p, m=1, beta=1.0, truncation_n=100_000))
-        for beta, res in zip(betas, sweep(p, 1, 100_000, betas)):
-            n_terms = res.diagnostics["n_terms"]
+        d = excitation(p, np.arange(100_001.0), 1)
+        diag = sweep(p, 1, 100_000, betas).diagnostics
+        for beta, n_terms, tail in zip(betas, diag["n_terms"].tolist(),
+                                       diag["tail_ratio"].tolist()):
             assert n_terms <= (8192 if beta < 0.02 else 1024)
-            assert not np.any(np.exp(-beta * (e[n_terms:] - e[0])))
-            assert res.diagnostics["tail_ratio"] == 0.0
-        res = sweep(SystemParams(alpha=1.0, k=-1e-6), 1, 100_000, [1e-4])[0]
-        assert res.diagnostics["n_terms"] == 100_001
-        assert res.diagnostics["tail_ratio"] > 0.0
+            assert not np.any(np.exp(-beta * d[n_terms:]))
+            assert tail == 0.0
+        diag = sweep(SystemParams(alpha=1.0, k=-1e-6), 1, 100_000, [1e-4]).diagnostics
+        assert diag["n_terms"].item() == 100_001
+        assert diag["tail_ratio"].item() > 0.0
         # a cut whose last kept weight is not 0 still reports w_N / sum w = 0
-        e = levels(ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=1000))
-        beta = 735.0 / (e[119] - e[0])
-        res = sweep(PHYS, 1, 1000, [beta])[0]
-        assert res.diagnostics["n_terms"] == 120
-        assert math.exp(-beta * (e[119] - e[0])) / math.exp(res.log_z + beta * e[0]) > 0.0
-        assert res.diagnostics["tail_ratio"] == 0.0
+        d = excitation(PHYS, np.arange(1001.0), 1)
+        beta = 735.0 / d[119]
+        series = sweep(PHYS, 1, 1000, [beta])
+        e0 = spectrum_terms(PHYS, 1)[0]
+        assert series.diagnostics["n_terms"].item() == 120
+        assert math.exp(-beta * d[119]) / math.exp(series.log_z.item() + beta * e0) > 0.0
+        assert series.diagnostics["tail_ratio"].item() == 0.0
         built = []
-        monkeypatch.setattr(thermo, "levels",
-                            lambda inp, count=None: built.append(levels(inp, count)) or built[-1])
+
+        def recording(params, n_r, m):
+            # the array call builds a series' spectrum; number calls find its cut
+            d = excitation(params, n_r, m)
+            if np.ndim(d):
+                built.append(d)
+            return d
+
+        monkeypatch.setattr(thermo, "excitation", recording)
         temps = _temperature_grid({"T_min": 0.1, "T_max": 50.0, "T_count": 500,
                                    "T_spacing": "auto"})
         for k in FIG_KS:
@@ -197,8 +225,7 @@ class TestPartitionDirect:
         sweep(edge, 40, 100_000, [1e3])
         sweep(edge, 40, 100_000, [1e-4])
         assert [spectrum.size for spectrum in built] == [776, 384, 384, 96, 100_001]
-        assert built[-1].tolist() == levels(ThermoInput(params=edge, m=40, beta=1.0,
-                                                        truncation_n=100_000)).tolist()
+        assert built[-1].tolist() == excitation(edge, np.arange(100_001.0), 40).tolist()
         # k > 0 is refused before any level is built
         with pytest.raises(NonPhysicalError):
             sweep(SystemParams(alpha=1.0, k=0.5, exploratory=True), 1, 100_000, [1e-4])
@@ -269,10 +296,9 @@ class TestPartitionPaper:
         corrected, verbatim = (sweep(PHYS, 1, 500, [0.2], Strategy.PAPER_CLOSED_FORM, v)
                                for v in ("corrected", "verbatim"))
         assert (corrected.variant, verbatim.variant) == ("corrected", "verbatim")
-        res = evaluate(ThermoInput(params=PHYS, m=1, beta=0.2,
-                                   strategy=Strategy.PAPER_CLOSED_FORM))
-        assert res.diagnostics["variant"] == "corrected"
-        assert res.z == corrected.z.item()
+        default = sweep(PHYS, 1, 500, [0.2], Strategy.PAPER_CLOSED_FORM)
+        assert default.variant == "corrected"
+        assert default.z.item() == corrected.z.item()
         assert corrected.z.item() != verbatim.z.item()
 
     def test_variants_coincide_at_m0(self):
@@ -297,8 +323,8 @@ class TestPartitionPaper:
 
     def test_no_spurious_nonpositive_flag(self):
         for variant in ("corrected", "verbatim"):
-            for res in sweep(PHYS, 1, 500, (0.05, 0.5, 5.0), Strategy.PAPER_CLOSED_FORM, variant):
-                assert "nonpositive_z" not in res.diagnostics
+            series = sweep(PHYS, 1, 500, (0.05, 0.5, 5.0), Strategy.PAPER_CLOSED_FORM, variant)
+            assert "nonpositive_z" not in series.diagnostics
 
 
 class TestPartitionPoisson:
@@ -330,59 +356,52 @@ class TestPartitionPoisson:
             gaps = np.abs(sweep(p, 1, 500, betas).z
                           - sweep(p, 1, 500, betas, Strategy.POISSON_PIPELINE).z)
             for beta, gap in zip(betas, gaps.tolist()):
-                inp = ThermoInput(params=p, m=1, beta=beta)
-                assert gap <= 2.0 * em_error_bound(inp) + 1e-12
+                assert gap <= 2.0 * em_error_bound(p, 1, 500, beta) + 1e-12
 
     def test_quadrature_diagnostics_present(self):
-        res = evaluate(ThermoInput(params=PHYS, m=1, beta=0.1,
-                                   strategy=Strategy.POISSON_PIPELINE))
-        diag = res.diagnostics
-        assert diag["quadrature_evaluations"] == 15 + 30 * diag["quadrature_refinements"]
+        diag = sweep(PHYS, 1, 500, [0.1], Strategy.POISSON_PIPELINE).diagnostics
+        assert (diag["quadrature_evaluations"].item()
+                == 15 + 30 * diag["quadrature_refinements"].item())
         # relative to each integral, worst over f, (E - E_0) f, (E - E_0)^2 f
-        assert 0.0 < diag["quadrature_error_bound"] <= 1e-11
+        assert 0.0 < diag["quadrature_error_bound"].item() <= 1e-11
 
     def test_large_n_integral_not_falsely_zero(self):
         """At N = 1e5 the integrand's support, width ~ (beta |k|)^(-1/2), is
         far narrower than [0, N+1]; the quadrature must still find it
         (`thermo --T 10 --k -0.3 --m 1 --N 100000 --strategy poisson`)."""
-        inp = ThermoInput.from_temperature(PHYS, 1, 10.0, truncation_n=100_000,
-                                           strategy=Strategy.POISSON_PIPELINE)
-        z = evaluate(inp).z
-        gap = abs(z - sweep(PHYS, 1, 100_000, [inp.beta]).z.item())
-        assert gap <= 2.0 * em_error_bound(inp) + 1e-12
+        beta = 1.0 / (PHYS.kb * 10.0)
+        z = sweep(PHYS, 1, 100_000, [beta], Strategy.POISSON_PIPELINE).z.item()
+        gap = abs(z - sweep(PHYS, 1, 100_000, [beta]).z.item())
+        assert gap <= 2.0 * em_error_bound(PHYS, 1, 100_000, beta) + 1e-12
         assert z == pytest.approx(
-            sweep(PHYS, 1, 100_000, [inp.beta], Strategy.PAPER_CLOSED_FORM).z.item(), rel=1e-12)
+            sweep(PHYS, 1, 100_000, [beta], Strategy.PAPER_CLOSED_FORM).z.item(), rel=1e-12)
 
 
 class TestAverageEnergy:
     def test_ground_state_limit(self):
-        inp = ThermoInput(params=PHYS, m=1, beta=500.0)
-        assert evaluate(inp).u == pytest.approx(energy(PHYS, 0, 1), abs=1e-10)
+        assert sweep(PHYS, 1, 500, [500.0]).u.item() == pytest.approx(energy(PHYS, 0, 1),
+                                                                      abs=1e-10)
 
     def test_ladder_closed_form(self):
         p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
-        for beta in (0.05, 0.2, 1.0):
-            u = evaluate(ThermoInput(params=p, m=1, beta=beta)).u
+        betas = (0.05, 0.2, 1.0)
+        for beta, u in zip(betas, sweep(p, 1, 500, betas).u.tolist()):
             assert u == pytest.approx(2.0 + 2.0 / (math.exp(2.0 * beta) - 1.0), rel=1e-10)
 
     def test_closed_form_matches_difference_quotient(self):
         for beta in (0.05, 0.1, 0.5):
-            inp = ThermoInput(params=PHYS, m=1, beta=beta, strategy=Strategy.PAPER_CLOSED_FORM)
-
             def log_z(b):
                 return math.log(
                     sweep(PHYS, 1, 500, [b], Strategy.PAPER_CLOSED_FORM, "corrected").z.item()
                 )
 
             expected = -central_diff(log_z, beta, 1, h=1e-3 * beta)
-            assert evaluate(inp).u == pytest.approx(expected, rel=1e-6)
+            u = sweep(PHYS, 1, 500, [beta], Strategy.PAPER_CLOSED_FORM).u.item()
+            assert u == pytest.approx(expected, rel=1e-6)
 
     def test_strategies_converge_at_small_beta(self):
         beta = 0.005
-        vals = [
-            evaluate(ThermoInput(params=PHYS, m=1, beta=beta, strategy=s)).u
-            for s in Strategy
-        ]
+        vals = [sweep(PHYS, 1, 500, [beta], s).u.item() for s in Strategy]
         assert max(vals) - min(vals) <= 0.02 * abs(vals[0])
 
 
@@ -391,11 +410,11 @@ class TestHeatCapacity:
     @given(beta=st.floats(0.01, 50.0), k=st.sampled_from(FIG_KS))
     def test_direct_nonnegative(self, beta, k):
         p = SystemParams(alpha=1.0, k=k)
-        assert evaluate(ThermoInput(params=p, m=1, beta=beta)).c >= 0.0
+        assert sweep(p, 1, 500, [beta]).c.item() >= 0.0
 
     def test_ladder_equipartition(self):
         p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
-        c = evaluate(ThermoInput.from_temperature(p, 1, 100.0)).c
+        c = sweep(p, 1, 500, [1.0 / (p.kb * 100.0)]).c.item()
         assert c == pytest.approx(1.0, abs=0.01)
 
     def test_plateau_exists_per_k(self):
@@ -453,19 +472,19 @@ class TestHeatCapacity:
             find_heat_capacity_plateau(SystemParams(alpha=1.0, k=-0.1, kb=1e-300), 1, 500)
 
     def test_poisson_strategy_close_to_closed_form(self):
-        for beta in (0.1, 2.0, 10.0):
-            inp_p = ThermoInput(params=PHYS, m=1, beta=beta, strategy=Strategy.POISSON_PIPELINE)
-            inp_c = ThermoInput(params=PHYS, m=1, beta=beta, strategy=Strategy.PAPER_CLOSED_FORM)
-            assert evaluate(inp_p).c == pytest.approx(evaluate(inp_c).c, rel=1e-9)
+        betas = (0.1, 2.0, 10.0)
+        cp, cc = (sweep(PHYS, 1, 500, betas, strategy).c.tolist()
+                  for strategy in (Strategy.POISSON_PIPELINE, Strategy.PAPER_CLOSED_FORM))
+        assert cp == pytest.approx(cc, rel=1e-9)
 
     def test_poisson_against_mpmath_summation_formula(self):
         """At (k=-1e-6, m=40, N=1e5, beta=1e3) the pipeline's C matches the
         moments about E_0 of the summation formula, integrated at 60 digits."""
         p, m, n, beta = SystemParams(alpha=1.0, k=-1e-6), 40, 100_000, 1e3
-        res = sweep(p, m, n, [beta], Strategy.POISSON_PIPELINE)[0]
+        res = sweep(p, m, n, [beta], Strategy.POISSON_PIPELINE)
         u, c, _ = summation_formula_oracle(p, m, n, beta)
-        assert res.c == pytest.approx(c, rel=1e-9)
-        assert res.u == pytest.approx(u, rel=1e-13)
+        assert res.c.item() == pytest.approx(c, rel=1e-9)
+        assert res.u.item() == pytest.approx(u, rel=1e-13)
 
 
 class TestMomentsAgainstOracle:
@@ -480,15 +499,16 @@ class TestMomentsAgainstOracle:
     def assert_matches_oracle(k, m, n, beta):
         p = SystemParams(alpha=1.0, k=k)
         u, c, s = summation_formula_oracle(p, m, n, beta)
-        paper = sweep(p, m, n, [beta], Strategy.PAPER_CLOSED_FORM)[0]
-        poisson = sweep(p, m, n, [beta], Strategy.POISSON_PIPELINE)[0]
-        for res, rel in ((paper, 1e-10), (poisson, 1e-9)):
-            assert res.c == pytest.approx(c, rel=rel, abs=0.0)
-            assert res.u == pytest.approx(u, rel=rel, abs=0.0)
-            assert res.s == pytest.approx(s, rel=rel, abs=0.01 * rel)
-        assert paper.c == pytest.approx(poisson.c, rel=1e-9, abs=0.0)
-        assert paper.u == pytest.approx(poisson.u, rel=1e-9, abs=0.0)
-        assert paper.s == pytest.approx(poisson.s, rel=1e-9, abs=1e-11)
+        paper, poisson = ([getattr(series, q).item() for q in "cus"]
+                          for series in (sweep(p, m, n, [beta], strategy) for strategy in (
+                              Strategy.PAPER_CLOSED_FORM, Strategy.POISSON_PIPELINE)))
+        for (c_got, u_got, s_got), rel in ((paper, 1e-10), (poisson, 1e-9)):
+            assert c_got == pytest.approx(c, rel=rel, abs=0.0)
+            assert u_got == pytest.approx(u, rel=rel, abs=0.0)
+            assert s_got == pytest.approx(s, rel=rel, abs=0.01 * rel)
+        assert paper[0] == pytest.approx(poisson[0], rel=1e-9, abs=0.0)
+        assert paper[1] == pytest.approx(poisson[1], rel=1e-9, abs=0.0)
+        assert paper[2] == pytest.approx(poisson[2], rel=1e-9, abs=1e-11)
 
     @pytest.mark.parametrize("k, m, n, beta", [
         (-1e-8, 0, 100_000, 1e3), (-1e-8, 0, 1, 1e-4), (-1e-6, 40, 100_000, 1e3),
@@ -503,10 +523,10 @@ class TestMomentsAgainstOracle:
         nearly all of M_0 at beta = 9.1: its tiny variance must not cancel."""
         p, m, n, beta = SystemParams(alpha=1.0, k=-0.0877), 3, 500, 9.124087591240876
         u, c, s = summation_formula_oracle(p, m, n, beta, verbatim=True)
-        res = sweep(p, m, n, [beta], Strategy.PAPER_CLOSED_FORM, "verbatim")[0]
-        assert res.c == pytest.approx(c, rel=1e-12, abs=0.0) and 0.0 < c < 1e-12
-        assert res.u == pytest.approx(u, rel=1e-14, abs=0.0)
-        assert res.s == pytest.approx(s, rel=1e-12, abs=0.0)
+        res = sweep(p, m, n, [beta], Strategy.PAPER_CLOSED_FORM, "verbatim")
+        assert res.c.item() == pytest.approx(c, rel=1e-12, abs=0.0) and 0.0 < c < 1e-12
+        assert res.u.item() == pytest.approx(u, rel=1e-14, abs=0.0)
+        assert res.s.item() == pytest.approx(s, rel=1e-12, abs=0.0)
 
     @settings(max_examples=12, deadline=None)
     @given(k=st.floats(-8.0, math.log10(0.5)).map(lambda u: -(10.0**u)),
@@ -518,68 +538,68 @@ class TestMomentsAgainstOracle:
 
 class TestFreeEnergyEntropy:
     def test_single_level_free_energy(self):
-        inp = ThermoInput(params=PHYS, m=1, beta=0.7, truncation_n=0)
-        assert evaluate(inp).f == pytest.approx(energy(PHYS, 0, 1), rel=1e-13)
+        assert sweep(PHYS, 1, 0, [0.7]).f.item() == pytest.approx(energy(PHYS, 0, 1), rel=1e-13)
 
     def test_free_energy_decreasing(self):
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
-            fs = [evaluate(ThermoInput.from_temperature(p, 1, t)).f
-                  for t in np.linspace(0.5, 50.0, 40)]
+            fs = sweep(p, 1, 500, 1.0 / (p.kb * np.linspace(0.5, 50.0, 40))).f.tolist()
             assert all(b < a for a, b in zip(fs, fs[1:]))
 
     def test_identity(self):
-        for t in np.geomspace(0.1, 50.0, 25):
-            res = evaluate(ThermoInput.from_temperature(PHYS, 1, float(t)))
-            assert abs(res.f - (res.u - t * res.s)) <= 1e-8 * max(1.0, abs(res.f))
+        temps = np.geomspace(0.1, 50.0, 25)
+        series = sweep(PHYS, 1, 500, 1.0 / (PHYS.kb * temps))
+        for t, f, u, s in zip(temps.tolist(), series.f.tolist(), series.u.tolist(),
+                              series.s.tolist()):
+            assert abs(f - (u - t * s)) <= 1e-8 * max(1.0, abs(f))
 
     def test_third_law_limit(self):
-        s = evaluate(ThermoInput(params=PHYS, m=1, beta=200.0)).s
+        s = sweep(PHYS, 1, 500, [200.0]).s.item()
         assert 0.0 <= s <= 1e-100
 
     def test_entropy_increasing(self):
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
-            ss = [evaluate(ThermoInput.from_temperature(p, 1, t)).s
-                  for t in np.geomspace(0.1, 50.0, 40)]
+            ss = sweep(p, 1, 500, 1.0 / (p.kb * np.geomspace(0.1, 50.0, 40))).s.tolist()
             assert all(b > a for a, b in zip(ss, ss[1:]))
 
     def test_entropy_triangulation(self):
         """Direct vs closed form within 5% over the high-temperature window."""
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
-            for t in np.linspace(5.0, 50.0, 8):
-                sd = evaluate(ThermoInput.from_temperature(p, 1, float(t))).s
-                sp = evaluate(ThermoInput.from_temperature(
-                    p, 1, float(t), strategy=Strategy.PAPER_CLOSED_FORM)).s
+            betas = 1.0 / (p.kb * np.linspace(5.0, 50.0, 8))
+            sds, sps = (sweep(p, 1, 500, betas, strategy).s.tolist()
+                        for strategy in (Strategy.DIRECT_SUM, Strategy.PAPER_CLOSED_FORM))
+            for sd, sp in zip(sds, sps):
                 assert abs(sp - sd) <= 0.05 * abs(sd)
 
     def test_negative_entropy_flagged_not_fixed(self):
-        res = evaluate(ThermoInput(params=PHYS, m=1, beta=10.0,
-                                   strategy=Strategy.PAPER_CLOSED_FORM))
-        assert res.s < 0.0
-        assert res.diagnostics["negative_entropy"] == res.s
+        series = sweep(PHYS, 1, 500, [0.05, 10.0, 200.0], Strategy.PAPER_CLOSED_FORM)
+        hot, s, deep = series.s.tolist()
+        assert hot > 0.0 > s
+        assert series.diagnostics["negative_entropy"].tolist() == [False, True, True]
         # the approximate Z tends to exp(-beta E0)/2, so S drifts to -ln 2
         # with an O(1/beta) tail
-        deep = evaluate(ThermoInput(params=PHYS, m=1, beta=200.0,
-                                    strategy=Strategy.PAPER_CLOSED_FORM))
-        assert deep.s == pytest.approx(-math.log(2.0), abs=0.01)
+        assert deep == pytest.approx(-math.log(2.0), abs=0.01)
+        # a NaN S is flagged too: S = kb ln M_0 here, with M_0 = 2, 1/2 and NaN
+        flagged = thermo._from_moments(Strategy.DIRECT_SUM, 1.0, np.ones(3), 0.0,
+                                       np.array([2.0, 0.5, math.nan]), np.zeros(3),
+                                       np.zeros(3), {})
+        assert flagged.diagnostics["negative_entropy"].tolist() == [False, True, True]
 
 
 class TestTruncation:
     def test_insensitivity_from_300(self):
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
-            for t in (1.0, 10.0, 50.0):
-                z300 = evaluate(ThermoInput.from_temperature(p, 1, t, truncation_n=300)).z
-                z500 = evaluate(ThermoInput.from_temperature(p, 1, t, truncation_n=500)).z
-                assert abs(z300 - z500) <= 1e-12 * z500
+            betas = 1.0 / (p.kb * np.array([1.0, 10.0, 50.0]))
+            z300, z500 = (sweep(p, 1, n, betas).z for n in (300, 500))
+            assert np.all(np.abs(z300 - z500) <= 1e-12 * z500)
 
     def test_z_monotone_in_temperature(self):
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
-            zs = [evaluate(ThermoInput.from_temperature(p, 1, t)).z
-                  for t in np.geomspace(0.1, 50.0, 30)]
+            zs = sweep(p, 1, 500, 1.0 / (p.kb * np.geomspace(0.1, 50.0, 30))).z.tolist()
             assert all(b > a for a, b in zip(zs, zs[1:]))
 
 
@@ -601,8 +621,9 @@ class TestComparisonReport:
         assert math.isnan(comp.max_rel_paper_best)
 
     def test_levels_shape(self):
-        inp = ThermoInput(params=PHYS, m=1, beta=1.0, truncation_n=10)
-        d = levels(inp)
+        """The excitations d_0..d_N a direct sweep reduces: d_0 = 0 and
+        E_0 + d = E."""
+        d = excitation(PHYS, np.arange(11.0), 1)
         assert d.shape == (11,)
         assert d[0] == 0.0
         e0 = spectrum_terms(PHYS, 1)[0]
@@ -611,49 +632,46 @@ class TestComparisonReport:
 
 # the diagnostics columns of a series under each strategy
 DIAGNOSTIC_COLUMNS = {
-    Strategy.DIRECT_SUM: ["n_terms", "tail_ratio"],
-    Strategy.PAPER_CLOSED_FORM: [],
+    Strategy.DIRECT_SUM: ["n_terms", "tail_ratio", "negative_entropy"],
+    Strategy.PAPER_CLOSED_FORM: ["negative_entropy"],
     Strategy.POISSON_PIPELINE: ["quadrature_refinements", "quadrature_evaluations",
-                                "quadrature_error_bound"],
+                                "quadrature_error_bound", "negative_entropy"],
 }
 
 
-class TestSweep:
-    """sweep() equals evaluate() at every beta, bit for bit, diagnostics too,
-    both as arrays and point by point."""
+def assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
+    """Same shape, dtype and bits: NaN equals NaN, and 0.0 is not -0.0."""
+    np.testing.assert_array_equal(got, want, strict=True)
+    assert got.tobytes() == want.tobytes()
 
-    @staticmethod
-    def assert_equal_to_evaluate(params, m, n, betas, strategy, variant="corrected"):
-        series = sweep(params, m, n, betas, strategy, variant)
-        refs = [evaluate(ThermoInput(params=params, m=m, beta=beta, truncation_n=n,
-                                     strategy=strategy), variant) for beta in betas]
-        assert len(series) == len(betas)
-        assert series.strategy is strategy
-        assert series.variant == (variant if strategy is Strategy.PAPER_CLOSED_FORM else None)
-        assert series.beta.tolist() == [float(b) for b in betas]
-        for name in ("z", "log_z", "u", "c", "f", "s"):
-            column = getattr(series, name)
-            assert column.shape == (len(betas),)
-            assert column.tolist() == [getattr(ref, name) for ref in refs]
-        assert list(series.diagnostics) == DIAGNOSTIC_COLUMNS[strategy]
-        for name, column in series.diagnostics.items():
-            if column.dtype == bool:  # a flag: in the dict only where set
-                assert column.tolist() == [name in ref.diagnostics for ref in refs]
-            else:
-                assert column.tolist() == [ref.diagnostics[name] for ref in refs]
-        for res, ref in zip(series, refs):
-            assert (res.z, res.log_z, res.u, res.c, res.f, res.s) == (
-                ref.z, ref.log_z, ref.u, ref.c, ref.f, ref.s)
-            assert res.diagnostics == ref.diagnostics
+
+def assert_points_equal_grid(params, m, n, betas, strategy, variant="corrected"):
+    """Every quantity and diagnostic of point i of sweep(betas) equals that of
+    the one-point sweep at betas[i], bit for bit."""
+    series = sweep(params, m, n, betas, strategy, variant)
+    points = [sweep(params, m, n, [beta], strategy, variant) for beta in betas]
+    assert series.strategy is strategy
+    assert series.variant == (variant if strategy is Strategy.PAPER_CLOSED_FORM else None)
+    assert series.beta.tolist() == [float(b) for b in betas]
+    assert list(series.diagnostics) == DIAGNOSTIC_COLUMNS[strategy]
+    for name in ("z", "log_z", "u", "c", "f", "s"):
+        assert_bits_equal(getattr(series, name),
+                          np.concatenate([getattr(point, name) for point in points]))
+    for name, column in series.diagnostics.items():
+        assert_bits_equal(column, np.concatenate([point.diagnostics[name] for point in points]))
+
+
+class TestSweep:
+    """A point of a sweep does not depend on its grid: it equals the
+    one-point sweep at its beta, bit for bit, diagnostics too."""
 
     def test_direct_grid_longer_than_one_block(self):
         # 501 levels fill a block with 130 beta rows; 400 betas span four blocks
-        self.assert_equal_to_evaluate(PHYS, 1, 500, list(np.geomspace(1e-3, 50.0, 400)),
-                                      Strategy.DIRECT_SUM)
+        assert_points_equal_grid(PHYS, 1, 500, list(np.geomspace(1e-3, 50.0, 400)),
+                                 Strategy.DIRECT_SUM)
 
     def test_direct_large_n(self):
-        self.assert_equal_to_evaluate(PHYS, 2, 100_000, [1e-4, 0.01, 0.3, 7.0],
-                                      Strategy.DIRECT_SUM)
+        assert_points_equal_grid(PHYS, 2, 100_000, [1e-4, 0.01, 0.3, 7.0], Strategy.DIRECT_SUM)
 
     # the ids without k are PHYS's k = -0.3
     @pytest.mark.parametrize("k, n", [(-0.3, 1), (-0.3, 500), (-0.3, 100_000),
@@ -675,15 +693,16 @@ class TestSweep:
         betas += [x / d[j - 1] for j in _spine(n + 1) if d[j - 1] > 0.0
                   for x in (708.5, 727.0, 745.9)]
         reference = [one_dimensional_sums(d, beta) for beta in betas]
-        for beta, res, (sw, mean, var) in zip(betas, sweep(p, 1, n, betas), reference):
-            assert (res.log_z, res.u, res.c, res.s) == (
-                -beta * e0 + np.log(sw), e0 + mean, beta * beta * var,
-                np.log(sw) + beta * mean)
+        series = sweep(p, 1, n, betas)
+        got = zip(*(getattr(series, name).tolist() for name in ("log_z", "u", "c", "s")))
+        for beta, point, (sw, mean, var) in zip(betas, got, reference):
+            assert point == (-beta * e0 + np.log(sw), e0 + mean, beta * beta * var,
+                             np.log(sw) + beta * mean)
 
     @pytest.mark.parametrize("variant", ["corrected", "verbatim"])
     def test_paper(self, variant):
-        self.assert_equal_to_evaluate(PHYS, 3, 500, list(np.geomspace(0.01, 5.0, 150)),
-                                      Strategy.PAPER_CLOSED_FORM, variant)
+        assert_points_equal_grid(PHYS, 3, 500, list(np.geomspace(0.01, 5.0, 150)),
+                                 Strategy.PAPER_CLOSED_FORM, variant)
 
     def test_paper_across_erfcx_switch(self):
         # at N = 1 both erfcx arguments sqrt(-beta a_t^2 / 2k) and
@@ -697,41 +716,72 @@ class TestSweep:
         assert sum(a < 1.5 for a in args[0::2]) * sum(a >= 1.5 for a in args[0::2]) > 0
         assert sum(a < 1.5 for a in args[1::2]) * sum(a >= 1.5 for a in args[1::2]) > 0
         for variant in ("corrected", "verbatim"):
-            self.assert_equal_to_evaluate(PHYS, 3, 1, betas, Strategy.PAPER_CLOSED_FORM,
-                                          variant)
+            assert_points_equal_grid(PHYS, 3, 1, betas, Strategy.PAPER_CLOSED_FORM, variant)
 
     def test_direct_many_cut_lengths(self):
         betas = list(np.geomspace(1e-4, 1e3, 60))
-        self.assert_equal_to_evaluate(PHYS, 2, 100_000, betas, Strategy.DIRECT_SUM)
-        lengths = {res.diagnostics["n_terms"] for res in sweep(PHYS, 2, 100_000, betas)}
+        assert_points_equal_grid(PHYS, 2, 100_000, betas, Strategy.DIRECT_SUM)
+        lengths = set(sweep(PHYS, 2, 100_000, betas).diagnostics["n_terms"].tolist())
         assert len(lengths) >= 6
 
     def test_poisson(self):
         # the 300-point temperature grid of the figures, T in [0.1, 50]
         temps = _temperature_grid({"T_min": 0.1, "T_max": 50.0, "T_count": 300,
                                    "T_spacing": "auto"})
-        self.assert_equal_to_evaluate(PHYS, 1, 500, [1.0 / t for t in temps],
-                                      Strategy.POISSON_PIPELINE)
-        self.assert_equal_to_evaluate(SystemParams(alpha=1.0, k=-1e-6), 40, 100_000,
-                                      [1e-4, 1e3], Strategy.POISSON_PIPELINE)
+        assert_points_equal_grid(PHYS, 1, 500, [1.0 / t for t in temps],
+                                 Strategy.POISSON_PIPELINE)
+        assert_points_equal_grid(SystemParams(alpha=1.0, k=-1e-6), 40, 100_000, [1e-4, 1e3],
+                                 Strategy.POISSON_PIPELINE)
 
     def test_paper_flags_and_negative_entropy(self):
-        """Both variants at m = 3 reach the beta where S < 0; the flag and
-        negative_entropy keys are per point, equal to evaluate()."""
+        """Both variants at m = 3 reach the beta where S < 0; the
+        negative_entropy column flags it point by point."""
         betas = [0.05, 2.0, 10.0, 200.0]
         for variant in ("corrected", "verbatim"):
-            self.assert_equal_to_evaluate(PHYS, 3, 500, betas, Strategy.PAPER_CLOSED_FORM,
-                                          variant)
+            assert_points_equal_grid(PHYS, 3, 500, betas, Strategy.PAPER_CLOSED_FORM, variant)
             series = sweep(PHYS, 3, 500, betas, Strategy.PAPER_CLOSED_FORM, variant)
-            assert series[-1].diagnostics["negative_entropy"] == series.s[-1] < 0.0
-            assert "negative_entropy" not in series[0].diagnostics
+            flags = series.diagnostics["negative_entropy"]
+            assert flags[-1] and series.s[-1] < 0.0
+            assert not flags[0] and series.s[0] >= 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=EDGE_K, m=EDGE_M, n=st.integers(0, 100_000),
+           betas=st.lists(st.floats(-4.0, 3.0).map(lambda u: 10.0**u), min_size=2, max_size=6),
+           strategy=st.sampled_from(list(Strategy)),
+           variant=st.sampled_from(["corrected", "verbatim"]))
+    def test_point_does_not_depend_on_grid(self, k, m, n, betas, strategy, variant):
+        """Over the documented box: k in [-5, -1e-8], |m| <= 60, N <= 1e5 and
+        2 to 6 betas in [1e-4, 1e3], under every strategy and variant. A grid
+        may be refused only with ValueError, and only where one of its points
+        is refused too."""
+        params = SystemParams(alpha=1.0, k=k)
+        try:
+            sweep(params, m, n, betas, strategy, variant)
+        except ValueError:
+            refused = 0
+            for beta in betas:
+                try:
+                    sweep(params, m, n, [beta], strategy, variant)
+                except ValueError:
+                    refused += 1
+            assert refused > 0
+            return
+        assert_points_equal_grid(params, m, n, betas, strategy, variant)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_empty_grid(self, strategy):
         series = sweep(PHYS, 1, 500, [], strategy)
-        assert len(series) == 0 and list(series) == []
         assert all(getattr(series, name).shape == (0,)
                    for name in ("beta", "z", "log_z", "u", "c", "f", "s"))
+        assert list(series.diagnostics) == ["negative_entropy"]
+        assert series.diagnostics["negative_entropy"].shape == (0,)
+
+    def test_empty_series_fields_are_own_arrays(self):
+        """Each field of an empty series is its own array, so writing to one
+        cannot change another."""
+        series = sweep(PHYS, 1, 500, [])
+        fields = [getattr(series, name) for name in ("beta", "z", "log_z", "u", "c", "f", "s")]
+        assert len({id(field) for field in fields}) == len(fields)
 
     def test_validates_every_beta(self):
         """Zero, negative, NaN, infinite and squared-to-overflow betas are
@@ -744,29 +794,30 @@ class TestSweep:
 
 
 class TestEvaluateBundle:
+    """The five quantities of a point are one consistent bundle."""
+
     def test_direct_bundle_consistency(self):
-        inp = ThermoInput(params=PHYS, m=1, beta=0.25)
-        res = evaluate(inp)
-        ref = sweep(PHYS, 1, 500, [0.25])[0]
-        assert res.z == pytest.approx(ref.z, rel=1e-14)
-        assert res.u == pytest.approx(ref.u, rel=1e-14)
-        assert res.c == pytest.approx(ref.c, rel=1e-14)
-        assert res.f == pytest.approx(ref.f, rel=1e-14)
-        assert res.s == pytest.approx(ref.s, rel=1e-14)
+        """Z = exp(ln Z), F = -ln Z / beta and S = beta (U - F) at a point,
+        which is the same in a one-point sweep and in a grid."""
+        series = sweep(PHYS, 1, 500, [0.25])
+        z, log_z, u, f, s = (getattr(series, q).item() for q in ("z", "log_z", "u", "f", "s"))
+        assert z == pytest.approx(math.exp(log_z), rel=1e-15)
+        assert f == pytest.approx(-log_z / 0.25, rel=1e-14)
+        assert s == pytest.approx(0.25 * (u - f), rel=1e-13)
+        assert_points_equal_grid(PHYS, 1, 500, [0.1, 0.25, 4.0], Strategy.DIRECT_SUM)
 
     def test_poisson_bundle(self):
-        inp = ThermoInput(params=PHYS, m=1, beta=0.1, strategy=Strategy.POISSON_PIPELINE)
-        res = evaluate(inp)
-        assert res.u == pytest.approx(
-            sweep(PHYS, 1, 500, [0.1], Strategy.POISSON_PIPELINE).u.item(), rel=1e-10)
-        assert res.f == pytest.approx(res.u - res.s / (PHYS.kb * inp.beta), rel=1e-10)
+        beta = 0.1
+        series = sweep(PHYS, 1, 500, [beta], Strategy.POISSON_PIPELINE)
+        u, f, s = series.u.item(), series.f.item(), series.s.item()
+        assert f == pytest.approx(u - s / (PHYS.kb * beta), rel=1e-10)
+        assert_points_equal_grid(PHYS, 1, 500, [beta, 1.0], Strategy.POISSON_PIPELINE)
 
     def test_display_overflow_recorded_not_raised(self):
         """Z is ~1e-182 at this point; every primary value is finite."""
         p = SystemParams(alpha=1.0, k=-0.001)
-        res = evaluate(ThermoInput(params=p, m=40, beta=10.0,
-                                   strategy=Strategy.PAPER_CLOSED_FORM))
-        assert all(math.isfinite(v) for v in (res.z, res.u, res.c, res.f, res.s))
+        series = sweep(p, 40, 500, [10.0], Strategy.PAPER_CLOSED_FORM)
+        assert all(np.isfinite(getattr(series, q)).all() for q in ("z", "u", "c", "f", "s"))
 
     def test_strategy_parser(self):
         """Strategies are looked up by their command-line names only."""
@@ -787,17 +838,17 @@ class TestRegimeEdges:
         index gives the full-length sums within 4 ulp."""
         p = SystemParams(alpha=1.0, k=k)
         beta = 10.0**log_beta
-        res = sweep(p, m, n, [beta])[0]
-        assert res.c >= 0.0 and res.s >= 0.0
-        scale = abs(res.u) + abs(res.f) + abs(res.s) / beta
-        assert abs(res.f - (res.u - res.s / beta)) <= 1e-12 * scale
-        sw, mean, var = one_dimensional_sums(
-            levels(ThermoInput(params=p, m=m, beta=beta, truncation_n=n)), beta)
+        series = sweep(p, m, n, [beta])
+        z, u, c, f, s = (getattr(series, q).item() for q in ("z", "u", "c", "f", "s"))
+        assert c >= 0.0 and s >= 0.0
+        scale = abs(u) + abs(f) + abs(s) / beta
+        assert abs(f - (u - s / beta)) <= 1e-12 * scale
+        sw, mean, var = one_dimensional_sums(excitation(p, np.arange(n + 1.0), m), beta)
         e0 = spectrum_terms(p, m)[0]
         log_z = -beta * e0 + np.log(sw)
         full = (np.exp(log_z) if log_z < 700.0 else math.inf, e0 + mean, beta * beta * var,
                 np.log(sw) + beta * mean)
-        for cut, want in zip((res.z, res.u, res.c, res.s), full):
+        for cut, want in zip((z, u, c, s), full):
             assert cut == want or abs(cut - want) <= 4.0 * math.ulp(max(abs(cut), abs(want)))
 
     @settings(max_examples=100, deadline=None)
@@ -811,13 +862,15 @@ class TestRegimeEdges:
         strategy, variant = series
         beta = 10.0**log_beta
         try:
-            res = sweep(SystemParams(alpha=1.0, k=k), m, n, [beta], strategy, variant)[0]
+            series = sweep(SystemParams(alpha=1.0, k=k), m, n, [beta], strategy, variant)
         except (IntegrationError, NonPhysicalError):
             return
-        assert all(math.isfinite(v) for v in (res.log_z, res.u, res.c, res.f, res.s))
-        assert res.z == (np.exp(res.log_z) if res.log_z < 700.0 else math.inf)
-        scale = abs(res.s) + beta * (abs(res.u) + abs(res.f))
-        assert abs(res.s - beta * (res.u - res.f)) <= 1e-12 * scale
+        z, log_z, u, c, f, s = (getattr(series, q).item()
+                                for q in ("z", "log_z", "u", "c", "f", "s"))
+        assert all(math.isfinite(v) for v in (log_z, u, c, f, s))
+        assert z == (np.exp(log_z) if log_z < 700.0 else math.inf)
+        scale = abs(s) + beta * (abs(u) + abs(f))
+        assert abs(s - beta * (u - f)) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(log_alpha=st.floats(0.0, 150.0), k=EDGE_K, m=EDGE_M, n=EDGE_N,
@@ -829,12 +882,13 @@ class TestRegimeEdges:
         wherever the range check does not refuse the point."""
         p, beta = SystemParams(alpha=10.0**log_alpha, k=k), 10.0**log_beta
         try:
-            quad, closed = (sweep(p, m, n, [beta], strategy)[0] for strategy in (
+            quad, closed = (sweep(p, m, n, [beta], strategy) for strategy in (
                 Strategy.POISSON_PIPELINE, Strategy.PAPER_CLOSED_FORM))
         except ValueError as refused:
             assert "out of range" in str(refused)
             return
-        for got, want in ((quad.z, closed.z), (quad.u, closed.u), (quad.c, closed.c)):
+        for q in "zuc":
+            got, want = getattr(quad, q).item(), getattr(closed, q).item()
             assert abs(got - want) <= 1e-9 * abs(want)
 
 

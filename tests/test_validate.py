@@ -1,6 +1,6 @@
 """The batched routes of the self-validation suite against the scalar routes
 they replace: one quadrature per overlap group, one residual call per state,
-one closed-form sweep per stencil offset."""
+one closed-form sweep per stencil offset, one truncation estimate per k."""
 
 import math
 
@@ -13,6 +13,7 @@ from pdm_osc import thermo, validate
 from pdm_osc.oscillator import (
     SystemParams,
     _turning_radius,
+    energy,
     make_state,
     ode_residual,
     radial_overlaps,
@@ -134,14 +135,28 @@ class TestStencilReferences:
         betas = np.array([0.05, 0.1, 0.5])
         series, u_ref, c_ref, s_ref = validate._stencil_references(p, betas)
 
-        def point(b):
-            return thermo.evaluate(thermo.ThermoInput(params=p, m=1, beta=b,
-                                                      strategy=thermo.Strategy.PAPER_CLOSED_FORM))
+        def point(b, quantity):
+            return getattr(thermo.sweep(p, 1, 500, [b], thermo.Strategy.PAPER_CLOSED_FORM),
+                           quantity).item()
 
         for i, beta in enumerate(betas.tolist()):
             h = 1e-3 * beta
-            assert u_ref[i] == -central_diff(lambda b: math.log(point(b).z), beta, 1, h)
-            assert c_ref[i] == -beta * beta * central_diff(lambda b: point(b).u, beta, 1, h)
-            assert s_ref[i] == beta * beta * central_diff(lambda b: point(b).f, beta, 1, h)
-            exact = point(beta)
-            assert (series.u[i], series.c[i], series.s[i]) == (exact.u, exact.c, exact.s)
+            assert u_ref[i] == -central_diff(lambda b: math.log(point(b, "z")), beta, 1, h)
+            assert c_ref[i] == -beta * beta * central_diff(lambda b: point(b, "u"), beta, 1, h)
+            assert s_ref[i] == beta * beta * central_diff(lambda b: point(b, "f"), beta, 1, h)
+            assert (series.u[i], series.c[i], series.s[i]) == tuple(
+                point(beta, q) for q in ("u", "c", "s"))
+
+
+@pytest.mark.parametrize("k, m, n", [(-0.1, 1, 500), (-0.3, 3, 20), (-1e-8, 0, 100_000)])
+def test_em_error_bound_over_betas(k, m, n):
+    """The triangulation's truncation estimate over an array of betas is the
+    scalar |f'(N+1) - f'(0)| / 12 at each beta, f = exp(-beta E(x)), with E'
+    the three-point one-sided difference, exact for the quadratic E."""
+    p = SystemParams(1.0, k)
+    betas = np.array([0.01, 0.2, 1.0, 15.0])
+    slope = lambda x: (-3.0 * energy(p, x, m) + 4.0 * energy(p, x + 1.0, m)
+                       - energy(p, x + 2.0, m)) / 2.0
+    for beta, got in zip(betas.tolist(), validate._em_error_bound(p, m, n, betas).tolist()):
+        f_prime = lambda x: -beta * slope(x) * math.exp(-beta * energy(p, x, m))
+        assert got == pytest.approx(abs(f_prime(n + 1.0) - f_prime(0.0)) / 12.0, rel=1e-9)
