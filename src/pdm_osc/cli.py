@@ -21,8 +21,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__, thermo, validate as validation
-from .oscillator import (SystemParams, _turning_radius, energy, make_state,
-                         radial_wavefunction)
+from .oscillator import RadialFamily, SystemParams, _turning_radius, energy, make_state
 from .output import SeriesTable, format_float
 
 # the one declaration of each option: its name (the flag is "--" + name with
@@ -250,18 +249,13 @@ def _write_table(cfg: dict, table: SeriesTable, stem: str) -> list[str]:
 
 
 def cmd_spectrum(cfg: dict) -> int:
-    n_values = list(range(cfg["n_max"] + 1))
-    columns = []
-    for k in cfg["k_list"]:
-        p = _system_params(cfg, k)
-        columns.append(
-            (f"E(k={format_float(k)}) [energy]",
-             [energy(p, n, cfg["m"]) for n in n_values])
-        )
+    n_values = np.arange(cfg["n_max"] + 1)
+    columns = [(f"E(k={format_float(k)}) [energy]",
+                energy(_system_params(cfg, k), n_values, cfg["m"])) for k in cfg["k_list"]]
     table = SeriesTable(
         x_label="n_r [-]",
         y_label="E [energy, hbar=1]",
-        x=[float(n) for n in n_values],
+        x=n_values,
         columns=columns,
         metadata=_metadata(cfg, "spectrum", [("n_max", str(cfg["n_max"]))]),
     )
@@ -273,15 +267,15 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_wavefunction(cfg: dict) -> int:
     if len(cfg["k_list"]) != 1:
         raise ConfigError("k_list", "wavefunction output needs exactly one k")
-    p = _system_params(cfg, cfg["k_list"][0])
-    wfs = [radial_wavefunction(p, make_state(p, n, cfg["m"]))
-           for n in range(cfg["n_max"] + 1)]
+    p, m, n_max = _system_params(cfg, cfg["k_list"][0]), cfg["m"], cfg["n_max"]
+    family = RadialFamily(p, m, n_max)
     # the states live within a few turning radii of the origin, which is a
     # sliver of [0, r_max) as k -> 0-: sample up to four outer turning radii
     # of the highest state
-    r_hi = min(p.r_max, 4.0 * _turning_radius(p, wfs[-1].state))
+    r_hi = min(p.r_max, 4.0 * _turning_radius(p, make_state(p, n_max, m)))
     r = r_hi * (np.arange(cfg["r_count"]) + 0.5) / cfg["r_count"]
-    columns = [(f"U_n{n} [1/length]", wf.value(r)) for n, wf in enumerate(wfs)]
+    # the family's rows are the table's columns
+    columns = [(f"U_n{n} [1/length]", u) for n, u in enumerate(family.values(r))]
     table = SeriesTable(
         x_label="r [length]",
         y_label=f"U(r), m={cfg['m']} [1/length]",

@@ -11,14 +11,16 @@ solutions are z^a12 (1 - a3 z)^(-a13/a3 - a12) P_n^(a, b)(1 - 2 a3 z) with
 a = a10 - 1 and b = a11/a3 - a10 - 1; the oscillator evaluates its own
 (a, b) = (|m|, s) in closed form, and the tests hold the two to each other.
 Everything here is pure arithmetic on value types; no physics enters until a
-caller maps its equation onto (a1, a2, a3, eps1, eps2, eps3).
+caller maps its equation onto (a1, a2, a3, eps1, eps2, eps3), numbers or
+ndarrays: the derivations work elementwise, and numbers give numbers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "NUProblem",
@@ -41,23 +43,24 @@ class NegativeDiscriminantError(ValueError):
 
 @dataclass(frozen=True)
 class NUProblem:
-    """Raw parameters (a1, a2, a3, eps1, eps2, eps3) of the parametric equation."""
+    """Raw parameters (a1, a2, a3, eps1, eps2, eps3) of the parametric equation,
+    numbers or ndarrays of one broadcast shape."""
 
-    a1: float
-    a2: float
-    a3: float
-    eps1: float
-    eps2: float
-    eps3: float
+    a1: float | np.ndarray
+    a2: float | np.ndarray
+    a3: float | np.ndarray
+    eps1: float | np.ndarray
+    eps2: float | np.ndarray
+    eps3: float | np.ndarray
 
     def __post_init__(self):
-        if self.a3 == 0.0:
+        if np.count_nonzero(self.a3 == 0.0):
             raise ValueError("a3 must be nonzero for this parametric family")
 
 
 @dataclass(frozen=True)
 class NUCoefficients:
-    """Derived coefficient chain plus both kappa branches."""
+    """Derived coefficient chain, with sqrt(a8) and sqrt(a9), and both kappa branches."""
 
     problem: NUProblem
     a4: float
@@ -70,23 +73,29 @@ class NUCoefficients:
     a11: float
     a12: float
     a13: float
+    sqrt_a8: float
+    sqrt_a9: float
     kappa_plus: float
     kappa_minus: float
 
 
-def _checked_sqrt(value: float, name: str) -> float:
-    if value < 0.0:
-        if value > -_NEGATIVE_CLAMP:
-            return 0.0
-        raise NegativeDiscriminantError(f"{name} = {value} < 0; no real solution branch")
-    return math.sqrt(value)
+def _checked_sqrt(value: float | np.ndarray, name: str) -> float | np.ndarray:
+    """Elementwise sqrt of max(value, 0.0), a radicand in (-1e-13, 0) taken as
+    0.0; refuses if any radicand is -1e-13 or below, naming the first.
+    value - min(value, 0.0) is max(value, 0.0), -0.0 and NaN included."""
+    low = value <= -_NEGATIVE_CLAMP
+    if np.count_nonzero(low):
+        raise NegativeDiscriminantError(
+            f"{name} = {np.extract(low, value)[0]} < 0; no real solution branch")
+    return np.sqrt(value - np.minimum(value, 0.0))
 
 
 def derive_coefficients(p: NUProblem) -> NUCoefficients:
-    """Derive a4..a13 and kappa+- from the raw parametric data.
+    """Derive a4..a13 and kappa+- from the raw parametric data, elementwise.
 
-    Raises NegativeDiscriminantError when a8, a9 or their product is negative
-    beyond roundoff, i.e. when the bound-state construction has no real branch.
+    Raises NegativeDiscriminantError when a8 or a9 is negative beyond
+    roundoff anywhere, i.e. when the bound-state construction has no real
+    branch there.
     """
     a4 = 0.5 * (1.0 - p.a1)
     a5 = 0.5 * (p.a2 - 2.0 * p.a3)
@@ -100,19 +109,20 @@ def derive_coefficients(p: NUProblem) -> NUCoefficients:
     a11 = p.a2 - 2.0 * a5 + 2.0 * (sqrt_a9 + p.a3 * sqrt_a8)
     a12 = a4 + sqrt_a8
     a13 = a5 - (sqrt_a9 + p.a3 * sqrt_a8)
-    root = 2.0 * math.sqrt(max(a8 * a9, 0.0))
+    product = a8 * a9
+    root = 2.0 * np.sqrt(product - np.minimum(product, 0.0))
     base = -(a7 + 2.0 * p.a3 * a8)
     return NUCoefficients(
         problem=p,
         a4=a4, a5=a5, a6=a6, a7=a7, a8=a8, a9=a9,
-        a10=a10, a11=a11, a12=a12, a13=a13,
+        a10=a10, a11=a11, a12=a12, a13=a13, sqrt_a8=sqrt_a8, sqrt_a9=sqrt_a9,
         kappa_plus=base + root,
         kappa_minus=base - root,
     )
 
 
 def tau_prime(c: NUCoefficients) -> float:
-    """Constant slope of tau(z) on the kappa_minus branch.
+    """Constant slope of tau(z) on the kappa_minus branch, elementwise.
 
     tau(z) = (a1 - a2 z) + 2 pi(z) collapses to a10 - a11 z, so the slope is
     -a11. Admissible problems require a strictly negative value.
@@ -120,17 +130,16 @@ def tau_prime(c: NUCoefficients) -> float:
     return -c.a11
 
 
-def quantization_residual(c: NUCoefficients, n: int) -> float:
-    """Left-hand side of the algebraic quantization condition at degree n.
+def quantization_residual(c: NUCoefficients, n: int | np.ndarray) -> float | np.ndarray:
+    """Left-hand side of the algebraic quantization condition at degree n,
+    elementwise over the coefficients and n.
 
     Zero exactly when the eigenvalue buried in (eps1, eps2, eps3) is a
     bound-state energy; the sign scan over an energy grid brackets the roots.
     """
-    if n < 0:
+    if np.count_nonzero(n < 0):
         raise ValueError(f"degree must be nonnegative, got {n}")
-    p = c.problem
-    sqrt_a8 = _checked_sqrt(c.a8, "a8")
-    sqrt_a9 = _checked_sqrt(c.a9, "a9")
+    p, sqrt_a8, sqrt_a9 = c.problem, c.sqrt_a8, c.sqrt_a9
     return (
         p.a2 * n
         - (2.0 * n + 1.0) * c.a5

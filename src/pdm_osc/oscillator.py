@@ -34,11 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nu
-from .specfun import JacobiParams, QuadratureSpec, five_point_stencil, integrate, jacobi_p
+from .specfun import QuadratureSpec, five_point_stencil, integrate, jacobi_family
 
 __all__ = [
     "SystemParams",
     "QuantumState",
+    "RadialFamily",
     "RadialWavefunction",
     "DomainError",
     "NonPhysicalError",
@@ -186,72 +187,81 @@ def nu_instance(params: SystemParams, m: int, energy_value: float) -> nu.NUProbl
     return nu.NUProblem(a1=1.0, a2=1.0, a3=1.0, eps1=-mu, eps2=gamma, eps3=omega)
 
 
-def _shape_exponent(params: SystemParams) -> float:
-    """sqrt(alpha^2 lam^2 / delta_sq^2 + 1) = sqrt(alpha^2/k^2 + 1)."""
-    return math.sqrt(params.alpha**2 / params.k**2 + 1.0)
+class RadialFamily:
+    """The unit-normalized radial functions U_n, n = 0..n_max, of one (params, m):
 
+        U_n(r) = C_n * z^(|m|/2) * (1 - z)^((1+s)/2) * P_n^(a, b)(1 - 2 z)
 
-class RadialWavefunction:
-    """Evaluable bound-state radial function U(r), unit-normalized.
-
-    U(r) = C * |z|^(|m|/2) * (1 - z)^((1+s)/2) * P_n^(|m|, s)(1 - 2 z)
-
-    with z = -delta_sq r^2, s = sqrt(alpha^2/k^2 + 1) and P_n evaluated from
-    y = 1 - x = 2z itself (jacobi_p). The exponents of the radial equation at
-    z = 1 are (1 +- s)/2; (1 + s)/2 is the decaying one. C = exp(-log_norm / 2)
-    normalizes U against the mass-weighted measure r dr / (1 + delta_sq r^2),
-    where log_norm is the log of the closed-form Jacobi norm of the unnormalized U:
-
-        N = prod_{j=1}^{|m|} (n+j)/(n+s+j) / ((2n+|m|+s+1) * 2|delta_sq|)
-
-    summed as logs, since the product underflows at large |m| as k -> 0-.
-    norm_integral = N itself, which may underflow to 0 there; C may then
-    exceed the double range, so value() applies it inside the exponential
-    of the envelope instead of as a factor.
-    Build instances with radial_wavefunction, which checks the regime.
+    with z = -delta_sq r^2, (a, b) = (|m|, s), s = sqrt(alpha^2/k^2 + 1) and
+    P_0..P_{n_max} from one jacobi_family recurrence in y = 2z. (1 + s)/2 is
+    the decaying exponent at z = 1. C_n = exp(-log_norms[n] / 2), with the
+    closed-form norm N_n = prod_{j=1}^{|m|} (n+j)/(n+s+j) / ((2n+|m|+s+1)
+    2|delta_sq|) summed as logs: the product underflows at large |m| as
+    k -> 0-, where C_n may exceed the double range, so values() applies it
+    inside the envelope's exponential. Raises NonNormalizableError outside
+    the bound regime k < 0 < lam, where the domain is unbounded and U grows.
     """
 
-    def __init__(self, params: SystemParams, state: QuantumState):
-        self.params = params
-        self.state = state
-        self.domain_max = params.r_max
-        self.jacobi = JacobiParams(
-            a=float(abs(state.m)), b=_shape_exponent(params), n=state.n_r
-        )
-        n, am, s = state.n_r, abs(state.m), self.jacobi.b
-        self.log_norm = math.fsum(
+    def __init__(self, params: SystemParams, m: int, n_max: int):
+        if not params.k < 0.0 < params.lam:
+            raise NonNormalizableError(
+                f"k={params.k}, lam={params.lam}: bound states need k < 0 < lam; "
+                "the radial solution is not square-integrable here"
+            )
+        self.params, self.m, self.n_max, self.domain_max = params, m, n_max, params.r_max
+        am, s = abs(m), math.sqrt(params.alpha**2 / params.k**2 + 1.0)
+        self.a, self.b = float(am), s
+        self.log_norms = np.array([math.fsum(
             math.log((n + j) / (n + s + j)) for j in range(1, am + 1)
         ) - math.log((2.0 * n + am + s + 1.0) * 2.0 * abs(params.delta_sq))
-        self.norm_integral = math.exp(self.log_norm)
+            for n in range(n_max + 1)])
 
-    def unnormalized(self, r: float | np.ndarray,
-                     log_scale: float = 0.0) -> float | np.ndarray:
-        """exp(log_scale) U(r) / C elementwise over an array of r (a number
-        gives a number). exp(log_scale) and the envelope
-        z^(|m|/2) (1 - z)^((1+s)/2) are taken as one exponential, so a
-        scale beyond the double range still gives every representable value.
-        """
+    def values(self, r: float | np.ndarray, degrees=None) -> np.ndarray:
+        """U_n(r). Without degrees: every n = 0..n_max at every r, an array of
+        shape (n_max + 1,) + r.shape formed in place. With degrees, integers
+        in [0, n_max] whose shape broadcasts against r's: U_n(r) elementwise
+        over the broadcast (degrees, r), the same numbers."""
         r = np.asarray(r)
         if r.min() < 0.0 or r.max() >= self.domain_max:
             raise DomainError(f"r={r} outside [0, {self.domain_max})")
         z = -self.params.delta_sq * r * r
-        am = abs(self.state.m)
-        log_envelope = 0.5 * (1.0 + self.jacobi.b) * np.log1p(-z) + log_scale
-        if am:
-            with np.errstate(divide="ignore"):  # log 0 = -inf
-                log_envelope = log_envelope + 0.5 * am * np.log(z)
-        return np.exp(log_envelope) * jacobi_p(self.jacobi, 2.0 * z)
+        p = jacobi_family(self.a, self.b, self.n_max, 2.0 * z)
+        log_scale = -0.5 * self.log_norms
+        if degrees is None:
+            log_scale = log_scale.reshape((-1,) + (1,) * r.ndim)
+        else:
+            if np.count_nonzero(np.less(degrees, 0) | np.greater(degrees, self.n_max)):
+                raise ValueError(f"degrees must lie in [0, {self.n_max}], got {degrees}")
+            # row n at each r is element n * r.size + (r's flat position) of p
+            at = np.multiply(degrees, r.size) + np.arange(r.size).reshape(r.shape)
+            p, log_scale = p.reshape(-1)[at][None], log_scale[degrees][None]
+        # z^(|m|/2) (1 - z)^((1+s)/2) C_n as one exponential
+        decay = 0.5 * (1.0 + self.b) * np.log1p(-z)
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            power = 0.5 * abs(self.m) * np.log(z) if self.m else None
+        for i, scale in enumerate(log_scale):
+            p[i] *= np.exp(decay + scale if power is None else decay + scale + power)
+        return p if degrees is None else p[0]
+
+
+class RadialWavefunction(RadialFamily):
+    """Unit-normalized U(r) of one state: row state.n_r of its RadialFamily,
+    with log_norm the log of its closed-form norm. Build instances with
+    radial_wavefunction, which checks state.energy."""
+
+    def __init__(self, params: SystemParams, state: QuantumState):
+        super().__init__(params, state.m, state.n_r)
+        self.state, self.log_norm = state, self.log_norms[-1].item()
 
     def value(self, r: float | np.ndarray) -> float | np.ndarray:
-        return self.unnormalized(r, -0.5 * self.log_norm)
+        """U(r) elementwise over an array of r (a number gives a number)."""
+        return self.values(r, self.state.n_r)
 
-    __call__ = value
 
-
-def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
+def _fd_residual(u, params: SystemParams, m: int, energy_value: float | np.ndarray,
                  r: np.ndarray) -> np.ndarray:
     """Relative residual of the radial equation for an evaluator u of arrays,
-    elementwise over an array r."""
+    elementwise over an array r broadcast against energy_value."""
     lam, alpha, d2 = params.lam, params.alpha, params.delta_sq
     w = 1.0 + d2 * r * r
     coef = (
@@ -272,45 +282,52 @@ def _fd_residual(u, params: SystemParams, m: int, energy_value: float,
     return (dd + d1 / r + coef * samples[2]) / (scale * local)
 
 
-def radial_wavefunction(params: SystemParams, state: QuantumState) -> RadialWavefunction:
-    """Build the normalized radial eigenfunction for the given state.
-
-    Raises NonNormalizableError outside the bound regime k < 0 < lam (where
-    delta_sq >= 0, the domain is unbounded and the solution grows), and
-    ValueError when state.energy is not the spectrum value.
-    """
-    if not params.k < 0.0 < params.lam:
-        raise NonNormalizableError(
-            f"k={params.k}, lam={params.lam}: bound states need k < 0 < lam; "
-            "the radial solution is not square-integrable here"
-        )
+def _check_energy(params: SystemParams, state: QuantumState) -> None:
+    """ValueError unless state.energy is the spectrum value."""
     expected = energy(params, state.n_r, state.m)
     if not math.isclose(state.energy, expected, rel_tol=1e-9, abs_tol=1e-9):
-        raise ValueError(
-            f"state energy {state.energy} is not the spectrum value {expected} "
-            f"for (n_r={state.n_r}, m={state.m})"
-        )
+        raise ValueError(f"state energy {state.energy} is not the spectrum value {expected} "
+                         f"for (n_r={state.n_r}, m={state.m})")
+
+
+def radial_wavefunction(params: SystemParams, state: QuantumState) -> RadialWavefunction:
+    """The normalized radial eigenfunction of state. Raises NonNormalizableError
+    outside k < 0 < lam, and ValueError when state.energy is not the spectrum value."""
+    _check_energy(params, state)
     return RadialWavefunction(params, state)
 
 
-def ode_residual(params: SystemParams, state: QuantumState, r: float | np.ndarray,
-                 energy_override: float | None = None) -> float | np.ndarray:
+def ode_residual(params: SystemParams, states, r: float | np.ndarray,
+                 energy_override=None) -> float | np.ndarray:
     """Relative residual of the radial equation at r, by 4th-order differences.
 
-    r is a number or an ndarray of them, each in (0, r_max); an array gives
-    the residual at each of its points from one wavefunction build and five
-    array evaluations. The residual is normalized by the local coefficient
+    r is a number or an ndarray of them, each in (0, r_max). One QuantumState
+    gives the residual at each r; a sequence of states gives one row per
+    state, and the states of one m share a RadialFamily, evaluated once per
+    stencil offset. The residual is normalized by the local coefficient
     scale times the largest |U| on the stencil, so eigenstates sit at
-    roundoff level (~1e-11) while an energy shifted by 0.05 is visible at the
-    1e-3 level. energy_override replaces E in the equation only; U stays the
-    eigenstate.
+    roundoff level (~1e-11) while an energy shifted by 0.05 is visible at
+    the 1e-3 level. energy_override, one energy per state, replaces E in the
+    equation only; U stays the eigenstate.
     """
     r = np.asarray(r)
     if not 0.0 < r.min() <= r.max() < params.r_max:
         raise DomainError(f"r={r} outside the open interval (0, {params.r_max})")
-    wf = radial_wavefunction(params, state)
-    e = state.energy if energy_override is None else energy_override
-    return _fd_residual(wf.value, params, state.m, e, r)
+    one = isinstance(states, QuantumState)
+    states = [states] if one else list(states)
+    energies = np.array([st.energy for st in states] if energy_override is None
+                        else np.broadcast_to(energy_override, len(states)), dtype=float)
+    ms, ns = (np.array([getattr(st, name) for st in states], dtype=int) for name in ("m", "n_r"))
+    column = (-1,) + (1,) * r.ndim  # one value per state, broadcast along r
+    out = np.empty((len(states),) + r.shape)
+    for m in dict.fromkeys(ms.tolist()):
+        at = np.flatnonzero(ms == m)
+        family = RadialFamily(params, m, ns[at].max().item())
+        for i in at.tolist():
+            _check_energy(params, states[i])
+        out[at] = _fd_residual(lambda x: family.values(x, ns[at].reshape(column)), params, m,
+                               energies[at].reshape(column), r)
+    return out[0] if one else out
 
 
 def _turning_radius(params: SystemParams, state: QuantumState) -> float:
@@ -329,25 +346,16 @@ def radial_overlaps(params: SystemParams, triples) -> np.ndarray:
     quadrature: one value for each (m, n1, n2) of triples.
 
     Uses the mass-weighted measure; equals 1 for n1 == n2 and vanishes for
-    n1 != n2 up to quadrature error. This is the independent check of the
-    closed-form norm. Each distinct state is built once, and the integrand
-    evaluates it once per quadrature round on the nodes of every row that
-    uses it. Rows with the same number of breakpoints share one batched
-    integrate() call, whose rows are integrated as if alone, so each value
-    is the one a single-row call gives. Raises NonNormalizableError outside
-    k < 0 < lam.
+    n1 != n2 up to quadrature error: the independent check of the
+    closed-form norm. Each quadrature round evaluates each m's RadialFamily
+    once, on the nodes of every row of that m. Rows with the same number of
+    breakpoints share one batched integrate() call, whose rows are
+    integrated as if alone. Raises NonNormalizableError outside k < 0 < lam.
     """
-    triples = list(triples)
-    index: dict[tuple[int, int], int] = {}  # (n, m) -> position in wfs
-    wfs = []
-    for m, n1, n2 in triples:
-        for n in (n1, n2):
-            if (n, m) not in index:
-                index[(n, m)] = len(wfs)
-                wfs.append(radial_wavefunction(params, make_state(params, n, m)))
-    pairs = np.array([(index[(n1, m)], index[(n2, m)]) for m, n1, n2 in triples],
-                     dtype=int).reshape(-1, 2)
-    turning = [_turning_radius(params, wf.state) for wf in wfs]
+    triples = np.array(list(triples), dtype=int).reshape(-1, 3)
+    ms, degrees = triples[:, 0], triples[:, 1:]
+    families = {m: RadialFamily(params, m, degrees[ms == m].max().item())
+                for m in dict.fromkeys(ms.tolist())}
     # the integrand vanishes like (1 - z)^s at the endpoint, so the inset
     # truncates less than 1e-20 of the mass
     upper = params.r_max * (1.0 - 1e-10)
@@ -356,8 +364,8 @@ def radial_overlaps(params: SystemParams, triples) -> np.ndarray:
     # outer turning radius r_t and at r_t 2^j beyond it put nodes where the
     # states live and along their decaying tails
     cuts = []
-    for i, j in pairs.tolist():
-        row, r = [], max(turning[i], turning[j])
+    for m, n1, n2 in triples.tolist():
+        row, r = [], max(_turning_radius(params, make_state(params, n, m)) for n in {n1, n2})
         while r < upper:
             row.append(r)
             r *= 2.0
@@ -367,16 +375,15 @@ def radial_overlaps(params: SystemParams, triples) -> np.ndarray:
     for count in sorted({len(row) for row in cuts}):
         group = np.array([t for t, row in enumerate(cuts) if len(row) == count])
 
-        def integrand(r: np.ndarray, rows: np.ndarray, pairs=pairs[group]) -> np.ndarray:
-            # each state once, on the nodes of all the rows that use it
-            first, second = pairs[rows].T
-            u1, u2 = np.empty_like(r), np.empty_like(r)
-            for s in set(first.tolist()) | set(second.tolist()):
-                in1, in2 = first == s, second == s
-                u = np.empty_like(r)
-                u[in1 | in2] = wfs[s].value(r[in1 | in2])
-                u1[in1], u2[in2] = u[in1], u[in2]
-            return u1 * u2 * r / (1.0 + d2 * r * r)
+        def integrand(r: np.ndarray, rows: np.ndarray, group=group) -> np.ndarray:
+            # each m's family once, on the nodes of all the rows of that m
+            line_m, line_n = ms[group[rows]], degrees[group[rows]].T
+            u = np.empty((2,) + r.shape)
+            for m, family in families.items():
+                at = line_m == m
+                if at.any():
+                    u[:, at] = family.values(r[at], line_n[:, at, None])
+            return u[0] * u[1] * r / (1.0 + d2 * r * r)
 
         spec = QuadratureSpec(np.zeros(group.size), np.full(group.size, upper),
                               rel_tol=1e-10, abs_tol=1e-13,

@@ -16,13 +16,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "JacobiParams",
     "QuadratureSpec",
     "QuadratureResult",
     "DegreeOverflowError",
     "IntegrationError",
     "erfcx_gh",
-    "jacobi_p",
+    "jacobi_family",
     "integrate",
     "five_point_stencil",
     "central_diff",
@@ -42,23 +41,6 @@ class DegreeOverflowError(ValueError):
 
 class IntegrationError(RuntimeError):
     """Adaptive quadrature failed to converge."""
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Degree and exponent parameters of a Jacobi polynomial P_n^(a,b)."""
-
-    a: float
-    b: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"Jacobi degree must be nonnegative, got n={self.n}")
-        if self.n > JACOBI_DEGREE_CAP:
-            raise DegreeOverflowError(
-                f"Jacobi degree n={self.n} exceeds cap {JACOBI_DEGREE_CAP}"
-            )
 
 
 @dataclass(frozen=True)
@@ -176,26 +158,31 @@ def erfcx_gh(u: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return e, g, h
 
 
-def jacobi_p(params: JacobiParams, y: float) -> float:
-    """Evaluate P_n^(a,b)(x) at x = 1 - y by the three-term recurrence in the
-    degree; the tests keep the Gamma-prefactor series route as a cross-check.
-
-    With c = 2j + a + b - 1 the coefficient (2j+a+b)(2j+a+b-2) x + a^2 - b^2
-    is (2j+a-1)(2j+a+2b-1) + a^2 - 1 - (c^2 - 1) y (DLMF 18.9.1), in which
-    the b^2 terms do not cancel where b is large and y small.
+def jacobi_family(a: float, b: float, n_max: int, y: float | np.ndarray) -> np.ndarray:
+    """P_0..P_{n_max}^(a,b)(x) at x = 1 - y, elementwise over y, from one run
+    of the three-term recurrence in the degree: an array of shape
+    (n_max + 1,) + y.shape whose row n is P_n, by the same operations
+    whatever n_max is. The tests keep the Gamma-prefactor series route as a
+    cross-check. With c = 2j + a + b - 1 the coefficient (2j+a+b)(2j+a+b-2) x
+    + a^2 - b^2 is (2j+a-1)(2j+a+2b-1) + a^2 - 1 - (c^2 - 1) y (DLMF 18.9.1),
+    in which the b^2 terms do not cancel where b is large and y small.
     """
-    n, a, b = params.n, params.a, params.b
-    if n == 0:
-        return 1.0
-    p_prev = 1.0
-    p = (a + 1.0) - (a + b + 2.0) * y / 2.0
-    for j in range(2, n + 1):
+    if n_max < 0:
+        raise ValueError(f"Jacobi degree must be nonnegative, got n={n_max}")
+    if n_max > JACOBI_DEGREE_CAP:
+        raise DegreeOverflowError(f"Jacobi degree n={n_max} exceeds cap {JACOBI_DEGREE_CAP}")
+    y = np.asarray(y)
+    p = np.empty((n_max + 1,) + y.shape)
+    p[0] = 1.0
+    if n_max:
+        p[1] = (a + 1.0) - (a + b + 2.0) * y / 2.0
+    for j in range(2, n_max + 1):
         c = 2.0 * j + a + b - 1.0
         c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
         c2 = c * ((2.0 * j + a - 1.0) * (2.0 * j + a + 2.0 * b - 1.0) + a * a - 1.0
                   - (c * c - 1.0) * y)
         c3 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
-        p_prev, p = p, (c2 * p - c3 * p_prev) / c1
+        p[j] = (c2 * p[j - 1] - c3 * p[j - 2]) / c1
     return p
 
 

@@ -122,6 +122,12 @@ _BLOCK_ELEMENTS = 2**16
 # exp(-x) is exactly 0.0 in double precision for every x beyond this
 _EXP_UNDERFLOW = 746.0
 
+# each strategy's own diagnostic columns and their dtypes, for an empty grid
+_DIAGNOSTIC_DTYPES = {
+    Strategy.DIRECT_SUM: {"n_terms": int, "tail_ratio": float}, Strategy.PAPER_CLOSED_FORM: {},
+    Strategy.POISSON_PIPELINE: dict(quadrature_refinements=int, quadrature_evaluations=int,
+                                    quadrature_error_bound=float)}
+
 
 def _spine(size: int) -> list[int]:
     """Ascending lengths on the left spine of numpy's pairwise summation of
@@ -390,7 +396,7 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
     and variant "corrected" or "verbatim" (ValueError otherwise); k > 0, a
     spectrum that is not increasing in n and whose truncated sum is
     arbitrary, is refused with NonPhysicalError. An empty grid then gives an
-    empty series, whose only diagnostic is "negative_entropy". The direct sum
+    empty series with the strategy's diagnostic columns, empty. The direct sum
     reduces the spectrum in blocks of beta rows, each row up to its underflow
     cut ("n_terms"); the closed form computes only the requested d_t variant.
     """
@@ -409,7 +415,8 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
         raise ValueError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
     if betas.size == 0:
         empty = np.empty(0)
-        return _from_moments(strategy, params.kb, betas, 0.0, empty, empty, empty, {},
+        diagnostics = {name: np.empty(0, t) for name, t in _DIAGNOSTIC_DTYPES[strategy].items()}
+        return _from_moments(strategy, params.kb, betas, 0.0, empty, empty, empty, diagnostics,
                              variant if strategy is Strategy.PAPER_CLOSED_FORM else None)
     if strategy is Strategy.DIRECT_SUM:
         return _direct_series(params, m, truncation_n, betas)

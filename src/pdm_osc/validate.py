@@ -52,14 +52,11 @@ def check_quantization_roundtrip(quick: bool = False) -> CheckResult:
     alphas = (1.0,) if quick else (1.0, 2.0)
     ks = (-0.5,) if quick else (-0.1, -0.5, -1.0)
     n_max, m_max = (4, 2) if quick else (8, 4)
-    worst = 0.0
-    for alpha in alphas:
-        for k in ks:
-            p = _params(alpha, k)
-            for n in range(n_max + 1):
-                for m in range(-m_max, m_max + 1):
-                    coeffs = nu.derive_coefficients(nu_instance(p, m, energy(p, n, m)))
-                    worst = max(worst, abs(nu.quantization_residual(coeffs, n)))
+    n, m = np.arange(n_max + 1)[:, None], np.arange(-m_max, m_max + 1)  # an (n, m) grid
+    coefficients = (nu.derive_coefficients(nu_instance(p, m, energy(p, n, m)))
+                    for p in (_params(alpha, k) for alpha in alphas for k in ks))
+    # a NaN residual propagates into worst and fails the check
+    worst = np.max(np.abs([nu.quantization_residual(c, n) for c in coefficients])).item()
     return CheckResult("quantization_roundtrip", worst <= 1e-9, f"max |residual| = {worst:.3e}")
 
 
@@ -85,12 +82,10 @@ def check_spectrum_bisection(quick: bool = False) -> CheckResult:
 
 def check_tau_slope(quick: bool = False) -> CheckResult:
     """Admissibility: the tau polynomial slope is negative on every fixture."""
-    worst = -math.inf
-    for alpha, k in FIXTURE_PARAM_SETS:
-        p = _params(alpha, k)
-        for n, m in FIXTURE_STATES:
-            coeffs = nu.derive_coefficients(nu_instance(p, m, energy(p, n, m)))
-            worst = max(worst, nu.tau_prime(coeffs))
+    n, m = np.array(FIXTURE_STATES).T
+    slopes = [nu.tau_prime(nu.derive_coefficients(nu_instance(p, m, energy(p, n, m))))
+              for p in (_params(alpha, k) for alpha, k in FIXTURE_PARAM_SETS)]
+    worst = np.max(slopes).item()
     return CheckResult("tau_slope", worst < 0.0, f"max tau' = {worst:.6g}")
 
 
@@ -103,21 +98,22 @@ def check_ode_residual(quick: bool = False, inject_energy_perturbation: bool = F
     param_sets = FIXTURE_PARAM_SETS[:1] if quick else FIXTURE_PARAM_SETS
     states = FIXTURE_STATES[:3] if quick else FIXTURE_STATES
     n_points = 10 if quick else 50
-    worst = 0.0
-    worst_at = ""
+    residuals, radii = [], []
     for alpha, k in param_sets:
         p = _params(alpha, k)
         rs = p.r_max * (0.02 + 0.96 * np.arange(n_points) / max(n_points - 1, 1))
-        for n, m in states:
-            st = make_state(p, n, m)
-            override = st.energy + 0.05 if inject_energy_perturbation else None
-            res = np.abs(ode_residual(p, st, rs, energy_override=override))
-            # the first largest residual; a NaN is largest and fails the check
-            j = int(np.argmax(res))
-            if not res[j] <= worst:
-                worst, worst_at = res[j].item(), f"(alpha={alpha}, k={k}, n={n}, m={m}, r={rs[j]:.3f})"
+        sts = [make_state(p, n, m) for n, m in states]
+        override = [st.energy + 0.05 for st in sts] if inject_energy_perturbation else None
+        residuals.append(np.abs(ode_residual(p, sts, rs, energy_override=override)))
+        radii.append(rs)
+    # the first largest residual in (parameter set, state, r) order; a NaN is
+    # largest and fails the check
+    at, s, j = np.unravel_index(np.argmax(residuals), np.shape(residuals))
+    worst = residuals[at][s, j].item()
+    (alpha, k), (n, m) = param_sets[at], states[s]
     return CheckResult(
-        "ode_residual", worst <= 1e-8, f"max relative residual = {worst:.3e} at {worst_at}"
+        "ode_residual", worst <= 1e-8, f"max relative residual = {worst:.3e} at "
+        f"(alpha={alpha}, k={k}, n={n}, m={m}, r={radii[at][j]:.3f})"
     )
 
 
@@ -125,14 +121,15 @@ def check_ode_sensitivity(quick: bool = False) -> CheckResult:
     """An energy shifted by 0.05 must be visible above 1e-3 somewhere."""
     param_sets = FIXTURE_PARAM_SETS[:1] if quick else FIXTURE_PARAM_SETS
     states = FIXTURE_STATES[:3] if quick else FIXTURE_STATES
-    weakest = math.inf
+    peaks = []
     for alpha, k in param_sets:
         p = _params(alpha, k)
         rs = p.r_max * np.array((0.2, 0.35, 0.5, 0.65, 0.8))
-        for n, m in states:
-            st = make_state(p, n, m)
-            peak = np.max(np.abs(ode_residual(p, st, rs, energy_override=st.energy + 0.05)))
-            weakest = min(weakest, peak.item())
+        sts = [make_state(p, n, m) for n, m in states]
+        shifted = ode_residual(p, sts, rs, energy_override=[st.energy + 0.05 for st in sts])
+        peaks.append(np.max(np.abs(shifted), axis=1))
+    # a NaN peak propagates into weakest and fails the check
+    weakest = np.min(peaks).item()
     return CheckResult(
         "ode_sensitivity", weakest > 1e-3, f"min over states of max residual = {weakest:.3e}"
     )
@@ -165,33 +162,31 @@ def check_orthogonality(quick: bool = False) -> CheckResult:
 def check_limits(quick: bool = False) -> CheckResult:
     """k -> 0 continuity, m symmetry, level ordering, ladder partition function."""
     p_small = SystemParams(alpha=1.0, k=-1e-8)
-    worst = 0.0
-    for n in range(6):
-        for m in range(-3, 4):
-            worst = max(worst, abs(energy(p_small, n, m) - (2 * n + abs(m) + 1) * 1.0))
-    if worst > 1e-6:
+    n, m = np.arange(6)[:, None], np.arange(-3, 4)
+    worst = np.max(np.abs(energy(p_small, n, m) - (2 * n + np.abs(m) + 1) * 1.0)).item()
+    if not worst <= 1e-6:
         return CheckResult("limits", False, f"k->0 continuity violated: {worst:.3e}")
+    n, m = np.arange(5)[:, None], np.arange(4)
     for alpha, k in FIXTURE_PARAM_SETS:
         p = _params(alpha, k)
-        for n in range(5):
-            for m in range(0, 4):
-                if energy(p, n, m) != energy(p, n, -m):
-                    return CheckResult("limits", False, f"m symmetry broken at (n={n}, m={m})")
-        for m in (0, 1, 2):
-            es = [energy(p, n, m) for n in range(9)]
-            if any(b <= a for a, b in zip(es, es[1:])):
-                return CheckResult("limits", False, f"ordering broken at k={k}, m={m}")
+        broken = np.argwhere(energy(p, n, m) != energy(p, n, -m))
+        if broken.size:
+            return CheckResult("limits", False, f"m symmetry broken at (n={broken[0, 0]}, "
+                                                f"m={broken[0, 1]})")
+        # E(n, m) down the columns m = 0, 1, 2; a NaN level breaks the order
+        es = energy(p, np.arange(9)[:, None], np.arange(3))
+        broken = np.flatnonzero(~(es[1:] > es[:-1]).all(axis=0))
+        if broken.size:
+            return CheckResult("limits", False, f"ordering broken at k={k}, m={broken[0]}")
     # flat-ladder partition function against the geometric closed form
     p0 = SystemParams(alpha=1.0, k=0.0, exploratory=True)
-    betas = (0.05, 0.1, 0.5, 1.0)
-    worst_z = 0.0
-    for beta, z in zip(betas, thermo.sweep(p0, 1, 500, betas).z.tolist()):
-        z_geom = math.exp(-2.0 * beta) / (1.0 - math.exp(-2.0 * beta))
-        worst_z = max(worst_z, abs(z - z_geom) / z_geom)
-    if worst_z > 1e-10:
+    betas = np.array((0.05, 0.1, 0.5, 1.0))
+    z_geom = np.exp(-2.0 * betas) / (1.0 - np.exp(-2.0 * betas))
+    worst_z = np.max(np.abs(thermo.sweep(p0, 1, 500, betas).z - z_geom) / z_geom).item()
+    if not worst_z <= 1e-10:
         return CheckResult("limits", False, f"ladder Z mismatch: {worst_z:.3e}")
     c100 = thermo.sweep(p0, 1, 500, [1.0 / (p0.kb * 100.0)]).c.item()
-    if abs(c100 - 1.0) > 0.01:
+    if not abs(c100 - 1.0) <= 0.01:
         return CheckResult("limits", False, f"high-T ladder C = {c100:.6f}, not within 1% of kb")
     return CheckResult("limits", True, f"k->0 max dev {worst:.2e}; ladder Z dev {worst_z:.2e}; C(100)={c100:.4f}")
 

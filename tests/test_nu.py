@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,10 +157,54 @@ def test_jacobi_mapping_matches_wavefunction():
         p = SystemParams(alpha=alpha, k=k)
         for n, m in FIXTURE_STATES:
             c = derive_coefficients(nu_instance(p, m, energy(p, n, m)))
-            jacobi = radial_wavefunction(p, make_state(p, n, m)).jacobi
-            assert jacobi.n == n
-            assert c.a10 - 1.0 == pytest.approx(jacobi.a, abs=1e-12)
-            assert c.a11 / c.problem.a3 - c.a10 - 1.0 == pytest.approx(jacobi.b, rel=1e-12)
+            wf = radial_wavefunction(p, make_state(p, n, m))
+            assert wf.n_max == n
+            assert c.a10 - 1.0 == pytest.approx(wf.a, abs=1e-12)
+            assert c.a11 / c.problem.a3 - c.a10 - 1.0 == pytest.approx(wf.b, rel=1e-12)
+
+
+class TestArrays:
+    """derive_coefficients, tau_prime and quantization_residual work
+    elementwise: an array gives, at each element, the scalar call's number."""
+
+    FIELDS = ("a4", "a5", "a6", "a7", "a8", "a9", "a10", "a11", "a12", "a13",
+              "kappa_plus", "kappa_minus")
+
+    @pytest.mark.parametrize("shift", [0.0, 0.1])
+    @pytest.mark.parametrize("alpha,k", FIXTURE_PARAM_SETS)
+    def test_equal_scalar_calls_on_fixtures(self, alpha, k, shift):
+        p = SystemParams(alpha=alpha, k=k)
+        n, m = np.array(FIXTURE_STATES).T
+        c = derive_coefficients(nu_instance(p, m, energy(p, n, m) + shift))
+        residual, slope = quantization_residual(c, n), tau_prime(c)
+        for i, (ni, mi) in enumerate(FIXTURE_STATES):
+            one = derive_coefficients(nu_instance(p, mi, energy(p, ni, mi) + shift))
+            got = [np.broadcast_to(getattr(c, name), n.shape)[i] for name in self.FIELDS]
+            got += [residual[i], slope[i]]
+            want = [getattr(one, name) for name in self.FIELDS]
+            want += [quantization_residual(one, ni), tau_prime(one)]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_number_gives_a_number(self):
+        c = derive_coefficients(NUProblem(1.0, 1.0, 1.0, 0.3, -0.2, 0.5))
+        for value in (c.a10, c.kappa_minus, tau_prime(c), quantization_residual(c, 2)):
+            assert np.ndim(value) == 0 and isinstance(value, float)
+
+    def test_one_bad_radicand_refuses_the_array(self):
+        eps3 = np.array([0.5, 0.2, -1.0, 0.3])
+        with pytest.raises(NegativeDiscriminantError, match="a8 = -1.0 < 0"):
+            derive_coefficients(NUProblem(1.0, 1.0, 1.0, 0.0, 0.0, eps3))
+
+    def test_one_negative_degree_refuses_the_array(self):
+        c = derive_coefficients(NUProblem(1.0, 1.0, 1.0, 0.0, 0.0, np.array([0.5, 0.2])))
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            quantization_residual(c, np.array([2, -1]))
+
+    def test_tiny_negative_radicands_clamped(self):
+        c = derive_coefficients(NUProblem(1.0, 1.0, 1.0, 0.0, 0.0, np.array([-1e-14, 0.0])))
+        assert c.a10.tolist() == [1.0, 1.0]
+        with pytest.raises(NegativeDiscriminantError):
+            derive_coefficients(NUProblem(1.0, 1.0, 1.0, 0.0, 0.0, np.array([0.0, -1e-13])))
 
 
 def test_find_roots_by_scan_cubic():

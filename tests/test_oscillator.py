@@ -13,7 +13,9 @@ from pdm_osc.oscillator import (
     DomainError,
     NonNormalizableError,
     NonPhysicalError,
+    RadialFamily,
     SystemParams,
+    _turning_radius,
     energy,
     excitation,
     make_state,
@@ -23,7 +25,7 @@ from pdm_osc.oscillator import (
     radial_wavefunction,
     solve_energy,
 )
-from pdm_osc.specfun import JacobiParams, QuadratureSpec, integrate, jacobi_p
+from pdm_osc.specfun import QuadratureSpec, integrate, jacobi_family
 
 
 def analytic_norm_integral(params: SystemParams, n: int, m: int) -> float:
@@ -189,7 +191,7 @@ class TestRadialWavefunction:
             p = SystemParams(alpha=alpha, k=k)
             for n, m in ((0, 0), (1, 1), (3, 2)):
                 wf = radial_wavefunction(p, make_state(p, n, m))
-                assert wf.norm_integral == pytest.approx(
+                assert math.exp(wf.log_norm) == pytest.approx(
                     analytic_norm_integral(p, n, m), rel=1e-9
                 )
 
@@ -199,7 +201,7 @@ class TestRadialWavefunction:
         s = math.sqrt(1.0 / 0.25 + 1.0)
         for r in (0.2, 0.6, 1.0, 1.3):
             z = 0.5 * r * r
-            poly = jacobi_p(JacobiParams(a=1.0, b=s, n=2), 2.0 * z)
+            poly = jacobi_family(1.0, s, 2, 2.0 * z)[2]
             decay = wf.value(r) / (math.exp(-0.5 * wf.log_norm) * z**0.5 * poly)
             assert decay == pytest.approx((1.0 - z) ** (0.5 * (1.0 + s)), rel=1e-12)
         assert wf.domain_max == p.r_max
@@ -276,7 +278,88 @@ def test_closed_form_norm_across_regime_edges(log_abs_k, m, n):
         assert abs(wf.log_norm - exact) <= 1e-12 * abs(exact)
 
 
+def assert_bits_equal(got, want) -> None:
+    """Same shape and bits: NaN equals NaN, and 0.0 is not -0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_abs_k=st.floats(-8.0, math.log10(0.5)), m=st.integers(-60, 60),
+       n_max=st.integers(0, 40),
+       fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6))
+def test_family_rows_equal_one_state_values(log_abs_k, m, n_max, fractions):
+    """Row n of a family at every r is the one-state U_n(r), bit for bit, for
+    k in [-0.5, -1e-8] (log-uniform), |m| <= 60 and n_max <= 40. The radii
+    are fractions of r_max and of the sampled range of the wavefunction
+    command, where the states live."""
+    p = SystemParams(alpha=1.0, k=-(10.0**log_abs_k))
+    r_hi = min(p.r_max, 4.0 * _turning_radius(p, make_state(p, n_max, m)))
+    r = np.minimum(np.outer([p.r_max, r_hi], fractions), np.nextafter(p.r_max, 0.0))
+    family = RadialFamily(p, m, n_max)
+    rows = family.values(r)
+    assert rows.shape == (n_max + 1,) + r.shape
+    for n in range(n_max + 1):
+        one = radial_wavefunction(p, make_state(p, n, m))
+        assert one.log_norm == family.log_norms[n]
+        assert_bits_equal(rows[n], one.value(r))
+        assert_bits_equal(family.values(r, n), one.value(r))
+    assert_bits_equal(rows[n_max, 0, 0], one.value(r[0, 0]))
+
+
+class TestRadialFamily:
+    def test_degrees_broadcast_against_r(self):
+        p = SystemParams(alpha=1.0, k=-0.5)
+        family = RadialFamily(p, 2, 4)
+        r = p.r_max * np.array([[0.1, 0.5, 0.9], [0.2, 0.3, 0.4]])
+        degrees = np.array([[[4], [1]], [[0], [3]]])
+        got = family.values(r, degrees)
+        assert got.shape == (2, 2, 3)
+        rows = family.values(r)
+        for i, j in np.ndindex(2, 2):
+            assert_bits_equal(got[i, j], rows[degrees[i, j, 0], j])
+
+    def test_number_gives_a_number(self):
+        p = SystemParams(alpha=1.0, k=-0.5)
+        value = radial_wavefunction(p, make_state(p, 2, 1)).value(0.6)
+        assert np.ndim(value) == 0 and isinstance(value, float)
+
+    def test_degrees_outside_the_family_refused(self):
+        family = RadialFamily(SystemParams(alpha=1.0, k=-0.5), 1, 3)
+        for degrees in (-1, 4, np.array([[0], [5]])):
+            with pytest.raises(ValueError, match="degrees must lie in"):
+                family.values(np.array([0.2, 0.4]), degrees)
+
+    def test_refuses_outside_bound_regime(self):
+        with pytest.raises(NonNormalizableError):
+            RadialFamily(SystemParams(alpha=1.0, k=0.1, exploratory=True), 0, 3)
+
+
 class TestOdeResidual:
+    def test_states_equal_one_state_calls(self):
+        """A sequence of states, of mixed m, gives one row per state, each the
+        one-state call bit for bit, with and without energy_override."""
+        p = SystemParams(alpha=1.0, k=-0.3)
+        states = [make_state(p, n, m) for n, m in ((2, 1), (0, 0), (3, 1), (1, -2), (1, 0))]
+        rs = p.r_max * np.linspace(0.05, 0.95, 7)
+        shifted = [st_.energy + 0.05 for st_ in states]
+        for override in (None, shifted):
+            rows = ode_residual(p, states, rs, energy_override=override)
+            assert rows.shape == (len(states), rs.size)
+            for i, st_ in enumerate(states):
+                one = ode_residual(p, st_, rs,
+                                   energy_override=None if override is None else override[i])
+                assert_bits_equal(rows[i], one)
+
+    def test_inconsistent_energy_rejected(self):
+        from pdm_osc.oscillator import QuantumState
+
+        p = SystemParams(alpha=1.0, k=-0.5)
+        with pytest.raises(ValueError, match="not the spectrum value"):
+            ode_residual(p, [make_state(p, 0, 0), QuantumState(n_r=1, m=0, energy=2.0)], 0.5)
+
+
     def test_eigenstates_satisfy_equation(self):
         p = SystemParams(alpha=1.0, k=-0.5)
         for n, m in ((0, 0), (1, 0), (2, 1), (1, 2)):

@@ -13,12 +13,11 @@ from pdm_osc.specfun import (
     erfcx_gh,
     DegreeOverflowError,
     IntegrationError,
-    JacobiParams,
     QuadratureSpec,
     central_diff,
     five_point_stencil,
     integrate,
-    jacobi_p,
+    jacobi_family,
 )
 
 
@@ -50,7 +49,7 @@ class PoleError(ValueError):
 
 def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
     """Terminating Gauss series 2F1(-n, b; c; z), summed over its n+1 terms:
-    the tests' independent route to jacobi_p.
+    the tests' independent route to jacobi_family.
 
     Raises PoleError when c is a nonpositive integer in {0, -1, ..., -(n-1)},
     which would put a zero in a denominator Pochhammer before termination.
@@ -202,24 +201,30 @@ class TestErfcx:
 
 class TestJacobi:
     def test_degree_zero(self):
-        assert jacobi_p(JacobiParams(a=0.0, b=0.0, n=0), 1.0 - 0.7) == 1.0
+        assert jacobi_family(0.0, 0.0, 0, 1.0 - 0.7).tolist() == [1.0]
 
     def test_legendre_p2(self):
-        assert jacobi_p(JacobiParams(a=0.0, b=0.0, n=2), 1.0 - 0.0) == pytest.approx(-0.5,
-                                                                                      abs=1e-15)
+        # P_0, P_1 = x and P_2 = (3x^2 - 1)/2 at x = 0
+        assert jacobi_family(0.0, 0.0, 2, 1.0 - 0.0) == pytest.approx([1.0, 0.0, -0.5],
+                                                                       abs=1e-15)
 
     def test_degree_one_closed_form(self):
         # (a+1) + (a+b+2)(x-1)/2 with a=1, b=3, x=0.25
-        assert jacobi_p(JacobiParams(a=1.0, b=3.0, n=1), 1.0 - 0.25) == pytest.approx(-0.25,
-                                                                                       abs=1e-15)
+        assert jacobi_family(1.0, 3.0, 1, 1.0 - 0.25)[1] == pytest.approx(-0.25, abs=1e-15)
+
+    def test_shape(self):
+        y = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+        family = jacobi_family(2.0, 1.5, 5, y)
+        assert family.shape == (6, 3, 4)
+        assert family[0].tolist() == np.ones((3, 4)).tolist()
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            JacobiParams(a=0.0, b=0.0, n=-1)
+            jacobi_family(0.0, 0.0, -1, 0.5)
 
     def test_degree_cap(self):
         with pytest.raises(DegreeOverflowError):
-            JacobiParams(a=0.0, b=0.0, n=10**6 + 1)
+            jacobi_family(0.0, 0.0, 10**6 + 1, 0.5)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -229,10 +234,13 @@ class TestJacobi:
         x=st.floats(-1.5, 1.5),
     )
     def test_symmetry(self, n, a, b, x):
-        left = jacobi_p(JacobiParams(a=a, b=b, n=n), 1.0 + x)
-        right = (-1.0) ** n * jacobi_p(JacobiParams(a=b, b=a, n=n), 1.0 - x)
-        scale = max(1.0, abs(left), abs(right))
-        assert abs(left - right) <= 1e-12 * scale
+        """P_j^(a,b)(x) = (-1)^j P_j^(b,a)(-x) for every degree j <= n."""
+        left = jacobi_family(a, b, n, 1.0 + x)
+        right = jacobi_family(b, a, n, 1.0 - x)
+        for j in range(n + 1):
+            want = (-1.0) ** j * right[j]
+            scale = max(1.0, abs(left[j]), abs(want))
+            assert abs(left[j] - want) <= 1e-12 * scale
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -242,41 +250,49 @@ class TestJacobi:
         x=st.floats(-1.5, 1.5),
     )
     def test_recurrence_vs_series_route(self, n, a, b, x):
-        """The recurrence and the Gamma-prefactor series agree to 1e-12.
+        """The recurrence and the Gamma-prefactor series agree to 1e-12, at
+        every degree the family returns.
 
         The series is an alternating sum, so the comparison is scaled by its
         term-magnitude total: near polynomial roots pointwise relative error
         is unattainable in fixed precision for either route.
         """
         z = 0.5 * (1.0 - x)
-        series = hyp2f1_terminating(n, 1.0 + n + a + b, 1.0 + a, z)
-        prefactor = math.exp(math.lgamma(n + a + 1.0) - math.lgamma(n + 1.0) - math.lgamma(a + 1.0))
-        via_series = prefactor * series
-        via_recurrence = jacobi_p(JacobiParams(a=a, b=b, n=n), 2.0 * z)
-        conditioning = prefactor * hyp2f1_terminating_magnitude(n, 1.0 + n + a + b, 1.0 + a, z)
-        assert abs(via_recurrence - via_series) <= 1e-12 * max(1.0, conditioning)
-
+        family = jacobi_family(a, b, n, 2.0 * z)
+        for j in range(n + 1):
+            series = hyp2f1_terminating(j, 1.0 + j + a + b, 1.0 + a, z)
+            prefactor = math.exp(math.lgamma(j + a + 1.0) - math.lgamma(j + 1.0)
+                                 - math.lgamma(a + 1.0))
+            conditioning = prefactor * hyp2f1_terminating_magnitude(j, 1.0 + j + a + b, 1.0 + a, z)
+            assert abs(family[j] - prefactor * series) <= 1e-12 * max(1.0, conditioning)
 
     @settings(max_examples=150, deadline=None)
     @given(log_k=st.floats(-14.0, math.log10(5.0)), a=st.integers(0, 60),
            n=st.integers(0, 12), log_t=st.floats(-1.0, math.log10(60.0)))
     def test_against_mpmath_as_k_approaches_zero(self, log_k, a, n, log_t):
-        """P_n^(a,b)(1 - y) with the wavefunctions' b = sqrt(1/k^2 + 1) and
-        y = 2z, b z in [0.1, 60] (where the states live), is within 1e-14 of
-        60-digit mpmath for k down to -1e-14 (b up to 1e14). The error is
-        scaled by the sum of the magnitudes of the explicit sum's terms, the
-        value's own conditioning, since pointwise relative error is
-        unattainable near a root."""
+        """P_j^(a,b)(1 - y) for every degree j <= n, with the wavefunctions'
+        b = sqrt(1/k^2 + 1) and y = 2z, b z in [0.1, 60] (where the states
+        live), is within 1e-14 of 60-digit mpmath for k down to -1e-14 (b up
+        to 1e14). The error is scaled by the sum of the magnitudes of the
+        explicit sum's terms, the value's own conditioning, since pointwise
+        relative error is unattainable near a root."""
         mpmath = pytest.importorskip("mpmath")
         b = math.sqrt(1.0 / (10.0**log_k) ** 2 + 1.0)
         y = 2.0 * (10.0**log_t / b)
-        got = jacobi_p(JacobiParams(a=float(a), b=b, n=n), y)
+        family = jacobi_family(float(a), b, n, y)
         with mpmath.workdps(60):
-            half = mpmath.mpf(y) / 2
-            terms = [mpmath.binomial(n + a, n - j) * mpmath.binomial(n + mpmath.mpf(b), j)
-                     * (-half) ** j * (1 - half) ** (n - j) for j in range(n + 1)]
-            want, scale = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
-        assert abs(got - want) <= 1e-14 * scale
+            half, b = mpmath.mpf(y) / 2, mpmath.mpf(b)
+            down, up = ([x**i for i in range(n + 1)] for x in (-half, 1 - half))
+            lead = mpmath.mpf(1)  # binomial(j + a, j)
+            for j in range(n + 1):
+                # binomial(j + a, j - i) binomial(j + b, i), i = 0..j, each from the one before
+                binomials = [lead]
+                for i in range(j):
+                    binomials.append(binomials[-1] * (j - i) * (j + b - i) / ((a + i + 1) * (i + 1)))
+                terms = [c * down[i] * up[j - i] for i, c in enumerate(binomials)]
+                want, scale = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+                assert abs(family[j] - want) <= 1e-14 * scale
+                lead = lead * (j + 1 + a) / (j + 1)
 
 
 class TestHyp2F1:
@@ -304,7 +320,7 @@ class TestHyp2F1:
         a, b, n, z = 2.0, 1.0, 3, 0.3
         prefactor = math.exp(math.lgamma(n + a + 1) - math.lgamma(n + 1.0) - math.lgamma(a + 1))
         lhs = prefactor * hyp2f1_terminating(n, 1 + n + a + b, 1 + a, z)
-        rhs = jacobi_p(JacobiParams(a=a, b=b, n=n), 2.0 * z)
+        rhs = jacobi_family(a, b, n, 2.0 * z)[n]
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 

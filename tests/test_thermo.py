@@ -132,7 +132,7 @@ class TestSweepArguments:
             sweep(PHYS, 1, 500, [], Strategy.PAPER_CLOSED_FORM, "bogus")
 
 
-class TestThermoInput:
+class TestTemperatureToBeta:
     """A temperature enters the thermodynamics as beta = 1/(kb T)."""
 
     def test_from_temperature(self):
@@ -770,11 +770,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_empty_grid(self, strategy):
+        """An empty series has its strategy's diagnostic columns, each an
+        empty array of the dtype a one-point series has."""
         series = sweep(PHYS, 1, 500, [], strategy)
         assert all(getattr(series, name).shape == (0,)
                    for name in ("beta", "z", "log_z", "u", "c", "f", "s"))
-        assert list(series.diagnostics) == ["negative_entropy"]
-        assert series.diagnostics["negative_entropy"].shape == (0,)
+        assert list(series.diagnostics) == DIAGNOSTIC_COLUMNS[strategy]
+        point = sweep(PHYS, 1, 500, [1.0], strategy).diagnostics
+        for name, column in series.diagnostics.items():
+            assert column.shape == (0,) and column.dtype == point[name].dtype
 
     def test_empty_series_fields_are_own_arrays(self):
         """Each field of an empty series is its own array, so writing to one

@@ -160,3 +160,33 @@ def test_em_error_bound_over_betas(k, m, n):
     for beta, got in zip(betas.tolist(), validate._em_error_bound(p, m, n, betas).tolist()):
         f_prime = lambda x: -beta * slope(x) * math.exp(-beta * energy(p, x, m))
         assert got == pytest.approx(abs(f_prime(n + 1.0) - f_prime(0.0)) / 12.0, rel=1e-9)
+
+
+class TestNaNFailsCheck:
+    """A NaN anywhere in a check's arrays fails the check; the loops these
+    checks replaced dropped a NaN unless it came last."""
+
+    def test_ode_checks(self, monkeypatch):
+        real = validate.ode_residual
+
+        def nan_in_first_state(p, states, rs, energy_override=None):
+            rows = real(p, states, rs, energy_override=energy_override)
+            rows[0, 0] = math.nan
+            return rows
+
+        monkeypatch.setattr(validate, "ode_residual", nan_in_first_state)
+        for check in (validate.check_ode_residual, validate.check_ode_sensitivity):
+            result = check()
+            assert not result.passed and "nan" in result.detail
+
+    def test_quantization_roundtrip(self, monkeypatch):
+        real = validate.nu.quantization_residual
+
+        def nan_at_ground_state(c, n):
+            residuals = real(c, n) + 0.0 * n
+            residuals[0, 0] = math.nan
+            return residuals
+
+        monkeypatch.setattr(validate.nu, "quantization_residual", nan_at_ground_state)
+        result = validate.check_quantization_roundtrip()
+        assert not result.passed and "nan" in result.detail
