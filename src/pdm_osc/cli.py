@@ -21,7 +21,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__, thermo, validate as validation
-from .oscillator import RadialFamily, SystemParams, _turning_radius, energy, make_state
+from .oscillator import RadialFamily, SystemParams, _turning_radius, energy
 from .output import SeriesTable, format_float
 
 # the one declaration of each option: its name (the flag is "--" + name with
@@ -272,7 +272,7 @@ def cmd_wavefunction(cfg: dict) -> int:
     # the states live within a few turning radii of the origin, which is a
     # sliver of [0, r_max) as k -> 0-: sample up to four outer turning radii
     # of the highest state
-    r_hi = min(p.r_max, 4.0 * _turning_radius(p, make_state(p, n_max, m)))
+    r_hi = min(p.r_max, 4.0 * _turning_radius(p, n_max, m))
     r = r_hi * (np.arange(cfg["r_count"]) + 0.5) / cfg["r_count"]
     # the family's rows are the table's columns
     columns = [(f"U_n{n} [1/length]", u) for n, u in enumerate(family.values(r))]

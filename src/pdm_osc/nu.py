@@ -151,31 +151,28 @@ def quantization_residual(c: NUCoefficients, n: int | np.ndarray) -> float | np.
     )
 
 
-def find_roots_by_scan(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    step: float,
-) -> list[float]:
+def find_roots_by_scan(f: Callable[[float | np.ndarray], float | np.ndarray], lo: float,
+                       hi: float, step: float) -> list[float]:
     """Roots of f on [lo, hi]: bracket by sign scan with the given step, then
     bisect to a bracket narrower than 1e-12 (at most 200 halvings).
 
-    Intended as an independent eigenvalue oracle; it never assumes anything
-    about f beyond continuity on the scanned grid.
+    f must work elementwise on an ndarray: it is called once on the whole
+    scan grid lo, lo + step, ..., hi, then once on a number per bisection
+    step. Intended as an independent eigenvalue oracle; it never assumes
+    anything about f beyond continuity on the scanned grid.
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    grid = [lo]
+    while grid[-1] < hi:
+        grid.append(min(grid[-1] + step, hi))
+    values = f(np.array(grid)).tolist()
     roots: list[float] = []
-    x0 = lo
-    f0 = f(x0)
-    while x0 < hi:
-        x1 = min(x0 + step, hi)
-        f1 = f(x1)
+    for x0, x1, f0, f1 in zip(grid, grid[1:], values, values[1:]):
         if f0 == 0.0:
             roots.append(x0)
         elif f0 * f1 < 0.0:
-            a, b = x0, x1
-            fa = f0
+            a, b, fa = x0, x1, f0
             for _ in range(200):
                 m = 0.5 * (a + b)
                 fm = f(m)
@@ -186,7 +183,6 @@ def find_roots_by_scan(
                 else:
                     a, fa = m, fm
             roots.append(0.5 * (a + b))
-        x0, f0 = x1, f1
-    if f0 == 0.0:
-        roots.append(x0)
+    if values[-1] == 0.0:
+        roots.append(grid[-1])
     return roots

@@ -22,8 +22,10 @@ spectrum). Under x = 1 - 2z that measure is the Jacobi weight
 (1 - x)^|m| (1 + x)^s, so the norm is the closed-form Jacobi norm
 (DLMF 18.3) and equal-m orthogonality is Jacobi orthogonality;
 radial_overlaps re-integrates by quadrature as the independent check.
-Bound states need k < 0 < lam; elsewhere the radial solution grows and
-radial_wavefunction refuses with NonNormalizableError.
+A state is its quantum numbers (n_r, m): E(n_r, m) is energy(params, n_r, m)
+and U_{n_r,m} is row n_r of RadialFamily(params, m, n_max). Bound states need
+k < 0 < lam; elsewhere the radial solution grows and RadialFamily refuses
+with NonNormalizableError.
 """
 
 from __future__ import annotations
@@ -38,18 +40,14 @@ from .specfun import QuadratureSpec, five_point_stencil, integrate, jacobi_famil
 
 __all__ = [
     "SystemParams",
-    "QuantumState",
     "RadialFamily",
-    "RadialWavefunction",
     "DomainError",
     "NonPhysicalError",
     "NonNormalizableError",
     "energy",
     "excitation",
     "spectrum_terms",
-    "make_state",
     "nu_instance",
-    "radial_wavefunction",
     "ode_residual",
     "radial_overlaps",
     "solve_energy",
@@ -115,17 +113,12 @@ class SystemParams:
         return 1.0 / math.sqrt(-d2) if d2 < 0.0 else math.inf
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Quantum numbers and the bound-state energy they label."""
-
-    n_r: int
-    m: int
-    energy: float
-
-    def __post_init__(self):
-        if self.n_r < 0:
-            raise ValueError(f"n_r must be nonnegative, got {self.n_r}")
+def _finite(params: SystemParams, what: str, value):
+    """value, or ValueError naming the parameters where what left the double range."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"alpha={params.alpha}, k={params.k}, lam={params.lam}: {what} "
+                         "is not finite in double precision")
+    return value
 
 
 def spectrum_terms(params: SystemParams, m: int) -> tuple[float, float, float]:
@@ -158,11 +151,6 @@ def energy(params: SystemParams, n_r: float | np.ndarray,
     flat ladder (2 n_r + |m| + 1) alpha as k -> 0.
     """
     return spectrum_terms(params, m)[0] + excitation(params, n_r, m)
-
-
-def make_state(params: SystemParams, n_r: int, m: int) -> QuantumState:
-    """QuantumState with the energy filled in from the closed-form spectrum."""
-    return QuantumState(n_r=n_r, m=m, energy=energy(params, n_r, m))
 
 
 def nu_instance(params: SystemParams, m: int, energy_value: float) -> nu.NUProblem:
@@ -199,7 +187,8 @@ class RadialFamily:
     2|delta_sq|) summed as logs: the product underflows at large |m| as
     k -> 0-, where C_n may exceed the double range, so values() applies it
     inside the envelope's exponential. Raises NonNormalizableError outside
-    the bound regime k < 0 < lam, where the domain is unbounded and U grows.
+    the bound regime k < 0 < lam, where the domain is unbounded and U grows,
+    and ValueError where s is not finite (alpha/|k| beyond the double range).
     """
 
     def __init__(self, params: SystemParams, m: int, n_max: int):
@@ -209,7 +198,9 @@ class RadialFamily:
                 "the radial solution is not square-integrable here"
             )
         self.params, self.m, self.n_max, self.domain_max = params, m, n_max, params.r_max
-        am, s = abs(m), math.sqrt(params.alpha**2 / params.k**2 + 1.0)
+        with np.errstate(all="ignore"):  # numpy scalars: inf where a square overflows
+            s = np.sqrt(np.float64(params.alpha) ** 2 / np.float64(params.k) ** 2 + 1.0).item()
+        am, s = abs(m), _finite(params, "s = sqrt(alpha^2/k^2 + 1)", s)
         self.a, self.b = float(am), s
         self.log_norms = np.array([math.fsum(
             math.log((n + j) / (n + s + j)) for j in range(1, am + 1)
@@ -220,42 +211,30 @@ class RadialFamily:
         """U_n(r). Without degrees: every n = 0..n_max at every r, an array of
         shape (n_max + 1,) + r.shape formed in place. With degrees, integers
         in [0, n_max] whose shape broadcasts against r's: U_n(r) elementwise
-        over the broadcast (degrees, r), the same numbers."""
+        over the broadcast (degrees, r), the same numbers. ValueError where a
+        value is not finite: the recurrence overflows where s is huge."""
         r = np.asarray(r)
         if r.min() < 0.0 or r.max() >= self.domain_max:
             raise DomainError(f"r={r} outside [0, {self.domain_max})")
         z = -self.params.delta_sq * r * r
-        p = jacobi_family(self.a, self.b, self.n_max, 2.0 * z)
-        log_scale = -0.5 * self.log_norms
-        if degrees is None:
-            log_scale = log_scale.reshape((-1,) + (1,) * r.ndim)
-        else:
-            if np.count_nonzero(np.less(degrees, 0) | np.greater(degrees, self.n_max)):
-                raise ValueError(f"degrees must lie in [0, {self.n_max}], got {degrees}")
-            # row n at each r is element n * r.size + (r's flat position) of p
-            at = np.multiply(degrees, r.size) + np.arange(r.size).reshape(r.shape)
-            p, log_scale = p.reshape(-1)[at][None], log_scale[degrees][None]
-        # z^(|m|/2) (1 - z)^((1+s)/2) C_n as one exponential
-        decay = 0.5 * (1.0 + self.b) * np.log1p(-z)
-        with np.errstate(divide="ignore"):  # log 0 = -inf
+        # log 0 = -inf; an overflow or inf * 0 is refused below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            p = jacobi_family(self.a, self.b, self.n_max, 2.0 * z)
+            log_scale = -0.5 * self.log_norms
+            if degrees is None:
+                log_scale = log_scale.reshape((-1,) + (1,) * r.ndim)
+            else:
+                if np.count_nonzero(np.less(degrees, 0) | np.greater(degrees, self.n_max)):
+                    raise ValueError(f"degrees must lie in [0, {self.n_max}], got {degrees}")
+                # row n at each r is element n * r.size + (r's flat position) of p
+                at = np.multiply(degrees, r.size) + np.arange(r.size).reshape(r.shape)
+                p, log_scale = p.reshape(-1)[at][None], log_scale[degrees][None]
+            # z^(|m|/2) (1 - z)^((1+s)/2) C_n as one exponential
+            decay = 0.5 * (1.0 + self.b) * np.log1p(-z)
             power = 0.5 * abs(self.m) * np.log(z) if self.m else None
-        for i, scale in enumerate(log_scale):
-            p[i] *= np.exp(decay + scale if power is None else decay + scale + power)
-        return p if degrees is None else p[0]
-
-
-class RadialWavefunction(RadialFamily):
-    """Unit-normalized U(r) of one state: row state.n_r of its RadialFamily,
-    with log_norm the log of its closed-form norm. Build instances with
-    radial_wavefunction, which checks state.energy."""
-
-    def __init__(self, params: SystemParams, state: QuantumState):
-        super().__init__(params, state.m, state.n_r)
-        self.state, self.log_norm = state, self.log_norms[-1].item()
-
-    def value(self, r: float | np.ndarray) -> float | np.ndarray:
-        """U(r) elementwise over an array of r (a number gives a number)."""
-        return self.values(r, self.state.n_r)
+            for i, scale in enumerate(log_scale):
+                p[i] *= np.exp(decay + scale if power is None else decay + scale + power)
+        return _finite(self.params, "U_n(r)", p if degrees is None else p[0])
 
 
 def _fd_residual(u, params: SystemParams, m: int, energy_value: float | np.ndarray,
@@ -282,63 +261,50 @@ def _fd_residual(u, params: SystemParams, m: int, energy_value: float | np.ndarr
     return (dd + d1 / r + coef * samples[2]) / (scale * local)
 
 
-def _check_energy(params: SystemParams, state: QuantumState) -> None:
-    """ValueError unless state.energy is the spectrum value."""
-    expected = energy(params, state.n_r, state.m)
-    if not math.isclose(state.energy, expected, rel_tol=1e-9, abs_tol=1e-9):
-        raise ValueError(f"state energy {state.energy} is not the spectrum value {expected} "
-                         f"for (n_r={state.n_r}, m={state.m})")
-
-
-def radial_wavefunction(params: SystemParams, state: QuantumState) -> RadialWavefunction:
-    """The normalized radial eigenfunction of state. Raises NonNormalizableError
-    outside k < 0 < lam, and ValueError when state.energy is not the spectrum value."""
-    _check_energy(params, state)
-    return RadialWavefunction(params, state)
-
-
-def ode_residual(params: SystemParams, states, r: float | np.ndarray,
+def ode_residual(params: SystemParams, n_r, m, r: float | np.ndarray,
                  energy_override=None) -> float | np.ndarray:
     """Relative residual of the radial equation at r, by 4th-order differences.
 
-    r is a number or an ndarray of them, each in (0, r_max). One QuantumState
-    gives the residual at each r; a sequence of states gives one row per
-    state, and the states of one m share a RadialFamily, evaluated once per
-    stencil offset. The residual is normalized by the local coefficient
+    n_r and m are quantum numbers: numbers, or integer ndarrays of one
+    broadcast shape; r is a number or an ndarray of them, each in
+    (0, r_max). The result has shape n_r.shape + r.shape (numbers give a
+    number), and the states of one m share a RadialFamily, evaluated once
+    per stencil offset. The residual is normalized by the local coefficient
     scale times the largest |U| on the stencil, so eigenstates sit at
     roundoff level (~1e-11) while an energy shifted by 0.05 is visible at
-    the 1e-3 level. energy_override, one energy per state, replaces E in the
-    equation only; U stays the eigenstate.
+    the 1e-3 level. energy_override, broadcast against n_r, replaces
+    E(n_r, m) in the equation only; U stays the eigenstate.
     """
     r = np.asarray(r)
     if not 0.0 < r.min() <= r.max() < params.r_max:
         raise DomainError(f"r={r} outside the open interval (0, {params.r_max})")
-    one = isinstance(states, QuantumState)
-    states = [states] if one else list(states)
-    energies = np.array([st.energy for st in states] if energy_override is None
-                        else np.broadcast_to(energy_override, len(states)), dtype=float)
-    ms, ns = (np.array([getattr(st, name) for st in states], dtype=int) for name in ("m", "n_r"))
+    n_r, m = np.broadcast_arrays(n_r, m)
+    energies = energy(params, n_r, m)  # refuses a negative n_r
+    if energy_override is not None:
+        energies = np.broadcast_to(energy_override, n_r.shape)
+    ns, ms, energies = n_r.reshape(-1), m.reshape(-1), np.reshape(energies, -1)
     column = (-1,) + (1,) * r.ndim  # one value per state, broadcast along r
-    out = np.empty((len(states),) + r.shape)
-    for m in dict.fromkeys(ms.tolist()):
-        at = np.flatnonzero(ms == m)
-        family = RadialFamily(params, m, ns[at].max().item())
-        for i in at.tolist():
-            _check_energy(params, states[i])
-        out[at] = _fd_residual(lambda x: family.values(x, ns[at].reshape(column)), params, m,
-                               energies[at].reshape(column), r)
-    return out[0] if one else out
+    out = np.empty(ns.shape + r.shape)
+    for m_value in dict.fromkeys(ms.tolist()):
+        at = np.flatnonzero(ms == m_value)
+        family = RadialFamily(params, m_value, ns[at].max().item())
+        out[at] = _fd_residual(lambda x: family.values(x, ns[at].reshape(column)), params,
+                               m_value, energies[at].reshape(column), r)
+    return out.reshape(n_r.shape + r.shape)[()]
 
 
-def _turning_radius(params: SystemParams, state: QuantumState) -> float:
-    """Outer classical turning radius: the largest r at which the bracket of
-    the radial equation vanishes. With u = r^2 and w = 1 + delta_sq u that
-    is the larger root of (2 lam E delta_sq - alpha^2 lam^2) u^2
-    + (2 lam E - m^2 delta_sq) u - m^2 = 0."""
-    lam, d2, e, m2 = params.lam, params.delta_sq, state.energy, state.m * state.m
-    a = 2.0 * lam * e * d2 - (params.alpha * lam) ** 2
-    b = 2.0 * lam * e - m2 * d2
-    return math.sqrt((b + math.sqrt(max(b * b + 4.0 * a * m2, 0.0))) / (-2.0 * a))
+def _turning_radius(params: SystemParams, n_r, m) -> float | np.ndarray:
+    """Outer classical turning radius of (n_r, m), numbers or arrays: the
+    largest r at which the bracket of the radial equation vanishes. With
+    u = r^2 and w = 1 + delta_sq u that is the larger root of
+    (2 lam E delta_sq - alpha^2 lam^2) u^2 + (2 lam E - m^2 delta_sq) u - m^2 = 0.
+    ValueError where a term overflows or the u^2 coefficient underflows to 0."""
+    lam, d2, e, m2 = params.lam, params.delta_sq, energy(params, n_r, m), np.square(m)
+    with np.errstate(all="ignore"):  # numpy scalars: inf or NaN, refused
+        a = 2.0 * lam * e * d2 - np.float64(params.alpha * lam) ** 2
+        b = 2.0 * lam * e - m2 * d2
+        return _finite(params, "the outer turning radius", np.sqrt(
+            (b + np.sqrt(np.maximum(b * b + 4.0 * a * m2, 0.0))) / (-2.0 * a)))
 
 
 def radial_overlaps(params: SystemParams, triples) -> np.ndarray:
@@ -364,8 +330,8 @@ def radial_overlaps(params: SystemParams, triples) -> np.ndarray:
     # outer turning radius r_t and at r_t 2^j beyond it put nodes where the
     # states live and along their decaying tails
     cuts = []
-    for m, n1, n2 in triples.tolist():
-        row, r = [], max(_turning_radius(params, make_state(params, n, m)) for n in {n1, n2})
+    for r in _turning_radius(params, degrees, ms[:, None]).max(axis=1).tolist():
+        row = []
         while r < upper:
             row.append(r)
             r *= 2.0

@@ -16,7 +16,6 @@ from . import nu, thermo
 from .oscillator import (
     SystemParams,
     energy,
-    make_state,
     nu_instance,
     ode_residual,
     radial_overlaps,
@@ -97,14 +96,14 @@ def check_ode_residual(quick: bool = False, inject_energy_perturbation: bool = F
     """
     param_sets = FIXTURE_PARAM_SETS[:1] if quick else FIXTURE_PARAM_SETS
     states = FIXTURE_STATES[:3] if quick else FIXTURE_STATES
+    n, m = np.array(states).T
     n_points = 10 if quick else 50
     residuals, radii = [], []
     for alpha, k in param_sets:
         p = _params(alpha, k)
         rs = p.r_max * (0.02 + 0.96 * np.arange(n_points) / max(n_points - 1, 1))
-        sts = [make_state(p, n, m) for n, m in states]
-        override = [st.energy + 0.05 for st in sts] if inject_energy_perturbation else None
-        residuals.append(np.abs(ode_residual(p, sts, rs, energy_override=override)))
+        override = energy(p, n, m) + 0.05 if inject_energy_perturbation else None
+        residuals.append(np.abs(ode_residual(p, n, m, rs, energy_override=override)))
         radii.append(rs)
     # the first largest residual in (parameter set, state, r) order; a NaN is
     # largest and fails the check
@@ -120,13 +119,12 @@ def check_ode_residual(quick: bool = False, inject_energy_perturbation: bool = F
 def check_ode_sensitivity(quick: bool = False) -> CheckResult:
     """An energy shifted by 0.05 must be visible above 1e-3 somewhere."""
     param_sets = FIXTURE_PARAM_SETS[:1] if quick else FIXTURE_PARAM_SETS
-    states = FIXTURE_STATES[:3] if quick else FIXTURE_STATES
+    n, m = np.array(FIXTURE_STATES[:3] if quick else FIXTURE_STATES).T
     peaks = []
     for alpha, k in param_sets:
         p = _params(alpha, k)
         rs = p.r_max * np.array((0.2, 0.35, 0.5, 0.65, 0.8))
-        sts = [make_state(p, n, m) for n, m in states]
-        shifted = ode_residual(p, sts, rs, energy_override=[st.energy + 0.05 for st in sts])
+        shifted = ode_residual(p, n, m, rs, energy_override=energy(p, n, m) + 0.05)
         peaks.append(np.max(np.abs(shifted), axis=1))
     # a NaN peak propagates into weakest and fails the check
     weakest = np.min(peaks).item()

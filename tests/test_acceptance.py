@@ -54,10 +54,10 @@ def test_criterion_02_ode_residual_and_sensitivity():
         rs = params.r_max * (0.02 + 0.96 * np.arange(50) / 49.0)
         fracs = params.r_max * np.array([0.2, 0.35, 0.5, 0.65, 0.8])
         for n, m in FIXTURE_STATES:
-            state = p.make_state(params, n, m)
-            worst = max(worst, np.abs(p.ode_residual(params, state, rs)).max().item())
-            peak = np.abs(p.ode_residual(params, state, fracs,
-                                         energy_override=state.energy + 0.05)).max().item()
+            worst = max(worst, np.abs(p.ode_residual(params, n, m, rs)).max().item())
+            shifted = p.energy(params, n, m) + 0.05
+            peak = np.abs(p.ode_residual(params, n, m, fracs,
+                                         energy_override=shifted)).max().item()
             weakest_perturbed = min(weakest_perturbed, peak)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and weakest_perturbed > 1e-3 and elapsed < 10.0
@@ -92,13 +92,12 @@ def test_criterion_03_normalization_and_orthogonality():
                                       abs(p.radial_overlaps(params, [(m, n1, n2)])[0]))
     # flat-measure contrast, one fixture
     params = p.SystemParams(alpha=1.0, k=-0.5)
-    w0 = p.radial_wavefunction(params, p.make_state(params, 0, 0))
-    w1 = p.radial_wavefunction(params, p.make_state(params, 1, 0))
-    flat = integrate(lambda r, _: w0.value(r) * w1.value(r) * r,
+    family = p.RadialFamily(params, 0, 1)  # U_0 and U_1 at m = 0
+    flat = integrate(lambda r, _: family.values(r, 0) * family.values(r, 1) * r,
                      QuadratureSpec(0.0, params.r_max * (1 - 1e-10), rel_tol=1e-9)).value
-    norm0 = integrate(lambda r, _: w0.value(r) ** 2 * r,
+    norm0 = integrate(lambda r, _: family.values(r, 0) ** 2 * r,
                       QuadratureSpec(0.0, params.r_max * (1 - 1e-10), rel_tol=1e-9)).value
-    norm1 = integrate(lambda r, _: w1.value(r) ** 2 * r,
+    norm1 = integrate(lambda r, _: family.values(r, 1) ** 2 * r,
                       QuadratureSpec(0.0, params.r_max * (1 - 1e-10), rel_tol=1e-9)).value
     flat_cross = abs(flat) / math.sqrt(norm0 * norm1)
     elapsed = time.perf_counter() - t0

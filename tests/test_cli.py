@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import pdm_osc
 from pdm_osc import output, thermo
 from pdm_osc.cli import _temperature_grid, build_parser, main
-from pdm_osc.oscillator import SystemParams, make_state, radial_overlaps, radial_wavefunction
+from pdm_osc.oscillator import RadialFamily, SystemParams, radial_overlaps
 from pdm_osc.output import SeriesTable, format_float
 from pdm_osc.specfun import QuadratureSpec, integrate
 
@@ -398,6 +398,22 @@ class TestWavefunctionCommand:
             assert "k < 0 < lam" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--k=-1e-300"], ["--k=-0.1", "--lam=1e-300"], ["--k=-1e300"],
+        ["--alpha=1e300", "--k=-0.1"], ["--k=-0.1", "--lam=1e300"], ["--k=-1e-150"],
+        ["--alpha=1e150", "--k=-0.1"]])
+    def test_parameters_beyond_double_range_refused(self, tmp_path, capsys, argv):
+        # s, the turning radius or the recurrence overflows (or a term
+        # underflows to 0): one typed line, and no RuntimeWarning, which would
+        # fail here before the refusal
+        out = tmp_path / "out"
+        assert main(["wavefunction", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: alpha=") and "lam=" in err
+        assert "is not finite in double precision" in err
+        assert not out.exists()
+
     def test_normalization_beyond_double_range(self, tmp_path):
         # log_norm = -1470: the normalization exp(735) overflows, U does not
         out = tmp_path / "out"
@@ -423,9 +439,10 @@ class TestWavefunctionCommand:
         ground = [abs(row[1]) for row in body]
         assert sum(u > 0.01 * max(ground) for u in ground) >= 20
         p = SystemParams(alpha=1.0, k=-1e-6)
+        family = RadialFamily(p, 40, 3)
         for n in range(4):
-            wf = radial_wavefunction(p, make_state(p, n, 40))
-            inside = integrate(lambda r, _: wf.value(r) ** 2 * r / (1.0 + p.delta_sq * r * r),
+            inside = integrate(lambda r, _: family.values(r, n) ** 2 * r
+                               / (1.0 + p.delta_sq * r * r),
                                QuadratureSpec(0.0, r_hi, rel_tol=1e-12, abs_tol=1e-15)).value
             assert inside >= (1.0 - 1e-10) * radial_overlaps(p, [(40, n, n)])[0]
 
@@ -579,7 +596,8 @@ def test_public_surface():
                "SystemParams.from_delta", "RadialWavefunction.radial_weight",
                "build_solution", "NUSolution", "ThermoInput", "ThermoResult", "evaluate",
                "levels", "_series", "ThermoSeries.__getitem__", "ThermoSeries.__len__",
-               "_log", "_libm", "_z"}
+               "_log", "_libm", "_z", "QuantumState", "make_state", "_check_energy",
+               "RadialWavefunction", "radial_wavefunction"}
     for namespace in (pdm_osc,) + modules:
         for name in deleted:
             head, *members = name.split(".")

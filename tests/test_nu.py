@@ -15,7 +15,7 @@ from pdm_osc.nu import (
     quantization_residual,
     tau_prime,
 )
-from pdm_osc.oscillator import SystemParams, energy, make_state, nu_instance, radial_wavefunction
+from pdm_osc.oscillator import RadialFamily, SystemParams, energy, nu_instance
 from pdm_osc.validate import FIXTURE_PARAM_SETS, FIXTURE_STATES
 
 
@@ -151,16 +151,15 @@ class TestQuantization:
 def test_jacobi_mapping_matches_wavefunction():
     """The NU bound solution's Jacobi parameters, a = a10 - 1 and
     b = a11/a3 - a10 - 1 (the weight's (1 - a3 z) exponent), are the
-    (|m|, s) that radial_wavefunction evaluates, on every fixture state of
+    (|m|, s) that RadialFamily evaluates, on every fixture state of
     every fixture parameter set."""
     for alpha, k in FIXTURE_PARAM_SETS:
         p = SystemParams(alpha=alpha, k=k)
         for n, m in FIXTURE_STATES:
             c = derive_coefficients(nu_instance(p, m, energy(p, n, m)))
-            wf = radial_wavefunction(p, make_state(p, n, m))
-            assert wf.n_max == n
-            assert c.a10 - 1.0 == pytest.approx(wf.a, abs=1e-12)
-            assert c.a11 / c.problem.a3 - c.a10 - 1.0 == pytest.approx(wf.b, rel=1e-12)
+            family = RadialFamily(p, m, n)
+            assert c.a10 - 1.0 == pytest.approx(family.a, abs=1e-12)
+            assert c.a11 / c.problem.a3 - c.a10 - 1.0 == pytest.approx(family.b, rel=1e-12)
 
 
 class TestArrays:
@@ -212,6 +211,22 @@ def test_find_roots_by_scan_cubic():
     assert len(roots) == 3
     for found, true in zip(sorted(roots), (-2.0, 0.0, 1.0)):
         assert found == pytest.approx(true, abs=1e-10)
+
+
+def test_find_roots_by_scan_calls_f_once_on_the_grid():
+    """One call on the whole scan grid (an ndarray), then one call on a number
+    per bisection step."""
+    calls = []
+
+    def f(x):
+        calls.append(np.ndim(x))
+        return x - 0.3
+
+    roots = find_roots_by_scan(f, 0.0, 1.0, 0.25)
+    assert roots == [pytest.approx(0.3, abs=1e-12)]
+    assert calls[0] == 1 and calls[1:] == [0] * (len(calls) - 1)
+    # each step halves [0.25, 0.5] until it is narrower than 1e-12
+    assert len(calls) - 1 == math.ceil(math.log2(0.25 / 1e-12)) + 1
 
 
 def test_find_roots_step_validation():

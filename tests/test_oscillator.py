@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,11 +19,9 @@ from pdm_osc.oscillator import (
     _turning_radius,
     energy,
     excitation,
-    make_state,
     nu_instance,
     ode_residual,
     radial_overlaps,
-    radial_wavefunction,
     solve_energy,
 )
 from pdm_osc.specfun import QuadratureSpec, integrate, jacobi_family
@@ -44,11 +43,12 @@ def analytic_norm_integral(params: SystemParams, n: int, m: int) -> float:
     return h / (2.0 * abs(params.delta_sq))
 
 
-def total_wavefunction(params: SystemParams, state, r: float, theta: float) -> complex:
-    """Psi(r, theta) = U(r) exp(-i m theta) / sqrt(2 pi), the separation
-    ansatz with its angular factor unit-normalized on [0, 2 pi)."""
-    u = radial_wavefunction(params, state).value(r)
-    return u / math.sqrt(2.0 * math.pi) * cmath.exp(-1j * state.m * theta)
+def total_wavefunction(params: SystemParams, n_r: int, m: int, r: float,
+                       theta: float) -> complex:
+    """Psi(r, theta) = U(r) exp(-i m theta) / sqrt(2 pi) of the state (n_r, m),
+    the separation ansatz with its angular factor unit-normalized on [0, 2 pi)."""
+    u = RadialFamily(params, m, n_r).values(r, n_r)
+    return u / math.sqrt(2.0 * math.pi) * cmath.exp(-1j * m * theta)
 
 
 class TestSystemParams:
@@ -174,12 +174,12 @@ class TestRadialWavefunction:
     def test_ground_state_profile(self):
         # n=0, m=0: the polynomial factor is 1, U is a pure decay profile
         p = SystemParams(alpha=1.0, k=-0.5)
-        wf = radial_wavefunction(p, make_state(p, 0, 0))
+        family = RadialFamily(p, 0, 0)
         s = math.sqrt(1.0 / 0.25 + 1.0)
         for r in (0.1, 0.5, 1.0):
             z = 0.5 * r * r
-            expected = math.exp(-0.5 * wf.log_norm) * (1.0 - z) ** (0.5 * (1.0 + s))
-            assert wf.value(r) == pytest.approx(expected, rel=1e-13)
+            expected = math.exp(-0.5 * family.log_norms[0]) * (1.0 - z) ** (0.5 * (1.0 + s))
+            assert family.values(r, 0) == pytest.approx(expected, rel=1e-13)
 
     def test_normalization_against_requadrature(self):
         p = SystemParams(alpha=1.0, k=-0.5)
@@ -190,47 +190,39 @@ class TestRadialWavefunction:
         for alpha, k in ((1.0, -0.5), (2.0, -0.3)):
             p = SystemParams(alpha=alpha, k=k)
             for n, m in ((0, 0), (1, 1), (3, 2)):
-                wf = radial_wavefunction(p, make_state(p, n, m))
-                assert math.exp(wf.log_norm) == pytest.approx(
+                assert math.exp(RadialFamily(p, m, n).log_norms[n]) == pytest.approx(
                     analytic_norm_integral(p, n, m), rel=1e-9
                 )
 
     def test_decaying_branch_selected(self):
         p = SystemParams(alpha=1.0, k=-0.5)
-        wf = radial_wavefunction(p, make_state(p, 2, 1))
+        family = RadialFamily(p, 1, 2)
         s = math.sqrt(1.0 / 0.25 + 1.0)
         for r in (0.2, 0.6, 1.0, 1.3):
             z = 0.5 * r * r
             poly = jacobi_family(1.0, s, 2, 2.0 * z)[2]
-            decay = wf.value(r) / (math.exp(-0.5 * wf.log_norm) * z**0.5 * poly)
+            decay = family.values(r, 2) / (math.exp(-0.5 * family.log_norms[2]) * z**0.5 * poly)
             assert decay == pytest.approx((1.0 - z) ** (0.5 * (1.0 + s)), rel=1e-12)
-        assert wf.domain_max == p.r_max
+        assert family.domain_max == p.r_max
 
     def test_small_r_power_law(self):
         p = SystemParams(alpha=1.0, k=-0.5)
         for m in (1, 2):
-            wf = radial_wavefunction(p, make_state(p, 0, m))
-            ratio = wf.value(2e-4) / wf.value(1e-4)
+            ground = RadialFamily(p, m, 0)
+            ratio = ground.values(2e-4, 0) / ground.values(1e-4, 0)
             assert ratio == pytest.approx(2.0**abs(m), rel=1e-4)
-
-    def test_inconsistent_energy_rejected(self):
-        from pdm_osc.oscillator import QuantumState
-
-        p = SystemParams(alpha=1.0, k=-0.5)
-        with pytest.raises(ValueError):
-            radial_wavefunction(p, QuantumState(n_r=0, m=0, energy=2.0))
 
     def test_exploratory_positive_k_not_normalizable(self):
         for k in (0.0, 1e-3, 0.5):
             p = SystemParams(alpha=1.0, k=k, exploratory=True)
             with pytest.raises(NonNormalizableError):
-                radial_wavefunction(p, make_state(p, 0, 0))
+                RadialFamily(p, 0, 0)
 
     def test_negative_lam_not_normalizable(self):
         # delta_sq = k lam > 0: an unbounded domain on which U grows
         p = SystemParams(alpha=1.0, k=-0.5, lam=-1.0)
         with pytest.raises(NonNormalizableError):
-            radial_wavefunction(p, make_state(p, 1, 1))
+            RadialFamily(p, 1, 1)
 
     def test_normalization_at_large_m_small_k(self):
         # the closed-form norm against quadrature
@@ -251,10 +243,10 @@ class TestRadialWavefunction:
             assert radial_overlaps(p, [(m, n, n)])[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_domain_guard(self):
-        p = SystemParams(alpha=1.0, k=-0.5)
-        wf = radial_wavefunction(p, make_state(p, 0, 0))
-        with pytest.raises(DomainError):
-            wf.value(p.r_max)
+        family = RadialFamily(SystemParams(alpha=1.0, k=-0.5), 0, 0)
+        for degrees in (None, 0):
+            with pytest.raises(DomainError):
+                family.values(family.domain_max, degrees)
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,9 +256,10 @@ def test_closed_form_norm_across_regime_edges(log_abs_k, m, n):
     """The log-domain norm matches a 50-digit Gamma-function evaluation."""
     mpmath = pytest.importorskip("mpmath")
     p = SystemParams(alpha=1.0, k=-(10.0**log_abs_k))
-    wf = radial_wavefunction(p, make_state(p, n, m))
-    assert math.isfinite(wf.log_norm)
-    assert np.all(np.isfinite(wf.value(p.r_max * np.linspace(0.05, 0.95, 19))))
+    family = RadialFamily(p, m, n)
+    log_norm = family.log_norms[n].item()
+    assert math.isfinite(log_norm)
+    assert np.all(np.isfinite(family.values(p.r_max * np.linspace(0.05, 0.95, 19), n)))
     with mpmath.workdps(50):
         a = abs(m)
         s = mpmath.sqrt(1 / mpmath.mpf(p.k) ** 2 + 1)
@@ -275,7 +268,7 @@ def test_closed_form_norm_across_regime_edges(log_abs_k, m, n):
             - mpmath.loggamma(n + a + s + 1) - mpmath.loggamma(n + 1)
             - mpmath.log(2 * n + a + s + 1) - mpmath.log(2 * abs(mpmath.mpf(p.delta_sq)))
         )
-        assert abs(wf.log_norm - exact) <= 1e-12 * abs(exact)
+        assert abs(log_norm - exact) <= 1e-12 * abs(exact)
 
 
 def assert_bits_equal(got, want) -> None:
@@ -290,22 +283,22 @@ def assert_bits_equal(got, want) -> None:
        n_max=st.integers(0, 40),
        fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6))
 def test_family_rows_equal_one_state_values(log_abs_k, m, n_max, fractions):
-    """Row n of a family at every r is the one-state U_n(r), bit for bit, for
-    k in [-0.5, -1e-8] (log-uniform), |m| <= 60 and n_max <= 40. The radii
-    are fractions of r_max and of the sampled range of the wavefunction
-    command, where the states live."""
+    """Row n of a family at every r is U_n(r) of the family that ends at n,
+    bit for bit, for k in [-0.5, -1e-8] (log-uniform), |m| <= 60 and
+    n_max <= 40. The radii are fractions of r_max and of the sampled range
+    of the wavefunction command, where the states live."""
     p = SystemParams(alpha=1.0, k=-(10.0**log_abs_k))
-    r_hi = min(p.r_max, 4.0 * _turning_radius(p, make_state(p, n_max, m)))
+    r_hi = min(p.r_max, 4.0 * _turning_radius(p, n_max, m))
     r = np.minimum(np.outer([p.r_max, r_hi], fractions), np.nextafter(p.r_max, 0.0))
     family = RadialFamily(p, m, n_max)
     rows = family.values(r)
     assert rows.shape == (n_max + 1,) + r.shape
     for n in range(n_max + 1):
-        one = radial_wavefunction(p, make_state(p, n, m))
-        assert one.log_norm == family.log_norms[n]
-        assert_bits_equal(rows[n], one.value(r))
-        assert_bits_equal(family.values(r, n), one.value(r))
-    assert_bits_equal(rows[n_max, 0, 0], one.value(r[0, 0]))
+        one = RadialFamily(p, m, n)
+        assert one.log_norms[n] == family.log_norms[n]
+        assert_bits_equal(rows[n], one.values(r, n))
+        assert_bits_equal(family.values(r, n), one.values(r, n))
+    assert_bits_equal(rows[n_max, 0, 0], one.values(r[0, 0], n_max))
 
 
 class TestRadialFamily:
@@ -321,8 +314,7 @@ class TestRadialFamily:
             assert_bits_equal(got[i, j], rows[degrees[i, j, 0], j])
 
     def test_number_gives_a_number(self):
-        p = SystemParams(alpha=1.0, k=-0.5)
-        value = radial_wavefunction(p, make_state(p, 2, 1)).value(0.6)
+        value = RadialFamily(SystemParams(alpha=1.0, k=-0.5), 1, 2).values(0.6, 2)
         assert np.ndim(value) == 0 and isinstance(value, float)
 
     def test_degrees_outside_the_family_refused(self):
@@ -335,94 +327,120 @@ class TestRadialFamily:
         with pytest.raises(NonNormalizableError):
             RadialFamily(SystemParams(alpha=1.0, k=0.1, exploratory=True), 0, 3)
 
+    @pytest.mark.parametrize("alpha, k", [(1.0, -1e-300), (1e300, -0.1)])
+    def test_refuses_s_beyond_double_range(self, alpha, k):
+        # alpha^2 / k^2 overflows: s = sqrt(alpha^2/k^2 + 1) is not finite
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha}, k={k}, lam=1.0: s = ")):
+            RadialFamily(SystemParams(alpha=alpha, k=k), 1, 3)
+
+    def test_refuses_values_beyond_double_range(self):
+        # s = 1e150: the recurrence overflows where the states live. At
+        # s = 1e12, P_30(-1) overflows near r_max, where U_30 underflows to
+        # 0: the overlap quadrature refuses rather than refine NaN
+        p = SystemParams(alpha=1.0, k=-1e-150)
+        r = np.linspace(0.0, 4.0 * _turning_radius(p, 8, 1), 50)
+        with pytest.raises(ValueError, match=re.escape("k=-1e-150, lam=1.0: U_n(r) is not")):
+            RadialFamily(p, 1, 8).values(r)
+        with pytest.raises(ValueError, match=re.escape("k=-1e-12, lam=1.0: U_n(r) is not")):
+            radial_overlaps(SystemParams(alpha=1.0, k=-1e-12), [(0, 30, 30)])
+
+
+class TestTurningRadius:
+    def test_arrays_equal_number_calls(self):
+        p = SystemParams(alpha=1.0, k=-0.3)
+        n, m = np.array([[0, 3, 1], [2, 0, 5]]), np.array([[1, -2, 0], [4, 1, 1]])
+        radii = _turning_radius(p, n, m)
+        assert radii.shape == n.shape
+        for i, j in np.ndindex(n.shape):
+            assert_bits_equal(radii[i, j], _turning_radius(p, n[i, j].item(), m[i, j].item()))
+
+    @pytest.mark.parametrize("k, lam", [(-0.1, 1e-300), (-0.1, 1e300), (-1e300, 1.0)])
+    def test_refuses_radius_beyond_double_range(self, k, lam):
+        # (alpha lam)^2 or E delta_sq overflows, or the u^2 coefficient is 0
+        with pytest.raises(ValueError, match=re.escape(f"k={k}, lam={lam}: the outer turning radius")):
+            _turning_radius(SystemParams(alpha=1.0, k=k, lam=lam), 1, 1)
+
 
 class TestOdeResidual:
     def test_states_equal_one_state_calls(self):
-        """A sequence of states, of mixed m, gives one row per state, each the
-        one-state call bit for bit, with and without energy_override."""
+        """Arrays of (n, m), of mixed m, give shape n.shape + r.shape, each
+        state the call with numbers n and m bit for bit at every r, with and
+        without energy_override."""
         p = SystemParams(alpha=1.0, k=-0.3)
-        states = [make_state(p, n, m) for n, m in ((2, 1), (0, 0), (3, 1), (1, -2), (1, 0))]
+        n, m = np.array([[2, 0, 3], [1, 1, 0]]), np.array([[1, 0, 1], [-2, 0, 2]])
         rs = p.r_max * np.linspace(0.05, 0.95, 7)
-        shifted = [st_.energy + 0.05 for st_ in states]
-        for override in (None, shifted):
-            rows = ode_residual(p, states, rs, energy_override=override)
-            assert rows.shape == (len(states), rs.size)
-            for i, st_ in enumerate(states):
-                one = ode_residual(p, st_, rs,
-                                   energy_override=None if override is None else override[i])
-                assert_bits_equal(rows[i], one)
+        for override in (None, energy(p, n, m) + 0.05):
+            rows = ode_residual(p, n, m, rs, energy_override=override)
+            assert rows.shape == n.shape + rs.shape
+            for i, j in np.ndindex(n.shape):
+                shift = None if override is None else override[i, j].item()
+                ones = [ode_residual(p, n[i, j].item(), m[i, j].item(), r, energy_override=shift)
+                        for r in rs.tolist()]
+                assert all(np.ndim(one) == 0 for one in ones)
+                assert_bits_equal(rows[i, j], ones)
 
-    def test_inconsistent_energy_rejected(self):
-        from pdm_osc.oscillator import QuantumState
-
+    def test_negative_n_refused(self):
         p = SystemParams(alpha=1.0, k=-0.5)
-        with pytest.raises(ValueError, match="not the spectrum value"):
-            ode_residual(p, [make_state(p, 0, 0), QuantumState(n_r=1, m=0, energy=2.0)], 0.5)
+        for override in (None, 1.0):
+            with pytest.raises(ValueError, match="n_r must be nonnegative"):
+                ode_residual(p, np.array([0, -1]), 0, 0.5, energy_override=override)
 
 
     def test_eigenstates_satisfy_equation(self):
         p = SystemParams(alpha=1.0, k=-0.5)
         for n, m in ((0, 0), (1, 0), (2, 1), (1, 2)):
-            st_ = make_state(p, n, m)
             for j in range(1, 51):
                 r = p.r_max * (0.02 + 0.96 * (j - 1) / 49.0)
-                assert abs(ode_residual(p, st_, r)) <= 1e-8
+                assert abs(ode_residual(p, n, m, r)) <= 1e-8
 
     def test_perturbed_energy_visible(self):
         p = SystemParams(alpha=1.0, k=-0.5)
         for n, m in ((0, 0), (1, 2)):
-            st_ = make_state(p, n, m)
             peak = max(
-                abs(ode_residual(p, st_, p.r_max * f, energy_override=st_.energy + 0.05))
+                abs(ode_residual(p, n, m, p.r_max * f, energy_override=energy(p, n, m) + 0.05))
                 for f in (0.2, 0.4, 0.6, 0.8)
             )
             assert peak > 1e-3
 
     def test_bounded_at_small_r(self):
         p = SystemParams(alpha=1.0, k=-0.5)
-        st_ = make_state(p, 0, 0)
-        assert abs(ode_residual(p, st_, 1e-3)) <= 1e-6
+        assert abs(ode_residual(p, 0, 0, 1e-3)) <= 1e-6
 
     def test_domain_errors(self):
         p = SystemParams(alpha=1.0, k=-0.5)
-        st_ = make_state(p, 0, 0)
         with pytest.raises(DomainError):
-            ode_residual(p, st_, 0.0)
+            ode_residual(p, 0, 0, 0.0)
         with pytest.raises(DomainError):
-            ode_residual(p, st_, p.r_max)
+            ode_residual(p, 0, 0, p.r_max)
 
 
 class TestTotalWavefunction:
     def test_theta_independent_for_m0(self):
         p = SystemParams(alpha=1.0, k=-0.5)
-        st_ = make_state(p, 0, 0)
-        v1 = total_wavefunction(p, st_, 0.5, 0.0)
-        v2 = total_wavefunction(p, st_, 0.5, 2.1)
+        v1 = total_wavefunction(p, 0, 0, 0.5, 0.0)
+        v2 = total_wavefunction(p, 0, 0, 0.5, 2.1)
         assert v1 == v2
 
     def test_phase_modulus_invariance(self):
         p = SystemParams(alpha=1.0, k=-0.5)
-        st_ = make_state(p, 1, 2)
-        mags = {round(abs(total_wavefunction(p, st_, 0.7, th)), 13) for th in (0.0, 1.0, 2.5, 5.0)}
+        mags = {round(abs(total_wavefunction(p, 1, 2, 0.7, th)), 13) for th in (0.0, 1.0, 2.5, 5.0)}
         assert len(mags) == 1
 
     def test_phase_factor(self):
         p = SystemParams(alpha=1.0, k=-0.5)
-        st_ = make_state(p, 0, 3)
-        v = total_wavefunction(p, st_, 0.7, 0.4)
+        v = total_wavefunction(p, 0, 3, 0.7, 0.4)
         expected_phase = cmath.exp(-1j * 3 * 0.4)
-        ratio = v / total_wavefunction(p, st_, 0.7, 0.0)
+        ratio = v / total_wavefunction(p, 0, 3, 0.7, 0.0)
         assert ratio.real == pytest.approx(expected_phase.real, abs=1e-12)
         assert ratio.imag == pytest.approx(expected_phase.imag, abs=1e-12)
 
     def test_two_dimensional_normalization(self):
         """int |Psi|^2 over theta and the weighted radial measure equals 1."""
         p = SystemParams(alpha=1.0, k=-0.5)
-        st_ = make_state(p, 1, 1)
         n_theta = 64
         radial = integrate(
             lambda r, _: sum(
-                abs(total_wavefunction(p, st_, r, 2 * math.pi * j / n_theta)) ** 2
+                abs(total_wavefunction(p, 1, 1, r, 2 * math.pi * j / n_theta)) ** 2
                 for j in range(n_theta)
             )
             * (2 * math.pi / n_theta)

@@ -11,33 +11,31 @@ from hypothesis import strategies as st
 
 from pdm_osc import thermo, validate
 from pdm_osc.oscillator import (
+    RadialFamily,
     SystemParams,
     _turning_radius,
     energy,
-    make_state,
     ode_residual,
     radial_overlaps,
-    radial_wavefunction,
 )
 from pdm_osc.specfun import QuadratureSpec, central_diff, integrate
 
 
 def scalar_overlap(params, m, n1, n2):
     """One single-row integrate() call with the scalar integrand
-    w1(r) w2(r) r / (1 + delta_sq r^2), breakpoints at the outer turning
-    radius and its doublings."""
-    w1 = radial_wavefunction(params, make_state(params, n1, m))
-    w2 = radial_wavefunction(params, make_state(params, n2, m))
+    U_n1(r) U_n2(r) r / (1 + delta_sq r^2), each U from its own family,
+    breakpoints at the outer turning radius and its doublings."""
+    w1, w2 = (RadialFamily(params, m, n) for n in (n1, n2))
     d2 = params.delta_sq
     upper = params.r_max * (1.0 - 1e-10)
     breakpoints = []
-    r = max(_turning_radius(params, w.state) for w in (w1, w2))
+    r = max(_turning_radius(params, n, m) for n in (n1, n2))
     while r < upper:
         breakpoints.append(r)
         r *= 2.0
     spec = QuadratureSpec(0.0, upper, rel_tol=1e-10, abs_tol=1e-13,
                           breakpoints=tuple(breakpoints))
-    return integrate(lambda r, _: w1.value(r) * w2.value(r) * r / (1.0 + d2 * r * r),
+    return integrate(lambda r, _: w1.values(r, n1) * w2.values(r, n2) * r / (1.0 + d2 * r * r),
                      spec).value
 
 
@@ -107,23 +105,21 @@ class TestArrayResidual:
         p = SystemParams(alpha, k)
         rs = p.r_max * (0.02 + 0.96 * np.arange(50) / 49)
         for n, m in validate.FIXTURE_STATES:
-            state = make_state(p, n, m)
-            eigen = ode_residual(p, state, rs)
+            eigen = ode_residual(p, n, m, rs)
             assert eigen.shape == rs.shape
-            scalar = [ode_residual(p, state, r) for r in rs.tolist()]
+            scalar = [ode_residual(p, n, m, r) for r in rs.tolist()]
             assert eigen == pytest.approx(scalar, rel=0, abs=1e-10)
-            shifted = state.energy + 0.05
-            off = ode_residual(p, state, rs, energy_override=shifted)
-            scalar = [ode_residual(p, state, r, energy_override=shifted) for r in rs.tolist()]
+            shifted = energy(p, n, m) + 0.05
+            off = ode_residual(p, n, m, rs, energy_override=shifted)
+            scalar = [ode_residual(p, n, m, r, energy_override=shifted) for r in rs.tolist()]
             assert off == pytest.approx(scalar, rel=1e-6, abs=0)
 
     def test_array_outside_domain_refused(self):
         p = SystemParams(1.0, -0.5)
-        state = make_state(p, 0, 0)
         with pytest.raises(ValueError):
-            ode_residual(p, state, np.array([0.5, p.r_max]))
+            ode_residual(p, 0, 0, np.array([0.5, p.r_max]))
         with pytest.raises(ValueError):
-            ode_residual(p, state, np.array([0.0, 0.5]))
+            ode_residual(p, 0, 0, np.array([0.0, 0.5]))
 
 
 class TestStencilReferences:
@@ -169,8 +165,8 @@ class TestNaNFailsCheck:
     def test_ode_checks(self, monkeypatch):
         real = validate.ode_residual
 
-        def nan_in_first_state(p, states, rs, energy_override=None):
-            rows = real(p, states, rs, energy_override=energy_override)
+        def nan_in_first_state(p, n_r, m, rs, energy_override=None):
+            rows = real(p, n_r, m, rs, energy_override=energy_override)
             rows[0, 0] = math.nan
             return rows
 
