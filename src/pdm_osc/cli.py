@@ -156,6 +156,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         raise ConfigError("k_list", "repeated k value")
     if cfg["alpha"] <= 0:
         raise ConfigError("alpha", "must be positive")
+    if cfg["kb"] <= 0:
+        raise ConfigError("kb", "must be positive")
     if cfg["lam"] == 0:
         raise ConfigError("lam", "must be nonzero")
     if cfg["N"] < 1:

@@ -24,11 +24,13 @@ Z, which grows with beta; compare_strategies quantifies it on a beta grid.
 
 sweep evaluates one (params, m, N, strategy) series on a whole beta grid, as
 array programs over that grid, and returns a ThermoSeries: one array per
-quantity and per diagnostic. The direct sum builds the excitations once and
-reduces them over blocks of beta rows, each row cut at the first level whose
-weight underflows to exactly 0.0 (at a length that depends on beta alone and
-gives the uncut sum bit for bit); the closed form is one array expression
-over the grid; the pipeline integrates every beta in one batched quadrature.
+quantity and per diagnostic. The direct sum builds the excitations a piece
+at a time and reduces them over blocks of beta rows, a row longer than a
+block piece by piece along numpy's pairwise tree, each row cut at the first
+level whose weight underflows to exactly 0.0 (at a length that depends on
+beta alone and gives the uncut sum bit for bit); the closed form is one
+array expression over the grid; the pipeline integrates every beta in one
+batched quadrature.
 Each point of a series is the one-point sweep at its beta, value for value.
 
 The paper's coefficients are spectrum values, taken from it: c_t = E_{N+1},
@@ -46,7 +48,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -116,8 +118,12 @@ class ThermoSeries:
 
 
 # the direct sum reduces its (beta x level) weight array in blocks of at most
-# this many elements, so its memory stays flat in the grid length and in N
-_BLOCK_ELEMENTS = 2**16
+# this many elements, and a longer row piece by piece, so its memory stays
+# flat in the grid length and in N: a point that keeps all N + 1 levels
+# peaks 1.2-1.6 MB above set-up for N = 1e5 to 1e7 with 2**15, 2.1-2.8 MB
+# with 2**16, at no measurable cost in time. It must be at least 128, the
+# block below which numpy's pairwise summation stops splitting.
+_BLOCK_ELEMENTS = 2**15
 
 # exp(-x) is exactly 0.0 in double precision for every x beyond this
 _EXP_UNDERFLOW = 746.0
@@ -129,32 +135,48 @@ _DIAGNOSTIC_DTYPES = {
                                     quadrature_error_bound=float)}
 
 
+def _left(n: int) -> int:
+    """Length of the left part of a row of n > 128 in numpy's pairwise
+    summation: n/2 rounded down to a multiple of 8."""
+    return n // 2 - n // 2 % 8
+
+
 def _spine(size: int) -> list[int]:
     """Ascending lengths on the left spine of numpy's pairwise summation of
-    a row of size: a row of n splits at n/2 rounded down to a multiple of 8,
-    down to blocks of 128."""
+    a row of size (_left), down to blocks of 128."""
     spine = [size]
     while spine[-1] > 128:
-        half = spine[-1] // 2
-        spine.append(half - half % 8)
+        spine.append(_left(spine[-1]))
     return spine[::-1]
 
 
-def _cut_lengths(d: np.ndarray, betas: np.ndarray, size: int) -> np.ndarray:
+def _pairwise(piece_sums: Callable[[int, int], np.ndarray], lo: int, n: int) -> np.ndarray:
+    """The sums over levels lo..lo+n-1 of a row, added as numpy's pairwise
+    summation adds them: a row of more than _BLOCK_ELEMENTS levels splits as
+    numpy's does (_left), and piece_sums(lo, hi) sums a piece of at most a
+    block with numpy, on the same tree below. The result is numpy's sum of
+    the whole row, bit for bit."""
+    if n <= _BLOCK_ELEMENTS:
+        return piece_sums(lo, lo + n)
+    half = _left(n)
+    return _pairwise(piece_sums, lo, half) + _pairwise(piece_sums, lo + half, n - half)
+
+
+def _cut_lengths(p: SystemParams, m: int, betas: np.ndarray, size: int) -> np.ndarray:
     """Number of leading levels the Boltzmann sums keep at each beta.
 
-    On the nondecreasing excitations d every weight from the first level
-    with beta d > 746 on is exactly 0.0, so a sum may stop there. The
-    length kept is the shortest prefix on the left spine of numpy's pairwise
-    summation of the whole row of size levels (_spine) that covers that
-    level: the cut sum is then the full sum's left subtree, and the right
-    side it drops is a sum of exact zeros, so both are the same number. The
-    length depends on beta and the spectrum alone. d may be a prefix of the
-    row that covers every beta's cut.
+    On the increasing excitations d every weight from the first level with
+    beta d > 746 on is exactly 0.0, so a sum may stop there. The length kept
+    is the shortest prefix on the left spine of numpy's pairwise summation
+    of the whole row of size levels (_spine) that covers that level, the
+    first spine node L with L = size or d_L > 746/beta: the cut sum is then
+    the full sum's left subtree, and the right side it drops is a sum of
+    exact zeros, so both are the same number. The length depends on beta and
+    the spectrum alone, and d is evaluated at the spine nodes only.
     """
     spine = np.array(_spine(size))
-    first_zero = np.searchsorted(d, _EXP_UNDERFLOW / betas, side="right")
-    return spine[np.searchsorted(spine, first_zero)]
+    d = excitation(p, spine[:-1].astype(float), m)
+    return spine[np.searchsorted(d, _EXP_UNDERFLOW / betas, side="right")]
 
 
 def _check_weights_range(params: SystemParams, e0: float, d_top: float,
@@ -173,45 +195,77 @@ def _check_weights_range(params: SystemParams, e0: float, d_top: float,
                          f"kb={params.kb}: (E_{{{moments}}} - E_0)^2 is not finite")
 
 
-def _boltzmann_sums(d: np.ndarray, betas: np.ndarray,
-                    size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boltzmann sums of the excitations d (levels) at each beta.
+def _boltzmann_sums(p: SystemParams, m: int, betas: np.ndarray, lengths: np.ndarray,
+                    size: int) -> np.ndarray:
+    """Boltzmann sums of the excitations d of (p, m) at each beta.
 
     With w = exp(-beta d), returns a (4, len(betas)) array whose rows are
     sum w, the mean <d>, the variance <(d - <d>)^2> and the tail ratio
-    w_N / sum w, and the number of levels summed at each beta
-    (_cut_lengths). d is the first levels, covering every cut, of a spectrum
-    of size levels. Rows of one length are reduced together in blocks of
-    three work arrays allocated once, with exp only on lanes whose weight is
-    not exactly 0.0, and a plain exp in a block where no weight is; the tail
-    ratio of a cut row is exactly 0.0, as w_N is. No weight exceeds
-    w_0 = 1; the two-pass variance keeps C >= 0 by construction.
+    w_N / sum w, each beta's row summed over its first lengths levels
+    (_cut_lengths) of a spectrum of size levels. Each piece of levels
+    lo..hi-1 builds its own d. Rows of one length are reduced together in
+    blocks of at most _BLOCK_ELEMENTS weights, and a row longer than a block
+    piece by piece along numpy's pairwise tree (_pairwise), so every sum is
+    numpy's whole-row sum, bit for bit. Two work arrays of one block serve
+    every row: exp runs in place, only on lanes whose weight is not exactly
+    0.0 (a block where no weight is runs a plain exp), and 0.0 is written on
+    the others. A row of one piece keeps its weights for the variance; a
+    longer one forms them again, by the same exp, in a second pass over its
+    pieces. The tail ratio of a cut row is exactly 0.0, as w_N is. No weight
+    exceeds w_0 = 1; the two-pass variance keeps C >= 0 by construction.
     """
     out = np.empty((4, betas.size))
-    lengths = _cut_lengths(d, betas, size)
-    x, w, t = (np.empty(max(_BLOCK_ELEMENTS, lengths.max())) for _ in range(3))
+    last = np.zeros(betas.size)  # w_N of each row that reaches level N
+    w, t = np.empty(_BLOCK_ELEMENTS), np.empty(_BLOCK_ELEMENTS)
+
+    def weights(at: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """d over levels lo..hi-1 and their weights at the betas at, as rows of w."""
+        d = excitation(p, np.arange(lo, hi, dtype=float), m)
+        bw = w[:at.size * d.size].reshape(at.size, d.size)
+        np.multiply(-betas[at, None], d, out=bw)
+        # rounding is monotone, so the block's lowest lane is -(max beta) d_max
+        if betas[at].max() * d[-1] <= _EXP_UNDERFLOW:
+            np.exp(bw, out=bw)
+        else:
+            keep = bw >= -_EXP_UNDERFLOW
+            np.exp(bw, out=bw, where=keep)
+            bw[~keep] = 0.0
+        if hi == size:
+            last[at] = bw[:, -1]
+        return d, bw
+
+    def first(d: np.ndarray, bw: np.ndarray) -> np.ndarray:
+        """sum w and sum d w of each row"""
+        dw = np.multiply(d, bw, out=t[:bw.size].reshape(bw.shape))
+        return np.stack([bw.sum(axis=1), dw.sum(axis=1)])
+
+    def second(d: np.ndarray, bw: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        """sum (d - mean)^2 w of each row"""
+        bt = np.subtract(d, mean[:, None], out=t[:bw.size].reshape(bw.shape))
+        return np.multiply(np.square(bt, out=bt), bw, out=bt).sum(axis=1)
+
+    def one_piece(at: np.ndarray, length: int) -> tuple[np.ndarray, ...]:
+        """sum w, <d> and sum (d - <d>)^2 w of rows of one piece, whose
+        weights serve both passes"""
+        d, bw = weights(at, 0, length)
+        sw, sdw = first(d, bw)
+        mean = sdw / sw
+        return sw, mean, second(d, bw, mean)
+
     for length in sorted(set(lengths.tolist())):
-        head = d[:length]
         group = np.flatnonzero(lengths == length)
         rows = max(1, _BLOCK_ELEMENTS // length)
-        for lo in range(0, group.size, rows):
-            at = group[lo:lo + rows]
-            bx, bw, bt = (a[:at.size * length].reshape(at.size, length) for a in (x, w, t))
-            np.multiply(-betas[at, None], head, out=bx)
-            # rounding is monotone, so the block's lowest lane is -(max beta) d_max
-            if betas[at].max() * head[-1] <= _EXP_UNDERFLOW:
-                np.exp(bx, out=bw)
+        for start in range(0, group.size, rows):
+            at = group[start:start + rows]
+            if length <= _BLOCK_ELEMENTS:
+                sw, mean, spread = one_piece(at, length)
             else:
-                bw.fill(0.0)
-                np.exp(bx, out=bw, where=bx >= -_EXP_UNDERFLOW)
-            sw = bw.sum(axis=1)
-            mean = np.multiply(head, bw, out=bt).sum(axis=1) / sw
-            out[0, at] = sw
-            out[1, at] = mean
-            np.subtract(head, mean[:, None], out=bt)
-            out[2, at] = np.multiply(np.square(bt, out=bt), bw, out=bt).sum(axis=1) / sw
-            out[3, at] = bw[:, -1] / sw if length == size else 0.0
-    return out, lengths
+                sw, sdw = _pairwise(lambda lo, hi: first(*weights(at, lo, hi)), 0, length)
+                mean = sdw / sw
+                spread = _pairwise(lambda lo, hi: second(*weights(at, lo, hi), mean), 0, length)
+            out[:3, at] = sw, mean, spread / sw
+    out[3] = last / out[0]
+    return out
 
 
 def _from_moments(strategy: Strategy, kb: float, betas: np.ndarray, e0: float,
@@ -232,17 +286,16 @@ def _from_moments(strategy: Strategy, kb: float, betas: np.ndarray, e0: float,
 
 def _direct_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> ThermoSeries:
     """Direct-sum series of (p, m, N = n_max) on the grid betas. As k <= 0,
-    the longest cut is at the smallest beta: the first spine node L with
-    L = N + 1 or beta d_L > 746, found with the scalar excitation (the same
-    operations as the vector one). Only d_0..d_{L-1} are built."""
+    the longest cut L is at the smallest beta (_cut_lengths); only d_0..d_{L-1}
+    are built, a piece of at most a block at a time (_boltzmann_sums), so
+    the memory is flat in N."""
     size = n_max + 1
     e0 = spectrum_terms(p, m)[0]
     _check_weights_range(p, e0, excitation(p, size - 1.0, m), betas)
-    reach = _EXP_UNDERFLOW / betas.min().item()
-    count = next(n for n in _spine(size) if n == size or excitation(p, float(n), m) > reach)
+    lengths = _cut_lengths(p, m, betas, size)
+    count = lengths.max().item()
     _check_weights_range(p, e0, excitation(p, count - 1.0, m), betas, moments=str(count - 1))
-    d = excitation(p, np.arange(count, dtype=float), m)
-    (sw, mean, var, tail), lengths = _boltzmann_sums(d, betas, size)
+    sw, mean, var, tail = _boltzmann_sums(p, m, betas, lengths, size)
     return _from_moments(Strategy.DIRECT_SUM, p.kb, betas, e0, sw, mean, var,
                          {"n_terms": lengths, "tail_ratio": tail})
 

@@ -492,6 +492,19 @@ class TestConfigHandling:
         assert rc == 2
         assert "field=alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["spectrum", "thermo"])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_kb_refused(self, tmp_path, capsys, command, value):
+        """kb <= 0 is refused as a configuration error, from a flag or a
+        config key, as alpha <= 0 is."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kb = {value}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        for source in ([f"--kb={value}"], ["--config", str(cfg)]):
+            assert main([command, *source, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == "config-error field=kb reason=must be positive\n"
+        assert not out.exists()
+
     def test_k_and_k_list_conflict(self, capsys):
         rc = main(["spectrum", "--k", "-0.5", "--k-list", "-0.1,-0.2"])
         assert rc == 2

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,7 +187,8 @@ class TestPartitionDirect:
     def test_cut_work_count(self, monkeypatch):
         """Each beta sums only a short prefix of the levels, and every weight
         it drops is exactly 0.0; where none underflows it sums all N+1. A
-        series builds only the levels its longest cut reaches."""
+        series builds no level beyond its longest cut, one piece of at most
+        a block at a time."""
         p = SystemParams(alpha=1.0, k=-0.1)
         betas = [1e-4] + list(np.geomspace(0.02, 1e3, 40))
         d = excitation(p, np.arange(100_001.0), 1)
@@ -207,29 +209,71 @@ class TestPartitionDirect:
         assert series.diagnostics["n_terms"].item() == 120
         assert math.exp(-beta * d[119]) / math.exp(series.log_z.item() + beta * e0) > 0.0
         assert series.diagnostics["tail_ratio"].item() == 0.0
-        built = []
+        calls = []
 
         def recording(params, n_r, m):
-            # the array call builds a series' spectrum; number calls find its cut
+            # array calls: the spine nodes that place the cuts, then the pieces
             d = excitation(params, n_r, m)
             if np.ndim(d):
-                built.append(d)
+                calls.append((np.array(n_r), d))
             return d
+
+        def pieces(params, m, n, betas):
+            """The pieces of levels lo..hi-1 one direct series builds, in
+            order, as (lo, hi, d), and the series' longest cut."""
+            calls.clear()
+            longest = sweep(params, m, n, betas).diagnostics["n_terms"].max()
+            (nodes, _), *built = calls
+            assert nodes.tolist() == _spine(n + 1)[:-1]
+            for levels, _ in built:
+                assert 0 < levels.size <= thermo._BLOCK_ELEMENTS
+                assert levels.tolist() == list(range(int(levels[0]), int(levels[-1]) + 1))
+            return [(int(lv[0]), int(lv[-1]) + 1, d) for lv, d in built], longest
 
         monkeypatch.setattr(thermo, "excitation", recording)
         temps = _temperature_grid({"T_min": 0.1, "T_max": 50.0, "T_count": 500,
                                    "T_spacing": "auto"})
-        for k in FIG_KS:
-            sweep(SystemParams(alpha=1.0, k=k), 1, 100_000, [1.0 / t for t in temps])
         edge = SystemParams(alpha=1.0, k=-1e-6)
-        sweep(edge, 40, 100_000, [1e3])
-        sweep(edge, 40, 100_000, [1e-4])
-        assert [spectrum.size for spectrum in built] == [776, 384, 384, 96, 100_001]
-        assert built[-1].tolist() == excitation(edge, np.arange(100_001.0), 40).tolist()
+        series = [(SystemParams(alpha=1.0, k=k), 1, [1.0 / t for t in temps]) for k in FIG_KS]
+        series += [(edge, 40, [1e3]), (edge, 40, [1e-4])]
+        reached = []
+        for params, m, grid in series:
+            built, longest = pieces(params, m, 100_000, grid)
+            reached.append(max(hi for _, hi, _ in built))
+            assert reached[-1] == longest
+            if longest <= thermo._BLOCK_ELEMENTS:
+                # rows of at most a block are one piece each, from level 0
+                assert {lo for lo, _, _ in built} == {0}
+        assert reached == [776, 384, 384, 96, 100_001]
+        # the last series' long row: two passes over the same pieces, each
+        # joined equal to the levels built at once, bit for bit
+        passes = [built[:len(built) // 2], built[len(built) // 2:]]
+        whole = excitation(edge, np.arange(100_001.0), 40)
+        for run in passes:
+            assert [lo for lo, _, _ in run] == [0] + [hi for _, hi, _ in run[:-1]]
+            assert np.concatenate([d for _, _, d in run]).tobytes() == whole.tobytes()
         # k > 0 is refused before any level is built
+        calls.clear()
         with pytest.raises(NonPhysicalError):
             sweep(SystemParams(alpha=1.0, k=0.5, exploratory=True), 1, 100_000, [1e-4])
-        assert len(built) == 5
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [100_000, 1_000_000])
+    def test_direct_memory_flat_in_n(self, n):
+        """A point that keeps all N+1 levels allocates a few blocks at most,
+        whatever N: two work arrays of a block, and one piece's levels with
+        the temporaries of excitation, each under a block (the whole row
+        took 3.2 MB at N = 1e5 and 32 MB at N = 1e6)."""
+        edge = SystemParams(alpha=1.0, k=-1e-6)
+        sweep(edge, 40, 1000, [1e-4])  # one-off allocations of a first call
+        tracemalloc.start()
+        try:
+            series = sweep(edge, 40, n, [1e-4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.diagnostics["n_terms"].item() == n + 1
+        assert peak < 6 * 8 * thermo._BLOCK_ELEMENTS
 
 
 class TestPaperCoefficients:
@@ -673,27 +717,37 @@ class TestSweep:
     def test_direct_large_n(self):
         assert_points_equal_grid(PHYS, 2, 100_000, [1e-4, 0.01, 0.3, 7.0], Strategy.DIRECT_SUM)
 
-    # the ids without k are PHYS's k = -0.3
-    @pytest.mark.parametrize("k, n", [(-0.3, 1), (-0.3, 500), (-0.3, 100_000),
-                                      (-1e-8, 500), (-1e-8, 100_000), (0.0, 500)],
-                             ids=["1", "500", "100000", "k=-1e-08-500", "k=-1e-08-100000",
-                                  "k=0-500"])
-    def test_direct_matches_one_dimensional_sums(self, k, n):
+    # the ids without k are PHYS's k = -0.3, and m is 1 unless named
+    @pytest.mark.parametrize("k, m, n, shared", [
+        (-0.3, 1, 1, False), (-0.3, 1, 500, False), (-0.3, 1, 100_000, False),
+        (-1e-8, 1, 500, False), (-1e-8, 1, 100_000, False), (0.0, 1, 500, False),
+        (-1e-8, 1, 300_000, False), (-1e-6, 40, 100_000, True)],
+        ids=["1", "500", "100000", "k=-1e-08-500", "k=-1e-08-100000", "k=0-500",
+             "k=-1e-08-300000", "k=-1e-06-m=40-100000-shared-cut"])
+    def test_direct_matches_one_dimensional_sums(self, k, m, n, shared):
         """The block reduction equals the per-beta 1-D sums over all N+1
-        levels, bit for bit, though it builds only the levels its longest
-        cut reaches and runs exp only where a weight is not exactly 0.0. The
-        betas take in 1e3 and cuts whose last kept weight is subnormal,
+        levels, bit for bit, though it builds no level beyond its longest
+        cut, reduces a row longer than a block piece by piece along numpy's
+        pairwise tree, and runs exp only where a weight is not exactly 0.0.
+        The betas take in 1e3 and cuts whose last kept weight is subnormal,
         beta d_j in [708, 746]; C is beta * beta * var, and the betas added
-        here are ones where libm's pow gives another beta**2."""
+        here are ones where libm's pow gives another beta**2. At N = 3e5 a
+        row of all levels is 16 pieces; the shared grid is 40 betas whose
+        rows all keep the 100,001 levels."""
         p = SystemParams(alpha=1.0, k=k, exploratory=k >= 0.0)
-        d = excitation(p, np.arange(n + 1.0), 1)
-        e0 = spectrum_terms(p, 1)[0]
-        betas = list(np.geomspace(1e-4, 100.0, 300 if n == 500 else 3)) + [1e3]
-        betas += [b for b in np.geomspace(1e-4, 100.0, 20_000).tolist() if b**2 != b * b][:8]
-        betas += [x / d[j - 1] for j in _spine(n + 1) if d[j - 1] > 0.0
-                  for x in (708.5, 727.0, 745.9)]
+        d = excitation(p, np.arange(n + 1.0), m)
+        e0 = spectrum_terms(p, m)[0]
+        if shared:
+            betas = list(np.geomspace(1e-5, 3e-4, 40))
+        else:
+            betas = list(np.geomspace(1e-4, 100.0, 300 if n == 500 else 3)) + [1e3]
+            betas += [b for b in np.geomspace(1e-4, 100.0, 20_000).tolist() if b**2 != b * b][:8]
+            betas += [x / d[j - 1] for j in _spine(n + 1) if d[j - 1] > 0.0
+                      for x in (708.5, 727.0, 745.9)]
         reference = [one_dimensional_sums(d, beta) for beta in betas]
-        series = sweep(p, 1, n, betas)
+        series = sweep(p, m, n, betas)
+        if shared:
+            assert set(series.diagnostics["n_terms"].tolist()) == {n + 1}
         got = zip(*(getattr(series, name).tolist() for name in ("log_z", "u", "c", "s")))
         for beta, point, (sw, mean, var) in zip(betas, got, reference):
             assert point == (-beta * e0 + np.log(sw), e0 + mean, beta * beta * var,
