@@ -20,7 +20,9 @@ never formed as a difference), and one tail (_from_moments) forms ln Z,
 U = E_0 + <d>, C, F and S from them. The summation formula's are its moments
 M_j = [d(0)^j f(0) - d(N+1)^j f(N+1)]/2 + int_0^{N+1} d^j f dx.
 It inherits a first-order truncation error, roughly |f'(0)|/12 relative to
-Z, which grows with beta; compare_strategies quantifies it on a beta grid.
+Z, which grows with beta: the direct sum minus the formula is T1 + R3, with
+T1 = [f'(N+1) - f'(0)]/12 and |R3| <= 2 zeta(3)/(2 pi)^3 int_0^{N+1} |f'''|
+(DLMF 2.10.1, 24.8.2), and validate's strategy_triangulation checks T1 +- R3.
 
 sweep evaluates one (params, m, N, strategy) series on a whole beta grid, as
 array programs over that grid, and returns a ThermoSeries: one array per
@@ -59,11 +61,9 @@ __all__ = [
     "Strategy",
     "PaperZCoefficients",
     "ThermoSeries",
-    "StrategyComparison",
     "PlateauResult",
     "paper_z_coefficients",
     "sweep",
-    "compare_strategies",
     "find_heat_capacity_plateau",
 ]
 
@@ -202,25 +202,26 @@ def _boltzmann_sums(p: SystemParams, m: int, betas: np.ndarray, lengths: np.ndar
     With w = exp(-beta d), returns a (4, len(betas)) array whose rows are
     sum w, the mean <d>, the variance <(d - <d>)^2> and the tail ratio
     w_N / sum w, each beta's row summed over its first lengths levels
-    (_cut_lengths) of a spectrum of size levels. Each piece of levels
-    lo..hi-1 builds its own d. Rows of one length are reduced together in
-    blocks of at most _BLOCK_ELEMENTS weights, and a row longer than a block
-    piece by piece along numpy's pairwise tree (_pairwise), so every sum is
-    numpy's whole-row sum, bit for bit. Two work arrays of one block serve
-    every row: exp runs in place, only on lanes whose weight is not exactly
-    0.0 (a block where no weight is runs a plain exp), and 0.0 is written on
-    the others. A row of one piece keeps its weights for the variance; a
-    longer one forms them again, by the same exp, in a second pass over its
-    pieces. The tail ratio of a cut row is exactly 0.0, as w_N is. No weight
-    exceeds w_0 = 1; the two-pass variance keeps C >= 0 by construction.
+    (_cut_lengths) of a spectrum of size levels. Rows of one length form a
+    group, reduced in blocks of at most _BLOCK_ELEMENTS weights, and a row
+    longer than a block piece by piece along numpy's pairwise tree
+    (_pairwise), so every sum is numpy's whole-row sum, bit for bit. Each
+    piece of levels lo..hi-1 builds its d once and reduces every block of its
+    group on it. Two work arrays of one block serve every row: exp runs in
+    place, only on lanes whose weight is not exactly 0.0 (a block where no
+    weight is runs a plain exp), and 0.0 is written on the others. A group of
+    one piece keeps its weights for the variance; a longer one forms them
+    again, by the same exp, in a second pass over its pieces. The tail ratio
+    of a cut row is exactly 0.0, as w_N is. No weight exceeds w_0 = 1; the
+    two-pass variance keeps C >= 0 by construction.
     """
     out = np.empty((4, betas.size))
     last = np.zeros(betas.size)  # w_N of each row that reaches level N
     w, t = np.empty(_BLOCK_ELEMENTS), np.empty(_BLOCK_ELEMENTS)
 
-    def weights(at: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """d over levels lo..hi-1 and their weights at the betas at, as rows of w."""
-        d = excitation(p, np.arange(lo, hi, dtype=float), m)
+    def weights(at: np.ndarray, d: np.ndarray, hi: int) -> np.ndarray:
+        """The weights of levels ..hi-1, whose excitations are d, at the betas
+        at, as rows of w."""
         bw = w[:at.size * d.size].reshape(at.size, d.size)
         np.multiply(-betas[at, None], d, out=bw)
         # rounding is monotone, so the block's lowest lane is -(max beta) d_max
@@ -232,38 +233,42 @@ def _boltzmann_sums(p: SystemParams, m: int, betas: np.ndarray, lengths: np.ndar
             bw[~keep] = 0.0
         if hi == size:
             last[at] = bw[:, -1]
-        return d, bw
+        return bw
 
-    def first(d: np.ndarray, bw: np.ndarray) -> np.ndarray:
+    def first(d: np.ndarray, bw: np.ndarray, at: np.ndarray) -> np.ndarray:
         """sum w and sum d w of each row"""
         dw = np.multiply(d, bw, out=t[:bw.size].reshape(bw.shape))
         return np.stack([bw.sum(axis=1), dw.sum(axis=1)])
 
-    def second(d: np.ndarray, bw: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        """sum (d - mean)^2 w of each row"""
-        bt = np.subtract(d, mean[:, None], out=t[:bw.size].reshape(bw.shape))
+    def second(d: np.ndarray, bw: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """sum (d - <d>)^2 w of each row, <d> read from out[1]"""
+        bt = np.subtract(d, out[1, at, None], out=t[:bw.size].reshape(bw.shape))
         return np.multiply(np.square(bt, out=bt), bw, out=bt).sum(axis=1)
 
-    def one_piece(at: np.ndarray, length: int) -> tuple[np.ndarray, ...]:
-        """sum w, <d> and sum (d - <d>)^2 w of rows of one piece, whose
-        weights serve both passes"""
-        d, bw = weights(at, 0, length)
-        sw, sdw = first(d, bw)
-        mean = sdw / sw
-        return sw, mean, second(d, bw, mean)
+    def both(d: np.ndarray, bw: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """sum w and sum (d - <d>)^2 w of rows of one piece, whose weights
+        serve both passes, with <d> written to out[1]"""
+        sw, sdw = first(d, bw, at)
+        out[1, at] = sdw / sw
+        return np.stack([sw, second(d, bw, at)])
+
+    def piece(reduce: Callable, blocks: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
+        """reduce(d, w, at) of levels lo..hi-1 for each row block at of a
+        group, d built once, joined along the rows"""
+        d = excitation(p, np.arange(lo, hi, dtype=float), m)
+        return np.concatenate([reduce(d, weights(at, d, hi), at) for at in blocks], axis=-1)
 
     for length in sorted(set(lengths.tolist())):
         group = np.flatnonzero(lengths == length)
         rows = max(1, _BLOCK_ELEMENTS // length)
-        for start in range(0, group.size, rows):
-            at = group[start:start + rows]
-            if length <= _BLOCK_ELEMENTS:
-                sw, mean, spread = one_piece(at, length)
-            else:
-                sw, sdw = _pairwise(lambda lo, hi: first(*weights(at, lo, hi)), 0, length)
-                mean = sdw / sw
-                spread = _pairwise(lambda lo, hi: second(*weights(at, lo, hi), mean), 0, length)
-            out[:3, at] = sw, mean, spread / sw
+        blocks = [group[start:start + rows] for start in range(0, group.size, rows)]
+        if length <= _BLOCK_ELEMENTS:
+            sw, spread = piece(both, blocks, 0, length)
+        else:
+            sw, sdw = _pairwise(lambda lo, hi: piece(first, blocks, lo, hi), 0, length)
+            out[1, group] = sdw / sw
+            spread = _pairwise(lambda lo, hi: piece(second, blocks, lo, hi), 0, length)
+        out[0, group], out[2, group] = sw, spread / sw
     out[3] = last / out[0]
     return out
 
@@ -476,55 +481,6 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
     if strategy is Strategy.PAPER_CLOSED_FORM:
         return _closed_form(params, m, truncation_n, betas, variant)
     return _poisson_series(params, m, truncation_n, betas)
-
-
-@dataclass
-class StrategyComparison:
-    """Discrepancy report between the three partition-function strategies.
-
-    The max_rel_ reductions read NaN if any row they reduce holds a NaN.
-    """
-
-    rows: list[dict]
-
-    @property
-    def max_rel_poisson(self) -> float:
-        return float(np.max([r["rel_poisson"] for r in self.rows]))
-
-    @property
-    def max_rel_paper_best(self) -> float:
-        return float(np.max(np.minimum([r["rel_corrected"] for r in self.rows],
-                                       [r["rel_verbatim"] for r in self.rows])))
-
-    def format(self) -> str:
-        lines = [
-            f"{'beta':>10} {'Z_direct':>14} {'rel_poisson':>12} "
-            f"{'rel_corr':>12} {'rel_verb':>12} {'best':>10}"
-        ]
-        for r in self.rows:
-            best = "corrected" if r["rel_corrected"] <= r["rel_verbatim"] else "verbatim"
-            lines.append(
-                f"{r['beta']:>10.4g} {r['z_direct']:>14.8g} {r['rel_poisson']:>12.3e} "
-                f"{r['rel_corrected']:>12.3e} {r['rel_verbatim']:>12.3e} {best:>10}"
-            )
-        return "\n".join(lines)
-
-
-def compare_strategies(params: SystemParams, m: int, truncation_n: int,
-                       betas: Iterable[float]) -> StrategyComparison:
-    """Evaluate Z under all strategies on a beta grid and report discrepancies."""
-    betas = list(betas)
-    zd, zp, zc, zv = (sweep(params, m, truncation_n, betas, strategy, variant).z
-                      for strategy, variant in ((Strategy.DIRECT_SUM, "corrected"),
-                                                (Strategy.POISSON_PIPELINE, "corrected"),
-                                                (Strategy.PAPER_CLOSED_FORM, "corrected"),
-                                                (Strategy.PAPER_CLOSED_FORM, "verbatim")))
-    columns = (zd, zp, zc, zv) + tuple(np.abs(z - zd) / zd for z in (zp, zc, zv))
-    keys = ("z_direct", "z_poisson", "z_corrected", "z_verbatim",
-            "rel_poisson", "rel_corrected", "rel_verbatim")
-    rows = [{"beta": beta, **dict(zip(keys, values))}
-            for beta, *values in zip(betas, *(col.tolist() for col in columns))]
-    return StrategyComparison(rows=rows)
 
 
 @dataclass(frozen=True)

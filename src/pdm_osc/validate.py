@@ -16,6 +16,7 @@ from . import nu, thermo
 from .oscillator import (
     SystemParams,
     energy,
+    excitation,
     nu_instance,
     ode_residual,
     radial_overlaps,
@@ -197,21 +198,32 @@ def check_boltzmann_limit(quick: bool = False) -> CheckResult:
     return CheckResult("boltzmann_limit", abs(u - e0) <= 1e-10, f"|U - E0| = {abs(u - e0):.3e}")
 
 
-def _em_error_bound(p: SystemParams, m: int, truncation_n: int,
-                    betas: np.ndarray) -> np.ndarray:
-    """Magnitude of the leading term the first-order summation formula neglects,
-    at each beta of betas.
+# sup |B~_3(x)| / 3! = 2 zeta(3) / (2 pi)^3, from the Fourier series of the
+# periodic Bernoulli function (DLMF 24.8.2)
+_EM_R3_CONST = 2.0 * 1.2020569031595942 / (2.0 * math.pi) ** 3
 
-    That term is [f'(N+1) - f'(0)]/12 for f(x) = exp(-beta E(x)). It is an
-    estimate of the truncation error, not a bound on it: the Euler-Maclaurin
-    remainder beyond it is smaller but nonzero, and the sign of the term is
-    dropped here. check_strategy_triangulation allows twice this value.
+
+def _em_terms(p: SystemParams, m: int, truncation_n: int,
+              betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T1 and the bound on |R3| at each beta of betas, for k < 0, in the
+    M_0 = Z exp(beta E_0) domain: f(x) = exp(-beta d(x)), d the excitation.
+
+    DLMF 2.10.1 splits the direct sum minus the first-order summation formula
+    into T1 = [f'(N+1) - f'(0)]/12 and R3, with |R3| <= 2 zeta(3)/(2 pi)^3
+    int_0^{N+1} |f'''|. With E'(x) = D + 2 q x, f''' = beta^2 E' f (6 q -
+    beta E'^2) changes sign at most once, at beta E'^2 = 6 q, where
+    f'' = beta (beta E'^2 - 2 q) f peaks; so int |f'''| is two differences
+    of f'', about that point clipped to [0, N+1].
     """
+    _, slope, q = spectrum_terms(p, m)
     n1 = truncation_n + 1.0
-    _, slope, q = spectrum_terms(p, m)  # E'(x) = D + 2 q x
-    f_prime_0 = -betas * slope * np.exp(-betas * energy(p, 0.0, m))
-    f_prime_n = -betas * (slope + 2.0 * q * n1) * np.exp(-betas * energy(p, n1, m))
-    return np.abs(f_prime_n - f_prime_0) / 12.0
+    peak = np.clip((np.sqrt(6.0 * q / betas) - slope) / (2.0 * q), 0.0, n1)
+    x = np.stack([np.zeros_like(betas), peak, np.full_like(betas, n1)])
+    e1 = slope + 2.0 * q * x  # E'(x)
+    f = np.exp(-betas * excitation(p, x, m))
+    f1 = -betas * e1 * f
+    f2 = betas * (betas * e1 * e1 - 2.0 * q) * f
+    return (f1[2] - f1[0]) / 12.0, _EM_R3_CONST * (np.abs(f2[1] - f2[0]) + np.abs(f2[2] - f2[1]))
 
 
 def check_strategy_triangulation(quick: bool = False) -> CheckResult:
@@ -220,8 +232,9 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
     (a) the closed form (corrected d_t) must match the quadrature pipeline to
         1e-9 relative in Z, U and C: same formula through independent algebra,
         at the figure k values and at the k -> 0- edge, k = -1e-8;
-    (b) the pipeline-vs-direct gap must stay within twice the a-priori
-        truncation bound of the first-order summation formula;
+    (b) the direct sum minus the pipeline, in the M_0 domain, must differ
+        from the leading Euler-Maclaurin term T1 by at most the certified
+        bound on the remainder R3 (_em_terms);
     (c) the better closed-form variant must stay within 5% of the direct sum
         for T in [5, 50]; np.minimum and np.max keep a NaN gap, which fails.
     """
@@ -236,8 +249,9 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
         # (quantity, beta) array of closed form vs quadrature gaps
         gaps = np.array([np.abs(getattr(closed, name) - getattr(quad, name))
                          / np.abs(getattr(quad, name)) for name in "zuc"])
-        pipeline_gaps = np.abs(direct.z - quad.z)
-        bounds = 2.0 * _em_error_bound(p, 1, 500, np.array(betas)) + 1e-12
+        grid = np.array(betas)
+        t1, r3_bounds = _em_terms(p, 1, 500, grid)
+        misfits = np.abs((direct.z - quad.z) * np.exp(grid * spectrum_terms(p, 1)[0]) - t1)
         for i, beta in enumerate(betas):
             for name, gap in zip("ZUC", gaps[:, i].tolist()):
                 if not gap <= 1e-9:
@@ -246,11 +260,11 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
                         f"closed form vs quadrature {name} diverge at k={k}, "
                         f"beta={beta}: {gap:.3e}",
                     )
-            if not pipeline_gaps[i] <= bounds[i]:
+            if not misfits[i] <= r3_bounds[i]:
                 return CheckResult(
                     "strategy_triangulation", False,
-                    f"pipeline-vs-direct gap {pipeline_gaps[i]:.3e} exceeds "
-                    f"twice the truncation bound {bounds[i]:.3e} at k={k}, beta={beta}",
+                    f"pipeline-vs-direct gap departs from T1 by {misfits[i]:.3e}, beyond "
+                    f"the remainder bound {r3_bounds[i]:.3e} at k={k}, beta={beta}",
                 )
         worst_quad = max(worst_quad, gaps.max().item())
     hot_betas = 1.0 / (np.array([5.0, 50.0]) if quick else np.linspace(5.0, 50.0, 10))

@@ -133,12 +133,17 @@ def test_criterion_04_small_k_limits():
 
 
 def _triangulation_report():
+    """Per k, one row per beta: the direct sum's and the pipeline's Z and
+    their relative gap."""
     betas = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
-    comps = {}
+    reports = {}
     for k in FIG_KS:
         params = p.SystemParams(alpha=1.0, k=k)
-        comps[k] = thermo.compare_strategies(params, 1, 500, betas)
-    return comps
+        zd, zp = (thermo.sweep(params, 1, 500, betas, strategy).z.tolist() for strategy in (
+            thermo.Strategy.DIRECT_SUM, thermo.Strategy.POISSON_PIPELINE))
+        reports[k] = [{"beta": beta, "z_direct": d, "z_poisson": q, "rel_poisson": abs(q - d) / d}
+                      for beta, d, q in zip(betas, zd, zp)]
+    return reports
 
 
 # sup |B~_3(x)| / 3! = 2 zeta(3) / (2 pi)^3, from the Fourier series of the
@@ -209,16 +214,16 @@ def test_criterion_05a_direct_vs_poisson_pipeline():
     within 1e-3, and each k must have at least one such beta.
     """
     t0 = time.perf_counter()
-    comps = _triangulation_report()
+    reports = _triangulation_report()
     worst_ratio = 0.0
     worst_rel = 0.0
     misses = []
-    for k, comp in comps.items():
+    for k, rows in reports.items():
         print(f"discrepancy report, m=1, N=500, k={k}:")
-        print(comp.format())
         literal_betas = []
-        for row in comp.rows:
+        for row in rows:
             beta = row["beta"]
+            print(f"{beta:>10.4g} {row['z_direct']:>14.8g} {row['rel_poisson']:>12.3e}")
             e0, t1, r3_bound = _em_first_order_model(1.0, k, 1, 500, beta)
             scale = math.exp(beta * e0)
             gap = (row["z_direct"] - row["z_poisson"]) * scale
@@ -254,9 +259,11 @@ def test_criterion_05b_paper_closed_form_vs_direct():
     worst = 0.0
     for k in FIG_KS:
         params = p.SystemParams(alpha=1.0, k=k)
-        comp = thermo.compare_strategies(
-            params, 1, 500, [1.0 / t for t in np.linspace(5.0, 50.0, 16)])
-        worst = max(worst, comp.max_rel_paper_best)
+        betas = [1.0 / t for t in np.linspace(5.0, 50.0, 16)]
+        zd = thermo.sweep(params, 1, 500, betas).z
+        zc, zv = (thermo.sweep(params, 1, 500, betas, thermo.Strategy.PAPER_CLOSED_FORM, v).z
+                  for v in ("corrected", "verbatim"))
+        worst = max(worst, np.max(np.minimum(np.abs(zc - zd), np.abs(zv - zd)) / zd).item())
     elapsed = time.perf_counter() - t0
     ok = worst <= 0.05 and elapsed < 30.0
     report("5b closed form vs direct", ok,

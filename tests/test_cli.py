@@ -626,7 +626,7 @@ def test_readme_library_block_runs(capsys):
     text = read(readme).split("## Library\n", 1)[1]
     block = text.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
-    assert "rel_poisson" in capsys.readouterr().out
+    assert "poisson" in capsys.readouterr().out
 
 
 class TestValidateCommand:

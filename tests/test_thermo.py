@@ -15,7 +15,6 @@ from pdm_osc.oscillator import NonPhysicalError, SystemParams, energy, excitatio
 from pdm_osc.specfun import IntegrationError, QuadratureSpec, central_diff, integrate
 from pdm_osc.thermo import (
     Strategy,
-    compare_strategies,
     find_heat_capacity_plateau,
     paper_z_coefficients,
     sweep,
@@ -183,6 +182,15 @@ class TestPartitionDirect:
         diag = sweep(PHYS, 1, 10, [1e-3]).diagnostics
         assert diag["n_terms"].item() == 11
         assert diag["tail_ratio"].item() == w[-1] / w.sum()
+
+    def test_levels_shape(self):
+        """The excitations d_0..d_N a direct sweep reduces: d_0 = 0 and
+        E_0 + d = E."""
+        d = excitation(PHYS, np.arange(11.0), 1)
+        assert d.shape == (11,)
+        assert d[0] == 0.0
+        e0 = spectrum_terms(PHYS, 1)[0]
+        assert (e0 + d).tolist() == energy(PHYS, np.arange(11.0), 1).tolist()
 
     def test_cut_work_count(self, monkeypatch):
         """Each beta sums only a short prefix of the levels, and every weight
@@ -354,8 +362,11 @@ class TestPartitionPaper:
         """Best closed-form variant within 5% of the direct sum on T in [5, 50]."""
         for k in FIG_KS:
             p = SystemParams(alpha=1.0, k=k)
-            comp = compare_strategies(p, 1, 500, [1.0 / t for t in np.linspace(5.0, 50.0, 10)])
-            assert comp.max_rel_paper_best <= 0.05
+            betas = [1.0 / t for t in np.linspace(5.0, 50.0, 10)]
+            zd = sweep(p, 1, 500, betas).z
+            best = np.minimum(*(np.abs(sweep(p, 1, 500, betas, Strategy.PAPER_CLOSED_FORM, v).z
+                                       - zd) / zd for v in ("corrected", "verbatim")))
+            assert np.max(best) <= 0.05
 
     def test_large_beta_sign_and_monotonicity(self):
         betas = (2.0, 3.0, 5.0)
@@ -645,33 +656,6 @@ class TestTruncation:
             p = SystemParams(alpha=1.0, k=k)
             zs = sweep(p, 1, 500, 1.0 / (p.kb * np.geomspace(0.1, 50.0, 30))).z.tolist()
             assert all(b > a for a, b in zip(zs, zs[1:]))
-
-
-class TestComparisonReport:
-    def test_report_contents(self):
-        comp = compare_strategies(PHYS, 1, 500, [0.05, 0.2])
-        assert len(comp.rows) == 2
-        text = comp.format()
-        assert "rel_poisson" in text
-        assert "best" in text
-        assert comp.max_rel_poisson > 0.0
-
-    def test_maxima_propagate_nan(self):
-        """A NaN in any row reads NaN in both maxima, wherever it sits."""
-        keys = ("rel_corrected", "rel_verbatim", "rel_poisson")
-        comp = thermo.StrategyComparison(rows=[dict(zip(keys, (0.01, math.nan, 0.0))),
-                                               dict(zip(keys, (math.nan, 0.02, math.nan)))])
-        assert math.isnan(comp.max_rel_poisson)
-        assert math.isnan(comp.max_rel_paper_best)
-
-    def test_levels_shape(self):
-        """The excitations d_0..d_N a direct sweep reduces: d_0 = 0 and
-        E_0 + d = E."""
-        d = excitation(PHYS, np.arange(11.0), 1)
-        assert d.shape == (11,)
-        assert d[0] == 0.0
-        e0 = spectrum_terms(PHYS, 1)[0]
-        assert (e0 + d).tolist() == energy(PHYS, np.arange(11.0), 1).tolist()
 
 
 # the diagnostics columns of a series under each strategy

@@ -1,7 +1,9 @@
 """The batched routes of the self-validation suite against the scalar routes
 they replace: one quadrature per overlap group, one residual call per state,
-one closed-form sweep per stencil offset, one truncation estimate per k."""
+one closed-form sweep per stencil offset, one Euler-Maclaurin model per k;
+and checks that fail on a NaN or a perturbed direct sum."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +19,10 @@ from pdm_osc.oscillator import (
     energy,
     ode_residual,
     radial_overlaps,
+    spectrum_terms,
 )
 from pdm_osc.specfun import QuadratureSpec, central_diff, integrate
+from test_acceptance import _em_first_order_model
 
 
 def scalar_overlap(params, m, n1, n2):
@@ -144,18 +148,47 @@ class TestStencilReferences:
                 point(beta, q) for q in ("u", "c", "s"))
 
 
-@pytest.mark.parametrize("k, m, n", [(-0.1, 1, 500), (-0.3, 3, 20), (-1e-8, 0, 100_000)])
-def test_em_error_bound_over_betas(k, m, n):
-    """The triangulation's truncation estimate over an array of betas is the
-    scalar |f'(N+1) - f'(0)| / 12 at each beta, f = exp(-beta E(x)), with E'
-    the three-point one-sided difference, exact for the quadratic E."""
+@pytest.mark.parametrize("k, m, n, betas", [
+    (-0.1, 1, 500, [0.01, 0.2, 1.0, 15.0]),
+    (-0.3, 3, 20, [0.01, 0.2, 1.0, 15.0]),
+    (-1e-8, 0, 100_000, [2.995e-8, 0.01, 0.2, 1.0, 15.0]),
+], ids=["-0.1-1-500", "-0.3-3-20", "-1e-08-0-100000"])
+def test_em_terms_over_betas(k, m, n, betas):
+    """The triangulation's T1 (signed) and bound on |R3| over an array of
+    betas are, at each beta, those of the acceptance suite's scalar
+    Euler-Maclaurin model, written without pdm_osc; the sign change of f'''
+    lies inside (0, N+1) at the first beta and outside it at the last."""
     p = SystemParams(1.0, k)
-    betas = np.array([0.01, 0.2, 1.0, 15.0])
-    slope = lambda x: (-3.0 * energy(p, x, m) + 4.0 * energy(p, x + 1.0, m)
-                       - energy(p, x + 2.0, m)) / 2.0
-    for beta, got in zip(betas.tolist(), validate._em_error_bound(p, m, n, betas).tolist()):
-        f_prime = lambda x: -beta * slope(x) * math.exp(-beta * energy(p, x, m))
-        assert got == pytest.approx(abs(f_prime(n + 1.0) - f_prime(0.0)) / 12.0, rel=1e-9)
+    _, slope, q = spectrum_terms(p, m)
+    x_star = (np.sqrt(6.0 * q / np.array(betas)) - slope) / (2.0 * q)
+    assert 0.0 < x_star[0] < n + 1.0 and not 0.0 < x_star[-1] < n + 1.0
+    t1, r3_bound = validate._em_terms(p, m, n, np.array(betas))
+    for i, beta in enumerate(betas):
+        _, want_t1, want_bound = _em_first_order_model(1.0, k, m, n, beta)
+        assert t1[i] == pytest.approx(want_t1, rel=1e-12)
+        assert r3_bound[i] == pytest.approx(want_bound, rel=1e-9)
+
+
+def patch_direct_z(monkeypatch, change):
+    """Make every direct series that thermo.sweep returns carry change(Z)."""
+    real = thermo.sweep
+
+    def sweep(params, m, n, betas, strategy=thermo.Strategy.DIRECT_SUM, variant="corrected"):
+        series = real(params, m, n, betas, strategy, variant)
+        if strategy is not thermo.Strategy.DIRECT_SUM:
+            return series
+        return dataclasses.replace(series, z=change(series.z))
+
+    monkeypatch.setattr(thermo, "sweep", sweep)
+
+
+def test_triangulation_fails_on_a_direct_sum_off_by_1e_5(monkeypatch):
+    """Negative control: a direct Z off by 1e-5 relative departs from T1 by
+    16 times the remainder bound at k = -1e-8, beta = 0.02."""
+    patch_direct_z(monkeypatch, lambda z: z * (1.0 + 1e-5))
+    result = validate.check_strategy_triangulation()
+    assert not result.passed
+    assert "departs from T1" in result.detail and "k=-1e-08, beta=0.02" in result.detail
 
 
 class TestNaNFailsCheck:
@@ -185,4 +218,9 @@ class TestNaNFailsCheck:
 
         monkeypatch.setattr(validate.nu, "quantization_residual", nan_at_ground_state)
         result = validate.check_quantization_roundtrip()
+        assert not result.passed and "nan" in result.detail
+
+    def test_strategy_triangulation(self, monkeypatch):
+        patch_direct_z(monkeypatch, lambda z: np.where(np.arange(z.size) == 1, math.nan, z))
+        result = validate.check_strategy_triangulation()
         assert not result.passed and "nan" in result.detail
