@@ -137,6 +137,12 @@ def excitation(params: SystemParams, n_r: float | np.ndarray,
     if np.asarray(n_r).min(initial=0.0) < 0.0:  # initial: an empty array passes
         raise ValueError(f"n_r must be nonnegative, got {n_r}")
     _, slope, q = spectrum_terms(params, m)
+    if isinstance(n_r, np.ndarray) and np.ndim(slope) == 0:
+        # in place, the same roundings: one array beside n_r, however small
+        d = q * n_r
+        d += slope
+        d *= n_r
+        return d
     return n_r * (slope + q * n_r)
 
 

@@ -9,11 +9,19 @@ Columns may be lists or arrays. CSV cells ('.17g') and polyline points
 ('.2f') go through one array renderer, `_blocks`, whose text equals Python's
 formatter byte for byte. It yields the cells as ASCII bytes one block of
 4,096 cells at a time: write_csv and write_svg validate the table, open the
-file and write each block as it comes, so no file's whole text is ever in
-memory, and to_csv and to_svg join the same stream. In a block, each
-cell's digits are |x| * 10**k, formed exactly as a double-double and
-rounded half-even to an integer, laid out in fixed slots padded with NUL
-bytes that one bytes.translate removes.
+file and write each block as it comes (a polyline's points are mapped a
+block at a time too), so no file's whole text is ever in memory, and to_csv
+and to_svg join the same stream. In a block, a '.17g' cell's digits are
+|x| * 10**k, formed exactly as a double-double and rounded half-even to a
+17-digit integer, and a '.2f' cell's are 100 |x| rounded to an integer,
+formed from the exact fraction of |x|; their ASCII comes from tables of
+4-digit groups, and so do the trailing zeros of a '.17g' cell. Each cell
+is a record of byte columns (sign, '0.000' prefix, digits each with a
+point slot after it, exponent suffix, separator): its class's pattern of
+those columns, ANDed with its digits. A block keeps only the columns its
+cells need, so its records are about as wide as their text, and one
+bytes.translate removes the NUL bytes left. Each `_blocks` call lays its
+blocks out in one buffer of its own.
 Python's formatter writes the cells this cannot prove correct: a fraction
 within 1e-6 of a half (every exact tie among them), non-finite values, and
 |x| outside [1e-250, 1e250] for '.17g' (zero among them) or |x| >= 1e13 for
@@ -111,8 +119,8 @@ class SeriesTable:
         ml, mr, mt, mb = 70, 20, 20, 50
         pw, ph = width - ml - mr, height - mt - mb
         x0, x1, sx = _axis_range(xs.min().item(), xs.max().item(), 0.0)
-        y0, y1, sy = _axis_range(min(col.min() for col in cols).item(),
-                                 max(col.max() for col in cols).item(), 0.05)
+        y0, y1, sy = _axis_range(min(map(np.min, cols)).item(), max(map(np.max, cols)).item(),
+                                 0.05)
 
         # px and py map numbers and, elementwise, arrays, in units of sx and sy
         def px(x):
@@ -149,14 +157,15 @@ class SeriesTable:
             f'transform="rotate(-90 16 {mt + ph / 2:.2f})">{self.y_label}</text>'
         )
         head = ("\n".join(parts) + "\n").encode()
-        x_points = px(xs * sx)
+        # each block of points is mapped as it is rendered
+        maps = (lambda x: px(x * sx), lambda y: py(y * sy))
 
         def stream():
             yield head
             for idx, ((name, _), col) in enumerate(zip(self.columns, cols)):
                 color = _PALETTE[idx % len(_PALETTE)]
                 yield b'<polyline points="'
-                yield from _blocks([x_points, py(col * sy)], ".2f", b", ", last_sep=False)
+                yield from _blocks([xs, col], ".2f", b", ", last_sep=False, maps=maps)
                 ly = mt + 14 + 16 * idx
                 yield (
                     f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
@@ -186,10 +195,11 @@ _BLOCK = 4096
 # the '.17g' fast path's range of |x|, and the decimal scales k it needs
 _G_MIN, _G_MAX = 1e-250, 1e250
 _K_MIN, _K_MAX = 16 - 252, 16 + 252
-# '.2f' digits d = round(100 |x|) have one integer digit, plus one per step <= d
-_F_STEPS = 10 ** np.arange(3, 16)
-# a digit slot is two bytes: the digit, then the byte of a point after it
-_ZERO = np.frombuffer(b"0\xff", np.uint16)[0]
+# a '.2f' cell's integer part has one digit, plus one per step <= it
+_F_STEPS = 10 ** np.arange(1, 16)
+_ASCII_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+# the widest record of either layout
+_WIDEST = 46
 
 
 def _split(a):
@@ -221,139 +231,256 @@ def _power_of_ten(k: int) -> tuple[float, float]:
 def _tables() -> tuple:
     """The renderer's look-up tables, built on its first call.
 
-    powers: hi, its Dekker split and lo at k - _K_MIN, with hi + lo = 10**k
-    within 2**-102 relative, as 10**(32 j) times 10**i, i < 32, each exact
-    to 2**-106 from Python ints. quads: 0..9999 as four digit slots.
-    A '.17g' cell is 24 uint16 slots: sign and '0.000' prefix (3), 17 digit
-    slots and the exponent suffix with the separator (4). Its first 20 are
-    ANDed with g_patterns[g_base[k - _K_MIN] + sig + 374 * sign], sig
-    counting the digits up to the last nonzero one. A '.2f' cell is a sign
-    slot, 17 digit slots and a separator slot, ANDed with
-    f_patterns[n + 14 * sign] for n + 1 integer digits.
+    powers: hi, its Dekker split and lo in row k - _K_MIN, with hi + lo =
+    10**k within 2**-102 relative, as 10**(32 j) times 10**i, i < 32, each
+    exact to 2**-106 from Python ints. quads: 0..9999 as four ASCII digits
+    (uint32); pointed: the same digits, each followed by a 0xFF point slot
+    (uint64); trailing: the trailing zeros of each, 4 for 0; pairs: 0..99
+    as two digits (uint16).
+    g_patterns has the 46 columns a '.17g' record may have: the sign, the
+    '0.000' prefix (5), 17 digits each followed by a point slot, the
+    exponent suffix (5) and the separator. Its row g_base[k - _K_MIN] - tz
+    holds the bytes of a cell with tz trailing zeros in its 17 digits, in
+    class c = (g_base - 16) / 17: fixed notation with exponent c - 4, or
+    the e-form at c = 21. Digit columns are 0xFF (kept) or 0, point slots
+    '.' or 0, and the suffix columns 0xFF, to be ANDed with the digits and
+    with g_suffix[k - _K_MIN], the suffix in bytes 2..6 of 8.
+    f_patterns has the 21 columns a '.2f' record may have: the sign, 16
+    integer digits, the point, 2 digits and the separator; row n is a cell
+    with n + 1 integer digits. In both, the sign column is written apart.
+    A block's records keep only the columns its cells need: records holds
+    the patterns of each layout in use (_g_record, _layout_f), at most 128.
     """
     ks = np.arange(_K_MIN, _K_MAX + 1)
-    coarse = np.array([_power_of_ten(32 * j) for j in range(_K_MIN // 32, _K_MAX // 32 + 1)])
-    fine = np.array([_power_of_ten(i) for i in range(32)])
-    (c_hi, c_lo), (f_hi, f_lo) = coarse[ks // 32 - _K_MIN // 32].T, fine[ks % 32].T
+    # 10**i for i < 32, then 10**(32 j) from j = _K_MIN // 32 on
+    parts = np.array([_power_of_ten(k)
+                      for k in [*range(32), *range(_K_MIN // 32 * 32, _K_MAX, 32)]])
+    (c_hi, c_lo), (f_hi, f_lo) = parts[32:][ks // 32 - _K_MIN // 32].T, parts[ks % 32].T
     hi, err = _two_product(c_hi, f_hi, *_split(f_hi))
     lo = err + (c_hi * f_lo + c_lo * f_hi)
-    quads = np.full((10, 10, 10, 10, 4, 2), 0xFF, np.uint8)
+    digits = np.full((10, 10, 10, 10, 4, 2), 0xFF, np.uint8)
     for j in range(4):
-        quads[..., j, 0] = np.arange(48, 58, dtype=np.uint8).reshape(-1, *[1] * (3 - j))
+        digits[..., j, 0] = np.arange(48, 58, dtype=np.uint8).reshape(-1, *[1] * (3 - j))
+    digits = digits.reshape(10000, 8)
+    trailing = np.zeros(10000, np.uint8)
+    for j in range(1, 5):
+        trailing[::10**j] += 1
 
     i = np.arange(17)
     # '.17g' class c: fixed notation with exponent c - 4, or the e-form (c = 21)
-    point = np.append(np.arange(-4, 17), 0)[:, None, None]
+    point = np.arange(-4, 18)[:, None, None]
+    point[-1] = 0
     shown = np.maximum(np.arange(1, 18)[:, None], point + 1)
-    g = np.zeros((2, 22, 17, 40), np.uint8)
-    g[1, ..., 0] = ord("-")
+    g = np.full((22, 17, 46), 0xFF, np.uint8)
+    g[..., 1:6] = 0
     prefixes = b"0.000" b"0.00\x00" b"0.0\x00\x00" b"0.\x00\x00\x00"
-    g[:, :4, :, 1:6] = np.frombuffer(prefixes, np.uint8).reshape(4, 1, 5)
-    g[..., 6::2] = np.where(i < shown, 0xFF, 0)
-    g[..., 7::2] = np.where((i == point) & (i + 1 < shown), ord("."), 0)
+    g[:4, :, 1:6] = np.frombuffer(prefixes, np.uint8).reshape(4, 1, 5)
+    g[..., 6:40:2] = np.where(i < shown, 0xFF, 0)
+    g[..., 7:40:2] = np.where((i == point) & (i + 1 < shown), ord("."), 0)
     e = 16 - ks
     fixed = (e >= -4) & (e < 17)
-    suffix = np.zeros((e.size, 8), np.uint8)
-    suffix[:, 0] = ord("e")
-    suffix[:, 1] = np.where(e < 0, ord("-"), ord("+"))
-    suffix[:, 2:5] = np.abs(e)[:, None] // [100, 10, 1] % 10 + ord("0")
-    suffix[np.abs(e) < 100, 2] = 0
-    suffix[fixed] = 0
-    f = np.zeros((2, 14, 38), np.uint8)
-    f[1, :, 0] = ord("-")
-    f[..., 2:36:2] = np.where(i >= 14 - np.arange(14)[:, None], 0xFF, 0)
-    f[..., 31] = ord(".")
-    return ((hi, *_split(hi), lo), quads.reshape(-1, 8).view(np.uint64).ravel(),
-            g.reshape(748, 40).view(np.uint16), np.where(fixed, e + 4, 21) * 17 - 1,
-            suffix.view(np.uint64).ravel(), f.reshape(28, 38).view(np.uint16))
+    suffix = np.full((e.size, 8), 0xFF, np.uint8)
+    suffix[:, 2] = ord("e")
+    suffix[:, 3] = np.where(e < 0, ord("-"), ord("+"))
+    suffix[:, 4:7] = np.abs(e)[:, None] // [100, 10, 1] % 10 + ord("0")
+    suffix[np.abs(e) < 100, 4] = 0
+    suffix[fixed, 2:7] = 0
+    f = np.full((16, 21), 0xFF, np.uint8)
+    f[:, 1:17] = np.where(i[:16] >= 15 - np.arange(16)[:, None], 0xFF, 0)
+    f[:, 17] = ord(".")
+    return (np.stack([hi, *_split(hi), lo], axis=1),
+            np.ascontiguousarray(digits[:, ::2]).view(np.uint32).ravel(),
+            digits.view(np.uint64).ravel(), trailing,
+            digits[:100, 4::2].copy().view(np.uint16).ravel(),
+            g.reshape(374, 46), np.where(fixed, e + 4, 21) * 17 + 16,
+            suffix.view(np.uint64).ravel(), f, {})
 
 
-def _scaled(ax, k, powers):
-    """floor(ax * 10**k) as int64 and the fraction above it, within 1e-13:
-    ax * hi is exactly p + err, and ax * lo adds the rest of 10**k."""
-    hi, hi_high, hi_low, lo = (a.take(k - _K_MIN) for a in powers)
+def _scaled(ax, row, powers):
+    """floor(ax * 10**k) as int64 and the fraction above it, within 1e-13,
+    where ax * 10**k >= 2**53 and row = k - _K_MIN: ax * hi is exactly
+    p + err, p an integer, and ax * lo adds the rest of 10**k."""
+    hi, hi_high, hi_low, lo = powers.take(row, axis=0).T
     p, err = _two_product(ax, hi, hi_high, hi_low)
-    floor_p = np.floor(p)
-    s = (p - floor_p) + (err + ax * lo)
+    s = err + ax * lo
     floor_s = np.floor(s)
-    return floor_p.astype(np.int64) + floor_s.astype(np.int64), s - floor_s
+    return p.astype(np.int64) + floor_s.astype(np.int64), s - floor_s
 
 
-def _digits(d, quads, out):
-    """Write the 17 digits of each 0 <= d < 10**17 into 17 digit slots of out."""
-    lead, rest = np.divmod(d, 10**16)
-    out[:, 0] = quads.view(np.uint16)[3::4].take(lead)
-    high, low = np.divmod(rest, 10**8)
-    groups = np.stack([high // 10**4, high % 10**4, low // 10**4, low % 10**4], axis=1)
-    out[:, 1:] = quads.take(groups).view(np.uint16)
+def _digits(d, trailing):
+    """The 17 digits of each d: its lead digit and four groups of four, and
+    how many of them are trailing zeros, looked for past the last group
+    only where it is 0000."""
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    groups = [high // 10**4, None, low // 10**4, None]
+    groups[1], groups[3] = high - groups[0] * 10**4, low - groups[2] * 10**4
+    tz = trailing.take(groups[3])
+    ends = np.flatnonzero(groups[3] == 0)
+    for group in groups[2::-1]:
+        tz[ends] += trailing.take(group[ends])
+        ends = ends[group[ends] == 0]
+    return lead, groups, tz
 
 
-def _layout_g(v, tables):
-    """The '.17g' bytes of each cell, and the cells they may get wrong."""
-    powers, quads, g_patterns, g_base, g_suffix, _ = tables
+def _g_record(tables, row, signed):
+    """The layout of a block's '.17g' records, from the rows k - _K_MIN of
+    its cells and whether one is negative: the patterns of its columns, the
+    byte offsets of its lead digit and of its four 4-digit groups, and how
+    many of its first digits have a point slot and whether it has the
+    exponent suffix. A block keeps the sign column if a cell is negative,
+    the '0.000' prefix as far as its smallest fixed-notation cell needs, the
+    point slots up to its last point shown in groups of four, so 0, 1, 5,
+    9, 13 or 17 of them, and the suffix if a cell takes the e-form."""
+    # fixed notation has exponent e = 16 - k in -4..16, and the e-form the rest
+    k_low, k_high = int(row.min()) + _K_MIN, int(row.max()) + _K_MIN
+    eform = k_low < 0 or k_high > 20
+    if eform:
+        fixed = row[(row >= -_K_MIN) & (row <= 20 - _K_MIN)] + _K_MIN
+        k_low, k_high = int(fixed.min(initial=16)), int(fixed.max(initial=16))
+    # the last point shown is after digit e of fixed notation (e >= 0), or
+    # after the lead digit of the e-form; -1 for none
+    last_point = max(16 - k_low, eform - 1)
+    points = 1 + 4 * -(-last_point // 4) if last_point >= 0 else 0
+    key = (signed, k_high - 15 if k_high > 16 else 0, points, eform)
+    *_, g_patterns, _, _, _, records = tables
+    if key not in records:
+        cols = [0] * signed + [*range(1, 1 + key[1])]
+        offsets = []
+        for group in ([0], range(1, 5), range(5, 9), range(9, 13), range(13, 17)):
+            offsets.append(len(cols))
+            for i in group:
+                cols += [6 + 2 * i, 7 + 2 * i][:1 + (i < points)]
+        cols += [*range(40, 45)] * eform + [45]
+        records[key] = g_patterns[:, cols], offsets, points, eform
+    return records[key]
+
+
+def _and_column(buf, width, offset, values):
+    """AND values into the records of width bytes at the start of buf, one
+    value at byte offset of each record, through a strided (and maybe
+    unaligned) view."""
+    column = np.ndarray(values.shape, values.dtype, buf, offset, (width,))
+    np.bitwise_and(column, values, out=column)
+
+
+def _layout_g(v, tables, buf):
+    """The '.17g' records of each cell, laid out in buf, and the cells they
+    may get wrong."""
+    powers, quads, pointed, trailing, _, _, g_base, g_suffix, *_ = tables
     ax = np.abs(v)
     slow = ~((ax >= _G_MIN) & (ax <= _G_MAX))
     ax[slow] = 1.0
-    k = 16 - np.floor(np.log10(ax)).astype(np.int64)
-    whole, frac = _scaled(ax, k, powers)
+    row = (16 - _K_MIN) - np.floor(np.log10(ax)).astype(np.int64)
+    whole, frac = _scaled(ax, row, powers)
     d = whole + (frac > 0.5)
     # log10 may misplace the exponent by one: rescale the cells whose
-    # |x| * 10**k is not in [1e16, 1e17) before or after rounding
-    step = (whole < 10**16).astype(np.int64) - (d >= 10**17)
-    redo = np.flatnonzero(step)
+    # |x| * 10**k is not in [1e16, 1e17) before or after rounding, found
+    # as whole < 1e16 or whole >= 1e17 - 1 in one unsigned comparison
+    # (below 2**53, whole may be one short of the floor, still below 1e16)
+    redo = np.flatnonzero((whole - 10**16).view(np.uint64) >= 9 * 10**16 - 1)
     if redo.size:
-        k[redo] += step[redo]
-        whole, frac[redo] = _scaled(ax[redo], k[redo], powers)
+        row[redo] += (whole[redo] < 10**16).astype(np.int64) - (d[redo] >= 10**17)
+        whole, frac[redo] = _scaled(ax[redo], row[redo], powers)
         d[redo] = whole + (frac[redo] > 0.5)
-    slow |= (np.abs(frac - 0.5) < 1e-6) | (d < 10**16) | (d >= 10**17)
-    out = np.full((v.size, 24), 0xFFFF, np.uint16)
-    _digits(d, quads, out[:, 3:20])
-    sig = 17 - (out[:, 19:2:-1] != _ZERO).argmax(axis=1)
-    row = k - _K_MIN
-    out[:, :20] &= g_patterns.take(g_base.take(row) + sig + 374 * np.signbit(v), axis=0)
-    out.view(np.uint64)[:, 5] = g_suffix.take(row)
-    return out.view(np.uint8), slow
+        slow[redo] |= (d[redo] < 10**16) | (d[redo] >= 10**17)
+    slow |= np.abs(frac - 0.5) < 1e-6
+    lead, groups, tz = _digits(d, trailing)
+    neg = np.signbit(v)
+    signed = bool(neg.any())
+    patterns, (at_lead, *at_groups), points, eform = _g_record(tables, row, signed)
+    rows, width = v.size, patterns.shape[1]
+    out = buf[:rows * width].reshape(rows, width)
+    patterns.take(g_base.take(row) - tz, axis=0, out=out, mode="clip")
+    if signed:
+        out[:, 0] = neg * ord("-")
+    # (a slow cell's d may have 18 digits; Python's formatter writes it)
+    _and_column(buf, width, at_lead, _ASCII_DIGITS.take(lead, mode="clip"))
+    for j, (at, group) in enumerate(zip(at_groups, groups)):
+        _and_column(buf, width, at, (pointed if 4 * j + 1 < points else quads).take(group))
+    if eform:
+        _and_column(buf, width, width - 8, g_suffix.take(row))
+    return out, slow
 
 
-def _layout_f(v, tables):
-    """The '.2f' bytes of each cell, and the cells they may get wrong."""
-    powers, quads, *_, f_patterns = tables
+def _layout_f(v, tables, buf):
+    """The '.2f' records of each cell, laid out in buf, and the cells they
+    may get wrong."""
+    _, quads, _, _, pairs, _, _, _, f_patterns, records = tables
     ax = np.abs(v)
     slow = ~(ax < 1e13)
     ax[slow] = 0.0
-    whole, frac = _scaled(ax, 2, powers)
+    # |x| is whole + part exactly, and 100 part rounds within 2**-47 of
+    # itself: its fraction is exact to far inside the 1e-6 tie guard
+    whole = np.floor(ax)
+    cents = (ax - whole) * 100
+    floor_cents = np.floor(cents)
+    frac = cents - floor_cents
     slow |= np.abs(frac - 0.5) < 1e-6
-    d = whole + (frac > 0.5)
-    out = np.full((v.size, 19), 0xFFFF, np.uint16)
-    _digits(d, quads, out[:, 1:18])
-    out &= f_patterns.take(np.searchsorted(_F_STEPS, d, side="right") + 14 * np.signbit(v), axis=0)
-    return out.view(np.uint8), slow
+    d = (100 * whole + floor_cents).astype(np.int64) + (frac > 0.5)
+    integer = d // 100
+    neg = np.signbit(v)
+    # the sign column if a cell is negative, then as many groups of four
+    # integer digits as the widest cell needs, the point, 2 digits, the separator
+    key = (bool(neg.any()), -(-len(str(integer.max(initial=0))) // 4))
+    signed, groups = key
+    if key not in records:
+        records[key] = f_patterns[:, [0] * signed + [*range(17 - 4 * groups, 21)]]
+    patterns = records[key]
+    rows, width = v.size, patterns.shape[1]
+    out = buf[:rows * width].reshape(rows, width)
+    pattern_rows = np.searchsorted(_F_STEPS[:4 * groups - 1], integer, side="right")
+    patterns.take(pattern_rows, axis=0, out=out, mode="clip")
+    if signed:
+        out[:, 0] = neg * ord("-")
+    _and_column(buf, width, width - 3, pairs.take(d - 100 * integer))
+    for at in range(width - 8, width - 8 - 4 * groups, -4):
+        group = integer // 10**4
+        _and_column(buf, width, at, quads.take(integer - group * 10**4))
+        integer = group
+    return out, slow
 
 
-def _blocks(cols: list[np.ndarray], spec: str, seps: bytes,
-            last_sep: bool = True) -> Iterator[bytes]:
+def _blocks(cols: list[np.ndarray], spec: str, seps: bytes, last_sep: bool = True,
+            maps: tuple | None = None) -> Iterator[bytes]:
     """The cells of equal-length float columns, row after row, each as
     format(cell, spec) for spec '.17g' or '.2f' and followed by its column's
     byte of seps (but for the very last cell without last_sep), as ASCII
-    bytes, one block of rows at a time."""
+    bytes, one block of rows at a time; maps, if given, maps each column's
+    part of a block elementwise before it is rendered. Each block's records
+    are laid out in one buffer that the call owns, as wide as the block's
+    cells need; a cell the layout may get wrong is marked there by a 0x01
+    byte, which Python's formatter replaces."""
     layout = _layout_g if spec == ".17g" else _layout_f
     tables = _tables()
-    rows = max(1, _BLOCK // len(cols))
+    size, width = len(cols[0]), len(cols)
+    rows = max(1, min(_BLOCK // width, size))
     sep = np.frombuffer(seps * rows, np.uint8)
-    size = len(cols[0])
+    cells = np.empty((rows, width))
+    buf = np.empty(cells.size * _WIDEST, np.uint8)
     for start in range(0, size, rows):
-        v = np.column_stack([col[start:start + rows] for col in cols]).ravel()
-        out, slow = layout(v, tables)
+        block = cells[:min(rows, size - start)]
+        for j, col in enumerate(cols):
+            part = col[start:start + rows]
+            block[:, j] = maps[j](part) if maps else part
+        v = block.ravel()
+        out, slow = layout(v, tables, buf)
+        marked = np.flatnonzero(slow)
+        if marked.size:
+            out[marked] = 0
+            out[marked, 0] = 1
         out[:, -1] = sep[:v.size]
-        for i in np.flatnonzero(slow).tolist():
-            text = np.frombuffer(format(v[i].item(), spec).encode(), np.uint8)
-            if text.size >= out.shape[1]:
-                out = np.pad(out, ((0, 0), (text.size + 1 - out.shape[1], 0)))
-            out[i, :-1] = 0
-            out[i, :text.size] = text
         if not last_sep and start + rows >= size:
             out[-1, -1] = 0
-        yield out.tobytes().translate(None, b"\0")
+        text = out.tobytes().translate(None, b"\0")
+        if marked.size:
+            parts = text.split(b"\x01")
+            for i, x in enumerate(v[marked].tolist()):
+                parts[i] += format(x, spec).encode()
+            text = b"".join(parts)
+        yield text
 
 
 def _render(cols: list[np.ndarray], spec: str, seps: bytes) -> str:

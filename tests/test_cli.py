@@ -782,6 +782,16 @@ def reference_polylines(table, width=720, height=480):
             for _, col in table.columns]
 
 
+def digits_17g(x):
+    """The class of format(x, '.17g'), the exponent of fixed notation or
+    None for the e-form, and the trailing zeros of its 17 digits."""
+    mantissa, _, exponent = format(abs(x), ".17g").partition("e")
+    whole, _, part = mantissa.partition(".")
+    digits = (whole + part).lstrip("0")
+    e = len(whole) - 1 if whole != "0" else len(digits) - len(part) - 1
+    return None if exponent else e, 17 - len(digits.rstrip("0"))
+
+
 # subnormals, signed zeros, the ends of the double range
 EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 1e308, -1e308,
               1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0, 1e-300, 1e22]
@@ -874,7 +884,7 @@ class TestSeriesTable:
         x[per_block - 1::per_block], a[per_block - 1::per_block] = 0.0, 1234567890123456.25
         b[per_block::per_block] = 0.422973611418032  # 17 digits, then 500000225
         assert output._layout_g(np.array([0.0, 1234567890123456.25, 0.422973611418032]),
-                                output._tables())[1].all()
+                                output._tables(), np.empty(3 * output._WIDEST, np.uint8))[1].all()
         table = SeriesTable(x_label="x", y_label="y", x=x, columns=[("a", a), ("b", b)],
                             metadata=[("key", "val")])
         table.write_csv(str(tmp_path / "t.csv"))
@@ -889,7 +899,8 @@ class TestSeriesTable:
             cols = [p, p[::-1]]
             assert b"".join(output._blocks(cols, ".2f", b", ", last_sep=False)).decode() == (
                 output._render(cols, ".2f", b", ")[:-1])
-        assert output._layout_f(np.array([0.125, 0.1250000001]), output._tables())[1].all()
+        assert output._layout_f(np.array([0.125, 0.1250000001]), output._tables(),
+                                np.empty(2 * output._WIDEST, np.uint8))[1].all()
 
     def test_write_csv_memory_flat_in_rows(self, tmp_path):
         """Writing a 200,000 x 7 table, a 27 MB file, allocates a few blocks
@@ -906,7 +917,25 @@ class TestSeriesTable:
         finally:
             tracemalloc.stop()
         assert (tmp_path / "t.csv").stat().st_size > 25e6
-        assert peak < 4e6
+        assert peak < 2e6
+
+    def test_write_svg_memory_flat_in_rows(self, tmp_path):
+        """Writing a plot of six 200,000-point polylines, a 17 MB file, maps
+        and renders each block of points as it comes: no mapped column (1.6
+        MB) is ever whole in memory, nor is the file's text."""
+        rng = np.random.default_rng(3)
+        x = np.linspace(0.1, 50.0, 200_000)
+        table = SeriesTable(x_label="x", y_label="y", x=x,
+                            columns=[(f"c{j}", rng.normal(size=x.size) * 10.0 ** j)
+                                     for j in range(6)])
+        tracemalloc.start()
+        try:
+            table.write_svg(str(tmp_path / "t.svg"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "t.svg").stat().st_size > 15e6
+        assert peak < 1.5e6
 
     @pytest.mark.parametrize("value, text", [
         (0.0, "0"), (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"),
@@ -927,16 +956,67 @@ class TestSeriesTable:
         zero stays, and rounding may add an integer digit."""
         assert output._render([np.array([value])], ".2f", b" ") == f"{value:.2f} " == text + " "
 
+    def test_csv_cells_of_every_class_and_trailing_zero_count(self):
+        """A cell of each sign with each count of trailing zeros, 0 to 16, in
+        its 17 digits, in each class: fixed notation with exponent -4 to 16,
+        and the e-form; each class in blocks of its own and all in one. And
+        10**k with both its neighbours for |k| <= 30, where log10 may
+        misplace the exponent."""
+        found = {}
+        for e in [*range(-4, 17), None]:
+            for tz in range(17):
+                for i in range(1, 200):
+                    # n = 17 - tz digits, the first and the last nonzero
+                    n, lead = 17 - tz, str(i % 9 + 1)
+                    digits = lead + f"{str(7 ** i)[:n - 2]:3<{n - 2}}" + lead if n > 1 else lead
+                    exponent = e if e is not None else (-5, 17, -9, 23, -120, 120)[i % 6]
+                    x = float(f"{digits}e{exponent - 16 + tz}")
+                    if digits_17g(x) == (e, tz):
+                        found[e, tz] = x
+                        break
+        assert len(found) == 22 * 17
+        for e in [*range(-4, 17), None]:
+            cells = np.array([x for (c, _), x in found.items() if c == e])
+            for block in (cells, -cells, np.concatenate([cells, -cells])):
+                assert output._render([block], ".17g", b"\n") == "".join(
+                    f"{x:.17g}\n" for x in block.tolist())
+        powers = np.array([float(f"1e{k}") for k in range(-30, 31)])
+        cells = np.concatenate([list(found.values()), powers, np.nextafter(powers, 0.0),
+                                np.nextafter(powers, np.inf)])
+        cells = np.concatenate([cells, -cells])
+        assert output._render([cells, cells[::-1]], ".17g", b",\n") == "".join(
+            f"{a:.17g},{b:.17g}\n" for a, b in zip(cells.tolist(), cells[::-1].tolist()))
+
+    def test_point_blocks_of_every_width(self):
+        """'.2f' blocks whose widest cell has 1 to 13 integer digits, each
+        with the rounding carries that add a digit at the top of its width
+        (9.996 to 10.00), alone and one after another in one column."""
+        rng = np.random.default_rng(1)
+        assert output._render([np.array([9.996, 99999.996])], ".2f", b" ") == "10.00 100000.00 "
+        blocks = []
+        for n in range(1, 14):
+            top = 10.0 ** n
+            block = np.concatenate([rng.uniform(-top, top, 60), [top - 0.004, 0.0, -0.001],
+                                    np.round(rng.uniform(0.0, top, 20)) - 0.004])
+            blocks.append(np.resize(block, output._BLOCK))
+            for cols, seps in (([block], " "), ([block, block[::-1]], ", ")):
+                assert output._render(cols, ".2f", seps.encode()) == "".join(
+                    f"{a:.2f}{sep}" for row in zip(*[c.tolist() for c in cols])
+                    for a, sep in zip(row, seps))
+        mixed = np.concatenate(blocks[::-1] + blocks[1::2])
+        assert output._render([mixed], ".2f", b" ") == "".join(f"{a:.2f} " for a in mixed.tolist())
+
     def test_tie_is_left_to_python_formatter(self):
         """A fraction within 1e-6 of a half, here an exact tie, is flagged for
         Python's formatter, and the text of the table stays byte-exact."""
         v = np.array([1234567890123456.25, 0.5, 1234567890123456.0])
-        _, slow = output._layout_g(v.copy(), output._tables())
+        buf = np.empty(3 * output._WIDEST, np.uint8)
+        _, slow = output._layout_g(v.copy(), output._tables(), buf)
         assert slow.tolist() == [True, False, False]
         table = SeriesTable(x_label="x", y_label="y", x=v, columns=[("a", -v)])
         assert table.to_csv() == reference_csv(table)
         assert "\n1234567890123456.2,-1234567890123456.2\n" in table.to_csv()
-        _, slow = output._layout_f(np.array([0.125, 2.675, 0.25]), output._tables())
+        _, slow = output._layout_f(np.array([0.125, 2.675, 0.25]), output._tables(), buf)
         assert slow.tolist() == [True, True, False]
 
     @pytest.mark.parametrize("kind", [AS_LIST, AS_ARRAY])

@@ -269,9 +269,9 @@ class TestPartitionDirect:
     @pytest.mark.parametrize("n", [100_000, 1_000_000])
     def test_direct_memory_flat_in_n(self, n):
         """A point that keeps all N+1 levels allocates a few blocks at most,
-        whatever N: two work arrays of a block, and one piece's levels with
-        the temporaries of excitation, each under a block (the whole row
-        took 3.2 MB at N = 1e5 and 32 MB at N = 1e6)."""
+        whatever N: two work arrays of a block, and one piece's levels, which
+        excitation builds in place, each under a block (the whole row took
+        3.2 MB at N = 1e5 and 32 MB at N = 1e6)."""
         edge = SystemParams(alpha=1.0, k=-1e-6)
         sweep(edge, 40, 1000, [1e-4])  # one-off allocations of a first call
         tracemalloc.start()
@@ -281,7 +281,7 @@ class TestPartitionDirect:
         finally:
             tracemalloc.stop()
         assert series.diagnostics["n_terms"].item() == n + 1
-        assert peak < 6 * 8 * thermo._BLOCK_ELEMENTS
+        assert peak < 5 * 8 * thermo._BLOCK_ELEMENTS
 
 
 class TestPaperCoefficients:
