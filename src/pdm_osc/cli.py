@@ -5,8 +5,9 @@ precedence is CLI flags > config file (flat key=value lines, each key at
 most once and among the command's options; a '#' at the start of a line or
 after whitespace starts a comment) > defaults. `thermo --T` refuses the
 grid and file options it would not read, and variant=both. Exit codes: 0
-success, 1 validation/computation failure, 2 config error (single
-machine-parsable line on stderr).
+success; 1 a failed validation, or a refusal (PdmOscError) or OS failure
+with one `error: ...` line; 2 a configuration error, SystemParams fields
+included (one machine-parsable line). Any other exception is a bug: a traceback.
 """
 
 from __future__ import annotations
@@ -21,15 +22,19 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__, thermo, validate as validation
+from .errors import ConfigError, PdmOscError
 from .oscillator import RadialFamily, SystemParams, _turning_radius, energy
 from .output import SeriesTable, format_float
+from .specfun import JACOBI_DEGREE_CAP
 
 # the one declaration of each option: its name (the flag is "--" + name with
-# "_" as "-"), type, default, choices, help and the commands that take it, in
-# the order of each command's help
-_Option = namedtuple("_Option", "name kind default choices help commands")
+# "_" as "-"), type, default, choices, help, the commands that take it (in the
+# order of each command's help) and its bound: a test and the reason it fails
+_Option = namedtuple("_Option", "name kind default choices help commands bound", defaults=(None,))
 _STATES, _TABLES = ("spectrum", "wavefunction"), ("thermo", "figures")
 _SYSTEM = _STATES + _TABLES
+# a T or r grid has 2 to 10**7 rows (10**7 CSV cells are about 240 MB)
+_ROWS = (lambda n: 2 <= n <= 10**7, "must be in [2, 10000000]")
 _OPTIONS = (
     _Option("alpha", float, 1.0, None, "oscillation frequency (> 0)", _SYSTEM),
     _Option("k", float, None, None, "nonlinearity parameter (physical: k < 0)", _SYSTEM),
@@ -38,19 +43,22 @@ _OPTIONS = (
     _Option("lam", float, 1.0, None, "mass scale (nonzero)", _SYSTEM),
     _Option("kb", float, 1.0, None, "Boltzmann constant", _SYSTEM),
     _Option("m", int, 1, None, "magnetic quantum number", _SYSTEM),
-    _Option("n_max", int, 8, None, None, _STATES),
-    _Option("N", int, 500, None, "truncation bound of the state sum", _TABLES),
+    _Option("n_max", int, 8, None, None, _STATES,
+            (lambda n: 0 <= n <= JACOBI_DEGREE_CAP, f"must be in [0, {JACOBI_DEGREE_CAP}]")),
+    _Option("N", int, 500, None, "truncation bound of the state sum", _TABLES,
+            (lambda n: n >= 1, "must be >= 1")),
     _Option("strategy", str, "direct", ("direct", "paper", "poisson"), None, _TABLES),
     _Option("variant", str, "corrected", ("corrected", "verbatim", "both"), None, _TABLES),
     _Option("out", str, ".", None, "output directory", _SYSTEM),
     _Option("format", str, "csv", ("csv", "svg", "both"), None, _SYSTEM),
     _Option("config", str, None, None, "flat key=value config file", _SYSTEM),
-    _Option("T", float, None, None, "single-point temperature", ("thermo",)),
+    _Option("T", float, None, None, "single-point temperature", ("thermo",),
+            (lambda t: t > 0.0, "must be positive")),
     _Option("T_min", float, 0.1, None, None, _TABLES),
     _Option("T_max", float, 50.0, None, None, _TABLES),
-    _Option("T_count", int, 500, None, None, _TABLES),
+    _Option("T_count", int, 500, None, None, _TABLES, _ROWS),
     _Option("T_spacing", str, "auto", ("linear", "log", "auto"), None, _TABLES),
-    _Option("r_count", int, 200, None, None, ("wavefunction",)),
+    _Option("r_count", int, 200, None, None, ("wavefunction",), _ROWS),
     _Option("quick", bool, False, None, "run the sub-second subset", ("validate",)),
     _Option("inject_energy_perturbation", bool, False, None,
             "test hook: negative control, must fail", ("validate",)),
@@ -66,15 +74,8 @@ _COMMENT = re.compile(r"(^|\s)#.*")
 _GRID_OPTIONS = ("out", "format", "T_min", "T_max", "T_count", "T_spacing")
 
 
-class ConfigError(Exception):
-    def __init__(self, field: str, reason: str):
-        super().__init__(f"config-error field={field} reason={reason}")
-        self.field = field
-
-
 def _parse_config_file(path: str) -> dict:
-    values: dict = {}
-    lines: dict = {}
+    values, lines = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -87,14 +88,14 @@ def _parse_config_file(path: str) -> dict:
                 if key in values:
                     raise ConfigError(key, f"repeated on lines {lines[key]} and {lineno}")
                 values[key], lines[key] = value, lineno
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     return values
 
 
 def _coerce(option: _Option, value):
     """value, from a flag, a config file or the default, as option's type,
-    finite and within its choices."""
+    finite, within its choices and its bound."""
     if value is None:
         return None
     try:
@@ -107,6 +108,8 @@ def _coerce(option: _Option, value):
     if option.choices and number not in option.choices:
         raise ConfigError(option.name, f"must be {', '.join(option.choices[:-1])} "
                                        f"or {option.choices[-1]}")
+    if option.bound and not option.bound[0](number):
+        raise ConfigError(option.name, option.bound[1])
     return number
 
 
@@ -125,9 +128,10 @@ def _parse_k_list(field: str, value) -> list[float] | None:
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge defaults, config file and CLI flags into one validated mapping.
-    Every option has its default; only the command's own take a config key
-    or a flag."""
+    """Merge defaults, config file and CLI flags into one mapping, with the
+    SystemParams of each k ("systems"), checking the relations between
+    options (_coerce checks each value, SystemParams its fields). Every option
+    has its default; only the command's own take a config key or a flag."""
     cfg = {option.name: option.default for option in _OPTIONS}
     own = [option.name for option in _OPTIONS
            if command in option.commands and option.name != "config"]
@@ -143,35 +147,19 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         if flag is not None:
             cfg[key] = flag
             given.add(key)
-    if command == "figures" and cfg["k"] is None and cfg["k_list"] is None:
-        cfg["k_list"] = "-0.1,-0.2,-0.3"
     for option in _OPTIONS:
         cfg[option.name] = _coerce(option, cfg[option.name])
     cfg["k_list"] = _parse_k_list("k_list", cfg["k_list"])
     if cfg["k_list"] is None:
-        cfg["k_list"] = [cfg["k"] if cfg["k"] is not None else -0.1]
+        default = list(validation.FIGURE_K_LIST) if command == "figures" else [-0.1]
+        cfg["k_list"] = [cfg["k"]] if cfg["k"] is not None else default
     elif cfg["k"] is not None:
         raise ConfigError("k", "give either k or k_list, not both")
     if len(set(cfg["k_list"])) != len(cfg["k_list"]):
         raise ConfigError("k_list", "repeated k value")
-    if cfg["alpha"] <= 0:
-        raise ConfigError("alpha", "must be positive")
-    if cfg["kb"] <= 0:
-        raise ConfigError("kb", "must be positive")
-    if cfg["lam"] == 0:
-        raise ConfigError("lam", "must be nonzero")
-    if cfg["N"] < 1:
-        raise ConfigError("N", "must be >= 1")
-    if cfg["n_max"] < 0:
-        raise ConfigError("n_max", "must be >= 0")
-    if cfg["T"] is not None and cfg["T"] <= 0:
-        raise ConfigError("T", "must be positive")
+    cfg["systems"] = [SystemParams(cfg["alpha"], k, cfg["lam"], cfg["kb"]) for k in cfg["k_list"]]
     if not (0 < cfg["T_min"] < cfg["T_max"]):
         raise ConfigError("T_grid", "need 0 < T_min < T_max")
-    if cfg["T_count"] < 2:
-        raise ConfigError("T_count", "must be >= 2")
-    if cfg["r_count"] < 2:
-        raise ConfigError("r_count", "must be >= 2")
     if cfg["T"] is not None:
         for key in _GRID_OPTIONS:
             if key in given:
@@ -180,12 +168,6 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             raise ConfigError("variant", "both is not read with T (single-point mode)")
     cfg["strategy_enum"] = thermo.Strategy(cfg["strategy"])
     return cfg
-
-
-def _system_params(cfg: dict, k: float) -> SystemParams:
-    exploratory = k >= 0.0
-    return SystemParams(alpha=cfg["alpha"], k=k, lam=cfg["lam"], kb=cfg["kb"],
-                        exploratory=exploratory)
 
 
 def _temperature_grid(cfg: dict) -> list[float]:
@@ -252,8 +234,8 @@ def _write_table(cfg: dict, table: SeriesTable, stem: str) -> list[str]:
 
 def cmd_spectrum(cfg: dict) -> int:
     n_values = np.arange(cfg["n_max"] + 1)
-    columns = [(f"E(k={format_float(k)}) [energy]",
-                energy(_system_params(cfg, k), n_values, cfg["m"])) for k in cfg["k_list"]]
+    columns = [(f"E(k={format_float(p.k)}) [energy]", energy(p, n_values, cfg["m"]))
+               for p in cfg["systems"]]
     table = SeriesTable(
         x_label="n_r [-]",
         y_label="E [energy, hbar=1]",
@@ -269,7 +251,7 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_wavefunction(cfg: dict) -> int:
     if len(cfg["k_list"]) != 1:
         raise ConfigError("k_list", "wavefunction output needs exactly one k")
-    p, m, n_max = _system_params(cfg, cfg["k_list"][0]), cfg["m"], cfg["n_max"]
+    (p,), m, n_max = cfg["systems"], cfg["m"], cfg["n_max"]
     family = RadialFamily(p, m, n_max)
     # the states live within a few turning radii of the origin, which is a
     # sliver of [0, r_max) as k -> 0-: sample up to four outer turning radii
@@ -290,18 +272,16 @@ def cmd_wavefunction(cfg: dict) -> int:
     return 0
 
 
-def _thermo_tables(cfg: dict, command: str, temps: np.ndarray,
-                   one_variant: bool = False) -> list[SeriesTable]:
+def _thermo_tables(cfg: dict, command: str, temps: np.ndarray) -> list[SeriesTable]:
     """The Z, U, C, F and S tables over temps: one column per k and variant."""
     variants = ["corrected", "verbatim"] if cfg["variant"] == "both" else [cfg["variant"]]
-    if one_variant or cfg["strategy_enum"] is not thermo.Strategy.PAPER_CLOSED_FORM:
+    if cfg["strategy_enum"] is not thermo.Strategy.PAPER_CLOSED_FORM:
         variants = variants[:1]
     by_series: dict[tuple[float, str], thermo.ThermoSeries] = {}
-    for k in cfg["k_list"]:
-        p = _system_params(cfg, k)
+    for p in cfg["systems"]:
         for v in variants:
-            by_series[(k, v)] = thermo.sweep(p, cfg["m"], cfg["N"], 1.0 / (p.kb * temps),
-                                             cfg["strategy_enum"], v)
+            by_series[(p.k, v)] = thermo.sweep(p, cfg["m"], cfg["N"], 1.0 / (p.kb * temps),
+                                               cfg["strategy_enum"], v)
     grid_meta = (
         f"min={format_float(cfg['T_min'])} max={format_float(cfg['T_max'])} "
         f"count={cfg['T_count']} spacing={cfg['T_spacing']}"
@@ -333,7 +313,7 @@ def cmd_thermo(cfg: dict) -> int:
         return cmd_tables(cfg, "thermo")
     # single-point mode: the five quantities per k on one line, held to the
     # tables' finiteness rule
-    tables = _thermo_tables(cfg, "thermo", np.array([cfg["T"]]), one_variant=True)
+    tables = _thermo_tables(cfg, "thermo", np.array([cfg["T"]]))
     values = [table.validate()[1] for table in tables]
     for j, k in enumerate(cfg["k_list"]):
         cells = " ".join(f"{q}={format_float(cols[j][0].item())}"
@@ -426,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except Exception as exc:  # computation failure
+    except (PdmOscError, OSError, MemoryError) as exc:  # a refusal or an OS failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

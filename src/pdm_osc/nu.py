@@ -22,10 +22,11 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError, NegativeDiscriminantError
+
 __all__ = [
     "NUProblem",
     "NUCoefficients",
-    "NegativeDiscriminantError",
     "derive_coefficients",
     "tau_prime",
     "quantization_residual",
@@ -35,10 +36,6 @@ __all__ = [
 # square roots of slightly negative values produced by cancellation are
 # clamped; anything more negative is a genuine domain violation
 _NEGATIVE_CLAMP = 1e-13
-
-
-class NegativeDiscriminantError(ValueError):
-    """A radicand that must be nonnegative (a8, a9 or a8*a9) is negative."""
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class NUProblem:
 
     def __post_init__(self):
         if np.count_nonzero(self.a3 == 0.0):
-            raise ValueError("a3 must be nonzero for this parametric family")
+            raise DomainError("a3 must be nonzero for this parametric family")
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,7 @@ def quantization_residual(c: NUCoefficients, n: int | np.ndarray) -> float | np.
     bound-state energy; the sign scan over an energy grid brackets the roots.
     """
     if np.count_nonzero(n < 0):
-        raise ValueError(f"degree must be nonnegative, got {n}")
+        raise DomainError(f"degree must be nonnegative, got {n}")
     p, sqrt_a8, sqrt_a9 = c.problem, c.sqrt_a8, c.sqrt_a9
     return (
         p.a2 * n
@@ -162,7 +159,7 @@ def find_roots_by_scan(f: Callable[[float | np.ndarray], float | np.ndarray], lo
     anything about f beyond continuity on the scanned grid.
     """
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise DomainError("step must be positive")
     grid = [lo]
     while grid[-1] < hi:
         grid.append(min(grid[-1] + step, hi))

@@ -31,19 +31,18 @@ with NonNormalizableError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nu
+from .errors import ConfigError, DomainError, NonNormalizableError, NonPhysicalError
 from .specfun import QuadratureSpec, five_point_stencil, integrate, jacobi_family
 
 __all__ = [
     "SystemParams",
     "RadialFamily",
-    "DomainError",
-    "NonPhysicalError",
-    "NonNormalizableError",
     "energy",
     "excitation",
     "spectrum_terms",
@@ -54,16 +53,8 @@ __all__ = [
 ]
 
 
-class DomainError(ValueError):
-    """Radial coordinate outside the admissible domain."""
-
-
-class NonPhysicalError(ValueError):
-    """Parameter set outside the physical regime (k < 0) without explicit opt-in."""
-
-
-class NonNormalizableError(RuntimeError):
-    """Parameters outside the bound regime k < 0 < lam: no square-integrable solution."""
+# the largest double whose square is finite: the bound of |m|, and of beta in thermo
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -76,31 +67,25 @@ class SystemParams:
     kb    : Boltzmann constant used by the thermodynamics layer
 
     delta_sq = k * lam is always derived, never stored, so k = delta_sq/lam
-    holds exactly. Constructing with k >= 0 requires exploratory=True; no
-    physical claims are attached to that regime.
+    holds exactly. Any finite k is taken; what cannot take k >= 0 refuses it.
+    A field out of range is a ConfigError naming it, a non-finite one a DomainError.
     """
 
     alpha: float
     k: float
     lam: float = 1.0
     kb: float = 1.0
-    exploratory: bool = False
 
     def __post_init__(self):
         for name in ("alpha", "k", "lam", "kb"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+            raise ConfigError("alpha", "must be positive")
+        if not self.kb > 0.0:
+            raise ConfigError("kb", "must be positive")
         if self.lam == 0.0:
-            raise ValueError("lam must be nonzero")
-        if self.kb <= 0.0:
-            raise ValueError(f"kb must be positive, got {self.kb}")
-        if self.k >= 0.0 and not self.exploratory:
-            raise NonPhysicalError(
-                f"k={self.k} >= 0 is outside the bound-state regime; "
-                "pass exploratory=True to evaluate formulas anyway"
-            )
+            raise ConfigError("lam", "must be nonzero")
 
     @property
     def delta_sq(self) -> float:
@@ -114,17 +99,19 @@ class SystemParams:
 
 
 def _finite(params: SystemParams, what: str, value):
-    """value, or ValueError naming the parameters where what left the double range."""
+    """value, or DomainError naming the parameters where what left the double range."""
     if not np.isfinite(value).all():
-        raise ValueError(f"alpha={params.alpha}, k={params.k}, lam={params.lam}: {what} "
-                         "is not finite in double precision")
+        raise DomainError(f"alpha={params.alpha}, k={params.k}, lam={params.lam}: {what} "
+                          "is not finite in double precision")
     return value
 
 
 def spectrum_terms(params: SystemParams, m: int) -> tuple[float, float, float]:
     """E_0, D = E'(0) and q = -2k of the spectrum E(x) = E_0 + x (D + q x) at
-    m; for k <= 0 no term of D or q cancels."""
+    m (m^2 finite, else DomainError); for k <= 0 no term of D or q cancels."""
     am, hyp, k = abs(m), math.hypot(params.alpha, params.k), params.k
+    if isinstance(m, int) and am > _SQRT_MAX:  # an int64 array's |m| is below 2**63
+        raise DomainError(f"m={m}: m^2 is not finite in double precision")
     return ((am + 1.0) * hyp - k * (m * m / 2.0 + (am + 1.0)), 2.0 * (hyp - k * (am + 1.0)),
             -2.0 * k)
 
@@ -135,7 +122,7 @@ def excitation(params: SystemParams, n_r: float | np.ndarray,
     formula, at a number n_r (the summation formula's x too) or an ndarray of
     them. For k <= 0 no term cancels: d keeps its precision where E_0 dwarfs it."""
     if np.asarray(n_r).min(initial=0.0) < 0.0:  # initial: an empty array passes
-        raise ValueError(f"n_r must be nonnegative, got {n_r}")
+        raise DomainError(f"n_r must be nonnegative, got {n_r}")
     _, slope, q = spectrum_terms(params, m)
     if isinstance(n_r, np.ndarray) and np.ndim(slope) == 0:
         # in place, the same roundings: one array beside n_r, however small
@@ -173,7 +160,7 @@ def nu_instance(params: SystemParams, m: int, energy_value: float) -> nu.NUProbl
     """
     k = params.k
     if k == 0.0:
-        raise ValueError("the parametric mapping needs delta_sq != 0, i.e. k != 0")
+        raise NonPhysicalError("the parametric mapping needs delta_sq != 0, i.e. k != 0")
     alpha = params.alpha
     mu = energy_value / (2.0 * k) - alpha * alpha / (4.0 * k * k)
     gamma = m * m / 4.0 - energy_value / (2.0 * k)
@@ -194,7 +181,7 @@ class RadialFamily:
     k -> 0-, where C_n may exceed the double range, so values() applies it
     inside the envelope's exponential. Raises NonNormalizableError outside
     the bound regime k < 0 < lam, where the domain is unbounded and U grows,
-    and ValueError where s is not finite (alpha/|k| beyond the double range).
+    and DomainError where s is not finite (alpha/|k| beyond the double range).
     """
 
     def __init__(self, params: SystemParams, m: int, n_max: int):
@@ -217,7 +204,7 @@ class RadialFamily:
         """U_n(r). Without degrees: every n = 0..n_max at every r, an array of
         shape (n_max + 1,) + r.shape formed in place. With degrees, integers
         in [0, n_max] whose shape broadcasts against r's: U_n(r) elementwise
-        over the broadcast (degrees, r), the same numbers. ValueError where a
+        over the broadcast (degrees, r), the same numbers. DomainError where a
         value is not finite: the recurrence overflows where s is huge."""
         r = np.asarray(r)
         if r.min() < 0.0 or r.max() >= self.domain_max:
@@ -231,7 +218,7 @@ class RadialFamily:
                 log_scale = log_scale.reshape((-1,) + (1,) * r.ndim)
             else:
                 if np.count_nonzero(np.less(degrees, 0) | np.greater(degrees, self.n_max)):
-                    raise ValueError(f"degrees must lie in [0, {self.n_max}], got {degrees}")
+                    raise DomainError(f"degrees must lie in [0, {self.n_max}], got {degrees}")
                 # row n at each r is element n * r.size + (r's flat position) of p
                 at = np.multiply(degrees, r.size) + np.arange(r.size).reshape(r.shape)
                 p, log_scale = p.reshape(-1)[at][None], log_scale[degrees][None]
@@ -304,7 +291,7 @@ def _turning_radius(params: SystemParams, n_r, m) -> float | np.ndarray:
     largest r at which the bracket of the radial equation vanishes. With
     u = r^2 and w = 1 + delta_sq u that is the larger root of
     (2 lam E delta_sq - alpha^2 lam^2) u^2 + (2 lam E - m^2 delta_sq) u - m^2 = 0.
-    ValueError where a term overflows or the u^2 coefficient underflows to 0."""
+    DomainError where a term overflows or the u^2 coefficient underflows to 0."""
     lam, d2, e, m2 = params.lam, params.delta_sq, energy(params, n_r, m), np.square(m)
     with np.errstate(all="ignore"):  # numpy scalars: inf or NaN, refused
         a = 2.0 * lam * e * d2 - np.float64(params.alpha * lam) ** 2

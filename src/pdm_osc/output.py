@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["SeriesTable", "format_float"]
 
 _PALETTE = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#d68910", "#16a085")
@@ -45,7 +47,6 @@ _PALETTE = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#d68910", "#16a085")
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
-
 
 
 def _axis_range(v0: float, v1: float, pad: float) -> tuple[float, float, float]:
@@ -83,16 +84,16 @@ class SeriesTable:
         """
         for name in [self.x_label] + [name for name, _ in self.columns]:
             if "," in name:
-                raise ValueError(f"column name {name!r} may not contain a comma")
+                raise DomainError(f"column name {name!r} may not contain a comma")
         x = np.asarray(self.x, dtype=float)
         cols = [np.asarray(col, dtype=float) for _, col in self.columns]
         for (name, _), col in [*zip(self.columns, cols), ((self.x_label, None), x)]:
             if col.size != x.size:
-                raise ValueError(f"column {name!r} has {col.size} rows, x has {x.size}")
+                raise DomainError(f"column {name!r} has {col.size} rows, x has {x.size}")
             bad = np.flatnonzero(~np.isfinite(col))
             if bad.size:
                 i = bad[0]
-                raise ValueError(f"non-finite value {col[i]} at row {i} column {name!r}")
+                raise DomainError(f"non-finite value {col[i]} at row {i} column {name!r}")
         return x, cols
 
     def _csv(self) -> Iterator[bytes]:

@@ -15,11 +15,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import DegreeOverflowError, DomainError, IntegrationError
+
 __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
-    "DegreeOverflowError",
-    "IntegrationError",
     "erfcx_gh",
     "jacobi_family",
     "integrate",
@@ -33,14 +33,6 @@ JACOBI_DEGREE_CAP = 10**6
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _SQRT_PI = math.sqrt(math.pi)
-
-
-class DegreeOverflowError(ValueError):
-    """Polynomial degree exceeds the configured cap."""
-
-
-class IntegrationError(RuntimeError):
-    """Adaptive quadrature failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -67,19 +59,19 @@ class QuadratureSpec:
         except ValueError:
             shape = None
         if shape is None or len(shape) > 1:
-            raise ValueError("lower and upper must be numbers or sequences of one length")
+            raise DomainError("lower and upper must be numbers or sequences of one length")
         rows = np.shape(self.breakpoints)[:-1]
         if rows and rows != shape:
-            raise ValueError(f"per-row breakpoints need one row per interval, got rows of "
-                             f"shape {rows} for bounds of shape {shape}")
+            raise DomainError(f"per-row breakpoints need one row per interval, got rows of "
+                              f"shape {rows} for bounds of shape {shape}")
         edges = self.edges()
         if not np.all(edges[..., :-1] < edges[..., 1:]):
-            raise ValueError(f"need lower < breakpoints < upper, got lower={self.lower}, "
-                             f"breakpoints={self.breakpoints}, upper={self.upper}")
+            raise DomainError(f"need lower < breakpoints < upper, got lower={self.lower}, "
+                              f"breakpoints={self.breakpoints}, upper={self.upper}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
+            raise DomainError("tolerances must be strictly positive")
         if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
+            raise DomainError("max_refinements must be >= 1")
 
     def edges(self) -> np.ndarray:
         """Each row's first segment edges (lower, the breakpoints, upper) along
@@ -136,7 +128,7 @@ def erfcx_gh(u: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     u = np.asarray(u, dtype=float)
     if np.any(u < 0.0):
-        raise ValueError(f"erfcx is implemented for x >= 0, got {u}")
+        raise DomainError(f"erfcx is implemented for x >= 0, got {u}")
     e, g, h = (np.full(u.shape, np.nan) for _ in range(3))
     small, large = u < 1.5, u >= 1.5
     if small.any():
@@ -168,7 +160,7 @@ def jacobi_family(a: float, b: float, n_max: int, y: float | np.ndarray) -> np.n
     in which the b^2 terms do not cancel where b is large and y small.
     """
     if n_max < 0:
-        raise ValueError(f"Jacobi degree must be nonnegative, got n={n_max}")
+        raise DomainError(f"Jacobi degree must be nonnegative, got n={n_max}")
     if n_max > JACOBI_DEGREE_CAP:
         raise DegreeOverflowError(f"Jacobi degree n={n_max} exceeds cap {JACOBI_DEGREE_CAP}")
     y = np.asarray(y)
@@ -376,10 +368,10 @@ def central_diff(
     curvature; pass h explicitly for functions with fine structure.
     """
     if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+        raise DomainError(f"order must be 1 or 2, got {order}")
     if h is None:
         h = np.maximum(1e-5, 1e-5 * np.abs(x))
     if np.any(h <= 0):
-        raise ValueError("step h must be positive")
+        raise DomainError("step h must be positive")
     _, d1, d2 = five_point_stencil(f, x, h)
     return d1 if order == 1 else d2

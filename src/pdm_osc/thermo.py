@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .oscillator import NonPhysicalError, SystemParams, excitation, spectrum_terms
+from .errors import DomainError, NonPhysicalError
+from .oscillator import _SQRT_MAX, SystemParams, excitation, spectrum_terms
 from .specfun import QuadratureSpec, erfcx_gh, integrate
 
 __all__ = [
@@ -72,10 +72,6 @@ class Strategy(enum.Enum):
     DIRECT_SUM = "direct"
     PAPER_CLOSED_FORM = "paper"
     POISSON_PIPELINE = "poisson"
-
-
-# the largest beta whose square, the factor of C, is a finite double
-_BETA_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -187,12 +183,12 @@ def _check_weights_range(params: SystemParams, e0: float, d_top: float,
     E_0..E_{moments}, d_top^2 too: it bounds each (d - <d>)^2 and E'(0)^2."""
     b_min, b_max = betas.min().item(), betas.max().item()
     if not all(map(math.isfinite, (e0, e0 + d_top, _EXP_UNDERFLOW / b_min, b_max * d_top))):
-        raise ValueError(f"Boltzmann weights out of range at alpha={params.alpha}, "
-                         f"kb={params.kb}, beta in [{b_min}, {b_max}]: "
-                         "E_0..E_N, 746/beta or beta (E_N - E_0) is not finite")
+        raise DomainError(f"Boltzmann weights out of range at alpha={params.alpha}, "
+                          f"kb={params.kb}, beta in [{b_min}, {b_max}]: "
+                          "E_0..E_N, 746/beta or beta (E_N - E_0) is not finite")
     if moments and not math.isfinite(d_top * d_top):
-        raise ValueError(f"Boltzmann moments out of range at alpha={params.alpha}, "
-                         f"kb={params.kb}: (E_{{{moments}}} - E_0)^2 is not finite")
+        raise DomainError(f"Boltzmann moments out of range at alpha={params.alpha}, "
+                          f"kb={params.kb}: (E_{{{moments}}} - E_0)^2 is not finite")
 
 
 def _boltzmann_sums(p: SystemParams, m: int, betas: np.ndarray, lengths: np.ndarray,
@@ -328,7 +324,7 @@ def paper_z_coefficients(params: SystemParams, m: int, truncation_n: int,
     elif variant == "verbatim":
         d_t = am * math.hypot(params.lam, alpha) - params.lam * m * m / 2.0
     else:
-        raise ValueError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
+        raise DomainError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
     return PaperZCoefficients(a_t, b_t, c_t, d_t, variant)
 
 
@@ -392,8 +388,8 @@ def _closed_form(p: SystemParams, m: int, n_max: int, beta: np.ndarray,
         inner[:, far] = head / (-2.0 * a_t) / bf - _shifted(tail, s[far])
     dv = d_t - a_t - e0 if variant == "verbatim" else 0.0  # boundary level - E_0
     if not math.isfinite(beta.max().item() * abs(dv)):
-        raise ValueError(f"verbatim boundary level out of range at lam={p.lam}: "
-                         "beta (d_t - a_t - E_0) is not finite")
+        raise DomainError(f"verbatim boundary level out of range at lam={p.lam}: "
+                          "beta (d_t - a_t - E_0) is not finite")
     lo = min(dv, 0.0)
     bdv = beta * (dv - lo)
     # each weight multiplies first: where it is 0.0, a shift or bdv^2 may overflow
@@ -450,27 +446,28 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
 
     Each point equals the one-point sweep at its beta. Every argument is
     checked first, whatever the grid: each beta must be positive with a
-    finite square, N = truncation_n >= 0 (N = 0 is the single-term edge case)
-    and variant "corrected" or "verbatim" (ValueError otherwise); k > 0, a
-    spectrum that is not increasing in n and whose truncated sum is
-    arbitrary, is refused with NonPhysicalError. An empty grid then gives an
-    empty series with the strategy's diagnostic columns, empty. The direct sum
-    reduces the spectrum in blocks of beta rows, each row up to its underflow
-    cut ("n_terms"); the closed form computes only the requested d_t variant.
+    finite square, 0 <= N = truncation_n < 2**53 (N = 0 is the single-term
+    edge case; from 2**53 the levels are not all doubles) and variant
+    "corrected" or "verbatim" (DomainError otherwise); k > 0, a spectrum that
+    is not increasing in n and whose truncated sum is arbitrary, is refused
+    with NonPhysicalError. An empty grid then gives an empty series with the
+    strategy's diagnostic columns, empty. The direct sum reduces the spectrum
+    in blocks of beta rows, each row up to its underflow cut ("n_terms"); the
+    closed form computes only the requested d_t variant.
     """
     betas = np.fromiter(betas, dtype=float)
-    bad = ~((betas > 0.0) & (betas <= _BETA_MAX))
+    bad = ~((betas > 0.0) & (betas <= _SQRT_MAX))
     if bad.any():
-        raise ValueError(f"beta must be positive with a finite square, got {betas[bad][0]}")
-    if truncation_n < 0:
-        raise ValueError(f"truncation_n must be >= 0, got {truncation_n}")
+        raise DomainError(f"beta must be positive with a finite square, got {betas[bad][0]}")
+    if not 0 <= truncation_n < 2**53:
+        raise DomainError(f"truncation_n must be >= 0 and below 2**53, got {truncation_n}")
     if params.k > 0.0:
         raise NonPhysicalError(
             "k > 0 makes the spectrum non-increasing in n; the truncated "
             "sum is then arbitrary"
         )
     if variant not in ("corrected", "verbatim"):
-        raise ValueError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
+        raise DomainError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
     if betas.size == 0:
         empty = np.empty(0)
         diagnostics = {name: np.empty(0, t) for name, t in _DIAGNOSTIC_DTYPES[strategy].items()}

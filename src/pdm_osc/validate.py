@@ -178,7 +178,7 @@ def check_limits(quick: bool = False) -> CheckResult:
         if broken.size:
             return CheckResult("limits", False, f"ordering broken at k={k}, m={broken[0]}")
     # flat-ladder partition function against the geometric closed form
-    p0 = SystemParams(alpha=1.0, k=0.0, exploratory=True)
+    p0 = SystemParams(alpha=1.0, k=0.0)
     betas = np.array((0.05, 0.1, 0.5, 1.0))
     z_geom = np.exp(-2.0 * betas) / (1.0 - np.exp(-2.0 * betas))
     worst_z = np.max(np.abs(thermo.sweep(p0, 1, 500, betas).z - z_geom) / z_geom).item()

@@ -117,7 +117,7 @@ def test_criterion_04_small_k_limits():
         abs(p.energy(params, n, m) - (2 * n + abs(m) + 1))
         for n in range(6) for m in range(-3, 4)
     )
-    flat = p.SystemParams(alpha=1.0, k=0.0, exploratory=True)
+    flat = p.SystemParams(alpha=1.0, k=0.0)
     worst_z = 0.0
     betas = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
     for beta, z in zip(betas, thermo.sweep(flat, 1, 500, betas).z.tolist()):

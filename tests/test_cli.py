@@ -1,6 +1,7 @@
 """Front-end tests: argument handling, CSV output, determinism, exit codes."""
 
 import argparse
+import ast
 import collections
 import math
 import os
@@ -147,6 +148,39 @@ class TestThermoCommand:
         fields = dict(part.split("=") for part in capsys.readouterr().out.split())
         assert float(fields["Z"]) == 0.0
         assert all(math.isfinite(float(fields[q])) for q in "UCFS")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["thermo", "--T=1", "--k=-0.1", f"--N={n}"],
+         f"truncation_n must be >= 0 and below 2**53, got {n}") for n in (2**63 - 1, 2**64)
+    ] + [(["spectrum", f"--m={10**400}"], f"m={10**400}: m^2 is not finite in double precision")],
+        ids=["N=2**63-1", "N=2**64", "m=10**400"])
+    def test_integer_beyond_doubles_refused(self, tmp_path, capsys, monkeypatch, argv, message):
+        """An N from 2**53 on, where the levels stop being exact doubles, and
+        an m whose square is not a finite double are refused with one line
+        naming them, before any output."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bug_is_a_traceback_not_a_refusal(self, monkeypatch):
+        """An exception outside the refusal family is a bug: main lets it
+        through instead of printing it and exiting 1."""
+        def broken_sweep(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(thermo, "sweep", broken_sweep)
+        with pytest.raises(TypeError, match="injected"):
+            main(["thermo", "--T=1", "--k=-0.1"])
+
+    def test_os_failure_exits_1(self, tmp_path, capsys):
+        """An output directory that cannot be made is an OS failure: one
+        error line and exit 1."""
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert main(["thermo", "--k=-0.1", "--T-count=2", f"--out={blocker / 'out'}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("strategy", ["direct", "paper", "poisson"])
     def test_single_point_beta_out_of_range(self, capsys, strategy):
@@ -375,6 +409,31 @@ class TestFiguresCommand:
 
 
 class TestWavefunctionCommand:
+    @pytest.mark.parametrize("argv, field", [
+        (["wavefunction", f"--r-count={2**63 - 1}"], "r_count"),
+        (["wavefunction", "--r-count=10000001"], "r_count"),
+        (["thermo", f"--T-count={2**63 - 1}"], "T_count")])
+    def test_grid_of_more_than_ten_million_rows_refused(self, tmp_path, capsys, argv, field):
+        """A T or r grid has 2 to 10**7 rows; numpy's arange of 2**63 - 1
+        points is empty, which wavefunction met with an untyped ValueError."""
+        out = tmp_path / "out"
+        assert main(argv + [f"--out={out}"]) == 2
+        assert capsys.readouterr().err == (f"config-error field={field} "
+                                           "reason=must be in [2, 10000000]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, n_max", [("spectrum", 2**63 - 1),
+                                                ("wavefunction", 10**6 + 1), ("spectrum", -1)])
+    def test_n_max_outside_the_jacobi_cap_refused(self, tmp_path, capsys, command, n_max):
+        """n_max lies in [0, JACOBI_DEGREE_CAP]: beyond it, spectrum wrote a
+        header without rows, and wavefunction refused only after its
+        O(n_max |m|) log-norm loop."""
+        out = tmp_path / "out"
+        assert main([command, f"--n-max={n_max}", f"--out={out}"]) == 2
+        assert capsys.readouterr().err == ("config-error field=n_max "
+                                           "reason=must be in [0, 1000000]\n")
+        assert not out.exists()
+
     def test_samples(self, tmp_path):
         rc = main(["wavefunction", "--k", "-0.5", "--m", "1", "--n-max", "2",
                    "--r-count", "50", "--out", str(tmp_path)])
@@ -466,6 +525,14 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config-error")
         assert "\n" == err[-1] and err.count("\n") == 1  # single line
+
+    def test_config_file_not_utf8_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff alpha = 2\n")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config-error field=config reason=cannot read {cfg}: 'utf-8' codec")
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
     def test_repeated_config_key_refused(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -595,10 +662,13 @@ def test_temperature_grid_shape(t_min, factor, count, spacing):
 def test_public_surface():
     """The package exports exactly the union of its modules' public names,
     each of which resolves, and none of the deleted single-quantity
-    wrappers, kernels, test-only oracles or class members (dotted)."""
-    from pdm_osc import nu, oscillator, specfun
+    wrappers, kernels, test-only oracles or class members (dotted). The
+    refusal family is declared in `errors` alone: every exception class of
+    the package is a PdmOscError there, and each but the base keeps a
+    ValueError or RuntimeError base."""
+    from pdm_osc import cli, errors, nu, oscillator, specfun, validate
 
-    modules = (thermo, specfun, oscillator, nu)
+    modules = (thermo, specfun, oscillator, nu, errors)
     assert all(hasattr(pdm_osc, name) for name in pdm_osc.__all__)
     assert len(set(pdm_osc.__all__)) == len(pdm_osc.__all__)
     assert set(pdm_osc.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))
@@ -618,6 +688,31 @@ def test_public_surface():
             for member in members:
                 found = getattr(found, member, None)
             assert found is None, f"{namespace.__name__}.{name}"
+    family = [vars(errors)[name] for name in errors.__all__]
+    assert family[0] is errors.PdmOscError
+    assert all(issubclass(cls, (ValueError, RuntimeError)) for cls in family[1:])
+    for namespace in modules + (cli, output, validate):
+        for value in vars(namespace).values():
+            if isinstance(value, type) and issubclass(value, Exception):
+                assert issubclass(value, errors.PdmOscError), value
+                assert value.__module__ == "pdm_osc.errors", value
+
+
+def test_every_raise_is_a_refusal():
+    """Every raise statement of the package raises, by name, a class of the
+    refusal family."""
+    from pdm_osc import errors
+
+    package = os.path.dirname(pdm_osc.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(ast.parse(read(os.path.join(package, name)))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                cls = vars(errors).get(getattr(exc, "id", None))
+                assert isinstance(cls, type) and issubclass(cls, errors.PdmOscError), \
+                    f"{name}:{node.lineno}"
 
 
 def test_readme_library_block_runs(capsys):

@@ -9,11 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdm_osc.errors import ConfigError, DomainError, NonNormalizableError, NonPhysicalError
 from pdm_osc.nu import derive_coefficients, quantization_residual
 from pdm_osc.oscillator import (
-    DomainError,
-    NonNormalizableError,
-    NonPhysicalError,
     RadialFamily,
     SystemParams,
     _turning_radius,
@@ -25,6 +23,7 @@ from pdm_osc.oscillator import (
     solve_energy,
 )
 from pdm_osc.specfun import QuadratureSpec, integrate, jacobi_family
+from pdm_osc.thermo import sweep
 
 
 def analytic_norm_integral(params: SystemParams, n: int, m: int) -> float:
@@ -53,21 +52,31 @@ def total_wavefunction(params: SystemParams, n_r: int, m: int, r: float,
 
 class TestSystemParams:
     def test_validation(self):
+        """A field out of range is a ConfigError naming it, the line the
+        command line prints; any finite k is taken, and what cannot take
+        k > 0 refuses it."""
         with pytest.raises(ValueError):
             SystemParams(alpha=0.0, k=-0.5)
         with pytest.raises(ValueError):
             SystemParams(alpha=1.0, k=-0.5, lam=0.0)
+        for field, value, reason in (("alpha", -1.0, "must be positive"),
+                                     ("kb", 0.0, "must be positive"),
+                                     ("lam", 0.0, "must be nonzero")):
+            with pytest.raises(ConfigError) as refused:
+                SystemParams(**{"alpha": 1.0, "k": -0.5, field: value})
+            assert str(refused.value) == f"config-error field={field} reason={reason}"
+        p = SystemParams(alpha=1.0, k=0.2)
         with pytest.raises(NonPhysicalError):
-            SystemParams(alpha=1.0, k=0.2)
-        SystemParams(alpha=1.0, k=0.2, exploratory=True)  # opt-in works
+            sweep(p, 1, 10, [1.0])
+        with pytest.raises(NonNormalizableError):
+            RadialFamily(p, 0, 0)
 
     @pytest.mark.parametrize("field", ["alpha", "k", "lam", "kb"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, value):
-        # exploratory, so that k = inf is refused as non-finite, not as k >= 0
         kw = {"alpha": 1.0, "k": -0.5, "lam": 1.0, "kb": 1.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            SystemParams(**kw, exploratory=True)
+            SystemParams(**kw)
 
     def test_delta_relation_exact(self):
         p = SystemParams(alpha=1.0, k=-0.37, lam=1.7)
@@ -76,12 +85,12 @@ class TestSystemParams:
 
     def test_r_max(self):
         assert SystemParams(alpha=1.0, k=-0.25).r_max == 2.0
-        assert SystemParams(alpha=1.0, k=0.5, exploratory=True).r_max == math.inf
+        assert SystemParams(alpha=1.0, k=0.5).r_max == math.inf
 
 
 class TestEnergy:
     def test_flat_ladder(self):
-        p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
+        p = SystemParams(alpha=1.0, k=0.0)
         for n in range(4):
             for m in (-2, 0, 1, 3):
                 assert energy(p, n, m) == pytest.approx(2 * n + abs(m) + 1, abs=1e-14)
@@ -112,6 +121,15 @@ class TestEnergy:
         for n in range(6):
             for m in range(-3, 4):
                 assert abs(energy(p, n, m) - (2 * n + abs(m) + 1)) <= 1e-6
+
+    def test_m_beyond_double_square_refused(self):
+        """An |m| whose square is not a finite double is refused, naming m;
+        just below, the energy is finite."""
+        p = SystemParams(alpha=1.0, k=-0.5)
+        for m in (10**400, -(10**155)):
+            with pytest.raises(DomainError, match=re.escape(f"m={m}: m^2 is not finite")):
+                energy(p, 0, m)
+        assert math.isfinite(energy(p, 0, 10**154))
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
@@ -156,7 +174,7 @@ class TestNuInstance:
         assert prob.eps1 == pytest.approx(1.0 / (4.0 * 0.25), rel=1e-14)  # alpha^2/(4k^2)
 
     def test_requires_nonzero_k(self):
-        p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
+        p = SystemParams(alpha=1.0, k=0.0)
         with pytest.raises(ValueError):
             nu_instance(p, 0, 1.0)
 
@@ -212,9 +230,9 @@ class TestRadialWavefunction:
             ratio = ground.values(2e-4, 0) / ground.values(1e-4, 0)
             assert ratio == pytest.approx(2.0**abs(m), rel=1e-4)
 
-    def test_exploratory_positive_k_not_normalizable(self):
+    def test_nonnegative_k_not_normalizable(self):
         for k in (0.0, 1e-3, 0.5):
-            p = SystemParams(alpha=1.0, k=k, exploratory=True)
+            p = SystemParams(alpha=1.0, k=k)
             with pytest.raises(NonNormalizableError):
                 RadialFamily(p, 0, 0)
 
@@ -325,7 +343,7 @@ class TestRadialFamily:
 
     def test_refuses_outside_bound_regime(self):
         with pytest.raises(NonNormalizableError):
-            RadialFamily(SystemParams(alpha=1.0, k=0.1, exploratory=True), 0, 3)
+            RadialFamily(SystemParams(alpha=1.0, k=0.1), 0, 3)
 
     @pytest.mark.parametrize("alpha, k", [(1.0, -1e-300), (1e300, -0.1)])
     def test_refuses_s_beyond_double_range(self, alpha, k):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from pdm_osc import thermo
 from pdm_osc.cli import _resolve, _temperature_grid, _thermo_tables, build_parser
-from pdm_osc.oscillator import NonPhysicalError, SystemParams, energy, excitation, spectrum_terms
+from pdm_osc.errors import DomainError, NonPhysicalError
+from pdm_osc.oscillator import SystemParams, energy, excitation, spectrum_terms
 from pdm_osc.specfun import IntegrationError, QuadratureSpec, central_diff, integrate
 from pdm_osc.thermo import (
     Strategy,
@@ -105,8 +106,16 @@ class TestSweepArguments:
             with pytest.raises(ValueError, match="truncation_n must be >= 0"):
                 sweep(PHYS, 1, -1, [1.0], strategy)
 
+    @pytest.mark.parametrize("n", [2**53, 2**63 - 1, 2**64])
+    def test_truncation_beyond_exact_levels_refused(self, n):
+        """From N = 2**53 on the levels n are not all exact doubles (from
+        2**63 not int64 either): every strategy refuses at entry."""
+        for strategy in Strategy:
+            with pytest.raises(DomainError, match=rf"must be >= 0 and below 2\*\*53, got {n}$"):
+                sweep(PHYS, 1, n, [1.0], strategy)
+
     def test_positive_k_needs_opt_in(self):
-        p = SystemParams(alpha=1.0, k=0.5, exploratory=True)
+        p = SystemParams(alpha=1.0, k=0.5)
         for strategy in Strategy:
             with pytest.raises(NonPhysicalError, match="k > 0") as refused:
                 sweep(p, 1, 500, [1.0], strategy)
@@ -116,7 +125,7 @@ class TestSweepArguments:
     def test_empty_grid_checks_n_and_k(self, strategy):
         """An empty grid is no reason to skip the checks on N and k."""
         with pytest.raises(NonPhysicalError, match="k > 0"):
-            sweep(SystemParams(alpha=1.0, k=0.5, exploratory=True), 1, 500, [], strategy)
+            sweep(SystemParams(alpha=1.0, k=0.5), 1, 500, [], strategy)
         with pytest.raises(ValueError, match="truncation_n must be >= 0"):
             sweep(SystemParams(alpha=1.0, k=-0.1), 1, -3, [], strategy)
 
@@ -148,7 +157,7 @@ class TestTemperatureToBeta:
 
 class TestPartitionDirect:
     def test_geometric_ladder(self):
-        p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
+        p = SystemParams(alpha=1.0, k=0.0)
         betas = (0.05, 0.1, 0.5, 1.0)
         for beta, z in zip(betas, sweep(p, 1, 500, betas).z.tolist()):
             geometric = math.exp(-2 * beta) / (1.0 - math.exp(-2 * beta))
@@ -263,7 +272,7 @@ class TestPartitionDirect:
         # k > 0 is refused before any level is built
         calls.clear()
         with pytest.raises(NonPhysicalError):
-            sweep(SystemParams(alpha=1.0, k=0.5, exploratory=True), 1, 100_000, [1e-4])
+            sweep(SystemParams(alpha=1.0, k=0.5), 1, 100_000, [1e-4])
         assert calls == []
 
     @pytest.mark.parametrize("n", [100_000, 1_000_000])
@@ -296,7 +305,7 @@ class TestPaperCoefficients:
         assert co.a_t == pytest.approx(-2.1180339887498949, abs=1e-12)
 
     def test_rejects_nonnegative_k(self):
-        p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
+        p = SystemParams(alpha=1.0, k=0.0)
         with pytest.raises(NonPhysicalError):
             paper_z_coefficients(p, 1, 500)
 
@@ -438,7 +447,7 @@ class TestAverageEnergy:
                                                                       abs=1e-10)
 
     def test_ladder_closed_form(self):
-        p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
+        p = SystemParams(alpha=1.0, k=0.0)
         betas = (0.05, 0.2, 1.0)
         for beta, u in zip(betas, sweep(p, 1, 500, betas).u.tolist()):
             assert u == pytest.approx(2.0 + 2.0 / (math.exp(2.0 * beta) - 1.0), rel=1e-10)
@@ -468,7 +477,7 @@ class TestHeatCapacity:
         assert sweep(p, 1, 500, [beta]).c.item() >= 0.0
 
     def test_ladder_equipartition(self):
-        p = SystemParams(alpha=1.0, k=0.0, exploratory=True)
+        p = SystemParams(alpha=1.0, k=0.0)
         c = sweep(p, 1, 500, [1.0 / (p.kb * 100.0)]).c.item()
         assert c == pytest.approx(1.0, abs=0.01)
 
@@ -718,7 +727,7 @@ class TestSweep:
         here are ones where libm's pow gives another beta**2. At N = 3e5 a
         row of all levels is 16 pieces; the shared grid is 40 betas whose
         rows all keep the 100,001 levels."""
-        p = SystemParams(alpha=1.0, k=k, exploratory=k >= 0.0)
+        p = SystemParams(alpha=1.0, k=k)
         d = excitation(p, np.arange(n + 1.0), m)
         e0 = spectrum_terms(p, m)[0]
         if shared:
