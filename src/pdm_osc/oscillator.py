@@ -37,8 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nu
-from .errors import ConfigError, DomainError, NonNormalizableError, NonPhysicalError
-from .specfun import QuadratureSpec, five_point_stencil, integrate, jacobi_family
+from .errors import (ConfigError, DegreeOverflowError, DomainError, NonNormalizableError,
+                     NonPhysicalError)
+from .specfun import JACOBI_DEGREE_CAP, QuadratureSpec, five_point_stencil, integrate, jacobi_family
 
 __all__ = [
     "SystemParams",
@@ -106,14 +107,32 @@ def _finite(params: SystemParams, what: str, value):
     return value
 
 
+def _terms(am, hyp: float, k: float) -> tuple:
+    am = am + 0.0  # a double: m^2 in an integer dtype wraps above |m| = 3.04e9
+    return ((am + 1.0) * hyp - k * (am * am / 2.0 + (am + 1.0)), 2.0 * (hyp - k * (am + 1.0)),
+            -2.0 * k)
+
+
 def spectrum_terms(params: SystemParams, m: int) -> tuple[float, float, float]:
     """E_0, D = E'(0) and q = -2k of the spectrum E(x) = E_0 + x (D + q x) at
-    m (m^2 finite, else DomainError); for k <= 0 no term of D or q cancels."""
+    an integer m or an integer array of them; DomainError, naming alpha, k
+    and m, where m^2 or a term is not finite. For k <= 0 no term of D or q
+    cancels."""
     am, hyp, k = abs(m), math.hypot(params.alpha, params.k), params.k
-    if isinstance(m, int) and am > _SQRT_MAX:  # an int64 array's |m| is below 2**63
-        raise DomainError(f"m={m}: m^2 is not finite in double precision")
-    return ((am + 1.0) * hyp - k * (m * m / 2.0 + (am + 1.0)), 2.0 * (hyp - k * (am + 1.0)),
-            -2.0 * k)
+    if isinstance(m, int):
+        if am > _SQRT_MAX:  # an int64 array's |m| is below 2**63
+            raise DomainError(f"m={m}: m^2 is not finite in double precision")
+        terms = _terms(am, hyp, k)
+        finite = math.isfinite(terms[0]) and math.isfinite(terms[1]) and math.isfinite(terms[2])
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            terms = _terms(am, hyp, k)
+        finite = all(np.isfinite(term).all() for term in terms)
+    if not finite:
+        shown = m if isinstance(m, int) else f"{np.min(m)}..{np.max(m)}"
+        raise DomainError(f"alpha={params.alpha}, k={params.k}, m={shown}: E_0, E'(0) or "
+                          "q = -2k is not finite in double precision")
+    return terms
 
 
 def excitation(params: SystemParams, n_r: float | np.ndarray,
@@ -161,7 +180,7 @@ def nu_instance(params: SystemParams, m: int, energy_value: float) -> nu.NUProbl
     k = params.k
     if k == 0.0:
         raise NonPhysicalError("the parametric mapping needs delta_sq != 0, i.e. k != 0")
-    alpha = params.alpha
+    alpha, m = params.alpha, m + 0.0  # m^2 as a double: an integer dtype wraps
     mu = energy_value / (2.0 * k) - alpha * alpha / (4.0 * k * k)
     gamma = m * m / 4.0 - energy_value / (2.0 * k)
     omega = m * m / 4.0
@@ -194,6 +213,10 @@ class RadialFamily:
         with np.errstate(all="ignore"):  # numpy scalars: inf where a square overflows
             s = np.sqrt(np.float64(params.alpha) ** 2 / np.float64(params.k) ** 2 + 1.0).item()
         am, s = abs(m), _finite(params, "s = sqrt(alpha^2/k^2 + 1)", s)
+        if (n_max + 1) * am > JACOBI_DEGREE_CAP:
+            raise DegreeOverflowError(
+                f"m={m}, n_max={n_max}: the log-norms sum (n_max + 1)|m| = {(n_max + 1) * am} "
+                f"terms, above the cap {JACOBI_DEGREE_CAP}")
         self.a, self.b = float(am), s
         self.log_norms = np.array([math.fsum(
             math.log((n + j) / (n + s + j)) for j in range(1, am + 1)
@@ -234,16 +257,16 @@ def _fd_residual(u, params: SystemParams, m: int, energy_value: float | np.ndarr
                  r: np.ndarray) -> np.ndarray:
     """Relative residual of the radial equation for an evaluator u of arrays,
     elementwise over an array r broadcast against energy_value."""
-    lam, alpha, d2 = params.lam, params.alpha, params.delta_sq
+    lam, alpha, d2, m2 = params.lam, params.alpha, params.delta_sq, np.square(m, dtype=float)
     w = 1.0 + d2 * r * r
     coef = (
         2.0 * lam * energy_value / w
-        - m * m / (r * r * w)
+        - m2 / (r * r * w)
         - alpha * alpha * lam * lam * r * r / (w * w)
     )
     scale = (
         abs(2.0 * lam * energy_value / w)
-        + abs(m * m / (r * r * w))
+        + abs(m2 / (r * r * w))
         + alpha * alpha * lam * lam * r * r / (w * w)
     )
     # the step balances 4th-order truncation against roundoff of the second
@@ -292,7 +315,8 @@ def _turning_radius(params: SystemParams, n_r, m) -> float | np.ndarray:
     u = r^2 and w = 1 + delta_sq u that is the larger root of
     (2 lam E delta_sq - alpha^2 lam^2) u^2 + (2 lam E - m^2 delta_sq) u - m^2 = 0.
     DomainError where a term overflows or the u^2 coefficient underflows to 0."""
-    lam, d2, e, m2 = params.lam, params.delta_sq, energy(params, n_r, m), np.square(m)
+    lam, d2, e = params.lam, params.delta_sq, energy(params, n_r, m)
+    m2 = np.square(m, dtype=float)
     with np.errstate(all="ignore"):  # numpy scalars: inf or NaN, refused
         a = 2.0 * lam * e * d2 - np.float64(params.alpha * lam) ** 2
         b = 2.0 * lam * e - m2 * d2

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -23,6 +24,8 @@ from pdm_osc.cli import _temperature_grid, build_parser, main
 from pdm_osc.oscillator import RadialFamily, SystemParams, radial_overlaps
 from pdm_osc.output import SeriesTable, format_float
 from pdm_osc.specfun import QuadratureSpec, integrate
+
+import box
 
 
 def read(path):
@@ -68,6 +71,19 @@ class TestSpectrumCommand:
         header, body = data_rows(read(tmp_path / "spectrum_m0.csv"))
         assert len(header) == 3
         assert len(body) == 3
+
+    def test_terms_beyond_double_range_refused(self, tmp_path, capsys):
+        """At alpha = 1e308, k = -1e308, E_0, E'(0) and q = -2k are not
+        finite: one line naming alpha and k, where a NaN cell was named
+        before, with no warning and no file."""
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["spectrum", "--alpha=1e308", "--k=-1e308", f"--out={out}"])
+        assert rc == 1 and caught == []
+        assert capsys.readouterr() == ("", "error: alpha=1e+308, k=-1e+308, m=1: E_0, E'(0) or "
+                                           "q = -2k is not finite in double precision\n")
+        assert not out.exists()
 
 
 class TestThermoCommand:
@@ -434,6 +450,20 @@ class TestWavefunctionCommand:
                                            "reason=must be in [0, 1000000]\n")
         assert not out.exists()
 
+    def test_log_norm_terms_beyond_the_cap_refused(self, tmp_path, capsys):
+        """(n_max + 1)|m| log-norm terms above the Jacobi degree cap are
+        refused before the first, in well under a second: m = 1e8 ran past
+        a 5 s timeout."""
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        rc = main(["wavefunction", "--k=-0.1", "--m=100000000", "--n-max=0", f"--out={out}"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: m=100000000, n_max=0: the log-norms sum "
+                                           "(n_max + 1)|m| = 100000000 terms, above the cap "
+                                           "1000000\n")
+        assert not out.exists()
+
     def test_samples(self, tmp_path):
         rc = main(["wavefunction", "--k", "-0.5", "--m", "1", "--n-max", "2",
                    "--r-count", "50", "--out", str(tmp_path)])
@@ -638,14 +668,16 @@ def _auto_grid_reference(t_min, t_max, count):
     return [t_min * ratio**i for i in range(n_log)] + [1.0 + i * step for i in range(count - n_log)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(t_min=st.floats(0.01, 20.0), factor=st.floats(1.01, 1000.0),
+@settings(max_examples=300)
+@given(t_min=box.TEMPERATURE, factor=st.floats(1.01, 1000.0),
        count=st.integers(2, 3000), spacing=st.sampled_from(["auto", "linear", "log"]))
 def test_temperature_grid_shape(t_min, factor, count, spacing):
     """Every grid has T_count points from T_min to T_max, strictly increasing.
 
-    Grid ends within 1e-6 of T=1 are left out: there the auto grid's log or
-    linear part is narrower than its points' spacing can resolve in doubles.
+    T_min is a temperature of the box; the span T_max / T_min and the
+    count are the grid options' own, not quantities of the box. Grid ends
+    within 1e-6 of T=1 are left out: there the auto grid's log or linear
+    part is narrower than its points' spacing can resolve in doubles.
     """
     t_max = t_min * factor
     assume(abs(t_min - 1.0) > 1e-6 and abs(t_max - 1.0) > 1e-6)
@@ -928,7 +960,7 @@ class TestSeriesTable:
                                    columns=[(n, list(map(float, c))) for n, c in table.columns])
             assert as_lists.to_svg() == svg
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
            floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
                            max_size=40))

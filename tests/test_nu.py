@@ -50,7 +50,7 @@ def test_a3_zero_rejected():
         NUProblem(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     a1=st.floats(-2.0, 3.0),
     a2=st.floats(-2.0, 3.0),

@@ -3,13 +3,20 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdm_osc.errors import ConfigError, DomainError, NonNormalizableError, NonPhysicalError
+from pdm_osc.errors import (
+    ConfigError,
+    DegreeOverflowError,
+    DomainError,
+    NonNormalizableError,
+    NonPhysicalError,
+)
 from pdm_osc.nu import derive_coefficients, quantization_residual
 from pdm_osc.oscillator import (
     RadialFamily,
@@ -24,6 +31,8 @@ from pdm_osc.oscillator import (
 )
 from pdm_osc.specfun import QuadratureSpec, integrate, jacobi_family
 from pdm_osc.thermo import sweep
+
+import box
 
 
 def analytic_norm_integral(params: SystemParams, n: int, m: int) -> float:
@@ -103,10 +112,10 @@ class TestEnergy:
         p = SystemParams(alpha=1.0, k=-1.0)
         assert energy(p, 1, 2) == pytest.approx(5.0 * math.sqrt(2.0) + 13.0, rel=1e-14)
 
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(0, 10), m=st.integers(-6, 6))
-    def test_m_symmetry_exact(self, n, m):
-        p = SystemParams(alpha=1.3, k=-0.4)
+    @settings(max_examples=100)
+    @given(alpha=box.ALPHA, k=box.K, n=box.N, m=box.M)
+    def test_m_symmetry_exact(self, alpha, k, n, m):
+        p = SystemParams(alpha=alpha, k=k)
         assert energy(p, n, m) == energy(p, n, -m)
 
     def test_ordering_for_negative_k(self):
@@ -131,24 +140,43 @@ class TestEnergy:
                 energy(p, 0, m)
         assert math.isfinite(energy(p, 0, 10**154))
 
+    def test_array_m_squares_in_doubles(self):
+        """An int64 array of m gives each m's value as a number: m^2 is
+        formed in doubles, where an integer dtype wraps above |m| = 3.04e9."""
+        p, m = SystemParams(alpha=1.0, k=-0.1), 2**32
+        e = energy(p, 0, m)
+        assert energy(p, 0, np.array([m])).tolist() == [e]
+        assert _turning_radius(p, np.array([0]), np.array([m])).tolist() == [
+            _turning_radius(p, 0, m)]
+        assert nu_instance(p, np.array([m]), e).eps3.tolist() == [nu_instance(p, m, e).eps3]
+
+    @pytest.mark.parametrize("m", [1, np.array([0, 1])], ids=["number", "array"])
+    def test_terms_beyond_double_range_refused(self, m):
+        """Where E_0, E'(0) or q = -2k is not finite, spectrum_terms refuses,
+        naming alpha, k and m, before any array step warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape("alpha=1e+308, k=-1e+308, m=")):
+                energy(SystemParams(alpha=1e308, k=-1e308), np.arange(3), m)
+
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             energy(SystemParams(alpha=1.0, k=-0.5), -1, 0)
         with pytest.raises(ValueError):
             excitation(SystemParams(alpha=1.0, k=-0.5), np.array([0.0, -1.0]), 0)
 
-    @settings(max_examples=100, deadline=None)
-    @given(log_alpha=st.floats(-3.0, 150.0), log_k=st.floats(-8.0, math.log10(5.0)),
-           m=st.integers(-60, 60),
-           x=st.one_of(st.integers(0, 100_000).map(float), st.floats(0.0, 1e5)))
-    def test_excitation_against_mpmath(self, log_alpha, log_k, m, x):
+    @settings(max_examples=100)
+    @given(alpha=box.ALPHA_WIDE, k=box.K_WIDE, m=box.M,
+           x=st.one_of(box.N.map(float), st.floats(0.0, box.N_MAX)))
+    def test_excitation_against_mpmath(self, alpha, k, m, x):
         """d(x) = E(x) - E_0 is within 3 ulp of E(x) - E_0 formed from the
         spectrum formula in mpmath, at integer and continuous x, for alpha up
         to 1e150 and k up to -1e-8, where E_0 dwarfs d. The subtraction
         loses up to log10(E_0/d) < 330 digits (x >= 5e-324), so 400 digits
-        leave d at least 60."""
+        leave d at least 60. alpha and k reach the shells alpha >= 1e-3 and
+        |k| <= 5, where |k| dwarfs alpha and the k terms of D and q lead."""
         mpmath = pytest.importorskip("mpmath")
-        p = SystemParams(alpha=10.0**log_alpha, k=-(10.0**log_k))
+        p = SystemParams(alpha=alpha, k=k)
         with mpmath.workdps(400):
             k, am, y = mpmath.mpf(p.k), abs(m), mpmath.mpf(x)
             hyp = mpmath.sqrt(mpmath.mpf(p.alpha) ** 2 + k * k)
@@ -267,13 +295,14 @@ class TestRadialWavefunction:
                 family.values(family.domain_max, degrees)
 
 
-@settings(max_examples=200, deadline=None)
-@given(log_abs_k=st.floats(-8.0, math.log10(5.0)), m=st.integers(-60, 60),
-       n=st.integers(0, 40))
-def test_closed_form_norm_across_regime_edges(log_abs_k, m, n):
-    """The log-domain norm matches a 50-digit Gamma-function evaluation."""
+@settings(max_examples=200)
+@given(k=box.K_WIDE, m=box.M, n=box.DEGREE)
+def test_closed_form_norm_across_regime_edges(k, m, n):
+    """The log-domain norm matches a 50-digit Gamma-function evaluation.
+    k reaches the shell |k| <= 5, where s = sqrt(alpha^2/k^2 + 1) nears 1:
+    the other end of the Jacobi parameter b from k -> 0-."""
     mpmath = pytest.importorskip("mpmath")
-    p = SystemParams(alpha=1.0, k=-(10.0**log_abs_k))
+    p = SystemParams(alpha=1.0, k=k)
     family = RadialFamily(p, m, n)
     log_norm = family.log_norms[n].item()
     assert math.isfinite(log_norm)
@@ -290,22 +319,21 @@ def test_closed_form_norm_across_regime_edges(log_abs_k, m, n):
 
 
 def assert_bits_equal(got, want) -> None:
-    """Same shape and bits: NaN equals NaN, and 0.0 is not -0.0."""
+    """Same shape, dtype and bits: NaN equals NaN, and 0.0 is not -0.0."""
     got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
     assert got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=30, deadline=None)
-@given(log_abs_k=st.floats(-8.0, math.log10(0.5)), m=st.integers(-60, 60),
-       n_max=st.integers(0, 40),
+@settings(max_examples=30)
+@given(k=box.K, m=box.M, n_max=box.DEGREE,
        fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6))
-def test_family_rows_equal_one_state_values(log_abs_k, m, n_max, fractions):
+def test_family_rows_equal_one_state_values(k, m, n_max, fractions):
     """Row n of a family at every r is U_n(r) of the family that ends at n,
-    bit for bit, for k in [-0.5, -1e-8] (log-uniform), |m| <= 60 and
-    n_max <= 40. The radii are fractions of r_max and of the sampled range
-    of the wavefunction command, where the states live."""
-    p = SystemParams(alpha=1.0, k=-(10.0**log_abs_k))
+    bit for bit, over the box and its degrees. The radii are fractions of
+    r_max and of the sampled range of the wavefunction command, where the
+    states live."""
+    p = SystemParams(alpha=1.0, k=k)
     r_hi = min(p.r_max, 4.0 * _turning_radius(p, n_max, m))
     r = np.minimum(np.outer([p.r_max, r_hi], fractions), np.nextafter(p.r_max, 0.0))
     family = RadialFamily(p, m, n_max)
@@ -344,6 +372,14 @@ class TestRadialFamily:
     def test_refuses_outside_bound_regime(self):
         with pytest.raises(NonNormalizableError):
             RadialFamily(SystemParams(alpha=1.0, k=0.1), 0, 3)
+
+    @pytest.mark.parametrize("m, n_max", [(10**8, 0), (-1, 10**6), (10**400, 3)])
+    def test_log_norm_terms_beyond_the_cap_refused(self, m, n_max):
+        """The log-norms sum (n_max + 1)|m| logs one at a time: above
+        JACOBI_DEGREE_CAP terms the family refuses, naming m and n_max,
+        before the first."""
+        with pytest.raises(DegreeOverflowError, match=re.escape(f"m={m}, n_max={n_max}: ")):
+            RadialFamily(SystemParams(alpha=1.0, k=-0.1), m, n_max)
 
     @pytest.mark.parametrize("alpha, k", [(1.0, -1e-300), (1e300, -0.1)])
     def test_refuses_s_beyond_double_range(self, alpha, k):

@@ -20,6 +20,8 @@ from pdm_osc.specfun import (
     jacobi_family,
 )
 
+import box
+
 
 def erf_by_gauss_legendre(x: float, order: int = 60) -> float:
     """Independent oracle: high-order Gauss-Legendre quadrature of the integral."""
@@ -200,6 +202,10 @@ class TestErfcx:
 
 
 class TestJacobi:
+    """The recurrence on its own terms. The symmetry and series tests draw
+    general parameters a, b > -1 and x, not the box's: a is |m| only where
+    the states need it, in test_against_mpmath_as_k_approaches_zero."""
+
     def test_degree_zero(self):
         assert jacobi_family(0.0, 0.0, 0, 1.0 - 0.7).tolist() == [1.0]
 
@@ -226,7 +232,7 @@ class TestJacobi:
         with pytest.raises(DegreeOverflowError):
             jacobi_family(0.0, 0.0, 10**6 + 1, 0.5)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         n=st.integers(0, 20),
         a=st.floats(-0.9, 5.0),
@@ -242,7 +248,7 @@ class TestJacobi:
             scale = max(1.0, abs(left[j]), abs(want))
             assert abs(left[j] - want) <= 1e-12 * scale
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         n=st.integers(0, 20),
         a=st.floats(-0.9, 5.0),
@@ -266,12 +272,12 @@ class TestJacobi:
             conditioning = prefactor * hyp2f1_terminating_magnitude(j, 1.0 + j + a + b, 1.0 + a, z)
             assert abs(family[j] - prefactor * series) <= 1e-12 * max(1.0, conditioning)
 
-    @settings(max_examples=150, deadline=None)
-    @given(log_k=st.floats(-14.0, math.log10(5.0)), a=st.integers(0, 60),
-           n=st.integers(0, 12), log_t=st.floats(-1.0, math.log10(60.0)))
-    @example(log_k=0.125, a=8, n=10, log_t=0.103515625)
-    @example(log_k=0.20986276589143793, a=59, n=12, log_t=0.07044307150964829)
-    def test_against_mpmath_as_k_approaches_zero(self, log_k, a, n, log_t):
+    @settings(max_examples=150)
+    @given(k=box.K_JACOBI, a=box.M.map(abs), n=st.integers(0, 12),
+           log_t=st.floats(-1.0, math.log10(60.0)))
+    @example(k=-(10.0**0.125), a=8, n=10, log_t=0.103515625)
+    @example(k=-(10.0**0.20986276589143793), a=59, n=12, log_t=0.07044307150964829)
+    def test_against_mpmath_as_k_approaches_zero(self, k, a, n, log_t):
         """P_j^(a,b)(1 - y) for every degree j <= n, with the wavefunctions'
         b = sqrt(1/k^2 + 1) and y = 2z, b z in [0.1, 60] (where the states
         live), is within 4 u j (a + j + 2) of 60-digit mpmath for k down to
@@ -292,9 +298,14 @@ class TestJacobi:
         4 u j (a + j + 2). Measured over 5,000 draws concentrated near
         x = -1: at most 0.24 of the bound (the first example, 99 u of the
         scale at j = 10, exceeds a flat 1e-14; the second is the largest
-        error per degree found, 57 u per degree at a = 59)."""
+        error per degree found, 57 u per degree at a = 59).
+
+        k is drawn from the recurrence's own shell, down to -1e-14, and the
+        degrees stop at 12, short of the families' 40: the model was
+        derived and measured to degree 12, and the oracle's cost grows as
+        the square of the degree."""
         mpmath = pytest.importorskip("mpmath")
-        b = math.sqrt(1.0 / (10.0**log_k) ** 2 + 1.0)
+        b = math.sqrt(1.0 / k**2 + 1.0)
         y = 2.0 * (10.0**log_t / b)
         family = jacobi_family(float(a), b, n, y)
         with mpmath.workdps(60):

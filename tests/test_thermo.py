@@ -21,26 +21,13 @@ from pdm_osc.thermo import (
     sweep,
     _spine,
 )
-from pdm_osc.validate import strictly_decreasing_resolvable
+from pdm_osc.validate import FIGURE_K_LIST, strictly_decreasing_resolvable
+
+import box
+from test_acceptance import _em_first_order_model
+from test_oscillator import assert_bits_equal
 
 PHYS = SystemParams(alpha=1.0, k=-0.3)
-FIG_KS = (-0.1, -0.2, -0.3)
-
-# the documented parameter space: k in [-5, -1e-8] drawn log-uniformly in |k|,
-# |m| <= 60, N <= 1e5
-EDGE_K = st.floats(-8.0, math.log10(5.0)).map(lambda u: -(10.0**u))
-EDGE_M = st.integers(-60, 60)
-EDGE_N = st.integers(1, 100_000)
-
-
-def em_error_bound(p: SystemParams, m: int, n: int, beta: float) -> float:
-    """First-order summation formula truncation: |f'(N+1) - f'(0)| / 12."""
-    am = abs(m)
-    hyp = math.hypot(p.alpha, p.k)
-    e = lambda x: (2 * x + am + 1) * hyp - p.k * (2 * x * x + m * m / 2 + (2 * x + 1) * (am + 1))
-    ep = lambda x: 2 * hyp - p.k * (4 * x + 2 * (am + 1))
-    n1 = n + 1.0
-    return abs(-beta * ep(n1) * math.exp(-beta * e(n1)) + beta * ep(0.0) * math.exp(-beta * e(0.0))) / 12.0
 
 
 def one_dimensional_sums(d, beta):
@@ -251,7 +238,8 @@ class TestPartitionDirect:
         temps = _temperature_grid({"T_min": 0.1, "T_max": 50.0, "T_count": 500,
                                    "T_spacing": "auto"})
         edge = SystemParams(alpha=1.0, k=-1e-6)
-        series = [(SystemParams(alpha=1.0, k=k), 1, [1.0 / t for t in temps]) for k in FIG_KS]
+        series = [(SystemParams(alpha=1.0, k=k), 1, [1.0 / t for t in temps])
+                  for k in FIGURE_K_LIST]
         series += [(edge, 40, [1e3]), (edge, 40, [1e-4])]
         reached = []
         for params, m, grid in series:
@@ -313,8 +301,8 @@ class TestPaperCoefficients:
         with pytest.raises(ValueError):
             paper_z_coefficients(PHYS, 1, 500, "fixed")
 
-    @settings(max_examples=200, deadline=None)
-    @given(k=EDGE_K, m=EDGE_M, n=EDGE_N)
+    @settings(max_examples=200)
+    @given(k=box.K_WIDE, m=box.M, n=box.N)
     def test_coefficients_are_spectrum_values(self, k, m, n):
         """a_t - d_t = -E_0 (corrected d_t), c_t = E_{N+1}, a_t = -E'(0)/2,
         b_t = E'(N+1)/2, (a_t^2 - alpha^2)/2k = -E_0 and
@@ -323,6 +311,8 @@ class TestPaperCoefficients:
         coefficients paper_z_coefficients takes from the spectrum.
 
         E' is the three-point one-sided difference, exact for the quadratic E.
+        k reaches the shell |k| <= 5: the identities hold for every k < 0,
+        strong coupling (|k| > alpha) included.
         """
         p = SystemParams(alpha=1.0, k=k)
         co = paper_z_coefficients(p, m, n)
@@ -369,7 +359,7 @@ class TestPartitionPaper:
 
     def test_high_temperature_agreement(self):
         """Best closed-form variant within 5% of the direct sum on T in [5, 50]."""
-        for k in FIG_KS:
+        for k in FIGURE_K_LIST:
             p = SystemParams(alpha=1.0, k=k)
             betas = [1.0 / t for t in np.linspace(5.0, 50.0, 10)]
             zd = sweep(p, 1, 500, betas).z
@@ -411,17 +401,6 @@ class TestPartitionPoisson:
             for zp, zc in zip(zps, zcs):
                 assert zp == pytest.approx(zc, rel=1e-9)
 
-    def test_direct_sum_gap_matches_truncation_bound(self):
-        """The pipeline differs from the direct sum by the predicted
-        first-order truncation error of the summation formula (within 2x)."""
-        for k in FIG_KS:
-            p = SystemParams(alpha=1.0, k=k)
-            betas = (0.01, 0.05, 0.1, 0.5, 1.0)
-            gaps = np.abs(sweep(p, 1, 500, betas).z
-                          - sweep(p, 1, 500, betas, Strategy.POISSON_PIPELINE).z)
-            for beta, gap in zip(betas, gaps.tolist()):
-                assert gap <= 2.0 * em_error_bound(p, 1, 500, beta) + 1e-12
-
     def test_quadrature_diagnostics_present(self):
         diag = sweep(PHYS, 1, 500, [0.1], Strategy.POISSON_PIPELINE).diagnostics
         assert (diag["quadrature_evaluations"].item()
@@ -432,11 +411,14 @@ class TestPartitionPoisson:
     def test_large_n_integral_not_falsely_zero(self):
         """At N = 1e5 the integrand's support, width ~ (beta |k|)^(-1/2), is
         far narrower than [0, N+1]; the quadrature must still find it
-        (`thermo --T 10 --k -0.3 --m 1 --N 100000 --strategy poisson`)."""
+        (`thermo --T 10 --k -0.3 --m 1 --N 100000 --strategy poisson`): the
+        gap to the direct sum, in the M_0 domain, is T1 within the certified
+        bound on the Euler-Maclaurin remainder R3."""
         beta = 1.0 / (PHYS.kb * 10.0)
         z = sweep(PHYS, 1, 100_000, [beta], Strategy.POISSON_PIPELINE).z.item()
-        gap = abs(z - sweep(PHYS, 1, 100_000, [beta]).z.item())
-        assert gap <= 2.0 * em_error_bound(PHYS, 1, 100_000, beta) + 1e-12
+        e0, t1, r3_bound = _em_first_order_model(PHYS.alpha, PHYS.k, 1, 100_000, beta)
+        gap = (sweep(PHYS, 1, 100_000, [beta]).z.item() - z) * math.exp(beta * e0)
+        assert abs(gap - t1) <= r3_bound
         assert z == pytest.approx(
             sweep(PHYS, 1, 100_000, [beta], Strategy.PAPER_CLOSED_FORM).z.item(), rel=1e-12)
 
@@ -470,19 +452,13 @@ class TestAverageEnergy:
 
 
 class TestHeatCapacity:
-    @settings(max_examples=60, deadline=None)
-    @given(beta=st.floats(0.01, 50.0), k=st.sampled_from(FIG_KS))
-    def test_direct_nonnegative(self, beta, k):
-        p = SystemParams(alpha=1.0, k=k)
-        assert sweep(p, 1, 500, [beta]).c.item() >= 0.0
-
     def test_ladder_equipartition(self):
         p = SystemParams(alpha=1.0, k=0.0)
         c = sweep(p, 1, 500, [1.0 / (p.kb * 100.0)]).c.item()
         assert c == pytest.approx(1.0, abs=0.01)
 
     def test_plateau_exists_per_k(self):
-        for k in FIG_KS:
+        for k in FIGURE_K_LIST:
             p = SystemParams(alpha=1.0, k=k)
             plateau = find_heat_capacity_plateau(p, 1, 500)
             assert plateau is not None
@@ -553,8 +529,8 @@ class TestHeatCapacity:
 
 class TestMomentsAgainstOracle:
     """The closed form (corrected d_t) and the pipeline hold C, U and S to
-    the 60-digit summation formula over the documented box: k in
-    [-0.5, -1e-8], |m| <= 60, N in [1, 1e5], beta in [1e-4, 1e3], alpha = 1.
+    the 60-digit summation formula over the documented box (tests/box.py)
+    at alpha = 1.
     The closed form is within 1e-10 of it and within 1e-9 of the pipeline;
     the pipeline, whose quadrature asks for 1e-11, within 1e-9. S is held
     relative to max(|S|, 0.01), as it crosses 0 where ln M_0 = -beta <d>."""
@@ -592,10 +568,8 @@ class TestMomentsAgainstOracle:
         assert res.u.item() == pytest.approx(u, rel=1e-14, abs=0.0)
         assert res.s.item() == pytest.approx(s, rel=1e-12, abs=0.0)
 
-    @settings(max_examples=12, deadline=None)
-    @given(k=st.floats(-8.0, math.log10(0.5)).map(lambda u: -(10.0**u)),
-           m=EDGE_M, n=st.floats(0.0, 5.0).map(lambda u: round(10.0**u)),
-           beta=st.floats(-4.0, 3.0).map(lambda u: 10.0**u))
+    @settings(max_examples=12)
+    @given(k=box.K, m=box.M, n=box.N, beta=box.BETA)
     def test_box(self, k, m, n, beta):
         self.assert_matches_oracle(k, m, n, beta)
 
@@ -605,7 +579,7 @@ class TestFreeEnergyEntropy:
         assert sweep(PHYS, 1, 0, [0.7]).f.item() == pytest.approx(energy(PHYS, 0, 1), rel=1e-13)
 
     def test_free_energy_decreasing(self):
-        for k in FIG_KS:
+        for k in FIGURE_K_LIST:
             p = SystemParams(alpha=1.0, k=k)
             fs = sweep(p, 1, 500, 1.0 / (p.kb * np.linspace(0.5, 50.0, 40))).f.tolist()
             assert all(b < a for a, b in zip(fs, fs[1:]))
@@ -622,14 +596,14 @@ class TestFreeEnergyEntropy:
         assert 0.0 <= s <= 1e-100
 
     def test_entropy_increasing(self):
-        for k in FIG_KS:
+        for k in FIGURE_K_LIST:
             p = SystemParams(alpha=1.0, k=k)
             ss = sweep(p, 1, 500, 1.0 / (p.kb * np.geomspace(0.1, 50.0, 40))).s.tolist()
             assert all(b > a for a, b in zip(ss, ss[1:]))
 
     def test_entropy_triangulation(self):
         """Direct vs closed form within 5% over the high-temperature window."""
-        for k in FIG_KS:
+        for k in FIGURE_K_LIST:
             p = SystemParams(alpha=1.0, k=k)
             betas = 1.0 / (p.kb * np.linspace(5.0, 50.0, 8))
             sds, sps = (sweep(p, 1, 500, betas, strategy).s.tolist()
@@ -654,14 +628,14 @@ class TestFreeEnergyEntropy:
 
 class TestTruncation:
     def test_insensitivity_from_300(self):
-        for k in FIG_KS:
+        for k in FIGURE_K_LIST:
             p = SystemParams(alpha=1.0, k=k)
             betas = 1.0 / (p.kb * np.array([1.0, 10.0, 50.0]))
             z300, z500 = (sweep(p, 1, n, betas).z for n in (300, 500))
             assert np.all(np.abs(z300 - z500) <= 1e-12 * z500)
 
     def test_z_monotone_in_temperature(self):
-        for k in FIG_KS:
+        for k in FIGURE_K_LIST:
             p = SystemParams(alpha=1.0, k=k)
             zs = sweep(p, 1, 500, 1.0 / (p.kb * np.geomspace(0.1, 50.0, 30))).z.tolist()
             assert all(b > a for a, b in zip(zs, zs[1:]))
@@ -674,12 +648,6 @@ DIAGNOSTIC_COLUMNS = {
     Strategy.POISSON_PIPELINE: ["quadrature_refinements", "quadrature_evaluations",
                                 "quadrature_error_bound", "negative_entropy"],
 }
-
-
-def assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
-    """Same shape, dtype and bits: NaN equals NaN, and 0.0 is not -0.0."""
-    np.testing.assert_array_equal(got, want, strict=True)
-    assert got.tobytes() == want.tobytes()
 
 
 def assert_points_equal_grid(params, m, n, betas, strategy, variant="corrected"):
@@ -791,16 +759,15 @@ class TestSweep:
             assert flags[-1] and series.s[-1] < 0.0
             assert not flags[0] and series.s[0] >= 0.0
 
-    @settings(max_examples=40, deadline=None)
-    @given(k=EDGE_K, m=EDGE_M, n=st.integers(0, 100_000),
-           betas=st.lists(st.floats(-4.0, 3.0).map(lambda u: 10.0**u), min_size=2, max_size=6),
+    @settings(max_examples=40)
+    @given(k=box.K_WIDE, m=box.M, n=box.N, betas=st.lists(box.BETA, min_size=2, max_size=6),
            strategy=st.sampled_from(list(Strategy)),
            variant=st.sampled_from(["corrected", "verbatim"]))
     def test_point_does_not_depend_on_grid(self, k, m, n, betas, strategy, variant):
-        """Over the documented box: k in [-5, -1e-8], |m| <= 60, N <= 1e5 and
-        2 to 6 betas in [1e-4, 1e3], under every strategy and variant. A grid
-        may be refused only with ValueError, and only where one of its points
-        is refused too."""
+        """Over the documented box, with k out to the shell |k| <= 5 (strong
+        coupling, |k| > alpha), and 2 to 6 betas, under every strategy and
+        variant. A grid may be refused only with ValueError, and only where
+        one of its points is refused too."""
         params = SystemParams(alpha=1.0, k=k)
         try:
             sweep(params, m, n, betas, strategy, variant)
@@ -879,16 +846,16 @@ class TestEvaluateBundle:
 
 
 class TestRegimeEdges:
-    """The strategies across the documented parameter space:
-    k in [-5, -1e-8], |m| <= 60, beta in [1e-4, 1e3], N in [1, 1e5]."""
+    """The strategies across the documented box (tests/box.py), with k out
+    to the shell |k| <= 5: at strong coupling, |k| > alpha, each strategy
+    must still be finite or refuse."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(k=EDGE_K, m=EDGE_M, n=EDGE_N, log_beta=st.floats(-4.0, 3.0))
-    def test_direct_sum(self, k, m, n, log_beta):
+    @settings(max_examples=100)
+    @given(k=box.K_WIDE, m=box.M, n=box.N, beta=box.BETA)
+    def test_direct_sum(self, k, m, n, beta):
         """C >= 0, S >= 0 and F = U - TS, and the sum cut at the underflow
         index gives the full-length sums within 4 ulp."""
         p = SystemParams(alpha=1.0, k=k)
-        beta = 10.0**log_beta
         series = sweep(p, m, n, [beta])
         z, u, c, f, s = (getattr(series, q).item() for q in ("z", "u", "c", "f", "s"))
         assert c >= 0.0 and s >= 0.0
@@ -902,16 +869,15 @@ class TestRegimeEdges:
         for cut, want in zip((z, u, c, s), full):
             assert cut == want or abs(cut - want) <= 4.0 * math.ulp(max(abs(cut), abs(want)))
 
-    @settings(max_examples=100, deadline=None)
-    @given(k=EDGE_K, m=EDGE_M, n=EDGE_N, log_beta=st.floats(-4.0, 3.0),
+    @settings(max_examples=100)
+    @given(k=box.K_WIDE, m=box.M, n=box.N, beta=box.BETA,
            series=st.sampled_from([(Strategy.PAPER_CLOSED_FORM, "corrected"),
                                    (Strategy.PAPER_CLOSED_FORM, "verbatim"),
                                    (Strategy.POISSON_PIPELINE, "corrected")]))
-    def test_finite_or_typed_error(self, k, m, n, log_beta, series):
+    def test_finite_or_typed_error(self, k, m, n, beta, series):
         """Every value is finite, or sweep raises a typed error; Z is
         exp(ln Z), saturated like the direct sum's; S = beta (U - F)."""
         strategy, variant = series
-        beta = 10.0**log_beta
         try:
             series = sweep(SystemParams(alpha=1.0, k=k), m, n, [beta], strategy, variant)
         except (IntegrationError, NonPhysicalError):
@@ -923,15 +889,14 @@ class TestRegimeEdges:
         scale = abs(s) + beta * (abs(u) + abs(f))
         assert abs(s - beta * (u - f)) <= 1e-12 * scale
 
-    @settings(max_examples=60, deadline=None)
-    @given(log_alpha=st.floats(0.0, 150.0), k=EDGE_K, m=EDGE_M, n=EDGE_N,
-           log_beta=st.floats(-4.0, 3.0))
-    def test_poisson_matches_closed_form(self, log_alpha, k, m, n, log_beta):
+    @settings(max_examples=60)
+    @given(alpha=box.ALPHA, k=box.K_WIDE, m=box.M, n=box.N, beta=box.BETA)
+    def test_poisson_matches_closed_form(self, alpha, k, m, n, beta):
         """The pipeline integrates the excitation d itself, so it keeps the
         closed form's Z, U and C within 1e-9 relative (the triangulation's
         bound) for alpha up to 1e150, where d is far below an ulp of E_0,
         wherever the range check does not refuse the point."""
-        p, beta = SystemParams(alpha=10.0**log_alpha, k=k), 10.0**log_beta
+        p = SystemParams(alpha=alpha, k=k)
         try:
             quad, closed = (sweep(p, m, n, [beta], strategy) for strategy in (
                 Strategy.POISSON_PIPELINE, Strategy.PAPER_CLOSED_FORM))
@@ -956,14 +921,16 @@ def strictly_decreasing_loop(temps, fs, ss):
     return True
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(steps=st.lists(st.tuples(st.floats(1e-3, 1.0),
                                 st.sampled_from([0.0, 1e-18, -1e-18, 1e-3, -1e-3, -5.0, math.nan]),
                                 st.sampled_from([0.0, 1e-20, 1.0, math.nan])),
                       min_size=1, max_size=12))
 def test_strictly_decreasing_resolvable_matches_loop(steps):
     """Ties below the resolution of F, resolvable rises and NaN, as arrays
-    and as lists."""
+    and as lists. The tables are made up, not points of the box: the rule
+    reads only temperature steps, F steps and S, drawn at the scales that
+    make a step resolvable or not."""
     temps, fs, ss = [1.0], [5.0], [1.0]
     for dt, df, s in steps:
         temps.append(temps[-1] + dt)

@@ -22,6 +22,8 @@ from pdm_osc.oscillator import (
     spectrum_terms,
 )
 from pdm_osc.specfun import QuadratureSpec, central_diff, integrate
+
+import box
 from test_acceptance import _em_first_order_model
 
 
@@ -59,10 +61,9 @@ class TestRadialOverlaps:
         batched = radial_overlaps(p, triples)
         assert batched.tolist() == [scalar_overlap(p, *t) for t in triples]
 
-    @settings(max_examples=25, deadline=None)
-    @given(k=st.floats(-0.5, -1e-3),
-           triples=st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 6), st.integers(0, 6)),
-                            min_size=1, max_size=4))
+    @settings(max_examples=25)
+    @given(k=box.K, triples=st.lists(st.tuples(box.M, box.DEGREE, box.DEGREE),
+                                     min_size=1, max_size=4))
     def test_random_triples_equal_single_row_calls(self, k, triples):
         p = SystemParams(1.0, k)
         assert radial_overlaps(p, triples).tolist() == [scalar_overlap(p, *t) for t in triples]
