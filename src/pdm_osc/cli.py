@@ -22,7 +22,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__, thermo, validate as validation
-from .errors import ConfigError, PdmOscError
+from .errors import ConfigError, DomainError, PdmOscError
 from .oscillator import RadialFamily, SystemParams, _turning_radius, energy
 from .output import SeriesTable, format_float
 from .specfun import JACOBI_DEGREE_CAP
@@ -258,8 +258,14 @@ def cmd_wavefunction(cfg: dict) -> int:
     # of the highest state
     r_hi = min(p.r_max, 4.0 * _turning_radius(p, n_max, m))
     r = r_hi * (np.arange(cfg["r_count"]) + 0.5) / cfg["r_count"]
+    values = family.values(r)
+    # at large |m| a state peaks so near z = 1 that every sample underflows
+    missed = np.flatnonzero(~values.any(axis=1))
+    if missed.size:
+        raise DomainError(f"k={p.k}, m={m}, n_max={n_max}: every r sample of state "
+                          f"n={missed[0]} is exactly 0; the grid misses where it lives")
     # the family's rows are the table's columns
-    columns = [(f"U_n{n} [1/length]", u) for n, u in enumerate(family.values(r))]
+    columns = [(f"U_n{n} [1/length]", u) for n, u in enumerate(values)]
     table = SeriesTable(
         x_label="r [length]",
         y_label=f"U(r), m={cfg['m']} [1/length]",

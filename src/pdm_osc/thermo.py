@@ -27,12 +27,13 @@ T1 = [f'(N+1) - f'(0)]/12 and |R3| <= 2 zeta(3)/(2 pi)^3 int_0^{N+1} |f'''|
 sweep evaluates one (params, m, N, strategy) series on a whole beta grid, as
 array programs over that grid, and returns a ThermoSeries: one array per
 quantity and per diagnostic. The direct sum builds the excitations a piece
-at a time and reduces them over blocks of beta rows, a row longer than a
-block piece by piece along numpy's pairwise tree, each row cut at the first
-level whose weight underflows to exactly 0.0 (at a length that depends on
-beta alone and gives the uncut sum bit for bit); the closed form is one
-array expression over the grid; the pipeline integrates every beta in one
-batched quadrature.
+at a time, forms each weight once and reduces it over blocks of beta rows,
+each row cut past the levels whose weights may be nonzero ("n_terms", the
+levels with beta d <= 746, found from the root of beta d(x) = 746); a row
+longer than a block merges its pieces' sums by the pairwise update of
+Chan, Golub and LeVeque. The closed form is one array expression over the
+grid; the pipeline integrates every beta in one batched quadrature, up to
+the same root.
 Each point of a series is the one-point sweep at its beta, value for value.
 
 The paper's coefficients are spectrum values, taken from it: c_t = E_{N+1},
@@ -49,7 +50,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -95,8 +96,8 @@ class ThermoSeries:
     for every strategy, "negative_entropy", True wherever S is negative or
     NaN. variant is the closed form's d_t reading, else None.
 
-    The direct sum's C is kb beta^2 times a two-pass variance, so it is
-    nonnegative by construction. An approximate strategy's S can go negative
+    The direct sum's C is kb beta^2 times a variance of centred sums of
+    nonnegative terms, so it is nonnegative by construction. An approximate strategy's S can go negative
     at low temperature (the closed form's tends to kb ln(1/2)); such a value
     is flagged as "negative_entropy", not fixed.
     """
@@ -116,9 +117,7 @@ class ThermoSeries:
 # the direct sum reduces its (beta x level) weight array in blocks of at most
 # this many elements, and a longer row piece by piece, so its memory stays
 # flat in the grid length and in N: a point that keeps all N + 1 levels
-# peaks 1.2-1.6 MB above set-up for N = 1e5 to 1e7 with 2**15, 2.1-2.8 MB
-# with 2**16, at no measurable cost in time. It must be at least 128, the
-# block below which numpy's pairwise summation stops splitting.
+# peaks 0.8 MB above set-up for N = 1e5 to 1e7.
 _BLOCK_ELEMENTS = 2**15
 
 # exp(-x) is exactly 0.0 in double precision for every x beyond this
@@ -131,48 +130,43 @@ _DIAGNOSTIC_DTYPES = {
                                     quadrature_error_bound=float)}
 
 
-def _left(n: int) -> int:
-    """Length of the left part of a row of n > 128 in numpy's pairwise
-    summation: n/2 rounded down to a multiple of 8."""
-    return n // 2 - n // 2 % 8
-
-
 def _spine(size: int) -> list[int]:
     """Ascending lengths on the left spine of numpy's pairwise summation of
-    a row of size (_left), down to blocks of 128."""
+    a row of size levels, down to blocks of 128: each node's left part is
+    half of it rounded down to a multiple of 8."""
     spine = [size]
     while spine[-1] > 128:
-        spine.append(_left(spine[-1]))
+        spine.append(spine[-1] // 2 - spine[-1] // 2 % 8)
     return spine[::-1]
 
 
-def _pairwise(piece_sums: Callable[[int, int], np.ndarray], lo: int, n: int) -> np.ndarray:
-    """The sums over levels lo..lo+n-1 of a row, added as numpy's pairwise
-    summation adds them: a row of more than _BLOCK_ELEMENTS levels splits as
-    numpy's does (_left), and piece_sums(lo, hi) sums a piece of at most a
-    block with numpy, on the same tree below. The result is numpy's sum of
-    the whole row, bit for bit."""
-    if n <= _BLOCK_ELEMENTS:
-        return piece_sums(lo, lo + n)
-    half = _left(n)
-    return _pairwise(piece_sums, lo, half) + _pairwise(piece_sums, lo + half, n - half)
+def _underflow_root(slope: float, q: float, betas: np.ndarray) -> np.ndarray:
+    """The root x >= 0 of beta d(x) = 746, d(x) = x (D + q x), D = slope > 0
+    and q >= 0, at each beta: beyond it every weight exp(-beta d) is exactly
+    0.0. It is 2 r / (D + sqrt(D^2 + 4 q r)), r = 746/beta, free of
+    cancellation; where D^2 + 4 q r overflows, its square root is formed as
+    hypot(D, 2 sqrt(q) sqrt(r)), so the root stays finite."""
+    reach = _EXP_UNDERFLOW / betas
+    with np.errstate(over="ignore"):
+        root = np.sqrt(slope * slope + 4.0 * q * reach)
+        wide = np.isinf(root)
+        root[wide] = np.hypot(slope, 2.0 * math.sqrt(q) * np.sqrt(reach[wide]))
+        return 2.0 * reach / (slope + root)
 
 
-def _cut_lengths(p: SystemParams, m: int, betas: np.ndarray, size: int) -> np.ndarray:
-    """Number of leading levels the Boltzmann sums keep at each beta.
+def _cut_lengths(n_terms: np.ndarray, size: int) -> np.ndarray:
+    """Number of leading levels the Boltzmann sums reduce at each beta, for
+    a spectrum of size levels of which the first n_terms have weights that
+    may be nonzero.
 
-    On the increasing excitations d every weight from the first level with
-    beta d > 746 on is exactly 0.0, so a sum may stop there. The length kept
-    is the shortest prefix on the left spine of numpy's pairwise summation
-    of the whole row of size levels (_spine) that covers that level, the
-    first spine node L with L = size or d_L > 746/beta: the cut sum is then
-    the full sum's left subtree, and the right side it drops is a sum of
-    exact zeros, so both are the same number. The length depends on beta and
-    the spectrum alone, and d is evaluated at the spine nodes only.
+    The length is the shortest prefix on the left spine of numpy's pairwise
+    summation of all size levels (_spine) that holds the n_terms levels.
+    Every weight it drops is exactly 0.0, and a row of at most a block is
+    then numpy's sum of all size levels, bit for bit. Lengths repeat along a
+    grid, so rows of one length reduce together as 2-D blocks.
     """
     spine = np.array(_spine(size))
-    d = excitation(p, spine[:-1].astype(float), m)
-    return spine[np.searchsorted(d, _EXP_UNDERFLOW / betas, side="right")]
+    return spine[np.searchsorted(spine, n_terms)]
 
 
 def _check_weights_range(params: SystemParams, e0: float, d_top: float,
@@ -199,72 +193,58 @@ def _boltzmann_sums(p: SystemParams, m: int, betas: np.ndarray, lengths: np.ndar
     sum w, the mean <d>, the variance <(d - <d>)^2> and the tail ratio
     w_N / sum w, each beta's row summed over its first lengths levels
     (_cut_lengths) of a spectrum of size levels. Rows of one length form a
-    group, reduced in blocks of at most _BLOCK_ELEMENTS weights, and a row
-    longer than a block piece by piece along numpy's pairwise tree
-    (_pairwise), so every sum is numpy's whole-row sum, bit for bit. Each
-    piece of levels lo..hi-1 builds its d once and reduces every block of its
-    group on it. Two work arrays of one block serve every row: exp runs in
-    place, only on lanes whose weight is not exactly 0.0 (a block where no
-    weight is runs a plain exp), and 0.0 is written on the others. A group of
-    one piece keeps its weights for the variance; a longer one forms them
-    again, by the same exp, in a second pass over its pieces. The tail ratio
-    of a cut row is exactly 0.0, as w_N is. No weight exceeds w_0 = 1; the
-    two-pass variance keeps C >= 0 by construction.
+    group, cut into pieces of at most _BLOCK_ELEMENTS levels, and each piece
+    builds its d once and reduces every block of its group's rows on it.
+    Two work arrays of one block serve every row: exp runs in place, only on
+    lanes whose weight is not exactly 0.0 (a block where no weight is runs a
+    plain exp), and 0.0 is written on the others. Each piece's weights give
+    its sum w, its mean and its centred sum of (d - mean)^2 w, and a row of
+    several pieces merges them in level order by the pairwise update of
+    Chan, Golub and LeVeque (1983); a piece whose weights are all 0.0 leaves
+    the row as it is. The tail ratio of a cut row is exactly 0.0, as w_N is.
+    No weight exceeds w_0 = 1, and every centred sum adds nonnegative terms,
+    so C >= 0 by construction.
     """
     out = np.empty((4, betas.size))
     last = np.zeros(betas.size)  # w_N of each row that reaches level N
     w, t = np.empty(_BLOCK_ELEMENTS), np.empty(_BLOCK_ELEMENTS)
-
-    def weights(at: np.ndarray, d: np.ndarray, hi: int) -> np.ndarray:
-        """The weights of levels ..hi-1, whose excitations are d, at the betas
-        at, as rows of w."""
-        bw = w[:at.size * d.size].reshape(at.size, d.size)
-        np.multiply(-betas[at, None], d, out=bw)
-        # rounding is monotone, so the block's lowest lane is -(max beta) d_max
-        if betas[at].max() * d[-1] <= _EXP_UNDERFLOW:
-            np.exp(bw, out=bw)
-        else:
-            keep = bw >= -_EXP_UNDERFLOW
-            np.exp(bw, out=bw, where=keep)
-            bw[~keep] = 0.0
-        if hi == size:
-            last[at] = bw[:, -1]
-        return bw
-
-    def first(d: np.ndarray, bw: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """sum w and sum d w of each row"""
-        dw = np.multiply(d, bw, out=t[:bw.size].reshape(bw.shape))
-        return np.stack([bw.sum(axis=1), dw.sum(axis=1)])
-
-    def second(d: np.ndarray, bw: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """sum (d - <d>)^2 w of each row, <d> read from out[1]"""
-        bt = np.subtract(d, out[1, at, None], out=t[:bw.size].reshape(bw.shape))
-        return np.multiply(np.square(bt, out=bt), bw, out=bt).sum(axis=1)
-
-    def both(d: np.ndarray, bw: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """sum w and sum (d - <d>)^2 w of rows of one piece, whose weights
-        serve both passes, with <d> written to out[1]"""
-        sw, sdw = first(d, bw, at)
-        out[1, at] = sdw / sw
-        return np.stack([sw, second(d, bw, at)])
-
-    def piece(reduce: Callable, blocks: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
-        """reduce(d, w, at) of levels lo..hi-1 for each row block at of a
-        group, d built once, joined along the rows"""
-        d = excitation(p, np.arange(lo, hi, dtype=float), m)
-        return np.concatenate([reduce(d, weights(at, d, hi), at) for at in blocks], axis=-1)
-
     for length in sorted(set(lengths.tolist())):
         group = np.flatnonzero(lengths == length)
         rows = max(1, _BLOCK_ELEMENTS // length)
         blocks = [group[start:start + rows] for start in range(0, group.size, rows)]
-        if length <= _BLOCK_ELEMENTS:
-            sw, spread = piece(both, blocks, 0, length)
-        else:
-            sw, sdw = _pairwise(lambda lo, hi: piece(first, blocks, lo, hi), 0, length)
-            out[1, group] = sdw / sw
-            spread = _pairwise(lambda lo, hi: piece(second, blocks, lo, hi), 0, length)
-        out[0, group], out[2, group] = sw, spread / sw
+        for lo in range(0, length, _BLOCK_ELEMENTS):
+            hi = min(lo + _BLOCK_ELEMENTS, length)
+            d = excitation(p, np.arange(lo, hi, dtype=float), m)
+            for at in blocks:
+                bw = w[:at.size * d.size].reshape(at.size, d.size)
+                bt = t[:bw.size].reshape(bw.shape)
+                np.multiply(-betas[at, None], d, out=bw)
+                # rounding is monotone, so the block's lowest lane is -(max beta) d_max
+                if betas[at].max() * d[-1] <= _EXP_UNDERFLOW:
+                    np.exp(bw, out=bw)
+                else:
+                    keep = bw >= -_EXP_UNDERFLOW
+                    np.exp(bw, out=bw, where=keep)
+                    bw[~keep] = 0.0
+                if hi == size:
+                    last[at] = bw[:, -1]
+                sw = bw.sum(axis=1)
+                # the first piece holds w_0 = 1; a later piece of all 0.0 takes the row's mean
+                mean = np.divide(np.multiply(d, bw, out=bt).sum(axis=1), sw,
+                                 out=out[1, at], where=sw > 0.0)
+                np.square(np.subtract(d, mean[:, None], out=bt), out=bt)
+                spread = np.multiply(bt, bw, out=bt).sum(axis=1)
+                if lo == 0:
+                    out[:3, at] = sw, mean, spread
+                    continue
+                # Chan et al.'s merge of (sum w, mean, centred sum) of two parts
+                total, delta = out[0, at] + sw, mean - out[1, at]
+                share = sw / total
+                out[2, at] += spread + delta * delta * out[0, at] * share
+                out[1, at] += delta * share
+                out[0, at] = total
+            del d  # before the next piece's levels are built beside it
+    out[2] /= out[0]
     out[3] = last / out[0]
     return out
 
@@ -291,14 +271,16 @@ def _direct_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> Th
     are built, a piece of at most a block at a time (_boltzmann_sums), so
     the memory is flat in N."""
     size = n_max + 1
-    e0 = spectrum_terms(p, m)[0]
+    e0, slope, q = spectrum_terms(p, m)
     _check_weights_range(p, e0, excitation(p, size - 1.0, m), betas)
-    lengths = _cut_lengths(p, m, betas, size)
+    # the levels with beta d <= 746, counted in floats, where the root may be huge
+    n_terms = np.minimum(np.floor(_underflow_root(slope, q, betas)) + 1.0, size).astype(int)
+    lengths = _cut_lengths(n_terms, size)
     count = lengths.max().item()
     _check_weights_range(p, e0, excitation(p, count - 1.0, m), betas, moments=str(count - 1))
     sw, mean, var, tail = _boltzmann_sums(p, m, betas, lengths, size)
     return _from_moments(Strategy.DIRECT_SUM, p.kb, betas, e0, sw, mean, var,
-                         {"n_terms": lengths, "tail_ratio": tail})
+                         {"n_terms": n_terms, "tail_ratio": tail})
 
 
 def paper_z_coefficients(params: SystemParams, m: int, truncation_n: int,
@@ -410,12 +392,9 @@ def _poisson_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> T
     e0, slope, q = spectrum_terms(p, m)
     d1 = excitation(p, n_max + 1.0, m)
     _check_weights_range(p, e0, d1, betas, moments="N+1")
-    # f is exactly 0.0 beyond x_cut, where beta d(x) = 746; on a wider interval
-    # every quadrature node can miss f's support and converge to a false 0.
-    # x_cut is the positive root of x (D + q x) = 746/beta, free of cancellation
-    reach = _EXP_UNDERFLOW / betas
-    upper = np.minimum(n_max + 1.0,
-                       2.0 * reach / (slope + np.sqrt(slope * slope + 4.0 * q * reach)))
+    # f is exactly 0.0 beyond the root of beta d(x) = 746; on a wider interval
+    # every quadrature node can miss f's support and converge to a false 0
+    upper = np.minimum(n_max + 1.0, _underflow_root(slope, q, betas))
 
     def integrands(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         d = excitation(p, x, m)
@@ -452,8 +431,9 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
     is not increasing in n and whose truncated sum is arbitrary, is refused
     with NonPhysicalError. An empty grid then gives an empty series with the
     strategy's diagnostic columns, empty. The direct sum reduces the spectrum
-    in blocks of beta rows, each row up to its underflow cut ("n_terms"); the
-    closed form computes only the requested d_t variant.
+    in blocks of beta rows, each row cut where its weights underflow to 0.0
+    ("n_terms" counts the levels before that, those with beta d <= 746);
+    the closed form computes only the requested d_t variant.
     """
     betas = np.fromiter(betas, dtype=float)
     bad = ~((betas > 0.0) & (betas <= _SQRT_MAX))

@@ -355,6 +355,31 @@ class TestThermoCommand:
         # a mean of ~17,288, here about 2e-6 relative
         assert paper["U"] == pytest.approx(direct["U"], rel=1e-5)
 
+    def test_underflow_root_beyond_double_range(self, capsys):
+        """At k = -1e10 and T = 1e300 every weight of the 11 levels is 1 to
+        within 1e-287, and the root of beta d(x) = 746 lies near 1e146,
+        where D^2 + 4 q 746/beta overflows. With no warning, every strategy
+        gives Z = 11, S = ln 11 and C = 0, and the pipeline and the closed
+        form give U below the direct sum's by the summation formula's whole
+        error for the quadratic d, T1/M_0 = q/6 (R3 = 0; q = -2k)."""
+        values = {}
+        for strategy in ("poisson", "paper", "direct"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["thermo", f"--strategy={strategy}", "--k=-1e10", "--T=1e300",
+                           "--N=10"])
+            assert rc == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            values[strategy] = {q: float(v) for q, v in
+                                (part.split("=") for part in captured.out.split()) if q in "ZUCS"}
+        for strategy, got in values.items():
+            assert got["Z"] == pytest.approx(11.0, rel=1e-11)
+            assert got["S"] == pytest.approx(math.log(11.0), rel=1e-11)
+            assert got["C"] == 0.0
+            if strategy != "direct":
+                assert values["direct"]["U"] - got["U"] == pytest.approx(2e10 / 6.0, rel=1e-6)
+
     @pytest.mark.parametrize("alpha", ["1e100", "1e130", "1e150"])
     def test_paper_large_alpha_within_error_model(self, capsys, alpha):
         """Huge alpha below the moments check: beta E'(0) is huge, every level
@@ -462,6 +487,18 @@ class TestWavefunctionCommand:
         assert capsys.readouterr() == ("", "error: m=100000000, n_max=0: the log-norms sum "
                                            "(n_max + 1)|m| = 100000000 terms, above the cap "
                                            "1000000\n")
+        assert not out.exists()
+
+    def test_grid_that_misses_a_state_refused(self, tmp_path, capsys):
+        """At |m| = 1e6 the state z^(|m|/2) (1 - z)^((1 + s)/2) peaks within
+        1.1e-5 of z = 1, past the grid's last sample, and every sample
+        underflows to 0: one line naming k, m and n_max, and no file."""
+        out = tmp_path / "out"
+        rc = main(["wavefunction", "--k=-0.1", "--m=1000000", "--n-max=0", f"--out={out}"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: k=-0.1, m=1000000, n_max=0: every r sample "
+                                           "of state n=0 is exactly 0; the grid misses where "
+                                           "it lives\n")
         assert not out.exists()
 
     def test_samples(self, tmp_path):

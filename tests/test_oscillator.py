@@ -4,10 +4,11 @@ import cmath
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdm_osc.errors import (
@@ -29,7 +30,7 @@ from pdm_osc.oscillator import (
     radial_overlaps,
     solve_energy,
 )
-from pdm_osc.specfun import QuadratureSpec, integrate, jacobi_family
+from pdm_osc.specfun import JACOBI_DEGREE_CAP, QuadratureSpec, integrate, jacobi_family
 from pdm_osc.thermo import sweep
 
 import box
@@ -373,6 +374,12 @@ class TestRadialFamily:
         with pytest.raises(NonNormalizableError):
             RadialFamily(SystemParams(alpha=1.0, k=0.1), 0, 3)
 
+    def test_family_at_the_cap_is_built(self):
+        """(n_max + 1)|m| = JACOBI_DEGREE_CAP log-norm terms is within the
+        cap: the family is built, its one log-norm finite."""
+        family = RadialFamily(SystemParams(alpha=1.0, k=-0.1), -JACOBI_DEGREE_CAP, 0)
+        assert family.log_norms.shape == (1,) and math.isfinite(family.log_norms[0])
+
     @pytest.mark.parametrize("m, n_max", [(10**8, 0), (-1, 10**6), (10**400, 3)])
     def test_log_norm_terms_beyond_the_cap_refused(self, m, n_max):
         """The log-norms sum (n_max + 1)|m| logs one at a time: above
@@ -407,6 +414,27 @@ class TestTurningRadius:
         assert radii.shape == n.shape
         for i, j in np.ndindex(n.shape):
             assert_bits_equal(radii[i, j], _turning_radius(p, n[i, j].item(), m[i, j].item()))
+
+    @settings(max_examples=100)
+    @given(alpha=box.ALPHA, k=box.K, m=box.M, n=box.DEGREE)
+    @example(alpha=1.0, k=-0.3, m=1, n=3)
+    def test_radius_solves_its_quadratic(self, alpha, k, m, n):
+        """u = r_t^2 is the larger root of A u^2 + B u - m^2, with
+        A = 2 lam E delta_sq - alpha^2 lam^2 and B = 2 lam E - m^2 delta_sq
+        taken exactly from their float inputs: the residual is within 16 eps
+        of the size of its terms, and so is the slope 2 A u + B from below
+        0, where a root of a downward parabola (A < 0) is the larger one."""
+        p = SystemParams(alpha=alpha, k=k)
+        lam, d2, e, alpha_lam = (Fraction(x) for x in (p.lam, p.delta_sq, energy(p, n, m),
+                                                       p.alpha * p.lam))
+        u = Fraction(_turning_radius(p, n, m)) ** 2
+        m2 = Fraction(m * m)
+        a, b = 2 * lam * e * d2 - alpha_lam**2, 2 * lam * e - m2 * d2
+        size_a, size_b = abs(2 * lam * e * d2) + alpha_lam**2, abs(2 * lam * e) + m2 * abs(d2)
+        tol = 16 * Fraction(np.finfo(float).eps)
+        assert a < 0
+        assert abs(a * u * u + b * u - m2) <= tol * (size_a * u * u + size_b * u + m2)
+        assert 2 * a * u + b <= tol * (2 * size_a * u + size_b)
 
     @pytest.mark.parametrize("k, lam", [(-0.1, 1e-300), (-0.1, 1e300), (-1e300, 1.0)])
     def test_refuses_radius_beyond_double_range(self, k, lam):

@@ -40,6 +40,70 @@ def one_dimensional_sums(d, beta):
     return sw, mean, float(((d - mean) ** 2 * w).sum()) / sw
 
 
+def fsum_sums(d, w):
+    """sum w, the mean <d> and the variance <(d - <d>)^2> of the weights w
+    at the excitations d, each sum taken by math.fsum of its float terms."""
+    sw = math.fsum(w.tolist())
+    mean = math.fsum((d * w).tolist()) / sw
+    return sw, mean, math.fsum(((d - mean) ** 2 * w).tolist()) / sw
+
+
+# np.sum of at most 2**15 terms halves them down to blocks of at most 128,
+# adds a block in 8 lanes of at most 16 terms, joins the lanes in 3 steps and
+# adds up to 7 terms left over: no term passes through more than 32 roundings
+PIECE_ROUNDINGS = 32
+
+
+def gamma(n):
+    """n u / (1 - n u), u = eps/2: the relative error of a product of n
+    roundings (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1.0 - n * u)
+
+
+def merged_sums_error(pieces, d_max, mean, var):
+    """Bounds on the errors of a row's sum w (relative), mean (absolute) and
+    variance (relative) against fsum_sums of the same weights, for a row
+    whose pieces are summed by np.sum and merged in level order by Chan et
+    al.'s update W = W_A + W_B, mu = mu_A + delta W_B/W and
+    S = S_A + S_B + delta^2 W_A W_B/W, delta = mu_B - mu_A, with mean and
+    var the reference's. Every term summed is nonnegative (Higham, 4.2).
+
+    - sum w: each weight passes through at most PIECE_ROUNDINGS roundings in
+      its piece and pieces - 1 in the merges, gamma_W; fsum rounds once.
+    - mean: a piece's sum(d w)/sum(w) is within gamma(2 PIECE_ROUNDINGS + 2)
+      of its value. A merge carries its parts' errors in a convex
+      combination and adds at most (2 gamma_W + 5u) d_max: W_B/W is within
+      2 gamma_W + 2u, and delta, its product and the sum round once each,
+      every mean in [0, d_max]. The reference rounds at most 4 times.
+    - variance: each term of S passes through at most
+      PIECE_ROUNDINGS + 2 pieces + 12 roundings, and W_A, W_B/W and the final
+      W within 4 gamma_W. A merge's delta carries both means' errors, at most
+      2 e_mu, which moves delta^2 W_A W_B/W <= S by at most 4 r + 4 r^2 of
+      S, r = e_mu/sigma; a mean off by e_mu adds at most r^2 to S, in the
+      pieces and in the reference each.
+    """
+    u, g_w = np.finfo(float).eps / 2, gamma(PIECE_ROUNDINGS + pieces - 1)
+    e_mu = (gamma(2 * PIECE_ROUNDINGS + 6) * mean
+            + (pieces - 1) * (2.0 * g_w + 5.0 * u) * d_max)
+    r = e_mu / math.sqrt(var)
+    return (gamma(PIECE_ROUNDINGS + pieces), e_mu,
+            gamma(PIECE_ROUNDINGS + 2 * pieces + 12) + 4.0 * g_w
+            + (pieces - 1) * (4.0 * r + 4.0 * r * r) + 2.0 * r * r)
+
+
+def assert_merged_sums(sums, d, beta):
+    """sums, (sum w, <d>, variance) of a row over the levels d at beta, are
+    within merged_sums_error of fsum_sums of the same weights."""
+    want = fsum_sums(d, np.exp(-beta * d))
+    pieces = -(-d.size // thermo._BLOCK_ELEMENTS)
+    err_w, err_mean, err_var = merged_sums_error(pieces, d[-1].item(), *want[1:])
+    (sw, mean, var), (want_sw, want_mean, want_var) = sums, want
+    assert abs(sw - want_sw) <= err_w * want_sw
+    assert abs(mean - want_mean) <= err_mean
+    assert abs(var - want_var) <= err_var * want_var
+
+
 def summation_formula_oracle(params: SystemParams, m: int, n: int, beta: float,
                              verbatim: bool = False):
     """U, C and S (kb = 1) of the first-order summation formula at 60 digits.
@@ -192,7 +256,7 @@ class TestPartitionDirect:
         """Each beta sums only a short prefix of the levels, and every weight
         it drops is exactly 0.0; where none underflows it sums all N+1. A
         series builds no level beyond its longest cut, one piece of at most
-        a block at a time."""
+        a block at a time, and each level once."""
         p = SystemParams(alpha=1.0, k=-0.1)
         betas = [1e-4] + list(np.geomspace(0.02, 1e3, 40))
         d = excitation(p, np.arange(100_001.0), 1)
@@ -205,18 +269,19 @@ class TestPartitionDirect:
         diag = sweep(SystemParams(alpha=1.0, k=-1e-6), 1, 100_000, [1e-4]).diagnostics
         assert diag["n_terms"].item() == 100_001
         assert diag["tail_ratio"].item() > 0.0
-        # a cut whose last kept weight is not 0 still reports w_N / sum w = 0
+        # a cut whose last kept weight is not 0 still reports w_N / sum w = 0;
+        # n_terms counts the levels with beta d <= 746
         d = excitation(PHYS, np.arange(1001.0), 1)
         beta = 735.0 / d[119]
         series = sweep(PHYS, 1, 1000, [beta])
         e0 = spectrum_terms(PHYS, 1)[0]
-        assert series.diagnostics["n_terms"].item() == 120
+        assert series.diagnostics["n_terms"].item() == np.count_nonzero(beta * d <= 746.0) == 120
         assert math.exp(-beta * d[119]) / math.exp(series.log_z.item() + beta * e0) > 0.0
         assert series.diagnostics["tail_ratio"].item() == 0.0
         calls = []
 
         def recording(params, n_r, m):
-            # array calls: the spine nodes that place the cuts, then the pieces
+            # the array calls are the pieces
             d = excitation(params, n_r, m)
             if np.ndim(d):
                 calls.append((np.array(n_r), d))
@@ -224,15 +289,16 @@ class TestPartitionDirect:
 
         def pieces(params, m, n, betas):
             """The pieces of levels lo..hi-1 one direct series builds, in
-            order, as (lo, hi, d), and the series' longest cut."""
+            order, as (lo, hi, d), and the series' longest cut, which holds
+            every row's n_terms levels."""
             calls.clear()
-            longest = sweep(params, m, n, betas).diagnostics["n_terms"].max()
-            (nodes, _), *built = calls
-            assert nodes.tolist() == _spine(n + 1)[:-1]
-            for levels, _ in built:
+            n_terms = sweep(params, m, n, betas).diagnostics["n_terms"]
+            for levels, _ in calls:
                 assert 0 < levels.size <= thermo._BLOCK_ELEMENTS
                 assert levels.tolist() == list(range(int(levels[0]), int(levels[-1]) + 1))
-            return [(int(lv[0]), int(lv[-1]) + 1, d) for lv, d in built], longest
+            longest = thermo._cut_lengths(n_terms, n + 1).max()
+            assert n_terms.max() <= longest
+            return [(int(lv[0]), int(lv[-1]) + 1, d) for lv, d in calls], longest
 
         monkeypatch.setattr(thermo, "excitation", recording)
         temps = _temperature_grid({"T_min": 0.1, "T_max": 50.0, "T_count": 500,
@@ -250,18 +316,39 @@ class TestPartitionDirect:
                 # rows of at most a block are one piece each, from level 0
                 assert {lo for lo, _, _ in built} == {0}
         assert reached == [776, 384, 384, 96, 100_001]
-        # the last series' long row: two passes over the same pieces, each
-        # joined equal to the levels built at once, bit for bit
-        passes = [built[:len(built) // 2], built[len(built) // 2:]]
+        # the last series' long row: one pass over its pieces in level order,
+        # each level built once, joined equal to the levels built at once
         whole = excitation(edge, np.arange(100_001.0), 40)
-        for run in passes:
-            assert [lo for lo, _, _ in run] == [0] + [hi for _, hi, _ in run[:-1]]
-            assert np.concatenate([d for _, _, d in run]).tobytes() == whole.tobytes()
+        assert [lo for lo, _, _ in built] == [0] + [hi for _, hi, _ in built[:-1]]
+        assert np.concatenate([d for _, _, d in built]).tobytes() == whole.tobytes()
         # k > 0 is refused before any level is built
         calls.clear()
         with pytest.raises(NonPhysicalError):
             sweep(SystemParams(alpha=1.0, k=0.5), 1, 100_000, [1e-4])
         assert calls == []
+
+    @pytest.mark.parametrize("n", [128, 257, 100_000])
+    def test_n_terms_counts_the_terms(self, n):
+        """n_terms is the number of levels with beta d <= 746, the same at
+        every N that holds them: 56 here, the count of nonzero weights."""
+        p = SystemParams(alpha=1.0, k=-0.1)
+        d = excitation(p, np.arange(n + 1.0), 0)
+        n_terms = sweep(p, 0, n, [1.0]).diagnostics["n_terms"].item()
+        assert n_terms == np.count_nonzero(d <= 746.0) == np.count_nonzero(np.exp(-d)) == 56
+
+    @settings(max_examples=60)
+    @given(alpha=box.ALPHA, k=box.K, m=box.M, n=box.N, beta=box.BETA)
+    def test_n_terms_over_the_box(self, alpha, k, m, n, beta):
+        """n_terms counts the levels 0..N with beta d <= 746, and every
+        weight beyond them is exactly 0.0."""
+        p = SystemParams(alpha=alpha, k=k)
+        try:
+            n_terms = sweep(p, m, n, [beta]).diagnostics["n_terms"].item()
+        except DomainError:
+            return
+        d = excitation(p, np.arange(n + 1.0), m)
+        assert n_terms == np.count_nonzero(beta * d <= 746.0)
+        assert not np.exp(-beta * d[n_terms:]).any()
 
     @pytest.mark.parametrize("n", [100_000, 1_000_000])
     def test_direct_memory_flat_in_n(self, n):
@@ -686,14 +773,16 @@ class TestSweep:
         ids=["1", "500", "100000", "k=-1e-08-500", "k=-1e-08-100000", "k=0-500",
              "k=-1e-08-300000", "k=-1e-06-m=40-100000-shared-cut"])
     def test_direct_matches_one_dimensional_sums(self, k, m, n, shared):
-        """The block reduction equals the per-beta 1-D sums over all N+1
-        levels, bit for bit, though it builds no level beyond its longest
-        cut, reduces a row longer than a block piece by piece along numpy's
-        pairwise tree, and runs exp only where a weight is not exactly 0.0.
+        """A row of at most a block is one piece: its sums equal the
+        per-beta 1-D sums over all N+1 levels, bit for bit, though it builds
+        no level beyond its cut and runs exp only where a weight is not
+        exactly 0.0. A longer row is reduced piece by piece and the pieces
+        merged: its sums are held to math.fsum of the same weights within
+        merged_sums_error. Either way the series is formed from the sums.
         The betas take in 1e3 and cuts whose last kept weight is subnormal,
         beta d_j in [708, 746]; C is beta * beta * var, and the betas added
         here are ones where libm's pow gives another beta**2. At N = 3e5 a
-        row of all levels is 16 pieces; the shared grid is 40 betas whose
+        row of all levels is 10 pieces; the shared grid is 40 betas whose
         rows all keep the 100,001 levels."""
         p = SystemParams(alpha=1.0, k=k)
         d = excitation(p, np.arange(n + 1.0), m)
@@ -705,14 +794,40 @@ class TestSweep:
             betas += [b for b in np.geomspace(1e-4, 100.0, 20_000).tolist() if b**2 != b * b][:8]
             betas += [x / d[j - 1] for j in _spine(n + 1) if d[j - 1] > 0.0
                       for x in (708.5, 727.0, 745.9)]
-        reference = [one_dimensional_sums(d, beta) for beta in betas]
         series = sweep(p, m, n, betas)
+        lengths = thermo._cut_lengths(series.diagnostics["n_terms"], n + 1)
+        sums = thermo._boltzmann_sums(p, m, np.array(betas), lengths, n + 1)[:3].T.tolist()
         if shared:
             assert set(series.diagnostics["n_terms"].tolist()) == {n + 1}
         got = zip(*(getattr(series, name).tolist() for name in ("log_z", "u", "c", "s")))
-        for beta, point, (sw, mean, var) in zip(betas, got, reference):
+        for beta, length, point, row in zip(betas, lengths.tolist(), got, sums):
+            if length > thermo._BLOCK_ELEMENTS:
+                assert_merged_sums(row, d[:length], beta)
+            else:
+                assert row == list(one_dimensional_sums(d, beta))
+            sw, mean, var = row
             assert point == (-beta * e0 + np.log(sw), e0 + mean, beta * beta * var,
                              np.log(sw) + beta * mean)
+        assert (lengths > thermo._BLOCK_ELEMENTS).any() == (n >= 100_000)
+
+    @pytest.mark.parametrize("wrong", ["dropped", "doubled"])
+    def test_merged_sums_check_sees_a_lost_or_doubled_piece(self, wrong):
+        """Negative control of assert_merged_sums: the sums of a row of four
+        pieces with one piece left out, or counted twice, fail it, while
+        the row's own reduction passes."""
+        p, n, beta = SystemParams(alpha=1.0, k=-1e-6), 100_000, 1e-5
+        d = excitation(p, np.arange(n + 1.0), 40)
+        w = np.exp(-beta * d)
+        size = np.array([n + 1])
+        assert_merged_sums(thermo._boltzmann_sums(p, 40, np.array([beta]), size, n + 1)[:3, 0],
+                           d, beta)
+        block = thermo._BLOCK_ELEMENTS
+        for lo in range(0, n + 1, block):
+            piece = np.arange(lo, min(lo + block, n + 1))
+            at = (np.delete(np.arange(n + 1), piece) if wrong == "dropped"
+                  else np.concatenate([np.arange(n + 1), piece]))
+            with pytest.raises(AssertionError):
+                assert_merged_sums(fsum_sums(d[at], w[at]), d, beta)
 
     @pytest.mark.parametrize("variant", ["corrected", "verbatim"])
     def test_paper(self, variant):
@@ -853,15 +968,23 @@ class TestRegimeEdges:
     @settings(max_examples=100)
     @given(k=box.K_WIDE, m=box.M, n=box.N, beta=box.BETA)
     def test_direct_sum(self, k, m, n, beta):
-        """C >= 0, S >= 0 and F = U - TS, and the sum cut at the underflow
-        index gives the full-length sums within 4 ulp."""
+        """C >= 0, S >= 0 and F = U - TS. A sum cut at the underflow index
+        to at most a block gives the full-length sums within 4 ulp; a longer
+        row's sums are within merged_sums_error of math.fsum, and the series
+        is formed from them within 4 ulp."""
         p = SystemParams(alpha=1.0, k=k)
         series = sweep(p, m, n, [beta])
         z, u, c, f, s = (getattr(series, q).item() for q in ("z", "u", "c", "f", "s"))
         assert c >= 0.0 and s >= 0.0
         scale = abs(u) + abs(f) + abs(s) / beta
         assert abs(f - (u - s / beta)) <= 1e-12 * scale
-        sw, mean, var = one_dimensional_sums(excitation(p, np.arange(n + 1.0), m), beta)
+        d = excitation(p, np.arange(n + 1.0), m)
+        length = thermo._cut_lengths(series.diagnostics["n_terms"], n + 1)
+        if length.item() > thermo._BLOCK_ELEMENTS:
+            sw, mean, var = thermo._boltzmann_sums(p, m, np.array([beta]), length, n + 1)[:3, 0]
+            assert_merged_sums((sw, mean, var), d[:length.item()], beta)
+        else:
+            sw, mean, var = one_dimensional_sums(d, beta)
         e0 = spectrum_terms(p, m)[0]
         log_z = -beta * e0 + np.log(sw)
         full = (np.exp(log_z) if log_z < 700.0 else math.inf, e0 + mean, beta * beta * var,
