@@ -8,6 +8,9 @@ grid and file options it would not read, and variant=both. Exit codes: 0
 success; 1 a failed validation, or a refusal (PdmOscError) or OS failure
 with one `error: ...` line; 2 a configuration error, SystemParams fields
 included (one machine-parsable line). Any other exception is a bug: a traceback.
+
+A plain argv is read straight from _OPTIONS (_plain_args); argparse parses
+every other argv, so help, usage and error text are always its own.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ from .specfun import JACOBI_DEGREE_CAP
 _Option = namedtuple("_Option", "name kind default choices help commands bound", defaults=(None,))
 _STATES, _TABLES = ("spectrum", "wavefunction"), ("thermo", "figures")
 _SYSTEM = _STATES + _TABLES
-# a T or r grid has 2 to 10**7 rows (10**7 CSV cells are about 240 MB)
+# a T or r grid has 2 to 10**7 rows; memory bounds it: a command holds its
+# series and tables whole, about 310 (direct) to 480 (paper) bytes per
+# temperature row for three k values, so 10**7 rows take 3 to 5 GB
 _ROWS = (lambda n: 2 <= n <= 10**7, "must be in [2, 10000000]")
 _OPTIONS = (
     _Option("alpha", float, 1.0, None, "oscillation frequency (> 0)", _SYSTEM),
@@ -63,6 +68,20 @@ _OPTIONS = (
     _Option("inject_energy_perturbation", bool, False, None,
             "test hook: negative control, must fail", ("validate",)),
 )
+
+# the commands and their help lines, in the order of the help
+_COMMANDS = {
+    "spectrum": "bound-state energies E(n_r, m)",
+    "wavefunction": "radial wavefunction samples",
+    "thermo": "thermodynamic quantities on a temperature grid or at one T",
+    "figures": "reproduce the standard figure CSVs (Z, U, C, F, S)",
+    "validate": "run the self-validation oracle suites",
+}
+# each command's flags, "--" + name with "_" as "-", and their options
+_FLAGS = {command: {"--" + option.name.replace("_", "-"): option for option in _OPTIONS
+                    if command in option.commands} for command in _COMMANDS}
+# an argument that starts with "-" is an option value only if it matches this
+_NEGATIVE_NUMBER = re.compile(r"^-\d")
 
 _QUANTITIES = "ZUCFS"
 
@@ -271,7 +290,8 @@ def cmd_wavefunction(cfg: dict) -> int:
         y_label=f"U(r), m={cfg['m']} [1/length]",
         x=r,
         columns=columns,
-        metadata=_metadata(cfg, "wavefunction", [("r_count", str(cfg["r_count"]))]),
+        metadata=_metadata(cfg, "wavefunction", [("n_max", str(n_max)),
+                                                  ("r_count", str(cfg["r_count"]))]),
     )
     for path in _write_table(cfg, table, f"wavefunction_m{cfg['m']}"):
         print(path)
@@ -353,36 +373,63 @@ def cmd_validate(quick: bool, inject_energy_perturbation: bool) -> int:
     return 0
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The pdm-osc parser. Given argv, only the subcommand it names (its first
-    token not starting with "-", as the top level takes no option values)
-    gets its options; the others keep their help line, so usage, help and
-    error text stay the same. Without argv every subcommand gets its options."""
-    command = None if argv is None else next((a for a in argv if a[:1] != "-"), None)
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace build_parser().parse_args(argv) returns, read from
+    _OPTIONS, where argv is plain: a command, then its options, each spelled
+    in full and given once, as --name=value or --name value (a value that
+    starts with "-" only as in "-0.1") or, for a bool, as a bare flag, every
+    value of its option's type and within its choices. None for any other
+    argv: help, --version, abbreviations, repeats, unknown flags, bad values
+    and "--" are left to argparse."""
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    values = {option.name: False if option.kind is bool else None for option in flags.values()}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        option = flags.get(flag)
+        if option is None or flag in given:
+            return None
+        given.add(flag)
+        if option.kind is bool:
+            if equals:
+                return None
+            values[option.name] = True
+            continue
+        if not equals:
+            value = next(tokens, None)
+        # argparse drops a value "--" and takes a separate "-x" for an option
+        if value is None or value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
+            return None
+        try:
+            value = option.kind(value)
+        except (TypeError, ValueError):
+            return None
+        if option.choices and value not in option.choices:
+            return None
+        values[option.name] = value
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The pdm-osc parser, every subcommand with its options. main builds it
+    only for an argv that is not plain (_plain_args), where its help, usage
+    or error text may be read."""
     parser = argparse.ArgumentParser(
         prog="pdm-osc",
         description="Spectra, wavefunctions and thermodynamics of the 2D "
                     "position-dependent-mass nonlinear oscillator",
     )
     # let values like "-0.1,-0.2" pass as arguments of --k-list
-    parser._negative_number_matcher = re.compile(r"^-\d")
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     parser.add_argument("--version", action="version", version=f"pdm-osc {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "bound-state energies E(n_r, m)"),
-        ("wavefunction", "radial wavefunction samples"),
-        ("thermo", "thermodynamic quantities on a temperature grid or at one T"),
-        ("figures", "reproduce the standard figure CSVs (Z, U, C, F, S)"),
-        ("validate", "run the self-validation oracle suites"),
-    ):
+    for name, help_text in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        if argv is not None and name != command:
-            continue
-        sub._negative_number_matcher = parser._negative_number_matcher
-        for option in _OPTIONS:
-            if name not in option.commands:
-                continue
-            flag = "--" + option.name.replace("_", "-")
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
+        for flag, option in _FLAGS[name].items():
             if option.kind is bool:
                 sub.add_argument(flag, action="store_true", help=option.help)
             else:
@@ -392,12 +439,14 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser(sys.argv[1:] if argv is None else argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse reports its own usage errors; fold them into exit code 2
-        return 2 if exc.code else 0
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse reports its own usage errors; fold them into exit code 2
+            return 2 if exc.code else 0
     try:
         if args.command == "validate":
             return cmd_validate(args.quick, args.inject_energy_perturbation)

@@ -245,8 +245,9 @@ class RadialFamily:
                 # row n at each r is element n * r.size + (r's flat position) of p
                 at = np.multiply(degrees, r.size) + np.arange(r.size).reshape(r.shape)
                 p, log_scale = p.reshape(-1)[at][None], log_scale[degrees][None]
-            # z^(|m|/2) (1 - z)^((1+s)/2) C_n as one exponential
-            decay = 0.5 * (1.0 + self.b) * np.log1p(-z)
+            # z^(|m|/2) (1 - z)^((1+s)/2) C_n as one exponential; just below
+            # r_max, z may round to above 1, where the envelope's limit is 0
+            decay = 0.5 * (1.0 + self.b) * np.log1p(-np.minimum(z, 1.0))
             power = 0.5 * abs(self.m) * np.log(z) if self.m else None
             for i, scale in enumerate(log_scale):
                 p[i] *= np.exp(decay + scale if power is None else decay + scale + power)

@@ -29,11 +29,13 @@ array programs over that grid, and returns a ThermoSeries: one array per
 quantity and per diagnostic. The direct sum builds the excitations a piece
 at a time, forms each weight once and reduces it over blocks of beta rows,
 each row cut past the levels whose weights may be nonzero ("n_terms", the
-levels with beta d <= 746, found from the root of beta d(x) = 746); a row
-longer than a block merges its pieces' sums by the pairwise update of
+levels with beta d <= 746, found from the root of beta d(x) = 746), or,
+where its first excited weight is at least 2^-900, past those whose
+weights are normal (beta d <= 708.4; _row_cuts bounds what that drops); a
+row longer than a block merges its pieces' sums by the pairwise update of
 Chan, Golub and LeVeque. The closed form is one array expression over the
 grid; the pipeline integrates every beta in one batched quadrature, up to
-the same root.
+the root of 746, from a partition that halves toward x = 0.
 Each point of a series is the one-point sweep at its beta, value for value.
 
 The paper's coefficients are spectrum values, taken from it: c_t = E_{N+1},
@@ -91,7 +93,8 @@ class ThermoSeries:
     """Z, U, C, F and S of one (params, m, N, strategy) series on a beta grid.
 
     Each quantity is a 1-D array over the grid, and so is each diagnostic:
-    "n_terms" and "tail_ratio" (direct sum), "quadrature_refinements",
+    "n_terms", "tail_ratio" and "subnormal_weights" (direct sum, see
+    _direct_series), "quadrature_refinements",
     "quadrature_evaluations" and "quadrature_error_bound" (pipeline), and,
     for every strategy, "negative_entropy", True wherever S is negative or
     NaN. variant is the closed form's d_t reading, else None.
@@ -122,10 +125,17 @@ _BLOCK_ELEMENTS = 2**15
 
 # exp(-x) is exactly 0.0 in double precision for every x beyond this
 _EXP_UNDERFLOW = 746.0
+# exp(-x) is below the smallest normal double 2^-1022 = exp(-708.396...) for
+# every x beyond this: subnormal, where exp costs about 100 times as much
+_EXP_SUBNORMAL = 708.4
+# a direct row with beta d_1 at most this, whose first excited weight is at
+# least 2^-900, stops where its weights turn subnormal (_row_cuts)
+_SUBNORMAL_CUT_D1 = 900.0 * math.log(2.0)
 
 # each strategy's own diagnostic columns and their dtypes, for an empty grid
 _DIAGNOSTIC_DTYPES = {
-    Strategy.DIRECT_SUM: {"n_terms": int, "tail_ratio": float}, Strategy.PAPER_CLOSED_FORM: {},
+    Strategy.DIRECT_SUM: {"n_terms": int, "tail_ratio": float, "subnormal_weights": bool},
+    Strategy.PAPER_CLOSED_FORM: {},
     Strategy.POISSON_PIPELINE: dict(quadrature_refinements=int, quadrature_evaluations=int,
                                     quadrature_error_bound=float)}
 
@@ -140,13 +150,15 @@ def _spine(size: int) -> list[int]:
     return spine[::-1]
 
 
-def _underflow_root(slope: float, q: float, betas: np.ndarray) -> np.ndarray:
-    """The root x >= 0 of beta d(x) = 746, d(x) = x (D + q x), D = slope > 0
-    and q >= 0, at each beta: beyond it every weight exp(-beta d) is exactly
-    0.0. It is 2 r / (D + sqrt(D^2 + 4 q r)), r = 746/beta, free of
-    cancellation; where D^2 + 4 q r overflows, its square root is formed as
-    hypot(D, 2 sqrt(q) sqrt(r)), so the root stays finite."""
-    reach = _EXP_UNDERFLOW / betas
+def _underflow_root(slope: float, q: float, betas: np.ndarray,
+                    limit: float | np.ndarray = _EXP_UNDERFLOW) -> np.ndarray:
+    """The root x >= 0 of beta d(x) = limit, d(x) = x (D + q x), D = slope > 0
+    and q >= 0, at each beta: beyond the root of 746 every weight
+    exp(-beta d) is exactly 0.0. It is 2 r / (D + sqrt(D^2 + 4 q r)),
+    r = limit/beta, free of cancellation; where D^2 + 4 q r overflows, its
+    square root is formed as hypot(D, 2 sqrt(q) sqrt(r)), so the root stays
+    finite."""
+    reach = limit / betas
     with np.errstate(over="ignore"):
         root = np.sqrt(slope * slope + 4.0 * q * reach)
         wide = np.isinf(root)
@@ -156,17 +168,40 @@ def _underflow_root(slope: float, q: float, betas: np.ndarray) -> np.ndarray:
 
 def _cut_lengths(n_terms: np.ndarray, size: int) -> np.ndarray:
     """Number of leading levels the Boltzmann sums reduce at each beta, for
-    a spectrum of size levels of which the first n_terms have weights that
-    may be nonzero.
+    a spectrum of size levels of which each row keeps the first n_terms.
 
     The length is the shortest prefix on the left spine of numpy's pairwise
     summation of all size levels (_spine) that holds the n_terms levels.
-    Every weight it drops is exactly 0.0, and a row of at most a block is
-    then numpy's sum of all size levels, bit for bit. Lengths repeat along a
-    grid, so rows of one length reduce together as 2-D blocks.
+    Where every weight beyond them is exactly 0.0, a row of at most a block
+    is then numpy's sum of all size levels, bit for bit. Lengths repeat
+    along a grid, so rows of one length reduce together as 2-D blocks.
     """
     spine = np.array(_spine(size))
     return spine[np.searchsorted(spine, n_terms)]
+
+
+def _row_cuts(slope: float, q: float, d1: float, betas: np.ndarray,
+              size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each beta row's limit and cut length (_cut_lengths) in the direct sum
+    of size levels d(x) = x (slope + q x), d_1 = d1 the first excited one
+    (0.0 where size is 1). A row's weights exp(-beta d) are formed up to
+    beta d = limit and are 0.0 beyond it.
+
+    A row whose first excited weight is at least 2^-900 (beta d1 <= 900 ln 2)
+    stops at limit 708.4, past which exp is subnormal; every other row at
+    746, past which it is 0.0, so a row whose excited weights are all
+    subnormal keeps them. A row stopped at 708.4 drops only weights below
+    tau = 2^-1022, at levels with beta d in (708.4, 746], and as levels are
+    at least D = slope apart, at most K = 37.6/(beta D) + 1 of them. Against
+    its sums at 746, with d_max = 746/beta: sum w (at least w_0 = 1) moves
+    by at most K tau relative; the mean by at most K tau d_max; the centred
+    sum S by at most K tau d_max^2 (1 + K tau), and as S >= w_1 d_1^2 / 2,
+    by at most K tau (1 + K tau) 2^901 (d_max/d_1)^2 relative, below 1e-18
+    over the documented box (beta D >= 2e-4): far below an ulp.
+    """
+    limits = np.where(betas * d1 <= _SUBNORMAL_CUT_D1, _EXP_SUBNORMAL, _EXP_UNDERFLOW)
+    kept = np.minimum(np.floor(_underflow_root(slope, q, betas, limits)) + 1.0, size)
+    return limits, _cut_lengths(kept.astype(int), size)
 
 
 def _check_weights_range(params: SystemParams, e0: float, d_top: float,
@@ -186,27 +221,25 @@ def _check_weights_range(params: SystemParams, e0: float, d_top: float,
 
 
 def _boltzmann_sums(p: SystemParams, m: int, betas: np.ndarray, lengths: np.ndarray,
-                    size: int) -> np.ndarray:
+                    limits: np.ndarray) -> np.ndarray:
     """Boltzmann sums of the excitations d of (p, m) at each beta.
 
-    With w = exp(-beta d), returns a (4, len(betas)) array whose rows are
-    sum w, the mean <d>, the variance <(d - <d>)^2> and the tail ratio
-    w_N / sum w, each beta's row summed over its first lengths levels
-    (_cut_lengths) of a spectrum of size levels. Rows of one length form a
-    group, cut into pieces of at most _BLOCK_ELEMENTS levels, and each piece
-    builds its d once and reduces every block of its group's rows on it.
-    Two work arrays of one block serve every row: exp runs in place, only on
-    lanes whose weight is not exactly 0.0 (a block where no weight is runs a
-    plain exp), and 0.0 is written on the others. Each piece's weights give
-    its sum w, its mean and its centred sum of (d - mean)^2 w, and a row of
-    several pieces merges them in level order by the pairwise update of
-    Chan, Golub and LeVeque (1983); a piece whose weights are all 0.0 leaves
-    the row as it is. The tail ratio of a cut row is exactly 0.0, as w_N is.
-    No weight exceeds w_0 = 1, and every centred sum adds nonnegative terms,
-    so C >= 0 by construction.
+    With w = exp(-beta d), formed up to beta d = limits and 0.0 beyond,
+    returns a (3, len(betas)) array whose rows are sum w, the mean <d> and
+    the variance <(d - <d>)^2>, each beta's row summed over its first
+    lengths levels (_row_cuts). Rows of one length form a group, cut into
+    pieces of at most _BLOCK_ELEMENTS levels, and each piece builds its d
+    once and reduces every block of its group's rows on it. Two work arrays
+    of one block serve every row: exp runs in place, only on lanes within
+    their row's limit (a block where every lane is runs a plain exp), and
+    0.0 is written on the others. Each piece's weights give its sum w, its
+    mean and its centred sum of (d - mean)^2 w, and a row of several pieces
+    merges them in level order by the pairwise update of Chan, Golub and
+    LeVeque (1983); a piece whose weights are all 0.0 leaves the row as it
+    is. No weight exceeds w_0 = 1, and every centred sum adds nonnegative
+    terms, so C >= 0 by construction.
     """
-    out = np.empty((4, betas.size))
-    last = np.zeros(betas.size)  # w_N of each row that reaches level N
+    out = np.empty((3, betas.size))
     w, t = np.empty(_BLOCK_ELEMENTS), np.empty(_BLOCK_ELEMENTS)
     for length in sorted(set(lengths.tolist())):
         group = np.flatnonzero(lengths == length)
@@ -220,14 +253,12 @@ def _boltzmann_sums(p: SystemParams, m: int, betas: np.ndarray, lengths: np.ndar
                 bt = t[:bw.size].reshape(bw.shape)
                 np.multiply(-betas[at, None], d, out=bw)
                 # rounding is monotone, so the block's lowest lane is -(max beta) d_max
-                if betas[at].max() * d[-1] <= _EXP_UNDERFLOW:
+                if betas[at].max() * d[-1] <= limits[at].min():
                     np.exp(bw, out=bw)
                 else:
-                    keep = bw >= -_EXP_UNDERFLOW
+                    keep = bw >= -limits[at, None]
                     np.exp(bw, out=bw, where=keep)
                     bw[~keep] = 0.0
-                if hi == size:
-                    last[at] = bw[:, -1]
                 sw = bw.sum(axis=1)
                 # the first piece holds w_0 = 1; a later piece of all 0.0 takes the row's mean
                 mean = np.divide(np.multiply(d, bw, out=bt).sum(axis=1), sw,
@@ -235,7 +266,7 @@ def _boltzmann_sums(p: SystemParams, m: int, betas: np.ndarray, lengths: np.ndar
                 np.square(np.subtract(d, mean[:, None], out=bt), out=bt)
                 spread = np.multiply(bt, bw, out=bt).sum(axis=1)
                 if lo == 0:
-                    out[:3, at] = sw, mean, spread
+                    out[:, at] = sw, mean, spread
                     continue
                 # Chan et al.'s merge of (sum w, mean, centred sum) of two parts
                 total, delta = out[0, at] + sw, mean - out[1, at]
@@ -245,7 +276,6 @@ def _boltzmann_sums(p: SystemParams, m: int, betas: np.ndarray, lengths: np.ndar
                 out[0, at] = total
             del d  # before the next piece's levels are built beside it
     out[2] /= out[0]
-    out[3] = last / out[0]
     return out
 
 
@@ -267,20 +297,26 @@ def _from_moments(strategy: Strategy, kb: float, betas: np.ndarray, e0: float,
 
 def _direct_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> ThermoSeries:
     """Direct-sum series of (p, m, N = n_max) on the grid betas. As k <= 0,
-    the longest cut L is at the smallest beta (_cut_lengths); only d_0..d_{L-1}
+    the longest cut L is at the smallest beta (_row_cuts); only d_0..d_{L-1}
     are built, a piece of at most a block at a time (_boltzmann_sums), so
-    the memory is flat in N."""
+    the memory is flat in N. "tail_ratio" is w_N / sum w, w_N formed apart
+    from the sums, and "subnormal_weights" flags the rows whose excited
+    weights are all below 2^-1022 (beta d_1 > 708.4), on which U - E_0, C
+    and S rest, where they are not exactly 0."""
     size = n_max + 1
     e0, slope, q = spectrum_terms(p, m)
-    _check_weights_range(p, e0, excitation(p, size - 1.0, m), betas)
+    d_top = excitation(p, size - 1.0, m)
+    _check_weights_range(p, e0, d_top, betas)
     # the levels with beta d <= 746, counted in floats, where the root may be huge
     n_terms = np.minimum(np.floor(_underflow_root(slope, q, betas)) + 1.0, size).astype(int)
-    lengths = _cut_lengths(n_terms, size)
+    d1 = excitation(p, float(min(n_max, 1)), m)
+    limits, lengths = _row_cuts(slope, q, d1, betas, size)
     count = lengths.max().item()
     _check_weights_range(p, e0, excitation(p, count - 1.0, m), betas, moments=str(count - 1))
-    sw, mean, var, tail = _boltzmann_sums(p, m, betas, lengths, size)
+    sw, mean, var = _boltzmann_sums(p, m, betas, lengths, limits)
     return _from_moments(Strategy.DIRECT_SUM, p.kb, betas, e0, sw, mean, var,
-                         {"n_terms": n_terms, "tail_ratio": tail})
+                         {"n_terms": n_terms, "tail_ratio": np.exp(-betas * d_top) / sw,
+                          "subnormal_weights": betas * d1 > _EXP_SUBNORMAL})
 
 
 def paper_z_coefficients(params: SystemParams, m: int, truncation_n: int,
@@ -387,7 +423,9 @@ def _poisson_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> T
     """Summation-formula series of (p, m, N = n_max) on the grid betas,
     with the integrals of f, d f and d^2 f, d = E - E_0 (excitation), done
     by one batched, vector-valued quadrature over the grid. f is exactly 0.0
-    at the clipped upper limit, so the moments are the formula's.
+    at the clipped upper limit u, so the moments are the formula's. Each
+    row's quadrature starts from the segments [0, u/32, u/16, u/8, u/4, u/2,
+    u], geometric toward x = 0, where f falls fastest.
     """
     e0, slope, q = spectrum_terms(p, m)
     d1 = excitation(p, n_max + 1.0, m)
@@ -395,14 +433,22 @@ def _poisson_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> T
     # f is exactly 0.0 beyond the root of beta d(x) = 746; on a wider interval
     # every quadrature node can miss f's support and converge to a false 0
     upper = np.minimum(n_max + 1.0, _underflow_root(slope, q, betas))
+    # f decays fastest at x = 0, where adaptive bisection would otherwise
+    # start: the first partition halves toward it five times
+    breakpoints = upper[:, None] / np.array([32.0, 16.0, 8.0, 4.0, 2.0])
 
     def integrands(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # f, d f and d^2 f formed in place in their stack: a first round of six
+        # segments per row holds the most nodes at once
         d = excitation(p, x, m)
-        f = np.exp(-betas[rows, None] * d)
-        df = d * f
-        return np.stack([f, df, d * df])
+        out = np.empty((3,) + d.shape)
+        np.exp(np.multiply(-betas[rows, None], d, out=out[0]), out=out[0])
+        np.multiply(d, out[0], out=out[1])
+        np.multiply(d, out[1], out=out[2])
+        return out
 
-    quad = integrate(integrands, QuadratureSpec(0.0, upper, rel_tol=1e-11, abs_tol=1e-300))
+    quad = integrate(integrands, QuadratureSpec(0.0, upper, rel_tol=1e-11, abs_tol=1e-300,
+                                                breakpoints=breakpoints))
     f1 = np.exp(-betas * d1)
     m0 = 0.5 * (1.0 - f1) + quad.value[:, 0]
     m1 = -0.5 * d1 * f1 + quad.value[:, 1]
@@ -432,8 +478,10 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
     with NonPhysicalError. An empty grid then gives an empty series with the
     strategy's diagnostic columns, empty. The direct sum reduces the spectrum
     in blocks of beta rows, each row cut where its weights underflow to 0.0
-    ("n_terms" counts the levels before that, those with beta d <= 746);
-    the closed form computes only the requested d_t variant.
+    ("n_terms" counts the levels before that, those with beta d <= 746) or,
+    if its first excited weight is at least 2^-900, where they turn
+    subnormal (_row_cuts); the closed form computes only the requested d_t
+    variant.
     """
     betas = np.fromiter(betas, dtype=float)
     bad = ~((betas > 0.0) & (betas <= _SQRT_MAX))

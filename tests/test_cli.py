@@ -3,6 +3,8 @@
 import argparse
 import ast
 import collections
+import hashlib
+import importlib.util
 import math
 import os
 import re
@@ -19,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pdm_osc
-from pdm_osc import output, thermo
+from pdm_osc import cli, output, thermo
 from pdm_osc.cli import _temperature_grid, build_parser, main
 from pdm_osc.oscillator import RadialFamily, SystemParams, radial_overlaps
 from pdm_osc.output import SeriesTable, format_float
@@ -823,9 +825,66 @@ def parse_with_every_option(argv, capsys):
     return code, captured.out, captured.err
 
 
+def bench_workloads():
+    """bench/workloads.py, the benchmark's list of commands, as a module."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def option_values(option):
+    """Values for option: mostly of its type and within its choices, and
+    some that argparse refuses (bad numbers, bad choices) or reads apart
+    ("-inf", "-", "--k")."""
+    odd = st.sampled_from(["", "x", "-", "--", "-x", "--k", "-.5", "-inf", "-1=3", "a=b", " 7 "])
+    if option.choices:
+        good = st.sampled_from(option.choices)
+    elif option.kind is int:
+        good = st.one_of(st.integers(-10**6, 10**6).map(str), st.just("1_000"))
+    elif option.kind is float:
+        good = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                         st.sampled_from(["inf", "nan", "1e-3"]))
+    else:
+        good = st.sampled_from(["-0.1,-0.2", "runs", "runs#1", "a=b", ""])
+    bad = st.sampled_from(["bogus", "1.5"])
+    return st.one_of(*[good] * 8, bad, odd)
+
+
+@st.composite
+def argvs(draw):
+    """A command (now and then a token that is not one), then its own
+    options in full, each once, and now and then a repeat or any option of
+    _OPTIONS abbreviated, with "_" for "-" or unknown; as --name=value,
+    --name value or a bare flag; with "--", help, --version and a negative
+    number mixed in."""
+    command = draw(st.sampled_from(COMMANDS * 6 + ("bogus", "--help", "-1")))
+    own = [o for o in cli._OPTIONS if command in o.commands] or list(cli._OPTIONS)
+    options = draw(st.lists(st.sampled_from(own), unique_by=lambda o: o.name, max_size=5))
+    argv = [command]
+    for option in options:
+        flag = "--" + option.name.replace("_", "-")
+        if draw(st.integers(0, 9)) == 0:
+            option = draw(st.sampled_from(cli._OPTIONS))
+            flag = draw(st.sampled_from([flag, "--" + option.name.replace("_", "-")[:4],
+                                         "--" + option.name, "--bogus"]))
+        value = draw(option_values(option))
+        if option.kind is bool:
+            form = "bare" if draw(st.integers(0, 3)) else draw(st.sampled_from(["=", "separate"]))
+        else:
+            form = draw(st.sampled_from(["=", "separate"] * 6 + ["bare"]))
+        argv += {"=": [f"{flag}={value}"], "separate": [flag, value], "bare": [flag]}[form]
+        if draw(st.integers(0, 14)) == 0:
+            argv.append(draw(st.sampled_from(["--", "-h", "--help", "--version", "-1", flag])))
+    return argv
+
+
 class TestParser:
-    """main builds only its subcommand's options; what a user sees is the
-    same as with every option built."""
+    """main reads a plain argv without argparse, into the namespace argparse
+    gives; every other argv goes to the parser with every option built, so
+    what a user sees is argparse's."""
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_subcommand_help(self, command, capsys):
@@ -846,23 +905,58 @@ class TestParser:
                                       ["wavefunction", "--r-count=3"],
                                       ["validate", "--quick"], ["spectrum", "--m", "2"]])
     def test_same_namespace(self, argv):
-        assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv)
+        assert cli._plain_args(argv) == build_parser().parse_args(argv)
 
-    def test_one_option_set_built(self, monkeypatch, capsys):
-        """main adds the options of its own subcommand only; the full parser
-        adds each subcommand's (besides --help)."""
+    @settings(max_examples=200)
+    @given(argv=argvs())
+    def test_plain_argv_matches_argparse(self, argv):
+        """On any argv drawn from _OPTIONS the plain path gives None or the
+        namespace of the parser with every option built, value for value."""
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            # repr tells nan from nan and -0.0 from 0.0, as == does not
+            parsed = build_parser().parse_args(argv)
+            assert repr(sorted(vars(plain).items())) == repr(sorted(vars(parsed).items()))
+
+    @pytest.mark.parametrize("argv", [
+        ["thermo", "--k=-0.1", "--k=-0.2"], ["thermo", "--alp=2"], ["thermo", "--T_min=2"],
+        ["thermo", "--T-min", "-inf"], ["thermo", "--T-min=-inf", "--"], ["thermo", "-h"],
+        ["validate", "--quick=1"], ["thermo", "--T-count=2.5"], ["thermo", "--format=pdf"],
+        ["thermo", "--k"], ["thermo", "--version"], ["--version"], []])
+    def test_other_argv_left_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+    def test_plain_argv_builds_no_parser(self, monkeypatch):
+        """main builds no ArgumentParser on a plain argv: on each of the
+        benchmark's commands (the commands themselves stubbed out) and on a
+        real single-point run. The full parser adds each subcommand's
+        options (besides --help)."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kw):
+            built.append(kw.get("prog"))
+            init(parser, *args, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["thermo", "--T=1", "--k=-0.1"]) == 0
+        for name in ("cmd_tables", "cmd_thermo", "cmd_wavefunction", "cmd_validate"):
+            monkeypatch.setattr(cli, name, lambda *args: 0)
+        workloads = bench_workloads()
+        commands = [c.argv for w in workloads.WORKLOADS for c in workloads.commands(w, 0)]
+        assert len(commands) == 14
+        for argv in commands:
+            assert main(list(argv)) == 0
+        assert built == []
         calls = collections.Counter()
         add_argument = argparse.ArgumentParser.add_argument
 
-        def counting(parser, *flags, **kw):
+        def adding(parser, *flags, **kw):
             if flags != ("-h", "--help"):
                 calls[parser.prog] += 1
             return add_argument(parser, *flags, **kw)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
-        assert main(["thermo", "--T=1", "--k=-0.1"]) == 0
-        assert calls == {"pdm-osc": 1, "pdm-osc thermo": 17}
-        calls.clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", adding)
         build_parser()
         per_command = {"spectrum": 10, "wavefunction": 11, "thermo": 17, "figures": 16,
                        "validate": 2}
@@ -895,6 +989,49 @@ def readme_commands():
 def test_readme_command_parses(argv):
     assert argv[0] in COMMANDS
     build_parser().parse_args(argv)
+
+
+def digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def header_argv(path):
+    """The argv a CSV's `#` header names: its command, then each header key
+    that is an option of that command, as --key=value, and T_grid as its four
+    options."""
+    meta = dict(line[2:].split(": ", 1) for line in read(path).splitlines()
+                if line.startswith("# "))
+    command = meta.pop("command")
+    options = {option.name for option in cli._OPTIONS if command in option.commands}
+    argv = [command] + [f"--{key.replace('_', '-')}={value}" for key, value in meta.items()
+                        if key in options]
+    if "T_grid" in meta:
+        argv += [f"--T-{part}" for part in meta["T_grid"].split()]
+    return argv
+
+
+def seed0_table_commands():
+    """The benchmark's seed-0 commands that write CSV tables, by name."""
+    workloads = bench_workloads()
+    return [pytest.param(c.argv, id=c.name) for w in workloads.WORKLOADS
+            for c in workloads.commands(w, 0) if c.kind in ("table", "wavefunction")]
+
+
+@pytest.mark.parametrize("argv", seed0_table_commands())
+def test_csv_header_reruns_its_command(argv, tmp_path, monkeypatch):
+    """Each seed-0 table command, rebuilt from the header of one of its CSVs
+    alone, writes the same CSV bytes."""
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    written = sorted(tmp_path.glob("*/*.csv"))
+    rebuilt = header_argv(written[0])
+    assert cli._plain_args(rebuilt) is not None
+    assert main(rebuilt + ["--out=rebuilt"]) == 0
+    assert [path.name for path in sorted(tmp_path.glob("rebuilt/*.csv"))] == \
+        [path.name for path in written]
+    for path in written:
+        # digests, as a failing comparison of whole files would be diffed line by line
+        assert digest(tmp_path / "rebuilt" / path.name) == digest(path), path.name
 
 
 @pytest.mark.parametrize("argv", [["thermo", "--strategy=direct", "--T=1", "--k=-0.1"],

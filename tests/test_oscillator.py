@@ -329,16 +329,20 @@ def assert_bits_equal(got, want) -> None:
 @settings(max_examples=30)
 @given(k=box.K, m=box.M, n_max=box.DEGREE,
        fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6))
+# at this k, z = -delta_sq r^2 rounds to 1 + 2^-52 at r = nextafter(r_max, 0)
+@example(k=-1.786294763086179e-08, m=1, n_max=3, fractions=[1.0 - 2.0**-53])
 def test_family_rows_equal_one_state_values(k, m, n_max, fractions):
     """Row n of a family at every r is U_n(r) of the family that ends at n,
     bit for bit, over the box and its degrees. The radii are fractions of
     r_max and of the sampled range of the wavefunction command, where the
-    states live."""
+    states live. Where z rounds to 1 or above, just below r_max, U is the
+    envelope's limit there, 0."""
     p = SystemParams(alpha=1.0, k=k)
     r_hi = min(p.r_max, 4.0 * _turning_radius(p, n_max, m))
     r = np.minimum(np.outer([p.r_max, r_hi], fractions), np.nextafter(p.r_max, 0.0))
     family = RadialFamily(p, m, n_max)
     rows = family.values(r)
+    assert not rows[:, -p.delta_sq * r * r >= 1.0].any()
     assert rows.shape == (n_max + 1,) + r.shape
     for n in range(n_max + 1):
         one = RadialFamily(p, m, n)

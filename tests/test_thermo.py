@@ -92,16 +92,75 @@ def merged_sums_error(pieces, d_max, mean, var):
             + (pieces - 1) * (4.0 * r + 4.0 * r * r) + 2.0 * r * r)
 
 
-def assert_merged_sums(sums, d, beta):
+def assert_merged_sums(sums, d, beta, length=None, dropped=(0.0, 0.0, 0.0)):
     """sums, (sum w, <d>, variance) of a row over the levels d at beta, are
-    within merged_sums_error of fsum_sums of the same weights."""
+    within merged_sums_error of fsum_sums of the same weights. A row that
+    reduced only its first length levels, and dropped weights there, is
+    held to that error, for its own pieces, plus dropped: the bounds on how
+    far the dropped weights move sum w (relative), the mean (absolute) and
+    the variance (relative), as dropped_weights_bound gives them."""
     want = fsum_sums(d, np.exp(-beta * d))
-    pieces = -(-d.size // thermo._BLOCK_ELEMENTS)
+    pieces = -(-(d.size if length is None else length) // thermo._BLOCK_ELEMENTS)
     err_w, err_mean, err_var = merged_sums_error(pieces, d[-1].item(), *want[1:])
     (sw, mean, var), (want_sw, want_mean, want_var) = sums, want
-    assert abs(sw - want_sw) <= err_w * want_sw
-    assert abs(mean - want_mean) <= err_mean
-    assert abs(var - want_var) <= err_var * want_var
+    assert abs(sw - want_sw) <= (err_w + dropped[0]) * want_sw
+    assert abs(mean - want_mean) <= err_mean + dropped[1]
+    assert abs(var - want_var) <= (err_var + dropped[2]) * want_var
+
+
+def dropped_weights_bound(beta, slope, d1, limit=thermo._EXP_SUBNORMAL):
+    """How far the weights a direct row cut at beta d = limit drops move its
+    sum w (relative), mean (absolute) and variance (relative), against the
+    row cut at 746 (thermo._row_cuts): nothing at limit 746. At 708.4 it
+    drops at most K = 37.6/(beta D) + 1 weights, D = slope, each below
+    tau = 2^-1022 and at d <= d_max = 746/beta. So sum w >= 1 moves by at
+    most K tau of itself, the mean by K tau d_max and the centred sum
+    S >= w_1 d_1^2 / 2 by K tau (1 + K tau) d_max^2, with w_1 = exp(-beta d_1);
+    the variance S / sum w by the sum of both relative moves. Where w_1 is
+    0.0 the variance's bound is infinite."""
+    if limit == thermo._EXP_UNDERFLOW:
+        return 0.0, 0.0, 0.0
+    count, tau, d_max = 37.6 / (beta * slope) + 1.0, 2.0**-1022, 746.0 / beta
+    w1 = math.exp(-beta * d1)
+    spread = (2.0 * count * tau * (1.0 + count * tau) * d_max**2 / (w1 * d1**2) if w1 > 0.0
+              else math.inf)
+    return count * tau, count * tau * d_max, spread + count * tau
+
+
+def assert_subnormal_cut_within_bound(p, m, n, betas):
+    """The sums of each direct row against the same row cut at 746, for
+    (p, m, N = n) on betas: a row that _row_cuts stops at 708.4 has a
+    dropped_weights_bound far below an ulp (the variance's at most 2^-59),
+    and both rows are within merged_sums_error of math.fsum over all of the
+    weights at 746, the row cut at 708.4 within that bound too; a row that
+    stops at 746 is the same row, bit for bit."""
+    betas = np.array(betas, dtype=float)
+    size, (_, slope, q) = n + 1, spectrum_terms(p, m)
+    d = excitation(p, np.arange(size, dtype=float), m)
+    d1 = excitation(p, float(min(n, 1)), m)
+    limits, lengths = thermo._row_cuts(slope, q, d1, betas, size)
+    n_terms = sweep(p, m, n, betas).diagnostics["n_terms"]
+    full_lengths = thermo._cut_lengths(n_terms, size)
+    cut = thermo._boltzmann_sums(p, m, betas, lengths, limits).T.tolist()
+    full = thermo._boltzmann_sums(p, m, betas, full_lengths,
+                                  np.full(betas.size, thermo._EXP_UNDERFLOW)).T.tolist()
+    for beta, limit, length, full_length, row, want in zip(
+            betas.tolist(), limits.tolist(), lengths.tolist(), full_lengths.tolist(), cut, full):
+        if limit == thermo._EXP_UNDERFLOW or n == 0:
+            assert (length, row) == (full_length, want)
+            continue
+        dropped = dropped_weights_bound(beta, slope, d1)
+        assert dropped[2] <= 2.0**-59, (beta, beta * d1)
+        between = (beta * d > limit) & (beta * d <= thermo._EXP_UNDERFLOW)
+        if not between.any():  # no weight to drop: the same row
+            assert (length, row) == (full_length, want)
+            continue
+        # the weights at 746 that the row leaves out are each below 2^-1022
+        levels = np.arange(full_length)
+        left_out = (levels >= length) | (beta * d[:full_length] > limit)
+        assert np.exp(-beta * d[:full_length][left_out]).max() < 2.0**-1022
+        assert_merged_sums(want, d[:full_length], beta)
+        assert_merged_sums(row, d[:full_length], beta, length, dropped)
 
 
 def summation_formula_oracle(params: SystemParams, m: int, n: int, beta: float,
@@ -489,9 +548,11 @@ class TestPartitionPoisson:
                 assert zp == pytest.approx(zc, rel=1e-9)
 
     def test_quadrature_diagnostics_present(self):
+        """Each row starts from six segments, [0, u/32, ..., u/2, u], of 15
+        evaluations each, and each refinement evaluates two halves."""
         diag = sweep(PHYS, 1, 500, [0.1], Strategy.POISSON_PIPELINE).diagnostics
         assert (diag["quadrature_evaluations"].item()
-                == 15 + 30 * diag["quadrature_refinements"].item())
+                == 15 * 6 + 30 * diag["quadrature_refinements"].item())
         # relative to each integral, worst over f, (E - E_0) f, (E - E_0)^2 f
         assert 0.0 < diag["quadrature_error_bound"].item() <= 1e-11
 
@@ -730,7 +791,7 @@ class TestTruncation:
 
 # the diagnostics columns of a series under each strategy
 DIAGNOSTIC_COLUMNS = {
-    Strategy.DIRECT_SUM: ["n_terms", "tail_ratio", "negative_entropy"],
+    Strategy.DIRECT_SUM: ["n_terms", "tail_ratio", "subnormal_weights", "negative_entropy"],
     Strategy.PAPER_CLOSED_FORM: ["negative_entropy"],
     Strategy.POISSON_PIPELINE: ["quadrature_refinements", "quadrature_evaluations",
                                 "quadrature_error_bound", "negative_entropy"],
@@ -777,8 +838,9 @@ class TestSweep:
         per-beta 1-D sums over all N+1 levels, bit for bit, though it builds
         no level beyond its cut and runs exp only where a weight is not
         exactly 0.0. A longer row is reduced piece by piece and the pieces
-        merged: its sums are held to math.fsum of the same weights within
-        merged_sums_error. Either way the series is formed from the sums.
+        merged: its sums are held to math.fsum of all its weights within
+        merged_sums_error, plus dropped_weights_bound where the row stops at
+        708.4. Either way the series is formed from the sums.
         The betas take in 1e3 and cuts whose last kept weight is subnormal,
         beta d_j in [708, 746]; C is beta * beta * var, and the betas added
         here are ones where libm's pow gives another beta**2. At N = 3e5 a
@@ -795,14 +857,18 @@ class TestSweep:
             betas += [x / d[j - 1] for j in _spine(n + 1) if d[j - 1] > 0.0
                       for x in (708.5, 727.0, 745.9)]
         series = sweep(p, m, n, betas)
-        lengths = thermo._cut_lengths(series.diagnostics["n_terms"], n + 1)
-        sums = thermo._boltzmann_sums(p, m, np.array(betas), lengths, n + 1)[:3].T.tolist()
+        _, slope, q = spectrum_terms(p, m)
+        limits, lengths = thermo._row_cuts(slope, q, d[1].item(), np.array(betas), n + 1)
+        full_lengths = thermo._cut_lengths(series.diagnostics["n_terms"], n + 1)
+        sums = thermo._boltzmann_sums(p, m, np.array(betas), lengths, limits).T.tolist()
         if shared:
             assert set(series.diagnostics["n_terms"].tolist()) == {n + 1}
         got = zip(*(getattr(series, name).tolist() for name in ("log_z", "u", "c", "s")))
-        for beta, length, point, row in zip(betas, lengths.tolist(), got, sums):
+        for beta, limit, length, full_length, point, row in zip(
+                betas, limits.tolist(), lengths.tolist(), full_lengths.tolist(), got, sums):
             if length > thermo._BLOCK_ELEMENTS:
-                assert_merged_sums(row, d[:length], beta)
+                dropped = dropped_weights_bound(beta, slope, d[1].item(), limit)
+                assert_merged_sums(row, d[:full_length], beta, length, dropped)
             else:
                 assert row == list(one_dimensional_sums(d, beta))
             sw, mean, var = row
@@ -818,8 +884,8 @@ class TestSweep:
         p, n, beta = SystemParams(alpha=1.0, k=-1e-6), 100_000, 1e-5
         d = excitation(p, np.arange(n + 1.0), 40)
         w = np.exp(-beta * d)
-        size = np.array([n + 1])
-        assert_merged_sums(thermo._boltzmann_sums(p, 40, np.array([beta]), size, n + 1)[:3, 0],
+        size, limit = np.array([n + 1]), np.array([thermo._EXP_UNDERFLOW])
+        assert_merged_sums(thermo._boltzmann_sums(p, 40, np.array([beta]), size, limit)[:, 0],
                            d, beta)
         block = thermo._BLOCK_ELEMENTS
         for lo in range(0, n + 1, block):
@@ -926,6 +992,56 @@ class TestSweep:
                 sweep(PHYS, 1, 500, np.array([bad, 0.1]))
 
 
+class TestSubnormalCut:
+    """A direct row whose first excited weight is at least 2^-900 stops
+    where its weights turn subnormal (thermo._row_cuts): its sums stay
+    within dropped_weights_bound of the row cut at 746, and that bound is far
+    below an ulp."""
+
+    @settings(max_examples=40)
+    @given(alpha=box.ALPHA, k=box.K, m=box.M, n=box.N,
+           betas=st.lists(box.BETA, min_size=1, max_size=3))
+    def test_within_bound_over_the_box(self, alpha, k, m, n, betas):
+        p = SystemParams(alpha=alpha, k=k)
+        try:
+            sweep(p, m, n, betas)
+        except DomainError:
+            return
+        assert_subnormal_cut_within_bound(p, m, n, betas)
+
+    @pytest.mark.parametrize("n", [1, 500, 100_000])
+    def test_rows_near_the_limits(self, n):
+        """Rows whose first excited level sits either side of 900 ln 2 and
+        708.4, rows with a spine node's last level in (708.4, 746], and long
+        rows of several pieces."""
+        d = excitation(PHYS, np.arange(n + 1.0), 1)
+        betas = [x / d[1] for x in (600.0, 623.8, 623.9, 708.0, 708.5, 745.0)]
+        betas += [x / d[j - 1] for j in _spine(n + 1) if j > 1 for x in (708.5, 727.0)]
+        assert_subnormal_cut_within_bound(PHYS, 1, n, betas + [1e-4, 1e-3])
+
+    def test_cut_on_every_row_fails(self, monkeypatch):
+        """Negative control: with the 708.4 cut on every row, a row whose
+        beta d_1 is just below 708.4 has a first weight of about 2^-1021, and
+        the dropped weights' bound on its variance is not below an ulp."""
+        beta = 708.0 / excitation(PHYS, 1.0, 1)
+        assert_subnormal_cut_within_bound(PHYS, 1, 500, [beta])
+        monkeypatch.setattr(thermo, "_SUBNORMAL_CUT_D1", math.inf)
+        with pytest.raises(AssertionError):
+            assert_subnormal_cut_within_bound(PHYS, 1, 500, [beta])
+
+    def test_subnormal_weights_flagged(self):
+        """subnormal_weights is True where every excited weight is below
+        2^-1022, beta d_1 > 708.4: there C rests on subnormal weights."""
+        p = SystemParams(alpha=1.0, k=-0.01)
+        series = sweep(p, 0, 1, [300.0, 365.17, 400.0])
+        assert series.diagnostics["subnormal_weights"].tolist() == [False, True, True]
+        assert 0.0 < series.c[1] < 1e-300 and series.c[2] == 0.0
+        assert not sweep(p, 0, 0, [365.17]).diagnostics["subnormal_weights"].item()
+        d1 = excitation(p, 1.0, 0)
+        flags = sweep(p, 0, 500, [708.3 / d1, 708.5 / d1]).diagnostics["subnormal_weights"]
+        assert flags.tolist() == [False, True]
+
+
 class TestEvaluateBundle:
     """The five quantities of a point are one consistent bundle."""
 
@@ -970,7 +1086,8 @@ class TestRegimeEdges:
     def test_direct_sum(self, k, m, n, beta):
         """C >= 0, S >= 0 and F = U - TS. A sum cut at the underflow index
         to at most a block gives the full-length sums within 4 ulp; a longer
-        row's sums are within merged_sums_error of math.fsum, and the series
+        row's sums are within merged_sums_error of math.fsum, plus
+        dropped_weights_bound where it stops at 708.4, and the series
         is formed from them within 4 ulp."""
         p = SystemParams(alpha=1.0, k=k)
         series = sweep(p, m, n, [beta])
@@ -979,10 +1096,13 @@ class TestRegimeEdges:
         scale = abs(u) + abs(f) + abs(s) / beta
         assert abs(f - (u - s / beta)) <= 1e-12 * scale
         d = excitation(p, np.arange(n + 1.0), m)
-        length = thermo._cut_lengths(series.diagnostics["n_terms"], n + 1)
+        _, slope, q = spectrum_terms(p, m)
+        limit, length = thermo._row_cuts(slope, q, d[min(n, 1)].item(), np.array([beta]), n + 1)
         if length.item() > thermo._BLOCK_ELEMENTS:
-            sw, mean, var = thermo._boltzmann_sums(p, m, np.array([beta]), length, n + 1)[:3, 0]
-            assert_merged_sums((sw, mean, var), d[:length.item()], beta)
+            sw, mean, var = thermo._boltzmann_sums(p, m, np.array([beta]), length, limit)[:, 0]
+            full = thermo._cut_lengths(series.diagnostics["n_terms"], n + 1).item()
+            dropped = dropped_weights_bound(beta, slope, d[1].item(), limit.item())
+            assert_merged_sums((sw, mean, var), d[:full], beta, length.item(), dropped)
         else:
             sw, mean, var = one_dimensional_sums(d, beta)
         e0 = spectrum_terms(p, m)[0]
