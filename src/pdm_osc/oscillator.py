@@ -227,10 +227,11 @@ class RadialFamily:
         """U_n(r). Without degrees: every n = 0..n_max at every r, an array of
         shape (n_max + 1,) + r.shape formed in place. With degrees, integers
         in [0, n_max] whose shape broadcasts against r's: U_n(r) elementwise
-        over the broadcast (degrees, r), the same numbers. DomainError where a
-        value is not finite: the recurrence overflows where s is huge."""
+        over the broadcast (degrees, r), the same numbers; an empty r gives an
+        empty array of that shape. DomainError where a value is not finite:
+        the recurrence overflows where s is huge."""
         r = np.asarray(r)
-        if r.min() < 0.0 or r.max() >= self.domain_max:
+        if r.min(initial=0.0) < 0.0 or r.max(initial=0.0) >= self.domain_max:
             raise DomainError(f"r={r} outside [0, {self.domain_max})")
         z = -self.params.delta_sq * r * r
         # log 0 = -inf; an overflow or inf * 0 is refused below
@@ -260,16 +261,11 @@ def _fd_residual(u, params: SystemParams, m: int, energy_value: float | np.ndarr
     elementwise over an array r broadcast against energy_value."""
     lam, alpha, d2, m2 = params.lam, params.alpha, params.delta_sq, np.square(m, dtype=float)
     w = 1.0 + d2 * r * r
-    coef = (
-        2.0 * lam * energy_value / w
-        - m2 / (r * r * w)
-        - alpha * alpha * lam * lam * r * r / (w * w)
-    )
-    scale = (
-        abs(2.0 * lam * energy_value / w)
-        + abs(m2 / (r * r * w))
-        + alpha * alpha * lam * lam * r * r / (w * w)
-    )
+    # the bracket's energy, centrifugal and confining terms, for coef and scale
+    level, centrifugal, confining = (2.0 * lam * energy_value / w, m2 / (r * r * w),
+                                     alpha * alpha * lam * lam * r * r / (w * w))
+    coef = level - centrifugal - confining
+    scale = abs(level) + abs(centrifugal) + confining
     # the step balances 4th-order truncation against roundoff of the second
     # difference; tuned on the fixture states (worst case ~2e-9)
     h = np.minimum(0.008 / np.sqrt(scale), np.minimum(r, params.r_max - r) / 2.5)
@@ -285,15 +281,16 @@ def ode_residual(params: SystemParams, n_r, m, r: float | np.ndarray,
     n_r and m are quantum numbers: numbers, or integer ndarrays of one
     broadcast shape; r is a number or an ndarray of them, each in
     (0, r_max). The result has shape n_r.shape + r.shape (numbers give a
-    number), and the states of one m share a RadialFamily, evaluated once
-    per stencil offset. The residual is normalized by the local coefficient
-    scale times the largest |U| on the stencil, so eigenstates sit at
-    roundoff level (~1e-11) while an energy shifted by 0.05 is visible at
-    the 1e-3 level. energy_override, broadcast against n_r, replaces
-    E(n_r, m) in the equation only; U stays the eigenstate.
+    number, an empty r an empty array), and the states of one m share a
+    RadialFamily, evaluated once per stencil offset. The residual is
+    normalized by the local coefficient scale times the largest |U| on the
+    stencil, so eigenstates sit at roundoff level (~1e-11) while an energy
+    shifted by 0.05 is visible at the 1e-3 level. energy_override,
+    broadcast against n_r, replaces E(n_r, m) in the equation only; U stays
+    the eigenstate.
     """
     r = np.asarray(r)
-    if not 0.0 < r.min() <= r.max() < params.r_max:
+    if not (0.0 < r.min(initial=math.inf) and r.max(initial=0.0) < params.r_max):
         raise DomainError(f"r={r} outside the open interval (0, {params.r_max})")
     n_r, m = np.broadcast_arrays(n_r, m)
     energies = energy(params, n_r, m)  # refuses a negative n_r

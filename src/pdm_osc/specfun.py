@@ -260,13 +260,14 @@ def integrate(f: Integrand, spec: QuadratureSpec) -> QuadratureResult:
     tolerance. A row converges when the summed error of each component is at
     most max(abs_tol, rel_tol |integral|). A row's refinements and arithmetic
     do not depend on the rows beside it, so a row integrated alone gives the
-    same numbers. Raises IntegrationError, naming the refinements and the
-    error bound of the first row still unconverged after max_refinements.
+    same numbers. Zero rows give empty results, from one call of f on zero
+    nodes. Raises IntegrationError, naming the refinements and the error
+    bound of the first row still unconverged after max_refinements.
     """
     edges = spec.edges()
     flat = edges.reshape(-1, edges.shape[-1])
     parts = [_integrate_rows(f, flat[lo:lo + _BLOCK_ROWS], lo, spec)
-             for lo in range(0, flat.shape[0], _BLOCK_ROWS)]
+             for lo in range(0, max(flat.shape[0], 1), _BLOCK_ROWS)]
     value, error, refinements, scalar = zip(*parts)
     value, error, refinements = (np.concatenate(a, axis=-1) for a in (value, error, refinements))
     components = () if scalar[0] else value.shape[:1]
@@ -309,8 +310,8 @@ def _integrate_rows(f: Integrand, edges: np.ndarray, first_row: int, spec: Quadr
         still = ~(total_err[:, active] <= tol).all(axis=0)
         if not still.all():
             active, tol = active[still], tol[:, still]
-            if active.size == 0:
-                return total, total_err, refinements, scalar
+        if active.size == 0:
+            return total, total_err, refinements, scalar
         if count - p >= spec.max_refinements:
             row = active[0]
             worst = int(np.argmax(total_err[:, row] / tol[:, 0]))

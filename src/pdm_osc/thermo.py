@@ -132,13 +132,6 @@ _EXP_SUBNORMAL = 708.4
 # least 2^-900, stops where its weights turn subnormal (_row_cuts)
 _SUBNORMAL_CUT_D1 = 900.0 * math.log(2.0)
 
-# each strategy's own diagnostic columns and their dtypes, for an empty grid
-_DIAGNOSTIC_DTYPES = {
-    Strategy.DIRECT_SUM: {"n_terms": int, "tail_ratio": float, "subnormal_weights": bool},
-    Strategy.PAPER_CLOSED_FORM: {},
-    Strategy.POISSON_PIPELINE: dict(quadrature_refinements=int, quadrature_evaluations=int,
-                                    quadrature_error_bound=float)}
-
 
 def _spine(size: int) -> list[int]:
     """Ascending lengths on the left spine of numpy's pairwise summation of
@@ -208,9 +201,10 @@ def _check_weights_range(params: SystemParams, e0: float, d_top: float,
                          betas: np.ndarray, moments: str | None = None) -> None:
     """Refuse a grid on which the weights exp(-beta d) of d_0..d_top leave the
     double range: E_0, E_0 + d_top, 746/beta and beta d_top, as Python floats
-    at the ends of the grid, must be finite; for the moments of
-    E_0..E_{moments}, d_top^2 too: it bounds each (d - <d>)^2 and E'(0)^2."""
-    b_min, b_max = betas.min().item(), betas.max().item()
+    at the ends of the grid (an empty grid's ends, inf and 0, leave the
+    spectrum alone to check), must be finite; for moments that square the
+    excitations up to d_top, the level E_{moments}, d_top^2 too."""
+    b_min, b_max = betas.min(initial=math.inf).item(), betas.max(initial=0.0).item()
     if not all(map(math.isfinite, (e0, e0 + d_top, _EXP_UNDERFLOW / b_min, b_max * d_top))):
         raise DomainError(f"Boltzmann weights out of range at alpha={params.alpha}, "
                           f"kb={params.kb}, beta in [{b_min}, {b_max}]: "
@@ -311,7 +305,7 @@ def _direct_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> Th
     n_terms = np.minimum(np.floor(_underflow_root(slope, q, betas)) + 1.0, size).astype(int)
     d1 = excitation(p, float(min(n_max, 1)), m)
     limits, lengths = _row_cuts(slope, q, d1, betas, size)
-    count = lengths.max().item()
+    count = lengths.max(initial=1).item()
     _check_weights_range(p, e0, excitation(p, count - 1.0, m), betas, moments=str(count - 1))
     sw, mean, var = _boltzmann_sums(p, m, betas, lengths, limits)
     return _from_moments(Strategy.DIRECT_SUM, p.kb, betas, e0, sw, mean, var,
@@ -374,7 +368,8 @@ def _closed_form(p: SystemParams, m: int, n_max: int, beta: np.ndarray,
     a_t, b_t, d_t = co.a_t, co.b_t, co.d_t
     e0, x1 = spectrum_terms(p, m)[0], n_max + 1.0
     d1 = excitation(p, x1, m)
-    _check_weights_range(p, e0, d1, beta, moments="N+1")
+    # no moment squares d(X): each product with f(X) takes the weight first
+    _check_weights_range(p, e0, d1, beta)
     s = beta * d1
     f1 = np.exp(-s)
     # beta^j (int_0^X d^j f dx - d(X)^j f(X)/2), j = 0, 1, 2
@@ -405,7 +400,7 @@ def _closed_form(p: SystemParams, m: int, n_max: int, beta: np.ndarray,
         tail = f1[far] * (tail / (2.0 * b_t) / bf + np.array([[0.5], [0.0], [0.0]]))
         inner[:, far] = head / (-2.0 * a_t) / bf - _shifted(tail, s[far])
     dv = d_t - a_t - e0 if variant == "verbatim" else 0.0  # boundary level - E_0
-    if not math.isfinite(beta.max().item() * abs(dv)):
+    if not math.isfinite(beta.max(initial=0.0).item() * abs(dv)):
         raise DomainError(f"verbatim boundary level out of range at lam={p.lam}: "
                           "beta (d_t - a_t - E_0) is not finite")
     lo = min(dv, 0.0)
@@ -423,16 +418,19 @@ def _poisson_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> T
     """Summation-formula series of (p, m, N = n_max) on the grid betas,
     with the integrals of f, d f and d^2 f, d = E - E_0 (excitation), done
     by one batched, vector-valued quadrature over the grid. f is exactly 0.0
-    at the clipped upper limit u, so the moments are the formula's. Each
-    row's quadrature starts from the segments [0, u/32, u/16, u/8, u/4, u/2,
-    u], geometric toward x = 0, where f falls fastest.
+    at the clipped upper limit u, so the moments are the formula's, and only
+    d(u), the highest level that carries weight, need have a finite square.
+    Each row's quadrature starts from the segments [0, u/32, u/16, u/8, u/4,
+    u/2, u], geometric toward x = 0, where f falls fastest.
     """
     e0, slope, q = spectrum_terms(p, m)
     d1 = excitation(p, n_max + 1.0, m)
-    _check_weights_range(p, e0, d1, betas, moments="N+1")
+    _check_weights_range(p, e0, d1, betas)
     # f is exactly 0.0 beyond the root of beta d(x) = 746; on a wider interval
     # every quadrature node can miss f's support and converge to a false 0
     upper = np.minimum(n_max + 1.0, _underflow_root(slope, q, betas))
+    x_top = upper.max(initial=0.0).item()
+    _check_weights_range(p, e0, excitation(p, x_top, m), betas, moments=repr(x_top))
     # f decays fastest at x = 0, where adaptive bisection would otherwise
     # start: the first partition halves toward it five times
     breakpoints = upper[:, None] / np.array([32.0, 16.0, 8.0, 4.0, 2.0])
@@ -452,7 +450,9 @@ def _poisson_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> T
     f1 = np.exp(-betas * d1)
     m0 = 0.5 * (1.0 - f1) + quad.value[:, 0]
     m1 = -0.5 * d1 * f1 + quad.value[:, 1]
-    m2 = -0.5 * d1 * d1 * f1 + quad.value[:, 2]
+    # the boundary term d(X)^2 f(X)/2 is 0.0 where f(X) is: d(X)^2 may overflow there
+    m2 = np.multiply(-0.5 * d1 * d1, f1, out=np.zeros_like(f1), where=f1 > 0.0)
+    m2 += quad.value[:, 2]
     # each point's error bound relative to its integral, worst over the three
     with np.errstate(divide="ignore", invalid="ignore"):
         relative_bound = np.max(quad.error_bound / np.abs(quad.value), axis=1)
@@ -475,13 +475,15 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
     edge case; from 2**53 the levels are not all doubles) and variant
     "corrected" or "verbatim" (DomainError otherwise); k > 0, a spectrum that
     is not increasing in n and whose truncated sum is arbitrary, is refused
-    with NonPhysicalError. An empty grid then gives an empty series with the
-    strategy's diagnostic columns, empty. The direct sum reduces the spectrum
-    in blocks of beta rows, each row cut where its weights underflow to 0.0
-    ("n_terms" counts the levels before that, those with beta d <= 746) or,
-    if its first excited weight is at least 2^-900, where they turn
-    subnormal (_row_cuts); the closed form computes only the requested d_t
-    variant.
+    with NonPhysicalError. An empty grid then runs its strategy's own code,
+    so it gives an empty series whose diagnostic columns are empty arrays of
+    their dtypes, or the strategy's refusal of a spectrum that is not finite
+    (the range checks read an empty grid's ends as inf and 0). The direct
+    sum reduces the spectrum in blocks of beta rows, each row cut where its
+    weights underflow to 0.0 ("n_terms" counts the levels before that, those
+    with beta d <= 746) or, if its first excited weight is at least 2^-900,
+    where they turn subnormal (_row_cuts); the closed form computes only the
+    requested d_t variant.
     """
     betas = np.fromiter(betas, dtype=float)
     bad = ~((betas > 0.0) & (betas <= _SQRT_MAX))
@@ -496,11 +498,6 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
         )
     if variant not in ("corrected", "verbatim"):
         raise DomainError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
-    if betas.size == 0:
-        empty = np.empty(0)
-        diagnostics = {name: np.empty(0, t) for name, t in _DIAGNOSTIC_DTYPES[strategy].items()}
-        return _from_moments(strategy, params.kb, betas, 0.0, empty, empty, empty, diagnostics,
-                             variant if strategy is Strategy.PAPER_CLOSED_FORM else None)
     if strategy is Strategy.DIRECT_SUM:
         return _direct_series(params, m, truncation_n, betas)
     if strategy is Strategy.PAPER_CLOSED_FORM:

@@ -88,6 +88,21 @@ class TestSpectrumCommand:
         assert not out.exists()
 
 
+def formula_points(capsys, args):
+    """The single point of each summation-formula strategy at the thermo
+    options args, run with every warning an error: {strategy: {quantity:
+    value}}."""
+    points = {}
+    for strategy in ("paper", "poisson"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["thermo", f"--strategy={strategy}"] + args)
+        assert rc == 0
+        points[strategy] = {q: float(value) for q, value in
+                            (part.split("=") for part in capsys.readouterr().out.split())}
+    return points
+
+
 class TestThermoCommand:
     def test_single_point_stdout(self, capsys):
         """`--T` prints the one-point sweep at beta = 1/(kb T); T <= 0 is refused."""
@@ -212,15 +227,15 @@ class TestThermoCommand:
         assert captured.err.count("\n") == 1
 
     def test_paper_composite_overflow_refused(self, capsys):
-        """(E_{N+1} - E_0)^2 overflows at alpha = 1e200: the closed form
-        refuses with the same line as the pipeline, which names alpha and
-        kb, before any array step can warn."""
-        rc = main(["thermo", "--strategy=paper", "--alpha=1e200", "--T=1e-100", "--k=-0.1"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: Boltzmann moments out of range at alpha=1e+200, "
-                                "kb=1.0: (E_{N+1} - E_0)^2 is not finite\n")
+        """(E_{N+1} - E_0)^2 overflows at alpha = 1e200, T = 1e-100, where
+        both summation-formula strategies refused before. No moment squares
+        it: the closed form takes each product with f(X) by the weight first,
+        and the pipeline squares d only up to its clipped upper limit. Both
+        give the point, with every warning an error, the same U and the same
+        C (0: beta E'(0) is 4e300, so every excited weight is 0.0)."""
+        points = formula_points(capsys, ["--alpha=1e200", "--T=1e-100", "--k=-0.1"])
+        assert points["poisson"]["U"] == points["paper"]["U"]
+        assert points["poisson"]["C"] == pytest.approx(points["paper"]["C"], rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("strategy", ["direct", "paper", "poisson"])
     @pytest.mark.parametrize("args, where", [
@@ -241,19 +256,21 @@ class TestThermoCommand:
 
     @pytest.mark.parametrize("alpha", ["1e152", "1e154", "1e200", "1e300"])
     def test_poisson_moments_out_of_range_refused(self, capsys, alpha):
-        """E_0..E_{N+1} and the weights are finite, but (E_{N+1} - E_0)^2,
-        which M_2 and the clipped upper limit need, is not: both
-        summation-formula strategies refuse with one line that names alpha
-        and kb."""
-        for strategy in ("paper", "poisson"):
-            rc = main(["thermo", f"--strategy={strategy}", f"--alpha={alpha}", "--T=1",
-                       "--k=-0.1"])
-            assert rc == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == (f"error: Boltzmann moments out of range at "
-                                    f"alpha={float(alpha)!r}, kb=1.0: "
-                                    "(E_{N+1} - E_0)^2 is not finite\n")
+        """E_0..E_{N+1} and the weights are finite but (E_{N+1} - E_0)^2 is
+        not, where both summation-formula strategies refused before. Neither
+        needs that square now: both give the point, with every warning an
+        error and the same U, and their C agree within 1e-9 up to alpha =
+        1e250. At 1e300 the pipeline's integrals, near 1/(beta E'(0)) =
+        5e-301, meet its absolute tolerance of 1e-300 without a refinement,
+        so its C is held to its own quadrature_error_bound."""
+        points = formula_points(capsys, [f"--alpha={alpha}", "--T=1", "--k=-0.1"])
+        assert points["poisson"]["U"] == points["paper"]["U"]
+        bound = 1e-9
+        if float(alpha) > 1e250:
+            series = thermo.sweep(SystemParams(alpha=float(alpha), k=-0.1), 1, 500, [1.0],
+                                  thermo.Strategy.POISSON_PIPELINE)
+            bound = series.diagnostics["quadrature_error_bound"].item()
+        assert points["poisson"]["C"] == pytest.approx(points["paper"]["C"], rel=bound, abs=0.0)
 
     @pytest.mark.parametrize("alpha", ["1e152", "1e154"])
     def test_direct_variance_out_of_range_refused(self, capsys, alpha):
@@ -274,9 +291,10 @@ class TestThermoCommand:
     @pytest.mark.parametrize("strategy, alpha, n", [
         ("poisson", "1e150", "500"), ("poisson", "1e151", "500"), ("direct", "1e150", "100000")])
     def test_large_alpha_below_moment_overflow(self, capsys, strategy, alpha, n):
-        """Below the moment checks' range a huge alpha still gives a point:
-        the direct sum's variance squares E - <E> only up to E_95 - E_0, as
-        it builds 96 of the 100,001 levels, and that square is finite."""
+        """A huge alpha still gives a point: the pipeline squares d only up
+        to its clipped upper limit, and the direct sum's variance squares
+        E - <E> only up to E_95 - E_0, as it builds 96 of the 100,001
+        levels, and that square is finite."""
         rc = main(["thermo", f"--strategy={strategy}", f"--alpha={alpha}", f"--N={n}",
                    "--T=1", "--k=-0.1"])
         assert rc == 0
@@ -289,17 +307,9 @@ class TestThermoCommand:
         which over f's support is a few ulp of E_0 or less at this alpha:
         it exits 0 with every warning an error, and its C is within 1e-9
         of the closed form's (the formula's 4/(beta E'(0)) = 2/alpha)."""
-        c = {}
-        for strategy in ("poisson", "paper"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rc = main(["thermo", f"--strategy={strategy}", "--T=1", "--k=-0.1", "--m=1",
-                           f"--alpha={alpha}"])
-            assert rc == 0
-            c[strategy] = float(dict(part.split("=") for part in
-                                     capsys.readouterr().out.split())["C"])
-        assert c["poisson"] == pytest.approx(c["paper"], rel=1e-9, abs=0.0)
-        assert c["paper"] == pytest.approx(2.0 / float(alpha), rel=1e-8)
+        points = formula_points(capsys, ["--T=1", "--k=-0.1", "--m=1", f"--alpha={alpha}"])
+        assert points["poisson"]["C"] == pytest.approx(points["paper"]["C"], rel=1e-9, abs=0.0)
+        assert points["paper"]["C"] == pytest.approx(2.0 / float(alpha), rel=1e-8)
 
     @pytest.mark.parametrize("lam", ["1e200", "-1e200"])
     def test_verbatim_boundary_term_vanishes(self, capsys, lam):

@@ -368,6 +368,14 @@ class TestRadialFamily:
         value = RadialFamily(SystemParams(alpha=1.0, k=-0.5), 1, 2).values(0.6, 2)
         assert np.ndim(value) == 0 and isinstance(value, float)
 
+    def test_empty_r_gives_empty_values(self):
+        """An empty r passes the range check: every row of the family, or
+        the rows named by degrees, at no radius, in the documented shape."""
+        family = RadialFamily(SystemParams(alpha=1.0, k=-0.5), 1, 3)
+        assert family.values(np.empty(0)).shape == (4, 0)
+        assert family.values(np.empty((2, 0))).shape == (4, 2, 0)
+        assert family.values(np.empty(0), np.array([[0], [3]])).shape == (2, 0)
+
     def test_degrees_outside_the_family_refused(self):
         family = RadialFamily(SystemParams(alpha=1.0, k=-0.5), 1, 3)
         for degrees in (-1, 4, np.array([[0], [5]])):
@@ -498,6 +506,16 @@ class TestOdeResidual:
             ode_residual(p, 0, 0, 0.0)
         with pytest.raises(DomainError):
             ode_residual(p, 0, 0, p.r_max)
+
+    def test_empty_r_gives_empty_residuals(self):
+        """An empty r passes the range check: shape n_r.shape + r.shape, for
+        numbers and for arrays of states, and a NaN beside it is refused."""
+        p = SystemParams(alpha=1.0, k=-0.5)
+        assert ode_residual(p, 1, 2, np.empty(0)).shape == (0,)
+        states = np.array([1, 0]), np.array([2, -1])
+        assert ode_residual(p, *states, np.empty((3, 0))).shape == (2, 3, 0)
+        with pytest.raises(DomainError):
+            ode_residual(p, 1, 2, np.array([0.5, math.nan]))
 
 
 class TestTotalWavefunction:

@@ -103,6 +103,7 @@ PAPER_SCALING_TOL = 2.0 * 23.0 * ERFCX_BOUND
 @settings(max_examples=60)
 @given(alpha=box.ALPHA, k=box.K, m=box.M, n=box.N,
        betas=st.lists(box.BETA, min_size=1, max_size=4))
+@example(alpha=1e150, k=-0.1, m=0, n=3351, betas=[1.0])
 def test_power_of_two_scaling(strategy, alpha, k, m, n, betas):
     """Under (alpha, k, beta) -> (2 alpha, 2 k, beta/2) the direct sum and
     the pipeline give ln Z, C, S and every diagnostic bit for bit and U and

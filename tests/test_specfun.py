@@ -419,6 +419,17 @@ class TestIntegrate:
                                         breakpoints=(0.25,)))
         assert long.value[-4:].tolist() == batch.value.tolist()
 
+    def test_zero_rows(self):
+        """A batch of no rows gives empty results of the batch's shape: no
+        value, bound, refinement or evaluation per row, each component kept."""
+        vector = lambda x, _: np.stack([x, x * x])
+        spec = QuadratureSpec(0.0, np.empty(0), breakpoints=np.empty((0, 2)))
+        res = integrate(vector, spec)
+        assert res.value.shape == res.error_bound.shape == (0, 2)
+        assert res.row_refinements.shape == res.row_evaluations.shape == (0,)
+        assert res.row_refinements.dtype.kind == res.row_evaluations.dtype.kind == "i"
+        assert integrate(lambda x, _: x, QuadratureSpec(0.0, np.empty(0))).value.shape == (0,)
+
     def test_breakpoints_expose_a_narrow_peak(self):
         # every node of one G7/K15 panel on [0, 1000] misses a peak of width
         # 0.1 at 6.3, and the panel converges to a false near-0

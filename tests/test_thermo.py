@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdm_osc import thermo
@@ -233,11 +233,15 @@ class TestSweepArguments:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_empty_grid_checks_n_and_k(self, strategy):
-        """An empty grid is no reason to skip the checks on N and k."""
+        """An empty grid is no reason to skip the checks on N and k, nor its
+        strategy's range check on a spectrum that leaves the doubles (E_N
+        near 2e310)."""
         with pytest.raises(NonPhysicalError, match="k > 0"):
             sweep(SystemParams(alpha=1.0, k=0.5), 1, 500, [], strategy)
         with pytest.raises(ValueError, match="truncation_n must be >= 0"):
             sweep(SystemParams(alpha=1.0, k=-0.1), 1, -3, [], strategy)
+        with pytest.raises(DomainError, match="Boltzmann weights out of range"):
+            sweep(SystemParams(alpha=1e300, k=-0.1), 1, 10**10, [], strategy)
 
     @pytest.mark.parametrize("strategy", [Strategy.DIRECT_SUM, Strategy.POISSON_PIPELINE])
     def test_unknown_variant_refused_by_every_strategy(self, strategy):
@@ -1134,18 +1138,17 @@ class TestRegimeEdges:
 
     @settings(max_examples=60)
     @given(alpha=box.ALPHA, k=box.K_WIDE, m=box.M, n=box.N, beta=box.BETA)
+    @example(alpha=1e150, k=-0.5, m=60, n=100_000, beta=1e-4)
     def test_poisson_matches_closed_form(self, alpha, k, m, n, beta):
         """The pipeline integrates the excitation d itself, so it keeps the
         closed form's Z, U and C within 1e-9 relative (the triangulation's
-        bound) for alpha up to 1e150, where d is far below an ulp of E_0,
-        wherever the range check does not refuse the point."""
+        bound) for alpha up to 1e150, where d is far below an ulp of E_0.
+        Neither refuses a point of the box: at its corner (alpha = 1e150,
+        k = -0.5, m = 60, N = 1e5) d(N+1)^2 is not finite, but neither
+        squares it."""
         p = SystemParams(alpha=alpha, k=k)
-        try:
-            quad, closed = (sweep(p, m, n, [beta], strategy) for strategy in (
-                Strategy.POISSON_PIPELINE, Strategy.PAPER_CLOSED_FORM))
-        except ValueError as refused:
-            assert "out of range" in str(refused)
-            return
+        quad, closed = (sweep(p, m, n, [beta], strategy) for strategy in (
+            Strategy.POISSON_PIPELINE, Strategy.PAPER_CLOSED_FORM))
         for q in "zuc":
             got, want = getattr(quad, q).item(), getattr(closed, q).item()
             assert abs(got - want) <= 1e-9 * abs(want)
