@@ -8,7 +8,8 @@ DIRECT_SUM        log-domain accumulation of the truncated sum; this is the
 PAPER_CLOSED_FORM the paper's closed form: the first-order summation formula
                   sum f(n) ~ [f(0) - f(N+1)]/2 + int_0^{N+1} f(x) dx
                   for f(x) = exp(-beta E(x)), its integrals done from the
-                  coefficients (a_t, b_t, c_t, d_t) through erfcx.
+                  spectrum's E_0, D = E'(0), q = -2k and E'(N+1) = D + 2q(N+1)
+                  through erfcx.
 POISSON_PIPELINE  the same summation formula with the integrals done by
                   adaptive quadrature; an independent re-derivation that
                   triangulates the closed form. A series is one batched,
@@ -38,13 +39,14 @@ grid; the pipeline integrates every beta in one batched quadrature, up to
 the root of 746, from a partition that halves toward x = 0.
 Each point of a series is the one-point sweep at its beta, value for value.
 
-The paper's coefficients are spectrum values, taken from it: c_t = E_{N+1},
-a_t = -E'(0)/2, b_t = E'(N+1)/2, (a_t^2 - alpha^2)/2k = -E_0 and
-(b_t^2 - alpha^2)/2k = -E_{N+1}. The d_t coefficient has two readings:
-"corrected" uses sqrt(k^2 + alpha^2) - k m^2/2, for which a_t - d_t = -E_0
-and the boundary term is exactly f(0), while "verbatim" keeps the mass-scale
-combination sqrt(lam^2 + alpha^2) - lam m^2/2, which moves the boundary term
-to the level d_t - a_t. The corrected variant is the default.
+The paper writes the closed form in four coefficients, three of which are
+the spectrum values above: a_t = -D/2, b_t = E'(N+1)/2 and c_t = E_{N+1}.
+Its fourth, d_t, has two readings: "corrected", |m| sqrt(k^2 + alpha^2) -
+k m^2/2, for which a_t - d_t = -E_0 and the boundary term is exactly f(0),
+and "verbatim", which keeps the mass-scale combination |m| sqrt(lam^2 +
+alpha^2) - lam m^2/2 and moves the boundary term to the level d_t - a_t =
+|m| sqrt(lam^2 + alpha^2) - lam m^2/2 + D/2. The corrected variant is the
+default.
 """
 
 from __future__ import annotations
@@ -62,10 +64,8 @@ from .specfun import QuadratureSpec, erfcx_gh, integrate
 
 __all__ = [
     "Strategy",
-    "PaperZCoefficients",
     "ThermoSeries",
     "PlateauResult",
-    "paper_z_coefficients",
     "sweep",
     "find_heat_capacity_plateau",
 ]
@@ -75,17 +75,6 @@ class Strategy(enum.Enum):
     DIRECT_SUM = "direct"
     PAPER_CLOSED_FORM = "paper"
     POISSON_PIPELINE = "poisson"
-
-
-@dataclass(frozen=True)
-class PaperZCoefficients:
-    """Closed-form coefficients for one (params, m, N) and one d_t variant."""
-
-    a_t: float
-    b_t: float
-    c_t: float
-    d_t: float
-    variant: str
 
 
 @dataclass(eq=False)
@@ -313,33 +302,6 @@ def _direct_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> Th
                           "subnormal_weights": betas * d1 > _EXP_SUBNORMAL})
 
 
-def paper_z_coefficients(params: SystemParams, m: int, truncation_n: int,
-                         variant: str = "corrected") -> PaperZCoefficients:
-    """Coefficients a_t, b_t, c_t and d_t in the paper's notation.
-
-    variant selects the d_t reading: "corrected" uses sqrt(k^2+alpha^2) and
-    -k m^2/2 (a_t - d_t = -E_0, so the boundary term is exactly
-    exp(-beta E_0)); "verbatim" keeps the mass-scale lam in both places.
-    """
-    k, alpha, x1 = params.k, params.alpha, truncation_n + 1.0
-    if k >= 0.0:
-        raise NonPhysicalError(
-            "closed-form coefficients need k < 0 (erf arguments become imaginary otherwise)"
-        )
-    e0, slope, q = spectrum_terms(params, m)
-    a_t = -slope / 2.0
-    b_t = (slope + 2.0 * q * x1) / 2.0
-    c_t = e0 + excitation(params, x1, m)
-    am = abs(m)
-    if variant == "corrected":
-        d_t = am * math.hypot(alpha, k) - k * m * m / 2.0
-    elif variant == "verbatim":
-        d_t = am * math.hypot(params.lam, alpha) - params.lam * m * m / 2.0
-    else:
-        raise DomainError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
-    return PaperZCoefficients(a_t, b_t, c_t, d_t, variant)
-
-
 def _shifted(moments: np.ndarray, by: np.ndarray) -> np.ndarray:
     """The first three moments (rows) about an origin lower by `by`."""
     m0, m1, m2 = moments
@@ -349,25 +311,32 @@ def _shifted(moments: np.ndarray, by: np.ndarray) -> np.ndarray:
 def _closed_form(p: SystemParams, m: int, n_max: int, beta: np.ndarray,
                  variant: str) -> ThermoSeries:
     """Z, U, C, F and S of the closed form in one d_t variant, for
-    (p, m, N = n_max), as array expressions over the grid beta.
+    (p, m, N = n_max), as array expressions over the grid beta; k = 0, where
+    the erfcx arguments u below are not finite, is refused.
 
-    With d = D x + q x^2, D = E'(0) = -2 a_t, q = -2k, X = N + 1 and
-    s = beta d(X), the moments are taken as beta^j M_j. Where s >= 1,
+    With d = D x + q x^2, D = E'(0), q = -2k, X = N + 1, E'(X) = D + 2 q X
+    and s = beta d(X), the moments are taken as beta^j M_j. Where s >= 1,
     int_0^X d^j f is the half-line moment at slope D minus f(X) times those
-    at slope E'(X) = 2 b_t, shifted binomially by d(X). The half-line moments
+    at slope E'(X), shifted binomially by d(X). The half-line moments
     are int_0^inf (beta d)^j f dy = phi_j(u) / (beta D), u = D sqrt(beta/q)/2,
     phi_0 = u sqrt(pi) erfcx(u), phi_1 = u^2 g(u) + phi_0/2 and
     phi_2 = u^3 h(u) + 3 phi_1/2 (erfcx_gh; by parts, with d'^2 = D^2 + 4q d).
     Where s < 1 that difference cancels, and the integral is the series
     X d(X)^j sum_n (-s)^n/n! J_{n+j}, J_p = int_0^1 (w r + (1 - w) r^2)^p dr,
-    w = D X / d(X). The moments are taken about the lower of E_0 and the
-    boundary level, so no weight exceeds 1 and a low verbatim level that
-    carries most of M_0 leaves a variance that does not cancel.
+    w = D X / d(X). The boundary term sits at E_0 ("corrected") or at the
+    verbatim level |m| hypot(lam, alpha) - lam m^2/2 + D/2. The moments are
+    taken about the lower of E_0 and the boundary level, so no weight
+    exceeds 1 and a low verbatim level that carries most of M_0 leaves a
+    variance that does not cancel.
     """
-    co = paper_z_coefficients(p, m, n_max, variant)
-    a_t, b_t, d_t = co.a_t, co.b_t, co.d_t
-    e0, x1 = spectrum_terms(p, m)[0], n_max + 1.0
+    if p.k >= 0.0:
+        raise NonPhysicalError(
+            "the closed form needs k < 0 (erf arguments become imaginary otherwise)"
+        )
+    e0, slope, q = spectrum_terms(p, m)
+    x1 = n_max + 1.0
     d1 = excitation(p, x1, m)
+    slope1 = slope + 2.0 * q * x1  # E'(X)
     # no moment squares d(X): each product with f(X) takes the weight first
     _check_weights_range(p, e0, d1, beta)
     s = beta * d1
@@ -377,7 +346,7 @@ def _closed_form(p: SystemParams, m: int, n_max: int, beta: np.ndarray,
     near = s < 1.0
     if near.any():
         # J_p, p <= 22, as sums of positive terms C(p, i) w^i (1-w)^(p-i) / (2p-i+1)
-        w = -2.0 * a_t * x1 / d1
+        w = slope * x1 / d1
         jp = np.array([sum(math.comb(j, i) * w**i * (1.0 - w)**(j - i) / (2 * j - i + 1)
                            for i in range(j + 1)) for j in range(23)])
         sn = s[near]
@@ -388,18 +357,20 @@ def _closed_form(p: SystemParams, m: int, n_max: int, beta: np.ndarray,
     if not near.all():
         far = ~near
         bf = beta[far]
-        root = np.sqrt(bf) / math.sqrt(-2.0 * p.k)
+        root = np.sqrt(bf) / math.sqrt(q)
         # u at the slopes E'(0) and E'(X), one erfcx_gh call for both; beyond
         # 1e10, phi_j are 1, 1 and 2 to the last bit, and u^3 h would underflow
-        u = np.stack([c * np.minimum(root, 1e10 / c) for c in (-a_t, b_t)])
+        u = np.stack([c * np.minimum(root, 1e10 / c) for c in (slope / 2.0, slope1 / 2.0)])
         e, g, h = erfcx_gh(u)
         phi0 = u * e
         phi1 = u * u * g + 0.5 * phi0
         head, tail = np.stack([phi0, phi1, u * u * u * h + 1.5 * phi1], axis=1)
         # the part beyond X, with the boundary term f(X)/2, about d(X)
-        tail = f1[far] * (tail / (2.0 * b_t) / bf + np.array([[0.5], [0.0], [0.0]]))
-        inner[:, far] = head / (-2.0 * a_t) / bf - _shifted(tail, s[far])
-    dv = d_t - a_t - e0 if variant == "verbatim" else 0.0  # boundary level - E_0
+        tail = f1[far] * (tail / slope1 / bf + np.array([[0.5], [0.0], [0.0]]))
+        inner[:, far] = head / slope / bf - _shifted(tail, s[far])
+    dv = 0.0  # boundary level - E_0
+    if variant == "verbatim":
+        dv = abs(m) * math.hypot(p.lam, p.alpha) - p.lam * m * m / 2.0 + slope / 2.0 - e0
     if not math.isfinite(beta.max(initial=0.0).item() * abs(dv)):
         raise DomainError(f"verbatim boundary level out of range at lam={p.lam}: "
                           "beta (d_t - a_t - E_0) is not finite")
@@ -445,7 +416,12 @@ def _poisson_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> T
         np.multiply(d, out[1], out=out[2])
         return out
 
-    quad = integrate(integrands, QuadratureSpec(0.0, upper, rel_tol=1e-11, abs_tol=1e-300,
+    # f, d f and d^2 f are nonnegative, so the relative tolerance alone is
+    # meaningful at every scale; abs_tol must be positive, and a larger one
+    # binds where the integrals are tiny (1e-300 did near 5e-301 at alpha =
+    # 1e300, stopping them unrefined with C to 8 digits)
+    quad = integrate(integrands, QuadratureSpec(0.0, upper, rel_tol=1e-11,
+                                                abs_tol=math.ulp(0.0),
                                                 breakpoints=breakpoints))
     f1 = np.exp(-betas * d1)
     m0 = 0.5 * (1.0 - f1) + quad.value[:, 0]
@@ -483,7 +459,7 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
     weights underflow to 0.0 ("n_terms" counts the levels before that, those
     with beta d <= 746) or, if its first excited weight is at least 2^-900,
     where they turn subnormal (_row_cuts); the closed form computes only the
-    requested d_t variant.
+    requested d_t variant, and refuses k = 0 with NonPhysicalError.
     """
     betas = np.fromiter(betas, dtype=float)
     bad = ~((betas > 0.0) & (betas <= _SQRT_MAX))

@@ -259,18 +259,12 @@ class TestThermoCommand:
         """E_0..E_{N+1} and the weights are finite but (E_{N+1} - E_0)^2 is
         not, where both summation-formula strategies refused before. Neither
         needs that square now: both give the point, with every warning an
-        error and the same U, and their C agree within 1e-9 up to alpha =
-        1e250. At 1e300 the pipeline's integrals, near 1/(beta E'(0)) =
-        5e-301, meet its absolute tolerance of 1e-300 without a refinement,
-        so its C is held to its own quadrature_error_bound."""
+        error and the same U, and their C agree within 1e-9. At 1e300 the
+        pipeline's integrals lie near 1/(beta E'(0)) = 5e-301: only its
+        relative tolerance may decide when they converge."""
         points = formula_points(capsys, [f"--alpha={alpha}", "--T=1", "--k=-0.1"])
         assert points["poisson"]["U"] == points["paper"]["U"]
-        bound = 1e-9
-        if float(alpha) > 1e250:
-            series = thermo.sweep(SystemParams(alpha=float(alpha), k=-0.1), 1, 500, [1.0],
-                                  thermo.Strategy.POISSON_PIPELINE)
-            bound = series.diagnostics["quadrature_error_bound"].item()
-        assert points["poisson"]["C"] == pytest.approx(points["paper"]["C"], rel=bound, abs=0.0)
+        assert points["poisson"]["C"] == pytest.approx(points["paper"]["C"], rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("alpha", ["1e152", "1e154"])
     def test_direct_variance_out_of_range_refused(self, capsys, alpha):
@@ -342,6 +336,16 @@ class TestThermoCommand:
         assert captured.out == ""
         assert captured.err == (f"error: verbatim boundary level out of range at lam={lam!r}: "
                                 "beta (d_t - a_t - E_0) is not finite\n")
+
+    def test_paper_k_zero_refused(self, capsys):
+        """At k = 0 the closed form's erfcx arguments are not finite: the
+        paper point refuses with one typed line, before any array step."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["thermo", "--strategy=paper", "--k=0", "--T=1"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: the closed form needs k < 0 (erf arguments "
+                                           "become imaginary otherwise)\n")
 
     def test_paper_zero_two_z_refused(self, capsys):
         """At beta = 1e-300 every weight is 1: the closed form's M_0 is a sum

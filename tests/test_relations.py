@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from pdm_osc.errors import PdmOscError
 from pdm_osc.oscillator import SystemParams, spectrum_terms
-from pdm_osc.thermo import Strategy, paper_z_coefficients, sweep
+from pdm_osc.thermo import Strategy, sweep
 
 import box
 from test_oscillator import assert_bits_equal
@@ -161,11 +161,15 @@ def test_verbatim_minus_corrected_is_the_boundary_shift(alpha, k, m, n, betas, r
     if isinstance(corrected, PdmOscError) or isinstance(verbatim, PdmOscError):
         assert type(corrected) is type(verbatim), (corrected, verbatim)
         return
-    co = paper_z_coefficients(params, m, n, "verbatim")
+    # the boundary level d_t - a_t from the paper's literal verbatim d_t and
+    # a_t, a route apart from the code's D/2
+    lam, am = params.lam, abs(m)
+    d_t, a_t = am * np.hypot(lam, alpha) - lam * m * m / 2.0, k * (am + 1.0) - np.hypot(alpha, k)
+    level = d_t - a_t
     e0, beta = spectrum_terms(params, m)[0], corrected.beta
-    assert co.d_t - co.a_t > e0
-    boundary, ground = np.exp(-beta * (co.d_t - co.a_t)), np.exp(-beta * e0)
+    assert level > e0
+    boundary, ground = np.exp(-beta * level), np.exp(-beta * e0)
     rounding = 4.0 * EPS * (verbatim.z * (1.0 + np.abs(verbatim.log_z) + beta * e0)
                             + corrected.z * (1.0 + np.abs(corrected.log_z) + beta * e0)
-                            + (boundary + ground) * (1.0 + beta * (co.d_t - co.a_t)))
+                            + (boundary + ground) * (1.0 + beta * level))
     assert np.all(np.abs((verbatim.z - corrected.z) - 0.5 * (boundary - ground)) <= rounding)

@@ -1,6 +1,5 @@
 """Canonical-ensemble tests: three partition strategies, U/C/F/S, reports."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -13,11 +12,10 @@ from pdm_osc import thermo
 from pdm_osc.cli import _resolve, _temperature_grid, _thermo_tables, build_parser
 from pdm_osc.errors import DomainError, NonPhysicalError
 from pdm_osc.oscillator import SystemParams, energy, excitation, spectrum_terms
-from pdm_osc.specfun import IntegrationError, QuadratureSpec, central_diff, integrate
+from pdm_osc.specfun import QuadratureSpec, central_diff, integrate
 from pdm_osc.thermo import (
     Strategy,
     find_heat_capacity_plateau,
-    paper_z_coefficients,
     sweep,
     _spine,
 )
@@ -401,14 +399,13 @@ class TestPartitionDirect:
 
     @settings(max_examples=60)
     @given(alpha=box.ALPHA, k=box.K, m=box.M, n=box.N, beta=box.BETA)
+    @example(alpha=1e150, k=-0.5, m=60, n=100_000, beta=1e-4)
+    @example(alpha=1e150, k=-0.5, m=60, n=100_000, beta=1e3)
     def test_n_terms_over_the_box(self, alpha, k, m, n, beta):
         """n_terms counts the levels 0..N with beta d <= 746, and every
         weight beyond them is exactly 0.0."""
         p = SystemParams(alpha=alpha, k=k)
-        try:
-            n_terms = sweep(p, m, n, [beta]).diagnostics["n_terms"].item()
-        except DomainError:
-            return
+        n_terms = sweep(p, m, n, [beta]).diagnostics["n_terms"].item()
         d = excitation(p, np.arange(n + 1.0), m)
         assert n_terms == np.count_nonzero(beta * d <= 746.0)
         assert not np.exp(-beta * d[n_terms:]).any()
@@ -433,23 +430,37 @@ class TestPartitionDirect:
 
 class TestPaperCoefficients:
     def test_d_vanishes_at_m0(self):
-        for variant in ("corrected", "verbatim"):
-            assert paper_z_coefficients(PHYS, 0, 500, variant).d_t == 0.0
+        """At m = 0 the verbatim d_t vanishes and its boundary level D/2 is
+        E_0, both hypot(alpha, k) - k: a verbatim series equals the corrected
+        one bit for bit, whatever lam, on both sides of the switch at s = 1."""
+        p = SystemParams(alpha=1.0, k=-0.3, lam=7.0)
+        e0, slope, _ = spectrum_terms(p, 0)
+        assert slope / 2.0 == e0 == math.hypot(1.0, -0.3) + 0.3
+        betas = np.geomspace(1e-4, 1e3, 30)
+        corrected, verbatim = (sweep(p, 0, 500, betas, Strategy.PAPER_CLOSED_FORM, variant)
+                               for variant in ("corrected", "verbatim"))
+        for name in ("z", "log_z", "u", "c", "f", "s"):
+            assert_bits_equal(getattr(verbatim, name), getattr(corrected, name))
 
     def test_a_coefficient_value(self):
+        """a_t = -D/2."""
         p = SystemParams(alpha=1.0, k=-0.5)
-        co = paper_z_coefficients(p, 1, 500)
-        assert co.a_t == pytest.approx(-0.5 * 2.0 - math.sqrt(1.25), rel=1e-14)
-        assert co.a_t == pytest.approx(-2.1180339887498949, abs=1e-12)
+        a_t = -spectrum_terms(p, 1)[1] / 2.0
+        assert a_t == pytest.approx(-0.5 * 2.0 - math.sqrt(1.25), rel=1e-14)
+        assert a_t == pytest.approx(-2.1180339887498949, abs=1e-12)
 
     def test_rejects_nonnegative_k(self):
-        p = SystemParams(alpha=1.0, k=0.0)
-        with pytest.raises(NonPhysicalError):
-            paper_z_coefficients(p, 1, 500)
-
-    def test_variant_name_checked(self):
-        with pytest.raises(ValueError):
-            paper_z_coefficients(PHYS, 1, 500, "fixed")
+        """sweep refuses k > 0 for every strategy; the closed form, whose
+        erfcx arguments sqrt(beta/q) are not finite at q = -2k = 0, refuses
+        k = 0.0 and -0.0 too, which the direct sum and the pipeline compute."""
+        for k in (0.0, -0.0):
+            p = SystemParams(alpha=1.0, k=k)
+            with pytest.raises(NonPhysicalError, match="the closed form needs k < 0"):
+                sweep(p, 1, 500, [1.0], Strategy.PAPER_CLOSED_FORM)
+            for strategy in (Strategy.DIRECT_SUM, Strategy.POISSON_PIPELINE):
+                series = sweep(p, 1, 500, [1.0], strategy)
+                assert all(np.isfinite(getattr(series, q)).all()
+                           for q in ("log_z", "u", "c", "s"))
 
     @settings(max_examples=200)
     @given(k=box.K_WIDE, m=box.M, n=box.N)
@@ -457,20 +468,23 @@ class TestPaperCoefficients:
         """a_t - d_t = -E_0 (corrected d_t), c_t = E_{N+1}, a_t = -E'(0)/2,
         b_t = E'(N+1)/2, (a_t^2 - alpha^2)/2k = -E_0 and
         (b_t^2 - alpha^2)/2k = -E_{N+1}, each to the roundoff of its terms,
-        for the paper's literal a_t, b_t and c_t expressions and for the
-        coefficients paper_z_coefficients takes from the spectrum.
+        for the paper's literal a_t, b_t, c_t and corrected d_t expressions
+        and for the values the closed form takes from spectrum_terms:
+        a_t = -D/2, b_t = (D + 2 q X)/2 and c_t = E_0 + d(X), X = N + 1.
 
         E' is the three-point one-sided difference, exact for the quadratic E.
         k reaches the shell |k| <= 5: the identities hold for every k < 0,
         strong coupling (|k| > alpha) included.
         """
         p = SystemParams(alpha=1.0, k=k)
-        co = paper_z_coefficients(p, m, n)
         s, am = math.hypot(1.0, k), abs(m)
-        literal = dataclasses.replace(
-            co, a_t=k * (am + 1.0) - s, b_t=-(3.0 + am + 2.0 * n) * k + s,
-            c_t=(2.0 * n + am + 3.0) * s - k * (
-                2.0 * n**2 + m * m / 2.0 + 6.0 * n + 5.0 + 2.0 * n * am + 3.0 * am))
+        d_t = am * s - k * m * m / 2.0
+        literal = (k * (am + 1.0) - s, -(3.0 + am + 2.0 * n) * k + s,
+                   (2.0 * n + am + 3.0) * s - k * (
+                       2.0 * n**2 + m * m / 2.0 + 6.0 * n + 5.0 + 2.0 * n * am + 3.0 * am))
+        e_0, big_d, q = spectrum_terms(p, m)
+        spectrum = (-big_d / 2.0, (big_d + 2.0 * q * (n + 1.0)) / 2.0,
+                    e_0 + excitation(p, n + 1.0, m))
         e = lambda x: energy(p, x, m)
         e0, e1 = e(0.0), e(n + 1.0)
 
@@ -482,14 +496,14 @@ class TestPaperCoefficients:
 
         d0, scale0 = slope(0.0)
         d1, scale1 = slope(n + 1.0)
-        for c in (literal, co):
-            close(c.a_t - c.d_t, -e0, e0)
-            close(c.c_t, e1, e1)
-            close(c.a_t, -d0 / 2.0, scale0)
-            close(c.b_t, d1 / 2.0, scale1)
+        for a_t, b_t, c_t in (literal, spectrum):
+            close(a_t - d_t, -e0, e0)
+            close(c_t, e1, e1)
+            close(a_t, -d0 / 2.0, scale0)
+            close(b_t, d1 / 2.0, scale1)
             # the squares cancel as k -> 0-, so compare before dividing by 2k
-            close(c.a_t**2 - 1.0, -2.0 * k * e0, c.a_t**2 + 1.0)
-            close(c.b_t**2 - 1.0, -2.0 * k * e1, c.b_t**2 + 1.0)
+            close(a_t**2 - 1.0, -2.0 * k * e0, a_t**2 + 1.0)
+            close(b_t**2 - 1.0, -2.0 * k * e1, b_t**2 + 1.0)
 
 
 class TestPartitionPaper:
@@ -911,8 +925,9 @@ class TestSweep:
         betas = list(np.linspace(0.05, 0.3, 80))
         s = [b * (energy(PHYS, 2.0, 3) - energy(PHYS, 0.0, 3)) for b in betas]
         assert min(s) < 1.0 < max(s)
-        co = paper_z_coefficients(PHYS, 3, 1)
-        args = [math.sqrt(-b * c * c / (2.0 * PHYS.k)) for b in betas for c in (co.a_t, co.b_t)]
+        _, slope, q = spectrum_terms(PHYS, 3)
+        a_t, b_t = -slope / 2.0, (slope + 2.0 * q * 2.0) / 2.0
+        args = [math.sqrt(-b * c * c / (2.0 * PHYS.k)) for b in betas for c in (a_t, b_t)]
         assert sum(a < 1.5 for a in args[0::2]) * sum(a >= 1.5 for a in args[0::2]) > 0
         assert sum(a < 1.5 for a in args[1::2]) * sum(a >= 1.5 for a in args[1::2]) > 0
         for variant in ("corrected", "verbatim"):
@@ -948,24 +963,19 @@ class TestSweep:
     @given(k=box.K_WIDE, m=box.M, n=box.N, betas=st.lists(box.BETA, min_size=2, max_size=6),
            strategy=st.sampled_from(list(Strategy)),
            variant=st.sampled_from(["corrected", "verbatim"]))
+    @example(k=-5.0, m=60, n=100_000, betas=[1e-4, 1e3], strategy=Strategy.DIRECT_SUM,
+             variant="corrected")
+    @example(k=-5.0, m=60, n=100_000, betas=[1e-4, 1e3], strategy=Strategy.PAPER_CLOSED_FORM,
+             variant="corrected")
+    @example(k=-5.0, m=60, n=100_000, betas=[1e-4, 1e3], strategy=Strategy.PAPER_CLOSED_FORM,
+             variant="verbatim")
+    @example(k=-5.0, m=60, n=100_000, betas=[1e-4, 1e3], strategy=Strategy.POISSON_PIPELINE,
+             variant="corrected")
     def test_point_does_not_depend_on_grid(self, k, m, n, betas, strategy, variant):
         """Over the documented box, with k out to the shell |k| <= 5 (strong
         coupling, |k| > alpha), and 2 to 6 betas, under every strategy and
-        variant. A grid may be refused only with ValueError, and only where
-        one of its points is refused too."""
-        params = SystemParams(alpha=1.0, k=k)
-        try:
-            sweep(params, m, n, betas, strategy, variant)
-        except ValueError:
-            refused = 0
-            for beta in betas:
-                try:
-                    sweep(params, m, n, [beta], strategy, variant)
-                except ValueError:
-                    refused += 1
-            assert refused > 0
-            return
-        assert_points_equal_grid(params, m, n, betas, strategy, variant)
+        variant; no grid of it is refused."""
+        assert_points_equal_grid(SystemParams(alpha=1.0, k=k), m, n, betas, strategy, variant)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_empty_grid(self, strategy):
@@ -1005,13 +1015,10 @@ class TestSubnormalCut:
     @settings(max_examples=40)
     @given(alpha=box.ALPHA, k=box.K, m=box.M, n=box.N,
            betas=st.lists(box.BETA, min_size=1, max_size=3))
+    @example(alpha=1e150, k=-0.5, m=60, n=100_000, betas=[1e-4])
+    @example(alpha=1e150, k=-0.5, m=60, n=100_000, betas=[1e3])
     def test_within_bound_over_the_box(self, alpha, k, m, n, betas):
-        p = SystemParams(alpha=alpha, k=k)
-        try:
-            sweep(p, m, n, betas)
-        except DomainError:
-            return
-        assert_subnormal_cut_within_bound(p, m, n, betas)
+        assert_subnormal_cut_within_bound(SystemParams(alpha=alpha, k=k), m, n, betas)
 
     @pytest.mark.parametrize("n", [1, 500, 100_000])
     def test_rows_near_the_limits(self, n):
@@ -1083,7 +1090,7 @@ class TestEvaluateBundle:
 class TestRegimeEdges:
     """The strategies across the documented box (tests/box.py), with k out
     to the shell |k| <= 5: at strong coupling, |k| > alpha, each strategy
-    must still be finite or refuse."""
+    must still give finite values, and none refuses a point."""
 
     @settings(max_examples=100)
     @given(k=box.K_WIDE, m=box.M, n=box.N, beta=box.BETA)
@@ -1121,14 +1128,17 @@ class TestRegimeEdges:
            series=st.sampled_from([(Strategy.PAPER_CLOSED_FORM, "corrected"),
                                    (Strategy.PAPER_CLOSED_FORM, "verbatim"),
                                    (Strategy.POISSON_PIPELINE, "corrected")]))
+    @example(k=-5.0, m=60, n=100_000, beta=1e-4, series=(Strategy.PAPER_CLOSED_FORM, "corrected"))
+    @example(k=-5.0, m=60, n=100_000, beta=1e3, series=(Strategy.PAPER_CLOSED_FORM, "corrected"))
+    @example(k=-5.0, m=60, n=100_000, beta=1e-4, series=(Strategy.PAPER_CLOSED_FORM, "verbatim"))
+    @example(k=-5.0, m=60, n=100_000, beta=1e3, series=(Strategy.PAPER_CLOSED_FORM, "verbatim"))
+    @example(k=-5.0, m=60, n=100_000, beta=1e-4, series=(Strategy.POISSON_PIPELINE, "corrected"))
+    @example(k=-5.0, m=60, n=100_000, beta=1e3, series=(Strategy.POISSON_PIPELINE, "corrected"))
     def test_finite_or_typed_error(self, k, m, n, beta, series):
-        """Every value is finite, or sweep raises a typed error; Z is
+        """Every value is finite: no point of the box is refused. Z is
         exp(ln Z), saturated like the direct sum's; S = beta (U - F)."""
         strategy, variant = series
-        try:
-            series = sweep(SystemParams(alpha=1.0, k=k), m, n, [beta], strategy, variant)
-        except (IntegrationError, NonPhysicalError):
-            return
+        series = sweep(SystemParams(alpha=1.0, k=k), m, n, [beta], strategy, variant)
         z, log_z, u, c, f, s = (getattr(series, q).item()
                                 for q in ("z", "log_z", "u", "c", "f", "s"))
         assert all(math.isfinite(v) for v in (log_z, u, c, f, s))
