@@ -16,6 +16,7 @@ every other argv, so help, usage and error text are always its own.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import re
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__, thermo, validate as validation
 from .errors import ConfigError, DomainError, PdmOscError
 from .oscillator import RadialFamily, SystemParams, _turning_radius, energy
-from .output import SeriesTable, format_float
+from .output import TableHead, check_rows, format_float, write_tables
 from .specfun import JACOBI_DEGREE_CAP
 
 # the one declaration of each option: its name (the flag is "--" + name with
@@ -36,10 +37,12 @@ from .specfun import JACOBI_DEGREE_CAP
 _Option = namedtuple("_Option", "name kind default choices help commands bound", defaults=(None,))
 _STATES, _TABLES = ("spectrum", "wavefunction"), ("thermo", "figures")
 _SYSTEM = _STATES + _TABLES
-# a T or r grid has 2 to 10**7 rows; memory bounds it: a command holds its
-# series and tables whole, about 310 (direct) to 480 (paper) bytes per
-# temperature row for three k values, so 10**7 rows take 3 to 5 GB
+# a T or r grid has 2 to 10**7 rows. Its memory is flat in the row count (a
+# command sweeps, checks and writes _ROW_BLOCK rows at a time); the cap bounds
+# its files and its time: at 10**7 rows a three-k thermo table is about 3.9 GB
+# of CSV, written in about 1.5 (direct) to 3 (poisson) minutes on 2 cores
 _ROWS = (lambda n: 2 <= n <= 10**7, "must be in [2, 10000000]")
+_ROW_BLOCK = 4096
 _OPTIONS = (
     _Option("alpha", float, 1.0, None, "oscillation frequency (> 0)", _SYSTEM),
     _Option("k", float, None, None, "nonlinearity parameter (physical: k < 0)", _SYSTEM),
@@ -189,28 +192,28 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return cfg
 
 
-def _temperature_grid(cfg: dict) -> list[float]:
+def _temperature_grid(cfg: dict, start: int = 0, stop: int | None = None) -> list[float]:
+    """Points start..stop - 1 of the T grid (all of them by default), each
+    from its index alone."""
     t_min, t_max, count, spacing = cfg["T_min"], cfg["T_max"], cfg["T_count"], cfg["T_spacing"]
-    if spacing == "linear":
-        step = (t_max - t_min) / (count - 1)
-        return [t_min + i * step for i in range(count)]
-    if spacing == "log":
-        ratio = (t_max / t_min) ** (1.0 / (count - 1))
-        return [t_min * ratio**i for i in range(count)]
+    indices = range(start, count if stop is None else stop)
     # auto: log-spaced below T=1, linear above; a grid on one side of T=1,
     # or of two points, is all log or all linear
-    if t_min >= 1.0 or count == 2:
-        return _temperature_grid({**cfg, "T_spacing": "linear"})
-    if t_max <= 1.0:
-        return _temperature_grid({**cfg, "T_spacing": "log"})
+    if spacing == "auto" and (t_min >= 1.0 or count == 2):
+        spacing = "linear"
+    elif spacing == "auto" and t_max <= 1.0:
+        spacing = "log"
+    if spacing == "linear":
+        step = (t_max - t_min) / (count - 1)
+        return [t_min + i * step for i in indices]
+    if spacing == "log":
+        ratio = (t_max / t_min) ** (1.0 / (count - 1))
+        return [t_min * ratio**i for i in indices]
     # the linear part keeps at least its two ends
     n_log = min(max(count // 5, 2), count - 2)
-    n_lin = count - n_log
     ratio = (1.0 / t_min) ** (1.0 / n_log)
-    log_part = [t_min * ratio**i for i in range(n_log)]
-    step = (t_max - 1.0) / (n_lin - 1)
-    lin_part = [1.0 + i * step for i in range(n_lin)]
-    return log_part + lin_part
+    step = (t_max - 1.0) / (count - n_log - 1)
+    return [t_min * ratio**i if i < n_log else 1.0 + (i - n_log) * step for i in indices]
 
 
 def _metadata(cfg: dict, command: str, extra: list[tuple[str, str]]) -> list[tuple[str, str]]:
@@ -232,106 +235,88 @@ def _metadata(cfg: dict, command: str, extra: list[tuple[str, str]]) -> list[tup
     return meta
 
 
-def _out_path(cfg: dict, filename: str) -> str:
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, filename)
-
-
-def _write_table(cfg: dict, table: SeriesTable, stem: str) -> list[str]:
-    written = []
-    if cfg["format"] in ("csv", "both"):
-        path = _out_path(cfg, stem + ".csv")
-        table.write_csv(path)
-        written.append(path)
-    if cfg["format"] in ("svg", "both"):
-        path = _out_path(cfg, stem + ".svg")
-        table.write_svg(path)
-        written.append(path)
-    return written
+def _write(cfg: dict, heads: list[TableHead], stems: list[str], count: int, rows) -> int:
+    """Write the tables of count rows to the files stem.csv and stem.svg of
+    the format, a block of rows at a time (output.write_tables), and print
+    their paths, each table's CSV before its SVG."""
+    paths = {kind: [os.path.join(cfg["out"], f"{stem}.{kind}") for stem in stems]
+             if cfg["format"] in (kind, "both") else [] for kind in ("csv", "svg")}
+    write_tables(heads, paths["csv"], paths["svg"], count, _ROW_BLOCK, rows)
+    for pair in itertools.zip_longest(paths["csv"], paths["svg"]):
+        for path in filter(None, pair):
+            print(path)
+    return 0
 
 
 def cmd_spectrum(cfg: dict) -> int:
-    n_values = np.arange(cfg["n_max"] + 1)
-    columns = [(f"E(k={format_float(p.k)}) [energy]", energy(p, n_values, cfg["m"]))
-               for p in cfg["systems"]]
-    table = SeriesTable(
-        x_label="n_r [-]",
-        y_label="E [energy, hbar=1]",
-        x=n_values,
-        columns=columns,
-        metadata=_metadata(cfg, "spectrum", [("n_max", str(cfg["n_max"]))]),
-    )
-    for path in _write_table(cfg, table, f"spectrum_m{cfg['m']}"):
-        print(path)
-    return 0
+    head = TableHead("n_r [-]", "E [energy, hbar=1]",
+                     [f"E(k={format_float(p.k)}) [energy]" for p in cfg["systems"]],
+                     _metadata(cfg, "spectrum", [("n_max", str(cfg["n_max"]))]))
+
+    def rows(start, stop, columns):
+        n_values = np.arange(start, stop)
+        return n_values, [[energy(p, n_values, cfg["m"]) for p in cfg["systems"][columns]]]
+
+    return _write(cfg, [head], [f"spectrum_m{cfg['m']}"], cfg["n_max"] + 1, rows)
 
 
 def cmd_wavefunction(cfg: dict) -> int:
     if len(cfg["k_list"]) != 1:
         raise ConfigError("k_list", "wavefunction output needs exactly one k")
-    (p,), m, n_max = cfg["systems"], cfg["m"], cfg["n_max"]
+    (p,), m, n_max, count = cfg["systems"], cfg["m"], cfg["n_max"], cfg["r_count"]
     family = RadialFamily(p, m, n_max)
     # the states live within a few turning radii of the origin, which is a
     # sliver of [0, r_max) as k -> 0-: sample up to four outer turning radii
     # of the highest state
     r_hi = min(p.r_max, 4.0 * _turning_radius(p, n_max, m))
-    r = r_hi * (np.arange(cfg["r_count"]) + 0.5) / cfg["r_count"]
-    values = family.values(r)
-    # at large |m| a state peaks so near z = 1 that every sample underflows
-    missed = np.flatnonzero(~values.any(axis=1))
-    if missed.size:
-        raise DomainError(f"k={p.k}, m={m}, n_max={n_max}: every r sample of state "
-                          f"n={missed[0]} is exactly 0; the grid misses where it lives")
-    # the family's rows are the table's columns
-    columns = [(f"U_n{n} [1/length]", u) for n, u in enumerate(values)]
-    table = SeriesTable(
-        x_label="r [length]",
-        y_label=f"U(r), m={cfg['m']} [1/length]",
-        x=r,
-        columns=columns,
-        metadata=_metadata(cfg, "wavefunction", [("n_max", str(n_max)),
-                                                  ("r_count", str(cfg["r_count"]))]),
-    )
-    for path in _write_table(cfg, table, f"wavefunction_m{cfg['m']}"):
-        print(path)
-    return 0
+    held = np.zeros(n_max + 1, dtype=bool)  # the states with a nonzero sample so far
+
+    def rows(start, stop, columns):
+        r = r_hi * (np.arange(start, stop) + 0.5) / count
+        values = family.values(r)[columns]
+        np.logical_or(held[columns], values.any(axis=1), out=held[columns])
+        # at large |m| a state peaks so near z = 1 that every sample underflows
+        missed = np.flatnonzero(~held)
+        if stop == count and missed.size:
+            raise DomainError(f"k={p.k}, m={m}, n_max={n_max}: every r sample of state "
+                              f"n={missed[0]} is exactly 0; the grid misses where it lives")
+        # the family's rows are the table's columns
+        return r, [values]
+
+    head = TableHead("r [length]", f"U(r), m={m} [1/length]",
+                     [f"U_n{n} [1/length]" for n in range(n_max + 1)],
+                     _metadata(cfg, "wavefunction", [("n_max", str(n_max)),
+                                                     ("r_count", str(count))]))
+    return _write(cfg, [head], [f"wavefunction_m{m}"], count, rows)
 
 
-def _thermo_tables(cfg: dict, command: str, temps: np.ndarray) -> list[SeriesTable]:
-    """The Z, U, C, F and S tables over temps: one column per k and variant."""
+def _thermo_heads(cfg: dict, command: str) -> tuple[list[TableHead], list[tuple]]:
+    """The Z, U, C, F and S tables' heads, one column per k and variant, and
+    the (params, variant) of each column's series."""
     variants = ["corrected", "verbatim"] if cfg["variant"] == "both" else [cfg["variant"]]
     if cfg["strategy_enum"] is not thermo.Strategy.PAPER_CLOSED_FORM:
         variants = variants[:1]
-    by_series: dict[tuple[float, str], thermo.ThermoSeries] = {}
-    for p in cfg["systems"]:
-        for v in variants:
-            by_series[(p.k, v)] = thermo.sweep(p, cfg["m"], cfg["N"], 1.0 / (p.kb * temps),
-                                               cfg["strategy_enum"], v)
+    series = [(p, v) for p in cfg["systems"] for v in variants]
     grid_meta = (
         f"min={format_float(cfg['T_min'])} max={format_float(cfg['T_max'])} "
         f"count={cfg['T_count']} spacing={cfg['T_spacing']}"
     )
-    tables = []
     unit = {"Z": "-", "U": "energy", "C": "kb", "F": "energy", "S": "kb"}
-    for label in _QUANTITIES:
-        columns = []
-        for (k, v), series in by_series.items():
-            tag = f";{v}" if len(variants) > 1 else ""
-            columns.append(
-                (f"{label}(k={format_float(k)}{tag}) [{unit[label]}]",
-                 getattr(series, label.lower()))
-            )
-        tables.append(
-            SeriesTable(
-                x_label="T [energy; kb=1]",
-                y_label=f"{label} [{unit[label]}]",
-                x=temps,
-                columns=columns,
-                metadata=_metadata(cfg, command, [("T_grid", grid_meta), ("quantity", label)]),
-            )
-        )
-    return tables
+    tag = {v: f";{v}" if len(variants) > 1 else "" for v in variants}
+    heads = [TableHead("T [energy; kb=1]", f"{label} [{unit[label]}]",
+                       [f"{label}(k={format_float(p.k)}{tag[v]}) [{unit[label]}]"
+                        for p, v in series],
+                       _metadata(cfg, command, [("T_grid", grid_meta), ("quantity", label)]))
+             for label in _QUANTITIES]
+    return heads, series
+
+
+def _thermo_rows(cfg: dict, series: list[tuple], temps: np.ndarray) -> list[list[np.ndarray]]:
+    """Z, U, C, F and S (the tables) of each (params, variant) series over
+    temps, one sweep per series."""
+    swept = [thermo.sweep(p, cfg["m"], cfg["N"], 1.0 / (p.kb * temps), cfg["strategy_enum"], v)
+             for p, v in series]
+    return [[getattr(s, label.lower()) for s in swept] for label in _QUANTITIES]
 
 
 def cmd_thermo(cfg: dict) -> int:
@@ -339,8 +324,10 @@ def cmd_thermo(cfg: dict) -> int:
         return cmd_tables(cfg, "thermo")
     # single-point mode: the five quantities per k on one line, held to the
     # tables' finiteness rule
-    tables = _thermo_tables(cfg, "thermo", np.array([cfg["T"]]))
-    values = [table.validate()[1] for table in tables]
+    heads, series = _thermo_heads(cfg, "thermo")
+    temps = np.array([cfg["T"]])
+    values = _thermo_rows(cfg, series, temps)
+    check_rows(heads, temps, values)
     for j, k in enumerate(cfg["k_list"]):
         cells = " ".join(f"{q}={format_float(cols[j][0].item())}"
                          for q, cols in zip(_QUANTITIES, values))
@@ -350,12 +337,22 @@ def cmd_thermo(cfg: dict) -> int:
 
 def cmd_tables(cfg: dict, command: str) -> int:
     """`figures`, and `thermo` without --T: the five tables over the
-    temperature grid, one file per table and format."""
-    tables = _thermo_tables(cfg, command, np.array(_temperature_grid(cfg)))
-    for table, label in zip(tables, _QUANTITIES):
-        for path in _write_table(cfg, table, f"{command}_m{cfg['m']}_{label}"):
-            print(path)
-    return 0
+    temperature grid, one file per table and format, swept a block of rows
+    at a time."""
+    heads, series = _thermo_heads(cfg, command)
+    count = cfg["T_count"]
+
+    def rows(start, stop, columns):
+        temps = np.array(_temperature_grid(cfg, start, stop))
+        return temps, _thermo_rows(cfg, series[columns], temps)
+
+    if count > _ROW_BLOCK:
+        # a sweep's range refusals read only its grid's ends: sweeping those
+        # refuses the grid as a whole, before any file is begun
+        _thermo_rows(cfg, series, np.array(_temperature_grid(cfg, 0, 1)
+                                           + _temperature_grid(cfg, count - 1, count)))
+    return _write(cfg, heads, [f"{command}_m{cfg['m']}_{label}" for label in _QUANTITIES],
+                  count, rows)
 
 
 def cmd_validate(quick: bool, inject_energy_perturbation: bool) -> int:

@@ -8,10 +8,13 @@ byte-identical files.
 Columns may be lists or arrays. CSV cells ('.17g') and polyline points
 ('.2f') go through one array renderer, `_blocks`, whose text equals Python's
 formatter byte for byte. It yields the cells as ASCII bytes one block of
-4,096 cells at a time: write_csv and write_svg validate the table, open the
-file and write each block as it comes (a polyline's points are mapped a
-block at a time too), so no file's whole text is ever in memory, and to_csv
-and to_svg join the same stream. In a block, a '.17g' cell's digits are
+4,096 cells at a time, and write_tables writes each block to its file as
+it comes (a polyline's points are mapped a block at a time too), so no
+file's whole text is ever in memory; to_csv and to_svg join the same
+stream. write_tables takes a table's rows from a source a block of rows at
+a time and checks each block before it writes it, so the rows need not be
+whole in memory either; write_csv and write_svg hand it a SeriesTable's
+columns as one block. In a block, a '.17g' cell's digits are
 |x| * 10**k, formed exactly as a double-double and rounded half-even to a
 17-digit integer, and a '.2f' cell's are 100 |x| rounded to an integer,
 formed from the exact fraction of |x|; their ASCII comes from tables of
@@ -30,19 +33,27 @@ within 1e-6 of a half (every exact tie among them), non-finite values, and
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import math
+import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["SeriesTable", "format_float"]
+__all__ = ["SeriesTable", "TableHead", "check_rows", "format_float", "write_tables"]
 
 _PALETTE = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#d68910", "#16a085")
+# an SVG plot's size, its margins (left, right, top, bottom) and its plot area
+_WIDTH, _HEIGHT = 720, 480
+_ML, _MR, _MT, _MB = 70, 20, 20, 50
+_PW, _PH = _WIDTH - _ML - _MR, _HEIGHT - _MT - _MB
 
 
 def format_float(x: float) -> str:
@@ -65,6 +76,137 @@ def _axis_range(v0: float, v1: float, pad: float) -> tuple[float, float, float]:
     return max(v0 - margin, -top * scale), min(v1 + margin, top * scale), scale
 
 
+class TableHead(NamedTuple):
+    """A table apart from its rows: x label, y label (a plot's), column names
+    and metadata."""
+
+    x_label: str
+    y_label: str
+    names: list[str]
+    metadata: list[tuple[str, str]]
+
+
+def _check_names(head: TableHead) -> None:
+    for name in [head.x_label, *head.names]:
+        if "," in name:
+            raise DomainError(f"column name {name!r} may not contain a comma")
+
+
+def _non_finite(name: str, col, start: int = 0) -> str | None:
+    """The refusal of col's first non-finite cell, its row counted from
+    start, or None."""
+    bad = np.flatnonzero(~np.isfinite(col))
+    if bad.size:
+        return f"non-finite value {col[bad[0]]} at row {start + bad[0]} column {name!r}"
+    return None
+
+
+def _scan(heads: list[TableHead], x, cols, start: int, found: tuple | None) -> tuple | None:
+    """found, a (table, column) key with its refusal, or the first
+    non-finite cell of these rows (from row start) that comes before it:
+    the tables in order, each its columns in order and then x."""
+    for t, (head, table) in enumerate(zip(heads, cols)):
+        for j, (name, col) in enumerate([*zip(head.names, table), (head.x_label, x)]):
+            if found and found[0] <= (t, j):
+                return found
+            message = _non_finite(name, col, start)
+            if message:
+                return (t, j), message
+    return found
+
+
+def check_rows(heads: list[TableHead], x, cols) -> None:
+    """Refuse the rows x, cols[t] of the tables heads, as write_tables
+    does, at the first non-finite cell: the tables in order, each its
+    columns in order and then x."""
+    found = _scan(heads, x, cols, 0, None)
+    if found:
+        raise DomainError(found[1])
+
+
+def _csv_head(head: TableHead) -> bytes:
+    lines = [f"# {key}: {value}" for key, value in head.metadata]
+    lines.append(",".join([head.x_label, *head.names]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _csv_rows(x, cols) -> Iterator[bytes]:
+    return _blocks([x, *cols], ".17g", b"," * len(cols) + b"\n")
+
+
+def _svg_frame(head: TableHead, x_range: tuple[float, float],
+               y_range: tuple[float, float]) -> tuple[bytes, tuple]:
+    """The start of a 720 x 480 plot of data over x_range and y_range, each
+    (min, max): axes, ticks and labels; and the maps of x and y onto it,
+    elementwise over arrays."""
+    x0, x1, sx = _axis_range(*x_range, 0.0)
+    y0, y1, sy = _axis_range(*y_range, 0.05)
+
+    # px and py map numbers and, elementwise, arrays, in units of sx and sy
+    def px(x):
+        return _ML + (x - x0) / (x1 - x0) * _PW
+
+    def py(y):
+        return _MT + _PH - (y - y0) / (y1 - y0) * _PH
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<line x1="{_ML}" y1="{_MT + _PH}" x2="{_ML + _PW}" y2="{_MT + _PH}" stroke="black"/>',
+        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + _PH}" stroke="black"/>',
+    ]
+    for j in range(5):
+        xt = x0 + (x1 - x0) / 4 * j
+        yt = y0 + (y1 - y0) / 4 * j
+        parts += [
+            f'<line x1="{px(xt):.2f}" y1="{_MT + _PH}" x2="{px(xt):.2f}" '
+            f'y2="{_MT + _PH + 5}" stroke="black"/>',
+            f'<text x="{px(xt):.2f}" y="{_MT + _PH + 18}" font-size="11" '
+            f'text-anchor="middle">{xt / sx:.4g}</text>',
+            f'<line x1="{_ML - 5}" y1="{py(yt):.2f}" x2="{_ML}" y2="{py(yt):.2f}" '
+            f'stroke="black"/>',
+            f'<text x="{_ML - 8}" y="{py(yt) + 4:.2f}" font-size="11" '
+            f'text-anchor="end">{yt / sy:.4g}</text>',
+        ]
+    parts.append(
+        f'<text x="{_ML + _PW / 2:.2f}" y="{_HEIGHT - 10}" font-size="12" '
+        f'text-anchor="middle">{head.x_label}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{_MT + _PH / 2:.2f}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 16 {_MT + _PH / 2:.2f})">{head.y_label}</text>'
+    )
+    return ("\n".join(parts) + "\n").encode(), (lambda x: px(x * sx), lambda y: py(y * sy))
+
+
+# a polyline's points follow this; then its end and legend entry (_legend)
+_POINTS = b'<polyline points="'
+
+
+def _legend(idx: int, name: str) -> bytes:
+    """The end of column idx's polyline, after its points, and its legend entry."""
+    color = _PALETTE[idx % len(_PALETTE)]
+    ly = _MT + 14 + 16 * idx
+    return (
+        f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
+        f'<line x1="{_ML + _PW - 130}" y1="{ly}" x2="{_ML + _PW - 110}" y2="{ly}" '
+        f'stroke="{color}" stroke-width="2"/>\n'
+        f'<text x="{_ML + _PW - 104}" y="{ly + 4}" font-size="11">{name}</text>\n'
+    ).encode()
+
+
+def _points(x, y, maps, last: bool) -> Iterator[bytes]:
+    """Polyline points (x, y), mapped by maps, each followed by ", " but the
+    last of a polyline's last rows."""
+    return _blocks([x, y], ".2f", b", ", last_sep=not last, maps=maps)
+
+
+def _extent(arrays, extent: tuple[float, float] = (math.inf, -math.inf)) -> tuple[float, float]:
+    """The (min, max) over extent and every value of arrays, as floats."""
+    return (min([extent[0], *(float(np.min(a)) for a in arrays)]),
+            max([extent[1], *(float(np.max(a)) for a in arrays)]))
+
+
 @dataclass
 class SeriesTable:
     """One x column plus one y column per series, with a metadata header."""
@@ -75,6 +217,10 @@ class SeriesTable:
     columns: list[tuple[str, list[float] | np.ndarray]]
     metadata: list[tuple[str, str]] = field(default_factory=list)
 
+    def head(self) -> TableHead:
+        return TableHead(self.x_label, self.y_label, [name for name, _ in self.columns],
+                         self.metadata)
+
     def validate(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Reject ragged columns, non-finite cells and unquotable names;
         return x and the columns as float arrays.
@@ -82,98 +228,42 @@ class SeriesTable:
         The first non-finite cell of the first column that has one is
         reported, the columns in order and x last.
         """
-        for name in [self.x_label] + [name for name, _ in self.columns]:
-            if "," in name:
-                raise DomainError(f"column name {name!r} may not contain a comma")
+        _check_names(self.head())
         x = np.asarray(self.x, dtype=float)
         cols = [np.asarray(col, dtype=float) for _, col in self.columns]
         for (name, _), col in [*zip(self.columns, cols), ((self.x_label, None), x)]:
             if col.size != x.size:
                 raise DomainError(f"column {name!r} has {col.size} rows, x has {x.size}")
-            bad = np.flatnonzero(~np.isfinite(col))
-            if bad.size:
-                i = bad[0]
-                raise DomainError(f"non-finite value {col[i]} at row {i} column {name!r}")
+            message = _non_finite(name, col)
+            if message:
+                raise DomainError(message)
         return x, cols
 
     def _csv(self) -> Iterator[bytes]:
         """The CSV text as a stream of bytes blocks. The table is validated
         before the stream is returned, so before any file is opened."""
         x, cols = self.validate()
-        lines = [f"# {key}: {value}" for key, value in self.metadata]
-        lines.append(",".join([self.x_label] + [name for name, _ in self.columns]))
-        return itertools.chain([("\n".join(lines) + "\n").encode()],
-                               _blocks([x] + cols, ".17g", b"," * len(cols) + b"\n"))
+        return itertools.chain([_csv_head(self.head())], _csv_rows(x, cols))
 
     def to_csv(self) -> str:
         return b"".join(self._csv()).decode()
 
     def write_csv(self, path: str) -> None:
-        _write(path, self._csv())
+        self._write([path], [])
 
     def _svg(self) -> Iterator[bytes]:
         """Minimal 720 x 480 polyline plot: axes, ticks, one legend entry per
         column, as a stream of bytes blocks. The table is validated before
         the stream is returned, so before any file is opened."""
         xs, cols = self.validate()
-        width, height = 720, 480
-        ml, mr, mt, mb = 70, 20, 20, 50
-        pw, ph = width - ml - mr, height - mt - mb
-        x0, x1, sx = _axis_range(xs.min().item(), xs.max().item(), 0.0)
-        y0, y1, sy = _axis_range(min(map(np.min, cols)).item(), max(map(np.max, cols)).item(),
-                                 0.05)
-
-        # px and py map numbers and, elementwise, arrays, in units of sx and sy
-        def px(x):
-            return ml + (x - x0) / (x1 - x0) * pw
-
-        def py(y):
-            return mt + ph - (y - y0) / (y1 - y0) * ph
-
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-            f'<rect width="{width}" height="{height}" fill="white"/>',
-            f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
-            f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
-        ]
-        for j in range(5):
-            xt = x0 + (x1 - x0) / 4 * j
-            yt = y0 + (y1 - y0) / 4 * j
-            parts += [
-                f'<line x1="{px(xt):.2f}" y1="{mt + ph}" x2="{px(xt):.2f}" '
-                f'y2="{mt + ph + 5}" stroke="black"/>',
-                f'<text x="{px(xt):.2f}" y="{mt + ph + 18}" font-size="11" '
-                f'text-anchor="middle">{xt / sx:.4g}</text>',
-                f'<line x1="{ml - 5}" y1="{py(yt):.2f}" x2="{ml}" y2="{py(yt):.2f}" '
-                f'stroke="black"/>',
-                f'<text x="{ml - 8}" y="{py(yt) + 4:.2f}" font-size="11" '
-                f'text-anchor="end">{yt / sy:.4g}</text>',
-            ]
-        parts.append(
-            f'<text x="{ml + pw / 2:.2f}" y="{height - 10}" font-size="12" '
-            f'text-anchor="middle">{self.x_label}</text>'
-        )
-        parts.append(
-            f'<text x="16" y="{mt + ph / 2:.2f}" font-size="12" text-anchor="middle" '
-            f'transform="rotate(-90 16 {mt + ph / 2:.2f})">{self.y_label}</text>'
-        )
-        head = ("\n".join(parts) + "\n").encode()
-        # each block of points is mapped as it is rendered
-        maps = (lambda x: px(x * sx), lambda y: py(y * sy))
+        start, maps = _svg_frame(self.head(), _extent([xs]), _extent(cols))
 
         def stream():
-            yield head
+            yield start
             for idx, ((name, _), col) in enumerate(zip(self.columns, cols)):
-                color = _PALETTE[idx % len(_PALETTE)]
-                yield b'<polyline points="'
-                yield from _blocks([xs, col], ".2f", b", ", last_sep=False, maps=maps)
-                ly = mt + 14 + 16 * idx
-                yield (
-                    f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
-                    f'<line x1="{ml + pw - 130}" y1="{ly}" x2="{ml + pw - 110}" y2="{ly}" '
-                    f'stroke="{color}" stroke-width="2"/>\n'
-                    f'<text x="{ml + pw - 104}" y="{ly + 4}" font-size="11">{name}</text>\n'
-                ).encode()
+                yield _POINTS
+                yield from _points(xs, col, maps, True)
+                yield _legend(idx, name)
             yield b"</svg>\n"
 
         return stream()
@@ -182,13 +272,106 @@ class SeriesTable:
         return b"".join(self._svg()).decode()
 
     def write_svg(self, path: str) -> None:
-        _write(path, self._svg())
+        self._write([], [path])
+
+    def _write(self, csv_paths: list[str], svg_paths: list[str]) -> None:
+        """Write the table, validated first, through write_tables, as one block."""
+        x, cols = self.validate()
+        write_tables([self.head()], csv_paths, svg_paths, x.size, max(x.size, 1),
+                     lambda start, stop, columns: (x[start:stop], [cols[columns]]))
 
 
-def _write(path: str, blocks: Iterator[bytes]) -> None:
-    """Write each block to the file at path as it comes."""
-    with open(path, "wb") as fh:
-        fh.writelines(blocks)
+def write_tables(heads: list[TableHead], csv_paths: list[str], svg_paths: list[str],
+                 count: int, block: int, rows: Callable[[int, int, slice], tuple]) -> None:
+    """Write table t of heads, of count rows, as CSV to csv_paths[t] and as
+    SVG to svg_paths[t] (either list may be empty), taking its rows a block
+    of at most block at a time: rows(start, stop, columns) gives x on rows
+    start..stop-1 and, for each table, its columns[columns] there (every
+    table has as many columns).
+
+    Each block is checked before it is written, and the refusal is that of
+    check_rows on the whole tables, given once every block has been formed.
+    Each file is written as its path + ".part" and renamed to its path once
+    every file is complete; a refusal or failure removes them, and the
+    directories made for them. An SVG's axes span its columns over every
+    row: a grid of one block is formed once, while a longer one's first
+    pass keeps only each table's ranges and a second pass forms each
+    column again, a block at a time, for its polyline.
+    """
+    for head in heads:
+        _check_names(head)
+    spans = [(start, min(start + block, count)) for start in range(0, max(count, 1), block)]
+    files, made, complete = [], [], False
+    try:
+        found, cached = None, None
+        ranges = [((math.inf, -math.inf),) * 2 for _ in heads]
+        for start, stop in spans:
+            x, cols = rows(start, stop, slice(None))
+            found = _scan(heads, x, cols, start, found)
+            if found:
+                continue  # later blocks are still formed: a refusal there comes first
+            if not files:
+                for directory in dict.fromkeys(map(os.path.dirname, csv_paths + svg_paths)):
+                    made += _make_dirs(directory) if directory else []
+                for path in csv_paths + svg_paths:
+                    files.append(open(path + ".part", "wb"))
+                csvs, svgs = files[:len(csv_paths)], files[len(csv_paths):]
+                for fh, head in zip(csvs, heads):
+                    fh.write(_csv_head(head))
+            for fh, table in zip(csvs, cols):
+                fh.writelines(_csv_rows(x, table))
+            if svgs:
+                ranges = [(_extent([x], xr), _extent(table, yr))
+                          for (xr, yr), table in zip(ranges, cols)]
+                cached = (x, cols) if len(spans) == 1 else None
+        if found:
+            raise DomainError(found[1])
+        frames = [_svg_frame(head, *extent) for head, extent in zip(heads, ranges) if svgs]
+        for fh, (start_bytes, _) in zip(svgs, frames):
+            fh.write(start_bytes)
+        for j in range(len(heads[0].names) if svgs else 0):
+            for fh in svgs:
+                fh.write(_POINTS)
+            for start, stop in spans:
+                x, cols = (rows(start, stop, slice(j, j + 1)) if cached is None
+                           else (cached[0], [table[j:j + 1] for table in cached[1]]))
+                for fh, (_, maps), (col,) in zip(svgs, frames, cols):
+                    fh.writelines(_points(x, col, maps, stop == count))
+            for fh, head in zip(svgs, heads):
+                fh.write(_legend(j, head.names[j]))
+        for fh in svgs:
+            fh.write(b"</svg>\n")
+        for fh in files:
+            fh.close()
+        complete = True
+    finally:
+        if not complete:
+            _discard(files, made)
+    for path in csv_paths + svg_paths:
+        os.replace(path + ".part", path)
+
+
+def _make_dirs(path: str) -> list[str]:
+    """Make the directory path and its missing parents; return those it
+    made."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return made
+
+
+def _discard(files: list, made: list[str]) -> None:
+    """Close and remove the files begun, then the directories made for them."""
+    for fh in files:
+        with contextlib.suppress(OSError):
+            fh.close()
+        with contextlib.suppress(OSError):
+            os.remove(fh.name)
+    for path in sorted(made, key=len, reverse=True):  # innermost first
+        with contextlib.suppress(OSError):
+            os.rmdir(path)
 
 
 # cells per block: a block's temporaries stay in cache

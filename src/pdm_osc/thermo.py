@@ -108,8 +108,9 @@ class ThermoSeries:
 
 # the direct sum reduces its (beta x level) weight array in blocks of at most
 # this many elements, and a longer row piece by piece, so its memory stays
-# flat in the grid length and in N: a point that keeps all N + 1 levels
-# peaks 0.8 MB above set-up for N = 1e5 to 1e7.
+# flat in the grid length and in N: a point at alpha = 1, k = -1e-6, m = 40,
+# beta = 1e-4 (1e5 to 1.5e6 levels kept) peaks 1.6 MB above set-up in a fresh
+# interpreter, 0.8 MB once a first sweep has run, for N = 1e5 to 1e7.
 _BLOCK_ELEMENTS = 2**15
 
 # exp(-x) is exactly 0.0 in double precision for every x beyond this
@@ -187,20 +188,24 @@ def _row_cuts(slope: float, q: float, d1: float, betas: np.ndarray,
 
 
 def _check_weights_range(params: SystemParams, e0: float, d_top: float,
-                         betas: np.ndarray, moments: str | None = None) -> None:
+                         betas: np.ndarray, moments: str | None = None,
+                         reach: float = 1.0) -> None:
     """Refuse a grid on which the weights exp(-beta d) of d_0..d_top leave the
     double range: E_0, E_0 + d_top, 746/beta and beta d_top, as Python floats
     at the ends of the grid (an empty grid's ends, inf and 0, leave the
     spectrum alone to check), must be finite; for moments that square the
-    excitations up to d_top, the level E_{moments}, d_top^2 too."""
+    excitations up to d_top, the level E_{moments}, reach d_top^2 too (for
+    an integral of d^2 f over [0, reach] with f <= 1 and d increasing, that
+    bounds the integral)."""
     b_min, b_max = betas.min(initial=math.inf).item(), betas.max(initial=0.0).item()
     if not all(map(math.isfinite, (e0, e0 + d_top, _EXP_UNDERFLOW / b_min, b_max * d_top))):
         raise DomainError(f"Boltzmann weights out of range at alpha={params.alpha}, "
                           f"kb={params.kb}, beta in [{b_min}, {b_max}]: "
                           "E_0..E_N, 746/beta or beta (E_N - E_0) is not finite")
-    if moments and not math.isfinite(d_top * d_top):
+    if moments and not math.isfinite(reach * d_top * d_top):
+        factor = "" if reach == 1.0 else f"{reach!r} "
         raise DomainError(f"Boltzmann moments out of range at alpha={params.alpha}, "
-                          f"kb={params.kb}: (E_{{{moments}}} - E_0)^2 is not finite")
+                          f"kb={params.kb}: {factor}(E_{{{moments}}} - E_0)^2 is not finite")
 
 
 def _boltzmann_sums(p: SystemParams, m: int, betas: np.ndarray, lengths: np.ndarray,
@@ -390,7 +395,8 @@ def _poisson_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> T
     with the integrals of f, d f and d^2 f, d = E - E_0 (excitation), done
     by one batched, vector-valued quadrature over the grid. f is exactly 0.0
     at the clipped upper limit u, so the moments are the formula's, and only
-    d(u), the highest level that carries weight, need have a finite square.
+    d(u), the highest level that carries weight, need be in range: the grid
+    is refused where u d(u)^2, which bounds int_0^u d^2 f, is not finite.
     Each row's quadrature starts from the segments [0, u/32, u/16, u/8, u/4,
     u/2, u], geometric toward x = 0, where f falls fastest.
     """
@@ -401,7 +407,9 @@ def _poisson_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> T
     # every quadrature node can miss f's support and converge to a false 0
     upper = np.minimum(n_max + 1.0, _underflow_root(slope, q, betas))
     x_top = upper.max(initial=0.0).item()
-    _check_weights_range(p, e0, excitation(p, x_top, m), betas, moments=repr(x_top))
+    # the segment sums of int_0^u d^2 f may reach u d(u)^2, with f <= 1
+    _check_weights_range(p, e0, excitation(p, x_top, m), betas, moments=repr(x_top),
+                         reach=max(x_top, 1.0))
     # f decays fastest at x = 0, where adaptive bisection would otherwise
     # start: the first partition halves toward it five times
     breakpoints = upper[:, None] / np.array([32.0, 16.0, 8.0, 4.0, 2.0])
@@ -461,7 +469,9 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
     where they turn subnormal (_row_cuts); the closed form computes only the
     requested d_t variant, and refuses k = 0 with NonPhysicalError.
     """
-    betas = np.fromiter(betas, dtype=float)
+    # an array is copied whole (fromiter walks it, at about 100 times the cost)
+    betas = (np.array(betas, dtype=float) if isinstance(betas, np.ndarray) and betas.ndim == 1
+             else np.fromiter(betas, dtype=float))
     bad = ~((betas > 0.0) & (betas <= _SQRT_MAX))
     if bad.any():
         raise DomainError(f"beta must be positive with a finite square, got {betas[bad][0]}")

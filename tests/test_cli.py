@@ -282,6 +282,24 @@ class TestThermoCommand:
                                 f"alpha={float(alpha)!r}, kb=1.0: "
                                 "(E_{119} - E_0)^2 is not finite\n")
 
+    @pytest.mark.parametrize("grid", [["--T=1e153"],
+                                      ["--T-min=1e153", "--T-max=2e153", "--T-count=2"]])
+    def test_poisson_integral_out_of_range_refused(self, tmp_path, capsys, grid):
+        """Outside the box, d(u)^2 may be finite while the integral of d^2 f
+        over [0, u], which reaches u d(u)^2 / 3, overflows: the pipeline
+        warned and refused a C of inf at one point, and spun 4,000
+        refinements to an error bound of nan on the grid. It now refuses
+        where u d(u)^2 (u = N + 1 here), which bounds that integral as f <= 1
+        and d increases, is not finite: one line naming alpha and kb, before
+        any array step can warn."""
+        out = tmp_path / "out"
+        argv = ["thermo", "--strategy=poisson", "--alpha=3.16e150", "--k=-0.1", *grid]
+        assert main(argv + [f"--out={out}"] * (len(grid) > 1)) == 1
+        assert capsys.readouterr() == ("", "error: Boltzmann moments out of range at "
+                                           "alpha=3.16e+150, kb=1.0: 501.0 (E_{501.0} - E_0)^2 "
+                                           "is not finite\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy, alpha, n", [
         ("poisson", "1e150", "500"), ("poisson", "1e151", "500"), ("direct", "1e150", "100000")])
     def test_large_alpha_below_moment_overflow(self, capsys, strategy, alpha, n):
@@ -587,6 +605,135 @@ class TestWavefunctionCommand:
                                / (1.0 + p.delta_sq * r * r),
                                QuadratureSpec(0.0, r_hi, rel_tol=1e-12, abs_tol=1e-15)).value
             assert inside >= (1.0 - 1e-10) * radial_overlaps(p, [(40, n, n)])[0]
+
+
+def files_under(out):
+    """Each file under the directory out, by name, as bytes."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestRowBlocks:
+    """Table commands sweep, check and write a block of cli._ROW_BLOCK rows
+    at a time: blocks of 7 rows write the bytes one block writes, and a
+    refusal in a late block gives one block's text and leaves no file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["figures", "--m=1", "--T-count=40", "--format=both"],
+        *(["thermo", f"--strategy={strategy}", "--variant=both", "--k-list=-0.1,-0.3",
+           "--T-min=0.05", "--T-max=20", "--T-count=33", "--format=both"]
+          for strategy in ("direct", "paper", "poisson")),
+        ["wavefunction", "--k=-0.2", "--m=2", "--n-max=3", "--r-count=30", "--format=both"],
+        # every sample of the first 15 rows underflows to 0
+        ["wavefunction", "--k=-0.1", "--m=300", "--n-max=1", "--format=both"],
+        ["spectrum", "--k-list=-0.1,-0.2", "--n-max=15", "--format=both"]])
+    def test_blocks_of_seven_rows_write_the_same_bytes(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        """CSV and SVG (whose axes a first pass finds before a second writes
+        the polylines), the last block short, and the auto T grid's log and
+        linear parts in different blocks."""
+        assert main(argv + [f"--out={tmp_path / 'one'}"]) == 0
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+        assert main(argv + [f"--out={tmp_path / 'seven'}"]) == 0
+        one, seven = files_under(tmp_path / "one"), files_under(tmp_path / "seven")
+        assert len(one) == (10 if argv[0] in ("figures", "thermo") else 2) and one == seven
+        printed = capsys.readouterr().out.splitlines()
+        names = [os.path.relpath(line, tmp_path / "one") for line in printed[:len(one)]]
+        assert printed == ([str(tmp_path / "one" / name) for name in names]
+                           + [str(tmp_path / "seven" / name) for name in names])
+        assert sorted(names) == list(one)
+
+    def test_sweeps_of_one_block_and_of_many(self, tmp_path, monkeypatch):
+        """A grid of one block makes one sweep per series over the whole
+        grid, for CSV and SVG alike; a longer one sweeps each series at the
+        grid's two ends, then once per block for CSV and once more per block
+        for SVG."""
+        real_sweep, lengths = thermo.sweep, []
+
+        def counted(params, m, n, betas, *args):
+            lengths.append(len(betas))
+            return real_sweep(params, m, n, betas, *args)
+
+        monkeypatch.setattr(thermo, "sweep", counted)
+        argv = ["figures", "--T-count=40", "--format=both", f"--out={tmp_path}"]
+        assert main(argv) == 0
+        assert lengths == [40] * 3
+        lengths.clear()
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+        assert main(argv) == 0
+        assert lengths == [2] * 3 + [7, 7, 7] * 5 + [5] * 3 + ([7] * 5 + [5]) * 3
+
+    def test_late_block_refusal_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        """A non-finite cell found after the files are begun is refused as
+        one block refuses it: the first in the tables' order (C before S,
+        though S's comes first in row order), with its row in the grid. No
+        file, no directory and no path is left."""
+        real_sweep = thermo.sweep
+
+        def sweep_with_nans(params, m, n, betas, *args):
+            series = real_sweep(params, m, n, betas, *args)
+            temps = 1.0 / (params.kb * np.asarray(betas))
+            series.s[(temps > 10.0) & (temps < 20.0)] = math.nan
+            series.c[temps > 40.0] = math.nan
+            return series
+
+        monkeypatch.setattr(thermo, "sweep", sweep_with_nans)
+        argv = ["thermo", "--k-list=-0.1,-0.2", "--T-count=40", "--format=both"]
+        grid = _temperature_grid({"T_min": 0.1, "T_max": 50.0, "T_count": 40,
+                                  "T_spacing": "auto"})
+        row = next(i for i, t in enumerate(grid) if t > 40.0)
+        assert row > 7 and any(10.0 < t < 20.0 for t in grid[:row])
+        for block in (cli._ROW_BLOCK, 7):
+            monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+            out = tmp_path / "a" / "b"
+            assert main(argv + [f"--out={out}"]) == 1
+            assert capsys.readouterr() == ("", f"error: non-finite value nan at row {row} "
+                                               "column 'C(k=-0.10000000000000001) [kb]'\n")
+            assert list(tmp_path.iterdir()) == []
+
+    def test_range_refusal_of_a_long_grid_names_its_ends(self, tmp_path, capsys, monkeypatch):
+        """A grid longer than one block is swept at its two ends first, so a
+        range refusal names the whole grid's betas, as one block does, and
+        comes before any file is begun (block 0 alone would name its own)."""
+        argv = ["thermo", "--alpha=1e305", "--k=-0.1", "--T-min=0.001", "--T-max=1",
+                "--T-count=40", f"--out={tmp_path / 'out'}"]
+        errors = []
+        for block in (cli._ROW_BLOCK, 7):
+            monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not (tmp_path / "out").exists()
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: Boltzmann weights out of range at alpha=1e+305, "
+                                    "kb=1.0, beta in [1.0")
+
+    def test_missed_state_after_many_blocks_leaves_nothing(self, tmp_path, capsys,
+                                                           monkeypatch):
+        """The missed-state check gathers every block before it refuses."""
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+        out = tmp_path / "out"
+        assert main(["wavefunction", "--k=-0.1", "--m=1000000", "--n-max=0",
+                     f"--out={out}"]) == 1
+        assert capsys.readouterr() == ("", "error: k=-0.1, m=1000000, n_max=0: every r sample "
+                                           "of state n=0 is exactly 0; the grid misses where "
+                                           "it lives\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["thermo", "--k=-0.1", "--N=1", "--T-count=200000"],
+                                      ["wavefunction", "--k=-0.1", "--n-max=6",
+                                       "--r-count=200000"]])
+    def test_memory_flat_in_rows(self, tmp_path, argv):
+        """200,000 rows (a 39 MB and a 26 MB CSV) allocate under 64 columns
+        of one block of rows: the whole grid's columns took 26 and 21 MB."""
+        assert main(argv[:2] + [f"--out={tmp_path}"]) == 0  # one-off allocations
+        tracemalloc.start()
+        try:
+            assert main(argv + [f"--out={tmp_path}"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(path.stat().st_size for path in tmp_path.iterdir()) > 25e6
+        assert peak < 64 * 8 * cli._ROW_BLOCK
 
 
 class TestConfigHandling:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdm_osc import thermo
-from pdm_osc.cli import _resolve, _temperature_grid, _thermo_tables, build_parser
+from pdm_osc.cli import _resolve, _temperature_grid, _thermo_heads, _thermo_rows, build_parser
 from pdm_osc.errors import DomainError, NonPhysicalError
 from pdm_osc.oscillator import SystemParams, energy, excitation, spectrum_terms
 from pdm_osc.specfun import QuadratureSpec, central_diff, integrate
@@ -252,6 +252,22 @@ class TestSweepArguments:
         with pytest.raises(ValueError, match="variant must be 'corrected' or 'verbatim'"):
             sweep(PHYS, 1, 500, [], Strategy.PAPER_CLOSED_FORM, "bogus")
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_any_iterable_grid(self, strategy):
+        """A list, tuple, float or int array and generator of the same betas
+        give the same series; an array is copied, so the series' beta does
+        not alias the caller's grid."""
+        betas = [0.5, 1.0, 2.0, 4.0]
+        grid = np.array(betas)
+        series = [sweep(PHYS, 1, 50, g, strategy) for g in
+                  (betas, tuple(betas), grid, (b for b in betas))]
+        for other in series[1:]:
+            for name in ("beta", "z", "log_z", "u", "c", "f", "s"):
+                assert_bits_equal(getattr(other, name), getattr(series[0], name))
+        assert not np.shares_memory(series[2].beta, grid)
+        ints = sweep(PHYS, 1, 50, np.array([1, 2]), strategy)
+        assert_bits_equal(ints.z, sweep(PHYS, 1, 50, [1.0, 2.0], strategy).z)
+
 
 class TestTemperatureToBeta:
     """A temperature enters the thermodynamics as beta = 1/(kb T)."""
@@ -260,10 +276,10 @@ class TestTemperatureToBeta:
         args = build_parser().parse_args(
             ["thermo", "--k", "-0.3", "--m", "1", "--kb", "2", "--T-min", "5",
              "--T-max", "10", "--T-count", "2", "--T-spacing", "linear"])
-        tables = _thermo_tables(_resolve(args, "thermo"), "thermo", np.array([5.0, 10.0]))
+        cfg = _resolve(args, "thermo")
+        tables = _thermo_rows(cfg, _thermo_heads(cfg, "thermo")[1], np.array([5.0, 10.0]))
         series = sweep(SystemParams(alpha=1.0, k=-0.3, kb=2.0), 1, 500, [1.0 / 10.0, 1.0 / 20.0])
-        for table, q in zip(tables, "zucfs"):
-            (_, column), = table.columns
+        for (column,), q in zip(tables, "zucfs"):
             np.testing.assert_allclose(column, getattr(series, q), rtol=1e-15)
 
 
