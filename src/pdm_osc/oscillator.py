@@ -282,7 +282,7 @@ def ode_residual(params: SystemParams, n_r, m, r: float | np.ndarray,
     broadcast shape; r is a number or an ndarray of them, each in
     (0, r_max). The result has shape n_r.shape + r.shape (numbers give a
     number, an empty r an empty array), and the states of one m share a
-    RadialFamily, evaluated once per stencil offset. The residual is
+    RadialFamily, evaluated once on all five stencil offsets. The residual is
     normalized by the local coefficient scale times the largest |U| on the
     stencil, so eigenstates sit at roundoff level (~1e-11) while an energy
     shifted by 0.05 is visible at the 1e-3 level. energy_override,

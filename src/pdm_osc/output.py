@@ -312,7 +312,8 @@ def write_tables(heads: list[TableHead], csv_paths: list[str], svg_paths: list[s
                 continue  # later blocks are still formed: a refusal there comes first
             if not files:
                 for directory in dict.fromkeys(map(os.path.dirname, csv_paths + svg_paths)):
-                    made += _make_dirs(directory) if directory else []
+                    if directory:
+                        _make_dirs(directory, made)
                 for path in csv_paths + svg_paths:
                     files.append(open(path + ".part", "wb"))
                 csvs, svgs = files[:len(csv_paths)], files[len(csv_paths):]
@@ -351,25 +352,32 @@ def write_tables(heads: list[TableHead], csv_paths: list[str], svg_paths: list[s
         os.replace(path + ".part", path)
 
 
-def _make_dirs(path: str) -> list[str]:
-    """Make the directory path and its missing parents; return those it
-    made."""
-    made, head = [], os.path.abspath(path)
-    while not os.path.exists(head):
-        made.append(head)
+def _make_dirs(path: str, made: list[str]) -> None:
+    """Make the directory path and its missing parents, as os.makedirs(path,
+    exist_ok=True) does, adding each to made once it is made: a failure part
+    way (a later name too long, or under a regular file through "..")
+    leaves in made every directory made so far."""
+    missing, head = [], path
+    while head and not os.path.isdir(head):
+        missing.append(head)
         head = os.path.dirname(head)
-    os.makedirs(path, exist_ok=True)
-    return made
+    for directory in reversed(missing):
+        # a ".." name, or a file that the next mkdir fails under
+        with contextlib.suppress(FileExistsError):
+            os.mkdir(directory)
+            made.append(directory)
+    os.makedirs(path, exist_ok=True)  # refuses a path that is a file
 
 
 def _discard(files: list, made: list[str]) -> None:
-    """Close and remove the files begun, then the directories made for them."""
+    """Close and remove the files begun, then the directories made for them,
+    the last made first."""
     for fh in files:
         with contextlib.suppress(OSError):
             fh.close()
         with contextlib.suppress(OSError):
             os.remove(fh.name)
-    for path in sorted(made, key=len, reverse=True):  # innermost first
+    for path in reversed(made):
         with contextlib.suppress(OSError):
             os.rmdir(path)
 

@@ -342,18 +342,24 @@ def _integrate_rows(f: Integrand, edges: np.ndarray, first_row: int, spec: Quadr
         count += 1
 
 
+_STENCIL_OFFSETS = np.arange(-2.0, 3.0)
+
+
 def five_point_stencil(
     f: Callable, x: float | np.ndarray, h: float | np.ndarray
-) -> tuple[tuple, float | np.ndarray, float | np.ndarray]:
+) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """The five samples f(x + j h), j = -2..2, and the fourth-order central
     estimates of f'(x) and f''(x) from them.
 
-    Returns (samples, d1, d2); samples[2] is f(x). Samples are taken in the
-    order of j, so a caller can pair side results of f with them. x and h
-    may be ndarrays of points and their steps; f then maps an array of points
-    to values whose last axis runs over the points.
+    f is called once, on an array of shape (5,) + shape, shape the broadcast
+    shape of x and h, whose row j + 2 is x + j h; it maps that array
+    elementwise, or to values whose leading axis is the stencil's and whose
+    last axes run over the points. Returns (samples, d1, d2): samples is
+    f's array, row by row the five samples (samples[2] is f(x)), and each
+    number equals that of five separate calls f(x + j h).
     """
-    fm2, fm1, f0, fp1, fp2 = samples = tuple(f(x + j * h) for j in (-2, -1, 0, 1, 2))
+    column = (5,) + (1,) * np.ndim(np.add(x, h))
+    fm2, fm1, f0, fp1, fp2 = samples = f(x + _STENCIL_OFFSETS.reshape(column) * h)
     d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
     d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
     return samples, d1, d2
@@ -364,7 +370,8 @@ def central_diff(
 ) -> float | np.ndarray:
     """Fourth-order central difference estimate of f' or f'' at x.
 
-    x may be an ndarray of points, with f as in five_point_stencil. The
+    x may be an ndarray of points. f is called once, on the (5,) + shape
+    array of five_point_stencil, and must map arrays as it says. The
     default step balances truncation against roundoff for smooth O(1)
     curvature; pass h explicitly for functions with fine structure.
     """

@@ -498,18 +498,33 @@ class PlateauResult:
     variation: float
 
 
+# the plateau scan's lattice T_i = 0.5 2^(i/24), i = 0..318, read-only as
+# every scan reads it
+PLATEAU_TEMPERATURES = 0.5 * np.exp2(np.arange(319) / 24.0)
+PLATEAU_TEMPERATURES.flags.writeable = False
+
+
 def find_heat_capacity_plateau(params: SystemParams, m: int,
                                truncation_n: int) -> PlateauResult | None:
     """Smallest T* in [0.5, 2500] with C varying less than 1% over [T*, 2 T*].
 
     The 295 windows start at T_i = 0.5 2^(i/24), i = 0..294, and sample C at
     the lattice points T_{i+3j} = T_i 2^(j/8), j = 0..8: one direct sweep over
-    the 319 temperatures gives every C. Returns the first qualifying window's
+    the 319 PLATEAU_TEMPERATURES gives every C, and plateau_from_lattice
+    scans the windows.
+    """
+    return plateau_from_lattice(sweep(params, m, truncation_n,
+                                      1.0 / (params.kb * PLATEAU_TEMPERATURES)).c)
+
+
+def plateau_from_lattice(c: np.ndarray) -> PlateauResult | None:
+    """The first window of find_heat_capacity_plateau over which C varies
+    less than 1%, from c, the C at each of the PLATEAU_TEMPERATURES: its
     start, mean C and relative variation (mean C 0 never qualifies), or None.
     """
-    temps = 0.5 * np.exp2(np.arange(319) / 24.0)
+    temps = PLATEAU_TEMPERATURES
     windows = np.arange(295)[:, None] + np.arange(0, 25, 3)  # window i samples T_{i+3j}
-    cs = sweep(params, m, truncation_n, 1.0 / (params.kb * temps)).c[windows]
+    cs = c[windows]
     mean_c = cs.mean(axis=1)
     variation = (cs.max(axis=1) - cs.min(axis=1)) / np.where(mean_c > 0.0, mean_c, np.nan)
     found = np.flatnonzero(variation < 0.01)

@@ -1,12 +1,14 @@
 """Self-validation suites: every oracle check bundled behind one entry point.
 
-Each check returns a CheckResult; run_all() executes them in a fixed order so
-the first failure is deterministic. The CLI `validate` command renders these
-as a pass/fail table and exits nonzero when anything fails.
+Each check returns a CheckResult (check_overlaps two, from one quadrature
+batch); run_all() executes them in a fixed order so the first failure is
+deterministic. The CLI `validate` command renders these as a pass/fail table
+and exits nonzero when anything fails.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -134,28 +136,25 @@ def check_ode_sensitivity(quick: bool = False) -> CheckResult:
     )
 
 
-def check_normalization(quick: bool = False) -> CheckResult:
-    """Unit norm under the mass-weighted radial measure, via re-integration."""
+def check_overlaps(quick: bool = False) -> tuple[CheckResult, CheckResult]:
+    """normalization, unit norm under the mass-weighted radial measure, and
+    orthogonality, the cross terms between different radial excitations at
+    fixed m, by re-integration: one radial_overlaps batch per parameter set.
+    """
     param_sets = FIXTURE_PARAM_SETS[:1] if quick else FIXTURE_PARAM_SETS
     states = FIXTURE_STATES[:4] if quick else FIXTURE_STATES
-    worst = 0.0
-    for alpha, k in param_sets:
-        norms = radial_overlaps(_params(alpha, k), [(m, n, n) for n, m in states])
-        # a NaN norm propagates into worst and fails the check
-        worst = np.max(np.append(np.abs(norms - 1.0), worst)).item()
-    return CheckResult("normalization", worst <= 1e-8, f"max |norm - 1| = {worst:.3e}")
-
-
-def check_orthogonality(quick: bool = False) -> CheckResult:
-    """Cross terms between different radial excitations at fixed m."""
-    param_sets = FIXTURE_PARAM_SETS[:1] if quick else FIXTURE_PARAM_SETS
     pairs = ((0, 1), (0, 2), (1, 2)) if quick else ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    worst = 0.0
+    triples = [(m, n, n) for n, m in states] + [(m, n1, n2) for m in (0, 1, 2) for n1, n2 in pairs]
+    worst_norm = worst_cross = 0.0
     for alpha, k in param_sets:
-        cross = radial_overlaps(_params(alpha, k),
-                                [(m, n1, n2) for m in (0, 1, 2) for n1, n2 in pairs])
-        worst = np.max(np.append(np.abs(cross), worst)).item()
-    return CheckResult("orthogonality", worst <= 1e-6, f"max |cross term| = {worst:.3e}")
+        overlaps = radial_overlaps(_params(alpha, k), triples)
+        norms, cross = overlaps[:len(states)], overlaps[len(states):]
+        # a NaN overlap propagates into its worst and fails its check
+        worst_norm = np.max(np.append(np.abs(norms - 1.0), worst_norm)).item()
+        worst_cross = np.max(np.append(np.abs(cross), worst_cross)).item()
+    return (CheckResult("normalization", worst_norm <= 1e-8, f"max |norm - 1| = {worst_norm:.3e}"),
+            CheckResult("orthogonality", worst_cross <= 1e-6,
+                        f"max |cross term| = {worst_cross:.3e}"))
 
 
 def check_limits(quick: bool = False) -> CheckResult:
@@ -203,6 +202,23 @@ def check_boltzmann_limit(quick: bool = False) -> CheckResult:
 _EM_R3_CONST = 2.0 * 1.2020569031595942 / (2.0 * math.pi) ** 3
 
 
+def _sweeps(p: SystemParams, m: int, grids,
+            strategy: thermo.Strategy = thermo.Strategy.DIRECT_SUM) -> list[thermo.ThermoSeries]:
+    """One N = 500 sweep over the grids end to end, cut into one series per
+    grid: as each point is its one-point sweep, each series equals the sweep
+    of its grid alone, bit for bit."""
+    series = thermo.sweep(p, m, 500, np.concatenate(grids), strategy)
+    arrays = [field.name for field in dataclasses.fields(series)
+              if isinstance(getattr(series, field.name), np.ndarray)]
+    ends = np.cumsum([len(grid) for grid in grids]).tolist()
+    parts = []
+    for lo, hi in zip([0] + ends[:-1], ends):
+        sliced = {name: getattr(series, name)[lo:hi] for name in arrays}
+        diagnostics = {key: column[lo:hi] for key, column in series.diagnostics.items()}
+        parts.append(dataclasses.replace(series, **sliced, diagnostics=diagnostics))
+    return parts
+
+
 def _em_terms(p: SystemParams, m: int, truncation_n: int,
               betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """T1 and the bound on |R3| at each beta of betas, for k < 0, in the
@@ -239,13 +255,17 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
         for T in [5, 50]; np.minimum and np.max keep a NaN gap, which fails.
     """
     betas = (0.05, 0.2) if quick else (0.02, 0.05, 0.1, 0.2, 1.0 / 15.0, 1.0 / 35.0)
+    hot_betas = 1.0 / (np.array([5.0, 50.0]) if quick else np.linspace(5.0, 50.0, 10))
     ks = FIGURE_K_LIST[:1] if quick else FIGURE_K_LIST
-    worst_quad = 0.0
+    worst_quad, best_gaps = 0.0, []
     for k in ks + (TRIANGULATION_K_EDGE,):
         p = _params(1.0, k)
-        quad, closed, direct = (thermo.sweep(p, 1, 500, betas, strategy) for strategy in (
-            thermo.Strategy.POISSON_PIPELINE, thermo.Strategy.PAPER_CLOSED_FORM,
-            thermo.Strategy.DIRECT_SUM))
+        # a figure k's corrected and direct series also cover the hot betas of (c)
+        grids = (betas, hot_betas) if k in ks else (betas,)
+        quad = thermo.sweep(p, 1, 500, betas, thermo.Strategy.POISSON_PIPELINE)
+        (closed, *closed_hot), (direct, *direct_hot) = (
+            _sweeps(p, 1, grids, strategy)
+            for strategy in (thermo.Strategy.PAPER_CLOSED_FORM, thermo.Strategy.DIRECT_SUM))
         # (quantity, beta) array of closed form vs quadrature gaps
         gaps = np.array([np.abs(getattr(closed, name) - getattr(quad, name))
                          / np.abs(getattr(quad, name)) for name in "zuc"])
@@ -267,14 +287,11 @@ def check_strategy_triangulation(quick: bool = False) -> CheckResult:
                     f"the remainder bound {r3_bounds[i]:.3e} at k={k}, beta={beta}",
                 )
         worst_quad = max(worst_quad, gaps.max().item())
-    hot_betas = 1.0 / (np.array([5.0, 50.0]) if quick else np.linspace(5.0, 50.0, 10))
-    best_gaps = []
-    for k in ks:
-        p = _params(1.0, k)
-        zd = thermo.sweep(p, 1, 500, hot_betas).z
-        zc, zv = (thermo.sweep(p, 1, 500, hot_betas, thermo.Strategy.PAPER_CLOSED_FORM, variant).z
-                  for variant in ("corrected", "verbatim"))
-        best_gaps.append(np.minimum(np.abs(zc - zd) / zd, np.abs(zv - zd) / zd))
+        if direct_hot:
+            zd, zc = direct_hot[0].z, closed_hot[0].z
+            zv = thermo.sweep(p, 1, 500, hot_betas, thermo.Strategy.PAPER_CLOSED_FORM,
+                              "verbatim").z
+            best_gaps.append(np.minimum(np.abs(zc - zd) / zd, np.abs(zv - zd) / zd))
     worst = np.max(best_gaps).item()
     return CheckResult(
         "strategy_triangulation", worst <= 0.05,
@@ -287,19 +304,19 @@ def _stencil_references(p: SystemParams, betas: np.ndarray):
     """The closed form's series at betas, and the U, C and S that 4th-order
     differences (step 1e-3 beta) of its own ln Z, U and F give there.
 
-    The stencil runs over all betas at once, with one closed-form sweep per
-    offset; the offset-0 sweep is the series returned. ln Z is math.log of
-    each Z.
+    The stencil runs over all betas and its five offsets at once, with one
+    closed-form sweep; its offset-0 series is the series returned. ln Z is
+    math.log of each Z.
     """
     sweeps = []
 
     def log_z_u_f(b: np.ndarray) -> np.ndarray:
-        series = thermo.sweep(p, 1, 500, b, thermo.Strategy.PAPER_CLOSED_FORM)
-        sweeps.append(series)
-        return np.array([[math.log(z) for z in series.z.tolist()], series.u, series.f])
+        parts = _sweeps(p, 1, b, thermo.Strategy.PAPER_CLOSED_FORM)  # a series per offset -2..2
+        sweeps.extend(parts)
+        return np.array([[[math.log(z) for z in series.z.tolist()], series.u, series.f]
+                         for series in parts])
 
     d_log_z, d_u, d_f = central_diff(log_z_u_f, betas, 1, 1e-3 * betas)
-    # sweeps run in the stencil's order of offsets, -2..2
     return sweeps[2], -d_log_z, -betas * betas * d_u, betas * betas * d_f
 
 
@@ -374,14 +391,16 @@ def check_figure_properties(quick: bool = False) -> CheckResult:
         plateau_c50 = []
         for k in FIGURE_K_LIST:
             p = _params(1.0, k)
-            series = thermo.sweep(p, m, 500, 1.0 / (p.kb * temps))
+            # the figure grid and find_heat_capacity_plateau's lattice, in one sweep
+            series, lattice = _sweeps(p, m, (1.0 / (p.kb * temps),
+                                             1.0 / (p.kb * thermo.PLATEAU_TEMPERATURES)))
             if np.any(series.z[1:] <= series.z[:-1]):
                 return CheckResult("figure_properties", False, f"Z not increasing (m={m}, k={k})")
             if not strictly_decreasing_resolvable(temps, series.f, series.s):
                 return CheckResult("figure_properties", False, f"F not decreasing (m={m}, k={k})")
             if np.any(series.s[1:] <= series.s[:-1]):
                 return CheckResult("figure_properties", False, f"S not increasing (m={m}, k={k})")
-            if thermo.find_heat_capacity_plateau(p, m, 500) is None:
+            if thermo.plateau_from_lattice(lattice.c) is None:
                 return CheckResult("figure_properties", False,
                                    f"no heat-capacity plateau found (m={m}, k={k})")
             # the grid ends at exactly T = 50
@@ -410,8 +429,7 @@ _CHECKS = (
     check_tau_slope,
     check_ode_residual,
     check_ode_sensitivity,
-    check_normalization,
-    check_orthogonality,
+    check_overlaps,
     check_limits,
     check_boltzmann_limit,
     check_strategy_triangulation,
@@ -426,7 +444,8 @@ def run_all(quick: bool = False, inject_energy_perturbation: bool = False) -> li
     results = []
     for check in _CHECKS:
         if check is check_ode_residual:
-            results.append(check(quick, inject_energy_perturbation=inject_energy_perturbation))
+            result = check(quick, inject_energy_perturbation=inject_energy_perturbation)
         else:
-            results.append(check(quick))
+            result = check(quick)
+        results += result if isinstance(result, tuple) else (result,)
     return results

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import collections
+import errno
 import hashlib
 import importlib.util
 import math
@@ -689,6 +690,52 @@ class TestRowBlocks:
             assert capsys.readouterr() == ("", f"error: non-finite value nan at row {row} "
                                                "column 'C(k=-0.10000000000000001) [kb]'\n")
             assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["file/out", "new/deeper/../../file/out"])
+    def test_out_under_a_regular_file_leaves_nothing(self, tmp_path, capsys, out):
+        """--out under a regular file: one error line and exit 1. Through
+        "..", the writer first makes new and new/deeper, then fails under
+        the file; it removes both, as it removes the files it began."""
+        (tmp_path / "file").write_bytes(b"")
+        argv = ["thermo", "--k=-0.1", "--T-count=40", "--format=both", f"--out={tmp_path / out}"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.ENOTDIR}] Not a directory: "
+                                           f"'{tmp_path / out}'\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
+    def test_full_disk_on_a_later_write_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        """An OSError(ENOSPC) on the third write to a .part file, a block
+        after the heads: one error line, exit 1, and neither the .part
+        files nor the directory made for them remain."""
+        writes = []
+
+        class FullDisk:
+            """A .part file whose third write finds the disk full."""
+
+            def __init__(self, fh):
+                self.fh, self.name = fh, fh.name
+
+            def write(self, data):
+                writes.append(self.name)
+                if len(writes) == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+            def writelines(self, lines):
+                self.write(b"".join(lines))
+
+            def close(self):
+                self.fh.close()
+
+        monkeypatch.setattr(output, "open", lambda path, mode: FullDisk(open(path, mode)),
+                            raising=False)
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+        out = tmp_path / "a" / "b"
+        assert main(["spectrum", "--k=-0.1", "--n-max=30", "--format=both", f"--out={out}"]) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.ENOSPC}] "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
+        assert len(writes) == 3 and all(name.endswith(".part") for name in writes)
+        assert list(tmp_path.iterdir()) == []
 
     def test_range_refusal_of_a_long_grid_names_its_ends(self, tmp_path, capsys, monkeypatch):
         """A grid longer than one block is swept at its two ends first, so a

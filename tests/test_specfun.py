@@ -459,20 +459,61 @@ class TestCentralDiff:
         assert central_diff(lambda x: x * x, 3.0, 1) == pytest.approx(6.0, abs=1e-8)
 
     def test_exponential_second_derivative(self):
-        assert central_diff(math.exp, 0.0, 2, h=1e-3) == pytest.approx(1.0, abs=1e-6)
+        assert central_diff(np.exp, 0.0, 2, h=1e-3) == pytest.approx(1.0, abs=1e-6)
 
     def test_sine_first_derivative(self):
-        assert central_diff(math.sin, 0.0, 1) == pytest.approx(1.0, abs=1e-8)
+        assert central_diff(np.sin, 0.0, 1) == pytest.approx(1.0, abs=1e-8)
 
     def test_stencil_samples_and_cubic_exactness(self):
         cubic = lambda x: x**3 - 2.0 * x
         samples, d1, d2 = five_point_stencil(cubic, 1.5, 0.25)
-        assert samples == tuple(cubic(1.5 + j * 0.25) for j in (-2, -1, 0, 1, 2))
+        assert samples.tolist() == [cubic(1.5 + j * 0.25) for j in (-2, -1, 0, 1, 2)]
         assert d1 == pytest.approx(3.0 * 1.5**2 - 2.0, rel=1e-14)
         assert d2 == pytest.approx(6.0 * 1.5, rel=1e-14)
 
+    @pytest.mark.parametrize("x, h", [(1.5, 0.25), (np.array([0.5, 2.0, 7.0]), 1e-3),
+                                      (np.array([[0.5, 2.0], [3.0, 7.0]]), np.array([0.1, 0.2]))])
+    def test_stencil_calls_f_once_on_the_offsets_stacked_first(self, x, h):
+        """f gets one (5,) + shape array whose row j + 2 is x + j h."""
+        calls = []
+
+        def f(t):
+            calls.append(t.copy())
+            return t * t
+
+        samples, _, _ = five_point_stencil(f, x, h)
+        (points,) = calls
+        assert points.shape == (5,) + np.broadcast(x, h).shape
+        for row, j in zip(points, (-2, -1, 0, 1, 2)):
+            assert row.tolist() == np.add(x, j * np.asarray(h)).tolist()
+        assert samples.tolist() == (points * points).tolist()
+
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_stencil_equals_five_separate_evaluations(self, data):
+        """Samples, d1 and d2 of the one call are, bit for bit, those of
+        five calls of f, one per offset, differenced as the stencil is."""
+        shape = data.draw(st.lists(st.integers(1, 4), max_size=2).map(tuple))
+        x = np.array(data.draw(st.lists(st.floats(-100.0, 100.0), min_size=math.prod(shape),
+                                        max_size=math.prod(shape)))).reshape(shape)
+        h = data.draw(st.one_of(st.floats(1e-6, 1.0), st.lists(
+            st.floats(1e-6, 1.0), min_size=math.prod(shape),
+            max_size=math.prod(shape)).map(lambda hs: np.array(hs).reshape(shape))))
+
+        def f(t):
+            return (t * t * t - 2.0 * t) / (1.0 + t * t)
+
+        samples, d1, d2 = five_point_stencil(f, x, h)
+        fm2, fm1, f0, fp1, fp2 = (f(x + j * np.asarray(h)) for j in (-2, -1, 0, 1, 2))
+        assert samples.tolist() == [fm2.tolist(), fm1.tolist(), f0.tolist(), fp1.tolist(),
+                                    fp2.tolist()]
+        assert np.asarray(d1).tolist() == np.asarray(
+            (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)).tolist()
+        assert np.asarray(d2).tolist() == np.asarray(
+            (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)).tolist()
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            central_diff(math.sin, 0.0, 3)
+            central_diff(np.sin, 0.0, 3)
         with pytest.raises(ValueError):
-            central_diff(math.sin, 0.0, 1, h=0.0)
+            central_diff(np.sin, 0.0, 1, h=0.0)

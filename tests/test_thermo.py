@@ -623,7 +623,8 @@ class TestAverageEnergy:
                     sweep(PHYS, 1, 500, [b], Strategy.PAPER_CLOSED_FORM, "corrected").z.item()
                 )
 
-            expected = -central_diff(log_z, beta, 1, h=1e-3 * beta)
+            # one one-point sweep per stencil point
+            expected = -central_diff(np.vectorize(log_z, otypes=[float]), beta, 1, h=1e-3 * beta)
             u = sweep(PHYS, 1, 500, [beta], Strategy.PAPER_CLOSED_FORM).u.item()
             assert u == pytest.approx(expected, rel=1e-6)
 
@@ -667,6 +668,13 @@ class TestHeatCapacity:
                 break
         assert expected is not None
         assert find_heat_capacity_plateau(p, m, 500) == expected
+
+    def test_plateau_lattice_is_read_only(self):
+        """The scan's lattice is the 319 temperatures 0.5 2^(i/24), and no
+        caller can edit it in place under a later scan."""
+        assert_bits_equal(thermo.PLATEAU_TEMPERATURES, 0.5 * np.exp2(np.arange(319) / 24.0))
+        with pytest.raises(ValueError):
+            thermo.PLATEAU_TEMPERATURES *= 2.0
 
     @pytest.mark.parametrize("n, kb", [(0, 1.0), (500, 1e300)])
     def test_plateau_zero_heat_capacity_never_qualifies(self, n, kb):

@@ -1,7 +1,8 @@
 """The batched routes of the self-validation suite against the scalar routes
 they replace: one quadrature per overlap group, one residual call per state,
-one closed-form sweep per stencil offset, one Euler-Maclaurin model per k;
-and checks that fail on a NaN or a perturbed direct sum."""
+one closed-form sweep per point of the stencil, one Euler-Maclaurin model
+per k, one plateau scan per sweep; and checks that fail on a NaN or a
+perturbed direct sum."""
 
 import dataclasses
 import math
@@ -25,6 +26,7 @@ from pdm_osc.specfun import QuadratureSpec, central_diff, integrate
 
 import box
 from test_acceptance import _em_first_order_model
+from test_oscillator import assert_bits_equal
 
 
 def scalar_overlap(params, m, n1, n2):
@@ -140,11 +142,15 @@ class TestStencilReferences:
             return getattr(thermo.sweep(p, 1, 500, [b], thermo.Strategy.PAPER_CLOSED_FORM),
                            quantity).item()
 
+        def stencil(quantity, g=lambda x: x):
+            """g of the quantity at each stencil point, one one-point sweep each."""
+            return np.vectorize(lambda b: g(point(b, quantity)), otypes=[float])
+
         for i, beta in enumerate(betas.tolist()):
             h = 1e-3 * beta
-            assert u_ref[i] == -central_diff(lambda b: math.log(point(b, "z")), beta, 1, h)
-            assert c_ref[i] == -beta * beta * central_diff(lambda b: point(b, "u"), beta, 1, h)
-            assert s_ref[i] == beta * beta * central_diff(lambda b: point(b, "f"), beta, 1, h)
+            assert u_ref[i] == -central_diff(stencil("z", math.log), beta, 1, h)
+            assert c_ref[i] == -beta * beta * central_diff(stencil("u"), beta, 1, h)
+            assert s_ref[i] == beta * beta * central_diff(stencil("f"), beta, 1, h)
             assert (series.u[i], series.c[i], series.s[i]) == tuple(
                 point(beta, q) for q in ("u", "c", "s"))
 
@@ -225,3 +231,65 @@ class TestNaNFailsCheck:
         patch_direct_z(monkeypatch, lambda z: np.where(np.arange(z.size) == 1, math.nan, z))
         result = validate.check_strategy_triangulation()
         assert not result.passed and "nan" in result.detail
+
+    @pytest.mark.parametrize("rows, failed", [([0], {"normalization"}),
+                                              ([-1], {"orthogonality"}),
+                                              ([0, -1], {"normalization", "orthogonality"})])
+    def test_overlaps(self, monkeypatch, rows, failed):
+        """The two overlap checks read one batch: a NaN in a norm row fails
+        normalization, one in a cross row orthogonality, each with "nan" in
+        its detail, and the other check still passes."""
+        real = validate.radial_overlaps
+
+        def nan_in_rows(p, triples):
+            values = real(p, triples)
+            values[rows] = math.nan
+            return values
+
+        monkeypatch.setattr(validate, "radial_overlaps", nan_in_rows)
+        results = validate.check_overlaps()
+        assert [r.name for r in results] == ["normalization", "orthogonality"]
+        for result in results:
+            assert result.passed == (result.name not in failed)
+            assert ("nan" in result.detail) == (result.name in failed)
+
+
+def test_figure_plateaus_equal_the_plateau_scan(monkeypatch):
+    """For each figure (m, k), the plateau that figure_properties reads from
+    its one sweep over the figure grid and the lattice is
+    find_heat_capacity_plateau(p, m, 500), result for result."""
+    expected = [thermo.find_heat_capacity_plateau(SystemParams(1.0, k), m, 500)
+                for m in (1, 2) for k in validate.FIGURE_K_LIST]
+    real, seen = thermo.plateau_from_lattice, []
+
+    def recorded(c):
+        seen.append(real(c))
+        return seen[-1]
+
+    monkeypatch.setattr(thermo, "plateau_from_lattice", recorded)
+    assert validate.check_figure_properties().passed
+    assert None not in expected and seen == expected
+
+
+@pytest.mark.parametrize("strategy", [thermo.Strategy.DIRECT_SUM,
+                                      thermo.Strategy.PAPER_CLOSED_FORM])
+def test_sweeps_equal_the_sweep_of_each_grid(strategy):
+    """validate._sweeps cuts one sweep over the grids into one series per
+    grid, each equal to the sweep of its grid alone in every field, every
+    array and every diagnostic bit for bit."""
+    p = SystemParams(1.0, -0.1)
+    grids = (np.array([0.02, 0.2]), 1.0 / np.linspace(5.0, 50.0, 4), np.array([1.0]))
+    parts = validate._sweeps(p, 1, grids, strategy)
+    assert len(parts) == len(grids)
+    for part, grid in zip(parts, grids):
+        alone = thermo.sweep(p, 1, 500, grid, strategy)
+        for field in dataclasses.fields(alone):
+            got, want = getattr(part, field.name), getattr(alone, field.name)
+            if isinstance(want, np.ndarray):
+                assert_bits_equal(got, want)
+            elif isinstance(want, dict):
+                assert got.keys() == want.keys()
+                for key in want:
+                    assert_bits_equal(got[key], want[key])
+            else:
+                assert got == want
