@@ -29,11 +29,11 @@ sweep evaluates one (params, m, N, strategy) series on a whole beta grid, as
 array programs over that grid, and returns a ThermoSeries: one array per
 quantity and per diagnostic. The direct sum builds the excitations a piece
 at a time, forms each weight once and reduces it over blocks of beta rows,
-each row cut past the levels whose weights may be nonzero ("n_terms", the
-levels with beta d <= 746, found from the root of beta d(x) = 746), or,
-where its first excited weight is at least 2^-900, past those whose
-weights are normal (beta d <= 708.4; _row_cuts bounds what that drops); a
-row longer than a block merges its pieces' sums by the pairwise update of
+each row cut past the levels with beta d <= tau, where tau <= 746 leaves
+out only weights that move none of the row's sums by 2^-64 of itself
+(_row_cuts; past 746 every weight is 0.0, and "n_terms" counts the levels
+with beta d <= 746, found from the root of beta d(x) = 746); a row longer
+than a block merges its pieces' sums by the pairwise update of
 Chan, Golub and LeVeque. The closed form is one array expression over the
 grid; the pipeline integrates every beta in one batched quadrature, up to
 the root of 746, from a partition that halves toward x = 0.
@@ -118,9 +118,6 @@ _EXP_UNDERFLOW = 746.0
 # exp(-x) is below the smallest normal double 2^-1022 = exp(-708.396...) for
 # every x beyond this: subnormal, where exp costs about 100 times as much
 _EXP_SUBNORMAL = 708.4
-# a direct row with beta d_1 at most this, whose first excited weight is at
-# least 2^-900, stops where its weights turn subnormal (_row_cuts)
-_SUBNORMAL_CUT_D1 = 900.0 * math.log(2.0)
 
 
 def _spine(size: int) -> list[int]:
@@ -165,24 +162,31 @@ def _cut_lengths(n_terms: np.ndarray, size: int) -> np.ndarray:
 
 def _row_cuts(slope: float, q: float, d1: float, betas: np.ndarray,
               size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each beta row's limit and cut length (_cut_lengths) in the direct sum
-    of size levels d(x) = x (slope + q x), d_1 = d1 the first excited one
-    (0.0 where size is 1). A row's weights exp(-beta d) are formed up to
-    beta d = limit and are 0.0 beyond it.
+    """Each beta row's limit tau and cut length (_cut_lengths) in the direct
+    sum of size levels d(x) = x (slope + q x), d_1 = d1 the first excited
+    one (0.0 where size is 1). A row's weights exp(-beta d) are formed up to
+    beta d = tau and are 0.0 beyond it.
 
-    A row whose first excited weight is at least 2^-900 (beta d1 <= 900 ln 2)
-    stops at limit 708.4, past which exp is subnormal; every other row at
-    746, past which it is 0.0, so a row whose excited weights are all
-    subnormal keeps them. A row stopped at 708.4 drops only weights below
-    tau = 2^-1022, at levels with beta d in (708.4, 746], and as levels are
-    at least D = slope apart, at most K = 37.6/(beta D) + 1 of them. Against
-    its sums at 746, with d_max = 746/beta: sum w (at least w_0 = 1) moves
-    by at most K tau relative; the mean by at most K tau d_max; the centred
-    sum S by at most K tau d_max^2 (1 + K tau), and as S >= w_1 d_1^2 / 2,
-    by at most K tau (1 + K tau) 2^901 (d_max/d_1)^2 relative, below 1e-18
-    over the documented box (beta D >= 2e-4): far below an ulp.
+    With x = beta d_1 and r = 746/x, tau = min(746, x + C) with
+    C = 64 ln 2 + ln(2 (r + 1)) + 2 ln r. Past 746 every weight is 0.0; a row
+    cut below drops only weights below w_1 e^-C, w_1 = exp(-x), at levels
+    with beta d in (tau, 746]: as the gaps D + q (2j + 1) between levels
+    are at least d_1, at most K = r + 1 of them, of sum delta <= K w_1 e^-C.
+    Against the row cut at 746, with d_max = 746/beta: sum w (at least
+    w_0 = 1) moves by at most K e^-C = 2^-65/r^2 relative; the mean (at
+    least w_1 d_1 / sum w) by at most delta d_max / sum w, 2^-65/r relative;
+    the centred sum S by at most delta d_max^2 (the dropped weights' spread
+    and their pull on the mean together), and as S >= w_1 d_1^2 / (1 + w_1),
+    by at most 2^-64 (1 + w_1)/2 relative, which bounds the variance
+    S / sum w too, as S and sum w move it apart. tau reads beta d_1 alone,
+    so it does not depend on N; it grows toward 746 as x -> 0 (147.8 at
+    x = 1e-12), is 746 for x > 700.1 and passes 708.4 only where x > 662.3.
     """
-    limits = np.where(betas * d1 <= _SUBNORMAL_CUT_D1, _EXP_SUBNORMAL, _EXP_UNDERFLOW)
+    x = betas * d1
+    with np.errstate(divide="ignore", over="ignore"):
+        r = _EXP_UNDERFLOW / x
+        cut = x + 64.0 * math.log(2.0) + np.log(2.0 * (r + 1.0)) + 2.0 * np.log(r)
+    limits = np.minimum(cut, _EXP_UNDERFLOW)
     kept = np.minimum(np.floor(_underflow_root(slope, q, betas, limits)) + 1.0, size)
     return limits, _cut_lengths(kept.astype(int), size)
 
@@ -284,13 +288,14 @@ def _from_moments(strategy: Strategy, kb: float, betas: np.ndarray, e0: float,
 
 
 def _direct_series(p: SystemParams, m: int, n_max: int, betas: np.ndarray) -> ThermoSeries:
-    """Direct-sum series of (p, m, N = n_max) on the grid betas. As k <= 0,
-    the longest cut L is at the smallest beta (_row_cuts); only d_0..d_{L-1}
-    are built, a piece of at most a block at a time (_boltzmann_sums), so
-    the memory is flat in N. "tail_ratio" is w_N / sum w, w_N formed apart
-    from the sums, and "subnormal_weights" flags the rows whose excited
-    weights are all below 2^-1022 (beta d_1 > 708.4), on which U - E_0, C
-    and S rest, where they are not exactly 0."""
+    """Direct-sum series of (p, m, N = n_max) on the grid betas. As k <= 0
+    and tau/beta falls as beta grows, the longest cut L is at the smallest
+    beta (_row_cuts); only d_0..d_{L-1} are built, a piece of at most a
+    block at a time (_boltzmann_sums), so the memory is flat in N.
+    "tail_ratio" is w_N / sum w, w_N formed apart from the sums, and
+    "subnormal_weights" flags the rows whose excited weights are all below
+    2^-1022 (beta d_1 > 708.4, where tau is 746, so they are kept), on which
+    U - E_0, C and S rest, where they are not exactly 0."""
     size = n_max + 1
     e0, slope, q = spectrum_terms(p, m)
     d_top = excitation(p, size - 1.0, m)
@@ -463,11 +468,11 @@ def sweep(params: SystemParams, m: int, truncation_n: int, betas: Iterable[float
     so it gives an empty series whose diagnostic columns are empty arrays of
     their dtypes, or the strategy's refusal of a spectrum that is not finite
     (the range checks read an empty grid's ends as inf and 0). The direct
-    sum reduces the spectrum in blocks of beta rows, each row cut where its
-    weights underflow to 0.0 ("n_terms" counts the levels before that, those
-    with beta d <= 746) or, if its first excited weight is at least 2^-900,
-    where they turn subnormal (_row_cuts); the closed form computes only the
-    requested d_t variant, and refuses k = 0 with NonPhysicalError.
+    sum reduces the spectrum in blocks of beta rows, each row cut where what
+    it drops moves none of its sums by 2^-64 of itself (_row_cuts; "n_terms"
+    counts the levels with beta d <= 746, past which every weight underflows
+    to 0.0); the closed form computes only the requested d_t variant, and
+    refuses k = 0 with NonPhysicalError.
     """
     # an array is copied whole (fromiter walks it, at about 100 times the cost)
     betas = (np.array(betas, dtype=float) if isinstance(betas, np.ndarray) and betas.ndim == 1

@@ -2,7 +2,8 @@
 with no oracle to compare against:
 
 - m and -m give the same series, bit for bit: the spectrum is even in m;
-- kb = 2 doubles C and S exactly and leaves Z, ln Z, U and F as they are;
+- kb = 2 doubles C and S exactly, C within one unit of 2^-1074 where it
+  is subnormal, and leaves Z, ln Z, U and F as they are;
 - F = U - TS, within the rounding of the five quantities;
 - the direct sum's C and S are nonnegative;
 - a direct series whose rows are all cut below level N gives the same
@@ -50,10 +51,15 @@ def outcome(params, m, n, betas, strategy, variant="corrected"):
 
 def assert_series_equal(got, want, doubled=()):
     """Every quantity and diagnostic bit for bit, the quantities named in
-    doubled at twice want's value."""
+    doubled at twice want's value. A doubled C whose value is subnormal may
+    lie one unit of 2^-1074 away: C = kb beta beta var, formed left to
+    right, rounds 2 beta^2 var once on that grid, and twice the rounding of
+    beta^2 var can differ from it by 1.5 units, so by at most one."""
     for name in QUANTITIES:
-        assert_bits_equal(getattr(got, name),
-                          2.0 * getattr(want, name) if name in doubled else getattr(want, name))
+        value = 2.0 * getattr(want, name) if name in doubled else getattr(want, name)
+        loose = (name == "c" and name in doubled) & (np.abs(value) < 2.0 * TINY)
+        assert_bits_equal(getattr(got, name)[~loose], value[~loose])
+        assert np.all(np.abs(getattr(got, name) - value)[loose] <= TINY * EPS), name
     assert got.diagnostics.keys() == want.diagnostics.keys()
     for name, column in got.diagnostics.items():
         assert_bits_equal(column, want.diagnostics[name])
@@ -71,6 +77,7 @@ def assert_same_outcome(got, want, doubled=()):
 @settings(max_examples=60)
 @given(alpha=box.ALPHA, k=box.K, m=box.M, n=box.N,
        betas=st.lists(box.BETA, min_size=1, max_size=4))
+@example(alpha=128.63969449369745, k=-0.1, m=0, n=1, betas=[2.838735964758755])
 def test_relations(strategy, alpha, k, m, n, betas):
     params = SystemParams(alpha=alpha, k=k)
     series = outcome(params, m, n, betas, strategy)
@@ -147,6 +154,7 @@ def test_power_of_two_scaling(strategy, alpha, k, m, n, betas):
        betas=st.lists(box.BETA, min_size=1, max_size=4),
        ratio=box.log_uniform(4.0, 1e3))
 @example(alpha=1.0, k=-0.1, m=1, n=500, betas=[1.0], ratio=10.0)
+@example(alpha=40.67944321083047, k=-0.1, m=-1, n=0, betas=[9.098805364596211], ratio=10.0)
 def test_verbatim_minus_corrected_is_the_boundary_shift(alpha, k, m, n, betas, ratio):
     """Z_verbatim - Z_corrected = [exp(-beta (d_t - a_t)) - exp(-beta E_0)]/2:
     the two variants share the integral and differ only in the boundary
@@ -154,7 +162,12 @@ def test_verbatim_minus_corrected_is_the_boundary_shift(alpha, k, m, n, betas, r
     d_t - a_t above E_0, by at least alpha - 3|k|/2 (|m| = 1: at any other
     |m| it lies at or below E_0). Each Z is exp(ln Z), within 4 eps (1 +
     |ln Z| + beta |E_0|) of itself, and the right side within 4 eps
-    (1 + beta (d_t - a_t)) of each exponential."""
+    (1 + beta (d_t - a_t)) of each exponential. Where a value is subnormal,
+    its rounding is absolute too: each of the four exponentials is off by
+    at most one unit of 2^-1074 (the two Z by one each, the two halved
+    boundary terms by half each) and the halving rounds by half of one
+    more, 3.5 units in all, which the floor of 4 covers; differences of
+    subnormals are exact."""
     params = SystemParams(alpha=alpha, k=k, lam=ratio * alpha)
     corrected, verbatim = (outcome(params, m, n, betas, Strategy.PAPER_CLOSED_FORM, variant)
                            for variant in ("corrected", "verbatim"))
@@ -171,5 +184,5 @@ def test_verbatim_minus_corrected_is_the_boundary_shift(alpha, k, m, n, betas, r
     boundary, ground = np.exp(-beta * level), np.exp(-beta * e0)
     rounding = 4.0 * EPS * (verbatim.z * (1.0 + np.abs(verbatim.log_z) + beta * e0)
                             + corrected.z * (1.0 + np.abs(corrected.log_z) + beta * e0)
-                            + (boundary + ground) * (1.0 + beta * level))
+                            + (boundary + ground) * (1.0 + beta * level)) + 4.0 * TINY * EPS
     assert np.all(np.abs((verbatim.z - corrected.z) - 0.5 * (boundary - ground)) <= rounding)

@@ -95,70 +95,70 @@ def assert_merged_sums(sums, d, beta, length=None, dropped=(0.0, 0.0, 0.0)):
     within merged_sums_error of fsum_sums of the same weights. A row that
     reduced only its first length levels, and dropped weights there, is
     held to that error, for its own pieces, plus dropped: the bounds on how
-    far the dropped weights move sum w (relative), the mean (absolute) and
-    the variance (relative), as dropped_weights_bound gives them."""
+    far the dropped weights move sum w, the mean and the variance, each
+    relative, as dropped_weights_bound gives them."""
     want = fsum_sums(d, np.exp(-beta * d))
     pieces = -(-(d.size if length is None else length) // thermo._BLOCK_ELEMENTS)
     err_w, err_mean, err_var = merged_sums_error(pieces, d[-1].item(), *want[1:])
     (sw, mean, var), (want_sw, want_mean, want_var) = sums, want
     assert abs(sw - want_sw) <= (err_w + dropped[0]) * want_sw
-    assert abs(mean - want_mean) <= err_mean + dropped[1]
+    assert abs(mean - want_mean) <= err_mean + dropped[1] * want_mean
     assert abs(var - want_var) <= (err_var + dropped[2]) * want_var
 
 
-def dropped_weights_bound(beta, slope, d1, limit=thermo._EXP_SUBNORMAL):
+def dropped_weights_bound(beta, d1, limit):
     """How far the weights a direct row cut at beta d = limit drops move its
-    sum w (relative), mean (absolute) and variance (relative), against the
-    row cut at 746 (thermo._row_cuts): nothing at limit 746. At 708.4 it
-    drops at most K = 37.6/(beta D) + 1 weights, D = slope, each below
-    tau = 2^-1022 and at d <= d_max = 746/beta. So sum w >= 1 moves by at
-    most K tau of itself, the mean by K tau d_max and the centred sum
-    S >= w_1 d_1^2 / 2 by K tau (1 + K tau) d_max^2, with w_1 = exp(-beta d_1);
-    the variance S / sum w by the sum of both relative moves. Where w_1 is
-    0.0 the variance's bound is infinite."""
+    sum w, mean and variance, each relative, against the row cut at 746
+    (thermo._row_cuts): nothing at limit 746. Below it, with x = beta d_1,
+    r = 746/x and C = limit - x, the row drops at most K = r + 1 weights,
+    each below w_1 e^-C, w_1 = exp(-x), at d <= d_max = 746/beta, of sum
+    delta <= K w_1 e^-C. So sum w >= 1 moves by at most delta of itself; the
+    mean, at least w_1 d_1 / sum w, by at most delta d_max / sum w, K e^-C r
+    of itself; the centred sum S >= w_1 d_1^2 / (1 + w_1) by at most
+    delta d_max^2, K e^-C r^2 (1 + w_1) of itself; and the variance S / sum w,
+    which the moves of S and sum w push apart, by at most the larger."""
     if limit == thermo._EXP_UNDERFLOW:
         return 0.0, 0.0, 0.0
-    count, tau, d_max = 37.6 / (beta * slope) + 1.0, 2.0**-1022, 746.0 / beta
-    w1 = math.exp(-beta * d1)
-    spread = (2.0 * count * tau * (1.0 + count * tau) * d_max**2 / (w1 * d1**2) if w1 > 0.0
-              else math.inf)
-    return count * tau, count * tau * d_max, spread + count * tau
+    x = beta * d1
+    r, w1, tail = thermo._EXP_UNDERFLOW / x, math.exp(-x), math.exp(x - limit)
+    count = r + 1.0
+    return (count * w1 * tail, count * tail * r,
+            max(count * tail * r * r * (1.0 + w1), count * w1 * tail))
 
 
-def assert_subnormal_cut_within_bound(p, m, n, betas):
+def assert_tail_cut_within_bound(p, m, n, betas):
     """The sums of each direct row against the same row cut at 746, for
-    (p, m, N = n) on betas: a row that _row_cuts stops at 708.4 has a
-    dropped_weights_bound far below an ulp (the variance's at most 2^-59),
-    and both rows are within merged_sums_error of math.fsum over all of the
-    weights at 746, the row cut at 708.4 within that bound too; a row that
-    stops at 746 is the same row, bit for bit."""
+    (p, m, N = n) on betas: a row that _row_cuts stops below 746 has a
+    dropped_weights_bound of at most 2^-64 on each of its three sums, and
+    both rows are within merged_sums_error of math.fsum over all of the
+    weights at 746, the cut row within that bound too; a row that stops at
+    746, or drops no level, is the same row, bit for bit."""
     betas = np.array(betas, dtype=float)
     size, (_, slope, q) = n + 1, spectrum_terms(p, m)
-    d = excitation(p, np.arange(size, dtype=float), m)
     d1 = excitation(p, float(min(n, 1)), m)
     limits, lengths = thermo._row_cuts(slope, q, d1, betas, size)
     n_terms = sweep(p, m, n, betas).diagnostics["n_terms"]
     full_lengths = thermo._cut_lengths(n_terms, size)
+    d = excitation(p, np.arange(full_lengths.max(), dtype=float), m)
     cut = thermo._boltzmann_sums(p, m, betas, lengths, limits).T.tolist()
     full = thermo._boltzmann_sums(p, m, betas, full_lengths,
                                   np.full(betas.size, thermo._EXP_UNDERFLOW)).T.tolist()
     for beta, limit, length, full_length, row, want in zip(
             betas.tolist(), limits.tolist(), lengths.tolist(), full_lengths.tolist(), cut, full):
-        if limit == thermo._EXP_UNDERFLOW or n == 0:
+        if limit == thermo._EXP_UNDERFLOW:
             assert (length, row) == (full_length, want)
             continue
-        dropped = dropped_weights_bound(beta, slope, d1)
-        assert dropped[2] <= 2.0**-59, (beta, beta * d1)
-        between = (beta * d > limit) & (beta * d <= thermo._EXP_UNDERFLOW)
-        if not between.any():  # no weight to drop: the same row
+        dropped = dropped_weights_bound(beta, d1, limit)
+        assert max(dropped) <= 2.0**-64, (beta, beta * d1)
+        levels = d[:full_length]
+        left_out = (np.arange(full_length) >= length) | (beta * levels > limit)
+        if not left_out.any():  # no level to drop: the same row
             assert (length, row) == (full_length, want)
             continue
-        # the weights at 746 that the row leaves out are each below 2^-1022
-        levels = np.arange(full_length)
-        left_out = (levels >= length) | (beta * d[:full_length] > limit)
-        assert np.exp(-beta * d[:full_length][left_out]).max() < 2.0**-1022
-        assert_merged_sums(want, d[:full_length], beta)
-        assert_merged_sums(row, d[:full_length], beta, length, dropped)
+        # the weights at 746 that the row leaves out are each below w_1 e^-C
+        assert np.exp(-beta * levels[left_out]).max() <= np.exp(-limit)
+        assert_merged_sums(want, levels, beta)
+        assert_merged_sums(row, levels, beta, length, dropped)
 
 
 def summation_formula_oracle(params: SystemParams, m: int, n: int, beta: float,
@@ -330,10 +330,10 @@ class TestPartitionDirect:
         assert (e0 + d).tolist() == energy(PHYS, np.arange(11.0), 1).tolist()
 
     def test_cut_work_count(self, monkeypatch):
-        """Each beta sums only a short prefix of the levels, and every weight
-        it drops is exactly 0.0; where none underflows it sums all N+1. A
-        series builds no level beyond its longest cut, one piece of at most
-        a block at a time, and each level once."""
+        """Each beta's n_terms is a short prefix of the levels, past which
+        every weight is exactly 0.0; where none underflows it is all N+1. A
+        series builds no level beyond its longest cut (_row_cuts), one piece
+        of at most a block at a time, and each level once."""
         p = SystemParams(alpha=1.0, k=-0.1)
         betas = [1e-4] + list(np.geomspace(0.02, 1e3, 40))
         d = excitation(p, np.arange(100_001.0), 1)
@@ -366,15 +366,15 @@ class TestPartitionDirect:
 
         def pieces(params, m, n, betas):
             """The pieces of levels lo..hi-1 one direct series builds, in
-            order, as (lo, hi, d), and the series' longest cut, which holds
-            every row's n_terms levels."""
+            order, as (lo, hi, d), and the series' longest cut."""
             calls.clear()
-            n_terms = sweep(params, m, n, betas).diagnostics["n_terms"]
+            sweep(params, m, n, betas)
             for levels, _ in calls:
                 assert 0 < levels.size <= thermo._BLOCK_ELEMENTS
                 assert levels.tolist() == list(range(int(levels[0]), int(levels[-1]) + 1))
-            longest = thermo._cut_lengths(n_terms, n + 1).max()
-            assert n_terms.max() <= longest
+            _, slope, q = spectrum_terms(params, m)
+            d1 = excitation(params, 1.0, m)
+            longest = thermo._row_cuts(slope, q, d1, np.array(betas), n + 1)[1].max()
             return [(int(lv[0]), int(lv[-1]) + 1, d) for lv, d in calls], longest
 
         monkeypatch.setattr(thermo, "excitation", recording)
@@ -392,7 +392,7 @@ class TestPartitionDirect:
             if longest <= thermo._BLOCK_ELEMENTS:
                 # rows of at most a block are one piece each, from level 0
                 assert {lo for lo, _, _ in built} == {0}
-        assert reached == [776, 384, 384, 96, 100_001]
+        assert reached == [192, 96, 96, 96, 100_001]
         # the last series' long row: one pass over its pieces in level order,
         # each level built once, joined equal to the levels built at once
         whole = excitation(edge, np.arange(100_001.0), 40)
@@ -403,6 +403,25 @@ class TestPartitionDirect:
         with pytest.raises(NonPhysicalError):
             sweep(SystemParams(alpha=1.0, k=0.5), 1, 100_000, [1e-4])
         assert calls == []
+
+    def test_figures_work_halved(self, monkeypatch):
+        """On the figures grid of the paper (k = -0.1, -0.2 and -0.3, m = 1,
+        N = 500, 2,000 T from 0.1 to 50), the rows passed to the Boltzmann
+        sums hold at most half of the 1,619,296 levels that rows cut at
+        708.4 or 746 held: a count of work, timing nothing."""
+        lanes = []
+        sums = thermo._boltzmann_sums
+
+        def counting(p, m, betas, lengths, limits):
+            lanes.append(lengths.sum())
+            return sums(p, m, betas, lengths, limits)
+
+        monkeypatch.setattr(thermo, "_boltzmann_sums", counting)
+        temps = _temperature_grid({"T_min": 0.1, "T_max": 50.0, "T_count": 2000,
+                                   "T_spacing": "auto"})
+        for k in FIGURE_K_LIST:
+            sweep(SystemParams(alpha=1.0, k=k), 1, 500, [1.0 / t for t in temps])
+        assert len(lanes) == 3 and sum(lanes) <= 1_619_296 // 2
 
     @pytest.mark.parametrize("n", [128, 257, 100_000])
     def test_n_terms_counts_the_terms(self, n):
@@ -881,8 +900,8 @@ class TestSweep:
         no level beyond its cut and runs exp only where a weight is not
         exactly 0.0. A longer row is reduced piece by piece and the pieces
         merged: its sums are held to math.fsum of all its weights within
-        merged_sums_error, plus dropped_weights_bound where the row stops at
-        708.4. Either way the series is formed from the sums.
+        merged_sums_error, plus dropped_weights_bound where the row stops
+        below 746. Either way the series is formed from the sums.
         The betas take in 1e3 and cuts whose last kept weight is subnormal,
         beta d_j in [708, 746]; C is beta * beta * var, and the betas added
         here are ones where libm's pow gives another beta**2. At N = 3e5 a
@@ -909,7 +928,7 @@ class TestSweep:
         for beta, limit, length, full_length, point, row in zip(
                 betas, limits.tolist(), lengths.tolist(), full_lengths.tolist(), got, sums):
             if length > thermo._BLOCK_ELEMENTS:
-                dropped = dropped_weights_bound(beta, slope, d[1].item(), limit)
+                dropped = dropped_weights_bound(beta, d[1].item(), limit)
                 assert_merged_sums(row, d[:full_length], beta, length, dropped)
             else:
                 assert row == list(one_dimensional_sums(d, beta))
@@ -1030,11 +1049,30 @@ class TestSweep:
                 sweep(PHYS, 1, 500, np.array([bad, 0.1]))
 
 
-class TestSubnormalCut:
-    """A direct row whose first excited weight is at least 2^-900 stops
-    where its weights turn subnormal (thermo._row_cuts): its sums stay
-    within dropped_weights_bound of the row cut at 746, and that bound is far
-    below an ulp."""
+def spine_edge_betas(p, m, n):
+    """For each node j of the spine of n + 1 levels with d_{j-1} > 0, the
+    betas just either side of the one at which the row's limit tau falls on
+    d_{j-1}: beta d_{j-1} - tau grows with beta, so bisection in log beta
+    finds it."""
+    (_, slope, q), d = spectrum_terms(p, m), excitation(p, np.arange(n + 1.0), m)
+    betas = []
+    for j in _spine(n + 1):
+        if d[j - 1] == 0.0:
+            continue
+        lo, hi = math.log(1e-20), math.log(thermo._EXP_UNDERFLOW / d[j - 1])
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            tau = thermo._row_cuts(slope, q, d[1], np.array([math.exp(mid)]), n + 1)[0].item()
+            lo, hi = (mid, hi) if math.exp(mid) * d[j - 1] < tau else (lo, mid)
+        betas += [math.exp(lo) * (1.0 - 1e-9), math.exp(hi) * (1.0 + 1e-9)]
+    return betas
+
+
+class TestTailCut:
+    """A direct row stops at beta d = tau (thermo._row_cuts), past which its
+    weights move none of its sums by 2^-64 of itself: its sums stay within
+    dropped_weights_bound of the row cut at 746, and each of those bounds is
+    at most 2^-64."""
 
     @settings(max_examples=40)
     @given(alpha=box.ALPHA, k=box.K, m=box.M, n=box.N,
@@ -1042,27 +1080,46 @@ class TestSubnormalCut:
     @example(alpha=1e150, k=-0.5, m=60, n=100_000, betas=[1e-4])
     @example(alpha=1e150, k=-0.5, m=60, n=100_000, betas=[1e3])
     def test_within_bound_over_the_box(self, alpha, k, m, n, betas):
-        assert_subnormal_cut_within_bound(SystemParams(alpha=alpha, k=k), m, n, betas)
+        assert_tail_cut_within_bound(SystemParams(alpha=alpha, k=k), m, n, betas)
 
     @pytest.mark.parametrize("n", [1, 500, 100_000])
     def test_rows_near_the_limits(self, n):
-        """Rows whose first excited level sits either side of 900 ln 2 and
-        708.4, rows with a spine node's last level in (708.4, 746], and long
-        rows of several pieces."""
-        d = excitation(PHYS, np.arange(n + 1.0), 1)
-        betas = [x / d[1] for x in (600.0, 623.8, 623.9, 708.0, 708.5, 745.0)]
-        betas += [x / d[j - 1] for j in _spine(n + 1) if j > 1 for x in (708.5, 727.0)]
-        assert_subnormal_cut_within_bound(PHYS, 1, n, betas + [1e-4, 1e-3])
+        """Rows whose tau sits either side of 708.4 (beta d_1 = 662.35) and
+        of 746 (beta d_1 = 700.09), rows whose first excited weight is
+        subnormal, rows at the last level of each spine node, and long rows
+        of several pieces."""
+        d1 = excitation(PHYS, 1.0, 1)
+        betas = [x / d1 for x in (600.0, 662.3, 662.4, 700.0, 700.2, 708.5, 745.0)]
+        betas += spine_edge_betas(PHYS, 1, n)
+        assert_tail_cut_within_bound(PHYS, 1, n, betas + [1e-4, 1e-3])
 
-    def test_cut_on_every_row_fails(self, monkeypatch):
-        """Negative control: with the 708.4 cut on every row, a row whose
-        beta d_1 is just below 708.4 has a first weight of about 2^-1021, and
-        the dropped weights' bound on its variance is not below an ulp."""
-        beta = 708.0 / excitation(PHYS, 1.0, 1)
-        assert_subnormal_cut_within_bound(PHYS, 1, 500, [beta])
-        monkeypatch.setattr(thermo, "_SUBNORMAL_CUT_D1", math.inf)
+    @pytest.mark.parametrize("n", [500, 100_000, 10_000_000])
+    def test_rows_outside_the_box(self, n):
+        """Rows with beta d_1 down to 1e-12, where tau is 147.8, and rows at
+        N = 1e7, where one cut below 746 drops 43,236 nonzero weights: the
+        bound holds on each."""
+        d1 = excitation(PHYS, 1.0, 1)
+        betas = [x / d1 for x in (1e-12, 1e-9, 1e-6, 1e-4, 1e-2)]
+        if n == 10_000_000:
+            betas = betas[2:]
+        assert_tail_cut_within_bound(PHYS, 1, n, betas)
+
+    def test_flat_margin_fails(self, monkeypatch):
+        """Negative control: with tau = x + 64 ln 2, the terms in ln r
+        removed, up to K = 746,001 weights of up to 2^-64 w_1 may lie past
+        the tau of a row at beta d_1 = 1e-3, and the bound on its sums is far
+        above 2^-64."""
+        beta = 1e-3 / excitation(PHYS, 1.0, 1)
+        assert_tail_cut_within_bound(PHYS, 1, 500, [beta])
+
+        def flat_cuts(slope, q, d1, betas, size):
+            limits = np.minimum(betas * d1 + 64.0 * math.log(2.0), thermo._EXP_UNDERFLOW)
+            kept = np.minimum(np.floor(thermo._underflow_root(slope, q, betas, limits)) + 1, size)
+            return limits, thermo._cut_lengths(kept.astype(int), size)
+
+        monkeypatch.setattr(thermo, "_row_cuts", flat_cuts)
         with pytest.raises(AssertionError):
-            assert_subnormal_cut_within_bound(PHYS, 1, 500, [beta])
+            assert_tail_cut_within_bound(PHYS, 1, 500, [beta])
 
     def test_subnormal_weights_flagged(self):
         """subnormal_weights is True where every excited weight is below
@@ -1122,7 +1179,7 @@ class TestRegimeEdges:
         """C >= 0, S >= 0 and F = U - TS. A sum cut at the underflow index
         to at most a block gives the full-length sums within 4 ulp; a longer
         row's sums are within merged_sums_error of math.fsum, plus
-        dropped_weights_bound where it stops at 708.4, and the series
+        dropped_weights_bound where it stops below 746, and the series
         is formed from them within 4 ulp."""
         p = SystemParams(alpha=1.0, k=k)
         series = sweep(p, m, n, [beta])
@@ -1136,7 +1193,7 @@ class TestRegimeEdges:
         if length.item() > thermo._BLOCK_ELEMENTS:
             sw, mean, var = thermo._boltzmann_sums(p, m, np.array([beta]), length, limit)[:, 0]
             full = thermo._cut_lengths(series.diagnostics["n_terms"], n + 1).item()
-            dropped = dropped_weights_bound(beta, slope, d[1].item(), limit.item())
+            dropped = dropped_weights_bound(beta, d[1].item(), limit.item())
             assert_merged_sums((sw, mean, var), d[:full], beta, length.item(), dropped)
         else:
             sw, mean, var = one_dimensional_sums(d, beta)
